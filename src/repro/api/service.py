@@ -4,12 +4,14 @@
 need: it resolves a checkpoint version, opens the shard directory the
 checkpoint recorded (or an override), and wires the feature store,
 micro-batcher, and prediction cache together.  ``workers=1`` (the default)
-returns an in-process :class:`~repro.serve.service.PredictionService`;
-``workers>1`` returns the multi-process
-:class:`~repro.cluster.server.ClusterService` instead — same
-``predict``/``predict_many``/``metrics``/``close`` surface, N decoding
-processes behind it.  Both are context managers — use ``with`` so worker
-threads/processes are shut down cleanly.
+returns an in-process :class:`~repro.serve.service.PredictionService`
+(``predict_id`` / ``predict_ids`` / ``predict_vector``, non-blocking
+``submit_*``); ``workers>1`` returns the multi-process
+:class:`~repro.cluster.server.ClusterService` (``predict`` /
+``predict_many`` / ``submit``, each taking a ``deadline``) whose N worker
+processes each serve through their own ``PredictionService``.  The two share
+``metrics()`` / ``close(drain=...)`` and are context managers — use ``with``
+so worker threads/processes are shut down cleanly.
 """
 
 from __future__ import annotations
@@ -44,8 +46,8 @@ def open_service(
 
     With ``workers > 1`` the service is a
     :class:`~repro.cluster.server.ClusterService`: ``workers`` processes
-    each with a private service stack over the shared shard directory,
-    per-worker in-flight bounded at ``backlog``, ``admission`` policy
+    each a socket adapter over a private ``PredictionService`` on the shared
+    shard directory, per-worker in-flight bounded at ``backlog``, ``admission`` policy
     (``"block"``/``"reject"``) when all queues are full, an optional
     ``deadline`` (seconds) applied to every request, and manifest-generation
     watching every ``poll_seconds``.  A shard directory is then required.

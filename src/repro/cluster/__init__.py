@@ -1,13 +1,14 @@
 """repro.cluster — the scale-out serving tier.
 
-Two ways to serve predictions beyond one blocking thread:
+Two front-ends over the one request pipeline in :mod:`repro.serve` (neither
+queues, caches or sheds on its own behalf — they admit, route and supervise):
 
 * :class:`AsyncPredictionService` — an asyncio facade over one in-process
   :class:`~repro.serve.service.PredictionService`: ``await
   service.predict(row_id)`` with micro-batching underneath, bounded
   in-flight admission, deadlines, and load shedding;
-* :class:`ClusterService` — N worker processes (each with its own buffer
-  pool, feature store, and checkpoint) behind one dispatcher speaking
+* :class:`ClusterService` — N worker processes (each a socket adapter over
+  its own ``PredictionService``) behind one dispatcher speaking
   length-prefixed JSON frames over Unix sockets, with per-worker
   backpressure, crash respawn, and manifest-generation hot re-open.
 

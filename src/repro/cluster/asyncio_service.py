@@ -1,13 +1,13 @@
 """The asyncio face of the prediction service.
 
 ``await service.predict(row_id)`` with the event loop never blocking on a
-decode: requests enter the existing queue-based
-:class:`~repro.serve.batcher.MicroBatcher` through the non-blocking
+decode: requests enter the one request pipeline
+(:class:`~repro.serve.batcher.MicroBatcher`) through the non-blocking
 :meth:`~repro.serve.service.PredictionService.submit_id` bridge and come
-back as ``concurrent.futures.Future`` objects that ``asyncio.wrap_future``
-turns into awaitables — batching, the prediction LRU, and the feature store
-all behave exactly as under threaded callers, because they *are* the same
-objects.
+back as ``concurrent.futures.Future`` objects (cache hits as plain values)
+that ``asyncio.wrap_future`` turns into awaitables — batching, the prediction
+LRU, deadline shedding and the feature store all behave exactly as under
+threaded callers and cluster workers, because they *are* the same objects.
 
 On top sits the cluster's admission discipline, applied in-process:
 
@@ -17,9 +17,11 @@ On top sits the cluster's admission discipline, applied in-process:
   :class:`~repro.cluster.errors.ServiceOverloaded` immediately (fail fast,
   let the caller back off) while ``"block"`` parks the coroutine until a
   slot frees or its deadline passes;
-* **deadlines** — a request whose answer would arrive after its deadline is
-  cancelled (shedding the batcher work if it has not started) and fails
-  with :class:`~repro.cluster.errors.DeadlineExceeded`.
+* **deadlines** — the remaining budget goes down the pipeline with the
+  request; when it runs out the caller gets
+  :class:`~repro.cluster.errors.DeadlineExceeded`.  A request still queued
+  then is dropped at the batcher's dispatch step and never reaches the model;
+  one whose batch is already in the handler finishes and is discarded.
 
 A :class:`~repro.cluster.watch.GenerationWatcher` (``watch_generation=``)
 polls the shard manifest and hot-reopens the feature store after a
@@ -31,9 +33,10 @@ from __future__ import annotations
 import asyncio
 import itertools
 import time
+from concurrent.futures import Future
 from pathlib import Path
 
-from repro.cluster.errors import DeadlineExceeded, ServiceOverloaded
+from repro.cluster.errors import DeadlineExceeded, ServiceClosed, ServiceOverloaded
 from repro.cluster.watch import GenerationWatcher
 from repro.obs import metrics as obs_metrics
 from repro.serve.checkpoint import Checkpoint
@@ -137,14 +140,8 @@ class AsyncPredictionService:
     async def _admit(self, expires: float | None) -> None:
         self._m_requests.inc()
         if self._closed:
-            from repro.cluster.errors import ServiceClosed
-
             raise ServiceClosed("async service is closed")
-        if self.max_inflight is None:
-            self._inflight += 1
-            self._m_inflight.set(self._inflight)
-            return
-        if self._inflight < self.max_inflight:
+        if self.max_inflight is None or self._inflight < self.max_inflight:
             self._inflight += 1
             self._m_inflight.set(self._inflight)
             return
@@ -187,13 +184,11 @@ class AsyncPredictionService:
         Raises :class:`ServiceOverloaded`, :class:`DeadlineExceeded`, or
         whatever the underlying prediction raised.
         """
-        return await self._request(lambda: self.service.submit_id(row_id), deadline)
+        return await self._request(self.service.submit_id, row_id, deadline)
 
     async def predict_vector(self, features, *, deadline: float | None = None) -> float:
         """Predict for one raw feature vector (uncached, micro-batched)."""
-        return await self._request(
-            lambda: self.service.submit_vector(features), deadline
-        )
+        return await self._request(self.service.submit_vector, features, deadline)
 
     async def predict_many(
         self, row_ids, *, deadline: float | None = None, return_exceptions: bool = False
@@ -209,22 +204,23 @@ class AsyncPredictionService:
             return_exceptions=return_exceptions,
         )
 
-    async def _request(self, submit, deadline: float | None):
+    async def _request(self, submit, payload, deadline: float | None):
         if deadline is None:
             deadline = self.default_deadline
         expires = None if deadline is None else time.monotonic() + deadline
         await self._admit(expires)
         try:
-            future = asyncio.wrap_future(submit())
-            if expires is None:
-                return await future
-            try:
-                return await asyncio.wait_for(future, expires - time.monotonic())
-            except asyncio.TimeoutError:
-                # wait_for cancelled the wrapped future: if the batcher had
-                # not started the request, the work is shed outright.
-                self._m_shed.inc()
-                raise DeadlineExceeded("deadline passed before the prediction finished") from None
+            # What admission left of the budget (None = no deadline at all).
+            remaining = None if expires is None else expires - time.monotonic()
+            served = submit(payload, deadline=remaining)
+            if not isinstance(served, Future):
+                return served  # a prediction-cache hit: nothing was queued
+            return await asyncio.wait_for(asyncio.wrap_future(served), remaining)
+        except (asyncio.TimeoutError, DeadlineExceeded):
+            # Either wait_for ran out (the batch is in the handler and nobody
+            # will read its answer) or the batcher shed the queued request.
+            self._m_shed.inc()
+            raise DeadlineExceeded("deadline passed before the prediction finished") from None
         finally:
             await self._release()
 

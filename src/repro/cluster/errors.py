@@ -6,35 +6,19 @@ never a silent stall.  All of them subclass :class:`RuntimeError` (and
 :class:`DeadlineExceeded` also :class:`TimeoutError`) so existing
 ``except RuntimeError`` call sites keep working.
 
-:class:`~repro.serve.batcher.ServiceClosed` is re-exported here so cluster
-users import every serving error from one place.
+:class:`WorkerCrashed` is the only one that needs a second process.  The rest
+are raised by the one request pipeline, defined in :mod:`repro.serve.batcher`,
+and re-exported here so cluster users import every serving error from one place.
 """
 
 from __future__ import annotations
 
-from repro.serve.batcher import ServiceClosed
-
-
-class ClusterError(RuntimeError):
-    """Base class for serving-tier failures."""
-
-
-class ServiceOverloaded(ClusterError):
-    """Every worker queue is full and the admission policy is ``"reject"``.
-
-    The 503 of this stack: the request was never admitted, so retrying
-    later (or against another replica) is always safe.
-    """
-
-
-class DeadlineExceeded(ClusterError, TimeoutError):
-    """The request's deadline passed before a result was produced.
-
-    Raised both by admission (the queues stayed full past the deadline
-    under the ``"block"`` policy) and by completion (the request was
-    admitted but its answer would have arrived too late — the remaining
-    work is cancelled/shed rather than finished for nobody).
-    """
+from repro.serve.batcher import (
+    ClusterError,
+    DeadlineExceeded,
+    ServiceClosed,
+    ServiceOverloaded,
+)
 
 
 class WorkerCrashed(ClusterError):

@@ -24,8 +24,11 @@ bytes.  Per request it does:
   (prediction is idempotent; callers may resubmit) and is respawned from
   the same config, so capacity heals without a restart.
 
-Deadlines cross the process boundary as absolute wall-clock times (same
-host), letting workers shed queued work whose caller has already given up.
+The dispatcher runs no request pipeline: each worker serves through its own
+:class:`~repro.serve.service.PredictionService`.  Deadlines cross the process
+boundary as a *remaining budget* in seconds that each side adds to its own
+``time.monotonic()``, so workers shed queued work whose caller has given up
+and a wall-clock step can neither shed nor immortalise a request.
 """
 
 from __future__ import annotations
@@ -49,8 +52,9 @@ from repro.cluster.errors import (
     WorkerCrashed,
 )
 from repro.cluster.protocol import ProtocolError, recv_frame, send_frame
-from repro.cluster.worker import ERR_CLOSED, ERR_DEADLINE, ERR_OVERLOADED, worker_main
+from repro.cluster.worker import ERROR_CODES, worker_main
 from repro.obs import metrics as obs_metrics
+from repro.serve.batcher import fail_future
 from repro.serve.checkpoint import Checkpoint, ModelRegistry
 
 #: Seconds the dispatcher waits for a fresh worker's socket to come up
@@ -63,11 +67,7 @@ DEADLINE_GRACE_SECONDS = 2.0
 
 _CLUSTER_IDS = itertools.count()
 
-_ERROR_CLASSES = {
-    ERR_DEADLINE: DeadlineExceeded,
-    ERR_OVERLOADED: ServiceOverloaded,
-    ERR_CLOSED: ServiceClosed,
-}
+_ERROR_CLASSES = {code: exc_cls for exc_cls, code in ERROR_CODES.items()}
 
 
 class _WorkerHandle:
@@ -259,10 +259,7 @@ class ClusterService:
         if not future.set_running_or_notify_cancel():
             return
         if frame.get("ok"):
-            if kind == "frame":
-                future.set_result(frame)
-            else:
-                future.set_result(frame.get(kind))
+            future.set_result(frame if kind == "frame" else frame.get(kind))
         else:
             code = frame.get("error")
             exc_cls = _ERROR_CLASSES.get(code, ClusterError)
@@ -280,13 +277,9 @@ class ClusterService:
             handle.pending.clear()
             self._m_inflight.set(self._total_inflight())
             self._slot_free.notify_all()
-        for entry in orphans:
+        for future, _ in orphans:
             self._m_crashed.inc()
-            future, _ = entry
-            if future.set_running_or_notify_cancel():
-                future.set_exception(
-                    WorkerCrashed(f"worker {handle.index} died before answering")
-                )
+            fail_future(future, WorkerCrashed(f"worker {handle.index} died before answering"))
         if handle.conn is not None:
             handle.conn.close()
         if self._closing or not was_alive:
@@ -310,20 +303,24 @@ class ClusterService:
                 best = handle
         return best
 
-    def _admit(self, expires: float | None, kind: str) -> tuple[_WorkerHandle, int, Future]:
-        """Reserve a slot on a worker; returns (handle, request id, future)."""
+    def _admit(self, expires: float | None, kind: str) -> tuple:
+        """Reserve a slot on a worker: (handle, request id, future, seconds left)."""
         self._m_requests.inc()
         with self._slot_free:
             while True:
                 if self._closing:
                     raise ServiceClosed("cluster service is closed")
+                timeout = None if expires is None else expires - time.monotonic()
+                if timeout is not None and timeout <= 0:
+                    self._m_shed.inc()
+                    raise DeadlineExceeded("deadline passed before admission")
                 handle = self._pick_worker()
                 if handle is not None:
                     req_id = next(self._req_ids)
                     future: Future = Future()
                     handle.pending[req_id] = (future, kind)
                     self._m_inflight.set(self._total_inflight())
-                    return handle, req_id, future
+                    return handle, req_id, future, timeout
                 if not any(h.alive for h in self._handles):
                     raise WorkerCrashed("no live workers")
                 if self.admission == "reject":
@@ -332,10 +329,6 @@ class ClusterService:
                         f"{self._total_inflight()} requests in flight "
                         f"({self.n_workers} workers x backlog {self.backlog})"
                     )
-                timeout = None if expires is None else expires - time.time()
-                if timeout is not None and timeout <= 0:
-                    self._m_shed.inc()
-                    raise DeadlineExceeded("deadline passed while waiting for admission")
                 self._slot_free.wait(timeout)
 
     def _abandon(self, handle: _WorkerHandle, req_id: int) -> None:
@@ -362,41 +355,28 @@ class ClusterService:
         :class:`DeadlineExceeded`, :class:`ServiceClosed`) synchronously; the
         future fails with worker-side errors.
         """
-        expires = self._expires(deadline)
-        handle, req_id, future = self._admit(expires, "value")
-        self._send(
-            handle,
-            req_id,
-            {"op": "predict", "id": req_id, "row_id": int(row_id), "deadline": expires},
-        )
-        return future
+        return self._route("value", {"op": "predict", "row_id": int(row_id)}, deadline)[0]
 
     def predict(self, row_id: int, *, deadline: float | None = None) -> float:
         """Predict for one stored row on some worker; explicit errors, no hangs."""
-        expires = self._expires(deadline)
-        future = self.submit(row_id, deadline=deadline)
-        return self._await(future, expires)
+        frame = {"op": "predict", "row_id": int(row_id)}
+        return self._await(*self._route("value", frame, deadline))
 
     def predict_many(self, row_ids, *, deadline: float | None = None) -> list[float]:
         """Bulk predict: one frame to one worker, one bulk store+model call."""
-        expires = self._expires(deadline)
-        handle, req_id, future = self._admit(expires, "values")
-        self._send(
-            handle,
-            req_id,
-            {
-                "op": "predict_many",
-                "id": req_id,
-                "row_ids": [int(r) for r in row_ids],
-                "deadline": expires,
-            },
-        )
-        return self._await(future, expires)
+        frame = {"op": "predict_many", "row_ids": [int(r) for r in row_ids]}
+        return self._await(*self._route("values", frame, deadline))
 
-    def _expires(self, deadline: float | None) -> float | None:
+    def _route(self, kind: str, frame: dict, deadline) -> tuple[Future, float | None]:
+        """Admit one request and send its frame (with the budget still
+        remaining after admission); returns (future, monotonic expiry)."""
         if deadline is None:
             deadline = self.default_deadline
-        return None if deadline is None else time.time() + deadline
+        expires = None if deadline is None else time.monotonic() + deadline
+        handle, req_id, future, remaining = self._admit(expires, kind)
+        frame.update(id=req_id, deadline=remaining)
+        self._send(handle, req_id, frame)
+        return future, expires
 
     def _await(self, future: Future, expires: float | None):
         """Block for the answer, but never past deadline + grace.
@@ -405,12 +385,11 @@ class ClusterService:
         timeout here only fires if a worker is wedged mid-computation; the
         request's slot frees when its (late) reply or crash arrives.
         """
-        if expires is None:
-            return future.result()
+        timeout = None
+        if expires is not None:
+            timeout = max(0.0, expires - time.monotonic()) + DEADLINE_GRACE_SECONDS
         try:
-            return future.result(
-                timeout=max(0.0, expires - time.time()) + DEADLINE_GRACE_SECONDS
-            )
+            return future.result(timeout=timeout)
         except TimeoutError as exc:
             if isinstance(exc, DeadlineExceeded):
                 raise
@@ -527,8 +506,7 @@ class ClusterService:
                     orphans = list(handle.pending.values())
                     handle.pending.clear()
                 for future, _ in orphans:
-                    if future.set_running_or_notify_cancel():
-                        future.set_exception(ServiceClosed("cluster service is closed"))
+                    fail_future(future, ServiceClosed("cluster service is closed"))
         for future in acks:
             try:
                 future.result(timeout=timeout)

@@ -1,4 +1,4 @@
-"""One serving worker process: a socket front over its own service stack.
+"""One serving worker process: a socket adapter over a ``PredictionService``.
 
 Each worker owns a full, private copy of the read path — its own
 :class:`~repro.storage.buffer_pool.BufferPool`, feature store, checkpoint
@@ -7,49 +7,44 @@ immutable between manifest swaps, so N workers need no coordination beyond
 watching the manifest generation; the page cache deduplicates the actual
 bytes across processes.
 
-The process runs three threads:
+The worker has no request pipeline of its own.  A ``predict`` frame becomes
+:meth:`~repro.serve.service.PredictionService.submit_id` and a
+``predict_many`` frame ``submit_ids``, each with the frame's remaining-seconds
+``deadline`` and a done-callback that writes the reply frame: the value, or
+an error code chosen from the exception class.  Cache probe, the queue
+bounded at ``backlog`` (a refusal means the dispatcher's in-flight count
+slipped, and is still an explicit :class:`ServiceOverloaded`), coalescing,
+deadline shedding and the reopen-after-compact retry are the service's,
+exactly as for in-process callers.
 
-* **reader** (main thread) — accepts the dispatcher's single connection and
-  handles frames: control ops (``ping``/``metrics``/``shutdown``) inline,
-  predictions through admission (cache probe, bounded-queue check,
-  already-dead-on-arrival deadline shed) into the dispatch queue;
-* **dispatch** — drains the queue in mini-batches of up to
-  ``max_batch_size``, sheds queued work whose deadline passed while it
-  waited (reply :data:`ERR_DEADLINE`, never silence), and answers the rest
-  with one bulk feature-store lookup + model call per batch;
-* **generation watcher** — polls the manifest and hot-reopens the feature
-  store after a compact, without touching in-flight work (the bulk path
-  also retries once through a re-open if it races the swap).
-
-Backpressure is structural: the dispatch queue is bounded at ``backlog``
-and an arriving request that finds it full is refused immediately with
-:data:`ERR_OVERLOADED` — the dispatcher normally prevents this by tracking
-in-flight counts, so a refusal here means the front door mis-counted, and
-the caller still gets an explicit error rather than an unbounded queue.
+The process runs three threads: the **reader** (main thread; control ops
+inline, predictions submitted to the service), the service's **batcher**
+(which also runs the reply callbacks), and the **generation watcher**
+(hot-reopens the feature store after a compact without touching in-flight
+work).
 """
 
 from __future__ import annotations
 
 import os
-import queue
 import socket
 import threading
-import time
+from concurrent.futures import Future
 from pathlib import Path
 
+from repro.cluster.errors import DeadlineExceeded, ServiceClosed, ServiceOverloaded
 from repro.cluster.protocol import recv_frame, send_frame
 from repro.cluster.watch import DEFAULT_POLL_SECONDS, GenerationWatcher
 from repro.obs import metrics as obs_metrics
-from repro.serve.lru import LRUCache
 from repro.serve.service import PredictionService
 
-#: Error codes a worker may answer with (the dispatcher maps them back to
-#: exception classes; see ``repro.cluster.server``).
-ERR_DEADLINE = "deadline"
-ERR_OVERLOADED = "overloaded"
-ERR_CLOSED = "closed"
-
-_STOP = object()
+#: The error code a worker answers with for each exception class the
+#: pipeline raises; the dispatcher inverts this table to raise the same class.
+ERROR_CODES = {
+    DeadlineExceeded: "deadline",
+    ServiceOverloaded: "overloaded",
+    ServiceClosed: "closed",
+}
 
 
 def worker_main(config: dict) -> None:
@@ -59,32 +54,20 @@ def worker_main(config: dict) -> None:
 
 class _Worker:
     def __init__(self, config: dict):
-        self.config = config
         self.index = int(config["worker_index"])
         self.socket_path = config["socket_path"]
-        self.backlog = int(config.get("backlog", 64))
-        self.max_batch_size = int(config.get("max_batch_size", 32))
         self.poll_seconds = float(config.get("poll_seconds") or DEFAULT_POLL_SECONDS)
-        cache_size = int(config.get("cache_size", 256))
-        self._cache: LRUCache | None = LRUCache(cache_size) if cache_size else None
-        self._queue: queue.Queue = queue.Queue(maxsize=max(1, self.backlog))
-        self._closing = False
         self._send_lock = threading.Lock()
         self._conn: socket.socket | None = None
 
         labels = {"worker": self.index}
         self._m_requests = obs_metrics.counter("cluster.worker.requests", **labels)
-        self._m_shed_deadline = obs_metrics.counter(
-            "cluster.worker.shed", reason=ERR_DEADLINE, **labels
-        )
-        self._m_shed_overload = obs_metrics.counter(
-            "cluster.worker.shed", reason=ERR_OVERLOADED, **labels
-        )
+        self._m_shed = {
+            code: obs_metrics.counter("cluster.worker.shed", reason=code, **labels)
+            for code in ("deadline", "overloaded")
+        }
         self._m_cache_hits = obs_metrics.counter("cluster.worker.cache_hits", **labels)
         self._m_depth = obs_metrics.gauge("cluster.worker.queue_depth", **labels)
-        self._m_generation = obs_metrics.gauge("cluster.worker.generation", **labels)
-        self._m_batch = obs_metrics.histogram("cluster.worker.batch.size", **labels)
-        self._m_seconds = obs_metrics.histogram("cluster.worker.request.seconds", **labels)
 
         version = config.get("version", "latest")
         self.service, self.checkpoint = PredictionService.from_registry(
@@ -92,12 +75,10 @@ class _Worker:
             version if version == "latest" else int(version),
             shard_dir=config["shard_dir"],
             store_kwargs=config.get("store_kwargs") or None,
-            max_batch_size=self.max_batch_size,
-            cache_size=0,  # the worker fronts its own LRU keyed by row id
+            max_batch_size=int(config.get("max_batch_size", 32)),
+            cache_size=int(config.get("cache_size", 256)),
+            max_queue=int(config.get("backlog", 64)),
         )
-        if self.service.store is None:
-            raise RuntimeError("cluster workers need a shard directory to serve rows")
-        self._m_generation.set(self.service.generation or 0)
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -109,24 +90,21 @@ class _Worker:
             listener.listen(1)
             self._conn, _ = listener.accept()
 
-            watcher = GenerationWatcher(self._poll_generation, poll_seconds=self.poll_seconds)
-            watcher.start()
-            dispatcher = threading.Thread(
-                target=self._dispatch_loop, name=f"repro-worker-{self.index}-dispatch"
+            watcher = GenerationWatcher(
+                self.service.maybe_reopen_store, poll_seconds=self.poll_seconds
             )
-            dispatcher.start()
+            watcher.start()
             try:
                 shutdown_id = self._reader_loop()
             finally:
-                self._closing = True
-                self._queue.put(_STOP)
-                dispatcher.join()
+                # Joins the batcher after it served everything queued, reply
+                # callbacks included.
+                self.service.close(drain=True)
                 watcher.stop()
             if shutdown_id is not None:
-                # Ack only after the dispatch thread drained every queued
-                # request: the dispatcher reads this as "drain complete".
+                # Ack only now that every queued request has its answer on
+                # the wire: the dispatcher reads this as "drain complete".
                 self._send({"id": shutdown_id, "ok": True})
-            self.service.close()
         finally:
             if self._conn is not None:
                 self._conn.close()
@@ -143,9 +121,9 @@ class _Worker:
                 return None  # dispatcher went away; drain and exit
             op = frame.get("op")
             if op == "predict":
-                self._admit_one(frame)
+                self._serve(frame, "value", self.service.submit_id, frame.get("row_id"))
             elif op == "predict_many":
-                self._admit_many(frame)
+                self._serve(frame, "values", self.service.submit_ids, frame.get("row_ids") or [])
             elif op == "ping":
                 self._send(
                     {
@@ -155,7 +133,7 @@ class _Worker:
                         "worker": self.index,
                         "generation": self.service.generation,
                         "n_rows": self.service.store.n_rows,
-                        "queue_depth": self._queue.qsize(),
+                        "queue_depth": self.service.queue_depth,
                     }
                 )
             elif op == "metrics":
@@ -165,155 +143,48 @@ class _Worker:
             elif op == "crash":  # fault injection for the respawn tests
                 os._exit(13)
             else:
-                self._send(
-                    {"id": frame.get("id"), "ok": False, "error": "bad_request",
-                     "message": f"unknown op {op!r}"}
-                )
+                self._reply_error(frame.get("id"), "bad_request", f"unknown op {op!r}")
 
-    def _admit_one(self, frame: dict) -> None:
+    def _serve(self, frame: dict, key: str, submit, rows) -> None:
+        """Submit one prediction frame; its reply is written when it resolves."""
         self._m_requests.inc()
         req_id = frame.get("id")
-        deadline = frame.get("deadline")
-        if self._closing:
-            self._reply_error(req_id, ERR_CLOSED, "worker is shutting down")
-            return
-        if deadline is not None and time.time() > deadline:
-            self._m_shed_deadline.inc()
-            self._reply_error(req_id, ERR_DEADLINE, "deadline passed before admission")
-            return
-        row_id = frame.get("row_id")
-        if self._cache is not None:
-            value = self._cache.get(row_id)
-            if value is not None:
-                self._m_cache_hits.inc()
-                self._send({"id": req_id, "ok": True, "value": value})
-                return
-        self._enqueue(("one", req_id, row_id, deadline))
-
-    def _admit_many(self, frame: dict) -> None:
-        self._m_requests.inc()
-        req_id = frame.get("id")
-        if self._closing:
-            self._reply_error(req_id, ERR_CLOSED, "worker is shutting down")
-            return
-        deadline = frame.get("deadline")
-        if deadline is not None and time.time() > deadline:
-            self._m_shed_deadline.inc()
-            self._reply_error(req_id, ERR_DEADLINE, "deadline passed before admission")
-            return
-        self._enqueue(("many", req_id, frame.get("row_ids") or [], deadline))
-
-    def _enqueue(self, item: tuple) -> None:
         try:
-            self._queue.put_nowait(item)
-        except queue.Full:
-            self._m_shed_overload.inc()
-            self._reply_error(item[1], ERR_OVERLOADED, f"worker queue full ({self.backlog})")
+            served = submit(rows, deadline=frame.get("deadline"))
+        except Exception as exc:  # refused at the door: queue full, closed, bad id
+            self._reply_exception(req_id, exc)
             return
-        self._m_depth.set(self._queue.qsize())
+        if isinstance(served, Future):
+            served.add_done_callback(lambda f: self._reply(req_id, key, f))
+        else:  # a prediction-cache hit: answered on the reader thread
+            self._send({"id": req_id, "ok": True, key: served})
 
-    # -- dispatch side ---------------------------------------------------------
-
-    def _dispatch_loop(self) -> None:
-        while True:
-            item = self._queue.get()
-            if item is _STOP:
-                return
-            stop = False
-            if item[0] == "many":
-                self._process_many(item)
-                continue
-            batch = [item]
-            while len(batch) < self.max_batch_size:
-                try:
-                    nxt = self._queue.get_nowait()
-                except queue.Empty:
-                    break
-                if nxt is _STOP:
-                    stop = True
-                    break
-                if nxt[0] == "many":
-                    self._process_batch(batch)
-                    batch = []
-                    self._process_many(nxt)
-                    continue
-                batch.append(nxt)
-            self._m_depth.set(self._queue.qsize())
-            if batch:
-                self._process_batch(batch)
-            if stop:
-                return
-
-    def _process_batch(self, batch: list) -> None:
-        start = time.perf_counter()
-        now = time.time()
-        live: list = []
-        for kind, req_id, row_id, deadline in batch:
-            # Shed queued work that already missed its deadline: answering
-            # it would burn decode time nobody is waiting on, which under
-            # saturation is exactly what melts a queue down.
-            if deadline is not None and now > deadline:
-                self._m_shed_deadline.inc()
-                self._reply_error(req_id, ERR_DEADLINE, "deadline passed in queue")
-            else:
-                live.append((req_id, row_id))
-        if not live:
-            return
-        self._m_batch.observe(len(live))
+    def _reply(self, req_id, key: str, future: Future) -> None:
+        """Done-callback, on the batcher thread."""
         try:
-            values = self._bulk([row_id for _, row_id in live])
-        except Exception as exc:
-            for req_id, _ in live:
-                self._reply_error(req_id, type(exc).__name__, str(exc))
-            return
-        elapsed = time.perf_counter() - start
-        for (req_id, row_id), value in zip(live, values):
-            if self._cache is not None:
-                self._cache.put(row_id, float(value))
-            self._send({"id": req_id, "ok": True, "value": float(value)})
-        self._m_seconds.observe(elapsed)
+            value = future.result()
+        except BaseException as exc:  # whatever the pipeline stored in the future
+            return self._reply_exception(req_id, exc)
+        self._send({"id": req_id, "ok": True, key: value})
 
-    def _process_many(self, item: tuple) -> None:
-        _, req_id, row_ids, deadline = item
-        if deadline is not None and time.time() > deadline:
-            self._m_shed_deadline.inc()
-            self._reply_error(req_id, ERR_DEADLINE, "deadline passed in queue")
-            return
-        self._m_batch.observe(len(row_ids))
-        try:
-            values = self._bulk(row_ids)
-        except Exception as exc:
-            self._reply_error(req_id, type(exc).__name__, str(exc))
-            return
-        self._send({"id": req_id, "ok": True, "values": [float(v) for v in values]})
-
-    def _bulk(self, row_ids: list):
-        """One store lookup + one model call, surviving a generation swap."""
-        try:
-            return self.service.predict_ids(row_ids)
-        except OSError:
-            # Raced a compact's file deletion; re-open at the new generation
-            # (always correct: compaction never changes row content/order).
-            if not self.service.reopen_store():
-                raise
-            self._m_generation.set(self.service.generation or 0)
-            return self.service.predict_ids(row_ids)
+    def _reply_exception(self, req_id, exc: BaseException) -> None:
+        code = ERROR_CODES.get(type(exc), type(exc).__name__)
+        if code in self._m_shed:
+            self._m_shed[code].inc()
+        self._reply_error(req_id, code, str(exc))
 
     # -- helpers ---------------------------------------------------------------
 
-    def _poll_generation(self) -> bool:
-        reopened = self.service.maybe_reopen_store()
-        if reopened:
-            self._m_generation.set(self.service.generation or 0)
-        return reopened
-
     def _metrics(self) -> dict:
+        # The cache and the queue are the service's; the dispatcher-side
+        # readers find them under this worker's label, refreshed per snapshot.
+        self._m_cache_hits.inc(self.service.stats.cache_hits - self._m_cache_hits.value)
+        self._m_depth.set(self.service.queue_depth)
         mine = obs_metrics.snapshot("cluster.worker.", labels={"worker": self.index})
         merged = self.service.metrics()
         for kind in ("counters", "gauges", "histograms"):
             merged.setdefault(kind, {}).update(mine.get(kind, {}))
         merged["generation"] = self.service.generation
-        merged["queue_depth"] = self._queue.qsize()
         merged["pid"] = os.getpid()
         return merged
 
@@ -330,4 +201,4 @@ class _Worker:
                 pass
 
 
-__all__ = ["ERR_CLOSED", "ERR_DEADLINE", "ERR_OVERLOADED", "worker_main"]
+__all__ = ["ERROR_CODES", "worker_main"]

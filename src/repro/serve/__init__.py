@@ -10,14 +10,20 @@ plus a shard directory into a high-throughput prediction service:
    :class:`~repro.engine.shards.ShardedDataset`, served through the
    byte-budgeted :class:`~repro.storage.buffer_pool.BufferPool` with a
    decoded-block LRU on top (decode-on-demand, never the whole dataset);
-3. **micro-batcher** — a queue that coalesces concurrent single-row predict
-   requests into mini-batches, so decode and matmul costs are amortized
-   exactly as in the MGD training loop;
+3. **micro-batcher** — the one request pipeline: a bounded queue coalescing
+   concurrent single-row requests into mini-batches (decode and matmul costs
+   amortized as in the MGD loop), shedding cancelled or expired ones first;
 4. **service** — :class:`PredictionService` tying registry, feature store and
    batcher together with a prediction LRU and latency/throughput counters.
 """
 
-from repro.serve.batcher import MicroBatcher, MicroBatcherStats, ServiceClosed
+from repro.serve.batcher import (
+    DeadlineExceeded,
+    MicroBatcher,
+    MicroBatcherStats,
+    ServiceClosed,
+    ServiceOverloaded,
+)
 from repro.serve.checkpoint import (
     CHECKPOINT_FORMAT_VERSION,
     SUPPORTED_CHECKPOINT_VERSIONS,
@@ -33,6 +39,7 @@ __all__ = [
     "CHECKPOINT_FORMAT_VERSION",
     "SUPPORTED_CHECKPOINT_VERSIONS",
     "Checkpoint",
+    "DeadlineExceeded",
     "FeatureStore",
     "FeatureStoreStats",
     "MicroBatcher",
@@ -40,6 +47,7 @@ __all__ = [
     "ModelRegistry",
     "PredictionService",
     "ServiceClosed",
+    "ServiceOverloaded",
     "ServiceStats",
     "load_checkpoint",
     "save_checkpoint",

@@ -9,6 +9,12 @@ most ``max_wait_seconds`` for stragglers after the first arrival), and runs
 the whole batch through one handler call.  With ``max_batch_size=1`` it
 degenerates to an unbatched request loop, which the serving benchmark uses
 as the fair baseline.
+
+This is the *only* request pipeline — threads, the asyncio surface and the
+cluster's workers all submit here — so what every front-end needs under
+pressure lives here once: a bounded queue (:class:`ServiceOverloaded`) and
+dispatch-time shedding (a request cancelled or past its deadline while queued
+never reaches the handler; the latter fails with :class:`DeadlineExceeded`).
 """
 
 from __future__ import annotations
@@ -36,6 +42,28 @@ class ServiceClosed(RuntimeError):
     """
 
 
+class ClusterError(RuntimeError):
+    """Base class for serving-tier failures (in-process and multi-process)."""
+
+
+class ServiceOverloaded(ClusterError):
+    """The queue is full (at the cluster's front door: every worker's is, and
+    the admission policy is ``"reject"``).
+
+    The 503 of this stack: the request was never admitted, so retrying
+    later (or against another replica) is always safe.
+    """
+
+
+class DeadlineExceeded(ClusterError, TimeoutError):
+    """The request's deadline passed before a result was produced.
+
+    Raised by admission (queues stayed full under the ``"block"`` policy), by
+    the batcher's dispatch step (the request is shed instead of decoded for
+    nobody), and by completion (the answer would have arrived too late).
+    """
+
+
 @dataclass
 class MicroBatcherStats:
     """Counters accumulated by a :class:`MicroBatcher`."""
@@ -56,7 +84,8 @@ class MicroBatcher:
     ----------
     handler:
         ``handler(inputs) -> outputs`` where ``outputs`` has one entry per
-        input, in order.  Called from the worker thread only, so it needs no
+        input, in order; an entry that is an exception instance fails that
+        request alone.  Called from the worker thread only, so it needs no
         locking of its own.
     max_batch_size:
         Upper bound on requests per handler call (≥ 1).
@@ -68,6 +97,9 @@ class MicroBatcher:
         handler), and no request ever waits idle.  A positive linger trades
         latency for bigger batches, which only pays when one handler call is
         expensive relative to the linger (cold decodes, big models).
+    max_queue:
+        Bound on queued requests (``None`` = unbounded); a submit that finds
+        the queue full raises :class:`ServiceOverloaded`.
     metrics_labels:
         When given, the batcher also feeds two process-global histograms
         with these labels: ``serve.batch.size`` (one observation per
@@ -83,15 +115,19 @@ class MicroBatcher:
         *,
         max_batch_size: int = 32,
         max_wait_seconds: float = 0.0,
+        max_queue: int | None = None,
         metrics_labels: dict | None = None,
     ):
         if max_batch_size < 1:
             raise ValueError("max_batch_size must be at least 1")
         if max_wait_seconds < 0:
             raise ValueError("max_wait_seconds must be non-negative")
+        if max_queue is not None and max_queue < 1:
+            raise ValueError("max_queue must be at least 1 (or None)")
         self.handler = handler
         self.max_batch_size = max_batch_size
         self.max_wait_seconds = max_wait_seconds
+        self.max_queue = max_queue
         self.stats = MicroBatcherStats()
         self._batch_size_hist = self._wait_hist = None
         if metrics_labels is not None:
@@ -113,14 +149,26 @@ class MicroBatcher:
 
     # -- client side ----------------------------------------------------------
 
-    def submit(self, request) -> Future:
-        """Enqueue one request; the future resolves to its handler output."""
+    def submit(self, request, *, deadline: float | None = None) -> Future:
+        """Enqueue one request; the future resolves to its handler output.
+
+        ``deadline`` is a budget in seconds from now (monotonic clock): a
+        request still queued when it runs out fails with :class:`DeadlineExceeded`.
+        """
         future: Future = Future()
+        expires = None if deadline is None else time.monotonic() + deadline
         with self._submit_lock:
             if self._closed:
                 raise ServiceClosed("batcher is closed")
-            self._queue.put((request, future, time.perf_counter()))
+            if self.max_queue is not None and self._queue.qsize() >= self.max_queue:
+                raise ServiceOverloaded(f"request queue full ({self.max_queue})")
+            self._queue.put((request, future, time.perf_counter(), expires))
         return future
+
+    @property
+    def queue_depth(self) -> int:
+        """Requests waiting for the worker thread right now."""
+        return self._queue.qsize()
 
     def __call__(self, request):
         """Blocking convenience: submit and wait for the result."""
@@ -167,11 +215,12 @@ class MicroBatcher:
         while True:
             item = self._queue.get()
             if item is _SENTINEL:
-                self._drain()
+                # close() enqueues this under the submit lock after flipping
+                # `_closed`, so nothing can be queued behind it: the backlog
+                # was served (or, without drain, failed) batch by batch.
                 return
             batch = [item]
             deadline = time.monotonic() + self.max_wait_seconds
-            saw_sentinel = False
             while len(batch) < self.max_batch_size:
                 remaining = deadline - time.monotonic()
                 try:
@@ -182,38 +231,9 @@ class MicroBatcher:
                 except queue.Empty:
                     break
                 if nxt is _SENTINEL:
-                    saw_sentinel = True
-                    break
+                    self._dispatch(batch)
+                    return
                 batch.append(nxt)
-            self._dispatch(batch)
-            if saw_sentinel:
-                self._drain()
-                return
-
-    def _drain(self) -> None:
-        """Resolve everything queued before shutdown: serve it, or fail it.
-
-        ``close(drain=True)`` serves the backlog in batches;
-        ``close(drain=False)`` fails every queued future with
-        :class:`ServiceClosed`.  Both end with an empty queue and no caller
-        blocked.
-        """
-        if not self._drain_on_close:
-            self._fail_queued(ServiceClosed("batcher closed before the request ran"))
-            return
-        batch: list = []
-        while True:
-            try:
-                item = self._queue.get_nowait()
-            except queue.Empty:
-                break
-            if item is _SENTINEL:
-                continue
-            batch.append(item)
-            if len(batch) >= self.max_batch_size:
-                self._dispatch(batch)
-                batch = []
-        if batch:
             self._dispatch(batch)
 
     def _fail_queued(self, exc: BaseException) -> None:
@@ -224,51 +244,61 @@ class MicroBatcher:
                 return
             if item is _SENTINEL:
                 continue
-            _resolve(item[1], exception=exc)
+            fail_future(item[1], exc)
 
     def _dispatch(self, batch: list) -> None:
-        if self._closed and not self._drain_on_close:
-            # A no-drain close is in effect: the queue is FIFO, so requests
-            # enqueued before the sentinel would otherwise still be served.
-            # Fail them instead — close(drain=False) promises exactly that.
-            exc = ServiceClosed("batcher closed before the request ran")
-            for _, future, _ in batch:
-                _resolve(future, exception=exc)
+        # A no-drain close is in effect: the queue is FIFO, so requests
+        # enqueued before the sentinel would otherwise still be served.
+        # Fail them instead — close(drain=False) promises exactly that.
+        closed = self._closed and not self._drain_on_close
+        # Shed before the handler runs: serving a request nobody waits on
+        # burns decode time, which under saturation is what melts a queue
+        # down.  A live future is marked running here, so its caller can no
+        # longer cancel it and it can be resolved directly afterwards.
+        now = time.monotonic()
+        inputs, futures = [], []
+        for request, future, _, expires in batch:
+            if closed:
+                fail_future(future, ServiceClosed("batcher closed before the request ran"))
+            elif expires is not None and now > expires:
+                fail_future(future, DeadlineExceeded("deadline passed in queue"))
+            elif future.set_running_or_notify_cancel():
+                inputs.append(request)
+                futures.append(future)
+        if not inputs:
             return
-        inputs = [request for request, _, _ in batch]
-        self.stats.requests += len(batch)
+        self.stats.requests += len(inputs)
         self.stats.batches += 1
-        self.stats.largest_batch = max(self.stats.largest_batch, len(batch))
+        self.stats.largest_batch = max(self.stats.largest_batch, len(inputs))
         if self._batch_size_hist is not None:
-            self._batch_size_hist.observe(len(batch))
+            self._batch_size_hist.observe(len(inputs))
             # The batch's first entry queued earliest, so its wait is the max.
             self._wait_hist.observe(time.perf_counter() - batch[0][2])
         try:
             outputs = self.handler(inputs)
-            if len(outputs) != len(batch):
+            if len(outputs) != len(inputs):
                 raise RuntimeError(
-                    f"handler returned {len(outputs)} outputs for {len(batch)} requests"
+                    f"handler returned {len(outputs)} outputs for {len(inputs)} requests"
                 )
         except BaseException as exc:  # propagate to every blocked caller
-            for _, future, _ in batch:
-                _resolve(future, exception=exc)
+            for future in futures:
+                future.set_exception(exc)
             return
-        for (_, future, _), output in zip(batch, outputs):
-            _resolve(future, result=output)
+        for future, output in zip(futures, outputs):
+            if isinstance(output, BaseException):
+                future.set_exception(output)
+            else:
+                future.set_result(output)
 
 
-def _resolve(future: Future, *, result=None, exception=None) -> None:
-    """Resolve a caller's future without ever killing the worker thread.
+def fail_future(future: Future, exception: BaseException) -> None:
+    """Fail a still-pending future without ever killing the calling thread.
 
     A caller may have cancelled its future (the asyncio bridge does on
-    deadline), in which case ``set_result``/``set_exception`` raise
-    ``InvalidStateError`` — before this guard that exception escaped
-    ``_dispatch``, killed the worker, and silently abandoned every queued
-    request behind the cancelled one.
+    deadline), in which case ``set_exception`` raises ``InvalidStateError``
+    — before this guard that exception escaped ``_dispatch``, killed the
+    worker, and silently abandoned every queued request behind the
+    cancelled one.
     """
-    if not future.set_running_or_notify_cancel():
-        return  # cancelled by the caller; nobody is waiting on it
-    if exception is not None:
+    if future.set_running_or_notify_cancel():
         future.set_exception(exception)
-    else:
-        future.set_result(result)

@@ -8,6 +8,10 @@ style batch operation per mini-batch instead of per request, and a small
 prediction LRU absorbs repeat traffic entirely.  Counters cover the three
 levels (cache, batcher, store) so a load test can tell *where* each request
 was answered.
+
+Every front-end serves through this object — threads call it, the asyncio
+surface and the cluster workers use its ``submit_*`` futures — so cache, queue
+bound, deadline shedding and the reopen-after-compact retry exist once.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.engine.shards import read_generation
 from repro.obs import metrics as obs_metrics
 from repro.serve.batcher import MicroBatcher
 from repro.serve.checkpoint import Checkpoint, ModelRegistry
@@ -170,6 +175,8 @@ class PredictionService:
         Micro-batching knobs (``max_batch_size=1`` disables coalescing).
     cache_size:
         Prediction LRU entries, keyed by row id (0 disables the cache).
+    max_queue:
+        Bound on queued requests (a cluster worker's ``backlog``; ``None`` = unbounded).
     """
 
     def __init__(
@@ -180,6 +187,7 @@ class PredictionService:
         max_batch_size: int = 32,
         max_wait_seconds: float = 0.0,
         cache_size: int = 0,
+        max_queue: int | None = None,
     ):
         if cache_size < 0:
             raise ValueError("cache_size must be non-negative")
@@ -199,6 +207,7 @@ class PredictionService:
             self._handle_batch,
             max_batch_size=max_batch_size,
             max_wait_seconds=max_wait_seconds,
+            max_queue=max_queue,
             metrics_labels={"svc": self._svc_id},
         )
 
@@ -229,54 +238,69 @@ class PredictionService:
 
     # -- batched execution -----------------------------------------------------
 
-    def _handle_batch(self, requests: list) -> list[float]:
+    def _handle_batch(self, requests: list) -> list:
         """Worker-side handler: one model invocation for the whole batch."""
-        row_ids = [req for kind, req in requests if kind == "id"]
-        if row_ids and self.store is None:
-            raise RuntimeError("row-id predictions need a feature store")
-        matrix = np.empty((len(requests), self._n_features()), dtype=np.float64)
-        if row_ids:
-            id_positions = [i for i, (kind, _) in enumerate(requests) if kind == "id"]
-            try:
-                rows = self.store.get_rows(row_ids)
-            except OSError:
-                # A compact/append swapped the manifest and deleted the files
-                # this store's lazy loaders still point at.  Shards are
-                # immutable between swaps and compaction preserves row order,
-                # so re-opening at the new generation and retrying is always
-                # correct — in-flight requests survive the swap.
-                if not self.reopen_store():
-                    raise
-                rows = self.store.get_rows(row_ids)
-            matrix[id_positions] = rows
+        outputs: list = [None] * len(requests)
+        ids, id_slots, vec_slots = [], [], []
         for i, (kind, req) in enumerate(requests):
-            if kind == "vec":
-                matrix[i] = req
+            if kind == "id":
+                ids.append(req)
+                id_slots.append(i)
+            elif kind == "vec":
+                vec_slots.append(i)
+            else:  # "ids", already a mini-batch: its own lookup, model call and failure
+                try:
+                    outputs[i] = self._score(self._get_rows(req)).tolist()
+                except Exception as exc:
+                    outputs[i] = exc
+        singles = id_slots + vec_slots  # matrix rows: stored rows first, then raw vectors
+        if not singles:
+            return outputs
+        try:
+            matrix = self._get_rows(ids) if ids else None
+            if vec_slots:
+                vectors = [requests[i][1] for i in vec_slots]
+                matrix = np.vstack(vectors if matrix is None else [matrix, *vectors])
+            predictions = self._score(matrix).tolist()
+        except Exception as exc:  # the single-row requests share one fate; bulk ones keep theirs
+            predictions = [exc] * len(singles)
+        for i, prediction in zip(singles, predictions):
+            outputs[i] = prediction
+        return outputs
+
+    def _get_rows(self, row_ids: list[int]) -> np.ndarray:
+        """The store lookup every row-id path uses, surviving a generation swap."""
+        if self.store is None:
+            raise RuntimeError("row-id predictions need a feature store")
+        try:
+            return self.store.get_rows(row_ids)
+        except OSError:
+            # A compact/append swapped the manifest and deleted the files
+            # this store's lazy loaders still point at.  Shards are
+            # immutable between swaps and compaction preserves row order,
+            # so re-opening at the new generation and retrying is always
+            # correct — in-flight requests survive the swap.
+            self.reopen_store()
+            return self.store.get_rows(row_ids)
+
+    def _score(self, matrix: np.ndarray) -> np.ndarray:
+        """One model call over a mini-batch, timed into the predict stats."""
         start = time.perf_counter()
         predictions = np.asarray(self.model.predict(matrix), dtype=np.float64)
         with self._lock:
-            self.stats.record_predict(len(requests), time.perf_counter() - start)
-        return [float(p) for p in predictions]
-
-    def _n_features(self) -> int:
-        n = getattr(self.model, "n_features", None)
-        if n:
-            return int(n)
-        if self.store is not None:
-            return self.store.n_cols
-        raise RuntimeError("cannot infer the feature width")
+            self.stats.record_predict(matrix.shape[0], time.perf_counter() - start)
+        return predictions
 
     # -- single-row API --------------------------------------------------------
 
-    def submit_id(self, row_id: int) -> Future:
-        """Non-blocking :meth:`predict_id`: a future for one stored row.
+    def submit_id(self, row_id: int, *, deadline: float | None = None) -> float | Future:
+        """Non-blocking :meth:`predict_id`: the cached prediction itself, or the
+        future of the request just queued.
 
-        The prediction cache is probed inline (a hit returns an
-        already-resolved future); a miss goes through the micro-batcher and
-        resolves from its worker thread.  Stats and the cache fill happen in
-        a done-callback, so the caller never blocks — this is the bridge the
-        asyncio surface (:class:`repro.cluster.AsyncPredictionService`)
-        wraps with ``asyncio.wrap_future``.
+        A miss resolves from the micro-batcher's thread; stats and the cache
+        fill happen in a done-callback.  A hit submits nothing, so it costs no
+        :class:`Future` either — threads, the asyncio surface and the cluster
+        workers all enter here.  ``deadline`` is :meth:`MicroBatcher.submit`'s.
         """
         row_id = int(row_id)
         start = time.perf_counter()
@@ -286,36 +310,45 @@ class PredictionService:
                 if value is not None:
                     self.stats.record_cache_hit()
                     self.stats.record_request(time.perf_counter() - start)
-                    future: Future = Future()
-                    future.set_result(value)
-                    return future
+                    return value
                 self.stats.record_cache_miss()
-        future = self._batcher.submit(("id", row_id))
-        future.add_done_callback(
-            lambda f: self._finish_submit(f, row_id=row_id, start=start)
-        )
-        return future
+        return self._submit(("id", row_id), start, deadline, row_id)
 
-    def submit_vector(self, features: np.ndarray) -> Future:
+    def submit_vector(self, features: np.ndarray, *, deadline: float | None = None) -> Future:
         """Non-blocking :meth:`predict_vector` (uncached, micro-batched)."""
         start = time.perf_counter()
         vector = np.asarray(features, dtype=np.float64).ravel()
-        future = self._batcher.submit(("vec", vector))
-        future.add_done_callback(lambda f: self._finish_submit(f, start=start))
-        return future
+        return self._submit(("vec", vector), start, deadline)
 
-    def _finish_submit(self, future: Future, *, row_id: int | None = None, start: float = 0.0):
-        """Done-callback: fill the cache and count the request on success."""
-        if future.cancelled() or future.exception() is not None:
-            return
-        if row_id is not None and self._cache is not None:
-            self._cache.put(row_id, future.result())
-        with self._lock:
-            self.stats.record_request(time.perf_counter() - start)
+    def submit_ids(self, row_ids: Iterable[int], *, deadline: float | None = None) -> Future:
+        """One bulk request on the batcher queue; resolves to a list of floats.
+
+        A cluster worker's ``predict_many`` frame, so bulk work queues, sheds and
+        drains like the rest; in-process callers want :meth:`predict_ids` (no hop).
+        """
+        return self._submit(("ids", [int(r) for r in row_ids]), time.perf_counter(), deadline)
+
+    def _submit(self, request, start: float, deadline, row_id: int | None = None) -> Future:
+        """Queue one request; on success its done-callback fills the cache and counts it."""
+
+        def finish(future: Future) -> None:
+            try:
+                value = future.result()
+            except BaseException:  # cancelled, shed or failed: nothing to cache or count
+                return
+            if row_id is not None and self._cache is not None:
+                self._cache.put(row_id, value)
+            with self._lock:
+                self.stats.record_request(time.perf_counter() - start)
+
+        future = self._batcher.submit(request, deadline=deadline)
+        future.add_done_callback(finish)
+        return future
 
     def predict_id(self, row_id: int) -> float:
         """Predict for one stored row, through cache and micro-batcher."""
-        return self.submit_id(row_id).result()
+        served = self.submit_id(row_id)
+        return served.result() if isinstance(served, Future) else served
 
     def predict_vector(self, features: np.ndarray) -> float:
         """Predict for one raw feature vector (uncached, micro-batched)."""
@@ -325,27 +358,18 @@ class PredictionService:
 
     def predict_ids(self, row_ids: Iterable[int]) -> np.ndarray:
         """Bulk path: one store lookup + one model call, no queueing."""
-        if self.store is None:
-            raise RuntimeError("row-id predictions need a feature store")
-        ids = [int(r) for r in row_ids]
         start = time.perf_counter()
-        matrix = self.store.get_rows(ids)
-        predictions = np.asarray(self.model.predict(matrix), dtype=np.float64)
-        elapsed = time.perf_counter() - start
+        predictions = self._score(self._get_rows([int(r) for r in row_ids]))
         with self._lock:
-            self.stats.record_predict(len(ids), elapsed)
-            self.stats.record_request(elapsed)
+            self.stats.record_request(time.perf_counter() - start)
         return predictions
 
     def predict_matrix(self, features: np.ndarray) -> np.ndarray:
         """Bulk path over raw features: one model call."""
-        matrix = np.asarray(features, dtype=np.float64)
         start = time.perf_counter()
-        predictions = np.asarray(self.model.predict(matrix), dtype=np.float64)
-        elapsed = time.perf_counter() - start
+        predictions = self._score(np.asarray(features, dtype=np.float64))
         with self._lock:
-            self.stats.record_predict(matrix.shape[0], elapsed)
-            self.stats.record_request(elapsed)
+            self.stats.record_request(time.perf_counter() - start)
         return predictions
 
     # -- generation watching ---------------------------------------------------
@@ -369,14 +393,12 @@ class PredictionService:
         cold; the buffer-pool budget resets to the new generation's full
         payload (the open-time default).
         """
-        from repro.serve.feature_store import FeatureStore as _FS
-
         store = self.store
         if store is None:
             return False
         with self._reopen_lock:
             current = self.store
-            self.store = _FS.open(
+            self.store = FeatureStore.open(
                 current.dataset.directory,
                 decoded_cache_rows=current.decoded_cache_rows,
                 parsed_cache_shards=current.parsed_cache_shards,
@@ -393,8 +415,6 @@ class PredictionService:
         store = self.store
         if store is None:
             return False
-        from repro.engine.shards import read_generation
-
         try:
             current = read_generation(store.dataset.directory)
         except (FileNotFoundError, ValueError):
@@ -420,6 +440,10 @@ class PredictionService:
     @property
     def batcher_stats(self):
         return self._batcher.stats
+
+    @property
+    def queue_depth(self) -> int:
+        return self._batcher.queue_depth
 
     @property
     def store_stats(self):

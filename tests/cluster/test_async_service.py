@@ -166,6 +166,28 @@ class TestAdmission:
 
         _run(go())
 
+    def test_queued_request_past_its_deadline_never_reaches_the_model(self):
+        calls = []
+
+        class Recording(_SlowModel):
+            def predict(self, matrix):
+                calls.append(matrix[:, 0].tolist())
+                return super().predict(matrix)
+
+        service = PredictionService(Recording(0.2), max_batch_size=1)
+
+        async def go():
+            aps = AsyncPredictionService(service)
+            first = asyncio.ensure_future(aps.predict_vector([0.0] * 4))
+            await asyncio.sleep(0.01)  # the batcher is now inside the slow model
+            with pytest.raises(DeadlineExceeded):
+                await aps.predict_vector([1.0] * 4, deadline=0.05)
+            await first
+            await aps.close()  # drains: anything still queued would run now
+
+        _run(go())
+        assert calls == [[0.0]]
+
     def test_invalid_admission_rejected(self):
         service = PredictionService(_SlowModel(0.0))
         with pytest.raises(ValueError, match="admission"):

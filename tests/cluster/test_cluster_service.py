@@ -227,3 +227,91 @@ class TestBlockingAdmission:
             blocker.join(timeout=60)
         finally:
             service.close()
+
+
+class TestMonotonicDeadlines:
+    def test_no_wall_clock_reads_under_cluster(self):
+        from pathlib import Path
+
+        import repro.cluster
+
+        for source in Path(repro.cluster.__file__).parent.glob("*.py"):
+            assert "time.time()" not in source.read_text(), source.name
+
+    @pytest.mark.parametrize("step", [-3600.0, 3600.0], ids=["backwards", "forwards"])
+    def test_wall_clock_step_neither_sheds_nor_immortalises(
+        self, cluster, published, monkeypatch, step
+    ):
+        _, _, expected = published
+        real = time.time
+        monkeypatch.setattr(time, "time", lambda: real() + step)
+        assert cluster.predict(0, deadline=5.0) == pytest.approx(expected[0])
+        with pytest.raises(DeadlineExceeded):
+            cluster.predict(0, deadline=-0.001)
+
+
+class TestWorkerServesThroughThePipeline:
+    """A worker is an adapter: the counters are the service's own events."""
+
+    @pytest.fixture(scope="class")
+    def single(self, published):
+        registry, shard_dir, _ = published
+        # max_batch_size=1: a request queued behind another is never coalesced
+        # into its batch, so "waited in the queue" below is deterministic.
+        service = ClusterService(
+            registry, shard_dir=shard_dir, workers=1, backlog=4, cache_size=16,
+            max_batch_size=1,
+        )
+        yield service
+        service.close()
+
+    @staticmethod
+    def _worker_counters(service) -> dict:
+        metrics = service.metrics()
+        counters = dict(metrics["workers"]["0"]["counters"])
+        counters["shed"] = sum(
+            value for key, value in metrics["counters"].items()
+            if key.startswith("cluster.worker.shed")
+        )
+        return counters
+
+    def test_serve_requests_counts_requests_not_bulk_calls(self, single):
+        before = self._worker_counters(single)
+        for _ in range(3):
+            single.predict(7)  # one miss, then two prediction-cache hits
+        single.predict_many([1, 2, 3])
+        after = self._worker_counters(single)
+
+        def delta(key):
+            return after[key] - before[key]
+
+        assert delta("serve.requests") == 4
+        assert delta("cluster.worker.requests{worker=0}") == 4
+        assert delta("serve.cache.hits") == 2
+        assert delta("cluster.worker.cache_hits{worker=0}") == 2
+        assert delta("serve.rows_predicted") == 1 + 3
+        histograms = single.metrics()["workers"]["0"]["histograms"]
+        assert "serve.batch.size" in histograms and "serve.request.seconds" in histograms
+        assert not any(key.startswith("cluster.worker.") for key in histograms)
+
+    def test_queued_work_past_its_budget_is_shed_by_the_worker(self, single, published):
+        _, _, expected = published
+        before = self._worker_counters(single)["shed"]
+        blocker = threading.Thread(
+            target=lambda: single.predict_many(list(range(N_ROWS)) * 400)
+        )
+        blocker.start()
+        try:
+            give_up = time.monotonic() + 10
+            while single.inflight == 0 and time.monotonic() < give_up:
+                time.sleep(0.001)
+            # Admitted (backlog has room) and queued behind the bulk request;
+            # its 10ms budget runs out long before the batcher gets to it.
+            doomed = single.submit(100, deadline=0.01)
+            patient = single.submit(101, deadline=60.0)
+            with pytest.raises(DeadlineExceeded, match="in queue"):
+                doomed.result(timeout=60)
+            assert patient.result(timeout=60) == pytest.approx(expected[101])
+        finally:
+            blocker.join(timeout=60)
+        assert self._worker_counters(single)["shed"] == before + 1

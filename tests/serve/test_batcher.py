@@ -173,3 +173,96 @@ class TestFailureAndShutdown:
             # The worker must skip the cancelled future and keep serving.
             assert blocker.result(timeout=5) == 0
             assert survivor.result(timeout=5) == 2
+
+
+class TestDispatchTimeShedding:
+    """Cancelled and past-deadline requests are dropped before the handler."""
+
+    @staticmethod
+    def _blocked_batcher(respond=lambda xs: xs, **kwargs):
+        entered, release, seen = threading.Event(), threading.Event(), []
+
+        def handler(xs):
+            entered.set()
+            release.wait(timeout=5)
+            seen.extend(xs)
+            return respond(xs)
+
+        batcher = MicroBatcher(handler, **kwargs)
+        blocker = batcher.submit("blocker")
+        assert entered.wait(timeout=5)  # the worker thread is parked in the handler
+        return batcher, blocker, release, seen
+
+    def test_handler_never_sees_cancelled_or_expired_requests(self):
+        from repro.serve import DeadlineExceeded
+
+        batcher, blocker, release, seen = self._blocked_batcher(max_batch_size=16)
+        with batcher:
+            live = [batcher.submit(f"live-{i}") for i in range(2)]
+            cancelled = [batcher.submit(f"cancelled-{i}") for i in range(3)]
+            expired = [batcher.submit(f"expired-{i}", deadline=0.01) for i in range(2)]
+            patient = batcher.submit("patient", deadline=60.0)
+            assert all(future.cancel() for future in cancelled)
+            time.sleep(0.05)  # the short deadlines pass while everything queues
+            release.set()
+            assert blocker.result(timeout=5) == "blocker"
+            assert [f.result(timeout=5) for f in live] == ["live-0", "live-1"]
+            assert patient.result(timeout=5) == "patient"
+            for future in expired:
+                with pytest.raises(DeadlineExceeded):
+                    future.result(timeout=5)
+            assert seen == ["blocker", "live-0", "live-1", "patient"]
+            assert batcher.stats.requests == 4
+            # The worker thread survived and still serves.
+            assert batcher.submit("after").result(timeout=5) == "after"
+
+    def test_a_batch_shed_whole_skips_the_handler(self):
+        batcher, blocker, release, seen = self._blocked_batcher(max_batch_size=16)
+        with batcher:
+            doomed = [batcher.submit(i, deadline=-1.0) for i in range(3)]
+            release.set()
+            assert blocker.result(timeout=5) == "blocker"
+            for future in doomed:
+                with pytest.raises(TimeoutError):
+                    future.result(timeout=5)
+            assert batcher.submit("after").result(timeout=5) == "after"
+        assert seen == ["blocker", "after"]
+        assert batcher.stats.batches == 2
+
+    def test_full_queue_refuses_with_service_overloaded(self):
+        from repro.serve import ServiceOverloaded
+
+        batcher, blocker, release, _ = self._blocked_batcher(max_batch_size=1, max_queue=2)
+        with batcher:
+            queued = [batcher.submit(i) for i in range(2)]
+            assert batcher.queue_depth == 2
+            with pytest.raises(ServiceOverloaded):
+                batcher.submit("one too many")
+            release.set()
+            assert [f.result(timeout=5) for f in queued] == [0, 1]
+        with pytest.raises(ValueError):
+            MicroBatcher(lambda xs: xs, max_queue=0)
+
+    def test_an_exception_output_fails_that_request_alone(self):
+        def respond(xs):
+            return [ValueError(f"bad {x}") if x == -2 else x for x in xs]
+
+        batcher, blocker, release, _ = self._blocked_batcher(respond)
+        with batcher:
+            futures = [batcher.submit(x) for x in (1, -2, 3)]
+            release.set()
+            assert futures[0].result(timeout=5) == 1 and futures[2].result(timeout=5) == 3
+            with pytest.raises(ValueError, match="bad -2"):
+                futures[1].result(timeout=5)
+
+
+def test_serving_errors_are_defined_once():
+    import repro.api
+    import repro.cluster
+    import repro.serve
+
+    for name in ("DeadlineExceeded", "ServiceOverloaded", "ServiceClosed"):
+        assert getattr(repro.serve, name) is getattr(repro.cluster, name)
+        assert getattr(repro.serve, name) is getattr(repro.api, name)
+    assert issubclass(repro.serve.DeadlineExceeded, (repro.cluster.ClusterError, TimeoutError))
+    assert issubclass(repro.serve.ServiceOverloaded, repro.cluster.ClusterError)

@@ -218,3 +218,102 @@ class TestStatsSnapshot:
         assert metrics_a["counters"]["serve.requests"] == 1
         assert metrics_b["counters"]["serve.requests"] == 0
         assert metrics_a["histograms"]["serve.request.seconds"]["count"] == 1
+
+
+class TestLiveCompaction:
+    """Every row-id path shares one reopen-after-compact retry."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda service, ids: service.predict_ids(ids),
+            lambda service, ids: [service.predict_id(i) for i in ids],
+            lambda service, ids: service.submit_ids(ids).result(timeout=10),
+        ],
+        ids=["predict_ids", "predict_id", "submit_ids"],
+    )
+    def test_row_id_paths_survive_a_generation_swap(self, tmp_path, call):
+        from repro.api import Dataset, Estimator, open_service
+
+        features, labels = DATASET_PROFILES["census"].classification(200, seed=5)
+        # DEN shards: readvise re-encodes them, so the compact deletes the
+        # files the open service's lazy loaders still point at.
+        dataset = Dataset.create(
+            tmp_path / "shards", features, labels, scheme="DEN",
+            batch_size=50, executor="serial",
+        )
+        estimator = Estimator("logreg", epochs=1)
+        estimator.fit(dataset)
+        estimator.save(tmp_path / "registry")
+        ids = list(range(0, 200, 7))
+        with open_service(tmp_path / "registry", cache_size=0)[0] as reference:
+            expected = reference.predict_ids(ids)
+
+        with open_service(tmp_path / "registry", cache_size=0)[0] as service:
+            generation = service.generation
+            Dataset.open(tmp_path / "shards").compact(readvise=True, executor="serial")
+            np.testing.assert_allclose(call(service, ids), expected)
+            assert service.generation == generation + 1
+            assert service.metrics()["counters"]["serve.store.reopens"] == 1
+
+
+class TestBulkRequestsOnTheQueue:
+    def test_submit_id_is_a_future_on_a_miss_and_the_value_on_a_hit(self, trained_setup):
+        from concurrent.futures import Future
+
+        model, shard_dir, _, _ = trained_setup
+        store = FeatureStore.open(shard_dir)
+        with PredictionService(model, store, cache_size=4) as service:
+            miss = service.submit_id(3, deadline=30.0)
+            assert isinstance(miss, Future)
+            value = miss.result(timeout=10)
+            assert service.submit_id(3) == value == service.predict_id(3)
+            assert service.stats.requests == 3 and service.stats.cache_hits == 2
+
+    def test_submit_ids_counts_one_request_and_every_row(self, trained_setup):
+        model, shard_dir, _, _ = trained_setup
+        store = FeatureStore.open(shard_dir)
+        ids = list(range(40))
+        with PredictionService(model, store, max_batch_size=8) as service:
+            got = service.submit_ids(ids).result(timeout=10)
+            assert service.stats.requests == 1
+            assert service.stats.rows_predicted == len(ids)
+        assert isinstance(got, list)
+        np.testing.assert_allclose(got, model.predict(store.get_rows(ids)))
+
+    def test_bulk_and_single_row_requests_fail_independently(self, trained_setup):
+        import threading
+
+        model, shard_dir, _, _ = trained_setup
+        store = FeatureStore.open(shard_dir)
+        entered, gate = threading.Event(), threading.Event()
+        original = model.predict
+
+        class Gated:
+            n_features = model.n_features
+
+            def predict(self, matrix):
+                entered.set()
+                gate.wait(timeout=5)
+                return original(matrix)
+
+        with PredictionService(Gated(), store, max_batch_size=8) as service:
+            blocker = service.submit_id(0)  # occupies the batcher thread
+            assert entered.wait(timeout=5)
+            bad = service.submit_ids([1, 10_000_000])
+            good = service.submit_id(2)
+            gate.set()
+            assert blocker.result(timeout=10) == original(store.get_rows([0]))[0]
+            with pytest.raises(Exception, match="10000000"):
+                bad.result(timeout=10)
+            assert good.result(timeout=10) == original(store.get_rows([2]))[0]
+            assert service.batcher_stats.batches == 2  # bad and good shared one
+            # ... and the other way round: a bad single row leaves the bulk request alone.
+            gate.clear(), entered.clear()
+            blocker = service.submit_id(0)
+            assert entered.wait(timeout=5)
+            bulk, bad_single = service.submit_ids([1, 2]), service.submit_id(10_000_000)
+            gate.set()
+            np.testing.assert_allclose(bulk.result(timeout=10), original(store.get_rows([1, 2])))
+            with pytest.raises(Exception, match="10000000"):
+                bad_single.result(timeout=10)
