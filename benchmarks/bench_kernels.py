@@ -9,7 +9,10 @@ replaced and gates on the acceptance thresholds:
 * TOC ``row_slice`` on a selective read (<= 10% of rows) must be **>= 3x**
   the old selection-matrix path (``M @ A`` via ``rmatmat``);
 * zero-copy mmap reads must show **no regression** on a full-shard decode
-  vs copying ``read_bytes`` reads.
+  vs copying ``read_bytes`` reads;
+* a *cold* one-row TOC read (parse the payload, rebuild the decode tree
+  ``C'``, slice the row) must cost **<= 6x** the same slice on an already
+  parsed shard, so the first-vs-warm gap cannot silently reopen.
 
 Results land in ``BENCH_kernels.json`` for the CI perf-registry gate; raw
 timings use direction-neutral ``*_secs`` names (reported, never cross-run
@@ -30,6 +33,8 @@ import pytest
 from repro.api import Dataset
 from repro.bench.runner import time_callable, write_bench_json
 from repro.compression.registry import get_scheme
+from repro.core.decode_tree import build_decode_tree
+from repro.data import DATASET_PROFILES
 from repro.kernels import numpy_backend, python_backend
 from repro.storage import mmapio
 
@@ -43,6 +48,11 @@ DECODE_SPEEDUP_FLOOR = 5.0
 ROW_SLICE_SPEEDUP_FLOOR = 3.0
 #: mmap must not regress; allow generous CI jitter either way.
 MMAP_REGRESSION_CEILING = 1.5
+#: One serving shard: the 250-row, 68-column census batches ``bench/`` stores.
+COLD_READ_ROWS = 250
+#: Cold over warm one-row read.  Measured 13-15 while the tree rebuild made
+#: one pass per tree level, 4.1-4.6 since it became one doubling pass.
+COLD_READ_CEILING = 6.0
 
 #: Iterations per timing sample for sub-millisecond ops: a lone ~150 µs
 #: gather is dominated by scheduler jitter, which made the measured speedup
@@ -51,6 +61,16 @@ INNER_LOOPS = 20
 
 #: Rows for ``BENCH_kernels.json``, written once when the module finishes.
 _RECORDS: list[dict] = []
+
+
+def _batched_secs(func, repeats: int = REPEATS) -> float:
+    """Median seconds of one ``func()`` call, sampled ``INNER_LOOPS`` calls at a time."""
+
+    def loop():
+        for _ in range(INNER_LOOPS):
+            func()
+
+    return time_callable(loop, repeats) / INNER_LOOPS
 
 
 def _smoke_fields(record: dict) -> dict:
@@ -130,11 +150,7 @@ def test_toc_row_slice_speedup(bench_json):
     np.testing.assert_allclose(direct, dense[index])  # equivalence before timing
     np.testing.assert_allclose(_selection_matrix_slice(compressed, index), dense[index])
 
-    def gather_loop():
-        for _ in range(INNER_LOOPS):
-            compressed.row_slice(index)
-
-    direct_secs = time_callable(gather_loop, REPEATS) / INNER_LOOPS
+    direct_secs = _batched_secs(lambda: compressed.row_slice(index))
     selection_secs = time_callable(
         lambda: _selection_matrix_slice(compressed, index), REPEATS
     )
@@ -160,6 +176,57 @@ def test_toc_row_slice_speedup(bench_json):
     assert speedup >= ROW_SLICE_SPEEDUP_FLOOR, (
         f"direct row gather only {speedup:.1f}x the selection-matrix path "
         f"(floor {ROW_SLICE_SPEEDUP_FLOOR}x)"
+    )
+
+
+def test_toc_cold_read_stays_near_warm(bench_json):
+    scheme = get_scheme("TOC")
+    dense = DATASET_PROFILES["census"].matrix(COLD_READ_ROWS, seed=11)
+    payload = memoryview(scheme.compress(dense).to_bytes())
+    index = np.array([17])
+    warm = scheme.decompress_bytes(payload)
+    np.testing.assert_array_equal(warm.row_slice(index), dense[index])  # also warms it
+    logical = warm.toc.logical
+
+    parse_secs = _batched_secs(lambda: scheme.decompress_bytes(payload))
+    tree_build_secs = _batched_secs(lambda: build_decode_tree(logical))
+
+    # The gated pair is sampled in alternation and compared round by round:
+    # the box's speed drifts by more between two back-to-back medians than
+    # the margin under the ceiling.
+    rounds = [
+        (
+            _batched_secs(lambda: scheme.decompress_bytes(payload).row_slice(index), repeats=1),
+            _batched_secs(lambda: warm.row_slice(index), repeats=1),
+        )
+        for _ in range(2 * REPEATS)
+    ]
+    cold_secs, warm_secs = np.median(rounds, axis=0).tolist()
+    ratio = float(np.median([cold / warm for cold, warm in rounds]))
+    record = {
+        "bench": "kernels",
+        "op": "toc_cold_read",
+        "n_rows": dense.shape[0],
+        "n_cols": dense.shape[1],
+        "tree_nodes": len(warm.toc.decode_tree),
+        "parse_secs": parse_secs,
+        "tree_build_secs": tree_build_secs,
+        "cold_row_slice_secs": cold_secs,
+        "warm_row_slice_secs": warm_secs,
+        # Direction-neutral like ``mmap_relative_cost``: the ceiling below is
+        # the gate, a cross-run delta of a ratio of two timings is not.
+        "cold_relative_cost": ratio,
+    }
+    _RECORDS.append(record)
+    bench_json("kernels", **_smoke_fields(record))
+    print(
+        f"cold TOC read {cold_secs * 1e6:7.1f} us (parse {parse_secs * 1e6:.1f} + "
+        f"tree {tree_build_secs * 1e6:.1f}) vs warm {warm_secs * 1e6:7.1f} us  "
+        f"(ratio {ratio:.1f})"
+    )
+    assert ratio <= COLD_READ_CEILING, (
+        f"a cold one-row TOC read costs {ratio:.1f}x a warm one "
+        f"(ceiling {COLD_READ_CEILING}x)"
     )
 
 

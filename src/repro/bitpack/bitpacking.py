@@ -9,11 +9,14 @@ module implements exactly that scheme with NumPy, including the uint24 case
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-_HEADER_DTYPE = np.dtype("<u4")
+#: ``count`` and ``width`` as little-endian uint32, ahead of the payload.
+_HEADER = struct.Struct("<II")
+_WIDTH_DTYPES = {1: np.dtype("<u1"), 2: np.dtype("<u2"), 4: np.dtype("<u4")}
 _SUPPORTED_WIDTHS = (1, 2, 3, 4)
 
 
@@ -60,29 +63,24 @@ class PackedIntArray:
     @property
     def nbytes(self) -> int:
         """Total size in bytes including the 8-byte header."""
-        return len(self.data) + 2 * _HEADER_DTYPE.itemsize
+        return len(self.data) + _HEADER.size
 
     def to_bytes(self) -> bytes:
         """Serialise to a self-describing byte string (header + payload)."""
-        header = np.array([self.count, self.width], dtype=_HEADER_DTYPE).tobytes()
-        return header + bytes(self.data)
+        return _HEADER.pack(self.count, self.width) + bytes(self.data)
 
     @classmethod
     def from_bytes(cls, raw) -> tuple["PackedIntArray", int]:
         """Parse a packed array from ``raw``; return it and the bytes consumed."""
-        header_size = 2 * _HEADER_DTYPE.itemsize
-        if len(raw) < header_size:
+        if len(raw) < _HEADER.size:
             raise ValueError("truncated packed-integer header")
-        count, width = np.frombuffer(raw[:header_size], dtype=_HEADER_DTYPE)
-        count = int(count)
-        width = int(width)
+        count, width = _HEADER.unpack_from(raw)
         if width not in _SUPPORTED_WIDTHS:
             raise ValueError(f"unsupported packed-integer width {width}")
-        payload_size = count * width
-        end = header_size + payload_size
+        end = _HEADER.size + count * width
         if len(raw) < end:
             raise ValueError("truncated packed-integer payload")
-        return cls(data=raw[header_size:end], count=count, width=width), end
+        return cls(data=raw[_HEADER.size : end], count=count, width=width), end
 
     def unpack(self) -> np.ndarray:
         """Decode back to a ``numpy.ndarray`` of dtype ``int64``."""
@@ -101,15 +99,12 @@ def pack_integers(values: np.ndarray | list[int]) -> PackedIntArray:
         as32 = arr.astype("<u4").view(np.uint8).reshape(-1, 4)
         payload = np.ascontiguousarray(as32[:, :3]).tobytes()
     else:
-        dtype = {1: "<u1", 2: "<u2", 4: "<u4"}[width]
-        payload = arr.astype(dtype).tobytes()
+        payload = arr.astype(_WIDTH_DTYPES[width]).tobytes()
     return PackedIntArray(data=payload, count=int(arr.size), width=width)
 
 
 def unpack_integers(packed: PackedIntArray) -> np.ndarray:
     """Inverse of :func:`pack_integers`."""
-    if packed.count == 0:
-        return np.zeros(0, dtype=np.int64)
     if packed.width == 3:
         # Re-expand three-byte integers into uint32 with a zero leading byte,
         # mirroring the "copy into uint32 and mask" trick from the paper.
@@ -117,5 +112,4 @@ def unpack_integers(packed: PackedIntArray) -> np.ndarray:
         quad = np.zeros((packed.count, 4), dtype=np.uint8)
         quad[:, :3] = tri
         return quad.view("<u4").ravel().astype(np.int64)
-    dtype = {1: "<u1", 2: "<u2", 4: "<u4"}[packed.width]
-    return np.frombuffer(packed.data, dtype=dtype).astype(np.int64)
+    return np.frombuffer(packed.data, dtype=_WIDTH_DTYPES[packed.width]).astype(np.int64)

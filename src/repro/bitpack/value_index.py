@@ -57,7 +57,9 @@ class ValueIndex:
         packed_codes, offset = PackedIntArray.from_bytes(raw)
         dict_header, consumed = PackedIntArray.from_bytes(raw[offset:])
         offset += consumed
-        dict_size = int(dict_header.unpack()[0])
+        if dict_header.count != 1:
+            raise ValueError("value-index dictionary size must be a single integer")
+        dict_size = int.from_bytes(dict_header.data, "little")
         end = offset + dict_size * 8
         if len(raw) < end:
             raise ValueError("truncated value-index dictionary")

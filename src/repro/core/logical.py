@@ -55,8 +55,10 @@ class LogicalEncoding:
             raise ValueError("first-layer columns and values must align")
         if self.row_offsets.size != self.shape[0] + 1:
             raise ValueError("row_offsets must have exactly one more entry than rows")
-        if int(self.row_offsets[-1]) != self.codes.size:
-            raise ValueError("row_offsets must end at the number of codes")
+        if int(self.row_offsets[0]) != 0 or int(self.row_offsets[-1]) != self.codes.size:
+            raise ValueError("row_offsets must run from 0 to the number of codes")
+        if (self.row_offsets[1:] < self.row_offsets[:-1]).any():
+            raise ValueError("row_offsets must be non-decreasing")
         if self.codes.size and self.codes.min() < 1:
             raise ValueError("codes must reference non-root tree nodes (index >= 1)")
 
@@ -85,12 +87,8 @@ class LogicalEncoding:
         Algorithm 1 adds one node per code except for the last code of each
         row, so ``|C'| = |I| + |D| - n_rows`` plus the root.
         """
-        skipped = sum(
-            1
-            for row in range(self.n_rows)
-            if int(self.row_offsets[row + 1]) > int(self.row_offsets[row])
-        )
-        return self.n_first_layer + self.n_codes - skipped
+        nonempty_rows = int(np.count_nonzero(np.diff(self.row_offsets)))
+        return self.n_first_layer + self.n_codes - nonempty_rows
 
     def row_codes(self, row: int) -> np.ndarray:
         """Return the tree-node indexes encoding ``row``."""

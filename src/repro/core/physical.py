@@ -15,6 +15,7 @@ An alternative varint layout is provided for the "future work" ablation.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +27,8 @@ from repro.bitpack.varint import encode_varints
 from repro.core.logical import LogicalEncoding
 
 _MAGIC = b"TOC1"
-_SHAPE_DTYPE = np.dtype("<u8")
+#: ``(n_rows, n_cols)`` as little-endian uint64, right after the magic.
+_SHAPE = struct.Struct("<QQ")
 
 
 @dataclass(frozen=True)
@@ -44,7 +46,7 @@ class PhysicalEncoding:
         """Total compressed size in bytes (what compression ratios measure)."""
         return (
             len(_MAGIC)
-            + 2 * _SHAPE_DTYPE.itemsize
+            + _SHAPE.size
             + self.first_layer_columns.nbytes
             + self.first_layer_values.nbytes
             + self.codes.nbytes
@@ -53,10 +55,9 @@ class PhysicalEncoding:
 
     def to_bytes(self) -> bytes:
         """Serialise to a single byte string."""
-        shape = np.array(self.shape, dtype=_SHAPE_DTYPE).tobytes()
         return (
             _MAGIC
-            + shape
+            + _SHAPE.pack(*self.shape)
             + self.first_layer_columns.to_bytes()
             + self.first_layer_values.to_bytes()
             + self.codes.to_bytes()
@@ -73,12 +74,10 @@ class PhysicalEncoding:
         raw = memoryview(raw)
         if raw[: len(_MAGIC)] != _MAGIC:
             raise ValueError("not a TOC physical encoding (bad magic)")
-        offset = len(_MAGIC)
-        shape_arr = np.frombuffer(
-            raw[offset : offset + 2 * _SHAPE_DTYPE.itemsize], dtype=_SHAPE_DTYPE
-        )
-        shape = (int(shape_arr[0]), int(shape_arr[1]))
-        offset += 2 * _SHAPE_DTYPE.itemsize
+        offset = len(_MAGIC) + _SHAPE.size
+        if len(raw) < offset:
+            raise ValueError("truncated TOC physical encoding header")
+        shape = _SHAPE.unpack_from(raw, len(_MAGIC))
         first_cols, consumed = PackedIntArray.from_bytes(raw[offset:])
         offset += consumed
         first_vals, consumed = ValueIndex.from_bytes(raw[offset:])

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.decode_tree import build_decode_tree
 from repro.core.logical import LogicalEncoding
 from repro.core.sparse import SparseEncodedTable
 
@@ -47,18 +46,14 @@ def validate_logical(encoding: LogicalEncoding) -> None:
         or encoding.first_layer_columns.max() >= encoding.n_cols
     ):
         raise EncodingError("first-layer column index out of range")
-    max_node = encoding.n_tree_nodes
-    if encoding.codes.size and encoding.codes.max() > max_node:
-        raise EncodingError(
-            f"code {int(encoding.codes.max())} exceeds the number of tree nodes {max_node}"
-        )
-    # Rebuilding the decode tree runs its own structural validation.
-    tree = build_decode_tree(encoding)
-    tree.validate()
-    # Every decoded row must have strictly increasing column indexes, which is
-    # what "preserving tuple boundaries" means for the downstream kernels.
+    # Imported here because the tree builder raises this module's error.
+    from repro.core.decode_tree import build_decode_tree
     from repro.core.ops import decode_to_sparse
 
+    # Rebuilding the decode tree checks the code ranges and the tree structure.
+    tree = build_decode_tree(encoding)
+    # Every decoded row must have strictly increasing column indexes, which is
+    # what "preserving tuple boundaries" means for the downstream kernels.
     validate_sparse(decode_to_sparse(encoding, tree))
 
 

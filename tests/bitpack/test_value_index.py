@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.bitpack.bitpacking import pack_integers
 from repro.bitpack.value_index import ValueIndex, build_value_index
 
 
@@ -57,6 +58,21 @@ class TestValueIndex:
         raw = index.to_bytes()
         with pytest.raises(ValueError):
             ValueIndex.from_bytes(raw[:-4])
+
+    @pytest.mark.parametrize("n_values", [200, 300, 70_000])
+    def test_dictionary_size_header_at_each_width(self, n_values):
+        # The dictionary size is read straight from the header's payload
+        # bytes; 200 / 300 / 70 000 distinct values make it 1 / 2 / 3 wide.
+        index = build_value_index(np.arange(n_values, dtype=np.float64))
+        restored, _ = ValueIndex.from_bytes(memoryview(index.to_bytes()))
+        assert np.array_equal(restored.dictionary, index.dictionary)
+        assert np.array_equal(restored.codes, index.codes)
+
+    def test_dictionary_size_must_be_one_integer(self):
+        codes = pack_integers(np.array([0, 0])).to_bytes()
+        two_sizes = pack_integers(np.array([1, 1])).to_bytes()
+        with pytest.raises(ValueError):
+            ValueIndex.from_bytes(codes + two_sizes + np.array([1.0]).tobytes())
 
 
 class TestValueIndexProperties:

@@ -4,18 +4,57 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.core.decode_tree import DecodeTree, build_decode_tree
-from repro.core.logical import prefix_tree_encode
+from repro.core.logical import LogicalEncoding, prefix_tree_encode
 from repro.core.sparse import sparse_encode
+from repro.core.validate import EncodingError
+from repro.obs import metrics
 from tests.conftest import random_sparse_matrix
 
 
 def _encode(dense: np.ndarray):
     return prefix_tree_encode(sparse_encode(dense))
+
+
+def _assert_same_tree(ctree: DecodeTree, keys: list, parents: list[int]) -> None:
+    """Every field of ``ctree`` against a tree given as per-node key and parent.
+
+    ``keys[0]`` (the root's) is ignored.  First pairs, depths and the level
+    index are derived here by walking the parents one node at a time.
+    """
+    n = len(parents)
+    firsts, depths = [(0, 0.0)], [0]
+    for node in range(1, n):
+        root_child = parents[node] == 0
+        firsts.append(keys[node] if root_child else firsts[parents[node]])
+        depths.append(1 + depths[parents[node]])
+    keys = [(0, 0.0), *keys[1:]]
+    assert len(ctree) == n
+    assert ctree.parents.tolist() == parents
+    assert list(zip(ctree.key_columns.tolist(), ctree.key_values.tolist())) == keys
+    assert list(zip(ctree.first_columns.tolist(), ctree.first_values.tolist())) == firsts
+    assert ctree.depths.tolist() == depths
+    # sorted() is stable, so ties stay in node-id order like the level index.
+    assert ctree.level_order.tolist() == sorted(range(1, n), key=depths.__getitem__)
+    max_depth = max(depths)
+    assert ctree.max_depth == max_depth
+    assert ctree.level_offsets.tolist() == [
+        sum(1 for d in depths[1:] if d <= depth) for depth in range(max_depth + 1)
+    ]
+
+
+def _assert_matches_encoder_tree(dense: np.ndarray) -> None:
+    encoding, enc_tree = _encode(dense)
+    nodes = range(len(enc_tree))
+    _assert_same_tree(
+        build_decode_tree(encoding),
+        [None, *(enc_tree.key(node) for node in nodes[1:])],
+        [enc_tree.parent(node) for node in nodes],
+    )
 
 
 class TestBuildDecodeTree:
@@ -65,6 +104,75 @@ class TestBuildDecodeTree:
 
         assert np.array_equal(decode_to_dense(encoding), np.tile(dense, (4, 1)))
 
+    def test_each_build_is_counted_and_timed(self, census_batch):
+        encoding, _ = _encode(census_batch)
+        builds = metrics.counter("core.decode_tree.builds")
+        seconds = metrics.histogram("core.decode_tree.build_seconds")
+        before = builds.value, seconds.count
+        tree = build_decode_tree(encoding)
+        tree.level_order  # built on first use, not a second tree build
+        assert (builds.value, seconds.count) == (before[0] + 1, before[1] + 1)
+
+    def test_immediate_reference_to_the_node_being_created(self):
+        # The corner case proper cannot come out of the encoder (a row never
+        # repeats a column), so the codes are written by hand: each position
+        # creates a node that the very next code references.
+        encoding = LogicalEncoding(
+            first_layer_columns=np.array([0]),
+            first_layer_values=np.array([1.5]),
+            codes=np.array([1, 2, 3]),
+            row_offsets=np.array([0, 3]),
+            shape=(1, 1),
+        )
+        _assert_same_tree(
+            build_decode_tree(encoding), [None, (0, 1.5), (0, 1.5), (0, 1.5)], [0, 0, 1, 2]
+        )
+
+    def test_deep_chain_crosses_the_one_byte_sort_key(self):
+        # Identical rows lengthen the longest stored sequence by one pair per
+        # row, so 260 of them push the depth past what a uint8 key can hold.
+        dense = np.ones((260, 260))
+        encoding, _ = _encode(dense)
+        assert build_decode_tree(encoding).max_depth > 255
+        _assert_matches_encoder_tree(dense)
+
+    @pytest.mark.parametrize("max_depth", [3, 255, 256, 65535, 65536])
+    def test_level_index_at_sort_key_boundaries(self, max_depth, rng):
+        depths = rng.integers(1, max_depth + 1, size=max_depth + 40)
+        depths[:2] = (0, max_depth)
+        zeros = np.zeros(depths.size)
+        tree = DecodeTree(
+            key_columns=zeros.astype(np.int64),
+            key_values=zeros,
+            parents=zeros.astype(np.int64),
+            first_columns=zeros.astype(np.int64),
+            first_values=zeros,
+            depths=depths,
+        )
+        assert np.array_equal(tree.level_order, 1 + np.argsort(depths[1:], kind="stable"))
+        assert np.array_equal(
+            tree.level_offsets, np.cumsum(np.bincount(depths[1:], minlength=max_depth + 1))
+        )
+
+    @pytest.mark.parametrize(
+        "codes",
+        [
+            pytest.param([3, 1, 2], id="node-is-its-own-parent"),
+            pytest.param([1, 4, 2], id="forward-reference"),
+            pytest.param([1, 2, 9], id="code-out-of-range"),
+        ],
+    )
+    def test_corrupt_code_stream_raises_instead_of_hanging(self, codes):
+        encoding = LogicalEncoding(
+            first_layer_columns=np.array([0, 1]),
+            first_layer_values=np.array([1.0, 2.0]),
+            codes=np.array(codes),
+            row_offsets=np.array([0, 3]),
+            shape=(1, 2),
+        )
+        with pytest.raises(EncodingError):
+            build_decode_tree(encoding)
+
     def test_validate_rejects_forward_parent(self):
         tree = DecodeTree(
             key_columns=np.array([0, 0, 1]),
@@ -98,11 +206,10 @@ class TestDecodeTreeProperties:
             elements=st.sampled_from([0.0, 0.0, 1.0, 2.0, 3.5]),
         )
     )
+    @example(np.zeros((3, 4)))
+    @example(np.array([[1.0, 0.0, 2.0, 3.5]]))
+    @example(np.array([[0.0, 0.0], [1.0, 2.0], [0.0, 0.0], [1.0, 2.0], [0.0, 0.0]]))
+    @example(np.tile([2.0, 2.0, 0.0, 3.5, 1.0, 1.0], (5, 1)))
     @settings(max_examples=75, deadline=None)
     def test_rebuilt_tree_always_matches_encoder_tree(self, dense):
-        encoding, enc_tree = _encode(dense)
-        ctree = build_decode_tree(encoding)
-        assert len(ctree) == len(enc_tree)
-        for node in range(1, len(ctree)):
-            cols, vals = ctree.sequence(node)
-            assert list(zip(cols, vals)) == enc_tree.sequence(node)
+        _assert_matches_encoder_tree(dense)

@@ -81,8 +81,32 @@ class TestPrefixTreeEncode:
         assert len(tree) - 1 == encoding.n_first_layer + encoding.n_codes - non_empty
         assert encoding.n_tree_nodes == len(tree) - 1
 
+    def test_tree_node_count_with_only_empty_rows(self):
+        # No row holds a code, so nothing is skipped and nothing is created.
+        encoding = LogicalEncoding(
+            first_layer_columns=np.array([0, 1]),
+            first_layer_values=np.array([1.0, 2.0]),
+            codes=np.array([], dtype=np.int64),
+            row_offsets=np.zeros(4, dtype=np.int64),
+            shape=(3, 2),
+        )
+        assert encoding.n_tree_nodes == encoding.n_first_layer == 2
+        zeros, _ = prefix_tree_encode(sparse_encode(np.zeros((3, 2))))
+        assert zeros.n_tree_nodes == 0
+
 
 class TestLogicalEncodingValidation:
+    @pytest.mark.parametrize("row_offsets", [[1, 2, 3], [0, 3, 2, 3], [0, 1, 2]])
+    def test_row_offsets_must_run_from_zero_to_the_code_count_in_order(self, row_offsets):
+        with pytest.raises(ValueError):
+            LogicalEncoding(
+                first_layer_columns=np.array([0]),
+                first_layer_values=np.array([1.0]),
+                codes=np.array([1, 1, 1]),
+                row_offsets=np.array(row_offsets),
+                shape=(len(row_offsets) - 1, 2),
+            )
+
     def test_row_offsets_must_match_rows(self):
         with pytest.raises(ValueError):
             LogicalEncoding(

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.core.logical import prefix_tree_encode
+from repro.core.logical import LogicalEncoding, prefix_tree_encode
 from repro.core.physical import (
     PhysicalEncoding,
     logical_nbytes,
@@ -18,6 +18,7 @@ from repro.core.physical import (
     physical_encode_varint,
 )
 from repro.core.sparse import sparse_encode
+from repro.storage import mmapio
 from tests.conftest import random_sparse_matrix
 
 
@@ -48,6 +49,35 @@ class TestPhysicalEncoding:
         physical = physical_encode(logical)
         restored = PhysicalEncoding.from_bytes(physical.to_bytes())
         _assert_logical_equal(physical_decode(restored), logical)
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 4])
+    def test_bytes_roundtrip_from_a_mapped_file_at_each_packed_width(self, width, tmp_path):
+        # What a shard read hands the parser: a memoryview over a read-only
+        # mmap.  The widest column index and code pick the packed width.
+        top = 2 ** (8 * width) - 1
+        logical = LogicalEncoding(
+            first_layer_columns=np.array([0, 7, top]),
+            first_layer_values=np.array([1.5, -2.0, 1.5]),
+            codes=np.array([1, 2, top, 3]),
+            row_offsets=np.array([0, 1, 1, 4]),
+            shape=(3, top + 1),
+        )
+        physical = physical_encode(logical)
+        assert physical.first_layer_columns.width == physical.codes.width == width
+        path = tmp_path / "shard.toc"
+        path.write_bytes(physical.to_bytes())
+        view = mmapio.map_file(path)
+        assert view.readonly
+        restored = PhysicalEncoding.from_bytes(view)
+        assert restored.shape == logical.shape
+        assert restored.codes.width == width
+        _assert_logical_equal(physical_decode(restored), logical)
+
+    @pytest.mark.parametrize("keep", [3, 12, 21, 30])
+    def test_truncated_bytes_rejected(self, census_batch, keep):
+        raw = physical_encode(_logical(census_batch)).to_bytes()
+        with pytest.raises(ValueError):
+            PhysicalEncoding.from_bytes(raw[:keep])
 
     def test_bad_magic_rejected(self, census_batch):
         raw = physical_encode(_logical(census_batch)).to_bytes()
