@@ -79,7 +79,9 @@ def test_encode_executors(benchmark, bench_json, ooc_dataset, executor):
 def test_encode_parallel_speedup(bench_json, ooc_dataset):
     """Parallel encode beats serial when real cores are available."""
     _, _, batches = ooc_dataset
-    feature_batches = [x for x, _ in batches] * 4  # enough work to amortise pool start-up
+    # Enough work to amortise pool start-up: a batch encodes in ~2.5 ms, so the
+    # fork + task pickling of a 2-worker pool (~0.1 s) needs ~100+ batches.
+    feature_batches = [x for x, _ in batches] * 24
     workers = max(2, os.cpu_count() or 2)
 
     def timed(**kwargs):

@@ -20,8 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.pairs import pair_key
-from repro.core.prefix_tree import NOT_FOUND, ROOT_INDEX, PrefixTree
+from repro.core.prefix_tree import ROOT_INDEX, PrefixTree
 from repro.core.sparse import SparseEncodedTable
 
 
@@ -107,96 +106,78 @@ def prefix_tree_encode(table: SparseEncodedTable) -> tuple[LogicalEncoding, Pref
     Returns the logical encoding (``I`` + ``D``) and the full prefix tree
     ``C`` built along the way (callers that only need the compressed output
     can discard the tree; it is returned for inspection and testing).
+
+    Pairs are handled as integer *symbols*: symbol ``s`` is the ``s``-th
+    distinct ``(column, value bits)`` pair in order of first appearance,
+    which is also the index of the root child phase I gives that pair.  The
+    textbook form over ``AddNode``/``GetIndex`` lives in
+    ``tests/core/test_logical.py`` and must produce the same output.
     """
-    tree = PrefixTree()
+    # Phase I: every unique pair becomes a root child, whole-array.  Going
+    # through the values' bits makes a NaN equal to itself.
+    columns = np.asarray(table.columns, dtype=np.int64)
+    values = np.ascontiguousarray(table.values, dtype=np.float64)
+    unique_bits, value_ids = np.unique(values.view(np.uint64), return_inverse=True)
+    _, first_seen, pair_ids = np.unique(
+        columns * unique_bits.size + value_ids, return_index=True, return_inverse=True
+    )
+    by_appearance = np.argsort(first_seen, kind="stable")
+    n_first = by_appearance.size
+    symbol_of_pair = np.empty(n_first, dtype=np.int64)
+    symbol_of_pair[by_appearance] = np.arange(1, n_first + 1)
+    first_seen = first_seen[by_appearance]
+    first_cols, first_vals = columns[first_seen], values[first_seen]
 
-    # Phase I: initialise the tree with every unique pair as a root child.
-    pair_to_node: dict[tuple[int, float], int] = {}
-    columns = table.columns
-    values = table.values
-    for col, val in zip(columns.tolist(), values.tolist()):
-        key = pair_key(col, val)
-        if key not in pair_to_node:
-            pair_to_node[key] = tree.add_node(ROOT_INDEX, key)
-
-    first_layer = tree.first_layer()
-    first_cols = np.array([c for c, _ in first_layer], dtype=np.int64)
-    first_vals = np.array([v for _, v in first_layer], dtype=np.float64)
+    # The tree's flat storage (see PrefixTree): nodes 1..n_first are the root's
+    # children, node s holding symbol s.
+    stride = n_first + 1
+    parents = [ROOT_INDEX] * stride
+    node_symbols = list(range(stride))
+    children = dict(zip(range(1, stride), range(1, stride)))
 
     # Phase II: encode each tuple, extending the tree with every new
     # sequence discovered (one new node per emitted code except when the
     # match runs to the end of the tuple).
+    symbols = symbol_of_pair[pair_ids].tolist()
     codes: list[int] = []
-    row_offsets = np.zeros(table.n_rows + 1, dtype=np.int64)
-    for row in range(table.n_rows):
-        start, end = int(table.row_offsets[row]), int(table.row_offsets[row + 1])
-        row_cols = columns[start:end].tolist()
-        row_vals = values[start:end].tolist()
-        length = end - start
-        i = 0
-        while i < length:
-            node, j = _longest_match_from_tree(row_cols, row_vals, i, tree)
+    code_offsets = [0]
+    get_child = children.get
+    next_node = stride
+    i = 0
+    for end in table.row_offsets.tolist()[1:]:
+        while i < end:
+            # The longest match from i: a root child is its own symbol, then
+            # descend while the next pair is a child of the match so far.
+            node = symbols[i]
+            i += 1
+            while i < end:
+                symbol = symbols[i]
+                key = node * stride + symbol
+                child = get_child(key)
+                if child is None:
+                    children[key] = next_node
+                    parents.append(node)
+                    node_symbols.append(symbol)
+                    next_node += 1
+                    break
+                node = child
+                i += 1
             codes.append(node)
-            if j < length:
-                tree.add_node(node, pair_key(row_cols[j], row_vals[j]))
-            i = j
-        row_offsets[row + 1] = len(codes)
+        code_offsets.append(len(codes))
 
     encoding = LogicalEncoding(
         first_layer_columns=first_cols,
         first_layer_values=first_vals,
         codes=np.asarray(codes, dtype=np.int64),
-        row_offsets=row_offsets,
+        row_offsets=np.asarray(code_offsets, dtype=np.int64),
         shape=table.shape,
     )
-    return encoding, tree
-
-
-def _longest_match_from_tree(
-    row_cols: list[int], row_vals: list[float], start: int, tree: PrefixTree
-) -> tuple[int, int]:
-    """Find the longest tree sequence matching the tuple from ``start``.
-
-    Returns ``(node, next_start)`` where ``node`` is the index of the deepest
-    matching tree node and ``next_start`` is the position after the match.
-    The match is always at least one pair long because phase I inserted every
-    unique pair under the root.
-    """
-    length = len(row_cols)
-    j = start
-    candidate = tree.get_index(ROOT_INDEX, (row_cols[j], row_vals[j]))
-    node = candidate
-    while candidate != NOT_FOUND:
-        node = candidate
-        j += 1
-        if j < length:
-            candidate = tree.get_index(node, (row_cols[j], row_vals[j]))
-        else:
-            candidate = NOT_FOUND
-    return node, j
-
-
-def logical_decode(encoding: LogicalEncoding) -> SparseEncodedTable:
-    """Rebuild the sparse-encoded table from a logical encoding.
-
-    This is the decompression path; it is linear in the number of output
-    pairs, mirroring LZW decoding.
-    """
-    from repro.core.decode_tree import build_decode_tree
-
-    tree = build_decode_tree(encoding)
-    columns: list[int] = []
-    values: list[float] = []
-    row_offsets = np.zeros(encoding.n_rows + 1, dtype=np.int64)
-    for row in range(encoding.n_rows):
-        for code in encoding.row_codes(row).tolist():
-            seq_cols, seq_vals = tree.sequence(code)
-            columns.extend(seq_cols)
-            values.extend(seq_vals)
-        row_offsets[row + 1] = len(columns)
-    return SparseEncodedTable(
-        columns=np.asarray(columns, dtype=np.int64),
-        values=np.asarray(values, dtype=np.float64),
-        row_offsets=row_offsets,
-        shape=encoding.shape,
+    tree = PrefixTree.from_flat(
+        columns=[None, *first_cols.tolist()],
+        values=[None, *first_vals.tolist()],
+        parents=parents,
+        symbols=node_symbols,
+        children=children,
+        stride=stride,
     )
+    return encoding, tree

@@ -9,51 +9,103 @@ The tree exposes the two APIs the paper defines:
 * ``GetIndex(n, k)`` — return the index of the child of ``n`` whose key is
   ``k``, or ``-1`` if no such child exists.
 
-Child lookup uses a per-node hash map from child key to child index, the
-standard technique the paper cites.
+Storage is flat and integer-only.  Each distinct pair is interned once as a
+*symbol* (1, 2, ... as first seen); a node is one entry in a parents list and
+one in a symbols list, and the children of all nodes share ONE hash map keyed
+``parent * stride + symbol`` — the paper's hash map from child key to child
+index, without a map or a tuple per node.  Algorithm 1
+(:func:`repro.core.logical.prefix_tree_encode`) fills these same containers
+itself and hands them over through :meth:`PrefixTree.from_flat`.
 """
 
 from __future__ import annotations
 
-from repro.core.pairs import pair_key
+import struct
+from functools import cached_property
 
 ROOT_INDEX = 0
 NOT_FOUND = -1
+
+
+def _pair_key(column: int, value: float) -> tuple[int, bytes]:
+    """A pair's identity: its column and the IEEE-754 *bits* of its value.
+
+    ``2`` and ``2.0`` are one pair and a NaN equals itself — under float
+    equality every NaN seen would be a new pair that no lookup finds.
+    """
+    return int(column), struct.pack("<d", value)
 
 
 class PrefixTree:
     """Prefix tree used while encoding (root has index 0 and no key)."""
 
     def __init__(self) -> None:
-        # Parallel arrays indexed by node index.  Index 0 is the root, which
-        # has no key and is its own parent by convention.
-        self._keys: list[tuple[int, float] | None] = [None]
+        # Symbols are < stride; interning one more pair raises ValueError.
+        self._stride = 1 << 32
+        # Indexed by symbol.  Symbol 0 is "no pair" — what the root stores.
+        self._columns: list[int | None] = [None]
+        self._values: list[float | None] = [None]
+        # Indexed by node.  The root is its own parent by convention.
         self._parents: list[int] = [ROOT_INDEX]
-        self._children: list[dict[tuple[int, float], int]] = [{}]
+        self._symbols: list[int] = [0]
+        self._children: dict[int, int] = {}
+
+    @classmethod
+    def from_flat(cls, *, columns, values, parents, symbols, children, stride) -> "PrefixTree":
+        """Adopt (not copy) storage laid out as ``__init__`` describes.
+
+        ``children`` must hold ``parent * stride + symbol -> node`` for every
+        non-root node, so ``stride`` must exceed the largest symbol.
+        """
+        tree = cls()
+        tree._stride = stride
+        tree._columns, tree._values = columns, values
+        tree._parents, tree._symbols, tree._children = parents, symbols, children
+        return tree
+
+    @cached_property
+    def _symbol_of(self) -> dict[tuple[int, bytes], int]:
+        """Pair key -> symbol, built on the first ``add_node``/``get_index``.
+
+        Lazy because the encoder never asks: a tuple per unique pair costs
+        more than all of Algorithm 1 on a batch of continuous values.
+        """
+        pairs = zip(self._columns[1:], self._values[1:])
+        return {_pair_key(*pair): symbol for symbol, pair in enumerate(pairs, start=1)}
 
     def __len__(self) -> int:
-        return len(self._keys)
+        return len(self._parents)
 
     def add_node(self, parent: int, key: tuple[int, float]) -> int:
         """Create a child of ``parent`` with ``key``; return its index."""
-        key = pair_key(*key)
-        index = len(self._keys)
-        self._keys.append(key)
+        if not 0 <= parent < len(self._parents):
+            raise IndexError(f"no node {parent} to add a child to")
+        pair = _pair_key(*key)
+        symbol = self._symbol_of.get(pair)
+        if symbol is None:
+            symbol = len(self._columns)
+            if symbol >= self._stride:
+                raise ValueError(f"the tree holds at most {self._stride - 1} distinct pairs")
+            self._symbol_of[pair] = symbol
+            self._columns.append(pair[0])
+            self._values.append(float(key[1]))
+        index = len(self._parents)
         self._parents.append(parent)
-        self._children.append({})
-        self._children[parent][key] = index
+        self._symbols.append(symbol)
+        self._children[parent * self._stride + symbol] = index
         return index
 
     def get_index(self, parent: int, key: tuple[int, float]) -> int:
         """Return the index of ``parent``'s child keyed by ``key`` or ``-1``."""
-        return self._children[parent].get(pair_key(*key), NOT_FOUND)
+        symbol = self._symbol_of.get(_pair_key(*key), 0)  # no node holds symbol 0
+        return self._children.get(parent * self._stride + symbol, NOT_FOUND)
 
     def key(self, index: int) -> tuple[int, float]:
         """Return the key (column, value) stored at ``index``."""
-        key = self._keys[index]
-        if key is None:
+        if index == ROOT_INDEX:
             raise ValueError("the root node has no key")
-        return key
+        symbol = self._symbols[index]
+        return self._columns[symbol], self._values[symbol]
 
     def parent(self, index: int) -> int:
         """Return the parent index of node ``index``."""
@@ -77,7 +129,7 @@ class PrefixTree:
         created, the root's children always occupy indices ``1..len(I)``.
         """
         keys: list[tuple[int, float]] = []
-        for index in range(1, len(self._keys)):
+        for index in range(1, len(self._parents)):
             if self._parents[index] != ROOT_INDEX:
                 break
             keys.append(self.key(index))

@@ -79,7 +79,12 @@ class SparseEncodedTable:
 
 
 def sparse_encode(matrix: np.ndarray) -> SparseEncodedTable:
-    """Sparse-encode a dense matrix (drop zeros, keep column prefixes)."""
+    """Sparse-encode a dense matrix (drop zeros, keep column prefixes).
+
+    A zero is whatever compares equal to ``0.0``, so ``-0.0`` is dropped too
+    and decodes as ``+0.0`` — the one cell whose bits do not survive.  NaN,
+    the infinities and subnormals are ordinary stored values.
+    """
     dense = np.asarray(matrix, dtype=np.float64)
     if dense.ndim != 2:
         raise ValueError(f"sparse_encode expects a 2-D matrix, got ndim={dense.ndim}")

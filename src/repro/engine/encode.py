@@ -128,13 +128,24 @@ def _encode_one(task: tuple) -> EncodedBatch:
     )
 
 
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one.
+
+    ``os.cpu_count()`` counts the machine's; a process pinned to one of them
+    (a container, ``taskset``, ``bench/run.py``) gains nothing from a pool.
+    """
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def resolve_workers(workers: int | None = None) -> int:
-    """Default worker count: one per core (at least 1)."""
+    """Default worker count: one per usable CPU (at least 1)."""
     if workers is not None:
         if workers <= 0:
             raise ValueError("workers must be positive")
         return workers
-    return max(1, os.cpu_count() or 1)
+    return usable_cpus()
 
 
 def resolve_executor(executor: str, workers: int) -> str:
@@ -143,9 +154,10 @@ def resolve_executor(executor: str, workers: int) -> str:
         raise ValueError(f"executor must be one of {EXECUTOR_KINDS}, got {executor!r}")
     if executor != "auto":
         return executor
-    # Processes only pay off with real parallelism available and requested;
-    # encoding is pure-Python CPU work, so threads never beat serial.
-    if workers > 1 and (os.cpu_count() or 1) > 1:
+    # Processes pay off only when more than one worker is asked for and this
+    # process may run on more than one CPU.  Algorithm 1's loop holds the
+    # GIL, so "auto" never picks threads.
+    if workers > 1 and usable_cpus() > 1:
         return "process"
     return "serial"
 
@@ -165,8 +177,8 @@ def encode_batches(
     :data:`AUTO_SCHEME` for per-batch advisor selection) or a sequence naming
     the scheme for each batch individually.  Results come back in batch order
     regardless of executor scheduling, each carrying the scheme actually
-    used.  ``executor`` is one of ``"auto"`` (processes when multiple cores
-    are available), ``"serial"``, ``"thread"``, or ``"process"``.
+    used.  ``executor`` is one of ``"auto"`` (processes when this process may
+    run on several CPUs), ``"serial"``, ``"thread"``, or ``"process"``.
 
     ``workload`` switches ``"auto"`` selection to the measured cost model:
     the calibration is resolved once here (``ensure_calibration``) — never

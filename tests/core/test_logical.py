@@ -8,14 +8,90 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.core.logical import LogicalEncoding, logical_decode, prefix_tree_encode
-from repro.core.sparse import sparse_decode, sparse_encode
+from repro.core.logical import LogicalEncoding, prefix_tree_encode
+from repro.core.ops import decode_to_sparse
+from repro.core.prefix_tree import NOT_FOUND, ROOT_INDEX, PrefixTree
+from repro.core.sparse import SparseEncodedTable, sparse_decode, sparse_encode
+from repro.data.registry import DATASET_PROFILES
 from tests.conftest import random_sparse_matrix
+
+#: Cell values for the property tests: repeats, and every float that breaks
+#: "a value equals itself" or "a value is its own bit pattern".
+CELLS = st.sampled_from(
+    [0.0, 0.0, 1.0, 2.5, -3.0, float("nan"), float("inf"), float("-inf"), 5e-324, -0.0]
+)
 
 
 def _roundtrip(dense: np.ndarray) -> np.ndarray:
     encoding, _ = prefix_tree_encode(sparse_encode(dense))
-    return sparse_decode(logical_decode(encoding))
+    return sparse_decode(decode_to_sparse(encoding))
+
+
+def reference_encode(table: SparseEncodedTable) -> tuple[LogicalEncoding, PrefixTree]:
+    """Algorithm 1 as the paper writes it, over ``AddNode``/``GetIndex``.
+
+    The oracle for :func:`prefix_tree_encode`: one tree call per pair, no
+    symbols, no shared storage.
+    """
+    tree = PrefixTree()
+    pairs = list(zip(table.columns.tolist(), table.values.tolist()))
+
+    # Phase I: every unique pair becomes a child of the root.
+    for pair in pairs:
+        if tree.get_index(ROOT_INDEX, pair) == NOT_FOUND:
+            tree.add_node(ROOT_INDEX, pair)
+    first_layer = tree.first_layer()
+
+    # Phase II: per tuple, emit the longest match and extend it by one pair.
+    codes: list[int] = []
+    row_offsets = [0]
+    for start, end in zip(table.row_offsets.tolist(), table.row_offsets.tolist()[1:]):
+        i = start
+        while i < end:
+            node = tree.get_index(ROOT_INDEX, pairs[i])
+            j = i + 1
+            while j < end and (child := tree.get_index(node, pairs[j])) != NOT_FOUND:
+                node = child
+                j += 1
+            codes.append(node)
+            if j < end:
+                tree.add_node(node, pairs[j])
+            i = j
+        row_offsets.append(len(codes))
+
+    encoding = LogicalEncoding(
+        first_layer_columns=np.array([col for col, _ in first_layer], dtype=np.int64),
+        first_layer_values=np.array([val for _, val in first_layer], dtype=np.float64),
+        codes=np.asarray(codes, dtype=np.int64),
+        row_offsets=np.asarray(row_offsets, dtype=np.int64),
+        shape=table.shape,
+    )
+    return encoding, tree
+
+
+def _bits(values) -> list[int]:
+    return np.asarray(values, dtype=np.float64).view(np.uint64).tolist()
+
+
+def assert_identical_to_reference(dense: np.ndarray) -> None:
+    """Code for code, pair for pair (values by their bits), node for node."""
+    table = sparse_encode(dense)
+    fast, fast_tree = prefix_tree_encode(table)
+    ref, ref_tree = reference_encode(table)
+    assert fast.shape == ref.shape
+    assert fast.codes.dtype == ref.codes.dtype and fast.codes.tolist() == ref.codes.tolist()
+    assert fast.row_offsets.tolist() == ref.row_offsets.tolist()
+    assert fast.first_layer_columns.tolist() == ref.first_layer_columns.tolist()
+    assert _bits(fast.first_layer_values) == _bits(ref.first_layer_values)
+    assert len(fast_tree) == len(ref_tree)
+    nodes = range(1, len(ref_tree))
+    assert [fast_tree.parent(n) for n in nodes] == [ref_tree.parent(n) for n in nodes]
+    fast_keys, ref_keys = ([tree.key(n) for n in nodes] for tree in (fast_tree, ref_tree))
+    assert [col for col, _ in fast_keys] == [col for col, _ in ref_keys]
+    assert _bits([val for _, val in fast_keys]) == _bits([val for _, val in ref_keys])
+    # The tree handed back answers GetIndex like the one built call by call.
+    for node in nodes:
+        assert fast_tree.get_index(ref_tree.parent(node), ref_tree.key(node)) == node
 
 
 class TestPrefixTreeEncode:
@@ -95,6 +171,47 @@ class TestPrefixTreeEncode:
         assert zeros.n_tree_nodes == 0
 
 
+class TestIdenticalToReference:
+    @pytest.mark.parametrize("profile", sorted(DATASET_PROFILES))
+    def test_every_dataset_profile(self, profile):
+        assert_identical_to_reference(DATASET_PROFILES[profile].matrix(100, seed=11))
+
+    def test_paper_example(self, paper_matrix):
+        assert_identical_to_reference(paper_matrix)
+
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (4, 5)])
+    def test_no_pairs_at_all(self, shape):
+        assert_identical_to_reference(np.zeros(shape))
+
+    def test_empty_rows_between_full_ones(self):
+        dense = np.array([[0.0, 0.0], [1.0, 2.0], [0.0, 0.0], [1.0, 2.0], [0.0, 0.0]])
+        assert_identical_to_reference(dense)
+
+    @given(
+        hnp.arrays(
+            dtype=np.float64,
+            shape=hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=16),
+            elements=CELLS,
+        )
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_property(self, dense):
+        assert_identical_to_reference(dense)
+
+    def test_hand_built_table_with_both_zeros(self):
+        # sparse_encode never stores a zero, but a table may: the two zeros
+        # differ in their bits, so they are two pairs and come back as stored.
+        table = SparseEncodedTable(
+            columns=np.array([0, 0, 0, 0]),
+            values=np.array([0.0, -0.0, 0.0, -0.0]),
+            row_offsets=np.array([0, 1, 2, 3, 4]),
+            shape=(4, 1),
+        )
+        encoding, tree = prefix_tree_encode(table)
+        assert encoding.n_first_layer == 2 and len(tree) == 3
+        assert _bits(decode_to_sparse(encoding).values) == _bits(table.values)
+
+
 class TestLogicalEncodingValidation:
     @pytest.mark.parametrize("row_offsets", [[1, 2, 3], [0, 3, 2, 3], [0, 1, 2]])
     def test_row_offsets_must_run_from_zero_to_the_code_count_in_order(self, row_offsets):
@@ -143,12 +260,13 @@ class TestLogicalProperties:
         hnp.arrays(
             dtype=np.float64,
             shape=hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=16),
-            elements=st.sampled_from([0.0, 0.0, 1.0, 2.5, -3.0]),
+            elements=CELLS,
         )
     )
     @settings(max_examples=75, deadline=None)
     def test_roundtrip_property(self, dense):
-        assert np.array_equal(_roundtrip(dense), dense)
+        # -0.0 is a zero to sparse_encode and comes back +0.0, which compares equal.
+        assert np.array_equal(_roundtrip(dense), dense, equal_nan=True)
 
     @given(
         hnp.arrays(

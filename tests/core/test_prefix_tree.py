@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.logical import prefix_tree_encode
 from repro.core.prefix_tree import NOT_FOUND, ROOT_INDEX, PrefixTree
+from repro.core.sparse import sparse_encode
 
 
 class TestPrefixTreeBasics:
@@ -77,3 +79,43 @@ class TestPrefixTreeSequences:
         idx = tree.add_node(ROOT_INDEX, (0, 2))
         # Looking up with an equal float value must find the same node.
         assert tree.get_index(ROOT_INDEX, (0, 2.0)) == idx
+
+    def test_keys_are_value_bits(self):
+        tree = PrefixTree()
+        nan = tree.add_node(ROOT_INDEX, (0, float("nan")))
+        zero = tree.add_node(ROOT_INDEX, (0, 0.0))
+        assert tree.get_index(ROOT_INDEX, (0, float("nan"))) == nan
+        assert tree.get_index(ROOT_INDEX, (0, 0.0)) == zero
+        assert tree.get_index(ROOT_INDEX, (0, -0.0)) == NOT_FOUND
+
+    def test_add_node_needs_an_existing_parent(self):
+        tree = PrefixTree()
+        with pytest.raises(IndexError):
+            tree.add_node(1, (0, 1.0))
+
+
+class TestTreeHandedBackByTheEncoder:
+    """``prefix_tree_encode`` fills the flat storage itself (``from_flat``)."""
+
+    @pytest.fixture()
+    def tree(self, paper_matrix) -> PrefixTree:
+        return prefix_tree_encode(sparse_encode(paper_matrix))[1]
+
+    def test_answers_get_index_at_every_depth(self, tree):
+        assert tree.get_index(ROOT_INDEX, (1, 1.1)) == 5
+        assert tree.get_index(1, (1, 2.0)) == 6
+        assert tree.get_index(6, (2, 3.0)) == 9
+        assert tree.get_index(6, (3, 1.4)) == NOT_FOUND
+        assert tree.get_index(ROOT_INDEX, (0, 9.9)) == NOT_FOUND
+
+    def test_grows_by_known_pairs_only(self, tree):
+        # Its stride is the batch's pair count: a known pair fits anywhere...
+        assert tree.add_node(9, (3, 1.4)) == 11
+        assert tree.sequence(11) == [(0, 1.1), (1, 2.0), (2, 3.0), (3, 1.4)]
+        # ... a new one would collide with a neighbour's child slot.
+        with pytest.raises(ValueError):
+            tree.add_node(ROOT_INDEX, (0, 9.9))
+
+    def test_keys_are_plain_python_numbers(self, tree):
+        col, val = tree.key(1)
+        assert type(col) is int and type(val) is float

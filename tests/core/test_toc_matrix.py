@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.core.toc import TOCMatrix, TOCVariant
+from repro.data.registry import DATASET_PROFILES
 from tests.conftest import random_sparse_matrix
 
 
@@ -112,6 +115,28 @@ class TestTOCMatrixOnExtremeData:
         with pytest.raises(ValueError):
             TOCMatrix.encode(np.ones(5))
 
+    def test_non_finite_and_subnormal_cells_round_trip(self):
+        # A NaN never equals itself: keyed by float equality, every NaN cell
+        # was a pair no lookup could find and Algorithm 1 never advanced.
+        tiny = 5e-324
+        dense = np.array(
+            [
+                [1.0, np.nan, 0.0, -tiny],
+                [np.inf, 2.0, -np.inf, tiny],
+                [1.0, np.nan, 0.0, tiny],
+                [np.inf, 2.0, 0.0, tiny],
+            ]
+        )
+        toc = TOCMatrix.from_bytes(TOCMatrix.encode(dense).to_bytes())
+        restored = toc.to_dense()
+        assert np.array_equal(restored, dense, equal_nan=True)
+        assert np.array_equal(np.signbit(restored), np.signbit(dense))
+        v = np.array([1.0, 2.0, 3.0, 4.0])
+        with np.errstate(invalid="ignore"):
+            expected, got = dense @ v, toc.matvec(v)
+        assert np.isnan(expected[0]) and np.isposinf(expected[3])
+        np.testing.assert_allclose(got, expected)
+
 
 class TestEncodeToBytes:
     def test_round_trips_through_from_bytes(self, census_batch):
@@ -120,3 +145,11 @@ class TestEncodeToBytes:
         restored = TOCMatrix.from_bytes(raw)
         np.testing.assert_allclose(restored.to_dense(), census_batch)
         assert restored.to_bytes() == raw
+
+    def test_bytes_are_the_ones_every_earlier_encoder_wrote(self):
+        # Digest of the payload taken before Algorithm 1 moved to integer
+        # symbols (PR 14): a faster encoder is not a new on-disk format.
+        batch = DATASET_PROFILES["census"].matrix(250, seed=11)
+        assert batch.shape == (250, 68)
+        digest = hashlib.sha256(TOCMatrix.encode_to_bytes(batch)).hexdigest()
+        assert digest == "60b7bbff32d4dfd7b68f244e067743120da7f172ad42fc532c0a7d01115aa4cb"

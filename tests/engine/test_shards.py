@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from repro.engine.encode import (
     resolve_executor,
     resolve_scheme_name,
     resolve_workers,
+    usable_cpus,
 )
 from repro.engine.shards import (
     MANIFEST_NAME,
@@ -78,6 +80,20 @@ class TestEncodePipeline:
             resolve_workers(0)
         assert resolve_executor("serial", 8) == "serial"
         assert resolve_executor("auto", 1) == "serial"
+
+    def test_worker_count_follows_cpu_affinity(self, monkeypatch):
+        # Pinned to one CPU of a big machine: a pool could not run in parallel.
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
+        assert usable_cpus() == resolve_workers(None) == 1
+        assert resolve_executor("auto", resolve_workers(None)) == "serial"
+        assert resolve_executor("auto", 4) == "serial"
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        assert usable_cpus() == resolve_workers(None) == 3
+        assert resolve_executor("auto", 3) == "process"
+        # No affinity API (macOS, Windows): fall back to the machine's count.
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert usable_cpus() == 64
 
 
 class TestAutoSchemeEncode:
