@@ -131,6 +131,7 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    # ClusterService spawns workers; the spawn start method re-imports this
-    # module, so cluster code must stay behind the __main__ guard.
+    # ClusterService forks its workers from a fork server that never runs this
+    # file, but each worker still imports it (as __mp_main__) to unpickle its
+    # arguments, so cluster code must stay behind the __main__ guard.
     main()

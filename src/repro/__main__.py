@@ -517,6 +517,9 @@ def _cmd_serve_cluster(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"invalid serving configuration: {exc}")
         return 2
+    except ClusterError as exc:  # a worker's ready frame carried the reason
+        print(f"cannot start the cluster: {exc}")
+        return 2
 
     checkpoint = cluster.checkpoint
     stop = threading.Event()

@@ -1,11 +1,19 @@
 """The multi-process serving tier: one dispatcher, N worker processes.
 
-:class:`ClusterService` spawns ``workers`` independent processes (spawn
-context — the parent runs threads, so fork is off the table), each running
+:class:`ClusterService` runs ``workers`` independent processes, each running
 :func:`repro.cluster.worker.worker_main` over the *same* checkpoint
 registry and shard directory, and speaks length-prefixed JSON frames to
-each over a private Unix socket.  Python's GIL serialises decode work
+each over a private socketpair.  Python's GIL serialises decode work
 inside one process; N processes decode on N cores.
+
+The dispatcher runs threads, so forking *it* is off the table.  Workers are
+forked from the standard library's single-threaded *fork server*, started once
+per process with :mod:`repro.cluster.worker` (NumPy, SciPy, the read path)
+preloaded: N workers cost one import, every later start and respawn a
+``fork``.  Each worker inherits one end of a ``socket.socketpair()`` whose
+dispatcher-side copy is closed after launch, so a worker that dies at any
+point, start-up included, is an EOF, never a timeout; its first frame is
+``ready``, or the exception that kept it from serving.
 
 The dispatcher is deliberately thin — it holds no model and no shard
 bytes.  Per request it does:
@@ -35,12 +43,12 @@ from __future__ import annotations
 
 import itertools
 import multiprocessing
-import shutil
+import os
 import socket
-import tempfile
 import threading
 import time
 from concurrent.futures import Future
+from multiprocessing import forkserver
 from pathlib import Path
 
 from repro.cluster.asyncio_service import ADMISSION_POLICIES
@@ -57,9 +65,14 @@ from repro.obs import metrics as obs_metrics
 from repro.serve.batcher import fail_future
 from repro.serve.checkpoint import Checkpoint, ModelRegistry
 
-#: Seconds the dispatcher waits for a fresh worker's socket to come up
-#: (covers a cold python + numpy import on a loaded box).
+#: Seconds the dispatcher waits for a fresh worker's ready frame (covers a
+#: cold fork server: one python + numpy + scipy import on a loaded box).
 SPAWN_CONNECT_TIMEOUT = 60.0
+
+#: A failed respawn is retried after this long, doubling up to the cap: a
+#: respawn costs only a fork, so an unpaced retry would be a fork loop.
+RESPAWN_BACKOFF_SECONDS = 0.05
+RESPAWN_BACKOFF_CAP_SECONDS = 2.0
 
 #: Extra seconds past a request's deadline before the dispatcher stops
 #: waiting for the worker's (late) explicit answer and sheds client-side.
@@ -69,17 +82,50 @@ _CLUSTER_IDS = itertools.count()
 
 _ERROR_CLASSES = {code: exc_cls for exc_cls, code in ERROR_CODES.items()}
 
+_FORKSERVER_LOCK = threading.Lock()
+
+
+def _forkserver_context():
+    """The ``forkserver`` context, its server running with the worker preloaded.
+
+    Before Python 3.13 the server ignores our ``sys.path`` and skips a preload
+    it cannot import without a word, so a ``repro`` that is importable here
+    but not installed (pytest's ``pythonpath``, ``sys.path.insert``) would
+    preload nothing: the package root rides on ``PYTHONPATH`` for exactly the
+    launch.  A server the host application started earlier keeps its own
+    preload list.  Either way a worker's ping says whether it was ``preloaded``.
+    """
+    context = multiprocessing.get_context("forkserver")
+    package_root = str(Path(__file__).resolve().parents[2])
+    with _FORKSERVER_LOCK:
+        context.set_forkserver_preload(["repro.cluster.worker"])
+        inherited = os.environ.get("PYTHONPATH")
+        os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (package_root, inherited)))
+        try:
+            forkserver.ensure_running()
+        finally:
+            if inherited is None:
+                del os.environ["PYTHONPATH"]
+            else:
+                os.environ["PYTHONPATH"] = inherited
+    return context
+
 
 class _WorkerHandle:
     """Parent-side state for one worker process."""
 
-    __slots__ = ("index", "config", "process", "conn", "pending", "alive", "send_lock")
+    __slots__ = (
+        "index", "config", "process", "conn", "launched", "reader", "pending", "alive", "send_lock"
+    )
 
     def __init__(self, index: int, config: dict):
         self.index = index
         self.config = config
         self.process = None
         self.conn: socket.socket | None = None
+        self.launched = 0.0  # time.monotonic() of the last launch
+        #: Reads ``conn``; once the worker is gone, brings its successor up.
+        self.reader: threading.Thread | None = None
         #: request id -> (future, reply kind); mutated under the cluster lock.
         self.pending: dict[int, tuple[Future, str]] = {}
         self.alive = False
@@ -154,8 +200,7 @@ class ClusterService:
         self.admission = admission
         self.default_deadline = default_deadline
         self._cluster_id = next(_CLUSTER_IDS)
-        self._socket_dir = Path(tempfile.mkdtemp(prefix="repro-cluster-"))
-        self._ctx = multiprocessing.get_context("spawn")
+        self._ctx = _forkserver_context()
         self._req_ids = itertools.count()
         self._lock = threading.Lock()
         self._slot_free = threading.Condition(self._lock)
@@ -167,6 +212,10 @@ class ClusterService:
         self._m_shed = obs_metrics.counter("cluster.server.shed", **labels)
         self._m_crashed = obs_metrics.counter("cluster.server.crashed_requests", **labels)
         self._m_respawns = obs_metrics.counter("cluster.server.respawns", **labels)
+        self._m_respawn_failures = obs_metrics.counter("cluster.server.respawn_failures", **labels)
+        self._m_start_seconds = obs_metrics.histogram(
+            "cluster.server.worker_start_seconds", **labels
+        )
         self._m_inflight = obs_metrics.gauge("cluster.server.inflight", **labels)
 
         self._handles = [
@@ -174,7 +223,6 @@ class ClusterService:
                 index,
                 {
                     "worker_index": index,
-                    "socket_path": str(self._socket_dir / f"worker-{index}.sock"),
                     "checkpoint_dir": str(registry.root),
                     "version": self.checkpoint.version,
                     "shard_dir": str(directory),
@@ -187,54 +235,108 @@ class ClusterService:
             )
             for index in range(workers)
         ]
+        # Launch all, then await all: the first start is one import wide.
         try:
             for handle in self._handles:
-                self._start_worker(handle)
+                self._launch(handle)
+            for handle in self._handles:
+                self._await_ready(handle)
         except BaseException:
-            self.close(drain=False)
+            for handle in self._handles:
+                self._reap(handle)
             raise
+        for handle in self._handles:
+            self._adopt(handle)
 
     # -- worker lifecycle ------------------------------------------------------
 
-    def _start_worker(self, handle: _WorkerHandle) -> None:
-        handle.process = self._ctx.Process(
+    def _launch(self, handle: _WorkerHandle) -> None:
+        """Fork one worker holding the far end of a fresh socketpair."""
+        handle.launched = time.monotonic()
+        handle.conn, worker_end = socket.socketpair()
+        process = self._ctx.Process(
             target=worker_main,
-            args=(handle.config,),
+            args=(handle.config, worker_end),
             name=f"repro-cluster-{self._cluster_id}-worker-{handle.index}",
             daemon=True,
         )
-        handle.process.start()
-        handle.conn = self._connect(handle)
-        handle.alive = True
-        threading.Thread(
-            target=self._reader_loop,
-            args=(handle,),
-            name=f"repro-cluster-{self._cluster_id}-reader-{handle.index}",
-            daemon=True,
-        ).start()
+        try:
+            process.start()
+        finally:
+            # Only the worker may hold this end, or its death is no EOF.
+            worker_end.close()
+        handle.process = process
 
-    def _connect(self, handle: _WorkerHandle) -> socket.socket:
-        """Retry until the worker's listener is up (it binds before accept)."""
-        deadline = time.monotonic() + SPAWN_CONNECT_TIMEOUT
-        path = handle.config["socket_path"]
+    def _await_ready(self, handle: _WorkerHandle) -> None:
+        """Receive the worker's ready frame, or raise naming why there is none."""
+        handle.conn.settimeout(SPAWN_CONNECT_TIMEOUT)
+        try:
+            frame = recv_frame(handle.conn)
+        except (ProtocolError, OSError) as exc:  # the timeout is one of these
+            frame = {"error": type(exc).__name__, "message": str(exc)}
+        handle.conn.settimeout(None)
+        if frame is None:
+            handle.process.join(timeout=5.0)
+            frame = {"error": "exited", "message": f"exitcode {handle.process.exitcode}"}
+        if not frame.get("ok"):
+            raise WorkerCrashed(
+                f"worker {handle.index} failed to start: "
+                f"{frame.get('error')}: {frame.get('message')}"
+            )
+        self._m_start_seconds.observe(time.monotonic() - handle.launched)
+
+    def _adopt(self, handle: _WorkerHandle) -> bool:
+        """Put a ready worker into service, unless the service closed meanwhile."""
+        with self._lock:
+            if not self._closing:
+                handle.alive = True
+                handle.reader = threading.Thread(
+                    target=self._reader_loop,
+                    args=(handle,),
+                    name=f"repro-cluster-{self._cluster_id}-reader-{handle.index}",
+                    daemon=True,
+                )
+                handle.reader.start()
+                return True
+        self._reap(handle)
+        return False
+
+    def _reap(self, handle: _WorkerHandle, grace: float = 0.0) -> None:
+        """Hang up on a worker; terminate it if it has not left in ``grace`` seconds."""
+        if handle.conn is not None:
+            handle.conn.close()
+        process, handle.process = handle.process, None
+        if process is None:
+            return
+        process.join(timeout=grace)
+        if process.is_alive():
+            process.terminate()
+            process.join(timeout=5.0)
+        if process.exitcode is not None:
+            process.close()  # its two descriptors go now, not at collection
+
+    def _respawn(self, handle: _WorkerHandle) -> None:
+        """Bring a dead worker's successor up, on the dead one's reader thread.
+
+        Never raises: a failure is counted and retried under the capped
+        backoff until a worker answers ready or the service closes.
+        """
+        backoff = RESPAWN_BACKOFF_SECONDS
         while True:
-            sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
             try:
-                sock.connect(path)
-                return sock
-            except (FileNotFoundError, ConnectionRefusedError):
-                sock.close()
-                if not handle.process.is_alive():
-                    raise WorkerCrashed(
-                        f"worker {handle.index} exited during startup "
-                        f"(exitcode {handle.process.exitcode})"
-                    ) from None
-                if time.monotonic() > deadline:
-                    raise WorkerCrashed(
-                        f"worker {handle.index} did not come up within "
-                        f"{SPAWN_CONNECT_TIMEOUT:.0f}s"
-                    ) from None
-                time.sleep(0.02)
+                self._launch(handle)
+                self._await_ready(handle)
+            except Exception:  # whatever it was, this thread is the only healer
+                self._m_respawn_failures.inc()
+                self._reap(handle)
+            else:
+                if self._adopt(handle):
+                    self._m_respawns.inc()
+                return
+            with self._slot_free:
+                if self._slot_free.wait_for(lambda: self._closing, timeout=backoff):
+                    return
+            backoff = min(2 * backoff, RESPAWN_BACKOFF_CAP_SECONDS)
 
     def _reader_loop(self, handle: _WorkerHandle) -> None:
         """Route every reply frame from one worker back to its future."""
@@ -271,22 +373,19 @@ class ClusterService:
     def _on_worker_gone(self, handle: _WorkerHandle) -> None:
         """EOF from a worker: fail its in-flight work, respawn unless closing."""
         with self._lock:
-            was_alive = handle.alive
             handle.alive = False
             orphans = list(handle.pending.values())
             handle.pending.clear()
             self._m_inflight.set(self._total_inflight())
             self._slot_free.notify_all()
+            closing = self._closing
         for future, _ in orphans:
             self._m_crashed.inc()
             fail_future(future, WorkerCrashed(f"worker {handle.index} died before answering"))
-        if handle.conn is not None:
-            handle.conn.close()
-        if self._closing or not was_alive:
-            return
-        handle.process.join(timeout=5.0)
-        self._m_respawns.inc()
-        self._start_worker(handle)
+        if closing:
+            return  # close() found this worker alive and reaps it itself
+        self._reap(handle, grace=5.0)
+        self._respawn(handle)
 
     # -- admission + routing ---------------------------------------------------
 
@@ -331,18 +430,21 @@ class ClusterService:
                     )
                 self._slot_free.wait(timeout)
 
-    def _abandon(self, handle: _WorkerHandle, req_id: int) -> None:
+    def _abandon(self, handle: _WorkerHandle, req_id: int) -> bool:
+        """Free a request's slot; false if the reader already failed it as an orphan."""
         with self._lock:
-            handle.pending.pop(req_id, None)
+            mine = handle.pending.pop(req_id, None) is not None
             self._m_inflight.set(self._total_inflight())
             self._slot_free.notify_all()
+        return mine
 
     def _send(self, handle: _WorkerHandle, req_id: int, message: dict) -> None:
         try:
             with handle.send_lock:
                 send_frame(handle.conn, message)
         except (OSError, ProtocolError) as exc:
-            self._abandon(handle, req_id)
+            if self._abandon(handle, req_id):
+                self._m_crashed.inc()  # once per request, whoever saw the crash first
             raise WorkerCrashed(
                 f"could not reach worker {handle.index}: {exc}"
             ) from exc
@@ -486,10 +588,12 @@ class ClusterService:
                 return
             self._closing = True
             self._slot_free.notify_all()
+            # From here no respawn is adopted: a worker not alive now belongs
+            # to its reader thread, which reaps whatever it was bringing up.
+            live = [handle for handle in self._handles if handle.alive]
+            readers = [handle.reader for handle in self._handles]
         acks = []
-        for handle in self._handles:
-            if not handle.alive or handle.conn is None:
-                continue
+        for handle in live:
             if drain:
                 with self._lock:
                     req_id = next(self._req_ids)
@@ -512,17 +616,11 @@ class ClusterService:
                 future.result(timeout=timeout)
             except Exception:
                 pass  # worker died while draining; reaped below either way
-        for handle in self._handles:
-            if handle.conn is not None:
-                handle.conn.close()
-            process = handle.process
-            if process is not None and process.is_alive():
-                process.join(timeout=5.0 if drain else 1.0)
-                if process.is_alive():
-                    process.terminate()
-                    process.join(timeout=5.0)
-            handle.alive = False
-        shutil.rmtree(self._socket_dir, ignore_errors=True)
+        for handle in live:
+            self._reap(handle, grace=5.0 if drain else 1.0)
+        for reader in readers:
+            if reader is not threading.current_thread():
+                reader.join(timeout)
 
     def __enter__(self) -> "ClusterService":
         return self

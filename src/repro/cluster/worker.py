@@ -22,6 +22,11 @@ inline, predictions submitted to the service), the service's **batcher**
 (which also runs the reply callbacks), and the **generation watcher**
 (hot-reopens the feature store after a compact without touching in-flight
 work).
+
+A worker is a fork of the fork server :mod:`repro.cluster.server` preloads
+with this module: born with the imports done and its end of the dispatcher's
+socketpair in hand, it leaves through the fork server's ``os._exit``, not
+through interpreter finalisation.
 """
 
 from __future__ import annotations
@@ -30,7 +35,6 @@ import os
 import socket
 import threading
 from concurrent.futures import Future
-from pathlib import Path
 
 from repro.cluster.errors import DeadlineExceeded, ServiceClosed, ServiceOverloaded
 from repro.cluster.protocol import recv_frame, send_frame
@@ -47,18 +51,30 @@ ERROR_CODES = {
 }
 
 
-def worker_main(config: dict) -> None:
-    """Process entry point (spawned by the dispatcher; must be picklable)."""
-    _Worker(config).run()
+#: The process that imported this module: the fork server when preloaded
+#: there, else the worker itself (which then reports ``preloaded: false``).
+_IMPORT_PID = os.getpid()
+
+
+def worker_main(config: dict, conn: socket.socket) -> None:
+    """Process entry point: serve the dispatcher on ``conn``, this worker's end
+    of its socketpair.  The first frame is ``ready``, or — when the service
+    cannot be built — the exception that says why, and a non-zero exit."""
+    try:
+        worker = _Worker(config, conn)
+    except Exception as exc:
+        error = {"error": type(exc).__name__, "message": str(exc)}
+        send_frame(conn, {"op": "ready", "ok": False, **error})
+        raise
+    worker.run()
 
 
 class _Worker:
-    def __init__(self, config: dict):
+    def __init__(self, config: dict, conn: socket.socket):
         self.index = int(config["worker_index"])
-        self.socket_path = config["socket_path"]
         self.poll_seconds = float(config.get("poll_seconds") or DEFAULT_POLL_SECONDS)
         self._send_lock = threading.Lock()
-        self._conn: socket.socket | None = None
+        self._conn = conn
 
         labels = {"worker": self.index}
         self._m_requests = obs_metrics.counter("cluster.worker.requests", **labels)
@@ -83,33 +99,22 @@ class _Worker:
     # -- lifecycle -------------------------------------------------------------
 
     def run(self) -> None:
-        listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        self._send({"op": "ready", "ok": True, "pid": os.getpid()})
+        watcher = GenerationWatcher(
+            self.service.maybe_reopen_store, poll_seconds=self.poll_seconds
+        )
+        watcher.start()
         try:
-            Path(self.socket_path).unlink(missing_ok=True)
-            listener.bind(self.socket_path)
-            listener.listen(1)
-            self._conn, _ = listener.accept()
-
-            watcher = GenerationWatcher(
-                self.service.maybe_reopen_store, poll_seconds=self.poll_seconds
-            )
-            watcher.start()
-            try:
-                shutdown_id = self._reader_loop()
-            finally:
-                # Joins the batcher after it served everything queued, reply
-                # callbacks included.
-                self.service.close(drain=True)
-                watcher.stop()
-            if shutdown_id is not None:
-                # Ack only now that every queued request has its answer on
-                # the wire: the dispatcher reads this as "drain complete".
-                self._send({"id": shutdown_id, "ok": True})
+            shutdown_id = self._reader_loop()
         finally:
-            if self._conn is not None:
-                self._conn.close()
-            listener.close()
-            Path(self.socket_path).unlink(missing_ok=True)
+            # Joins the batcher after it served everything queued, reply
+            # callbacks included.
+            self.service.close(drain=True)
+            watcher.stop()
+        if shutdown_id is not None:
+            # Ack only now that every queued request has its answer on
+            # the wire: the dispatcher reads this as "drain complete".
+            self._send({"id": shutdown_id, "ok": True})
 
     # -- reader side -----------------------------------------------------------
 
@@ -130,6 +135,7 @@ class _Worker:
                         "id": frame.get("id"),
                         "ok": True,
                         "pid": os.getpid(),
+                        "preloaded": os.getpid() != _IMPORT_PID,
                         "worker": self.index,
                         "generation": self.service.generation,
                         "n_rows": self.service.store.n_rows,

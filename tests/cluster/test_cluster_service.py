@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+import shutil
 import threading
 import time
 
@@ -14,7 +17,9 @@ from repro.cluster import (
     DeadlineExceeded,
     ServiceClosed,
     ServiceOverloaded,
+    WorkerCrashed,
 )
+from repro.cluster.server import SPAWN_CONNECT_TIMEOUT
 from repro.data.registry import DATASET_PROFILES
 
 N_ROWS = 240
@@ -43,7 +48,8 @@ def published(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def cluster(published):
-    """One two-worker cluster shared by the read-only tests (spawn is slow)."""
+    """One two-worker cluster shared by the read-only tests (their answers
+    must not depend on which test ran first; a start is only a fork)."""
     registry, shard_dir, _ = published
     service = ClusterService(
         registry, shard_dir=shard_dir, workers=2, backlog=8, cache_size=16
@@ -58,6 +64,11 @@ class TestServing:
         assert [s["worker"] for s in statuses] == [0, 1]
         assert all(s["n_rows"] == N_ROWS for s in statuses)
         assert len({s["pid"] for s in statuses}) == 2
+
+    def test_workers_inherit_the_fork_servers_imports(self, cluster):
+        # False means the fork server could not import repro.cluster.worker
+        # (its sys.path is not ours) and every worker paid the import itself.
+        assert [s["preloaded"] for s in cluster.ping()] == [True, True]
 
     def test_predictions_match_the_model(self, cluster, published):
         _, _, expected = published
@@ -115,6 +126,8 @@ class TestServing:
         assert "cluster.worker.requests{worker=0}" in counters
         assert "cluster.worker.requests{worker=1}" in counters
         assert "cluster.server.requests" in counters
+        assert counters["cluster.server.respawn_failures"] == 0
+        assert metrics["histograms"]["cluster.server.worker_start_seconds"]["count"] >= 2
         gauges = metrics["gauges"]
         assert "cluster.worker.queue_depth{worker=0}" in gauges
         # Every worker also reports its own full serve-level snapshot.
@@ -124,10 +137,21 @@ class TestServing:
         assert cluster.generations() == [1, 1]
 
 
+def _wait_for(condition, seconds: float) -> bool:
+    give_up = time.monotonic() + seconds
+    while not condition():
+        if time.monotonic() > give_up:
+            return False
+        time.sleep(0.01)
+    return True
+
+
+def _children() -> set[str]:
+    return {child.name for child in multiprocessing.active_children()}
+
+
 class TestCrashRecovery:
     def test_worker_crash_heals_by_respawn(self, cluster, published):
-        from repro.cluster import WorkerCrashed
-
         _, _, expected = published
         pids_before = {s["worker"]: s["pid"] for s in cluster.ping()}
         cluster.crash_worker(0)
@@ -149,6 +173,115 @@ class TestCrashRecovery:
         np.testing.assert_allclose(
             cluster.predict_many([0, 1, 2]), expected[[0, 1, 2]]
         )
+
+    def test_failed_respawn_is_retried_until_it_heals(self, published, tmp_path):
+        registry, shard_dir, expected = published
+        shards, away = tmp_path / "shards", tmp_path / "away"
+        shutil.copytree(shard_dir, shards)
+
+        def counter(service, name):
+            return service.metrics()["counters"][f"cluster.server.{name}"]
+
+        with ClusterService(registry, shard_dir=shards, workers=2, backlog=8) as service:
+            shards.rename(away)
+            service.crash_worker(0)
+            assert _wait_for(lambda: counter(service, "respawn_failures") >= 1, 10)
+            assert service.alive_workers == 1
+            assert counter(service, "respawns") == 0  # nothing came back yet
+            away.rename(shards)
+            assert _wait_for(lambda: service.alive_workers == 2, 5)
+            assert counter(service, "respawns") == 1
+            assert [s["worker"] for s in service.ping()] == [0, 1]
+            np.testing.assert_allclose(service.predict_many(range(N_ROWS)), expected)
+
+    def test_crash_under_load_fails_only_what_was_in_flight(self, published):
+        registry, shard_dir, expected = published
+        stop = threading.Event()
+        answered, crashed, other = [], [], []
+
+        def client(offset: int) -> None:
+            rows = list(range(offset, N_ROWS, 2))
+            while not stop.is_set():
+                try:
+                    values = service.predict_many(rows)
+                except WorkerCrashed as exc:
+                    crashed.append(exc)
+                except Exception as exc:  # anything else is the bug
+                    other.append(exc)
+                else:
+                    answered.append(np.allclose(values, expected[rows]))
+
+        with ClusterService(
+            registry, shard_dir=shard_dir, workers=2, backlog=8, cache_size=0
+        ) as service:
+            clients = [threading.Thread(target=client, args=(k,)) for k in range(2)]
+            for thread in clients:
+                thread.start()
+            try:
+                assert _wait_for(lambda: len(answered) >= 20, 10)
+                before = {s["worker"]: s["pid"] for s in service.ping()}
+                service.crash_worker(0)
+                time.sleep(1.0)  # no ping in between: a failed one would count as crashed
+                after = {s["worker"]: s["pid"] for s in service.ping()}
+                served = len(answered)
+                assert _wait_for(lambda: len(answered) >= served + 20, 10)
+            finally:
+                stop.set()
+                for thread in clients:
+                    thread.join(timeout=30)
+            assert not any(thread.is_alive() for thread in clients)
+            assert after.keys() == before.keys() == {0, 1}
+            assert after[0] != before[0] and after[1] == before[1]
+            assert other == [] and all(answered)
+            counters = service.metrics()["counters"]
+            assert len(crashed) == counters["cluster.server.crashed_requests"]
+            assert counters["cluster.server.respawns"] == 1
+
+
+class TestLifecycle:
+    def test_startup_failure_names_its_cause_and_leaves_no_process(self, published, tmp_path):
+        registry, _, _ = published
+        children = _children()
+        start = time.monotonic()
+        with pytest.raises(
+            WorkerCrashed,
+            match="worker 0 failed to start: FileNotFoundError: no shard manifest at",
+        ):
+            open_service(registry, workers=2, shard_dir=tmp_path / "missing")
+        assert time.monotonic() - start < SPAWN_CONNECT_TIMEOUT / 6
+        assert _children() == children
+
+    def test_close_racing_a_respawn_leaves_no_process(self, published):
+        registry, shard_dir, _ = published
+        children = _children()
+        for _ in range(20):
+            service = ClusterService(registry, shard_dir=shard_dir, workers=2, backlog=4)
+            service.crash_worker(0)
+            service.close()
+            assert _children() == children
+
+    def test_open_close_cycles_leak_no_process_and_no_descriptor(self, published):
+        registry, shard_dir, _ = published
+        has_proc = os.path.isdir("/proc/self/fd")
+
+        def cycle() -> tuple:
+            with ClusterService(registry, shard_dir=shard_dir, workers=2, backlog=4) as service:
+                assert len(service.ping()) == 2
+            return _children(), len(os.listdir("/proc/self/fd")) if has_proc else None
+
+        start = cycle()  # the first one may start the fork server and its pipes
+        for _ in range(10):
+            assert cycle() == start
+
+    def test_drain_on_close_answers_everything_already_submitted(self, published):
+        registry, shard_dir, expected = published
+        service = ClusterService(
+            registry, shard_dir=shard_dir, workers=2, backlog=64, cache_size=0
+        )
+        futures = [service.submit(i) for i in range(100)]
+        service.close(drain=True)
+        assert all(future.done() for future in futures)
+        np.testing.assert_allclose([f.result(timeout=0) for f in futures], expected[:100])
 
 
 class TestBackpressure:

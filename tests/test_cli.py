@@ -353,6 +353,22 @@ class TestServeClusterCommand:
         assert "cluster.worker.queue_depth{worker=0}" in out
         assert "cluster.worker.queue_depth{worker=1}" in out
 
+    def test_worker_start_failure_exits_2_naming_the_cause(
+        self, capsys, served_checkpoint, tmp_path
+    ):
+        _, registry_dir = served_checkpoint
+        code = main(
+            [
+                "serve",
+                "--checkpoint-dir", str(registry_dir),
+                "--workers", "2",
+                "--shards", str(tmp_path / "missing"),
+            ]
+        )
+        assert code == 2
+        out = capsys.readouterr().out
+        assert "cannot start the cluster: worker 0 failed to start: FileNotFoundError" in out
+
     def test_sigterm_drains_gracefully(self, capsys, served_checkpoint):
         import os
         import signal
