@@ -76,7 +76,7 @@ def _measure_backend(registry_dir, n_shards: int, workload: np.ndarray, backend:
             **BACKENDS[backend],
         )
         with service:
-            service.predict_ids(range(ROWS))  # warm the decoded rows
+            service.store.get_rows(range(ROWS))  # warm the row LRU (bulk scoring decodes no row)
             start = time.perf_counter()
             with ThreadPoolExecutor(max_workers=CLIENTS) as clients:
                 list(clients.map(service.predict_id, workload))

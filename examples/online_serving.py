@@ -84,7 +84,7 @@ def main() -> None:
         ):
             service, _ = open_service(registry_dir, store_kwargs=store_kwargs, **kwargs)
             with service:
-                service.predict_ids(range(ROWS))  # warm the decoded blocks
+                service.store.get_rows(range(ROWS))  # warm the row LRU (bulk scoring decodes no row)
                 wall = drive(service, workload)
                 print(
                     f"{label:<14} {REQUESTS / wall:>9,.0f} "

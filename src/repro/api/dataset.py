@@ -35,7 +35,14 @@ from repro.core.calibration import WORKLOADS, Calibration, ensure_calibration
 from repro.data.minibatch import split_minibatches
 from repro.engine.compact import CompactReport, FsckReport, compact_dataset, fsck_dataset
 from repro.engine.encode import AUTO_SAMPLE_ROWS, AUTO_SCHEME
-from repro.engine.shards import MANIFEST_NAME, ShardedDataset, ShardInfo
+from repro.engine.shards import (
+    MANIFEST_NAME,
+    ShardedDataset,
+    ShardInfo,
+    group_by_shard,
+    locate_rows,
+    shard_offsets,
+)
 from repro.exec import row_slice
 from repro.exec.scan import ScanResult, scan_shards
 from repro.storage.buffer_pool import BufferPool
@@ -323,22 +330,10 @@ class Dataset:
         no longer need to reach into ``FeatureStore`` internals for a quick
         look at the data.
         """
-        ids = np.asarray(list(rows) if not isinstance(rows, np.ndarray) else rows)
-        ids = ids.astype(np.intp).ravel()
-        if ids.size and (ids.min() < 0 or ids.max() >= self.n_examples):
-            raise IndexError(f"row id out of range [0, {self.n_examples})")
-        out = np.empty((ids.size, self.n_cols), dtype=np.float64)
-        if not ids.size:
-            return out
-        # Group positions by shard so each compressed payload is decoded once.
-        offsets = np.cumsum([0] + [s.n_rows for s in self._sharded.shards])
-        shard_of = np.searchsorted(offsets, ids, side="right") - 1
-        for shard_index in np.unique(shard_of):
-            positions = np.flatnonzero(shard_of == shard_index)
-            shard = self._sharded.shards[int(shard_index)]
-            local = ids[positions] - offsets[shard_index]
-            matrix = self._sharded.decode(shard.batch_id)
-            out[positions] = row_slice(matrix, local)
+        batch_ids, local_rows = locate_rows(shard_offsets(self._sharded.shards), rows)
+        out = np.empty((batch_ids.size, self.n_cols), dtype=np.float64)
+        for batch_id, positions in group_by_shard(batch_ids):
+            out[positions] = row_slice(self._sharded.decode(batch_id), local_rows[positions])
         return out
 
     def __getitem__(self, key) -> np.ndarray:

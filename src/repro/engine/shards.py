@@ -111,6 +111,45 @@ class ShardInfo:
     scheme: str = "TOC"
 
 
+def shard_offsets(shards: Sequence[ShardInfo]) -> np.ndarray:
+    """``offsets[i]``: global row id of shard ``i``'s first row; ``offsets[-1]``: the row count."""
+    offsets = np.zeros(len(shards) + 1, dtype=np.int64)
+    np.cumsum([shard.n_rows for shard in shards], out=offsets[1:])
+    return offsets
+
+
+def row_id_array(row_ids) -> np.ndarray:
+    """Any iterable of row ids as a flat ``int64`` array of its own (a queued request keeps it)."""
+    if isinstance(row_ids, np.ndarray):
+        return row_ids.astype(np.int64).ravel()
+    return np.fromiter(row_ids, dtype=np.int64)
+
+
+def locate_rows(offsets: np.ndarray, row_ids) -> tuple[np.ndarray, np.ndarray]:
+    """Map global row ids onto ``(batch id, local row)`` arrays in one vectorised step.
+
+    ``offsets`` is :func:`shard_offsets` of the shard table; a shard's batch
+    id is its position in that table.  The whole request is range-checked
+    before anything is returned, so a caller never touches a shard on behalf
+    of a request that holds a bad id.
+    """
+    ids = row_id_array(row_ids)
+    n_rows = int(offsets[-1])
+    if ids.size and (ids.min() < 0 or ids.max() >= n_rows):
+        bad = int(ids[(ids < 0) | (ids >= n_rows)][0])
+        raise IndexError(f"row {bad} out of range [0, {n_rows})")
+    batch_ids = np.searchsorted(offsets, ids, side="right") - 1
+    return batch_ids, ids - offsets[batch_ids]
+
+
+def group_by_shard(batch_ids: np.ndarray) -> list[tuple[int, np.ndarray]]:
+    """``(batch id, request positions)`` per shard touched, positions in request order."""
+    order = np.argsort(batch_ids, kind="stable")
+    in_order = batch_ids[order]
+    starts = np.flatnonzero(np.diff(in_order, prepend=-1))  # batch ids are >= 0
+    return list(zip(in_order[starts].tolist(), np.split(order, starts[1:])))
+
+
 class ShardedDataset:
     """A directory of compressed mini-batch shards plus manifest and labels."""
 

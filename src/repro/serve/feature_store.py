@@ -1,46 +1,52 @@
 """Row lookups over a sharded dataset, through the buffer pool.
 
 The training engine reads whole shards; serving needs individual rows.  The
-feature store maps a global row id onto (shard, local row) with the manifest
-row counts, reads the compressed payload through the same byte-budgeted
-:class:`~repro.storage.buffer_pool.BufferPool` the trainer uses, resolves
-the decoder *per shard* from the manifest (so mixed-scheme directories serve
-exactly like uniform ones), and decodes **only the requested rows** with the
-:func:`repro.exec.row_slice` kernel — an array slice for DEN shards, SciPy
-row indexing for CSR, a selection ``M @ A`` on the compressed form for TOC —
-never the whole dense block.
+feature store maps global row ids onto (shard, local row) with the manifest
+row counts — :meth:`FeatureStore.locate` for one id,
+:meth:`FeatureStore.locate_rows` for a whole request in one vectorised,
+range-checked step — reads the compressed payload through the same
+byte-budgeted :class:`~repro.storage.buffer_pool.BufferPool` the trainer
+uses, and resolves the decoder *per shard* from the manifest (so
+mixed-scheme directories serve exactly like uniform ones).
 
-On top sit two small LRUs.  The *row* LRU holds decoded rows keyed by
-global row id; caching rows instead of whole blocks keeps the dense
-footprint proportional to the working set of the traffic, not to
+It hands a shard out in two ways.  :meth:`FeatureStore.parsed` is the shard
+in its sliceable form, still compressed: what a bulk request that covers
+the shard scores *as stored* with the paper's Section 4 kernels
+(``PredictionService.predict_ids`` — such a shard is never densified, and
+its rows pass no row cache).  :meth:`FeatureStore.get_rows` is for single
+rows and the scattered remainder of a bulk request: it decodes **only the
+requested rows** with the :func:`repro.exec.row_slice` kernel — an array
+slice for DEN shards, SciPy row indexing for CSR, a selection ``M @ A`` on
+the compressed form for TOC — never the whole dense block.
+
+On top sit two small LRUs.  The *row* LRU holds the rows ``get_rows``
+decoded, keyed by global row id; caching rows instead of whole blocks keeps
+the dense footprint proportional to the working set of the traffic, not to
 ``shard_rows x shards_touched`` — a point lookup no longer drags a few
 hundred dense neighbours into memory with it.  The *parsed* LRU holds a few
-shards in sliceable form so consecutive misses into the same shard skip the
+shards in sliceable form so consecutive reads of the same shard skip the
 expensive part: for direct-op schemes that is the parsed ``CompressedMatrix``
 (still compressed — it does not defeat the compression the way caching every
 dense block did); for byte-block schemes (Gzip/Snappy), whose only row path
 is a full inflate, it is the inflated dense block, since re-inflating per
 miss would be strictly worse.  Either form row-slices through the same
-:func:`repro.exec.row_slice` dispatch.  The buffer pool underneath still
-bounds resident compressed *bytes* (the paper's RAM-budget mechanism).
+:func:`repro.exec.row_slice` dispatch and multiplies through the same
+``matvec``.  The buffer pool underneath still bounds resident compressed
+*bytes* (the paper's RAM-budget mechanism).
 """
 
 from __future__ import annotations
 
 import threading
-from bisect import bisect_right
 from collections.abc import Iterable
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.engine.shards import ShardedDataset, group_by_shard, locate_rows, shard_offsets
 from repro.exec import row_slice, supports_direct_ops
 from repro.serve.lru import LRUCache
 from repro.storage.buffer_pool import BufferPool
-
-if TYPE_CHECKING:  # pragma: no cover - type hints only, avoids engine import
-    from repro.engine.shards import ShardedDataset
 
 
 @dataclass
@@ -53,6 +59,12 @@ class FeatureStoreStats:
     row_misses: int = 0
     shard_decodes: int = 0
     payload_parses: int = 0
+    #: Whole-shard scoring (:meth:`FeatureStore.count_scored`): shards scored
+    #: in the compressed domain, the rows those shards hold (attempted), and
+    #: the requested rows answered out of their scores (useful).
+    shards_scored: int = 0
+    rows_scored: int = 0
+    rows_gathered: int = 0
 
     @property
     def row_accesses(self) -> int:
@@ -83,7 +95,7 @@ class FeatureStore:
 
     def __init__(
         self,
-        dataset: "ShardedDataset",
+        dataset: ShardedDataset,
         *,
         pool: BufferPool | None = None,
         budget_bytes: int | None = None,
@@ -109,19 +121,13 @@ class FeatureStore:
         # Guards stats and the (single-threaded) buffer pool: the store is
         # shared between client threads (bulk API) and the batcher worker.
         self._lock = threading.Lock()
-        # offsets[i] = global row id of the first row of shard i.
-        self._offsets: list[int] = []
-        cursor = 0
-        for shard in dataset.shards:
-            self._offsets.append(cursor)
-            cursor += shard.n_rows
-        self._n_rows = cursor
+        # offsets[i] = global row id of the first row of shard i; offsets[-1] = n_rows.
+        self._offsets = shard_offsets(dataset.shards)
+        self._n_rows = int(self._offsets[-1])
 
     @classmethod
     def open(cls, directory, **kwargs) -> "FeatureStore":
         """Open a shard directory and build a store over it."""
-        from repro.engine.shards import ShardedDataset
-
         return cls(ShardedDataset.open(directory), **kwargs)
 
     # -- geometry -------------------------------------------------------------
@@ -142,13 +148,31 @@ class FeatureStore:
         row_id = int(row_id)
         if not 0 <= row_id < self._n_rows:
             raise IndexError(f"row {row_id} out of range [0, {self._n_rows})")
-        shard_index = bisect_right(self._offsets, row_id) - 1
-        return self.dataset.shards[shard_index].batch_id, row_id - self._offsets[shard_index]
+        batch_id = int(self._offsets.searchsorted(row_id, side="right")) - 1
+        return batch_id, row_id - int(self._offsets[batch_id])
+
+    def locate_rows(self, row_ids: Iterable[int]) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`locate` for a whole request at once: ``(batch_ids, local_rows)`` arrays.
+
+        Raises ``IndexError`` for an id outside ``[0, n_rows)`` before any
+        shard is read.
+        """
+        return locate_rows(self._offsets, row_ids)
+
+    def shard_rows(self, batch_id: int) -> int:
+        """How many rows shard ``batch_id`` holds."""
+        return int(self._offsets[batch_id + 1] - self._offsets[batch_id])
 
     # -- decode ---------------------------------------------------------------
 
-    def _decode_rows(self, batch_id: int, local_rows: list[int]) -> np.ndarray:
-        """Row-slice one shard with its own scheme, through the buffer pool."""
+    def parsed(self, batch_id: int):
+        """Shard ``batch_id`` in its sliceable form, through the pool and the parsed LRU.
+
+        For direct-op schemes that is the parsed ``CompressedMatrix``, on
+        which both :func:`repro.exec.row_slice` and the multiplication
+        kernels run without decoding it; for byte-block schemes, the
+        inflated dense block.
+        """
         sliceable = self._parsed.get(batch_id)
         if sliceable is None:
             with self._lock:
@@ -162,9 +186,19 @@ class FeatureStore:
                 # cache the inflated block so misses don't re-inflate it.
                 sliceable = sliceable.to_dense()
             self._parsed.put(batch_id, sliceable)
+        return sliceable
+
+    def count_scored(self, shards: int, rows_scored: int, rows_gathered: int) -> None:
+        """Account for rows a caller answered by scoring :meth:`parsed` shards whole.
+
+        Such rows never pass the row LRU, so they are served without a hit
+        or a miss: ``rows_served == row_hits + row_misses + rows_gathered``.
+        """
         with self._lock:
-            self.stats.shard_decodes += 1
-        return row_slice(sliceable, local_rows)
+            self.stats.rows_served += rows_gathered
+            self.stats.shards_scored += shards
+            self.stats.rows_scored += rows_scored
+            self.stats.rows_gathered += rows_gathered
 
     # -- row access -----------------------------------------------------------
 
@@ -181,30 +215,34 @@ class FeatureStore:
         with one ``row_slice`` call on its compressed form.
         """
         ids = [int(r) for r in row_ids]
-        located = [self.locate(r) for r in ids]
         out = np.empty((len(ids), self.n_cols), dtype=np.float64)
 
-        hits = 0
         # Group cache-missing positions by shard so each compressed block is
-        # parsed and row-sliced exactly once per lookup.
-        missing_by_shard: dict[int, list[int]] = {}
+        # parsed and row-sliced exactly once per lookup.  Only a miss needs
+        # locating (a cached id was in range when it was cached), and every
+        # miss is located, so range-checked, before any shard is read.
+        misses = 0
+        missing_by_shard: dict[int, tuple[list[int], list[int]]] = {}
         for position, row_id in enumerate(ids):
             cached = self._rows.get(row_id)
             if cached is not None:
                 out[position] = cached
-                hits += 1
             else:
-                missing_by_shard.setdefault(located[position][0], []).append(position)
+                misses += 1
+                batch_id, local_row = self.locate(row_id)
+                positions, local_rows = missing_by_shard.setdefault(batch_id, ([], []))
+                positions.append(position)
+                local_rows.append(local_row)
         with self._lock:
             self.stats.lookups += 1
             self.stats.rows_served += len(ids)
-            self.stats.row_hits += hits
-            self.stats.row_misses += len(ids) - hits
+            self.stats.row_hits += len(ids) - misses
+            self.stats.row_misses += misses
+            self.stats.shard_decodes += len(missing_by_shard)
 
-        for batch_id, positions in missing_by_shard.items():
-            local_rows = [located[position][1] for position in positions]
-            decoded = self._decode_rows(batch_id, local_rows)
-            for row, position in zip(decoded, positions):
+        for batch_id, (positions, local_rows) in missing_by_shard.items():
+            decoded = row_slice(self.parsed(batch_id), local_rows)
+            for position, row in zip(positions, decoded):
                 out[position] = row
                 self._rows.put(ids[position], row.copy())
         return out
@@ -217,8 +255,11 @@ class FeatureStore:
 
     def get_labels(self, row_ids: Iterable[int]) -> np.ndarray:
         """Stored labels for the given rows (ground truth for evaluation)."""
-        labels = []
-        for row_id in row_ids:
-            batch_id, local = self.locate(row_id)
-            labels.append(self.dataset.labels_for(batch_id)[local])
-        return np.asarray(labels)
+        batch_ids, local_rows = self.locate_rows(row_ids)
+        labels = None
+        for batch_id, positions in group_by_shard(batch_ids):
+            shard_labels = self.dataset.labels_for(batch_id)
+            if labels is None:
+                labels = np.empty(batch_ids.size, dtype=shard_labels.dtype)
+            labels[positions] = shard_labels[local_rows[positions]]
+        return labels if labels is not None else np.empty(0)

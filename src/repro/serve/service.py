@@ -9,6 +9,17 @@ prediction LRU absorbs repeat traffic entirely.  Counters cover the three
 levels (cache, batcher, store) so a load test can tell *where* each request
 was answered.
 
+Bulk requests over stored rows (:meth:`PredictionService.predict_ids`,
+``submit_ids``) take the paper's Section 4 route instead of the row-by-row
+one: every shard a request covers is scored as stored, one
+``model.predict(parsed shard)`` in the compressed domain, and the requested
+rows are gathered out of the scores; only the scattered remainder is
+row-sliced and scored densely (:meth:`PredictionService._score_stored`).
+A regression score for the same row can therefore differ in its last bits
+between a bulk answer and a single-row one — within 8 ulp of the score's
+scale ``|x|·|w| + |b|``, pinned by ``tests/serve/test_bulk_scoring.py``;
+labels never differ.
+
 Every front-end serves through this object — threads call it, the asyncio
 surface and the cluster workers use its ``submit_*`` futures — so cache, queue
 bound, deadline shedding and the reopen-after-compact retry exist once.
@@ -26,12 +37,22 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.engine.shards import read_generation
+from repro.engine.shards import group_by_shard, read_generation, row_id_array
 from repro.obs import metrics as obs_metrics
 from repro.serve.batcher import MicroBatcher
 from repro.serve.checkpoint import Checkpoint, ModelRegistry
 from repro.serve.feature_store import FeatureStore
 from repro.serve.lru import LRUCache
+
+#: A bulk request that asks for at least this share of a shard's rows has the
+#: shard scored whole, ``model.predict(parsed shard)``, and its answers gathered
+#: out of the scores; below it the rows are row-sliced and scored densely.
+#: Fixed by measurement on 250-row census shards, linear models, parsed shard
+#: warm and cold: against a bare ``row_slice`` + dense predict the whole shard
+#: is level at 64-77 rows on CVI (the last scheme to cross; TOC 3-40, DEN, CSR
+#: and Gzip from the first row), and against ``get_rows`` as it stands, row LRU
+#: included, at 2-12 rows.  A quarter is never behind under either.
+SCORE_WHOLE_COVERAGE = 0.25
 
 #: Distinguishes each service instance's metrics in the process registry
 #: (label ``svc=<n>``), so two services never share counters.
@@ -203,6 +224,12 @@ class PredictionService:
         self._lock = threading.RLock()  # guards stats only; the caches self-lock
         self.stats = ServiceStats(self._lock, self._svc_id)
         self._cache: LRUCache | None = LRUCache(cache_size) if cache_size else None
+        # Whole-shard scoring is for models whose prediction is one ``A·v``.
+        self._scores_shards = "matvec" in getattr(model, "core_ops", ())
+        # The store's whole-shard counters, kept across store reopens.
+        self._shards_scored = obs_metrics.counter("serve.store.shards_scored", svc=self._svc_id)
+        self._rows_scored = obs_metrics.counter("serve.store.rows_scored", svc=self._svc_id)
+        self._rows_gathered = obs_metrics.counter("serve.store.rows_gathered", svc=self._svc_id)
         self._batcher = MicroBatcher(
             self._handle_batch,
             max_batch_size=max_batch_size,
@@ -250,14 +277,14 @@ class PredictionService:
                 vec_slots.append(i)
             else:  # "ids", already a mini-batch: its own lookup, model call and failure
                 try:
-                    outputs[i] = self._score(self._get_rows(req)).tolist()
+                    outputs[i] = self._score_ids(req).tolist()
                 except Exception as exc:
                     outputs[i] = exc
         singles = id_slots + vec_slots  # matrix rows: stored rows first, then raw vectors
         if not singles:
             return outputs
         try:
-            matrix = self._get_rows(ids) if ids else None
+            matrix = self._on_store(FeatureStore.get_rows, ids) if ids else None
             if vec_slots:
                 vectors = [requests[i][1] for i in vec_slots]
                 matrix = np.vstack(vectors if matrix is None else [matrix, *vectors])
@@ -268,12 +295,12 @@ class PredictionService:
             outputs[i] = prediction
         return outputs
 
-    def _get_rows(self, row_ids: list[int]) -> np.ndarray:
-        """The store lookup every row-id path uses, surviving a generation swap."""
+    def _on_store(self, lookup, row_ids):
+        """``lookup(store, row_ids)`` for every row-id path, surviving a generation swap."""
         if self.store is None:
             raise RuntimeError("row-id predictions need a feature store")
         try:
-            return self.store.get_rows(row_ids)
+            return lookup(self.store, row_ids)
         except OSError:
             # A compact/append swapped the manifest and deleted the files
             # this store's lazy loaders still point at.  Shards are
@@ -281,14 +308,56 @@ class PredictionService:
             # so re-opening at the new generation and retrying is always
             # correct — in-flight requests survive the swap.
             self.reopen_store()
-            return self.store.get_rows(row_ids)
+            return lookup(self.store, row_ids)
 
-    def _score(self, matrix: np.ndarray) -> np.ndarray:
-        """One model call over a mini-batch, timed into the predict stats."""
+    def _score_ids(self, row_ids: np.ndarray) -> np.ndarray:
+        """Predictions for a bulk request of stored rows, in request order."""
+        return self._on_store(self._score_stored, row_ids)
+
+    def _score_stored(self, store: FeatureStore, ids: np.ndarray) -> np.ndarray:
+        """Score each shard the request covers where it lies, the scattered rest densely.
+
+        A covered shard (:data:`SCORE_WHOLE_COVERAGE`) is never decoded: the
+        model runs on its parsed form with the compressed-domain kernels
+        and the requested positions are gathered from the scores.  That
+        pays for models built on ``A·v``; a network's ``A·M`` over a whole
+        shard costs more than decoding all of it, so those keep ``row_slice``.
+        """
+        batch_ids, local_rows = store.locate_rows(ids)  # IndexError before any shard is read
+        out = np.empty(ids.size, dtype=np.float64)
+        rest, shards, rows_scored = [], 0, 0
+        for batch_id, positions in group_by_shard(batch_ids):
+            shard_rows = store.shard_rows(batch_id)
+            if self._scores_shards and positions.size >= SCORE_WHOLE_COVERAGE * shard_rows:
+                scores = self._score(store.parsed(batch_id), rows=positions.size)
+                out[positions] = scores[local_rows[positions]]
+                shards += 1
+                rows_scored += shard_rows
+            else:
+                rest.append(positions)
+        if shards:
+            rows_gathered = ids.size - sum(positions.size for positions in rest)
+            store.count_scored(shards, rows_scored, rows_gathered)
+            self._shards_scored.inc(shards)
+            self._rows_scored.inc(rows_scored)
+            self._rows_gathered.inc(rows_gathered)
+        if rest:
+            positions = np.concatenate(rest)
+            out[positions] = self._score(store.get_rows(ids[positions]))
+        return out
+
+    def _score(self, batch, rows: int | None = None) -> np.ndarray:
+        """One model call over a mini-batch, timed into the predict stats.
+
+        ``rows`` is how many of the batch's rows were asked for: all of
+        them, unless the batch is a shard scored whole for some of its rows.
+        """
         start = time.perf_counter()
-        predictions = np.asarray(self.model.predict(matrix), dtype=np.float64)
+        predictions = np.asarray(self.model.predict(batch), dtype=np.float64)
         with self._lock:
-            self.stats.record_predict(matrix.shape[0], time.perf_counter() - start)
+            self.stats.record_predict(
+                predictions.shape[0] if rows is None else rows, time.perf_counter() - start
+            )
         return predictions
 
     # -- single-row API --------------------------------------------------------
@@ -326,7 +395,7 @@ class PredictionService:
         A cluster worker's ``predict_many`` frame, so bulk work queues, sheds and
         drains like the rest; in-process callers want :meth:`predict_ids` (no hop).
         """
-        return self._submit(("ids", [int(r) for r in row_ids]), time.perf_counter(), deadline)
+        return self._submit(("ids", row_id_array(row_ids)), time.perf_counter(), deadline)
 
     def _submit(self, request, start: float, deadline, row_id: int | None = None) -> Future:
         """Queue one request; on success its done-callback fills the cache and counts it."""
@@ -357,9 +426,9 @@ class PredictionService:
     # -- bulk API --------------------------------------------------------------
 
     def predict_ids(self, row_ids: Iterable[int]) -> np.ndarray:
-        """Bulk path: one store lookup + one model call, no queueing."""
+        """Bulk path, no queueing: covered shards scored compressed, the rest row-sliced."""
         start = time.perf_counter()
-        predictions = self._score(self._get_rows([int(r) for r in row_ids]))
+        predictions = self._score_ids(row_id_array(row_ids))
         with self._lock:
             self.stats.record_request(time.perf_counter() - start)
         return predictions

@@ -344,8 +344,10 @@ class TestBlockingAdmission:
             cache_size=0,
         )
         try:
+            # Bulk scoring runs on the compressed shards (~0.5 µs a row), so it
+            # takes a million rows to hold the only worker for a few deadlines.
             blocker = threading.Thread(
-                target=lambda: service.predict_many(list(range(N_ROWS)) * 400)
+                target=lambda: service.predict_many(list(range(N_ROWS)) * 4000)
             )
             blocker.start()
             give_up = time.monotonic() + 10
@@ -354,7 +356,7 @@ class TestBlockingAdmission:
             assert service.inflight == 1
             start = time.monotonic()
             with pytest.raises(DeadlineExceeded):
-                service.predict(0, deadline=0.15)
+                service.predict(0, deadline=0.1)
             # Shed when the deadline passed, not when the blocker finished.
             assert time.monotonic() - start < 5
             blocker.join(timeout=60)

@@ -39,6 +39,29 @@ class TestGeometry:
         assert store.locate(first_rows - 1) == (0, first_rows - 1)
         assert store.locate(first_rows) == (1, 0)
 
+    def test_locate_rows_is_locate_for_a_whole_request(self, shard_fixture):
+        directory, dense, _ = shard_fixture
+        store = FeatureStore.open(directory)
+        ids = [199, 0, 40, 39, 40, 121]
+        batch_ids, local_rows = store.locate_rows(ids)
+        assert list(zip(batch_ids.tolist(), local_rows.tolist())) == [store.locate(i) for i in ids]
+        assert sum(store.shard_rows(b) for b in range(5)) == len(store)
+        empty = store.locate_rows([])
+        assert empty[0].size == empty[1].size == 0
+
+    @pytest.mark.parametrize("bad", [-1, 200, 10**12])
+    def test_every_lookup_names_the_row_out_of_range(self, shard_fixture, bad):
+        directory, _, _ = shard_fixture
+        store = FeatureStore.open(directory)
+        message = rf"row {bad} out of range \[0, 200\)"
+        for lookup in (store.locate, store.get_row):
+            with pytest.raises(IndexError, match=message):
+                lookup(bad)
+        for lookup in (store.locate_rows, store.get_rows, store.get_labels):
+            with pytest.raises(IndexError, match=message):
+                lookup([3, bad, 7])
+        assert store.stats.payload_parses == 0  # refused before any shard was read
+
     def test_out_of_range_rejected(self, shard_fixture):
         directory, dense, _ = shard_fixture
         store = FeatureStore.open(directory)
@@ -78,6 +101,13 @@ class TestRowAccess:
         store = FeatureStore.open(directory)
         ids = [0, 57, 123, 199]
         np.testing.assert_array_equal(store.get_labels(ids), labels[ids])
+
+    def test_labels_keep_request_order_and_duplicates(self, shard_fixture):
+        directory, _, labels = shard_fixture
+        store = FeatureStore.open(directory)
+        ids = [150, 3, 150, 41, 0, 199]
+        np.testing.assert_array_equal(store.get_labels(ids), labels[ids])
+        assert store.get_labels([]).shape == (0,)
 
     def test_returned_rows_are_copies(self, shard_fixture):
         directory, dense, _ = shard_fixture

@@ -224,15 +224,25 @@ class TestLiveCompaction:
     """Every row-id path shares one reopen-after-compact retry."""
 
     @pytest.mark.parametrize(
-        "call",
+        "call, bulk",
         [
-            lambda service, ids: service.predict_ids(ids),
-            lambda service, ids: [service.predict_id(i) for i in ids],
-            lambda service, ids: service.submit_ids(ids).result(timeout=10),
+            (lambda service, ids: service.predict_ids(ids), True),
+            (lambda service, ids: [service.predict_id(i) for i in ids], False),
+            (lambda service, ids: service.submit_ids(ids).result(timeout=10), True),
         ],
         ids=["predict_ids", "predict_id", "submit_ids"],
     )
-    def test_row_id_paths_survive_a_generation_swap(self, tmp_path, call):
+    @pytest.mark.parametrize(
+        "ids, shards_covered",
+        # 7-8 rows of each 50-row shard are row-sliced; whole shards (and one
+        # scattered row) are scored in the compressed domain, so that branch
+        # meets the deleted files too.
+        [(list(range(0, 200, 7)), 0), ([*range(150), 199], 3)],
+        ids=["scattered", "covering"],
+    )
+    def test_row_id_paths_survive_a_generation_swap(
+        self, tmp_path, call, bulk, ids, shards_covered
+    ):
         from repro.api import Dataset, Estimator, open_service
 
         features, labels = DATASET_PROFILES["census"].classification(200, seed=5)
@@ -245,7 +255,6 @@ class TestLiveCompaction:
         estimator = Estimator("logreg", epochs=1)
         estimator.fit(dataset)
         estimator.save(tmp_path / "registry")
-        ids = list(range(0, 200, 7))
         with open_service(tmp_path / "registry", cache_size=0)[0] as reference:
             expected = reference.predict_ids(ids)
 
@@ -254,7 +263,9 @@ class TestLiveCompaction:
             Dataset.open(tmp_path / "shards").compact(readvise=True, executor="serial")
             np.testing.assert_allclose(call(service, ids), expected)
             assert service.generation == generation + 1
-            assert service.metrics()["counters"]["serve.store.reopens"] == 1
+            counters = service.metrics()["counters"]
+            assert counters["serve.store.reopens"] == 1
+            assert counters["serve.store.shards_scored"] == (shards_covered if bulk else 0)
 
 
 class TestBulkRequestsOnTheQueue:
@@ -291,6 +302,7 @@ class TestBulkRequestsOnTheQueue:
 
         class Gated:
             n_features = model.n_features
+            core_ops = model.core_ops  # bulk requests score covered shards whole
 
             def predict(self, matrix):
                 entered.set()
@@ -312,8 +324,10 @@ class TestBulkRequestsOnTheQueue:
             gate.clear(), entered.clear()
             blocker = service.submit_id(0)
             assert entered.wait(timeout=5)
-            bulk, bad_single = service.submit_ids([1, 2]), service.submit_id(10_000_000)
+            covered = list(range(30))  # of a 75-row shard: scored whole
+            bulk, bad_single = service.submit_ids(covered), service.submit_id(10_000_000)
             gate.set()
-            np.testing.assert_allclose(bulk.result(timeout=10), original(store.get_rows([1, 2])))
+            np.testing.assert_allclose(bulk.result(timeout=10), original(store.get_rows(covered)))
+            assert service.store_stats.shards_scored == 1
             with pytest.raises(Exception, match="10000000"):
                 bad_single.result(timeout=10)

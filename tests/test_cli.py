@@ -304,8 +304,8 @@ class TestPredictCommand:
 
     def test_out_of_range_id_fails_cleanly(self, capsys, served_checkpoint):
         _, registry_dir = served_checkpoint
-        assert main(["predict", "--checkpoint-dir", str(registry_dir), "--ids", "9999"]) == 2
-        assert "predict failed" in capsys.readouterr().out
+        assert main(["predict", "--checkpoint-dir", str(registry_dir), "--ids", "0,9999"]) == 2
+        assert "predict failed: row 9999 out of range [0, 300)" in capsys.readouterr().out
 
 
 class TestServeCommand:
