@@ -10,8 +10,8 @@ shows the serving side, entirely through the facade: ``Estimator.fit`` with
 a ``shard_dir`` trains out-of-core, ``Estimator.save`` publishes the model
 to a version registry, and ``open_service`` turns the registry into a live
 service that coalesces concurrent single-row requests into mini-batches
-over the same compressed shard files (a small prediction LRU absorbs the
-hot keys).  The closing table compares the same traffic served unbatched
+over the same compressed shard files (the cache keeps each shard's score
+vector, computed once in the compressed domain, and answers its rows).  The closing table compares the same traffic served unbatched
 (batch size 1), micro-batched, and micro-batched with the cache on.
 """
 
@@ -95,7 +95,7 @@ def main() -> None:
 
     print("\nCoalescing concurrent requests into mini-batches amortizes the decode")
     print("and matvec over many rows — the same effect the MGD training loop uses —")
-    print("and the prediction cache removes the hot keys from the model entirely.")
+    print("and the cache scores each shard once, compressed, then answers its rows from the scores.")
     print("Try `python -m repro serve --help` for the CLI version with knobs.")
 
 

@@ -442,7 +442,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         n_rows = store.n_rows
         rng = np.random.default_rng(args.seed)
         # 80/20 closed-loop workload: most requests hammer a small hot set,
-        # which is what gives the prediction cache something to absorb.
+        # which is what gives the cache something to absorb.
         hot = rng.choice(n_rows, size=max(1, n_rows // 5), replace=False)
         workload = np.where(
             rng.random(args.requests) < 0.8,
@@ -475,8 +475,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         )
         print(f"pred cache: {stats.cache_hit_rate:.0%} hit rate ({stats.cache_hits} hits)")
         print(
-            f"store:      {rows.row_hit_rate:.0%} decoded-row hit rate "
-            f"({rows.shard_decodes} shard decodes), "
+            f"store:      {rows.row_hit_rate:.0%} row hit rate "
+            f"({rows.shards_scored} shards scored whole, {rows.shard_decodes} row-sliced), "
             f"{store.pool.stats.bytes_read_from_disk / 1e6:.2f} MB read through the pool"
         )
     return 0
@@ -885,7 +885,11 @@ def build_parser() -> argparse.ArgumentParser:
             help="micro-batch linger for stragglers (0: dispatch when the queue empties)",
         )
         sub.add_argument(
-            "--cache-size", type=int, default=256, help="prediction LRU entries (0 disables)"
+            "--cache-size",
+            type=int,
+            default=256,
+            help="cache entries, 0 disables: whole-shard score vectors for linear models "
+            "(shard_rows x 8 bytes each; a miss scores one shard), row predictions for ffnn",
         )
 
     predict = subparsers.add_parser(

@@ -156,7 +156,9 @@ class ClusterService:
     default_deadline:
         Seconds-from-submit deadline applied when a call passes none.
     max_batch_size / cache_size / store_kwargs:
-        Forwarded to each worker's private service stack.
+        Forwarded to each worker's private service stack (``cache_size``
+        entries *per worker*: shard score vectors for linear models, row
+        predictions for networks — see :mod:`repro.serve.service`).
     poll_seconds:
         Worker manifest-generation poll interval (hot re-open after
         ``Dataset.compact``).

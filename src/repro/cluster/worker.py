@@ -2,10 +2,10 @@
 
 Each worker owns a full, private copy of the read path — its own
 :class:`~repro.storage.buffer_pool.BufferPool`, feature store, checkpoint
-load, and prediction LRU — over the *shared* shard directory.  Shards are
-immutable between manifest swaps, so N workers need no coordination beyond
-watching the manifest generation; the page cache deduplicates the actual
-bytes across processes.
+load, and score/prediction cache — over the *shared* shard directory.
+Shards are immutable between manifest swaps, so N workers need no
+coordination beyond watching the manifest generation; the page cache
+deduplicates the actual bytes across processes.
 
 The worker has no request pipeline of its own.  A ``predict`` frame becomes
 :meth:`~repro.serve.service.PredictionService.submit_id` and a
@@ -162,7 +162,7 @@ class _Worker:
             return
         if isinstance(served, Future):
             served.add_done_callback(lambda f: self._reply(req_id, key, f))
-        else:  # a prediction-cache hit: answered on the reader thread
+        else:  # a cache hit: answered on the reader thread
             self._send({"id": req_id, "ok": True, key: served})
 
     def _reply(self, req_id, key: str, future: Future) -> None:

@@ -10,11 +10,15 @@ uses, and resolves the decoder *per shard* from the manifest (so
 mixed-scheme directories serve exactly like uniform ones).
 
 It hands a shard out in two ways.  :meth:`FeatureStore.parsed` is the shard
-in its sliceable form, still compressed: what a bulk request that covers
-the shard scores *as stored* with the paper's Section 4 kernels
-(``PredictionService.predict_ids`` — such a shard is never densified, and
-its rows pass no row cache).  :meth:`FeatureStore.get_rows` is for single
-rows and the scattered remainder of a bulk request: it decodes **only the
+in its sliceable form, still compressed: what ``PredictionService`` scores
+*as stored* with the paper's Section 4 kernels, one ``A·v`` for every row of
+the shard — for a linear model that is how single-row and bulk requests
+alike are answered (the service keeps the score vector; such a shard is
+never densified, its rows pass no row cache, and the rows answered are
+reported through :meth:`FeatureStore.count_scored`).
+:meth:`FeatureStore.get_rows` is for callers that want the features
+themselves — direct readers, networks, an uncached service's single rows
+and the scattered remainder of its bulk requests: it decodes **only the
 requested rows** with the :func:`repro.exec.row_slice` kernel — an array
 slice for DEN shards, SciPy row indexing for CSR, a selection ``M @ A`` on
 the compressed form for TOC — never the whole dense block.
@@ -38,6 +42,7 @@ miss would be strictly worse.  Either form row-slices through the same
 from __future__ import annotations
 
 import threading
+from bisect import bisect_right
 from collections.abc import Iterable
 from dataclasses import dataclass
 
@@ -61,7 +66,9 @@ class FeatureStoreStats:
     payload_parses: int = 0
     #: Whole-shard scoring (:meth:`FeatureStore.count_scored`): shards scored
     #: in the compressed domain, the rows those shards hold (attempted), and
-    #: the requested rows answered out of their scores (useful).
+    #: the rows of bulk requests answered out of shard scores (useful).  A
+    #: single-row request answered that way is a ``row_hit`` when the shard's
+    #: scores were already resident, a ``row_miss`` when it had them scored.
     shards_scored: int = 0
     rows_scored: int = 0
     rows_gathered: int = 0
@@ -123,7 +130,8 @@ class FeatureStore:
         self._lock = threading.Lock()
         # offsets[i] = global row id of the first row of shard i; offsets[-1] = n_rows.
         self._offsets = shard_offsets(dataset.shards)
-        self._n_rows = int(self._offsets[-1])
+        self._offset_list: list[int] = self._offsets.tolist()  # what the scalar `locate` bisects
+        self._n_rows = self._offset_list[-1]
 
     @classmethod
     def open(cls, directory, **kwargs) -> "FeatureStore":
@@ -148,8 +156,8 @@ class FeatureStore:
         row_id = int(row_id)
         if not 0 <= row_id < self._n_rows:
             raise IndexError(f"row {row_id} out of range [0, {self._n_rows})")
-        batch_id = int(self._offsets.searchsorted(row_id, side="right")) - 1
-        return batch_id, row_id - int(self._offsets[batch_id])
+        batch_id = bisect_right(self._offset_list, row_id) - 1
+        return batch_id, row_id - self._offset_list[batch_id]
 
     def locate_rows(self, row_ids: Iterable[int]) -> tuple[np.ndarray, np.ndarray]:
         """:meth:`locate` for a whole request at once: ``(batch_ids, local_rows)`` arrays.
@@ -161,7 +169,7 @@ class FeatureStore:
 
     def shard_rows(self, batch_id: int) -> int:
         """How many rows shard ``batch_id`` holds."""
-        return int(self._offsets[batch_id + 1] - self._offsets[batch_id])
+        return self._offset_list[batch_id + 1] - self._offset_list[batch_id]
 
     # -- decode ---------------------------------------------------------------
 
@@ -188,17 +196,29 @@ class FeatureStore:
             self._parsed.put(batch_id, sliceable)
         return sliceable
 
-    def count_scored(self, shards: int, rows_scored: int, rows_gathered: int) -> None:
-        """Account for rows a caller answered by scoring :meth:`parsed` shards whole.
+    def count_scored(
+        self,
+        shards: int = 0,
+        rows_scored: int = 0,
+        *,
+        gathered: int = 0,
+        hits: int = 0,
+        misses: int = 0,
+    ) -> None:
+        """Account for :meth:`parsed` shards a caller scored whole, and rows answered from scores.
 
-        Such rows never pass the row LRU, so they are served without a hit
-        or a miss: ``rows_served == row_hits + row_misses + rows_gathered``.
+        Such rows never pass the row LRU.  A bulk request's are served
+        without a hit or a miss (``gathered``); a single-row request is a hit
+        when its shard's scores were resident and a miss when they had to be
+        computed, so ``rows_served == row_hits + row_misses + rows_gathered``.
         """
         with self._lock:
-            self.stats.rows_served += rows_gathered
+            self.stats.rows_served += gathered + hits + misses
+            self.stats.row_hits += hits
+            self.stats.row_misses += misses
             self.stats.shards_scored += shards
             self.stats.rows_scored += rows_scored
-            self.stats.rows_gathered += rows_gathered
+            self.stats.rows_gathered += gathered
 
     # -- row access -----------------------------------------------------------
 

@@ -1,24 +1,43 @@
 """The prediction service: registry + feature store + micro-batcher.
 
 One object answers online prediction traffic end to end: row ids are looked
-up in the :class:`~repro.serve.feature_store.FeatureStore` (decode-on-demand
-through the buffer pool), requests are coalesced by the
+up in the :class:`~repro.serve.feature_store.FeatureStore` (through the
+buffer pool), requests are coalesced by the
 :class:`~repro.serve.batcher.MicroBatcher` so the model runs one compressed-
-style batch operation per mini-batch instead of per request, and a small
-prediction LRU absorbs repeat traffic entirely.  Counters cover the three
-levels (cache, batcher, store) so a load test can tell *where* each request
-was answered.
+style batch operation per mini-batch instead of per request, and a cache of
+``cache_size`` entries absorbs repeat traffic entirely.  Counters cover the
+three levels (cache, batcher, store) so a load test can tell *where* each
+request was answered.
 
-Bulk requests over stored rows (:meth:`PredictionService.predict_ids`,
-``submit_ids``) take the paper's Section 4 route instead of the row-by-row
-one: every shard a request covers is scored as stored, one
-``model.predict(parsed shard)`` in the compressed domain, and the requested
-rows are gathered out of the scores; only the scattered remainder is
-row-sliced and scored densely (:meth:`PredictionService._score_stored`).
-A regression score for the same row can therefore differ in its last bits
-between a bulk answer and a single-row one — within 8 ulp of the score's
-scale ``|x|·|w| + |b|``, pinned by ``tests/serve/test_bulk_scoring.py``;
-labels never differ.
+What a cache entry is depends on the model.  For one built on ``A·v``
+(``"matvec"`` in its ``core_ops``) it is a whole shard's **score vector**:
+the paper's Section 4 route, one ``model.predict(parsed shard)`` in the
+compressed domain, costs less for all of a shard's rows than decoding one of
+them, and the vector (``shard_rows × 8`` bytes) is small enough to keep.  So
+:meth:`PredictionService.submit_id` locates the id on the caller's thread
+and answers ``float(vector[local_row])`` when the shard's vector is resident
+— no future, no batcher hop, no decode; on a miss the batcher scores each
+missing shard of its batch once (batch-mates in one shard share the call),
+keeps the vector and gathers.  Bulk requests
+(:meth:`PredictionService.predict_ids`, ``submit_ids``) read and fill the
+same cache through the same scoring call
+(:meth:`PredictionService._shard_scores`), so a single-row answer, a bulk
+one and ``Estimator.predict(Dataset)`` are bit-equal.  The footprint is
+``cache_size × shard_rows × 8`` bytes; a miss costs one whole-shard score, so
+``cache_size`` wants to be at least the number of shards in the hot set —
+under it, uniform traffic re-scores a shard per request, and a long bulk
+scan can evict hot vectors at one re-score each.  The vectors live with the
+store handle they were scored from (:class:`_Serving`), so
+:meth:`PredictionService.reopen_store` drops them by construction.
+
+For a network (``A·M`` over a whole shard costs more than decoding all of
+it) an entry is one row's prediction keyed by row id, a miss row-slices just
+that row, and bulk requests take ``get_rows``.  ``cache_size=0`` is that
+dense single-row path for every model, and bulk requests then score whole
+only the shards they cover (:data:`SCORE_WHOLE_COVERAGE`).  A regression
+score from the dense path can differ in its last bits from one out of a
+score vector — within 8 ulp of the score's scale ``|x|·|w| + |b|``, pinned
+by ``tests/serve/test_bulk_scoring.py``; labels never differ.
 
 Every front-end serves through this object — threads call it, the asyncio
 surface and the cluster workers use its ``submit_*`` futures — so cache, queue
@@ -34,6 +53,7 @@ from collections.abc import Iterable
 from concurrent.futures import Future
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -182,6 +202,19 @@ class ServiceStats:
         self._cache_misses.inc_locked()
 
 
+class _Serving(NamedTuple):
+    """One feature-store handle and the score vectors computed from it.
+
+    ``scores`` maps a shard's batch id to the model's predictions for all of
+    its rows (``None`` when the service does not cache them).  The pair is
+    replaced in one assignment, so a vector scored on one manifest generation
+    is never consulted by a lookup that started on the next.
+    """
+
+    store: FeatureStore | None
+    scores: LRUCache | None
+
+
 class PredictionService:
     """Serve single-row and bulk predictions from a trained model.
 
@@ -195,7 +228,10 @@ class PredictionService:
     max_batch_size / max_wait_seconds:
         Micro-batching knobs (``max_batch_size=1`` disables coalescing).
     cache_size:
-        Prediction LRU entries, keyed by row id (0 disables the cache).
+        Cache entries (0 disables the cache).  For a model built on ``A·v`` an
+        entry is one shard's score vector — ``cache_size × shard_rows × 8``
+        bytes in all, and a miss scores a whole shard, so cover the hot set's
+        shards; for a network it is one row's prediction, keyed by row id.
     max_queue:
         Bound on queued requests (a cluster worker's ``backlog``; ``None`` = unbounded).
     """
@@ -213,23 +249,28 @@ class PredictionService:
         if cache_size < 0:
             raise ValueError("cache_size must be non-negative")
         self.model = model
-        self.store = store
         self.cache_size = cache_size
         self._svc_id = next(_SVC_IDS)
-        # Serialises generation reopens; the `store` attribute itself is
+        # Serialises generation reopens; the store handle itself is
         # swapped atomically so readers never need this lock.
         self._reopen_lock = threading.Lock()
         # Re-entrant: the metrics share this lock, so a stats mutator called
         # while the service already holds it must be able to re-acquire.
         self._lock = threading.RLock()  # guards stats only; the caches self-lock
         self.stats = ServiceStats(self._lock, self._svc_id)
-        self._cache: LRUCache | None = LRUCache(cache_size) if cache_size else None
-        # Whole-shard scoring is for models whose prediction is one ``A·v``.
+        # Whole-shard scoring is for models whose prediction is one ``A·v``; the
+        # cache holds their shards' score vectors, and a network's predictions by row id.
         self._scores_shards = "matvec" in getattr(model, "core_ops", ())
+        self._caches_scores = self._scores_shards and cache_size > 0
+        self._cache: LRUCache | None = (
+            LRUCache(cache_size) if cache_size and not self._scores_shards else None
+        )
+        self._serving = self._serve_from(store)
         # The store's whole-shard counters, kept across store reopens.
         self._shards_scored = obs_metrics.counter("serve.store.shards_scored", svc=self._svc_id)
         self._rows_scored = obs_metrics.counter("serve.store.rows_scored", svc=self._svc_id)
         self._rows_gathered = obs_metrics.counter("serve.store.rows_gathered", svc=self._svc_id)
+        self._vectors_resident = obs_metrics.gauge("serve.cache.shards", svc=self._svc_id)
         self._batcher = MicroBatcher(
             self._handle_batch,
             max_batch_size=max_batch_size,
@@ -263,6 +304,18 @@ class PredictionService:
             store = FeatureStore.open(directory, **(store_kwargs or {}))
         return cls(checkpoint.model, store, **kwargs), checkpoint
 
+    # -- the store handle ------------------------------------------------------
+
+    @property
+    def store(self) -> FeatureStore | None:
+        """The feature store requests are being answered from right now."""
+        return self._serving.store
+
+    def _serve_from(self, store: FeatureStore | None) -> _Serving:
+        """``store`` paired with an empty score cache of its own (if this service keeps one)."""
+        cached = self._caches_scores and store is not None
+        return _Serving(store, LRUCache(self.cache_size) if cached else None)
+
     # -- batched execution -----------------------------------------------------
 
     def _handle_batch(self, requests: list) -> list:
@@ -280,27 +333,41 @@ class PredictionService:
                     outputs[i] = self._score_ids(req).tolist()
                 except Exception as exc:
                     outputs[i] = exc
-        singles = id_slots + vec_slots  # matrix rows: stored rows first, then raw vectors
-        if not singles:
-            return outputs
-        try:
-            matrix = self._on_store(FeatureStore.get_rows, ids) if ids else None
-            if vec_slots:
-                vectors = [requests[i][1] for i in vec_slots]
-                matrix = np.vstack(vectors if matrix is None else [matrix, *vectors])
-            predictions = self._score(matrix).tolist()
-        except Exception as exc:  # the single-row requests share one fate; bulk ones keep theirs
-            predictions = [exc] * len(singles)
-        for i, prediction in zip(singles, predictions):
-            outputs[i] = prediction
+
+        vectors = [requests[i][1] for i in vec_slots]
+
+        def answer(slots: list[int], score) -> None:
+            if not slots:
+                return
+            try:
+                predictions = score()
+            except Exception as exc:  # these requests share one fate; the others keep theirs
+                predictions = [exc] * len(slots)
+            for i, prediction in zip(slots, predictions):
+                outputs[i] = prediction
+
+        if self._caches_scores:  # stored rows come out of score vectors, not a model call of theirs
+            answer(id_slots, lambda: self._on_store(self._score_singles, ids))
+            answer(vec_slots, lambda: self._score_dense([], vectors))
+        else:  # one matrix: stored rows first, then raw vectors
+            answer(id_slots + vec_slots, lambda: self._score_dense(ids, vectors))
         return outputs
 
+    def _score_dense(self, ids: list[int], vectors: list[np.ndarray]) -> list[float]:
+        """One model call over decoded stored rows, then raw vectors, as one matrix."""
+        matrix = None
+        if ids:
+            matrix = self._on_store(lambda serving, ids: serving.store.get_rows(ids), ids)
+        if vectors:
+            matrix = np.vstack(vectors if matrix is None else [matrix, *vectors])
+        return self._score(matrix).tolist()
+
     def _on_store(self, lookup, row_ids):
-        """``lookup(store, row_ids)`` for every row-id path, surviving a generation swap."""
-        if self.store is None:
+        """``lookup(serving, row_ids)`` for every row-id path, surviving a generation swap."""
+        if self._serving.store is None:
             raise RuntimeError("row-id predictions need a feature store")
         try:
-            return lookup(self.store, row_ids)
+            return lookup(self._serving, row_ids)
         except OSError:
             # A compact/append swapped the manifest and deleted the files
             # this store's lazy loaders still point at.  Shards are
@@ -308,43 +375,100 @@ class PredictionService:
             # so re-opening at the new generation and retrying is always
             # correct — in-flight requests survive the swap.
             self.reopen_store()
-            return lookup(self.store, row_ids)
+            return lookup(self._serving, row_ids)
+
+    def _shard_scores(self, serving: _Serving, batch_id: int, rows: int) -> tuple[np.ndarray, bool]:
+        """The model's predictions for every row of one shard, and whether it had to run.
+
+        The one place a stored shard is scored: resident vectors are
+        returned as they are; otherwise ``model.predict`` runs on the
+        shard's parsed form with the compressed-domain kernels — it is never
+        decoded — and the vector is kept if the service caches them.
+        ``rows`` is how many of the shard's rows the caller wants.
+        """
+        store, scores = serving
+        vector = scores.get(batch_id) if scores is not None else None
+        if vector is not None:
+            return vector, False
+        vector = self._score(store.parsed(batch_id), rows=rows)
+        store.count_scored(1, vector.size)
+        self._shards_scored.inc()
+        self._rows_scored.inc(vector.size)
+        if scores is not None:
+            with self._lock:  # the gauge follows the handle in use, exactly
+                scores.put(batch_id, vector)
+                if serving is self._serving:
+                    self._vectors_resident.set(len(scores))
+        return vector, True
+
+    def _score_singles(self, serving: _Serving, row_ids: list[int]) -> list[float]:
+        """A batch's single-row ids out of their shards' score vectors, a shard scored at most once.
+
+        A batch is a few ids, so they are located one by one and grouped in
+        a dict: the vectorised ``locate_rows`` + ``group_by_shard`` of the
+        bulk path costs more than that for anything this short.
+        """
+        store = serving.store
+        by_shard: dict[int, list[tuple[int, int]]] = {}
+        for position, row_id in enumerate(row_ids):
+            batch_id, local_row = store.locate(row_id)
+            by_shard.setdefault(batch_id, []).append((position, local_row))
+        out = [0.0] * len(row_ids)
+        misses = 0
+        for batch_id, wanted in by_shard.items():
+            vector, computed = self._shard_scores(serving, batch_id, len(wanted))
+            if computed:
+                misses += len(wanted)
+            for position, local_row in wanted:
+                out[position] = float(vector[local_row])
+        store.count_scored(hits=len(row_ids) - misses, misses=misses)
+        return out
 
     def _score_ids(self, row_ids: np.ndarray) -> np.ndarray:
         """Predictions for a bulk request of stored rows, in request order."""
-        return self._on_store(self._score_stored, row_ids)
+        predictions, shards_computed = self._on_store(self._score_stored, row_ids)
+        if self._caches_scores:  # a hit is a request the model did not run for
+            with self._lock:
+                if shards_computed:
+                    self.stats.record_cache_miss()
+                else:
+                    self.stats.record_cache_hit()
+        return predictions
 
-    def _score_stored(self, store: FeatureStore, ids: np.ndarray) -> np.ndarray:
-        """Score each shard the request covers where it lies, the scattered rest densely.
+    def _score_stored(self, serving: _Serving, ids: np.ndarray) -> tuple[np.ndarray, int]:
+        """Answer each shard's rows out of its score vector, the scattered rest densely.
 
-        A covered shard (:data:`SCORE_WHOLE_COVERAGE`) is never decoded: the
-        model runs on its parsed form with the compressed-domain kernels
-        and the requested positions are gathered from the scores.  That
-        pays for models built on ``A·v``; a network's ``A·M`` over a whole
-        shard costs more than decoding all of it, so those keep ``row_slice``.
+        With a score cache every shard the request touches is answered from
+        its vector (:meth:`_shard_scores`), so a bulk answer is bit-equal to
+        the single-row one.  Without one, a covered shard
+        (:data:`SCORE_WHOLE_COVERAGE`) is scored whole and the scattered
+        remainder row-sliced.  Either pays only for models built on ``A·v``;
+        a network's ``A·M`` over a whole shard costs more than decoding all
+        of it, so those keep ``row_slice``.  Returns the predictions and how
+        many shards had to be scored.
         """
+        store, scores = serving
         batch_ids, local_rows = store.locate_rows(ids)  # IndexError before any shard is read
         out = np.empty(ids.size, dtype=np.float64)
-        rest, shards, rows_scored = [], 0, 0
+        rest, shards_computed = [], 0
         for batch_id, positions in group_by_shard(batch_ids):
-            shard_rows = store.shard_rows(batch_id)
-            if self._scores_shards and positions.size >= SCORE_WHOLE_COVERAGE * shard_rows:
-                scores = self._score(store.parsed(batch_id), rows=positions.size)
-                out[positions] = scores[local_rows[positions]]
-                shards += 1
-                rows_scored += shard_rows
+            if scores is not None or (
+                self._scores_shards
+                and positions.size >= SCORE_WHOLE_COVERAGE * store.shard_rows(batch_id)
+            ):
+                vector, computed = self._shard_scores(serving, batch_id, positions.size)
+                out[positions] = vector[local_rows[positions]]
+                shards_computed += computed
             else:
                 rest.append(positions)
-        if shards:
-            rows_gathered = ids.size - sum(positions.size for positions in rest)
-            store.count_scored(shards, rows_scored, rows_gathered)
-            self._shards_scored.inc(shards)
-            self._rows_scored.inc(rows_scored)
+        rows_gathered = ids.size - sum(positions.size for positions in rest)
+        if rows_gathered:
+            store.count_scored(gathered=rows_gathered)
             self._rows_gathered.inc(rows_gathered)
         if rest:
             positions = np.concatenate(rest)
             out[positions] = self._score(store.get_rows(ids[positions]))
-        return out
+        return out, shards_computed
 
     def _score(self, batch, rows: int | None = None) -> np.ndarray:
         """One model call over a mini-batch, timed into the predict stats.
@@ -366,13 +490,36 @@ class PredictionService:
         """Non-blocking :meth:`predict_id`: the cached prediction itself, or the
         future of the request just queued.
 
+        The id is located — so range-checked — here, on the caller's thread:
+        one out of range comes back as a future already failed with that
+        ``IndexError`` and is never queued, so it cannot fail its batch-mates.
+        A hit (the shard's score vector is resident; for a network, the row's
+        prediction is) submits nothing, so it costs no :class:`Future` either
+        — threads, the asyncio surface and the cluster workers all enter here.
         A miss resolves from the micro-batcher's thread; stats and the cache
-        fill happen in a done-callback.  A hit submits nothing, so it costs no
-        :class:`Future` either — threads, the asyncio surface and the cluster
-        workers all enter here.  ``deadline`` is :meth:`MicroBatcher.submit`'s.
+        fill happen there.  ``deadline`` is :meth:`MicroBatcher.submit`'s.
         """
         row_id = int(row_id)
         start = time.perf_counter()
+        store, scores = self._serving
+        if store is not None:
+            try:
+                batch_id, local_row = store.locate(row_id)
+            except IndexError as exc:
+                failed: Future = Future()
+                failed.set_exception(exc)
+                return failed
+        if scores is not None:
+            vector = scores.get(batch_id)
+            if vector is None:
+                with self._lock:
+                    self.stats.record_cache_miss()
+                return self._submit(("id", row_id), start, deadline)
+            with self._lock:
+                self.stats.record_cache_hit()
+                self.stats.record_request(time.perf_counter() - start)
+            store.count_scored(hits=1)
+            return float(vector[local_row])
         if self._cache is not None:
             value = self._cache.get(row_id)
             with self._lock:
@@ -398,7 +545,8 @@ class PredictionService:
         return self._submit(("ids", row_id_array(row_ids)), time.perf_counter(), deadline)
 
     def _submit(self, request, start: float, deadline, row_id: int | None = None) -> Future:
-        """Queue one request; on success its done-callback fills the cache and counts it."""
+        """Queue one request; on success its done-callback counts it and, given a
+        ``row_id``, fills the per-row prediction cache."""
 
         def finish(future: Future) -> None:
             try:
@@ -415,7 +563,7 @@ class PredictionService:
         return future
 
     def predict_id(self, row_id: int) -> float:
-        """Predict for one stored row, through cache and micro-batcher."""
+        """One stored row, through cache and micro-batcher; ``IndexError`` if out of range."""
         served = self.submit_id(row_id)
         return served.result() if isinstance(served, Future) else served
 
@@ -458,20 +606,23 @@ class PredictionService:
         assignment — in-flight requests finish on whichever store they
         started with, which is safe because shard data is immutable between
         swaps (compaction re-encodes bytes, never changes rows).  Returns
-        ``False`` for store-less services.  The row/parsed caches start
-        cold; the buffer-pool budget resets to the new generation's full
-        payload (the open-time default).
+        ``False`` for store-less services.  The score vectors go with the
+        store they were computed from, so that cache and the row/parsed
+        caches start cold; the buffer-pool budget resets to the new
+        generation's full payload (the open-time default).
         """
-        store = self.store
-        if store is None:
+        if self.store is None:
             return False
         with self._reopen_lock:
             current = self.store
-            self.store = FeatureStore.open(
+            reopened = FeatureStore.open(
                 current.dataset.directory,
                 decoded_cache_rows=current.decoded_cache_rows,
                 parsed_cache_shards=current.parsed_cache_shards,
             )
+            with self._lock:
+                self._serving = self._serve_from(reopened)
+                self._vectors_resident.set(0)
         obs_metrics.counter("serve.store.reopens", svc=self._svc_id).inc()
         return True
 

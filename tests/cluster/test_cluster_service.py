@@ -4,15 +4,18 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import re
 import shutil
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from repro.api import Dataset, Estimator, open_service
 from repro.cluster import (
+    ClusterError,
     ClusterService,
     DeadlineExceeded,
     ServiceClosed,
@@ -393,6 +396,8 @@ class TestWorkerServesThroughThePipeline:
         registry, shard_dir, _ = published
         # max_batch_size=1: a request queued behind another is never coalesced
         # into its batch, so "waited in the queue" below is deterministic.
+        # The worker keeps each 60-row shard's scores once computed; the tests
+        # that need a miss ask for shards no other test here touches.
         service = ClusterService(
             registry, shard_dir=shard_dir, workers=1, backlog=4, cache_size=16,
             max_batch_size=1,
@@ -413,8 +418,8 @@ class TestWorkerServesThroughThePipeline:
     def test_serve_requests_counts_requests_not_bulk_calls(self, single):
         before = self._worker_counters(single)
         for _ in range(3):
-            single.predict(7)  # one miss, then two prediction-cache hits
-        single.predict_many([1, 2, 3])
+            single.predict(7)  # scores shard 0: one miss, then two cache hits
+        single.predict_many([181, 182, 183])  # shard 3 is not resident: scored for these three
         after = self._worker_counters(single)
 
         def delta(key):
@@ -429,12 +434,40 @@ class TestWorkerServesThroughThePipeline:
         assert "serve.batch.size" in histograms and "serve.request.seconds" in histograms
         assert not any(key.startswith("cluster.worker.") for key in histograms)
 
+    def test_an_id_out_of_range_fails_its_caller_alone(self, published):
+        # Regression: two callers coalesced into one worker batch shared the
+        # bad id's IndexError.  It is refused at the worker's door now.
+        registry, shard_dir, expected = published
+        with ClusterService(
+            registry, shard_dir=shard_dir, workers=1, backlog=8, cache_size=0
+        ) as one:
+            blocker = threading.Thread(
+                target=lambda: one.predict_many(list(range(N_ROWS)) * 400)
+            )
+            blocker.start()
+            try:
+                give_up = time.monotonic() + 10
+                while one.inflight == 0 and time.monotonic() < give_up:
+                    time.sleep(0.001)
+                # Both queue behind the bulk request, so they would share a batch.
+                with ThreadPoolExecutor(max_workers=2) as callers:
+                    good = callers.submit(one.predict, 5, deadline=60.0)
+                    bad = callers.submit(one.predict, 5000, deadline=60.0)
+                    message = re.escape(f"(IndexError): row 5000 out of range [0, {N_ROWS})")
+                    with pytest.raises(ClusterError, match=message):
+                        bad.result(timeout=60)
+                    assert good.result(timeout=60) == pytest.approx(expected[5])
+            finally:
+                blocker.join(timeout=60)
+            assert not blocker.is_alive()
+
     def test_queued_work_past_its_budget_is_shed_by_the_worker(self, single, published):
         _, _, expected = published
         before = self._worker_counters(single)["shed"]
-        blocker = threading.Thread(
-            target=lambda: single.predict_many(list(range(N_ROWS)) * 400)
-        )
+        # Rows 60-119 are left out: shard 1's scores must not be resident,
+        # or the two requests below are answered at once and never queue.
+        elsewhere = [*range(60), *range(120, N_ROWS)]
+        blocker = threading.Thread(target=lambda: single.predict_many(elsewhere * 2000))
         blocker.start()
         try:
             give_up = time.monotonic() + 10

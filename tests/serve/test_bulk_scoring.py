@@ -14,8 +14,13 @@ differently from dense ones, so the oracle is pinned here:
   relative to: a score that cancels to 1e-4 out of terms of size 1 carries
   the absolute error of the terms, thousands of ulps of itself).  Measured
   worst case on the census profile, all 8 schemes, 150-3000 rows, converged
-  and diverged weights: 5.  The same bound holds between a bulk and a
-  single-row answer for the same row.
+  and diverged weights: 5.
+
+A single-row answer (``predict_id``) comes out of the same per-shard score
+vector once the service caches them (``cache_size > 0``, linear models), so
+it is bit-equal to the bulk one; with ``cache_size=0`` it is the dense path's
+and the bound above holds between the two.  Networks never score a shard
+whole: their single-row answers stay the dense path's.
 """
 
 from __future__ import annotations
@@ -100,7 +105,33 @@ class TestTheOracle:
         # A network's A·M over a whole shard loses to decoding it: it keeps row_slice.
         assert scored == (0 if model == "ffnn" else len(dataset))
 
-    def test_a_bulk_and_a_single_row_score_stay_within_the_bound(
+    @pytest.mark.parametrize("model", MODELS)
+    @pytest.mark.parametrize("scheme", available_schemes())
+    def test_single_rows_equal_the_bulk_answer_bit_for_bit(
+        self, census, estimators, datasets, scheme, model
+    ):
+        features, _ = census
+        estimator, dataset = estimators[model], datasets[scheme]
+        rows = [*range(0, ROWS, 7), ROWS - 1]
+        with serve(estimator, dataset, cache_size=8) as service:
+            singles = np.array([service.predict_id(row) for row in rows])
+            bulk = service.predict_ids(range(ROWS))
+            scored = service.store_stats.shards_scored
+        dense = estimator.predict(features)[rows]
+        if model == "ffnn":  # the dense path, as ever
+            assert np.array_equal(singles, dense)
+            assert scored == 0
+            return
+        assert np.array_equal(singles, bulk[rows])
+        assert np.array_equal(singles, estimator.predict(dataset)[rows])
+        # Each shard was scored once, for its first single row; the bulk request found them all.
+        assert scored == len(dataset)
+        if model == "linreg":
+            assert_scores_close(singles, dense, features[rows], estimator.model)
+        else:
+            assert np.array_equal(singles, dense)
+
+    def test_uncached_a_bulk_and_a_single_row_score_stay_within_the_bound(
         self, census, estimators, datasets
     ):
         features, _ = census
@@ -189,10 +220,21 @@ class TestMixedRequests:
             assert service.stats.rows_predicted == 0
 
 
+class CountingModel:
+    """A fitted linear model that counts its ``predict`` calls."""
+
+    def __init__(self, model):
+        self.model, self.core_ops, self.predicts = model, model.core_ops, 0
+
+    def predict(self, batch):
+        self.predicts += 1
+        return self.model.predict(batch)
+
+
 class TestNothingIsDecoded:
-    def test_scoring_every_row_of_toc_shards_never_slices_or_densifies(
-        self, estimators, datasets, monkeypatch
-    ):
+    @pytest.fixture
+    def calls(self, monkeypatch) -> dict[str, int]:
+        """Live counts of every route into a TOC decode, and of the TOC ``matvec``."""
         calls = {"row_slice": 0, "to_dense": 0, "matvec": 0}
 
         def counted(name, function):
@@ -211,14 +253,52 @@ class TestNothingIsDecoded:
             monkeypatch.setattr(
                 TOCCompressedMatrix, name, counted(name, getattr(TOCCompressedMatrix, name))
             )
+        return calls
+
+    def test_scoring_every_row_of_toc_shards_never_slices_or_densifies(
+        self, estimators, datasets, calls
+    ):
         dataset = datasets["TOC"]
         with serve(estimators["logreg"], dataset) as service:
             service.predict_ids(range(ROWS))
             assert calls == {"row_slice": 0, "to_dense": 0, "matvec": len(dataset)}
             assert service.store_stats.payload_parses == len(dataset)
             assert service.store_stats.shard_decodes == 0
-            service.predict_id(0)  # the wrappers are live: a single row does slice
+            service.predict_id(0)  # the wrappers are live: uncached, a single row does slice
             assert calls["row_slice"] == 2  # the store's call and the method under it
+
+    def test_warm_single_rows_run_no_model_and_decode_nothing(self, estimators, datasets, calls):
+        dataset = datasets["TOC"]
+        model = CountingModel(estimators["logreg"].model)
+        store = FeatureStore.open(dataset.path)
+        with PredictionService(model, store, cache_size=len(dataset)) as service:
+            for shard in range(len(dataset)):
+                service.predict_id(shard * BATCH)  # one request per shard
+            assert (model.predicts, calls["matvec"]) == (len(dataset), len(dataset))
+            expected = estimators["logreg"].predict(dataset)
+            calls["matvec"] = 0  # the estimator's own
+            assert [service.predict_id(row) for row in range(ROWS)] == expected.tolist()
+            assert model.predicts == len(dataset)
+            assert calls == {"row_slice": 0, "to_dense": 0, "matvec": 0}
+            assert service.store_stats.payload_parses == len(dataset)
+            assert service.store_stats.row_hits == ROWS
+            assert service.batcher_stats.requests == len(dataset)  # a hit is never queued
+
+    def test_two_misses_on_one_shard_in_one_batch_score_it_once(self, estimators, datasets, calls):
+        dataset = datasets["TOC"]
+        model = CountingModel(estimators["logreg"].model)
+        store = FeatureStore.open(dataset.path)
+        # The batcher lingers for a second request, so both share its one batch.
+        with PredictionService(
+            model, store, cache_size=4, max_batch_size=2, max_wait_seconds=5.0
+        ) as service:
+            first, second = service.submit_id(3), service.submit_id(BATCH - 1)
+            answers = [first.result(timeout=10), second.result(timeout=10)]
+            assert service.batcher_stats.batches == 1
+            assert (model.predicts, calls["matvec"]) == (1, 1)
+            assert (service.stats.cache_misses, service.store_stats.row_misses) == (2, 2)
+            assert (service.store_stats.shards_scored, service.stats.rows_predicted) == (1, 2)
+        assert answers == estimators["logreg"].predict(dataset)[[3, BATCH - 1]].tolist()
 
 
 class TestAnyRequest:

@@ -9,7 +9,7 @@ import pytest
 
 from repro.data.registry import DATASET_PROFILES
 from repro.engine.trainer import OutOfCoreTrainer
-from repro.ml.models import LogisticRegressionModel
+from repro.ml.models import FeedForwardNetwork, LogisticRegressionModel
 from repro.ml.optimizer import GradientDescentConfig
 from repro.serve.checkpoint import ModelRegistry
 from repro.serve.feature_store import FeatureStore
@@ -73,6 +73,28 @@ class TestSingleRowPath:
                 got = [future.result(timeout=10) for future in singles]
         np.testing.assert_allclose(got, expected)
 
+    @pytest.mark.parametrize("cache_size", [0, 8], ids=["uncached", "cached"])
+    def test_an_id_out_of_range_fails_alone(self, trained_setup, cache_size):
+        # Regression: located only in the batch handler, the bad id failed
+        # every single-row request coalesced with it.
+        model, shard_dir, _, _ = trained_setup
+        store = FeatureStore.open(shard_dir)
+        expected = model.predict(FeatureStore.open(shard_dir).get_rows([1, 2, 3]))
+        with PredictionService(
+            model, store, cache_size=cache_size, max_batch_size=8, max_wait_seconds=0.05
+        ) as service:
+            futures = [service.submit_id(row) for row in (1, 5000, 2, 3)]
+            bad = futures.pop(1)
+            assert bad.done()  # failed at the door: nothing was queued for it
+            with pytest.raises(IndexError, match=r"row 5000 out of range \[0, 300\)"):
+                bad.result()
+            assert [future.result(timeout=10) for future in futures] == expected.tolist()
+            assert service.batcher_stats.requests == 3
+            with pytest.raises(IndexError, match=r"row -1 out of range \[0, 300\)"):
+                service.predict_id(-1)
+            assert service.stats.requests == 3
+            assert service.store_stats.rows_served == 3
+
     def test_row_id_without_store_rejected(self, trained_setup):
         model, _, _, _ = trained_setup
         with PredictionService(model) as service:
@@ -81,26 +103,98 @@ class TestSingleRowPath:
 
 
 class TestCache:
+    """For a linear model a cache entry is one shard's score vector (75-row shards here)."""
+
     def test_repeat_traffic_hits_cache(self, trained_setup):
         model, shard_dir, _, _ = trained_setup
         store = FeatureStore.open(shard_dir)
         with PredictionService(model, store, cache_size=64) as service:
             for _ in range(3):
-                for row_id in range(10):
+                for row_id in range(0, 300, 30):  # ten rows over all four shards
                     service.predict_id(row_id)
-            assert service.stats.cache_hits == 20
-            assert service.stats.cache_misses == 10
-            assert service.stats.cache_hit_rate == pytest.approx(2 / 3)
-            # Only the misses reached the model.
-            assert service.stats.rows_predicted == 10
+            # The first row asked of each shard scores it; its shard-mates hit at once.
+            assert service.stats.cache_hits == 26
+            assert service.stats.cache_misses == 4
+            assert service.stats.cache_hit_rate == pytest.approx(26 / 30)
+            # Only the misses reached the model, one whole shard each.
+            assert service.stats.rows_predicted == 4
+            assert service.store_stats.shards_scored == 4
+            assert service.store_stats.rows_scored == 300
+            assert (service.store_stats.row_hits, service.store_stats.row_misses) == (26, 4)
+            assert service.metrics()["gauges"]["serve.cache.shards"] == 4
 
     def test_cache_eviction_keeps_bound(self, trained_setup):
         model, shard_dir, _, _ = trained_setup
         store = FeatureStore.open(shard_dir)
-        with PredictionService(model, store, cache_size=4) as service:
-            for row_id in range(12):
+        with PredictionService(model, store, cache_size=2) as service:
+            for row_id in (0, 80, 160, 240, 0):  # four shards, then the evicted first again
                 service.predict_id(row_id)
-            assert len(service._cache) <= 4
+            assert service.metrics()["gauges"]["serve.cache.shards"] == 2
+            assert service.stats.cache_misses == 5
+            assert service.store_stats.shards_scored == 5
+
+    def test_thrashing_cache_under_concurrent_callers_and_reopens(self, trained_setup):
+        """Six callers, a two-entry cache over four shards, the store re-opened under them."""
+        import sys
+        import threading
+        import time
+
+        model, shard_dir, _, _ = trained_setup
+        expected = model.predict(FeatureStore.open(shard_dir).get_rows(range(300))).tolist()
+        ids = list(range(0, 300, 11))
+        stop = threading.Event()
+
+        def single(service):
+            for row in ids * 4:
+                assert service.predict_id(row) == expected[row]
+
+        def bulk(service):
+            for _ in range(40):
+                assert service.predict_ids(ids).tolist() == [expected[row] for row in ids]
+
+        def reopen(service):
+            while not stop.is_set():
+                service.reopen_store()
+                time.sleep(0.002)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with PredictionService(
+                model, FeatureStore.open(shard_dir), cache_size=2, max_batch_size=4
+            ) as service, ThreadPoolExecutor(max_workers=7) as callers:
+                reopening = callers.submit(reopen, service)
+                work = [callers.submit(job, service) for job in (single, bulk) * 3]
+                try:
+                    for future in work:
+                        future.result(timeout=60)
+                finally:
+                    stop.set()
+                    reopening.result(timeout=60)
+                stats, served = service.stats.snapshot(), service.store_stats
+                assert stats.requests == 3 * len(ids) * 4 + 3 * 40
+                assert stats.requests == stats.cache_hits + stats.cache_misses
+                assert served.rows_served == (
+                    served.row_hits + served.row_misses + served.rows_gathered
+                )
+                resident = service.metrics()["gauges"]["serve.cache.shards"]
+                assert resident == len(service._serving.scores) <= 2
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_a_network_caches_predictions_by_row(self, trained_setup):
+        _, shard_dir, _, _ = trained_setup
+        store = FeatureStore.open(shard_dir)
+        network = FeedForwardNetwork(store.n_cols, (8,), seed=0)
+        with PredictionService(network, store, cache_size=4) as service:
+            for _ in range(3):
+                for row_id in range(10):
+                    service.predict_id(row_id)
+            assert len(service._cache) == 4
+            # Ten rows cycling through four entries: LRU never hits.
+            assert (service.stats.cache_hits, service.stats.cache_misses) == (0, 30)
+            assert service.store_stats.shards_scored == 0
+            assert service.metrics()["gauges"]["serve.cache.shards"] == 0
 
     def test_cached_value_matches_fresh_prediction(self, trained_setup):
         model, shard_dir, _, _ = trained_setup
@@ -167,7 +261,7 @@ class TestStatsSnapshot:
         model, shard_dir, _, _ = trained_setup
         store = FeatureStore.open(shard_dir)
         with PredictionService(model, store, cache_size=8) as service:
-            for row_id in (0, 1, 0, 2):
+            for row_id in (0, 80, 0, 160):  # shards 0, 1, 0 again, 2
                 service.predict_id(row_id)
             snap = service.stats.snapshot()
         assert snap.requests == service.stats.requests == 4
@@ -219,6 +313,30 @@ class TestStatsSnapshot:
         assert metrics_b["counters"]["serve.requests"] == 0
         assert metrics_a["histograms"]["serve.request.seconds"]["count"] == 1
 
+    def test_mixed_traffic_reconciles_rows_and_requests(self, trained_setup):
+        model, shard_dir, _, _ = trained_setup
+        store = FeatureStore.open(shard_dir)
+        with PredictionService(model, store, cache_size=8) as service:
+            service.predict_id(3)  # scores shard 0: a miss
+            service.predict_id(4)  # its shard-mate: a hit
+            service.predict_ids([5, 6, 100])  # shard 0 resident, shard 1 scored: a miss
+            service.predict_ids(range(75))  # all out of resident scores: a hit
+            service.submit_ids([150, 299]).result(timeout=10)  # shards 2 and 3 scored: a miss
+            service.predict_id(299)  # resident since the bulk request: a hit
+            store.get_rows([7, 8])  # a direct reader: the row LRU's own two misses ...
+            store.get_rows([7])  # ... and a hit
+            stats, served = service.stats.snapshot(), service.store_stats
+            counters = service.metrics()["counters"]
+            assert service.metrics()["gauges"]["serve.cache.shards"] == 4
+        assert stats.requests == stats.cache_hits + stats.cache_misses == 6
+        assert (stats.cache_hits, stats.cache_misses) == (3, 3)
+        assert (served.row_hits, served.row_misses, served.rows_gathered) == (2 + 1, 1 + 2, 80)
+        assert served.rows_served == served.row_hits + served.row_misses + served.rows_gathered
+        assert (served.shards_scored, served.rows_scored) == (4, 300)
+        assert stats.rows_predicted == 1 + 1 + 2  # rows asked of the model, not rows it scored
+        assert counters["serve.store.shards_scored"] == 4
+        assert counters["serve.store.rows_gathered"] == 80
+
 
 class TestLiveCompaction:
     """Every row-id path shares one reopen-after-compact retry."""
@@ -266,6 +384,55 @@ class TestLiveCompaction:
             counters = service.metrics()["counters"]
             assert counters["serve.store.reopens"] == 1
             assert counters["serve.store.shards_scored"] == (shards_covered if bulk else 0)
+
+
+    def test_score_vectors_go_with_the_store_they_were_scored_from(self, tmp_path):
+        from repro.api import Dataset, Estimator, open_service
+
+        features, labels = DATASET_PROFILES["census"].classification(250, seed=5)
+        dataset = Dataset.create(
+            tmp_path / "shards", features[:200], labels[:200], scheme="DEN",
+            batch_size=50, executor="serial", shuffle=False,
+        )
+        estimator = Estimator("logreg", epochs=1)
+        estimator.fit(dataset)
+        estimator.save(tmp_path / "registry")
+        expected = estimator.predict(features).tolist()
+
+        def resident(service):
+            return service.metrics()["gauges"]["serve.cache.shards"]
+
+        with open_service(tmp_path / "registry", cache_size=8)[0] as service:
+            assert [service.predict_id(row) for row in (0, 60)] == [expected[0], expected[60]]
+            assert resident(service) == 2
+            first = service.store
+            # DEN -> TOC: the compact deletes the files `first` still points at.
+            dataset.compact(readvise=True, executor="serial")
+            # In flight across the swap: shard 3 was never read, its file is
+            # gone, and the retry answers from the new generation.
+            assert service.predict_id(150) == expected[150]
+            second = service.store
+            assert second is not first and second.dataset.generation == first.dataset.generation + 1
+            assert service.metrics()["counters"]["serve.store.reopens"] == 1
+            assert resident(service) == 1  # shard 3 alone: nothing came over from `first`
+            misses, served_by_first = service.stats.cache_misses, first.stats.rows_served
+            # Row 0's vector was resident on the old handle; the new one scores it afresh.
+            assert service.predict_id(0) == expected[0]
+            assert service.stats.cache_misses == misses + 1
+            assert second.stats.shards_scored == 2
+            assert first.stats.rows_served == served_by_first
+
+            dataset.append(features[200:], labels[200:], executor="serial")
+            with pytest.raises(IndexError, match=r"row 249 out of range \[0, 200\)"):
+                service.predict_id(249)
+            assert service.maybe_reopen_store()
+            assert service.metrics()["counters"]["serve.store.reopens"] == 2
+            assert resident(service) == 0 and service.store_stats.rows_served == 0
+            assert [service.predict_id(row) for row in range(250)] == expected
+            assert service.predict_ids(range(250)).tolist() == expected
+            assert resident(service) == 5
+            assert service.store_stats.shards_scored == 5
+            assert (second.stats.shards_scored, second.stats.rows_served) == (2, 2)
 
 
 class TestBulkRequestsOnTheQueue:
