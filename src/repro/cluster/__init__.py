@@ -9,7 +9,8 @@ queues, caches or sheds on its own behalf — they admit, route and supervise):
   in-flight admission, deadlines, and load shedding;
 * :class:`ClusterService` — N worker processes (each a socket adapter over
   its own ``PredictionService``) behind one dispatcher speaking
-  length-prefixed JSON frames over inherited socketpairs, with per-worker
+  length-prefixed frames (fixed binary layouts for predictions, JSON for
+  control) over inherited socketpairs, with per-worker
   backpressure, crash respawn, and manifest-generation hot re-open.
 
 Both fail *explicitly* under pressure — :class:`ServiceOverloaded`,

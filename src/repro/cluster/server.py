@@ -2,9 +2,10 @@
 
 :class:`ClusterService` runs ``workers`` independent processes, each running
 :func:`repro.cluster.worker.worker_main` over the *same* checkpoint
-registry and shard directory, and speaks length-prefixed JSON frames to
-each over a private socketpair.  Python's GIL serialises decode work
-inside one process; N processes decode on N cores.
+registry and shard directory, and speaks length-prefixed frames to each over
+a private socketpair (:mod:`repro.cluster.protocol`: fixed binary layouts for
+predictions and their answers, JSON for the rest).  Python's GIL serialises
+decode work inside one process; N processes decode on N cores.
 
 The dispatcher runs threads, so forking *it* is off the table.  Workers are
 forked from the standard library's single-threaded *fork server*, started once
@@ -51,6 +52,8 @@ from concurrent.futures import Future
 from multiprocessing import forkserver
 from pathlib import Path
 
+import numpy as np
+
 from repro.cluster.asyncio_service import ADMISSION_POLICIES
 from repro.cluster.errors import (
     ClusterError,
@@ -59,8 +62,9 @@ from repro.cluster.errors import (
     ServiceOverloaded,
     WorkerCrashed,
 )
-from repro.cluster.protocol import ProtocolError, recv_frame, send_frame
+from repro.cluster.protocol import MAX_ROW_IDS, ProtocolError, recv_frame, send_frame
 from repro.cluster.worker import ERROR_CODES, worker_main
+from repro.engine.shards import row_id_array
 from repro.obs import metrics as obs_metrics
 from repro.serve.batcher import fail_future
 from repro.serve.checkpoint import Checkpoint, ModelRegistry
@@ -83,6 +87,30 @@ _CLUSTER_IDS = itertools.count()
 _ERROR_CLASSES = {code: exc_cls for exc_cls, code in ERROR_CODES.items()}
 
 _FORKSERVER_LOCK = threading.Lock()
+
+_INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
+
+
+def _wire_row_id(row_id) -> int:
+    """``row_id`` as the int64 a predict frame carries, refused before admission
+    with the ``IndexError`` an in-process ``predict_id`` raises if it is none."""
+    row_id = int(row_id)
+    if not _INT64_MIN <= row_id <= _INT64_MAX:
+        raise IndexError(f"row {row_id} out of range: frames carry 64-bit row ids")
+    return row_id
+
+
+def _wire_row_ids(row_ids) -> np.ndarray:
+    """``row_ids`` as the int64 array a ``predict_many`` frame carries, refused
+    before admission: ``IndexError`` for an id past int64, ``ProtocolError``
+    for more ids than one frame holds."""
+    try:
+        ids = row_id_array(row_ids)
+    except OverflowError:
+        raise IndexError("row id out of range: frames carry 64-bit row ids") from None
+    if ids.size > MAX_ROW_IDS:
+        raise ProtocolError(f"{ids.size} row ids exceed the {MAX_ROW_IDS} one frame carries")
+    return ids
 
 
 def _forkserver_context():
@@ -444,7 +472,10 @@ class ClusterService:
         try:
             with handle.send_lock:
                 send_frame(handle.conn, message)
-        except (OSError, ProtocolError) as exc:
+        except ProtocolError:  # nothing was written: the request is at fault, not the worker
+            self._abandon(handle, req_id)
+            raise
+        except OSError as exc:
             if self._abandon(handle, req_id):
                 self._m_crashed.inc()  # once per request, whoever saw the crash first
             raise WorkerCrashed(
@@ -459,16 +490,17 @@ class ClusterService:
         :class:`DeadlineExceeded`, :class:`ServiceClosed`) synchronously; the
         future fails with worker-side errors.
         """
-        return self._route("value", {"op": "predict", "row_id": int(row_id)}, deadline)[0]
+        frame = {"op": "predict", "row_id": _wire_row_id(row_id)}
+        return self._route("value", frame, deadline)[0]
 
     def predict(self, row_id: int, *, deadline: float | None = None) -> float:
         """Predict for one stored row on some worker; explicit errors, no hangs."""
-        frame = {"op": "predict", "row_id": int(row_id)}
+        frame = {"op": "predict", "row_id": _wire_row_id(row_id)}
         return self._await(*self._route("value", frame, deadline))
 
     def predict_many(self, row_ids, *, deadline: float | None = None) -> list[float]:
         """Bulk predict: one frame to one worker, one bulk store+model call."""
-        frame = {"op": "predict_many", "row_ids": [int(r) for r in row_ids]}
+        frame = {"op": "predict_many", "row_ids": _wire_row_ids(row_ids)}
         return self._await(*self._route("values", frame, deadline))
 
     def _route(self, kind: str, frame: dict, deadline) -> tuple[Future, float | None]:

@@ -37,17 +37,19 @@ import threading
 from concurrent.futures import Future
 
 from repro.cluster.errors import DeadlineExceeded, ServiceClosed, ServiceOverloaded
-from repro.cluster.protocol import recv_frame, send_frame
+from repro.cluster.protocol import ProtocolError, encode_frame, recv_frame, send_frame
 from repro.cluster.watch import DEFAULT_POLL_SECONDS, GenerationWatcher
 from repro.obs import metrics as obs_metrics
 from repro.serve.service import PredictionService
 
 #: The error code a worker answers with for each exception class the
-#: pipeline raises; the dispatcher inverts this table to raise the same class.
+#: pipeline raises — and for a reply that cannot be framed; the dispatcher
+#: inverts this table to raise the same class.
 ERROR_CODES = {
     DeadlineExceeded: "deadline",
     ServiceOverloaded: "overloaded",
     ServiceClosed: "closed",
+    ProtocolError: "unframeable",
 }
 
 
@@ -195,16 +197,26 @@ class _Worker:
         return merged
 
     def _reply_error(self, req_id, code: str, message: str) -> None:
-        self._send({"id": req_id, "ok": False, "error": code, "message": message})
+        self._send(_error(req_id, code, message))
 
     def _send(self, message: dict) -> None:
+        """Frame ``message`` and write it; one that cannot be framed is answered
+        with the reason instead, so its caller hears back and its slot frees."""
+        try:
+            frame = encode_frame(message)
+        except ProtocolError as exc:
+            frame = encode_frame(_error(message.get("id"), ERROR_CODES[ProtocolError], str(exc)))
         with self._send_lock:
             try:
-                send_frame(self._conn, message)
+                self._conn.sendall(frame)
             except OSError:
                 # The dispatcher hung up; nothing to answer to.  The reader
                 # will see EOF and wind the worker down.
                 pass
+
+
+def _error(req_id, code: str, message: str) -> dict:
+    return {"id": req_id, "ok": False, "error": code, "message": message}
 
 
 __all__ = ["ERROR_CODES", "worker_main"]
