@@ -8,8 +8,9 @@ replaced and gates on the acceptance thresholds:
 * batched varint decode must be **>= 5x** the pure-Python reference;
 * TOC ``row_slice`` on a selective read (<= 10% of rows) must be **>= 3x**
   the old selection-matrix path (``M @ A`` via ``rmatmat``);
-* zero-copy mmap reads must show **no regression** on a full-shard decode
-  vs copying ``read_bytes`` reads;
+* decoding from the zero-copy ``map_file`` view every shard reader gets
+  must show **no regression** on a full-shard decode vs decoding a copying
+  ``read_bytes`` of the same file;
 * a *cold* one-row TOC read (parse the payload, rebuild the decode tree
   ``C'``, slice the row) must cost **<= 6x** the same slice on an already
   parsed shard, so the first-vs-warm gap cannot silently reopen;
@@ -28,7 +29,7 @@ when a timing *improves*.
 
 from __future__ import annotations
 
-import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -42,7 +43,7 @@ from repro.core.physical import physical_encode
 from repro.core.sparse import sparse_encode
 from repro.data import DATASET_PROFILES
 from repro.kernels import numpy_backend, python_backend
-from repro.storage import mmapio
+from repro.storage.mmapio import map_file
 
 #: Code-stream sized like a large shard's varint segment.
 N_VARINTS = 500_000
@@ -302,23 +303,18 @@ def test_mmap_full_shard_decode_no_regression(bench_json, tmp_path_factory):
         executor="serial",
     )
     sharded = dataset.sharded
+    paths = [sharded.directory / s.filename for s in sharded.shards]
+    schemes = [sharded.scheme_for(s.batch_id) for s in sharded.shards]
+    assert isinstance(sharded.read_payload(0), memoryview)  # what every reader gets
 
-    def decode_all():
-        return [sharded.decode(s.batch_id).to_dense() for s in sharded.shards]
+    def decode_all(read):
+        return [
+            scheme.decompress_bytes(read(path)).to_dense()
+            for scheme, path in zip(schemes, paths)
+        ]
 
-    env_before = os.environ.get(mmapio.ENV_VAR)
-    try:
-        os.environ[mmapio.ENV_VAR] = "1"
-        assert isinstance(sharded.read_payload(0), memoryview)
-        mmap_secs = time_callable(decode_all, REPEATS)
-        os.environ[mmapio.ENV_VAR] = "0"
-        assert isinstance(sharded.read_payload(0), bytes)
-        bytes_secs = time_callable(decode_all, REPEATS)
-    finally:
-        if env_before is None:
-            os.environ.pop(mmapio.ENV_VAR, None)
-        else:
-            os.environ[mmapio.ENV_VAR] = env_before
+    mmap_secs = time_callable(lambda: decode_all(map_file), REPEATS)
+    bytes_secs = time_callable(lambda: decode_all(Path.read_bytes), REPEATS)
 
     ratio = mmap_secs / bytes_secs
     record = {

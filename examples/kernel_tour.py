@@ -1,52 +1,40 @@
-"""A tour of the kernel backends and zero-copy shard reads.
+"""A tour of the code-walk kernels and zero-copy shard reads.
 
 Run with::
 
     python examples/kernel_tour.py
 
 The hot code-walk kernels — varint encode/decode, TOC ``row_slice``, and
-value-index gathers — dispatch through the :mod:`repro.kernels` registry.
-Three backends implement the same semantics:
-
-* ``python`` — the per-element reference loops (slow, always correct);
-* ``numpy``  — vectorized whole-array passes; the always-available default;
-* ``numba``  — optional jitted loops; falls back to ``numpy`` when the
-  ``numba`` package is not installed.
-
-Select one with the ``REPRO_KERNELS`` environment variable or
-:func:`repro.kernels.set_backend`.  Shard reads are zero-copy by default:
-``ShardedDataset.read_payload`` returns a ``memoryview`` over a read-only
-mmap of the shard file (disable with ``REPRO_MMAP=0``), and every scheme's
-``from_bytes`` decodes straight out of the mapping.
+value-index gathers — have one runtime implementation: the vectorized NumPy
+passes in :mod:`repro.kernels.numpy_backend`, which :mod:`repro.kernels`
+exports.  :mod:`repro.kernels.python_backend` keeps the per-element
+reference loops with the same semantics; the property tests check the two
+agree bit for bit.  Every shard read is a ``memoryview`` over a read-only
+mmap of the shard file, and every scheme's ``from_bytes`` decodes straight
+out of the mapping.
 
 This example:
 
-1. encodes a dataset and row-slices it under each available backend,
-   timing the same selective read;
-2. shows the per-op/per-backend ``kernels.calls`` obs counters — the
-   metrics snapshot says exactly which backend served each op;
-3. demonstrates the ``REPRO_KERNELS`` fallback (requesting ``numba``
-   without numba installed lands on ``numpy`` and counts the fallback);
-4. compares a zero-copy mmap read against a copying read of the same shard.
+1. encodes a dataset, parses one TOC shard, and times the Python reference
+   ``toc_row_slice`` against the NumPy one on the same arguments;
+2. reads that shard as a mapping, checks it decodes exactly like a copy of
+   its bytes, and prints the ``storage.mmap.*`` obs counters.
 """
 
 from __future__ import annotations
 
-import os
 import tempfile
 import time
 from pathlib import Path
 
 import numpy as np
 
-from repro import kernels
 from repro.api import DATASET_PROFILES, Dataset
-from repro.kernels import numba_backend
+from repro.kernels import numpy_backend, python_backend
 from repro.obs import metrics
-from repro.storage import mmapio
 
 ROWS = 4_000
-SELECT = 200  # a 5% selective read: the regime the direct gather targets
+SELECT = 50  # a 5% selective read of one 1 000-row shard: what the gather targets
 
 
 def build_dataset(tmp: Path) -> Dataset:
@@ -57,84 +45,54 @@ def build_dataset(tmp: Path) -> Dataset:
     )
 
 
-def time_row_slice(dataset: Dataset, backend: str) -> float:
-    """Median seconds for one selective row_slice under ``backend``."""
-    rng = np.random.default_rng(0)
-    rows = rng.choice(1_000, size=SELECT // 4, replace=False)
+def median_seconds(func, repeats: int = 5) -> float:
     samples = []
-    with kernels.use_backend(backend):
-        matrix = dataset.sharded.decode(0)
-        matrix.row_slice(rows)  # warm-up (and correctness) pass
-        for _ in range(5):
-            start = time.perf_counter()
-            matrix.row_slice(rows)
-            samples.append(time.perf_counter() - start)
+    for _ in range(repeats):
+        start = time.perf_counter()
+        func()
+        samples.append(time.perf_counter() - start)
     return float(np.median(samples))
 
 
-def show_backends(dataset: Dataset) -> None:
-    print(f"registered backends: {', '.join(kernels.BACKENDS)}")
-    print(f"active backend:      {kernels.active_backend()} "
-          f"(default {kernels.DEFAULT_BACKEND}; override with {kernels.ENV_VAR})")
-    available = ["python", "numpy"] + (["numba"] if numba_backend.available() else [])
-    print("\nselective row_slice, same rows, each backend:")
-    reference = None
-    for backend in available:
-        seconds = time_row_slice(dataset, backend)
-        reference = reference or seconds
-        print(f"  {backend:<8} {seconds * 1e6:9.1f} µs  ({reference / seconds:5.1f}x vs python)")
-    if not numba_backend.available():
-        print(f"  numba    (not installed: {numba_backend.unavailable_reason()})")
-
-
-def show_counters() -> None:
-    print("\nkernels.calls counters — which backend served each op:")
-    snapshot = metrics.snapshot()["counters"]
-    for name in sorted(snapshot):
-        if name.startswith("kernels."):
-            print(f"  {name:<60} {snapshot[name]:,}")
-
-
-def show_fallback() -> None:
-    resolved = kernels.set_backend("numba")
-    print(f"\nset_backend('numba') resolved to: {resolved!r}", end="")
-    if resolved != "numba":
-        print("  (numba missing; the feature flag never breaks a deployment)")
-    else:
-        print()
-    kernels.set_backend(kernels.DEFAULT_BACKEND)
+def show_row_slice(dataset: Dataset) -> None:
+    toc = dataset.sharded.decode(0).toc
+    encoding, tree = toc.logical, toc.decode_tree
+    rows = np.random.default_rng(0).choice(encoding.n_rows, size=SELECT, replace=False)
+    args = (
+        encoding.codes, encoding.row_offsets,
+        tree.key_columns, tree.key_values, tree.parents,
+        rows.astype(np.intp), encoding.n_cols,
+    )
+    reference = python_backend.toc_row_slice(*args)
+    assert np.array_equal(numpy_backend.toc_row_slice(*args), reference)
+    python_secs = median_seconds(lambda: python_backend.toc_row_slice(*args))
+    numpy_secs = median_seconds(lambda: numpy_backend.toc_row_slice(*args))
+    print(f"toc_row_slice, {SELECT} of {encoding.n_rows} rows, same arguments:")
+    print(f"  python reference {python_secs * 1e6:9.1f} µs")
+    print(f"  numpy            {numpy_secs * 1e6:9.1f} µs  "
+          f"({python_secs / numpy_secs:5.1f}x, bit-identical output)")
 
 
 def show_zero_copy(dataset: Dataset) -> None:
     sharded = dataset.sharded
     payload = sharded.read_payload(0)
-    print(f"\nread_payload(0) with mmap on:  {type(payload).__name__} "
-          f"of {len(payload):,} bytes (zero-copy view of the shard file)")
-    os.environ[mmapio.ENV_VAR] = "0"
-    try:
-        copied = sharded.read_payload(0)
-        print(f"read_payload(0) with {mmapio.ENV_VAR}=0: {type(copied).__name__} "
-              f"of {len(copied):,} bytes (heap copy)")
-        assert bytes(payload) == copied
-    finally:
-        del os.environ[mmapio.ENV_VAR]
-    decoded = sharded.decode(0, payload=payload).to_dense()
-    print(f"decoding straight from the mapping works: shard 0 -> {decoded.shape}")
-    maps = metrics.counter("storage.mmap.maps").value
-    print(f"storage.mmap.maps counter: {maps} mappings this process")
+    print(f"\nread_payload(0): {type(payload).__name__} of {len(payload):,} bytes "
+          "(zero-copy view of the shard file)")
+    mapped = sharded.decode(0, payload=payload).to_dense()
+    copied = sharded.decode(0, payload=bytes(payload)).to_dense()
+    assert mapped.tobytes() == copied.tobytes()
+    print(f"decoding straight from the mapping: shard 0 -> {mapped.shape}, "
+          "bit-equal to decoding a copy")
+    counters = metrics.snapshot()["counters"]
+    for name in ("storage.mmap.maps", "storage.mmap.bytes_mapped"):
+        print(f"  {name:<28} {counters.get(name, 0):,}")
 
 
 def main() -> None:
     with tempfile.TemporaryDirectory(prefix="repro-kernel-tour-") as tmp:
         dataset = build_dataset(Path(tmp))
-        show_backends(dataset)
-        show_counters()
-        show_fallback()
+        show_row_slice(dataset)
         show_zero_copy(dataset)
-
-    print(f"\nPin a backend for a whole run with `{kernels.ENV_VAR}=python|numpy|numba`,")
-    print(f"and disable zero-copy reads with `{mmapio.ENV_VAR}=0` — everything else")
-    print("is unchanged: the backends are bit-for-bit equivalent.")
 
 
 if __name__ == "__main__":

@@ -4,9 +4,8 @@ The paper mentions Varint as a more advanced alternative to fixed-width bit
 packing ("future work", Section 3.2).  We provide it as an optional physical
 codec so the ablation benches can compare the two.
 
-The byte-level work is done by the active :mod:`repro.kernels` backend
-(vectorized NumPy by default, ``REPRO_KERNELS=python|numba`` to override);
-this module keeps the stable public codec API.
+The byte-level work is done by the vectorized NumPy kernels in
+:mod:`repro.kernels`; this module keeps the stable public codec API.
 """
 
 from __future__ import annotations

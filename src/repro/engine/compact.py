@@ -51,6 +51,7 @@ from repro.engine.shards import (
 from repro.exec import row_slice, supports_direct_ops
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
+from repro.storage.mmapio import map_file
 
 
 @dataclass(frozen=True)
@@ -144,10 +145,8 @@ def _reencode_one(task: tuple) -> tuple:
     parallel workers share the page-cache copy of immutable shard files
     instead of each shipping the payload across the pool boundary.
     """
-    from repro.storage.mmapio import read_buffer
-
     batch_id, path, scheme_before, winner = task
-    matrix = get_scheme(scheme_before).decompress_bytes(read_buffer(path))
+    matrix = get_scheme(scheme_before).decompress_bytes(map_file(path))
     payload = get_scheme(winner).compress(matrix.to_dense()).to_bytes()
     return batch_id, payload
 
@@ -327,7 +326,10 @@ def fsck_dataset(dataset: ShardedDataset, *, remove: bool = True) -> FsckReport:
         if not entry.is_file() or name in referenced or name in (MANIFEST_NAME, LABELS_NAME):
             continue
         examined += 1
-        is_temporary = name.startswith(temporary_prefixes)
+        # A shard payload written but never renamed into place is ``.<name>.bin.tmp``.
+        is_temporary = name.startswith(temporary_prefixes) or (
+            name.startswith(".") and name.endswith(".bin.tmp")
+        )
         is_stale_generation = shard_filename_stem(name) is not None
         if is_temporary or is_stale_generation:
             orphans.append(name)

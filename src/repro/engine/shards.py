@@ -40,6 +40,7 @@ import time
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -54,7 +55,7 @@ from repro.engine.encode import (
     resolve_workers,
 )
 from repro.storage.buffer_pool import BufferPool
-from repro.storage.mmapio import make_loader, read_buffer
+from repro.storage.mmapio import map_file
 from repro.storage.pages import stored_bytes
 from repro.storage.table import BlobTable
 
@@ -97,6 +98,20 @@ def shard_filename_stem(name: str) -> str | None:
     """
     match = _SHARD_FILENAME_RE.match(name)
     return match.group("stem") if match else None
+
+
+def _publish_file(path: Path, payload) -> None:
+    """Write ``payload`` to a dot-temp file beside ``path``, then ``os.replace`` it in.
+
+    A reader may hold a mapping of the file already at ``path`` (every shard
+    read is a :func:`~repro.storage.mmapio.map_file` view, and pools keep
+    them).  Rewriting that file in place would truncate the mapped inode
+    under the reader — wrong rows, or SIGBUS on a page past the new end of
+    file; the rename leaves the old mapping on the old inode.
+    """
+    tmp = path.with_name(f".{path.name}.tmp")
+    tmp.write_bytes(payload)
+    os.replace(tmp, path)
 
 
 @dataclass(frozen=True)
@@ -238,7 +253,7 @@ class ShardedDataset:
     @staticmethod
     def _write_shard(directory: Path, enc: EncodedBatch) -> ShardInfo:
         filename = f"shard-{enc.batch_id:05d}.bin"
-        (directory / filename).write_bytes(enc.payload)
+        _publish_file(directory / filename, enc.payload)
         return ShardInfo(
             batch_id=enc.batch_id,
             filename=filename,
@@ -400,7 +415,7 @@ class ShardedDataset:
             raise ValueError(f"unrecognised shard filename {info.filename!r}")
         generation = int(match.group("gen") or 0) + 1
         filename = f"{match.group('stem')}.g{generation}.bin"
-        (self.directory / filename).write_bytes(payload)
+        _publish_file(self.directory / filename, payload)
         updated = replace(
             info, filename=filename, nbytes=len(payload), scheme=scheme_name
         )
@@ -435,7 +450,7 @@ class ShardedDataset:
 
         ``payload`` (bytes or any buffer) lets callers that read through a
         buffer pool hand over the bytes they already have; otherwise the
-        shard file is read (zero-copy mmap by default).
+        shard file is mapped (:meth:`read_payload`).
         """
         if payload is None:
             payload = self.read_payload(batch_id)
@@ -450,10 +465,10 @@ class ShardedDataset:
         """Read one shard's payload straight from disk (no caching).
 
         Returns a zero-copy ``memoryview`` over a read-only mmap of the
-        shard file (set ``REPRO_MMAP=0`` for copying ``read_bytes`` reads).
-        Every scheme's ``decompress_bytes`` accepts either.
+        shard file; every scheme's ``decompress_bytes`` decodes straight
+        out of it.
         """
-        return read_buffer(self.directory / self.shards[batch_id].filename)
+        return map_file(self.directory / self.shards[batch_id].filename)
 
     def labels_for(self, batch_id: int) -> np.ndarray:
         return self._labels[batch_id]
@@ -462,7 +477,7 @@ class ShardedDataset:
         """Register every shard in ``pool`` as a lazy on-disk blob."""
         for shard in self.shards:
             path = self.directory / shard.filename
-            pool.put_on_disk(shard.batch_id, size=shard.nbytes, loader=make_loader(path))
+            pool.put_on_disk(shard.batch_id, size=shard.nbytes, loader=partial(map_file, path))
 
     def as_blob_table(self, pool: BufferPool) -> BlobTable:
         """Expose the shards as a Bismarck-style blob table over ``pool``.
@@ -477,7 +492,7 @@ class ShardedDataset:
                 shard.batch_id,
                 self._labels[shard.batch_id],
                 size=shard.nbytes,
-                loader=make_loader(path),
+                loader=partial(map_file, path),
                 scheme=self.scheme_for(shard.batch_id),
             )
         return table

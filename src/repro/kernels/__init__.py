@@ -1,180 +1,31 @@
-"""Kernel backend registry: pure-Python reference, NumPy, and optional numba.
+"""The hot code-walk kernels: varint encode/decode, TOC ``row_slice``, value-index gather.
 
-The hot code-walk kernels (varint encode/decode, TOC ``row_slice``, value-
-index gather) have three interchangeable implementations:
-
-* ``python`` — the original per-element loops (reference semantics, slow);
-* ``numpy``  — vectorized whole-array passes; always available, the default;
-* ``numba``  — jitted loops behind a feature flag; requires the optional
-  ``numba`` package and silently falls back to ``numpy`` when it is absent.
-
-Select a backend with the ``REPRO_KERNELS`` environment variable or
-:func:`set_backend`; :func:`use_backend` scopes a selection to a ``with``
-block (tests compare backends this way).  Every dispatched call increments
-the ``kernels.calls{op=...,backend=...}`` obs counter, so a metrics snapshot
-shows exactly which backend served each op; a requested-but-unavailable
-backend increments ``kernels.fallbacks{requested=...}`` once per resolution.
+Every caller runs the vectorized NumPy implementations in
+:mod:`repro.kernels.numpy_backend`.  :mod:`repro.kernels.python_backend`
+keeps the per-element reference loops with the same semantics; only the
+property tests and ``benchmarks/bench_kernels.py`` call them.
 """
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
-
-from repro.kernels.python_backend import MAX_VARINT_BYTES
-from repro.obs import metrics as _metrics
-
-#: Recognised backend names, in reference → fastest order.
-BACKENDS = ("python", "numpy", "numba")
-
-#: Used when ``REPRO_KERNELS`` is unset, and the fallback for ``numba``.
-DEFAULT_BACKEND = "numpy"
-
-ENV_VAR = "REPRO_KERNELS"
-
-_active_name: str | None = None
-_active_module = None
-_counter_cache: dict[tuple[str, str], object] = {}
-
-
-def _import_backend(name: str):
-    """Import the backend module for ``name``; ImportError if unavailable."""
-    if name == "python":
-        from repro.kernels import python_backend
-
-        return python_backend
-    if name == "numpy":
-        from repro.kernels import numpy_backend
-
-        return numpy_backend
-    if name == "numba":
-        from repro.kernels import numba_backend
-
-        if not numba_backend.available():
-            raise ImportError(
-                f"numba backend unavailable: {numba_backend.unavailable_reason()}"
-            )
-        return numba_backend
-    raise ValueError(f"unknown kernel backend {name!r}; expected one of {BACKENDS}")
-
-
-def set_backend(name: str, *, strict: bool = False) -> str:
-    """Activate a kernel backend; returns the name actually activated.
-
-    An unavailable backend (numba not installed) falls back to
-    ``DEFAULT_BACKEND`` unless ``strict=True`` — the feature flag must never
-    turn a working deployment into an ImportError.
-    """
-    global _active_name, _active_module
-    name = str(name).strip().lower()
-    if name not in BACKENDS:
-        raise ValueError(f"unknown kernel backend {name!r}; expected one of {BACKENDS}")
-    try:
-        module = _import_backend(name)
-        resolved = name
-    except ImportError:
-        if strict:
-            raise
-        _metrics.counter("kernels.fallbacks", requested=name).inc()
-        module = _import_backend(DEFAULT_BACKEND)
-        resolved = DEFAULT_BACKEND
-    _active_name = resolved
-    _active_module = module
-    return resolved
+from repro.kernels.numpy_backend import (
+    MAX_VARINT_BYTES,
+    toc_row_slice,
+    varint_decode,
+    varint_encode,
+    vi_gather,
+)
 
 
 def active_backend() -> str:
-    """The name of the backend currently serving kernel calls."""
-    _resolve()
-    return _active_name  # type: ignore[return-value]
-
-
-@contextmanager
-def use_backend(name: str, *, strict: bool = False):
-    """Temporarily switch backends inside a ``with`` block."""
-    _resolve()
-    previous = _active_name
-    set_backend(name, strict=strict)
-    try:
-        yield active_backend()
-    finally:
-        set_backend(previous)  # type: ignore[arg-type]
-
-
-def _resolve():
-    """Lazily activate the backend named by ``REPRO_KERNELS`` (once).
-
-    An unrecognised env value falls back to the default (with a
-    ``kernels.fallbacks`` count) instead of raising: deployment config must
-    degrade, not explode the first encode.  :func:`set_backend` stays strict
-    about unknown names — a typo in code is a bug.
-    """
-    global _active_name, _active_module
-    if _active_module is None:
-        requested = os.environ.get(ENV_VAR, DEFAULT_BACKEND) or DEFAULT_BACKEND
-        try:
-            set_backend(requested)
-        except ValueError:
-            _metrics.counter("kernels.fallbacks", requested=requested.strip().lower()).inc()
-            set_backend(DEFAULT_BACKEND)
-    return _active_module
-
-
-def _count(op: str) -> None:
-    key = (op, _active_name or DEFAULT_BACKEND)
-    counter = _counter_cache.get(key)
-    if counter is None:
-        counter = _metrics.counter("kernels.calls", op=op, backend=key[1])
-        _counter_cache[key] = counter
-    counter.inc()
-
-
-# -- dispatched kernel surface ---------------------------------------------------
-
-
-def varint_encode(values) -> bytes:
-    """LEB128-encode non-negative int64 values via the active backend."""
-    module = _resolve()
-    _count("varint_encode")
-    return module.varint_encode(values)
-
-
-def varint_decode(raw, count: int | None = None, validate_tail: bool = True):
-    """Decode ``(values, bytes_consumed)`` via the active backend.
-
-    See :func:`repro.kernels.python_backend.varint_decode` for the
-    ``count``/``validate_tail`` semantics every backend implements.
-    """
-    module = _resolve()
-    _count("varint_decode")
-    return module.varint_decode(raw, count, validate_tail)
-
-
-def toc_row_slice(codes, row_offsets, key_columns, key_values, parents, index, n_cols):
-    """Decode only the selected rows of a TOC encoding to a dense block."""
-    module = _resolve()
-    _count("toc_row_slice")
-    return module.toc_row_slice(
-        codes, row_offsets, key_columns, key_values, parents, index, n_cols
-    )
-
-
-def vi_gather(dictionary, codes):
-    """Batched value-index decode (``dictionary[codes]``) via the backend."""
-    module = _resolve()
-    _count("vi_gather")
-    return module.vi_gather(dictionary, codes)
+    """The kernel implementation every call runs, for run provenance."""
+    return "numpy"
 
 
 __all__ = [
-    "BACKENDS",
-    "DEFAULT_BACKEND",
-    "ENV_VAR",
     "MAX_VARINT_BYTES",
     "active_backend",
-    "set_backend",
     "toc_row_slice",
-    "use_backend",
     "varint_decode",
     "varint_encode",
     "vi_gather",

@@ -1,4 +1,4 @@
-"""Vectorized NumPy kernels — the always-available accelerated backend.
+"""Vectorized NumPy kernels — the one implementation every caller runs.
 
 Each kernel replaces a per-element Python loop with whole-array NumPy
 passes:
@@ -58,7 +58,7 @@ def varint_encode(values: np.ndarray) -> bytes:
 def varint_decode(
     raw, count: int | None = None, validate_tail: bool = True
 ) -> tuple[np.ndarray, int]:
-    """Vectorized continuation-bit scan; see the python backend for semantics."""
+    """Vectorized continuation-bit scan; see the Python reference for semantics."""
     buf = np.frombuffer(raw, dtype=np.uint8)
     terminators = np.flatnonzero((buf & 0x80) == 0)
     n_complete = int(terminators.size)

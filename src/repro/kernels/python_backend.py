@@ -1,20 +1,20 @@
 """Pure-Python reference kernels.
 
-These are the original per-element loops the accelerated backends replace.
-They stay byte-for-byte compatible with the vectorized implementations and
-serve two purposes: the equivalence baseline for the property tests in
+These are the original per-element loops the NumPy kernels replaced.  They
+stay byte-for-byte compatible with the vectorized implementations and serve
+two purposes: the equivalence baseline for the property tests in
 ``tests/kernels/`` and the "before" timings of ``benchmarks/bench_kernels.py``
-(whose CI gate asserts the accelerated kernels actually beat them).
+(whose CI gate asserts the NumPy kernels actually beat them).
 
-Every function here matches the signature of its ``numpy_backend`` twin; the
-registry in :mod:`repro.kernels` dispatches between them.
+Every function here matches the signature of its ``numpy_backend`` twin.
+Nothing at run time calls them: :mod:`repro.kernels` exports the NumPy ones.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-#: Longest varint either backend accepts: 9 payload bytes cover the 63 bits
+#: Longest varint either implementation accepts: 9 payload bytes cover the 63 bits
 #: of a non-negative ``int64`` — anything longer cannot round-trip.
 MAX_VARINT_BYTES = 9
 

@@ -40,8 +40,9 @@ from dataclasses import dataclass, field
 from repro.obs import metrics as obs_metrics
 
 
-#: What loaders and reads hand back: plain bytes, or a zero-copy
-#: ``memoryview`` over an mmap'd shard file (see :mod:`repro.storage.mmapio`).
+#: What loaders and reads hand back: plain bytes for a simulated-disk entry,
+#: or — from every shard loader — a zero-copy ``memoryview`` over the mmap'd
+#: shard file (:func:`repro.storage.mmapio.map_file`).
 Payload = bytes | memoryview
 
 
@@ -164,8 +165,8 @@ class BufferPool:
         """Read a batch, going through the cache and charging IO on a miss.
 
         Lazy (``DiskBlob``) entries return whatever their loader produced —
-        a zero-copy memoryview for mmap loaders; caching one pins the
-        mapping, so the pool budget still bounds resident bytes.
+        for shard files, a zero-copy memoryview of their mapping; caching
+        one pins the mapping, so the pool budget still bounds resident bytes.
         """
         with self._lock:
             if key not in self._store:

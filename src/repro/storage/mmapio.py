@@ -6,17 +6,15 @@ object on every miss.  For decode paths that only *view* the payload (every
 the file and handing out a ``memoryview`` lets NumPy's ``frombuffer`` read
 the packed arrays straight from the page cache.
 
-:func:`map_file` returns a ``memoryview`` over a read-only ``mmap``; the
-view's buffer export keeps the mapping (and the pages) alive, so the file
-descriptor is closed immediately and callers treat the view like bytes.
-Empty files cannot be mapped — they come back as ``memoryview(b"")``.
-
-:func:`make_loader` is what :class:`~repro.engine.shards.ShardedDataset`
-registers with the buffer pool: it checks the ``REPRO_MMAP`` switch (default
-on; set ``REPRO_MMAP=0`` to force copying reads) at *call* time so a running
-process can be flipped for A/B measurements.  ``storage.mmap.maps`` /
-``storage.mmap.bytes_mapped`` obs counters record how many reads took the
-zero-copy path.
+:func:`map_file` is the only way a shard file is read: it returns a
+``memoryview`` over a read-only ``mmap``; the view's buffer export keeps the
+mapping (and the pages) alive, so the file descriptor is closed immediately
+and callers treat the view like bytes.  Empty files cannot be mapped — they
+come back as ``memoryview(b"")``.  A mapping stays valid because shard files
+are never rewritten in place: writers publish each payload under its name
+with ``os.replace``, which leaves a live mapping on the old inode.
+``storage.mmap.maps`` / ``storage.mmap.bytes_mapped`` obs counters record
+the mapping volume.
 """
 
 from __future__ import annotations
@@ -26,15 +24,6 @@ import os
 from pathlib import Path
 
 from repro.obs import metrics as obs_metrics
-
-ENV_VAR = "REPRO_MMAP"
-
-_FALSEY = {"0", "false", "no", "off"}
-
-
-def mmap_enabled() -> bool:
-    """Whether shard loaders should mmap (default) or copy (``REPRO_MMAP=0``)."""
-    return os.environ.get(ENV_VAR, "1").strip().lower() not in _FALSEY
 
 
 def map_file(path: Path | str) -> memoryview:
@@ -56,25 +45,4 @@ def map_file(path: Path | str) -> memoryview:
     return memoryview(mapping)
 
 
-def read_buffer(path: Path | str):
-    """One shard read honouring ``REPRO_MMAP``: a memoryview, or copied bytes."""
-    if mmap_enabled():
-        return map_file(path)
-    return Path(path).read_bytes()
-
-
-def make_loader(path: Path | str):
-    """A zero-argument loader for :class:`~repro.storage.buffer_pool.DiskBlob`.
-
-    The returned callable re-checks ``REPRO_MMAP`` on every invocation, so
-    cache misses pick up the current setting.
-    """
-    path = Path(path)
-
-    def load():
-        return read_buffer(path)
-
-    return load
-
-
-__all__ = ["ENV_VAR", "make_loader", "map_file", "mmap_enabled", "read_buffer"]
+__all__ = ["map_file"]

@@ -4,12 +4,17 @@ from __future__ import annotations
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.compression.registry import get_scheme
 from repro.data.registry import DATASET_PROFILES
+from repro.engine.compact import fsck_dataset
 from repro.engine.encode import (
     AUTO_SCHEME,
     encode_batches,
@@ -285,6 +290,57 @@ class TestShardedDataset:
         dataset.stage_shard(0, get_scheme("DEN").compress(dense).to_bytes(), "DEN")
         info = dataset.stage_shard(0, get_scheme("CSR").compress(dense).to_bytes(), "CSR")
         assert info.filename == "shard-00000.g2.bin"
+
+
+#: Two handles on one directory: A appends shard 2, a store serves it, then
+#: stale handle B appends its own shard 2 under the same filename.  The store
+#: keeps answering from the mapping its pool holds, which must still be A's.
+_TWO_WRITERS = """
+import sys
+import numpy as np
+from repro.data.registry import DATASET_PROFILES
+from repro.engine.shards import ShardedDataset
+from repro.serve.feature_store import FeatureStore
+
+root = sys.argv[1]
+x, y = DATASET_PROFILES["census"].classification(902, seed=3)
+ShardedDataset.create(root, [(x[:300], y[:300]), (x[300:600], y[300:600])], "TOC",
+                      executor="serial")
+a, b = ShardedDataset.open(root), ShardedDataset.open(root)
+a.append([(x[600:900], y[600:900])], executor="serial")
+store = FeatureStore.open(root, parsed_cache_shards=1)
+assert np.array_equal(store.get_row(600), x[600])
+b.append([(x[900:], y[900:])], executor="serial")
+store.get_row(0)  # evicts parsed shard 2; its pooled mapping stays
+hits = store.pool.stats.hits
+assert np.array_equal(store.get_rows(range(600, 900)), x[600:900]), "wrong rows"
+assert store.pool.stats.hits == hits + 1  # re-parsed from the pooled mapping
+assert len(bytes(store.pool.read(2))) > 300  # touches every mapped page
+print("ok")
+"""
+
+
+def test_stale_writer_never_rewrites_a_mapped_shard_in_place(tmp_path):
+    src = Path(repro.__file__).resolve().parents[1]
+    result = subprocess.run(
+        [sys.executable, "-c", _TWO_WRITERS, str(tmp_path / "shards")],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    # In place, the rewrite served wrong rows or died of SIGBUS (exit -7).
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "ok"
+
+
+def test_fsck_sweeps_an_unpublished_shard_payload(tmp_path, small_batches):
+    dataset = ShardedDataset.create(tmp_path, small_batches, "TOC", executor="serial")
+    leftover = tmp_path / ".shard-00004.bin.tmp"
+    leftover.write_bytes(b"interrupted append")
+    report = fsck_dataset(dataset)
+    assert report.removed == (".shard-00004.bin.tmp",)
+    assert not leftover.exists()
 
 
 class TestManifestGeneration:

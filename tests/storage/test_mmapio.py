@@ -1,12 +1,14 @@
-"""Zero-copy mmap reads: map_file, the REPRO_MMAP toggle, and shard wiring."""
+"""Zero-copy mmap reads: map_file and the shard wiring that always uses it."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.engine.shards import ShardedDataset
+from repro.compression.registry import available_schemes
+from repro.engine.shards import ShardedDataset, _publish_file
 from repro.storage import mmapio
+from repro.storage.buffer_pool import BufferPool
 
 
 class TestMapFile:
@@ -45,45 +47,22 @@ class TestMapFile:
         )
 
 
-class TestMmapEnabled:
-    @pytest.mark.parametrize("value", ["0", "false", "no", "off", "FALSE", "Off"])
-    def test_falsey_values_disable(self, monkeypatch, value):
-        monkeypatch.setenv(mmapio.ENV_VAR, value)
-        assert not mmapio.mmap_enabled()
+class TestPublishUnderALiveMapping:
+    def test_existing_view_keeps_the_old_contents(self, tmp_path):
+        path = tmp_path / "shard-00000.bin"
+        old = bytes(range(256)) * 256  # 64 KB: many pages past the new end of file
+        path.write_bytes(old)
+        view = mmapio.map_file(path)
+        _publish_file(path, b"short")
+        assert bytes(view) == old  # reads every old page: no SIGBUS
+        assert path.read_bytes() == b"short"
 
-    @pytest.mark.parametrize("value", ["1", "true", "yes", "on", "anything"])
-    def test_truthy_values_enable(self, monkeypatch, value):
-        monkeypatch.setenv(mmapio.ENV_VAR, value)
-        assert mmapio.mmap_enabled()
-
-    def test_default_is_enabled(self, monkeypatch):
-        monkeypatch.delenv(mmapio.ENV_VAR, raising=False)
-        assert mmapio.mmap_enabled()
-
-
-class TestReadBuffer:
-    def test_mmap_on_returns_memoryview(self, tmp_path, monkeypatch):
-        monkeypatch.delenv(mmapio.ENV_VAR, raising=False)
-        path = tmp_path / "a.bin"
-        path.write_bytes(b"abc")
-        assert isinstance(mmapio.read_buffer(path), memoryview)
-
-    def test_mmap_off_returns_bytes(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(mmapio.ENV_VAR, "0")
-        path = tmp_path / "a.bin"
-        path.write_bytes(b"abc")
-        got = mmapio.read_buffer(path)
-        assert isinstance(got, bytes)
-        assert got == b"abc"
-
-    def test_loader_rechecks_env_per_call(self, tmp_path, monkeypatch):
-        path = tmp_path / "a.bin"
-        path.write_bytes(b"abc")
-        loader = mmapio.make_loader(path)
-        monkeypatch.setenv(mmapio.ENV_VAR, "0")
-        assert isinstance(loader(), bytes)
-        monkeypatch.setenv(mmapio.ENV_VAR, "1")
-        assert isinstance(loader(), memoryview)
+    def test_publish_leaves_no_temporary_file(self, tmp_path):
+        path = tmp_path / "shard-00001.bin"
+        _publish_file(path, b"first")
+        _publish_file(path, b"second")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["shard-00001.bin"]
+        assert bytes(mmapio.map_file(path)) == b"second"
 
 
 class TestShardIntegration:
@@ -95,20 +74,24 @@ class TestShardIntegration:
             batches.append((dense, rng.integers(0, 2, size=20).astype(np.float64)))
         return ShardedDataset.create(tmp_path / "ds", batches, "TOC", executor="serial")
 
-    def test_read_payload_is_zero_copy_by_default(self, dataset, monkeypatch):
-        monkeypatch.delenv(mmapio.ENV_VAR, raising=False)
-        payload = dataset.read_payload(0)
-        assert isinstance(payload, memoryview)
+    def test_read_payload_is_a_mapping(self, dataset):
+        assert isinstance(dataset.read_payload(0), memoryview)
 
-    def test_read_payload_honours_toggle(self, dataset, monkeypatch):
-        monkeypatch.setenv(mmapio.ENV_VAR, "0")
-        assert isinstance(dataset.read_payload(0), bytes)
-
-    def test_decode_from_mapped_payload(self, dataset, monkeypatch):
-        monkeypatch.delenv(mmapio.ENV_VAR, raising=False)
+    def test_pool_loaders_map_the_shard_files(self, dataset):
+        pool = BufferPool(budget_bytes=10 * dataset.total_payload_bytes())
+        dataset.attach(pool)
         for shard in dataset.shards:
-            mapped = dataset.decode(shard.batch_id).to_dense()
-            monkeypatch.setenv(mmapio.ENV_VAR, "0")
-            copied = dataset.decode(shard.batch_id).to_dense()
-            monkeypatch.delenv(mmapio.ENV_VAR, raising=False)
-            np.testing.assert_array_equal(mapped, copied)
+            assert isinstance(pool.read(shard.batch_id), memoryview)
+
+    @pytest.mark.parametrize("scheme_name", available_schemes())
+    def test_mapped_and_copied_payloads_decode_bit_equal(self, tmp_path, rng, scheme_name):
+        dense = np.round(rng.random((30, 7)) * (rng.random((30, 7)) < 0.4), 1)
+        labels = np.zeros(30)
+        dataset = ShardedDataset.create(
+            tmp_path / scheme_name, [(dense, labels)], scheme_name, executor="serial"
+        )
+        mapped = dataset.read_payload(0)
+        from_map = dataset.decode(0, mapped).to_dense()
+        from_copy = dataset.decode(0, bytes(mapped)).to_dense()
+        assert from_map.tobytes() == from_copy.tobytes()
+        np.testing.assert_allclose(from_map, dense, rtol=1e-9)
