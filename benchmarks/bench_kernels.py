@@ -16,7 +16,11 @@ replaced and gates on the acceptance thresholds:
   parsed shard, so the first-vs-warm gap cannot silently reopen;
 * compressing a batch with TOC (sparse encode, Algorithm 1, physical
   encode, serialise) must cost **no more than Gzip** on the same batch —
-  the relation the paper's Figure 12 reports.
+  the relation the paper's Figure 12 reports;
+* on one parsed shard with its tree warm, each left multiplication must
+  cost about what its right twin costs — ``v @ A`` **<= 1.5x** ``A @ v``
+  and ``M @ A`` **<= 2.5x** ``A @ M`` — since Algorithms 5 and 8 are one
+  scan of ``D`` and one of ``C'``, like Algorithms 4 and 7.
 
 Results land in ``BENCH_kernels.json`` for the CI perf-registry gate; raw
 timings use direction-neutral ``*_secs`` names (reported, never cross-run
@@ -64,6 +68,15 @@ COLD_READ_CEILING = 6.0
 #: cheaper of the two).  Measured 1.25-1.36 (11-12 ms vs ~9 ms) while Algorithm
 #: 1 made one tree call per pair, 0.3-0.4 since it runs over integer symbols.
 ENCODE_CEILING = 1.0
+
+#: ``v @ A`` over ``A @ v``, and ``M @ A`` over ``A @ M``, on one such batch
+#: with the tree warm.  Measured 1.6 and 2.8-4.1 (by box) while the left
+#: products scattered with ``np.add.at`` and a sort per tree level; 1.2-1.4
+#: and 1.5-1.9 on the level-major layout.
+VECTOR_LEFT_RIGHT_CEILING = 1.5
+MATRIX_LEFT_RIGHT_CEILING = 2.5
+#: Width of ``M``, as in ``bench/layers.py``'s ``exec.matmat_us`` rung.
+MATRIX_WIDTH = 16
 
 #: Iterations per timing sample for sub-millisecond ops: a lone ~150 µs
 #: gather is dominated by scheduler jitter, which made the measured speedup
@@ -243,6 +256,60 @@ def test_toc_cold_read_stays_near_warm(bench_json):
     assert ratio <= COLD_READ_CEILING, (
         f"a cold one-row TOC read costs {ratio:.1f}x a warm one "
         f"(ceiling {COLD_READ_CEILING}x)"
+    )
+
+
+def test_toc_left_products_cost_what_right_products_cost(bench_json):
+    scheme = get_scheme("TOC")
+    dense = DATASET_PROFILES["census"].matrix(COLD_READ_ROWS, seed=11)
+    shard = scheme.decompress_bytes(memoryview(scheme.compress(dense).to_bytes()))
+    rng = np.random.default_rng(12)
+    rows, cols = dense.shape
+    v, u = rng.normal(size=cols), rng.normal(size=rows)
+    m, left = rng.normal(size=(cols, MATRIX_WIDTH)), rng.normal(size=(MATRIX_WIDTH, rows))
+    # Equivalence before timing; the first calls also build what the tree caches.
+    np.testing.assert_allclose(shard.matvec(v), dense @ v)
+    np.testing.assert_allclose(shard.rmatvec(u), u @ dense)
+    np.testing.assert_allclose(shard.matmat(m), dense @ m)
+    np.testing.assert_allclose(shard.rmatmat(left), left @ dense)
+
+    def sample(func):
+        return _batched_secs(func, repeats=1)
+
+    rmatvec_secs, matvec_secs, vector_ratio = _alternating_secs(
+        lambda: shard.rmatvec(u), lambda: shard.matvec(v), sample
+    )
+    rmatmat_secs, matmat_secs, matrix_ratio = _alternating_secs(
+        lambda: shard.rmatmat(left), lambda: shard.matmat(m), sample
+    )
+    record = {
+        "bench": "kernels",
+        "op": "toc_left_right",
+        "n_rows": rows,
+        "n_cols": cols,
+        "matrix_width": MATRIX_WIDTH,
+        "matvec_secs": matvec_secs,
+        "rmatvec_secs": rmatvec_secs,
+        "matmat_secs": matmat_secs,
+        "rmatmat_secs": rmatmat_secs,
+        # Direction-neutral, like ``cold_relative_cost``: the ceilings gate them.
+        "vector_left_relative_cost": vector_ratio,
+        "matrix_left_relative_cost": matrix_ratio,
+    }
+    _RECORDS.append(record)
+    bench_json("kernels", **_smoke_fields(record))
+    print(
+        f"A@v {matvec_secs * 1e6:6.1f} us, v@A {rmatvec_secs * 1e6:6.1f} us (ratio "
+        f"{vector_ratio:.2f}); A@M {matmat_secs * 1e6:6.1f} us, M@A "
+        f"{rmatmat_secs * 1e6:6.1f} us (ratio {matrix_ratio:.2f})"
+    )
+    assert vector_ratio <= VECTOR_LEFT_RIGHT_CEILING, (
+        f"v @ A costs {vector_ratio:.2f}x A @ v on a warm TOC shard "
+        f"(ceiling {VECTOR_LEFT_RIGHT_CEILING}x)"
+    )
+    assert matrix_ratio <= MATRIX_LEFT_RIGHT_CEILING, (
+        f"M @ A costs {matrix_ratio:.2f}x A @ M on a warm TOC shard "
+        f"(ceiling {MATRIX_LEFT_RIGHT_CEILING}x)"
     )
 
 

@@ -1,4 +1,4 @@
-"""Out-of-core MGD through the facade: shard, spill, prefetch, train.
+"""Out-of-core MGD through the facade: shard, spill, stream, train.
 
 Run with::
 
@@ -6,11 +6,13 @@ Run with::
 
 ``Dataset.create`` shards the dataset into compressed blob files with the
 multi-worker encode pipeline; ``Estimator.fit(dataset)`` streams them
-through a byte-budgeted buffer pool with read-ahead prefetch.  The buffer
-budget is fixed at twice the TOC footprint for every scheme, so the effect
-behind the paper's end-to-end results (Tables 6-7, Figure 9) shows up
-directly: TOC stays resident after the first epoch while the bulky formats
-re-read every batch from disk on every epoch.
+through a byte-budgeted buffer pool, in order, on the training thread.
+The buffer budget is fixed at twice the TOC footprint for every scheme, so
+the effect behind the paper's end-to-end results (Tables 6-7, Figure 9)
+shows up directly: TOC stays resident after the first epoch while the bulky
+formats re-read every batch from disk on every epoch.  The "final loss"
+column is the last epoch's mean batch loss, each batch's taken at the
+weights its step started from.
 """
 
 from __future__ import annotations

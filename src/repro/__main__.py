@@ -848,7 +848,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="pool budget as a fraction of the shard payload (default 0.5: does not fit)",
     )
     train_ooc.add_argument(
-        "--prefetch-depth", type=int, default=2, help="read-ahead depth (0 disables)"
+        "--prefetch-depth",
+        type=int,
+        default=2,
+        help="accepted and ignored (shards are read in order)",
     )
     train_ooc.add_argument(
         "--shard-dir",

@@ -111,7 +111,8 @@ class Estimator:
     hidden_sizes / n_classes:
         Feed-forward network shape (ignored by the linear models).
     budget_bytes / budget_ratio / prefetch_depth / workers / executor:
-        Out-of-core knobs, passed to the engine when that path runs.
+        Out-of-core knobs, passed to the engine when that path runs
+        (``prefetch_depth`` is recorded in checkpoints and has no effect).
     """
 
     def __init__(
@@ -262,7 +263,7 @@ class Estimator:
         live in the shards — pass no ``labels``), or a feature matrix
         (ndarray or SciPy sparse) with ``labels``.  Arrays train in memory
         unless ``shard_dir`` is given, which routes them through the
-        out-of-core engine (shard, spill, prefetch, stream).
+        out-of-core engine (shard, spill, stream).
         """
         return self._run(
             data, labels, shard_dir=shard_dir, eval_fn=eval_fn,

@@ -10,10 +10,15 @@ The rebuild is paid by every read of a TOC shard that is not already cached
 (each serving miss, each shard of each training epoch, each scan), so
 :func:`build_decode_tree` is a fixed number of whole-array NumPy passes plus
 one pointer-doubling loop that resolves the first-pair array ``F`` and the
-node depths together.  What only some readers need is built on first use:
-the level index (``level_order`` / ``level_offsets``) serves the
-multiplication kernels' level-by-level recurrences, while point lookups
-(``row_slice``, ``to_sparse``) walk ``parents`` directly and never pay for it.
+node depths together.  Point lookups (``row_slice``, ``to_sparse``) walk
+``parents`` in creation order and need nothing more.
+
+The multiplication kernels need the tree one depth at a time, so the first
+of them to run builds :class:`LevelLayout` and the tree caches it: the nodes
+renumbered level-major (every depth one contiguous range of positions, every
+parent in the range before its child's) with the keys, the parents and the
+codes of ``D`` remapped into that numbering.  A level is then a slice, and
+each kernel step is a slice-wide gather or ``bincount`` with no sort.
 
 The tree is stored in struct-of-arrays form (parallel NumPy arrays indexed
 by node id) so the compressed matrix kernels in :mod:`repro.core.ops` can
@@ -29,6 +34,7 @@ from functools import cached_property
 from time import perf_counter
 
 import numpy as np
+import scipy.sparse as sp
 
 from repro.core.logical import LogicalEncoding
 from repro.core.validate import EncodingError
@@ -51,12 +57,8 @@ class DecodeTree:
       sequence the node represents (the ``F`` array of Algorithm 2),
     * ``depths[i]`` — length of that sequence.
 
-    ``level_order`` / ``level_offsets`` group the non-root nodes by depth
-    (``level_order[level_offsets[d-1]:level_offsets[d]]`` are the nodes at
-    depth ``d``).  The compressed kernels use them to evaluate the
-    parent-recurrences one level at a time with vectorised NumPy operations
-    instead of a per-node Python loop.  They are derived from ``depths`` the
-    first time anything asks for them and cached on the instance.
+    ``encoding`` is the logical encoding the tree was rebuilt from (shared,
+    not copied): :attr:`layout` remaps its codes.
     """
 
     key_columns: np.ndarray
@@ -65,20 +67,12 @@ class DecodeTree:
     first_columns: np.ndarray
     first_values: np.ndarray
     depths: np.ndarray
+    encoding: LogicalEncoding
 
     @cached_property
-    def _level_index(self) -> tuple[np.ndarray, np.ndarray]:
-        return _group_by_depth(self.depths)
-
-    @property
-    def level_order(self) -> np.ndarray:
-        """Non-root node ids sorted by depth (ties in node-id order)."""
-        return self._level_index[0]
-
-    @property
-    def level_offsets(self) -> np.ndarray:
-        """``level_offsets[d]`` is where depth ``d + 1`` starts in ``level_order``."""
-        return self._level_index[1]
+    def layout(self) -> LevelLayout:
+        """The level-major renumbering the multiplication kernels run on, built once."""
+        return _level_major_layout(self)
 
     def __len__(self) -> int:
         return int(self.key_columns.size)
@@ -86,14 +80,7 @@ class DecodeTree:
     @property
     def max_depth(self) -> int:
         """Length of the longest sequence stored in the tree."""
-        return int(self.level_offsets.size - 1)
-
-    def iter_levels(self, reverse: bool = False):
-        """Yield the node-index array of each depth level (1..max_depth)."""
-        order, offsets = self._level_index
-        depths = range(self.max_depth, 0, -1) if reverse else range(1, self.max_depth + 1)
-        for depth in depths:
-            yield order[offsets[depth - 1] : offsets[depth]]
+        return int(self.depths.max())
 
     @property
     def n_nodes(self) -> int:
@@ -147,7 +134,7 @@ def build_decode_tree(encoding: LogicalEncoding) -> DecodeTree:
     code stream raises :class:`~repro.core.validate.EncodingError` instead of
     spinning on a cycle — hence ``ceil(log2(max_depth))`` passes suffice.
 
-    The level index is not built here; see :class:`DecodeTree`.
+    The level layout is not built here; see :attr:`DecodeTree.layout`.
     """
     started = perf_counter()
     n_first = encoding.n_first_layer
@@ -214,22 +201,137 @@ def build_decode_tree(encoding: LogicalEncoding) -> DecodeTree:
         first_columns=first_columns,
         first_values=first_values,
         depths=hops,
+        encoding=encoding,
     )
 
 
-def _group_by_depth(depths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Return non-root node indexes sorted by depth plus per-depth offsets."""
-    node_depths = depths[1:]
-    counts = np.bincount(node_depths)[1:]
-    max_depth = counts.size
+@dataclass(frozen=True)
+class LevelLayout:
+    """``C'`` renumbered level-major, with ``D`` remapped into the same numbering.
+
+    Position 0 is the root.  Depth ``d`` occupies the positions
+    ``lo:hi = levels[d - 1]``, so a level is one slice and every parent lies
+    in the slice of the level above (the root, for depth 1).  Within a level
+    the nodes keep their creation order.  ``parents``, ``key_columns`` and
+    ``key_values`` are indexed by position; ``codes`` are ``D``'s codes as
+    positions.  ``row_lengths`` counts each row's codes, ``row_starts`` are
+    the first code of every non-empty row (``nonempty_rows`` marks them): the
+    segments a per-row ``reduceat`` sums.  What only some kernels need —
+    :attr:`emitting` and the sparse operators of the matrix-matrix kernels —
+    is built on first use.
+    """
+
+    parents: np.ndarray
+    key_columns: np.ndarray
+    key_values: np.ndarray
+    codes: np.ndarray
+    row_offsets: np.ndarray
+    row_lengths: np.ndarray
+    row_starts: np.ndarray
+    nonempty_rows: np.ndarray
+    levels: tuple[tuple[int, int], ...]
+    n_cols: int
+
+    @property
+    def n_nodes(self) -> int:
+        return int(self.parents.size)
+
+    @property
+    def n_rows(self) -> int:
+        return int(self.row_lengths.size)
+
+    @cached_property
+    def emitting(self) -> slice | np.ndarray:
+        """The positions whose keys a left multiplication multiplies by their weight.
+
+        Every non-root node, unless a key is NaN or ±inf: then only the
+        nodes some row reaches (a code at or below them).  A node no row
+        reaches carries an exact 0 weight that the dense product never
+        multiplies, and ``0 * inf`` would be a NaN.
+        """
+        if np.isfinite(self.key_values).all():
+            return slice(1, None)
+        reached = np.bincount(self.codes, minlength=self.n_nodes) > 0
+        for lo, hi in reversed(self.levels[1:]):
+            parents = self.parents[lo:hi]
+            reached[parents[reached[lo:hi]]] = True
+        reached[0] = False
+        return np.flatnonzero(reached)
+
+    @cached_property
+    def code_matrix(self) -> sp.csr_array:
+        """``D`` as a sparse ``(rows, positions)`` matrix: how often a row references a node."""
+        return sp.csr_array(
+            (np.ones(self.codes.size), self.codes, self.row_offsets),
+            shape=(self.n_rows, self.n_nodes),
+        )
+
+    @cached_property
+    def key_matrix(self) -> sp.csc_array:
+        """The :attr:`emitting` keys as a sparse ``(columns, nodes)`` matrix, one entry per node."""
+        columns = self.key_columns[self.emitting]
+        return sp.csc_array(
+            (self.key_values[self.emitting], columns, np.arange(columns.size + 1)),
+            shape=(self.n_cols, columns.size),
+        )
+
+    @cached_property
+    def level_parents(self) -> np.ndarray:
+        """Every position's parent counted from the start of the level above.
+
+        A level's entries index into the level above as a slice, so a sum
+        over them is as wide as that level, not as the whole tree.
+        """
+        levels = ((0, 1), *self.levels)  # the root is its own level, and its own parent
+        starts = [0] + [lo for lo, _ in levels[:-1]]
+        widths = [hi - lo for lo, hi in levels]
+        return self.parents - np.repeat(starts, widths)
+
+    @cached_property
+    def parent_matrices(self) -> tuple[sp.csc_array, ...]:
+        """Per level below the first, the ``(level above, level)`` matrix of its parent links.
+
+        Multiplying a level's rows by it sums every sibling group into its
+        parent's row, which is one step of the backwards scan of ``C'``.
+        """
+        matrices = []
+        for (plo, phi), (lo, hi) in zip(self.levels, self.levels[1:]):
+            width = hi - lo
+            matrices.append(
+                sp.csc_array(
+                    (np.ones(width), self.level_parents[lo:hi], np.arange(width + 1)),
+                    shape=(phi - plo, width),
+                )
+            )
+        return tuple(matrices)
+
+
+def _level_major_layout(tree: DecodeTree) -> LevelLayout:
+    depths = tree.depths
+    ends = np.cumsum(np.bincount(depths))  # depth d ends at ends[d]; the root is depth 0
     # NumPy's stable sort is a radix sort on 8- and 16-bit keys, i.e. one
     # counting pass per key byte; depths beyond 16 bits keep the wide key.
-    if max_depth <= np.iinfo(np.uint8).max:
-        node_depths = node_depths.astype(np.uint8)
-    elif max_depth <= np.iinfo(np.uint16).max:
-        node_depths = node_depths.astype(np.uint16)
-    order = np.argsort(node_depths, kind="stable")
-    order += 1
-    offsets = np.zeros(max_depth + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
-    return order, offsets
+    if ends.size <= np.iinfo(np.uint8).max + 1:
+        depths = depths.astype(np.uint8)
+    elif ends.size <= np.iinfo(np.uint16).max + 1:
+        depths = depths.astype(np.uint16)
+    positions = np.argsort(depths, kind="stable")  # position -> node id, the root first
+    rank = np.empty_like(positions)  # node id -> position
+    rank[positions] = np.arange(positions.size)
+    encoding = tree.encoding
+    row_offsets = encoding.row_offsets
+    row_lengths = row_offsets[1:] - row_offsets[:-1]
+    nonempty_rows = row_lengths > 0
+    bounds = ends.tolist()
+    return LevelLayout(
+        parents=rank.take(tree.parents.take(positions)),
+        key_columns=tree.key_columns.take(positions),
+        key_values=tree.key_values.take(positions),
+        codes=rank.take(encoding.codes),
+        row_offsets=row_offsets,
+        row_lengths=row_lengths,
+        row_starts=row_offsets[:-1][nonempty_rows],
+        nonempty_rows=nonempty_rows,
+        levels=tuple(zip(bounds[:-1], bounds[1:])),
+        n_cols=encoding.n_cols,
+    )

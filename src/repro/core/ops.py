@@ -14,10 +14,16 @@ operations the paper distinguishes are covered:
 * sparse-unsafe element-wise ops (``A .+ c``) — require full decoding
   (Algorithm 6).
 
-The per-node recurrences (``H[i] = key_i · v + H[parent_i]`` and the reverse
-push-to-parent accumulation) are sequential in the tree order, so they are
-evaluated with Python loops over pre-gathered NumPy arrays; the per-code
-scans of ``D`` are fully vectorised with ``bincount`` / ``add.reduceat``.
+The four multiplications run on the tree's level-major layout
+(:class:`repro.core.decode_tree.LevelLayout`, built once per tree): a depth
+is one slice of positions, so the per-node recurrences are one vectorised
+step per level — ``H[lo:hi] += H[parents[lo:hi]]`` going down for the right
+products, and for the left products one ``bincount`` (one sparse product,
+``k`` columns wide) pushing a level's weights into the level above.  The
+scans of ``D`` are one ``bincount`` / ``reduceat`` / sparse product each.
+``A @ v`` is bit-equal to the recurrence evaluated node by node.  Column
+extraction (:func:`matrix_column`) runs the right recurrence with the other
+columns' keys set to 0, so a NaN or ±inf elsewhere in a row never leaks in.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro import kernels
-from repro.core.decode_tree import DecodeTree, build_decode_tree
+from repro.core.decode_tree import DecodeTree, LevelLayout, build_decode_tree
 from repro.core.logical import LogicalEncoding
 from repro.core.sparse import SparseEncodedTable, sparse_decode
 
@@ -39,25 +45,6 @@ def _row_ids(encoding: LogicalEncoding) -> np.ndarray:
     return np.repeat(
         np.arange(encoding.n_rows, dtype=np.int64), np.diff(encoding.row_offsets)
     )
-
-
-def _scatter_add_rows(target: np.ndarray, indices: np.ndarray, rows: np.ndarray) -> None:
-    """``target[indices[i], :] += rows[i, :]`` with duplicate indices allowed.
-
-    Equivalent to ``np.add.at(target, indices, rows)`` but implemented with a
-    sort + segmented reduction, which is far faster for the sizes the
-    matrix-matrix kernels see (``np.add.at`` falls back to an element-wise
-    inner loop).
-    """
-    if indices.size == 0:
-        return
-    order = np.argsort(indices, kind="stable")
-    sorted_indices = indices[order]
-    sorted_rows = rows[order]
-    boundaries = np.nonzero(np.diff(sorted_indices))[0] + 1
-    starts = np.concatenate([np.zeros(1, dtype=np.int64), boundaries])
-    sums = np.add.reduceat(sorted_rows, starts, axis=0)
-    target[sorted_indices[starts]] += sums
 
 
 # ---------------------------------------------------------------------------
@@ -111,20 +98,25 @@ def matrix_apply_sparse_safe(
 # ---------------------------------------------------------------------------
 
 
-def _node_partial_products(tree: DecodeTree, vector: np.ndarray) -> np.ndarray:
-    """Compute ``H[i] = C'[i].seq · v`` for every node via the parent recurrence.
+def _prefix_products(layout: LevelLayout, own: np.ndarray) -> np.ndarray:
+    """``H[i] = own[i] + H[parent(i)]`` for every node: one scan of ``C'``, in place.
 
-    The recurrence ``H[i] = key_i · v + H[parent(i)]`` is evaluated one tree
-    level at a time: all parents of depth-``d`` nodes live at depth ``d - 1``,
-    so each level is a fully vectorised gather + add.
+    ``own`` is each node's own term (``key · v``, or ``key · M`` row-wise);
+    a level at a time, each level a slice whose parents the slice before
+    has already resolved.
     """
-    keys_dot_v = np.zeros(len(tree), dtype=np.float64)
-    keys_dot_v[1:] = tree.key_values[1:] * vector[tree.key_columns[1:]]
-    h = np.zeros(len(tree), dtype=np.float64)
-    parents = tree.parents
-    for nodes in tree.iter_levels():
-        h[nodes] = keys_dot_v[nodes] + h[parents[nodes]]
-    return h
+    parents = layout.parents
+    for lo, hi in layout.levels:
+        own[lo:hi] += own.take(parents[lo:hi], axis=0)
+    return own
+
+
+def _row_sums(layout: LevelLayout, h: np.ndarray, n_rows: int) -> np.ndarray:
+    """One scan of ``D``: every row sums its codes' ``H`` (one segmented ``reduceat``)."""
+    result = np.zeros(n_rows, dtype=np.float64)
+    if layout.row_starts.size:
+        result[layout.nonempty_rows] = np.add.reduceat(h.take(layout.codes), layout.row_starts)
+    return result
 
 
 def matrix_times_vector(
@@ -136,22 +128,27 @@ def matrix_times_vector(
     v = np.asarray(vector, dtype=np.float64).ravel()
     if v.size != encoding.n_cols:
         raise ValueError(f"vector has length {v.size}, expected {encoding.n_cols}")
-    ctree = _as_decode_tree(encoding, tree)
-    h = _node_partial_products(ctree, v)
-    per_code = h[encoding.codes]
-    offsets = encoding.row_offsets[:-1]
-    if per_code.size == 0:
-        return np.zeros(encoding.n_rows, dtype=np.float64)
-    # Sum the per-code partials within each row.  add.reduceat needs strictly
-    # valid start offsets; empty rows are handled by masking afterwards.
-    result = np.zeros(encoding.n_rows, dtype=np.float64)
-    lengths = np.diff(encoding.row_offsets)
-    nonempty = lengths > 0
-    if np.any(nonempty):
-        starts = offsets[nonempty]
-        sums = np.add.reduceat(per_code, starts)
-        result[nonempty] = sums
-    return result
+    layout = _as_decode_tree(encoding, tree).layout
+    keys_dot_v = layout.key_values * v.take(layout.key_columns)
+    keys_dot_v[0] = 0.0  # the root carries no key
+    return _row_sums(layout, _prefix_products(layout, keys_dot_v), encoding.n_rows)
+
+
+def matrix_column(
+    encoding: LogicalEncoding, column: int, tree: DecodeTree | None = None
+) -> np.ndarray:
+    """Column ``column`` of ``A`` as a dense vector, implicit zeros included.
+
+    The recurrence of :func:`matrix_times_vector` with every other column's
+    keys set to 0 rather than multiplied by 0: ``A @ e_col`` would turn a
+    NaN or ±inf stored in another column into a NaN in this one.
+    """
+    if not 0 <= column < encoding.n_cols:
+        raise IndexError(f"column {column} out of range [0, {encoding.n_cols})")
+    layout = _as_decode_tree(encoding, tree).layout
+    own = np.where(layout.key_columns == column, layout.key_values, 0.0)
+    own[0] = 0.0
+    return _row_sums(layout, _prefix_products(layout, own), encoding.n_rows)
 
 
 def matrix_times_matrix(
@@ -165,25 +162,13 @@ def matrix_times_matrix(
         raise ValueError(
             f"matrix has shape {m.shape}, expected ({encoding.n_cols}, k)"
         )
-    ctree = _as_decode_tree(encoding, tree)
-    # H[i, :] = C'[i].seq @ M via the same parent recurrence, vectorised over
-    # the columns of M and evaluated level by level.
-    keys_dot_m = np.zeros((len(ctree), m.shape[1]), dtype=np.float64)
-    keys_dot_m[1:] = ctree.key_values[1:, None] * m[ctree.key_columns[1:], :]
-    h = np.zeros_like(keys_dot_m)
-    parents = ctree.parents
-    for nodes in ctree.iter_levels():
-        h[nodes] = keys_dot_m[nodes] + h[parents[nodes]]
-    per_code = h[encoding.codes]
-    result = np.zeros((encoding.n_rows, m.shape[1]), dtype=np.float64)
-    if per_code.size:
-        # Codes are already grouped by row, so a segmented reduction over the
-        # row offsets sums each row's partial products in one pass.
-        lengths = np.diff(encoding.row_offsets)
-        nonempty = lengths > 0
-        starts = encoding.row_offsets[:-1][nonempty]
-        result[nonempty] = np.add.reduceat(per_code, starts, axis=0)
-    return result
+    layout = _as_decode_tree(encoding, tree).layout
+    keys_dot_m = m.take(layout.key_columns, axis=0)
+    keys_dot_m *= layout.key_values[:, None]
+    keys_dot_m[0] = 0.0
+    # Every row sums its codes' H with one sparse product, never expanding
+    # D to |D| x k.
+    return layout.code_matrix @ _prefix_products(layout, keys_dot_m)
 
 
 # ---------------------------------------------------------------------------
@@ -200,25 +185,25 @@ def vector_times_matrix(
     v = np.asarray(vector, dtype=np.float64).ravel()
     if v.size != encoding.n_rows:
         raise ValueError(f"vector has length {v.size}, expected {encoding.n_rows}")
-    ctree = _as_decode_tree(encoding, tree)
-    # G(i): total weight of rows referencing node i, computed with one
-    # vectorised scan of D.
-    h = np.zeros(len(ctree), dtype=np.float64)
-    if encoding.codes.size:
-        row_ids = _row_ids(encoding)
-        h += np.bincount(encoding.codes, weights=v[row_ids], minlength=len(ctree))
-    # Backwards scan of C' (deepest level first): emit key * weight, push the
-    # weight to the parent.  Within one level scatter-adds handle siblings
-    # sharing a parent or a column.
-    result = np.zeros(encoding.n_cols, dtype=np.float64)
-    parents = ctree.parents
-    key_cols = ctree.key_columns
-    key_vals = ctree.key_values
-    for nodes in ctree.iter_levels(reverse=True):
-        weights = h[nodes]
-        np.add.at(result, key_cols[nodes], key_vals[nodes] * weights)
-        np.add.at(h, parents[nodes], weights)
-    return result
+    layout = _as_decode_tree(encoding, tree).layout
+    # One scan of D: G(i), the total weight of the rows referencing node i.
+    g = np.bincount(
+        layout.codes, weights=np.repeat(v, layout.row_lengths), minlength=layout.n_nodes
+    )
+    # Backwards scan of C', deepest level first: each level's weights land
+    # in the level above with one bincount over the parents (counted from
+    # that level's start, so each bincount is as wide as the level above).
+    levels, parents = layout.levels, layout.level_parents
+    for (plo, phi), (lo, hi) in zip(levels[-2::-1], levels[:0:-1]):
+        g[plo:phi] += np.bincount(parents[lo:hi], weights=g[lo:hi], minlength=phi - plo)
+    # Every node's weight is now final: emit key · weight, one bincount by column
+    # (which counts in integers when there is no node at all, only the root).
+    emitting = layout.emitting
+    return np.bincount(
+        layout.key_columns[emitting],
+        weights=layout.key_values[emitting] * g[emitting],
+        minlength=encoding.n_cols,
+    ).astype(np.float64, copy=False)
 
 
 def uncompressed_matrix_times_matrix(
@@ -232,26 +217,19 @@ def uncompressed_matrix_times_matrix(
         raise ValueError(
             f"matrix has shape {m.shape}, expected (k, {encoding.n_rows})"
         )
-    ctree = _as_decode_tree(encoding, tree)
-    n_out_rows = m.shape[0]
-    # H[i, :] accumulates, for each tree node i, the sum of M[:, row] over the
-    # rows whose encoding references node i (transposed layout as in the paper
-    # so the D scan is a single scatter-add).
-    h = np.zeros((len(ctree), n_out_rows), dtype=np.float64)
-    if encoding.codes.size:
-        row_ids = _row_ids(encoding)
-        _scatter_add_rows(h, encoding.codes, m[:, row_ids].T)
-    # Backwards level-by-level scan of C', accumulating into the transposed
-    # result so the per-level updates are single segmented scatter-adds.
-    result_t = np.zeros((encoding.n_cols, n_out_rows), dtype=np.float64)
-    parents = ctree.parents
-    key_cols = ctree.key_columns
-    key_vals = ctree.key_values
-    for nodes in ctree.iter_levels(reverse=True):
-        weights = h[nodes]
-        _scatter_add_rows(result_t, key_cols[nodes], key_vals[nodes][:, None] * weights)
-        _scatter_add_rows(h, parents[nodes], weights)
-    return result_t.T
+    layout = _as_decode_tree(encoding, tree).layout
+    # One scan of D: G[i, :] sums M[:, row] over the rows referencing node i
+    # (transposed, so a node's weights are one contiguous row).
+    g = layout.code_matrix.T @ m.T
+    # Backwards scan of C', deepest level first: each level's sibling groups
+    # sum into their parents with one sparse product.
+    levels = layout.levels
+    for (plo, phi), (lo, hi), parent_of in zip(
+        levels[-2::-1], levels[:0:-1], reversed(layout.parent_matrices)
+    ):
+        g[plo:phi] += parent_of @ g[lo:hi]
+    # Every node's weights are final: emit key · weights by column.
+    return (layout.key_matrix @ g[layout.emitting]).T
 
 
 # ---------------------------------------------------------------------------

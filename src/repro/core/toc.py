@@ -162,6 +162,10 @@ class TOCMatrix:
         """``M @ A`` without decompression (Algorithm 8)."""
         return ops.uncompressed_matrix_times_matrix(self.logical, matrix, self.decode_tree)
 
+    def column(self, col: int) -> np.ndarray:
+        """Column ``col`` as a dense vector, never multiplying another column's value."""
+        return ops.matrix_column(self.logical, col, self.decode_tree)
+
     def scale(self, scalar: float) -> "TOCMatrix":
         """``A .* c`` — returns a new TOC matrix sharing the code arrays."""
         scaled = ops.matrix_times_scalar(self.logical, scalar)

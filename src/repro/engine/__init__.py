@@ -8,8 +8,8 @@ imply but the seed code never assembled:
 2. **persist** — write one blob file per batch plus a manifest
    (:mod:`repro.engine.shards`), page-layout accounting included;
 3. **serve** — register shards as lazy entries in the byte-budgeted
-   :class:`~repro.storage.buffer_pool.BufferPool` and stream them with
-   read-ahead prefetch (:mod:`repro.engine.prefetch`);
+   :class:`~repro.storage.buffer_pool.BufferPool` and stream them in
+   order on the training thread;
 4. **train** — drive the existing MGD optimizer and models over the stream
    (:mod:`repro.engine.trainer`), or hand the shards to a Bismarck session.
 """
@@ -22,7 +22,6 @@ from repro.engine.encode import (
     resolve_executor,
     resolve_workers,
 )
-from repro.engine.prefetch import prefetch_iter
 from repro.engine.shards import ShardedDataset, ShardInfo
 from repro.engine.trainer import OOCTrainReport, OutOfCoreTrainer
 
@@ -37,7 +36,6 @@ __all__ = [
     "ShardedDataset",
     "compact_dataset",
     "encode_batches",
-    "prefetch_iter",
     "readvise_shard",
     "resolve_executor",
     "resolve_workers",

@@ -3,8 +3,8 @@
 The trainer wires the whole data path together: mini-batches are sharded to
 disk through the parallel encode pipeline (:mod:`repro.engine.encode` /
 :mod:`repro.engine.shards`), served through a byte-budgeted
-:class:`~repro.storage.buffer_pool.BufferPool`, decoded with read-ahead
-prefetch (:mod:`repro.engine.prefetch`), and stepped through the existing
+:class:`~repro.storage.buffer_pool.BufferPool`, decoded in order on the
+training thread, and stepped through the existing
 :class:`~repro.ml.optimizer.MiniBatchGradientDescent` loop — so any model in
 :mod:`repro.ml.models` trains unchanged over datasets larger than memory.
 """
@@ -21,7 +21,6 @@ from repro.compression.base import CompressionScheme
 from repro.compression.registry import get_scheme
 from repro.data.minibatch import split_minibatches
 from repro.engine.encode import AUTO_SCHEME, resolve_executor, resolve_workers
-from repro.engine.prefetch import prefetch_iter
 from repro.engine.shards import ShardedDataset
 from repro.ml.optimizer import GradientDescentConfig, MiniBatchGradientDescent, TrainingHistory
 from repro.obs import metrics as obs_metrics
@@ -78,7 +77,9 @@ class OutOfCoreTrainer:
     workers / executor:
         Encode fan-out (see :func:`repro.engine.encode.encode_batches`).
     prefetch_depth:
-        How many mini-batches the read-ahead thread keeps in flight.
+        Accepted and stored, with no effect: shards are read and decoded in
+        order on the training thread.  Kept so that callers and checkpoints
+        that name it still work.
     """
 
     def __init__(
@@ -112,6 +113,7 @@ class OutOfCoreTrainer:
         self.executor = executor
         self.dataset: ShardedDataset | None = None
         self.pool: BufferPool | None = None
+        self._shard_seconds = obs_metrics.histogram("engine.train.shard_seconds")
 
     # -- preparation -----------------------------------------------------------
 
@@ -168,21 +170,19 @@ class OutOfCoreTrainer:
     # -- training ----------------------------------------------------------------
 
     def _fetch(self, batch_id: int):
-        # Runs in the prefetch reader thread; spans nest per thread, so these
-        # shard spans interleave cleanly with the main-thread train span.
+        # Runs on the epoch loop's thread, so each shard span nests inside
+        # the train span.
         start = time.perf_counter()
         with obs_trace.span("engine.train.shard", shard=batch_id):
             payload = self.pool.read(batch_id)
             # Per-shard decode: the manifest names each shard's scheme, so mixed
-            # datasets stream through the same prefetch loop as uniform ones.
+            # datasets stream through the same epoch loop as uniform ones.
             fetched = self.dataset.decode(batch_id, payload), self.dataset.labels_for(batch_id)
-        obs_metrics.histogram("engine.train.shard_seconds").observe(
-            time.perf_counter() - start
-        )
+        self._shard_seconds.observe(time.perf_counter() - start)
         return fetched
 
     def train(self, model, eval_fn=None) -> OOCTrainReport:
-        """Run the configured epochs, streaming shards with read-ahead."""
+        """Run the configured epochs, reading and decoding shards in order."""
         if self.dataset is None or self.pool is None:
             raise RuntimeError("call shard() or attach() before train()")
         dataset, pool = self.dataset, self.pool
@@ -191,7 +191,7 @@ class OutOfCoreTrainer:
 
         def epoch_batches():
             io_checkpoints.append(pool.stats.simulated_io_seconds)
-            return prefetch_iter(self._fetch, keys, depth=self.prefetch_depth)
+            return map(self._fetch, keys)
 
         optimizer = MiniBatchGradientDescent(self.config)
         with obs_trace.span(

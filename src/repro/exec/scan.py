@@ -5,10 +5,11 @@ aggregations *on the compressed data*: a comparison against a CVI/DVI shard
 only has to test the (tiny) value dictionary and gather booleans through the
 bit-packed codes, and column aggregates fall out of the code frequencies —
 no dense block is ever materialised.  TOC shards extract the few columns a
-predicate touches with the compressed right multiplication (Algorithm 4,
-``A @ e_col``).  Everything else — DEN, CSR, CLA, the byte-block schemes —
-runs the always-correct dense fallback: one ``to_dense`` per shard, then a
-NumPy mask.
+predicate touches with Algorithm 4's scan of the decode tree, keeping only
+the keys of that column (a NaN or ±inf elsewhere in a row never leaks in).
+Everything else — DEN, CSR, CLA, the byte-block schemes — runs the
+always-correct dense fallback: one ``to_dense`` per shard, then a NumPy
+mask.
 
 The executor mirrors :mod:`repro.exec.dispatch`: an ordered registry of
 ``(predicate, reader)`` pairs resolves the scan reader for each shard's
@@ -129,8 +130,10 @@ class DVIReader(ScanReader):
             return None
         dictionary = matrix.value_index.dictionary
         frequencies = np.bincount(codes, minlength=dictionary.size)
-        present = dictionary[frequencies > 0]
-        total = float((frequencies * dictionary).sum())
+        kept = frequencies > 0
+        present = dictionary[kept]
+        # Only values that occur are multiplied: 0 * inf would be NaN.
+        total = float((frequencies[kept] * present).sum())
         return int(codes.size), total, float(present.min()), float(present.max())
 
     def select_rows(self, matrix: DVIMatrix, rows: np.ndarray) -> np.ndarray:
@@ -190,20 +193,20 @@ class CVIReader(ScanReader):
 
 
 class CompressedOpsReader(ScanReader):
-    """Generic push-down for direct-op schemes (TOC and its ablations).
+    """Push-down for TOC and its ablations: columns straight off the decode tree.
 
-    Columns are extracted with the compressed right multiplication
-    ``A @ e_col`` (the paper's Algorithm 4 for TOC), so a predicate touching
-    two columns costs two compressed matvecs, never a full decode.
+    A column is Algorithm 4's recurrence with every other column's keys set
+    to 0 (:meth:`repro.core.TOCMatrix.column`), so a predicate touching two
+    columns costs two compressed scans, never a full decode.  It is not
+    ``A @ e_col``: ``0 * NaN`` and ``0 * inf`` are NaN, and would leak into
+    this column's value for every row holding one.
     """
 
     name = "compressed-ops"
     selection_pushdown = False
 
-    def column(self, matrix, col: int) -> np.ndarray:
-        one_hot = np.zeros(matrix.n_cols, dtype=np.float64)
-        one_hot[col] = 1.0
-        return dispatch.matvec(matrix, one_hot)
+    def column(self, matrix: TOCCompressedMatrix, col: int) -> np.ndarray:
+        return matrix.toc.column(col)
 
 
 class DenseFallbackReader(ScanReader):

@@ -4,7 +4,9 @@ Each model exposes
 
 * ``scores(batch)`` — raw model outputs for a (compressed) mini-batch,
 * ``gradient_step(batch, targets, learning_rate)`` — one MGD parameter
-  update computed *through the compressed matrix operations*,
+  update computed *through the compressed matrix operations*; it returns
+  the batch loss at the parameters the step started from, which its own
+  forward pass already gives (so recording a loss costs no extra scan),
 * ``loss(batch, targets)`` and ``predict(batch)`` for evaluation.
 
 ``batch`` may be anything the :mod:`repro.exec` dispatch layer understands —
@@ -50,25 +52,36 @@ class _LinearModel:
         """Raw scores ``A @ w + b`` via the compressed right multiplication."""
         return kernels.matvec(batch, self.weights) + self.bias
 
-    def loss(self, batch, targets: np.ndarray) -> float:
-        value = self.loss_fn.value(self.scores(batch), targets)
+    def _loss_from_scores(self, scores: np.ndarray, targets: np.ndarray) -> float:
+        value = self.loss_fn.value(scores, targets)
         if self.l2:
             value += 0.5 * self.l2 * float(self.weights @ self.weights)
         return value
 
-    def gradient(self, batch, targets: np.ndarray) -> tuple[np.ndarray, float]:
-        """Gradient w.r.t. (weights, bias) using ``A @ v`` then ``v @ A``."""
-        score_grad = self.loss_fn.gradient(self.scores(batch), targets)
+    def _gradient_from_scores(
+        self, batch, scores: np.ndarray, targets: np.ndarray
+    ) -> tuple[np.ndarray, float]:
+        score_grad = self.loss_fn.gradient(scores, targets)
         weight_grad = kernels.rmatvec(batch, score_grad)
         if self.l2:
             weight_grad = weight_grad + self.l2 * self.weights
-        bias_grad = float(np.sum(score_grad))
-        return weight_grad, bias_grad
+        return weight_grad, float(np.sum(score_grad))
 
-    def gradient_step(self, batch, targets: np.ndarray, learning_rate: float) -> None:
-        weight_grad, bias_grad = self.gradient(batch, targets)
+    def loss(self, batch, targets: np.ndarray) -> float:
+        return self._loss_from_scores(self.scores(batch), targets)
+
+    def gradient(self, batch, targets: np.ndarray) -> tuple[np.ndarray, float]:
+        """Gradient w.r.t. (weights, bias) using ``A @ v`` then ``v @ A``."""
+        return self._gradient_from_scores(batch, self.scores(batch), targets)
+
+    def gradient_step(self, batch, targets: np.ndarray, learning_rate: float) -> float:
+        """One update from one ``A @ w`` and one ``v @ A``; returns the pre-step batch loss."""
+        scores = self.scores(batch)
+        loss = self._loss_from_scores(scores, targets)
+        weight_grad, bias_grad = self._gradient_from_scores(batch, scores, targets)
         self.weights -= learning_rate * weight_grad
         self.bias -= learning_rate * bias_grad
+        return loss
 
     def get_parameters(self) -> np.ndarray:
         """Flattened parameter vector (weights then bias)."""
@@ -187,18 +200,26 @@ class FeedForwardNetwork:
     def scores(self, batch) -> np.ndarray:
         return self._forward(batch)[1]
 
-    def loss(self, batch, targets: np.ndarray) -> float:
-        value = self._loss.value(self.scores(batch), targets)
+    def _loss_from_scores(self, scores: np.ndarray, targets: np.ndarray) -> float:
+        value = self._loss.value(scores, targets)
         if self.l2:
             value += 0.5 * self.l2 * sum(float(np.sum(w * w)) for w in self.weights)
         return value
 
+    def loss(self, batch, targets: np.ndarray) -> float:
+        return self._loss_from_scores(self.scores(batch), targets)
+
     def predict(self, batch) -> np.ndarray:
         return np.argmax(self.scores(batch), axis=1).astype(np.float64)
 
-    def gradient_step(self, batch, targets: np.ndarray, learning_rate: float) -> None:
-        """One backprop + SGD update over a (compressed) mini-batch."""
+    def gradient_step(self, batch, targets: np.ndarray, learning_rate: float) -> float:
+        """One backprop + SGD update over a (compressed) mini-batch.
+
+        Returns the batch loss at the weights the step started from, taken
+        from the forward pass the backprop needs anyway.
+        """
         activations, scores = self._forward(batch)
+        loss = self._loss_from_scores(scores, targets)
         delta = self._loss.gradient(scores, targets)  # (n, n_classes)
 
         weight_grads: list[np.ndarray] = [None] * len(self.weights)
@@ -222,6 +243,7 @@ class FeedForwardNetwork:
                 w_grad = w_grad + self.l2 * self.weights[layer]
             self.weights[layer] -= learning_rate * w_grad
             self.biases[layer] -= learning_rate * b_grad
+        return loss
 
     def get_parameters(self) -> np.ndarray:
         """Flattened parameter vector (used by the storage arena)."""

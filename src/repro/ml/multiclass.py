@@ -114,9 +114,16 @@ class OneVsRestModel(OneVsRestClassifier):
     def _binarise(self, targets: np.ndarray, klass: int) -> np.ndarray:
         return (np.asarray(targets) == klass).astype(np.float64)
 
-    def gradient_step(self, batch, targets: np.ndarray, learning_rate: float) -> None:
-        for klass, model in enumerate(self.models):
-            model.gradient_step(batch, self._binarise(targets, klass), learning_rate)
+    def gradient_step(self, batch, targets: np.ndarray, learning_rate: float) -> float:
+        """Step every per-class model; returns their mean pre-step loss, like :meth:`loss`."""
+        return float(
+            np.mean(
+                [
+                    model.gradient_step(batch, self._binarise(targets, klass), learning_rate)
+                    for klass, model in enumerate(self.models)
+                ]
+            )
+        )
 
     def loss(self, batch, targets: np.ndarray) -> float:
         return float(

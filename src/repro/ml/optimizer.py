@@ -42,7 +42,12 @@ class GradientDescentConfig:
 
 @dataclass
 class TrainingHistory:
-    """Per-epoch record of the training run."""
+    """Per-epoch record of the training run.
+
+    ``epoch_losses[e]`` is the mean over epoch ``e``'s batches of each batch's
+    loss at the weights its step started from (see
+    :meth:`MiniBatchGradientDescent.train_streaming`).
+    """
 
     epoch_losses: list[float] = field(default_factory=list)
     epoch_times: list[float] = field(default_factory=list)
@@ -99,26 +104,12 @@ class MiniBatchGradientDescent:
 
         ``eval_fn(model) -> float`` is called after every epoch when given
         (for instance a held-out error rate) and its values are recorded in
-        ``history.epoch_metrics``.
+        ``history.epoch_metrics``.  Epoch losses are defined as in
+        :meth:`train_streaming`.
         """
         if not batches:
             raise ValueError("at least one mini-batch is required")
-        history = TrainingHistory()
-        learning_rate = self.config.learning_rate
-        for _epoch in range(self.config.epochs):
-            start = time.perf_counter()
-            for batch, targets in batches:
-                model.gradient_step(batch, targets, learning_rate)
-            elapsed = time.perf_counter() - start
-            epoch_loss = float(
-                np.mean([model.loss(batch, targets) for batch, targets in batches])
-            )
-            history.epoch_losses.append(epoch_loss)
-            history.epoch_times.append(elapsed)
-            if eval_fn is not None:
-                history.epoch_metrics.append(float(eval_fn(model)))
-            learning_rate *= self.config.learning_rate_decay
-        return history
+        return self.train_streaming(model, lambda: batches, eval_fn=eval_fn)
 
     def train_streaming(
         self,
@@ -129,24 +120,26 @@ class MiniBatchGradientDescent:
         """Run the configured epochs over a re-creatable stream of batches.
 
         ``epoch_batches()`` is called once per epoch and must return an
-        iterable of ``(batch, targets)`` pairs.  Unlike :meth:`train`, the
-        per-batch loss is recorded during the pass itself (right after the
-        gradient step) instead of in a second sweep — a second sweep would
-        double the IO for out-of-core streams, which is exactly what this
-        entry point exists to serve.
+        iterable of ``(batch, targets)`` pairs, each visited exactly once.
+
+        An epoch's loss is the mean, over its batches, of what each
+        ``gradient_step`` returns: the batch loss at the weights that step
+        started from, read off the step's own forward pass.  That is the
+        running loss the Keras and PyTorch training loops report; it trails
+        the end-of-epoch weights by up to one epoch of updates, and it costs
+        no second ``A @ w`` per batch and no second sweep, which for an
+        out-of-core stream would double the IO.
         """
         history = TrainingHistory()
         learning_rate = self.config.learning_rate
         for _epoch in range(self.config.epochs):
             start = time.perf_counter()
-            losses: list[float] = []
-            n_batches = 0
-            for batch, targets in epoch_batches():
+            losses = [
                 model.gradient_step(batch, targets, learning_rate)
-                losses.append(model.loss(batch, targets))
-                n_batches += 1
+                for batch, targets in epoch_batches()
+            ]
             elapsed = time.perf_counter() - start
-            if n_batches == 0:
+            if not losses:
                 raise ValueError("epoch_batches() produced no mini-batches")
             history.epoch_losses.append(float(np.mean(losses)))
             history.epoch_times.append(elapsed)

@@ -31,7 +31,11 @@ from repro.storage.table import BlobTable
 
 @dataclass
 class EpochReport:
-    """Timing and loss information for one epoch of in-database training."""
+    """Timing and loss information for one epoch of in-database training.
+
+    ``mean_loss`` is defined as in ``TrainingHistory.epoch_losses``: the mean
+    of each batch's loss at the weights its step started from.
+    """
 
     compute_seconds: float
     io_seconds: float
@@ -102,10 +106,11 @@ class BismarckSession:
 
         io_before = self.table.buffer_pool.stats.simulated_io_seconds
         start = time.perf_counter()
-        losses = []
-        for compressed, labels in self.table.iter_batches():
+        # Each step's pre-step batch loss, as in MiniBatchGradientDescent.
+        losses = [
             model.gradient_step(compressed, labels, learning_rate)
-            losses.append(model.loss(compressed, labels))
+            for compressed, labels in self.table.iter_batches()
+        ]
         compute = time.perf_counter() - start
         io = self.table.buffer_pool.stats.simulated_io_seconds - io_before
 

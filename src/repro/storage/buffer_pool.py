@@ -27,7 +27,7 @@ into process-global ``storage.pool.*`` metrics (hits, misses, evictions,
 bytes read, and a ``bytes_resident`` gauge), so ``repro.obs`` snapshots see
 pool behaviour without holding a pool reference.  An internal re-entrant
 lock makes ``read``/``put_on_disk`` safe under concurrent callers (the
-trainer's prefetch thread and the feature store race through here).
+serving threads that share a feature store's pool).
 """
 
 from __future__ import annotations

@@ -122,6 +122,48 @@ class TestScanProperty:
         assert result.aggregates["max(c1)"] == kept[:, 1].max()
 
 
+class TestNonFiniteCells:
+    """A NaN or ±inf in *any* column must not change what push-down answers.
+
+    TOC used to extract a column as ``A @ e_col``: ``0 * NaN`` and ``0 * inf``
+    are NaN, which leaked into every other column of the row, so rows went
+    missing from counts and sums; DVI's sum multiplied the dictionary values
+    absent from the kept rows by their zero frequency the same way.
+    """
+
+    WHERE = "c0 >= 0.5 or c2 < 0"
+    AGG = "count,sum:c1,sum:c2,mean:c2,min:c3,max:c3,min:c1,max:c2"
+
+    @pytest.fixture(scope="class")
+    def features(self):
+        rng = np.random.default_rng(0)
+        features = np.round(rng.random((40, 4)), 1)
+        features[7, 3] = np.nan
+        features[9, 2] = np.inf
+        features[22, 1] = -np.inf
+        features[31, 0] = np.nan
+        return features
+
+    @pytest.mark.parametrize("scheme", ALL_SCHEMES)
+    def test_pushdown_equals_the_dense_path(self, tmp_path, features, scheme):
+        dataset = Dataset.create(
+            tmp_path / "ds", features, np.zeros(40), scheme=scheme, batch_size=10,
+            shuffle=False, executor="serial",
+        )
+        with np.errstate(invalid="ignore"):
+            pushed = dataset.scan(where=self.WHERE, agg=self.AGG)
+            dense = dataset.scan(where=self.WHERE, agg=self.AGG, pushdown=False)
+            selected = dataset.scan(where=self.WHERE, columns=[3, 1, 2])
+            selected_dense = dataset.scan(where=self.WHERE, columns=[3, 1, 2], pushdown=False)
+        mask = (features[:, 0] >= 0.5) | (features[:, 2] < 0)
+        assert pushed.aggregates["count"] == dense.aggregates["count"] == int(mask.sum())
+        for name, value in dense.aggregates.items():
+            np.testing.assert_allclose(pushed.aggregates[name], value, equal_nan=True)
+        np.testing.assert_array_equal(selected.rows, selected_dense.rows)
+        np.testing.assert_array_equal(selected.rows, features[mask][:, [3, 1, 2]])
+        np.testing.assert_array_equal(selected.row_ids, np.flatnonzero(mask))
+
+
 class TestTake:
     def test_take_matches_source_rows(self, tmp_path, quantised_features):
         features, labels = quantised_features

@@ -16,6 +16,16 @@ from repro.obs import metrics
 from tests.conftest import random_sparse_matrix
 
 
+#: An encoding with no rows, for trees written out by hand.
+_NO_CODES = LogicalEncoding(
+    first_layer_columns=np.zeros(0, dtype=np.int64),
+    first_layer_values=np.zeros(0),
+    codes=np.zeros(0, dtype=np.int64),
+    row_offsets=np.zeros(1, dtype=np.int64),
+    shape=(0, 1),
+)
+
+
 def _encode(dense: np.ndarray):
     return prefix_tree_encode(sparse_encode(dense))
 
@@ -24,7 +34,7 @@ def _assert_same_tree(ctree: DecodeTree, keys: list, parents: list[int]) -> None
     """Every field of ``ctree`` against a tree given as per-node key and parent.
 
     ``keys[0]`` (the root's) is ignored.  First pairs, depths and the level
-    index are derived here by walking the parents one node at a time.
+    layout are derived here by walking the parents one node at a time.
     """
     n = len(parents)
     firsts, depths = [(0, 0.0)], [0]
@@ -38,13 +48,28 @@ def _assert_same_tree(ctree: DecodeTree, keys: list, parents: list[int]) -> None
     assert list(zip(ctree.key_columns.tolist(), ctree.key_values.tolist())) == keys
     assert list(zip(ctree.first_columns.tolist(), ctree.first_values.tolist())) == firsts
     assert ctree.depths.tolist() == depths
-    # sorted() is stable, so ties stay in node-id order like the level index.
-    assert ctree.level_order.tolist() == sorted(range(1, n), key=depths.__getitem__)
-    max_depth = max(depths)
-    assert ctree.max_depth == max_depth
-    assert ctree.level_offsets.tolist() == [
-        sum(1 for d in depths[1:] if d <= depth) for depth in range(max_depth + 1)
+    assert ctree.max_depth == max(depths)
+    _assert_level_major(ctree, keys, parents, depths)
+
+
+def _assert_level_major(ctree: DecodeTree, keys: list, parents: list[int], depths: list[int]):
+    """The layout renumbers nodes by depth (ties in creation order), remapping everything."""
+    # sorted() is stable, so ties stay in node-id order.
+    positions = [0, *sorted(range(1, len(parents)), key=depths.__getitem__)]
+    rank = {node: position for position, node in enumerate(positions)}
+    layout = ctree.layout
+    assert layout.parents.tolist() == [rank[parents[node]] for node in positions]
+    assert list(zip(layout.key_columns.tolist()[1:], layout.key_values.tolist()[1:])) == [
+        keys[node] for node in positions[1:]
     ]
+    assert layout.codes.tolist() == [rank[code] for code in ctree.encoding.codes.tolist()]
+    levels = [
+        (1 + sum(d < depth for d in depths[1:]), 1 + sum(d <= depth for d in depths[1:]))
+        for depth in range(1, max(depths) + 1)
+    ]
+    assert list(layout.levels) == levels
+    for (plo, phi), (lo, hi) in zip([(0, 1), *levels], levels):
+        assert ((plo <= layout.parents[lo:hi]) & (layout.parents[lo:hi] < phi)).all()
 
 
 def _assert_matches_encoder_tree(dense: np.ndarray) -> None:
@@ -110,7 +135,7 @@ class TestBuildDecodeTree:
         seconds = metrics.histogram("core.decode_tree.build_seconds")
         before = builds.value, seconds.count
         tree = build_decode_tree(encoding)
-        tree.level_order  # built on first use, not a second tree build
+        tree.layout  # built on first use, not a second tree build
         assert (builds.value, seconds.count) == (before[0] + 1, before[1] + 1)
 
     def test_immediate_reference_to_the_node_being_created(self):
@@ -137,22 +162,31 @@ class TestBuildDecodeTree:
         _assert_matches_encoder_tree(dense)
 
     @pytest.mark.parametrize("max_depth", [3, 255, 256, 65535, 65536])
-    def test_level_index_at_sort_key_boundaries(self, max_depth, rng):
-        depths = rng.integers(1, max_depth + 1, size=max_depth + 40)
-        depths[:2] = (0, max_depth)
+    def test_layout_at_sort_key_boundaries(self, max_depth, rng):
+        # Nodes 1..max_depth are a chain (node d at depth d); every later node
+        # hangs off the chain node one level up, so node d-1 is its parent.
+        depths = np.concatenate(
+            ([0], np.arange(1, max_depth + 1), rng.integers(1, max_depth + 1, size=40))
+        )
+        parents = np.maximum(depths - 1, 0)
         zeros = np.zeros(depths.size)
         tree = DecodeTree(
             key_columns=zeros.astype(np.int64),
             key_values=zeros,
-            parents=zeros.astype(np.int64),
+            parents=parents,
             first_columns=zeros.astype(np.int64),
             first_values=zeros,
             depths=depths,
+            encoding=_NO_CODES,
         )
-        assert np.array_equal(tree.level_order, 1 + np.argsort(depths[1:], kind="stable"))
-        assert np.array_equal(
-            tree.level_offsets, np.cumsum(np.bincount(depths[1:], minlength=max_depth + 1))
-        )
+        positions = np.concatenate(([0], 1 + np.argsort(depths[1:], kind="stable")))
+        rank = np.empty_like(positions)
+        rank[positions] = np.arange(positions.size)
+        layout = tree.layout
+        assert np.array_equal(layout.parents, rank[parents[positions]])
+        bounds = 1 + np.cumsum(np.bincount(depths[1:], minlength=max_depth + 1))
+        assert layout.levels == tuple(zip(bounds[:-1].tolist(), bounds[1:].tolist()))
+        assert (np.diff(depths[positions]) >= 0).all()
 
     @pytest.mark.parametrize(
         "codes",
@@ -181,6 +215,7 @@ class TestBuildDecodeTree:
             first_columns=np.array([0, 0, 1]),
             first_values=np.array([0.0, 1.0, 2.0]),
             depths=np.array([0, 1, 1]),
+            encoding=_NO_CODES,
         )
         with pytest.raises(ValueError):
             tree.validate()
@@ -193,6 +228,7 @@ class TestBuildDecodeTree:
             first_columns=np.array([0, 0]),
             first_values=np.array([0.0, 1.0]),
             depths=np.array([0, 1]),
+            encoding=_NO_CODES,
         )
         with pytest.raises(ValueError):
             tree.validate()

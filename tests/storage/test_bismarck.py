@@ -19,14 +19,42 @@ def batches():
     return split_minibatches(features, labels, batch_size=50, seed=0)
 
 
+def _total_loss(model, batches) -> float:
+    return sum(model.loss(features, labels) for features, labels in batches)
+
+
 class TestBismarckSession:
     def test_training_reduces_loss(self, batches):
         session = BismarckSession(get_scheme("TOC"), BufferPool(budget_bytes=10**8))
         session.load(batches)
         model = LogisticRegressionModel(batches[0][0].shape[1], seed=0)
-        report = session.train(model, epochs=4, learning_rate=0.5)
+        initial = _total_loss(model, batches)
+        report = session.train(model, epochs=4, learning_rate=0.05)
+        assert _total_loss(model, batches) < initial
         assert report.epochs[-1].mean_loss < report.epochs[0].mean_loss
         assert report.total_seconds > 0
+
+    def test_an_oscillating_step_size_is_reported_as_it_runs(self, batches):
+        # The census features are unscaled: at 0.5 the steps overshoot, the
+        # summed loss at each epoch's end weights goes 4.4 -> 116 -> 11 -> 59
+        # -> 19, and ``mean_loss`` (pre-step batch losses) goes 15.1, 9.7,
+        # 3.4, 15.9.  The report must show that run, not a smoothed one.
+        session = BismarckSession(get_scheme("TOC"), BufferPool(budget_bytes=10**8))
+        session.load(batches)
+        model = LogisticRegressionModel(batches[0][0].shape[1], seed=0)
+        initial = _total_loss(model, batches)
+        report = session.train(model, epochs=4, learning_rate=0.5)
+
+        reference = LogisticRegressionModel(batches[0][0].shape[1], seed=0)
+        expected = []
+        for _ in range(4):
+            before = []
+            for features, labels in session.table.iter_batches():
+                before.append(reference.loss(features, labels))
+                reference.gradient_step(features, labels, 0.5)
+            expected.append(np.mean(before))
+        assert [epoch.mean_loss for epoch in report.epochs] == pytest.approx(expected)
+        assert _total_loss(model, batches) > initial
 
     def test_requires_registration_before_epoch(self, batches):
         session = BismarckSession(get_scheme("TOC"), BufferPool(budget_bytes=10**8))
