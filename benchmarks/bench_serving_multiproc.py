@@ -14,7 +14,7 @@ The cluster tier claims two things worth gating on:
   bounded by the deadline.
 
 Every run writes ``BENCH_serving_multiproc.json`` (plus session-level
-``bench_json`` rows) so ``repro bench-report`` tracks the trajectory.
+``bench_json`` rows), which CI keeps as an artifact.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""A tour of the observability layer: metrics, spans, and bench history.
+"""A tour of the observability layer: metrics and spans.
 
 Run with::
 
@@ -9,10 +9,7 @@ counters/gauges/histograms in ``repro.obs.metrics``, wall-time spans in
 ``repro.obs.trace`` — so a single snapshot answers "what did this process
 actually do": batches encoded, epochs trained, rows scanned with the
 predicate pushed down, buffer-pool hits vs evictions, serving latency
-percentiles.  The third piece is history: ``BENCH_*.json`` snapshots
-ingested into a SQLite registry and diffed against the previous run on the
-same machine class, which is what ``repro bench-report --check`` gates CI
-on.
+percentiles.
 
 This example:
 
@@ -21,22 +18,18 @@ This example:
 2. prints the metrics those calls left behind (``Dataset.stats`` with
    ``metrics=True``, ``service.metrics()``, the engine histograms);
 3. dumps the recorded spans as Chrome trace JSON (load the file in
-   ``chrome://tracing`` or ui.perfetto.dev to see the nesting);
-4. ingests two synthetic bench snapshots into a throwaway registry — the
-   second with a 25% throughput drop — to show the delta table and the
-   regression flag CI fails on.
+   ``chrome://tracing`` or ui.perfetto.dev to see the nesting).
 """
 
 from __future__ import annotations
 
-import json
 import tempfile
 from pathlib import Path
 
 import numpy as np
 
 from repro.api import DATASET_PROFILES, Dataset, Estimator, open_service
-from repro.obs import bench_report, default_tracer
+from repro.obs import default_tracer
 
 ROWS = 800
 REQUESTS = 300
@@ -103,40 +96,15 @@ def show_spans(tmp: Path) -> None:
     print(f"chrome trace written to {trace_path} — load it in chrome://tracing")
 
 
-def show_bench_history(tmp: Path) -> None:
-    """Two synthetic runs, the second 25% slower: the gate CI runs."""
-    print("\nbench history (synthetic 25% throughput regression):")
-    db = tmp / "bench_registry.sqlite"
-    for created, rps, wall in ((1000.0, 20_000.0, 1.00), (2000.0, 15_000.0, 1.33)):
-        payload = {
-            "version": 3,
-            "name": "serving",
-            "created_unix": created,
-            "git_commit": f"demo{int(created)}",
-            "platform": {"system": "demo", "machine": "demo", "python": "3.11"},
-            "platform_key": "demo-demo-py3.11",
-            "records": [
-                {"bench": "serving", "backend": "microbatch",
-                 "throughput_rps": rps, "wall_seconds": wall},
-            ],
-        }
-        path = tmp / f"BENCH_serving_{int(created)}.json"
-        path.write_text(json.dumps(payload))
-        exit_code = bench_report([str(path)], db=db, check=True)
-    print(f"\nexit code {exit_code} — exactly what CI's `bench-report --check` fails on")
-
-
 def main() -> None:
     with tempfile.TemporaryDirectory(prefix="repro-obs-tour-") as tmp:
         tmp = Path(tmp)
         dataset, served = run_pipeline(tmp)
         show_metrics(dataset, served)
         show_spans(tmp)
-        show_bench_history(tmp)
 
-    print("\nThe same data is one command away: `python -m repro obs metrics`,")
-    print("`python -m repro obs dump --format chrome`, and `python -m repro")
-    print("bench-report --check BENCH_*.json` over your own bench artifacts.")
+    print("\nThe same data is one command away: `python -m repro obs metrics`")
+    print("and `python -m repro obs dump --format chrome`.")
 
 
 if __name__ == "__main__":

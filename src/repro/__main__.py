@@ -1,7 +1,7 @@
 """Command-line interface: ``python -m repro <command>``.
 
 The CLI is a thin shell over the :mod:`repro.api` facade — every command is
-a few facade calls plus printing.  Eleven commands are provided:
+a few facade calls plus printing.  Ten commands are provided:
 
 * ``info`` — package version, registered schemes, dataset profiles;
 * ``advise`` — run the scheme advisor on a sample mini-batch drawn from a
@@ -32,11 +32,10 @@ a few facade calls plus printing.  Eleven commands are provided:
 * ``obs`` — the observability group: ``obs dump`` runs a small encode +
   train + scan exercise and dumps the recorded spans (native JSON or Chrome
   ``chrome://tracing`` format), ``obs metrics`` prints the process metrics
-  snapshot the same exercise produces;
-* ``bench-report`` — ingest ``BENCH_*.json`` files into the SQLite run
-  registry, diff each against the most recent prior run on the same
-  platform, and (with ``--check``) exit non-zero on a regression beyond the
-  threshold — the CI perf gate.
+  snapshot the same exercise produces.
+
+Performance regressions are judged by ``python3 bench/run.py --compare``,
+not by a command here.
 """
 
 from __future__ import annotations
@@ -293,7 +292,6 @@ def _cmd_train_ooc(args: argparse.Namespace) -> int:
             seed=args.seed,
             budget_bytes=int(args.budget_mb * 1e6) if args.budget_mb is not None else None,
             budget_ratio=args.budget_ratio,
-            prefetch_depth=args.prefetch_depth,
             workers=args.workers,
             executor=args.executor,
             workload=args.workload,
@@ -669,17 +667,6 @@ def _cmd_obs_metrics(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench_report(args: argparse.Namespace) -> int:
-    from repro.obs import bench_report
-
-    return bench_report(
-        args.paths or ["BENCH_*.json"],
-        db=args.db,
-        threshold=args.threshold,
-        check=args.check,
-    )
-
-
 def _add_encode_args(sub: argparse.ArgumentParser, default_dataset: str) -> None:
     """Flags shared by ``encode`` and ``train-ooc``'s sharding half."""
     sub.add_argument("--dataset", default=default_dataset, help="dataset profile name")
@@ -848,12 +835,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="pool budget as a fraction of the shard payload (default 0.5: does not fit)",
     )
     train_ooc.add_argument(
-        "--prefetch-depth",
-        type=int,
-        default=2,
-        help="accepted and ignored (shards are read in order)",
-    )
-    train_ooc.add_argument(
         "--shard-dir",
         default=None,
         help="persist shards here, or train over this directory when it already "
@@ -976,32 +957,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     obs_metrics.set_defaults(func=_cmd_obs_metrics)
 
-    bench_report = subparsers.add_parser(
-        "bench-report",
-        help="ingest BENCH_*.json into the run registry and diff against history",
-    )
-    bench_report.add_argument(
-        "paths",
-        nargs="*",
-        help="BENCH json files or globs (default: ./BENCH_*.json)",
-    )
-    bench_report.add_argument(
-        "--db",
-        default="bench_registry.sqlite",
-        help="SQLite registry file (created on first use)",
-    )
-    bench_report.add_argument(
-        "--threshold",
-        type=float,
-        default=0.2,
-        help="relative regression threshold (0.2 = 20%%)",
-    )
-    bench_report.add_argument(
-        "--check",
-        action="store_true",
-        help="exit non-zero when any direction-aware metric regresses",
-    )
-    bench_report.set_defaults(func=_cmd_bench_report)
     return parser
 
 

@@ -22,9 +22,7 @@ Four ideas cover everything a user does with the library:
   metrics) re-exported so scripts and examples need exactly one import.
 
 Observability rides along: :func:`span` / :func:`metrics_snapshot` expose
-the live tracing/metrics substrate (:mod:`repro.obs`) the hot paths feed,
-and :class:`BenchRegistry` / :func:`bench_report` the persistent bench-run
-history behind ``repro bench-report``.
+the live tracing/metrics substrate (:mod:`repro.obs`) the hot paths feed.
 
 Every future surface (CLI subcommands, async serving, new backends) binds
 to this package; ``repro.engine`` / ``repro.serve`` / ``repro.storage``
@@ -64,14 +62,13 @@ from repro.exec import (
     parse_predicate,
 )
 from repro.ml.metrics import accuracy, error_rate
-from repro.obs import BenchRegistry, bench_report, metrics_snapshot, span
+from repro.obs import metrics_snapshot, span
 from repro.serve.checkpoint import Checkpoint, ModelRegistry
 from repro.serve.service import PredictionService
 
 __all__ = [
     "Aggregate",
     "AsyncPredictionService",
-    "BenchRegistry",
     "Calibration",
     "Checkpoint",
     "ClusterError",
@@ -99,7 +96,6 @@ __all__ = [
     "__version__",
     "accuracy",
     "available_schemes",
-    "bench_report",
     "calibrate",
     "ensure_calibration",
     "error_rate",

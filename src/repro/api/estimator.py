@@ -110,9 +110,8 @@ class Estimator:
         L2 penalty; ``None`` keeps each model's own default.
     hidden_sizes / n_classes:
         Feed-forward network shape (ignored by the linear models).
-    budget_bytes / budget_ratio / prefetch_depth / workers / executor:
-        Out-of-core knobs, passed to the engine when that path runs
-        (``prefetch_depth`` is recorded in checkpoints and has no effect).
+    budget_bytes / budget_ratio / workers / executor:
+        Out-of-core knobs, passed to the engine when that path runs.
     """
 
     def __init__(
@@ -132,7 +131,6 @@ class Estimator:
         budget_bytes: int | None = None,
         budget_ratio: float = 0.5,
         disk_bandwidth_bytes_per_sec: float = 150e6,
-        prefetch_depth: int = 2,
         workers: int | None = None,
         executor: str = "auto",
     ):
@@ -186,7 +184,6 @@ class Estimator:
         self.budget_bytes = budget_bytes
         self.budget_ratio = budget_ratio
         self.disk_bandwidth_bytes_per_sec = disk_bandwidth_bytes_per_sec
-        self.prefetch_depth = prefetch_depth
         self.workers = workers
         self.executor = executor
         #: The checkpoint this estimator was loaded from, if any.
@@ -218,7 +215,6 @@ class Estimator:
             "budget_bytes": self.budget_bytes,
             "budget_ratio": self.budget_ratio,
             "disk_bandwidth_bytes_per_sec": self.disk_bandwidth_bytes_per_sec,
-            "prefetch_depth": self.prefetch_depth,
             "workers": self.workers,
             "executor": self.executor,
         }
@@ -331,7 +327,6 @@ class Estimator:
             budget_bytes=self.budget_bytes,
             budget_ratio=self.budget_ratio,
             disk_bandwidth_bytes_per_sec=self.disk_bandwidth_bytes_per_sec,
-            prefetch_depth=self.prefetch_depth,
             workers=self.workers,
             executor=self.executor,
         )
@@ -472,6 +467,8 @@ class Estimator:
         checkpoint = ModelRegistry(registry_root).load(version)
         params = dict(checkpoint.api_meta.get("estimator", {}))
         params.pop("model", None)
+        # Checkpoints saved while the inert read-ahead knob existed record it.
+        params.pop("prefetch_depth", None)
         if "hidden_sizes" in params:
             params["hidden_sizes"] = tuple(params["hidden_sizes"])
         if isinstance(checkpoint.model, FeedForwardNetwork):

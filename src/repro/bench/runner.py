@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.compression.registry import get_scheme
+from repro.obs import platform_key
 
 #: Environment variable selecting where ``BENCH_*.json`` files are written.
 BENCH_JSON_DIR_ENV = "BENCH_JSON_DIR"
@@ -28,9 +29,8 @@ BENCH_JSON_DIR_ENV = "BENCH_JSON_DIR"
 #: v2 added ``git_commit`` so each file is an attributable point on the
 #: perf trajectory, not just a platform-stamped blob.  v3 stamps the
 #: platform fingerprint from ``core/calibration.py`` (plus ``cpu_count``)
-#: and a ``platform_key`` so the bench run registry can group runs by
-#: machine class; v2 files remain ingestible (the registry derives the key
-#: from the old platform dict).
+#: and its :func:`repro.obs.platform_key`, the machine class a reader
+#: groups runs by.
 BENCH_JSON_VERSION = 3
 
 
@@ -122,10 +122,8 @@ def write_bench_json(
     fingerprint so accumulated files stay attributable and comparable across
     machines and commits.
     """
-    # Function-level imports: core.calibration imports this module at top
-    # level, and obs.registry is only needed when actually writing a file.
+    # Function-level import: core.calibration imports this module at top level.
     from repro.core.calibration import platform_fingerprint
-    from repro.obs.registry import platform_key
 
     path = bench_json_path(name, directory)
     path.parent.mkdir(parents=True, exist_ok=True)

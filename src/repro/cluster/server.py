@@ -315,10 +315,14 @@ class ClusterService:
             )
         self._m_start_seconds.observe(time.monotonic() - handle.launched)
 
-    def _adopt(self, handle: _WorkerHandle) -> bool:
+    def _adopt(self, handle: _WorkerHandle, respawned: bool = False) -> bool:
         """Put a ready worker into service, unless the service closed meanwhile."""
         with self._lock:
             if not self._closing:
+                if respawned:
+                    # Counted before the worker shows as alive, so whoever
+                    # sees it back also sees the respawn.
+                    self._m_respawns.inc()
                 handle.alive = True
                 handle.reader = threading.Thread(
                     target=self._reader_loop,
@@ -360,8 +364,7 @@ class ClusterService:
                 self._m_respawn_failures.inc()
                 self._reap(handle)
             else:
-                if self._adopt(handle):
-                    self._m_respawns.inc()
+                self._adopt(handle, respawned=True)
                 return
             with self._slot_free:
                 if self._slot_free.wait_for(lambda: self._closing, timeout=backoff):

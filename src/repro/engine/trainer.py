@@ -76,10 +76,6 @@ class OutOfCoreTrainer:
         actually exercises the out-of-core path.
     workers / executor:
         Encode fan-out (see :func:`repro.engine.encode.encode_batches`).
-    prefetch_depth:
-        Accepted and stored, with no effect: shards are read and decoded in
-        order on the training thread.  Kept so that callers and checkpoints
-        that name it still work.
     """
 
     def __init__(
@@ -90,7 +86,6 @@ class OutOfCoreTrainer:
         budget_bytes: int | None = None,
         budget_ratio: float = 0.5,
         disk_bandwidth_bytes_per_sec: float = 150e6,
-        prefetch_depth: int = 2,
         workers: int | None = None,
         executor: str = "auto",
     ):
@@ -108,7 +103,6 @@ class OutOfCoreTrainer:
         self.budget_bytes = budget_bytes
         self.budget_ratio = budget_ratio
         self.disk_bandwidth_bytes_per_sec = disk_bandwidth_bytes_per_sec
-        self.prefetch_depth = prefetch_depth
         self.workers = workers
         self.executor = executor
         self.dataset: ShardedDataset | None = None

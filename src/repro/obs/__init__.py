@@ -1,15 +1,15 @@
-"""``repro.obs``: one observability substrate for live metrics and history.
+"""``repro.obs``: one observability substrate for live metrics and spans.
 
-Three pieces, one import point:
+Two pieces, one import point:
 
 * :mod:`repro.obs.metrics` — thread-safe counters/gauges/histograms on a
   process-global registry, fed by the instrumented hot paths (serving,
   buffer pool, encode, trainer, scan, compaction);
 * :mod:`repro.obs.trace` — ``with span("engine.encode.batch", shard=i):``
-  wall-time spans in a ring buffer, dumpable as Chrome trace JSON;
-* :mod:`repro.obs.registry` / :mod:`repro.obs.report` — a SQLite registry
-  of ``BENCH_*.json`` runs with direction-aware regression diffs behind
-  ``repro bench-report --check``.
+  wall-time spans in a ring buffer, dumpable as Chrome trace JSON.
+
+:func:`platform_key` names the machine class a benchmark result was
+measured on; ``BENCH_*.json`` files and ``bench/run.py`` results carry it.
 
 ``set_enabled(False)`` turns both metrics and spans off in one call — the
 serving benchmark uses it to bound instrumentation overhead.
@@ -28,15 +28,6 @@ from repro.obs.metrics import (
     histogram,
 )
 from repro.obs.metrics import snapshot as metrics_snapshot
-from repro.obs.registry import (
-    BenchRegistry,
-    MetricDelta,
-    RunDiff,
-    RunInfo,
-    metric_direction,
-    platform_key,
-)
-from repro.obs.report import DEFAULT_THRESHOLD, bench_report
 from repro.obs.trace import Tracer, default_tracer, span, spans
 
 
@@ -52,24 +43,31 @@ def reset() -> None:
     trace.clear()
 
 
+def platform_key(platform: dict | None) -> str:
+    """Stable "same machine class" key from a platform fingerprint dict.
+
+    Works for both the v3 fingerprint (``core/calibration.py`` shape) and
+    the legacy v2 platform dict — both carry system/machine/python.
+    """
+    platform = platform or {}
+    system = platform.get("system") or "unknown"
+    machine = platform.get("machine") or "unknown"
+    python = platform.get("python") or "0.0"
+    major_minor = ".".join(str(python).split(".")[:2])
+    return f"{system}-{machine}-py{major_minor}"
+
+
 __all__ = [
-    "DEFAULT_THRESHOLD",
-    "BenchRegistry",
     "Counter",
     "Gauge",
     "Histogram",
-    "MetricDelta",
     "MetricsRegistry",
-    "RunDiff",
-    "RunInfo",
     "Tracer",
-    "bench_report",
     "counter",
     "default_registry",
     "default_tracer",
     "gauge",
     "histogram",
-    "metric_direction",
     "metrics",
     "metrics_snapshot",
     "platform_key",

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -9,6 +11,7 @@ import scipy.sparse as sp
 from repro.api import Dataset, Estimator
 from repro.data.registry import DATASET_PROFILES
 from repro.ml.models import FeedForwardNetwork, LogisticRegressionModel
+from repro.serve.checkpoint import CHECKPOINT_NAME
 
 
 @pytest.fixture(scope="module")
@@ -222,6 +225,27 @@ class TestPersistence:
         np.testing.assert_array_equal(
             loaded.predict(features), estimator.predict(features)
         )
+
+    def test_checkpoint_recording_prefetch_depth_loads_fits_and_predicts(
+        self, tmp_path, census, dataset
+    ):
+        """Checkpoints saved while ``prefetch_depth`` existed still load."""
+        features, _ = census
+        estimator = Estimator("logreg", epochs=1, learning_rate=0.3, batch_size=100)
+        estimator.fit(dataset)
+        _, path = estimator.save(tmp_path / "registry")
+        manifest = json.loads((path / CHECKPOINT_NAME).read_text())
+        manifest["api"]["estimator"]["prefetch_depth"] = 2
+        (path / CHECKPOINT_NAME).write_text(json.dumps(manifest))
+
+        loaded = Estimator.load(tmp_path / "registry")
+        assert "prefetch_depth" not in loaded.get_params()
+        np.testing.assert_array_equal(loaded.predict(features), estimator.predict(features))
+        loaded.fit(dataset)
+        np.testing.assert_allclose(
+            loaded.model.get_parameters(), estimator.model.get_parameters()
+        )
+        np.testing.assert_array_equal(loaded.predict(features), estimator.predict(features))
 
     def test_loaded_estimator_continues_training(self, tmp_path, census):
         features, labels = census

@@ -68,32 +68,13 @@ class TestOutOfCoreTrainer:
         assert report.pool_stats.hits == (config.epochs - 1) * n
         assert report.epoch_io_seconds[-1] == 0.0
 
-    def test_explicit_budget_and_prefetch_depths(self, tmp_path, dataset, config):
+    def test_explicit_budget_bytes(self, tmp_path, dataset, config):
         features, labels = dataset
-        for depth in (0, 1, 4):
-            trainer = OutOfCoreTrainer(
-                "TOC",
-                config,
-                budget_bytes=1 << 20,
-                prefetch_depth=depth,
-                executor="serial",
-            )
-            model = LogisticRegressionModel(features.shape[1], seed=0)
-            report = trainer.fit(model, features, labels, tmp_path / f"depth{depth}")
-            assert report.budget_bytes == 1 << 20
-            assert len(report.history.epoch_losses) == config.epochs
-
-    def test_prefetch_depth_does_not_change_the_model(self, tmp_path, dataset, config):
-        features, labels = dataset
-        params = []
-        for depth in (0, 3):
-            trainer = OutOfCoreTrainer(
-                "TOC", config, budget_ratio=0.5, prefetch_depth=depth, executor="serial"
-            )
-            model = LogisticRegressionModel(features.shape[1], seed=0)
-            trainer.fit(model, features, labels, tmp_path / f"d{depth}")
-            params.append(model.get_parameters())
-        np.testing.assert_allclose(params[0], params[1])
+        trainer = OutOfCoreTrainer("TOC", config, budget_bytes=1 << 20, executor="serial")
+        model = LogisticRegressionModel(features.shape[1], seed=0)
+        report = trainer.fit(model, features, labels, tmp_path)
+        assert report.budget_bytes == 1 << 20
+        assert len(report.history.epoch_losses) == config.epochs
 
     def test_train_before_shard_rejected(self, config):
         trainer = OutOfCoreTrainer("TOC", config)

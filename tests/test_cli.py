@@ -74,6 +74,15 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["encode", "--shard-dir", "x", "--workload", "oltp"])
 
+    def test_there_is_no_bench_report_command(self):
+        # The regression verdict is ``bench/run.py --compare``.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["bench-report"])
+
+    def test_train_ooc_has_no_prefetch_depth_option(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["train-ooc", "--prefetch-depth", "2"])
+
 
 class TestEncodeStatsCompactCommands:
     def test_round_trip_encode_stats_compact_train_predict(self, capsys, tmp_path):
@@ -577,41 +586,3 @@ class TestObsCommand:
         args = build_parser().parse_args(["obs", "dump"])
         assert args.format == "json"
         assert args.rows == 400
-        args = build_parser().parse_args(["bench-report"])
-        assert args.db == "bench_registry.sqlite"
-        assert args.threshold == 0.2
-        assert not args.check
-
-
-class TestBenchReportCommand:
-    @staticmethod
-    def _bench_file(tmp_path, filename, created, rps, commit):
-        import json
-
-        path = tmp_path / filename
-        path.write_text(json.dumps({
-            "version": 3,
-            "name": "serving",
-            "created_unix": created,
-            "git_commit": commit,
-            "platform": {"system": "T", "machine": "t", "python": "3.11"},
-            "platform_key": "T-t-py3.11",
-            "records": [{"bench": "serving", "throughput_rps": rps}],
-        }))
-        return path
-
-    def test_gate_passes_then_fails_on_regression(self, capsys, tmp_path):
-        db = str(tmp_path / "reg.sqlite")
-        base = self._bench_file(tmp_path, "BENCH_a.json", 1000.0, 20000.0, "a")
-        curr = self._bench_file(tmp_path, "BENCH_b.json", 2000.0, 14000.0, "b")
-        assert main(["bench-report", "--db", db, "--check", str(base)]) == 0
-        assert "baseline recorded" in capsys.readouterr().out
-        assert main(["bench-report", "--db", db, "--check", str(curr)]) == 1
-        out = capsys.readouterr().out
-        assert "REGRESSION" in out
-        assert "FAILED regression gate" in out
-
-    def test_no_files_is_a_usage_error(self, capsys, tmp_path):
-        missing = str(tmp_path / "BENCH_*.json")
-        assert main(["bench-report", "--db", str(tmp_path / "r.sqlite"), missing]) == 2
-        assert "no BENCH files" in capsys.readouterr().out
