@@ -8,9 +8,9 @@ Two layers sit above the micro-batched ``PredictionService``:
 
 * :class:`~repro.api.AsyncPredictionService` — ``await service.predict(i)``
   from an event loop.  Requests bridge into the batcher via futures, so the
-  loop never blocks on a decode, and admission control (bounded in-flight,
-  deadlines) turns overload into *explicit, immediate* errors instead of
-  unbounded queueing;
+  loop never blocks on a decode; the service's queue bound (``max_queue``)
+  and each call's ``deadline`` turn overload into *explicit, immediate*
+  errors instead of unbounded waiting;
 * :class:`~repro.api.ClusterService` — N worker processes, each with its
   own buffer pool, feature store, and checkpoint, behind one dispatcher.
   Per-worker queues are bounded (``backlog``), crashed workers respawn,
@@ -49,7 +49,7 @@ REQUESTS = 400
 async def serve_async(registry_dir: Path) -> None:
     """The asyncio surface: concurrent awaits coalesce into mini-batches."""
     service, checkpoint = open_service(registry_dir, cache_size=256)
-    async with AsyncPredictionService(service, max_inflight=64) as aps:
+    async with AsyncPredictionService(service) as aps:
         rng = np.random.default_rng(0)
         ids = rng.integers(0, ROWS, size=REQUESTS)
         start = time.perf_counter()
@@ -66,9 +66,10 @@ async def serve_async(registry_dir: Path) -> None:
             f"mean batch {stats.mean_batch_size:.1f}"
         )
 
-        # Deadlines turn slow answers into explicit errors, not hangs.
+        # Deadlines turn slow answers into explicit errors, not hangs (a
+        # feature vector is never a cache hit, so this one always queues).
         try:
-            await aps.predict(0, deadline=1e-9)
+            await aps.predict_vector(service.store.get_row(0), deadline=1e-9)
         except DeadlineExceeded:
             print("  a 1ns deadline fails explicitly: DeadlineExceeded")
 

@@ -599,9 +599,8 @@ def _obs_exercise(rows: int) -> None:
 
     Serial executors throughout, so every span lands in this process's
     tracer (process-pool workers would record into their own).  The serving
-    leg runs a handful of requests through the asyncio surface so the
-    ``cluster.async.*`` admission metrics (in-flight, shed, rejected) show
-    up in the snapshot next to the ``serve.*`` series.
+    leg awaits 16 requests through the asyncio surface, which submits them to
+    the service's micro-batcher: they show up in the ``serve.*`` series.
     """
     import asyncio
 
@@ -630,7 +629,7 @@ def _obs_exercise(rows: int) -> None:
         service, _ = open_service(f"{tmp}/registry", cache_size=32)
 
         async def serve_leg():
-            async with AsyncPredictionService(service, max_inflight=8) as async_service:
+            async with AsyncPredictionService(service) as async_service:
                 await async_service.predict_many(
                     [int(i) for i in rng.integers(0, rows, size=16)]
                 )

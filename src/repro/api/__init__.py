@@ -17,7 +17,9 @@ Four ideas cover everything a user does with the library:
   micro-batched :class:`~repro.serve.service.PredictionService`, or with
   ``workers=N`` into a multi-process
   :class:`~repro.cluster.server.ClusterService`; the asyncio face is
-  :class:`~repro.cluster.asyncio_service.AsyncPredictionService`;
+  :class:`~repro.cluster.asyncio_service.AsyncPredictionService`, an
+  awaitable bridge over the in-process service's ``submit_*`` whose queue
+  bound (``max_queue``) and per-call deadlines are the service's own;
 * the building blocks themselves (schemes, advisor, dataset profiles,
   metrics) re-exported so scripts and examples need exactly one import.
 

@@ -1,12 +1,14 @@
 """repro.cluster — the scale-out serving tier.
 
 Two front-ends over the one request pipeline in :mod:`repro.serve` (neither
-queues, caches or sheds on its own behalf — they admit, route and supervise):
+queues, caches or sheds on its own behalf; only the dispatcher admits, routes
+and supervises):
 
-* :class:`AsyncPredictionService` — an asyncio facade over one in-process
+* :class:`AsyncPredictionService` — an asyncio bridge over one in-process
   :class:`~repro.serve.service.PredictionService`: ``await
-  service.predict(row_id)`` with micro-batching underneath, bounded
-  in-flight admission, deadlines, and load shedding;
+  service.predict(row_id)`` submits to the service's micro-batcher, whose
+  queue bound and per-call deadlines are the in-process admission and
+  shedding;
 * :class:`ClusterService` — N worker processes (each a socket adapter over
   its own ``PredictionService``) behind one dispatcher speaking
   length-prefixed frames (fixed binary layouts for predictions, JSON for
@@ -18,7 +20,7 @@ Both fail *explicitly* under pressure — :class:`ServiceOverloaded`,
 and never leave a caller hanging.
 """
 
-from repro.cluster.asyncio_service import ADMISSION_POLICIES, AsyncPredictionService
+from repro.cluster.asyncio_service import AsyncPredictionService
 from repro.cluster.errors import (
     ClusterError,
     DeadlineExceeded,
@@ -27,7 +29,7 @@ from repro.cluster.errors import (
     WorkerCrashed,
 )
 from repro.cluster.protocol import MAX_FRAME_BYTES, ProtocolError, recv_frame, send_frame
-from repro.cluster.server import DEADLINE_GRACE_SECONDS, ClusterService
+from repro.cluster.server import ADMISSION_POLICIES, DEADLINE_GRACE_SECONDS, ClusterService
 from repro.cluster.watch import DEFAULT_POLL_SECONDS, GenerationWatcher
 from repro.cluster.worker import worker_main
 

@@ -42,6 +42,7 @@ and a wall-clock step can neither shed nor immortalise a request.
 
 from __future__ import annotations
 
+import concurrent.futures
 import itertools
 import multiprocessing
 import os
@@ -54,7 +55,6 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.cluster.asyncio_service import ADMISSION_POLICIES
 from repro.cluster.errors import (
     ClusterError,
     DeadlineExceeded,
@@ -68,6 +68,9 @@ from repro.engine.shards import row_id_array
 from repro.obs import metrics as obs_metrics
 from repro.serve.batcher import fail_future
 from repro.serve.checkpoint import Checkpoint, ModelRegistry
+
+#: What the dispatcher does when every worker is at its backlog.
+ADMISSION_POLICIES = ("block", "reject")
 
 #: Seconds the dispatcher waits for a fresh worker's ready frame (covers a
 #: cold fork server: one python + numpy + scipy import on a loaded box).
@@ -529,9 +532,9 @@ class ClusterService:
             timeout = max(0.0, expires - time.monotonic()) + DEADLINE_GRACE_SECONDS
         try:
             return future.result(timeout=timeout)
-        except TimeoutError as exc:
-            if isinstance(exc, DeadlineExceeded):
-                raise
+        except DeadlineExceeded:  # the worker's own explicit answer
+            raise
+        except concurrent.futures.TimeoutError:  # not the builtin TimeoutError before 3.11
             self._m_shed.inc()
             raise DeadlineExceeded("deadline passed before the worker answered") from None
 
@@ -550,7 +553,7 @@ class ClusterService:
         self._send(handle, req_id, {"op": op, "id": req_id})
         try:
             return future.result(timeout=timeout)
-        except TimeoutError:
+        except concurrent.futures.TimeoutError:
             self._abandon(handle, req_id)
             raise WorkerCrashed(
                 f"worker {handle.index} did not answer {op!r} within {timeout}s"
@@ -667,6 +670,7 @@ class ClusterService:
 
 
 __all__ = [
+    "ADMISSION_POLICIES",
     "DEADLINE_GRACE_SECONDS",
     "SPAWN_CONNECT_TIMEOUT",
     "ClusterService",

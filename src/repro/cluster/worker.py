@@ -176,20 +176,20 @@ class _Worker:
         self._send({"id": req_id, "ok": True, key: value})
 
     def _reply_exception(self, req_id, exc: BaseException) -> None:
-        code = ERROR_CODES.get(type(exc), type(exc).__name__)
-        if code in self._m_shed:
-            self._m_shed[code].inc()
-        self._reply_error(req_id, code, str(exc))
+        self._reply_error(req_id, ERROR_CODES.get(type(exc), type(exc).__name__), str(exc))
 
     # -- helpers ---------------------------------------------------------------
 
     def _metrics(self) -> dict:
-        # The cache and the queue are the service's; the dispatcher-side
-        # readers find them under this worker's label, refreshed per snapshot.
+        # The cache, the queue and the sheds are the service's; the
+        # dispatcher-side readers find them under this worker's label,
+        # refreshed per snapshot.
+        merged = self.service.metrics()
+        for reason, shed in self._m_shed.items():
+            shed.inc(merged["counters"][f"serve.shed{{reason={reason}}}"] - shed.value)
         self._m_cache_hits.inc(self.service.stats.cache_hits - self._m_cache_hits.value)
         self._m_depth.set(self.service.queue_depth)
         mine = obs_metrics.snapshot("cluster.worker.", labels={"worker": self.index})
-        merged = self.service.metrics()
         for kind in ("counters", "gauges", "histograms"):
             merged.setdefault(kind, {}).update(mine.get(kind, {}))
         merged["generation"] = self.service.generation

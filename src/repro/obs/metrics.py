@@ -314,8 +314,9 @@ class MetricsRegistry:
         ``prefix`` filters by dotted-name prefix; ``labels`` keeps only
         metrics whose label set contains every given pair (what
         ``service.metrics()`` uses to isolate one instance);
-        ``strip_labels`` drops the ``{k=v}`` suffix from the keys — only
-        safe when the filter makes names unique again.
+        ``strip_labels`` drops those filtered-on pairs from the keys, so one
+        instance's series read under their bare names while any other label
+        stays (``serve.shed{reason=deadline}``).
         """
         wanted = (
             tuple(sorted((str(k), str(v)) for k, v in labels.items()))
@@ -328,7 +329,10 @@ class MetricsRegistry:
                 continue
             if wanted is not None and not set(wanted) <= set(metric.labels):
                 continue
-            key = metric.name if strip_labels else metric.full_name
+            if strip_labels and wanted is not None:
+                key = _render(metric.name, tuple(p for p in metric.labels if p not in wanted))
+            else:
+                key = metric.full_name
             if isinstance(metric, Counter):
                 out["counters"][key] = metric.value
             elif isinstance(metric, Gauge):

@@ -101,12 +101,16 @@ class MicroBatcher:
         Bound on queued requests (``None`` = unbounded); a submit that finds
         the queue full raises :class:`ServiceOverloaded`.
     metrics_labels:
-        When given, the batcher also feeds two process-global histograms
-        with these labels: ``serve.batch.size`` (one observation per
+        When given, the batcher also feeds process-global metrics with these
+        labels: the histograms ``serve.batch.size`` (one observation per
         dispatched batch) and ``serve.queue.wait_seconds`` (the *longest*
         submit-to-dispatch wait in each batch — one observation per batch,
         not per request, keeping the hot-path overhead bounded while still
-        capturing the tail a latency SLO cares about).
+        capturing the tail a latency SLO cares about), and the counter
+        ``serve.shed`` with ``reason=overloaded`` (a submit refused at a full
+        queue) or ``reason=deadline`` (a request dropped at dispatch because
+        it expired while queued) — each shed counted once, where it happens,
+        whichever front-end submitted it.
     """
 
     def __init__(
@@ -129,7 +133,7 @@ class MicroBatcher:
         self.max_wait_seconds = max_wait_seconds
         self.max_queue = max_queue
         self.stats = MicroBatcherStats()
-        self._batch_size_hist = self._wait_hist = None
+        self._batch_size_hist = self._wait_hist = self._shed = None
         if metrics_labels is not None:
             self._batch_size_hist = obs_metrics.histogram(
                 "serve.batch.size", **metrics_labels
@@ -137,6 +141,10 @@ class MicroBatcher:
             self._wait_hist = obs_metrics.histogram(
                 "serve.queue.wait_seconds", **metrics_labels
             )
+            self._shed = {
+                reason: obs_metrics.counter("serve.shed", reason=reason, **metrics_labels)
+                for reason in ("deadline", "overloaded")
+            }
         self._queue: queue.Queue = queue.Queue()
         self._closed = False
         self._drain_on_close = True
@@ -161,6 +169,8 @@ class MicroBatcher:
             if self._closed:
                 raise ServiceClosed("batcher is closed")
             if self.max_queue is not None and self._queue.qsize() >= self.max_queue:
+                if self._shed is not None:
+                    self._shed["overloaded"].inc()
                 raise ServiceOverloaded(f"request queue full ({self.max_queue})")
             self._queue.put((request, future, time.perf_counter(), expires))
         return future
@@ -262,6 +272,8 @@ class MicroBatcher:
                 fail_future(future, ServiceClosed("batcher closed before the request ran"))
             elif expires is not None and now > expires:
                 fail_future(future, DeadlineExceeded("deadline passed in queue"))
+                if self._shed is not None:
+                    self._shed["deadline"].inc()
             elif future.set_running_or_notify_cancel():
                 inputs.append(request)
                 futures.append(future)

@@ -1,4 +1,4 @@
-"""Tests for the asyncio serving surface (in-process admission + deadlines)."""
+"""Tests for the asyncio serving surface: a bridge over ``submit_*``."""
 
 from __future__ import annotations
 
@@ -17,6 +17,8 @@ from repro.cluster import (
     ServiceOverloaded,
 )
 from repro.data.registry import DATASET_PROFILES
+from repro.serve.batcher import MicroBatcher
+from repro.serve.feature_store import FeatureStore
 from repro.serve.service import PredictionService
 
 
@@ -112,59 +114,70 @@ class TestPrediction:
         assert gaps.max() < 0.5
 
 
+class _GatedModel(_SlowModel):
+    """Parks the batcher inside ``predict`` until the test opens the gate."""
+
+    def __init__(self):
+        super().__init__(0.0)
+        self.entered, self.gate = threading.Event(), threading.Event()
+
+    def predict(self, matrix):
+        self.entered.set()
+        assert self.gate.wait(timeout=10)
+        return super().predict(matrix)
+
+
 class TestAdmission:
-    def test_reject_policy_raises_overloaded(self):
-        service = PredictionService(_SlowModel(0.05), max_batch_size=1)
+    """The service's queue bound and the per-call deadline are the admission."""
+
+    def test_a_full_queue_fails_its_own_slots_in_predict_many(self, published):
+        _, dataset, _ = published
+        model = _GatedModel()
+        service = PredictionService(
+            model, FeatureStore.open(dataset.path), max_batch_size=1, max_queue=1
+        )
 
         async def go():
-            aps = AsyncPredictionService(service, max_inflight=1, admission="reject")
+            aps = AsyncPredictionService(service)
             first = asyncio.ensure_future(aps.predict_vector([0.0] * 4))
-            await asyncio.sleep(0.01)  # let the first request occupy the slot
-            with pytest.raises(ServiceOverloaded):
-                await aps.predict_vector([1.0] * 4)
+            await asyncio.get_running_loop().run_in_executor(None, model.entered.wait, 10)
+            many = asyncio.ensure_future(aps.predict_many([0, 1, 2], return_exceptions=True))
+            await asyncio.sleep(0.05)  # all three submitted: one queued, two refused
+            model.gate.set()
             await first
-            await aps.close()
-
-        _run(go())
-
-    def test_block_policy_waits_for_a_slot(self):
-        service = PredictionService(_SlowModel(0.02), max_batch_size=1)
-
-        async def go():
-            aps = AsyncPredictionService(service, max_inflight=1, admission="block")
-            results = await asyncio.gather(
-                *(aps.predict_vector([float(i)] * 4) for i in range(4))
-            )
-            assert aps.inflight == 0
+            results = await many
             await aps.close()
             return results
 
-        assert len(_run(go())) == 4
+        results = _run(go())
+        assert results[0] == 0.0
+        assert [type(r) for r in results[1:]] == [ServiceOverloaded, ServiceOverloaded]
 
-    def test_block_policy_sheds_on_deadline(self):
-        service = PredictionService(_SlowModel(0.2), max_batch_size=1)
+    def test_an_unbounded_queue_answers_every_waiting_caller(self):
+        service = PredictionService(_SlowModel(0.02), max_batch_size=1)
 
         async def go():
-            aps = AsyncPredictionService(service, max_inflight=1, admission="block")
-            first = asyncio.ensure_future(aps.predict_vector([0.0] * 4))
-            await asyncio.sleep(0.01)
-            with pytest.raises(DeadlineExceeded):
-                await aps.predict_vector([1.0] * 4, deadline=0.05)
-            await first
-            await aps.close()
+            async with AsyncPredictionService(service) as aps:
+                return await asyncio.gather(
+                    *(aps.predict_vector([float(i)] * 4) for i in range(4))
+                )
 
-        _run(go())
+        assert _run(go()) == [0.0] * 4
+        assert service.batcher_stats.batches == 4
 
-    def test_deadline_sheds_slow_prediction(self):
+    def test_a_per_call_deadline_sheds_a_slow_prediction(self):
         service = PredictionService(_SlowModel(0.5), max_batch_size=1)
 
         async def go():
-            aps = AsyncPredictionService(service, default_deadline=0.05)
-            with pytest.raises(DeadlineExceeded):
-                await aps.predict_vector([0.0] * 4)
+            aps = AsyncPredictionService(service)
+            start = time.monotonic()
+            with pytest.raises(DeadlineExceeded, match="before the prediction finished"):
+                await aps.predict_vector([0.0] * 4, deadline=0.05)
+            elapsed = time.monotonic() - start
             await aps.close(drain=False)
+            return elapsed
 
-        _run(go())
+        assert _run(go()) < 0.4  # the caller was answered, not the model waited out
 
     def test_queued_request_past_its_deadline_never_reaches_the_model(self):
         calls = []
@@ -188,12 +201,6 @@ class TestAdmission:
         _run(go())
         assert calls == [[0.0]]
 
-    def test_invalid_admission_rejected(self):
-        service = PredictionService(_SlowModel(0.0))
-        with pytest.raises(ValueError, match="admission"):
-            AsyncPredictionService(service, admission="drop")
-        service.close()
-
     def test_closed_service_rejects_new_requests(self):
         service = PredictionService(_SlowModel(0.0))
 
@@ -205,40 +212,67 @@ class TestAdmission:
 
         _run(go())
 
+    def test_a_score_vector_hit_submits_nothing(self, published, monkeypatch):
+        registry, _, estimator = published
+        service, _ = open_service(registry, cache_size=8)
+        expected = estimator.predict(service.store.get_rows([0, 1]))
+        submits = []
+        real_submit = MicroBatcher.submit
+
+        def counting_submit(self, request, **kwargs):
+            submits.append(request)
+            return real_submit(self, request, **kwargs)
+
+        monkeypatch.setattr(MicroBatcher, "submit", counting_submit)
+
+        async def go():
+            async with AsyncPredictionService(service) as aps:
+                miss = await aps.predict(0)  # scores row 0's shard: one submit
+                hit = await aps.predict(1)  # same shard, resident vector
+                return miss, hit
+
+        np.testing.assert_allclose(_run(go()), expected)
+        assert len(submits) == 1
+
 
 class TestMetrics:
-    def test_metrics_merge_serve_and_cluster_series(self, published):
+    def test_metrics_are_the_services_own(self, published):
         registry, _, _ = published
         service, _ = open_service(registry, cache_size=8)
 
         async def go():
-            async with AsyncPredictionService(service, max_inflight=4) as aps:
+            async with AsyncPredictionService(service) as aps:
                 await aps.predict_many([0, 1, 2, 3])
                 return aps.metrics()
 
         metrics = _run(go())
-        assert metrics["counters"]["cluster.async.requests"] == 4
-        assert "serve.requests" in metrics["counters"]
-        assert metrics["gauges"]["cluster.async.inflight"] == 0
+        assert metrics == service.metrics()
+        assert metrics["counters"]["serve.requests"] == 4
+        assert not any(".async." in key for kind in metrics.values() for key in kind)
 
-    def test_per_request_exceptions_in_predict_many(self):
-        service = PredictionService(_SlowModel(0.1), max_batch_size=1)
+    def test_a_refusal_and_a_queued_shed_each_count_once(self):
+        model = _GatedModel()
+        service = PredictionService(model, max_batch_size=1, max_queue=1)
 
         async def go():
-            aps = AsyncPredictionService(service, max_inflight=1, admission="reject")
-            results = await asyncio.gather(
-                *(
-                    aps.predict_vector([0.0] * 4)
-                    for _ in range(3)
-                ),
-                return_exceptions=True,
-            )
-            await aps.close()
-            return results
+            aps = AsyncPredictionService(service)
+            first = asyncio.ensure_future(aps.predict_vector([0.0] * 4))
+            await asyncio.get_running_loop().run_in_executor(None, model.entered.wait, 10)
+            doomed = asyncio.ensure_future(aps.predict_vector([1.0] * 4, deadline=0.01))
+            await asyncio.sleep(0.05)  # queued behind the gated request
+            with pytest.raises(ServiceOverloaded):
+                await aps.predict_vector([2.0] * 4)
+            with pytest.raises(DeadlineExceeded):
+                await doomed
+            model.gate.set()
+            await first
+            await aps.close()  # the batcher drops the expired request on the way out
+            return aps.metrics()["counters"]
 
-        results = _run(go())
-        assert any(isinstance(r, ServiceOverloaded) for r in results)
-        assert any(isinstance(r, float) for r in results)
+        counters = _run(go())
+        assert counters["serve.shed{reason=overloaded}"] == 1
+        assert counters["serve.shed{reason=deadline}"] == 1
+        assert counters["serve.requests"] == 1
 
 
 class TestGenerationWatching:

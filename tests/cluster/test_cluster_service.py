@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import multiprocessing
 import os
 import re
 import shutil
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from repro.cluster import (
     ServiceOverloaded,
     WorkerCrashed,
 )
+from repro.cluster import server
 from repro.cluster.protocol import MAX_ROW_IDS, ProtocolError
 from repro.cluster.server import SPAWN_CONNECT_TIMEOUT
 from repro.data.registry import DATASET_PROFILES
@@ -373,6 +375,44 @@ class TestBlockingAdmission:
             service.close()
 
 
+class TestUnansweredFutures:
+    """A future nobody resolves ends in the cluster's own errors on every Python.
+
+    Before 3.11 ``Future.result(timeout=...)`` raises
+    ``concurrent.futures.TimeoutError``, a class of its own rather than the
+    builtin; the ``as_before_3_11`` leg swaps such a class in on later versions.
+    """
+
+    @pytest.fixture(params=["native", "as_before_3_11"])
+    def futures_timeout(self, request, monkeypatch):
+        if request.param == "as_before_3_11":
+
+            class FuturesTimeout(concurrent.futures._base.Error):
+                pass
+
+            monkeypatch.setattr(concurrent.futures._base, "TimeoutError", FuturesTimeout)
+            monkeypatch.setattr(concurrent.futures, "TimeoutError", FuturesTimeout)
+
+    def test_an_answer_past_deadline_and_grace_is_deadline_exceeded(
+        self, cluster, futures_timeout, monkeypatch
+    ):
+        monkeypatch.setattr(server, "DEADLINE_GRACE_SECONDS", 0.01)
+        before = cluster.metrics()["counters"]["cluster.server.shed"]
+        start = time.monotonic()
+        with pytest.raises(DeadlineExceeded, match="before the worker answered"):
+            cluster._await(Future(), time.monotonic() + 0.01)
+        assert time.monotonic() - start < 1.0
+        assert cluster.metrics()["counters"]["cluster.server.shed"] == before + 1
+
+    def test_an_unanswered_control_frame_is_a_crash_and_frees_its_slot(
+        self, cluster, futures_timeout, monkeypatch
+    ):
+        monkeypatch.setattr(cluster, "_send", lambda handle, req_id, message: None)
+        with pytest.raises(WorkerCrashed, match="did not answer 'ping' within 0.05s"):
+            cluster._control(cluster._handles[0], "ping", timeout=0.05)
+        assert cluster.inflight == 0
+
+
 class TestMonotonicDeadlines:
     def test_no_wall_clock_reads_under_cluster(self):
         from pathlib import Path
@@ -510,6 +550,60 @@ class TestWorkerServesThroughThePipeline:
         finally:
             blocker.join(timeout=60)
         assert self._worker_counters(single)["shed"] == before + 1
+
+
+    def test_a_refusal_and_a_queued_shed_each_count_once(self, published):
+        registry, shard_dir, _ = published
+
+        # The dispatcher keeps the worker's in-flight at its backlog, so only
+        # frames sent past admission (a slipped count) meet a full worker queue.
+        def past_admission(row_id, deadline):
+            handle = one._handles[0]
+            with one._lock:
+                req_id = next(one._req_ids)
+                future = Future()
+                handle.pending[req_id] = (future, "value")
+            one._send(handle, req_id, {
+                "op": "predict", "id": req_id, "row_id": row_id, "deadline": deadline,
+            })
+            return future
+
+        def sheds():
+            metrics = one.metrics()
+            counters, worker = metrics["counters"], metrics["workers"]["0"]["counters"]
+            counted = {"dispatcher": counters["cluster.server.shed"]}
+            for reason in ("deadline", "overloaded"):
+                counted[reason] = (
+                    counters[f"cluster.worker.shed{{reason={reason},worker=0}}"],
+                    worker[f"serve.shed{{reason={reason}}}"],
+                )
+            return counted
+
+        def batches():
+            return one.metrics()["workers"]["0"]["histograms"]["serve.batch.size"]["count"]
+
+        with ClusterService(
+            registry, shard_dir=shard_dir, workers=1, backlog=1, cache_size=0,
+            max_batch_size=1,
+        ) as one:
+            assert sheds() == {"dispatcher": 0, "deadline": (0, 0), "overloaded": (0, 0)}
+            blocker = threading.Thread(
+                target=lambda: one.predict_many(list(range(N_ROWS)) * 4000)
+            )
+            blocker.start()
+            try:
+                give_up = time.monotonic() + 10
+                while batches() == 0 and time.monotonic() < give_up:
+                    time.sleep(0.001)  # until the bulk request is in the worker's handler
+                doomed = past_admission(5, 0.01)  # takes the worker's one queue slot ...
+                refused = past_admission(6, 60.0)  # ... so this one is refused at the door
+                with pytest.raises(ServiceOverloaded):
+                    refused.result(timeout=10)
+                with pytest.raises(DeadlineExceeded, match="in queue"):
+                    doomed.result(timeout=60)
+            finally:
+                blocker.join(timeout=60)
+            assert sheds() == {"dispatcher": 0, "deadline": (1, 1), "overloaded": (1, 1)}
 
 
 class TestFrameLimits:

@@ -193,6 +193,17 @@ class TestRegistry:
         snap = registry.snapshot("serve.", labels={"svc": 0}, strip_labels=True)
         assert snap["counters"] == {"serve.requests": 2}
 
+    def test_strip_keeps_the_labels_not_filtered_on(self):
+        registry = MetricsRegistry()
+        registry.counter("serve.shed", reason="deadline", svc=0).inc(3)
+        registry.counter("serve.shed", reason="overloaded", svc=0).inc()
+        registry.counter("serve.shed", reason="deadline", svc=1).inc(7)
+        snap = registry.snapshot("serve.", labels={"svc": 0}, strip_labels=True)
+        assert snap["counters"] == {
+            "serve.shed{reason=deadline}": 3,
+            "serve.shed{reason=overloaded}": 1,
+        }
+
     def test_reset_zeroes_in_place(self):
         registry = MetricsRegistry()
         counter = registry.counter("t.a")

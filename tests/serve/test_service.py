@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -336,6 +338,37 @@ class TestStatsSnapshot:
         assert stats.rows_predicted == 1 + 1 + 2  # rows asked of the model, not rows it scored
         assert counters["serve.store.shards_scored"] == 4
         assert counters["serve.store.rows_gathered"] == 80
+
+    def test_a_refusal_and_a_queued_shed_each_count_once(self, trained_setup):
+        from repro.serve import DeadlineExceeded, ServiceOverloaded
+
+        model = trained_setup[0]
+        entered, gate = threading.Event(), threading.Event()
+
+        class Gated:
+            n_features = model.n_features
+
+            def predict(self, matrix):
+                entered.set()
+                gate.wait(timeout=5)
+                return model.predict(matrix)
+
+        vector = np.zeros(model.n_features)
+        with PredictionService(Gated(), max_batch_size=1, max_queue=1) as service:
+            blocker = service.submit_vector(vector)  # occupies the batcher thread
+            assert entered.wait(timeout=5)
+            doomed = service.submit_vector(vector, deadline=0.01)  # the one queue slot
+            with pytest.raises(ServiceOverloaded):
+                service.submit_vector(vector)
+            time.sleep(0.05)  # the queued request's budget runs out
+            gate.set()
+            blocker.result(timeout=10)
+            with pytest.raises(DeadlineExceeded, match="in queue"):
+                doomed.result(timeout=10)
+            counters = service.metrics()["counters"]
+        assert counters["serve.shed{reason=overloaded}"] == 1
+        assert counters["serve.shed{reason=deadline}"] == 1
+        assert counters["serve.requests"] == 1
 
 
 class TestLiveCompaction:

@@ -564,6 +564,19 @@ class TestObsCommand:
         assert snapshot["counters"]["engine.train.epochs"] >= 2
         assert "engine.encode.batch_seconds" in snapshot["histograms"]
 
+    def test_metrics_show_the_async_legs_requests_in_the_serve_series(self, capsys):
+        assert main(["obs", "metrics", "--rows", "60", "--prefix", "serve."]) == 0
+        counters = __import__("json").loads(capsys.readouterr().out)["counters"]
+        svc = max(
+            int(key[len("serve.requests{svc="):-1])
+            for key in counters
+            if key.startswith("serve.requests{svc=")
+        )
+        # The async leg's service is the newest one in the process.
+        assert counters[f"serve.requests{{svc={svc}}}"] == 16
+        for reason in ("deadline", "overloaded"):
+            assert counters[f"serve.shed{{reason={reason},svc={svc}}}"] == 0
+
     def test_dump_json_to_stdout(self, capsys):
         assert main(["obs", "dump", "--rows", "60"]) == 0
         spans = __import__("json").loads(capsys.readouterr().out)
