@@ -2,8 +2,9 @@
 
 The scan executor answers equality / range predicates on value-indexed
 shards by probing the value dictionary — ``k`` comparisons against the
-dictionary plus one boolean gather through the codes — instead of
-densifying ``rows x cols`` cells and masking.  This bench builds a
+dictionary plus one boolean gather through the codes — and on TOC shards
+by taking the predicate's columns out of one pass over the decode tree,
+instead of densifying ``rows x cols`` cells and masking.  This bench builds a
 quantised dataset (small value domain, so CVI and DVI are at their best)
 and a selective query (the regime push-down targets), shards the data once
 per scheme, and times the scan executor with push-down against the
@@ -12,8 +13,8 @@ same shard stream.
 
 Acceptance gates (results land in ``BENCH_scan.json``):
 
-* on the value-indexed schemes (CVI, DVI) the pushed-down selection must
-  beat decode-then-filter;
+* on the value-indexed schemes (CVI, DVI) and on TOC the pushed-down
+  selection must beat decode-then-filter;
 * on *every* registered scheme the pushed-down results — selected rows,
   row ids, and aggregates — must be bit-identical to the dense NumPy
   reference (checked end-to-end through ``Dataset.scan``).
@@ -41,7 +42,7 @@ AGG = "count,sum:c5,mean:c5,min:c3,max:c7"
 REPEATS = 5
 #: The schemes whose scan readers answer predicates without a dense decode;
 #: these are the ones the bench requires to beat the fallback.
-PUSHDOWN_SCHEMES = ("CVI", "DVI")
+PUSHDOWN_SCHEMES = ("CVI", "DVI", "TOC")
 
 
 @pytest.fixture(scope="module")
@@ -66,7 +67,7 @@ def _reference(features: np.ndarray):
 
 
 def test_pushdown_beats_decode_then_filter(bench_json, tmp_path_factory, quantised_data):
-    """The PR-6 gate: dictionary probing must beat densify-and-mask."""
+    """The push-down gate: scans on the compressed form must beat densify-and-mask."""
     features, labels = quantised_data
     mask, kept, ref_aggregates = _reference(features)
     tmp_path = tmp_path_factory.mktemp("scan-bench")
@@ -148,7 +149,7 @@ def test_pushdown_beats_decode_then_filter(bench_json, tmp_path_factory, quantis
     path = write_bench_json("scan", records)
     print(f"\nwrote scan comparison to {path}")
 
-    # The gate: on value-indexed shards the dictionary probe must win.
+    # The gate: the dictionary probe and the column pass over C' must win.
     for scheme in PUSHDOWN_SCHEMES:
         assert speedups[scheme] > 1.0, (
             f"pushed-down scan on {scheme} did not beat decode-then-filter "

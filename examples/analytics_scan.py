@@ -9,10 +9,12 @@ representation where the scheme allows it: on value-indexed shards
 (CVI, DVI) an equality or range comparison is evaluated against the
 value dictionary — ``k`` comparisons instead of ``rows x cols`` decoded
 cells — and the matching row mask is gathered straight through the
-codes.  Aggregates go one step further and come off code frequencies,
-so ``count``/``sum``/``min``/``max`` never materialise a single row.
-Schemes without a fast path (DEN, CSR, CLA, the byte codecs) fall back
-to decode-then-filter, so every query is answerable over any manifest.
+codes; their aggregates come off code frequencies.  On TOC shards every
+column the query touches comes out of one pass over the decode tree, and
+only the matching rows are decoded.  ``count``/``sum``/``min``/``max``
+never materialise a single row on either.  Schemes without a fast path
+(DEN, CSR, CLA, the byte codecs) fall back to decode-then-filter, so
+every query is answerable over any manifest.
 
 This example:
 
@@ -45,7 +47,8 @@ def main() -> None:
 
     with tempfile.TemporaryDirectory(prefix="repro-scan-") as tmp:
         # A mixed manifest on purpose: value-indexed shards (DVI, CVI) take
-        # the dictionary-probe fast path, the rest take the dense fallback.
+        # the dictionary-probe fast path, TOC shards the column pass over
+        # the decode tree, and CSR shards the dense fallback.
         schemes = ["DVI", "CVI", "TOC", "CSR"] * 2
         dataset = Dataset.create(
             Path(tmp) / "shards", features, labels, scheme=schemes, batch_size=1_000
@@ -55,7 +58,8 @@ def main() -> None:
         print(f"dataset: {stats.n_shards} shards ({mix})")
 
         # 1. A selective conjunction: answered on the value dictionaries of
-        # value-indexed shards, decode-then-filter everywhere else.
+        # value-indexed shards and off the decode tree of TOC shards,
+        # decode-then-filter on CSR.
         where = "c3 == 0.25 and c7 == 1.0"
         pushed = dataset.scan(where=where)
         print(
@@ -77,8 +81,9 @@ def main() -> None:
         for row_id, row in zip(head.row_ids, head.rows):
             print(f"  row {row_id:>5}: {row}")
 
-        # 3. Aggregates: on TOC / value-indexed shards these come off code
-        # frequencies without materialising any rows at all.
+        # 3. Aggregates: on value-indexed shards these come off code
+        # frequencies, on TOC shards off one column pass over the decode
+        # tree — neither materialises any rows at all.
         agg = dataset.scan(where=where, agg="count,sum:c5,mean:c5,min:c3,max:c7")
         print("\naggregates over the matching rows:")
         for key, value in agg.aggregates.items():

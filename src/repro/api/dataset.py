@@ -284,11 +284,13 @@ class Dataset:
         aggregate specs (``"count"``, ``"sum:c3"``, ``["min:c0", "max:c0"]``)
         and is exclusive with ``columns``.  Value-indexed shards (CVI/DVI)
         answer comparisons by probing their value dictionaries and
-        aggregates from code frequencies; TOC shards extract only the
-        touched columns with the compressed right multiplication; every
-        other scheme decodes once and masks densely — results are identical
-        either way (``pushdown=False`` forces the dense path, which is what
-        the benchmark gate compares against).
+        aggregates from code frequencies; TOC shards take every column the
+        scan touches out of one pass over the decode tree and decode only
+        the matched rows, selections and aggregates alike; every other
+        scheme (DEN, CSR, CLA, the byte-block codecs) decodes once and masks
+        densely — results are identical either way (``pushdown=False``
+        forces the dense path, which is what the benchmark gate compares
+        against).
 
         Shards stream through a byte-budgeted
         :class:`~repro.storage.buffer_pool.BufferPool` (``budget_bytes``

@@ -22,8 +22,9 @@ products, and for the left products one ``bincount`` (one sparse product,
 ``k`` columns wide) pushing a level's weights into the level above.  The
 scans of ``D`` are one ``bincount`` / ``reduceat`` / sparse product each.
 ``A @ v`` is bit-equal to the recurrence evaluated node by node.  Column
-extraction (:func:`matrix_column`) runs the right recurrence with the other
-columns' keys set to 0, so a NaN or ±inf elsewhere in a row never leaks in.
+extraction (:func:`matrix_columns`) runs the right recurrence once for every
+requested column, with the other columns' keys set to 0, so a NaN or ±inf
+elsewhere in a row never leaks in.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import numpy as np
 from repro import kernels
 from repro.core.decode_tree import DecodeTree, LevelLayout, build_decode_tree
 from repro.core.logical import LogicalEncoding
-from repro.core.sparse import SparseEncodedTable, sparse_decode
+from repro.core.sparse import SparseEncodedTable
 
 
 def _as_decode_tree(encoding: LogicalEncoding, tree: DecodeTree | None) -> DecodeTree:
@@ -112,10 +113,15 @@ def _prefix_products(layout: LevelLayout, own: np.ndarray) -> np.ndarray:
 
 
 def _row_sums(layout: LevelLayout, h: np.ndarray, n_rows: int) -> np.ndarray:
-    """One scan of ``D``: every row sums its codes' ``H`` (one segmented ``reduceat``)."""
-    result = np.zeros(n_rows, dtype=np.float64)
+    """One scan of ``D``: every row sums its codes' ``H`` (one segmented ``reduceat``).
+
+    ``H`` is one value per node, or one row of ``k`` values per node.
+    """
+    result = np.zeros((n_rows, *h.shape[1:]), dtype=np.float64)
     if layout.row_starts.size:
-        result[layout.nonempty_rows] = np.add.reduceat(h.take(layout.codes), layout.row_starts)
+        result[layout.nonempty_rows] = np.add.reduceat(
+            h.take(layout.codes, axis=0), layout.row_starts, axis=0
+        )
     return result
 
 
@@ -134,20 +140,25 @@ def matrix_times_vector(
     return _row_sums(layout, _prefix_products(layout, keys_dot_v), encoding.n_rows)
 
 
-def matrix_column(
-    encoding: LogicalEncoding, column: int, tree: DecodeTree | None = None
+def matrix_columns(
+    encoding: LogicalEncoding, columns, tree: DecodeTree | None = None
 ) -> np.ndarray:
-    """Column ``column`` of ``A`` as a dense vector, implicit zeros included.
+    """Columns ``columns`` of ``A`` as a dense ``(rows, k)`` block, implicit zeros included.
 
-    The recurrence of :func:`matrix_times_vector` with every other column's
-    keys set to 0 rather than multiplied by 0: ``A @ e_col`` would turn a
-    NaN or ±inf stored in another column into a NaN in this one.
+    The recurrence of :func:`matrix_times_matrix` run once over a ``(nodes, k)``
+    block of own keys: a key in a requested column is taken as it is, every
+    other key is *set* to 0 rather than multiplied by 0 (``A @ E`` would turn
+    a NaN or ±inf stored in another column into a NaN in this one).  Then
+    one 2-D segmented ``reduceat`` over ``D`` sums every row's codes.
     """
-    if not 0 <= column < encoding.n_cols:
-        raise IndexError(f"column {column} out of range [0, {encoding.n_cols})")
+    index = np.asarray(columns, dtype=np.int64).ravel()
+    outside = index[(index < 0) | (index >= encoding.n_cols)]
+    if outside.size:
+        raise IndexError(f"column {int(outside[0])} out of range [0, {encoding.n_cols})")
     layout = _as_decode_tree(encoding, tree).layout
-    own = np.where(layout.key_columns == column, layout.key_values, 0.0)
-    own[0] = 0.0
+    # Built (k, nodes) and transposed: a (nodes, k) broadcast runs k-wide inner loops.
+    own = np.where(layout.key_columns == index[:, None], layout.key_values, 0.0).T.copy()
+    own[0] = 0.0  # the root carries no key
     return _row_sums(layout, _prefix_products(layout, own), encoding.n_rows)
 
 
@@ -285,8 +296,8 @@ def decode_to_sparse(
 def decode_to_dense(
     encoding: LogicalEncoding, tree: DecodeTree | None = None
 ) -> np.ndarray:
-    """Fully decode the TOC output to a dense matrix."""
-    return sparse_decode(decode_to_sparse(encoding, tree))
+    """Fully decode the TOC output to a dense matrix: the row-slice walk over every row."""
+    return decode_rows_to_dense(encoding, np.arange(encoding.n_rows), tree)
 
 
 def decode_rows_to_dense(

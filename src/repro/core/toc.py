@@ -32,7 +32,7 @@ from repro.core.physical import (
     physical_decode,
     physical_encode,
 )
-from repro.core.sparse import SparseEncodedTable, sparse_decode, sparse_encode
+from repro.core.sparse import SparseEncodedTable, sparse_encode
 
 
 class TOCVariant(enum.Enum):
@@ -162,9 +162,17 @@ class TOCMatrix:
         """``M @ A`` without decompression (Algorithm 8)."""
         return ops.uncompressed_matrix_times_matrix(self.logical, matrix, self.decode_tree)
 
+    def columns(self, cols) -> np.ndarray:
+        """Columns ``cols`` as a dense ``(rows, k)`` block, in one pass over ``C'``.
+
+        Never multiplies another column's value, so a NaN or ±inf elsewhere
+        in a row stays out (:func:`repro.core.ops.matrix_columns`).
+        """
+        return ops.matrix_columns(self.logical, cols, self.decode_tree)
+
     def column(self, col: int) -> np.ndarray:
-        """Column ``col`` as a dense vector, never multiplying another column's value."""
-        return ops.matrix_column(self.logical, col, self.decode_tree)
+        """Column ``col`` as a dense vector."""
+        return self.columns([col])[:, 0]
 
     def scale(self, scalar: float) -> "TOCMatrix":
         """``A .* c`` — returns a new TOC matrix sharing the code arrays."""
@@ -187,8 +195,8 @@ class TOCMatrix:
         return ops.decode_to_sparse(self.logical, self.decode_tree)
 
     def to_dense(self) -> np.ndarray:
-        """Fully decode back to a dense NumPy matrix."""
-        return sparse_decode(self.to_sparse())
+        """Fully decode back to a dense NumPy matrix (the row-slice walk over every row)."""
+        return ops.decode_to_dense(self.logical, self.decode_tree)
 
     def row_slice(self, rows: np.ndarray) -> np.ndarray:
         """Dense copy of the selected rows, in request order.

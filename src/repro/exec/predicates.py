@@ -3,8 +3,9 @@
 A scan's ``where`` clause is a small expression tree over per-column
 comparisons; its ``agg`` clause is a list of column aggregates.  Both are
 plain data — the scan executor (:mod:`repro.exec.scan`) decides *how* each
-leaf is evaluated per shard (a dictionary probe on value-indexed schemes, a
-compressed column extraction on TOC, a NumPy mask on the dense fallback).
+leaf is evaluated per shard (a dictionary probe on value-indexed schemes,
+one column pass over the decode tree on TOC, a NumPy mask on the dense
+fallback).
 
 Expressions are built directly (``Compare(0, ">=", 0.5) & Compare(2, "==",
 1.0)``) or parsed from the textual form the CLI uses::

@@ -4,12 +4,13 @@ The paper's value-index and code-table encodings can answer selections and
 aggregations *on the compressed data*: a comparison against a CVI/DVI shard
 only has to test the (tiny) value dictionary and gather booleans through the
 bit-packed codes, and column aggregates fall out of the code frequencies —
-no dense block is ever materialised.  TOC shards extract the few columns a
-predicate touches with Algorithm 4's scan of the decode tree, keeping only
-the keys of that column (a NaN or ±inf elsewhere in a row never leaks in).
-Everything else — DEN, CSR, CLA, the byte-block schemes — runs the
-always-correct dense fallback: one ``to_dense`` per shard, then a NumPy
-mask.
+no dense block is ever materialised.  TOC shards take every column the scan
+touches (predicate, projection, aggregates) out of one pass of Algorithm 4's
+recurrence over the decode tree, keeping only the keys of those columns (a
+NaN or ±inf elsewhere in a row never leaks in), and gather matched rows with
+the row-slice decode.  Everything else — DEN, CSR, CLA, the byte-block
+schemes — runs the always-correct dense fallback: one ``to_dense`` per
+shard, then a NumPy mask.
 
 The executor mirrors :mod:`repro.exec.dispatch`: an ordered registry of
 ``(predicate, reader)`` pairs resolves the scan reader for each shard's
@@ -54,24 +55,30 @@ SELECT_DENSE_THRESHOLD = 0.25
 class ScanReader:
     """Column access on one compressed representation, without full decode.
 
-    The three methods define everything a scan needs; the defaults derive
-    ``compare`` and ``column_stats`` from ``column``, so a new scheme's
-    reader only has to extract one column cheaply to join the fast path.
+    The defaults derive ``columns``, ``compare`` and ``column_stats`` from
+    ``column``, so a new scheme's reader only has to extract one column
+    cheaply to join the fast path.  A reader overrides ``columns`` to take
+    several columns in one pass, and ``compare`` / ``column_stats`` when it
+    answers them without the column (a dictionary probe); every column a
+    default would extract is instead extracted once per shard, in one
+    ``columns`` call (see :class:`_ShardContext`).
     """
 
     name = "reader"
     #: Whether this reader answers predicates on the compressed form (the
     #: dense fallback reader sets this False; scan stats count the split).
     pushdown = True
-    #: Whether push-down pays off for *selections* too.  Readers whose only
-    #: column access is a compressed matvec (TOC) set this False: a selection
-    #: materialises the matching rows anyway, so probing columns first just
-    #: adds work on top of the dense decode.  Aggregates still push down.
-    selection_pushdown = True
 
     def column(self, matrix, col: int) -> np.ndarray:
         """One dense float64 column (implicit zeros included)."""
         raise NotImplementedError
+
+    def columns(self, matrix, cols: Sequence[int]) -> np.ndarray:
+        """Columns ``cols`` as one dense float64 ``(rows, len(cols))`` block."""
+        block = np.empty((matrix.shape[0], len(cols)), dtype=np.float64)
+        for j, col in enumerate(cols):
+            block[:, j] = self.column(matrix, col)
+        return block
 
     def compare(self, matrix, col: int, op: str, value: float) -> np.ndarray:
         """Boolean mask of rows where ``column OP value`` holds."""
@@ -84,21 +91,30 @@ class ScanReader:
 
         Returns ``None`` when no rows are kept (min/max are undefined).
         """
-        values = self.column(matrix, col)
-        if mask is not None:
-            values = values[mask]
-        if values.size == 0:
-            return None
-        return values.size, float(values.sum()), float(values.min()), float(values.max())
+        return _stats(self.column(matrix, col), mask)
 
     def select_rows(self, matrix, rows: np.ndarray) -> np.ndarray | None:
         """Materialise ``rows`` from the compressed form, or ``None``.
 
         ``None`` means this representation has no row gather cheaper than
-        one dense decode (e.g. TOC, whose row slice is a selection matmul);
-        the executor then materialises through the shard's dense block.
+        one dense decode; the executor then materialises through the
+        shard's dense block.
         """
         return None
+
+
+def _stats(values: np.ndarray, mask: np.ndarray | None) -> tuple[int, float, float, float] | None:
+    """``(count, sum, min, max)`` of ``values`` over the kept rows, ``None`` if none are."""
+    if mask is not None:
+        values = values[mask]
+    if values.size == 0:
+        return None
+    return values.size, float(values.sum()), float(values.min()), float(values.max())
+
+
+def _derived(reader: ScanReader, method: str) -> bool:
+    """Whether ``reader``'s ``method`` is :class:`ScanReader`'s, which extracts the column."""
+    return getattr(type(reader), method) is getattr(ScanReader, method)
 
 
 class DVIReader(ScanReader):
@@ -136,8 +152,7 @@ class DVIReader(ScanReader):
         total = float((frequencies[kept] * present).sum())
         return int(codes.size), total, float(present.min()), float(present.max())
 
-    def select_rows(self, matrix: DVIMatrix, rows: np.ndarray) -> np.ndarray:
-        return dispatch.row_slice(matrix, rows)
+    select_rows = staticmethod(dispatch.row_slice)
 
 
 class CVIReader(ScanReader):
@@ -188,25 +203,30 @@ class CVIReader(ScanReader):
             lowest, highest = min(lowest, 0.0), max(highest, 0.0)
         return kept, total, lowest, highest
 
-    def select_rows(self, matrix: CVIMatrix, rows: np.ndarray) -> np.ndarray:
-        return dispatch.row_slice(matrix, rows)
+    select_rows = staticmethod(dispatch.row_slice)
 
 
 class CompressedOpsReader(ScanReader):
     """Push-down for TOC and its ablations: columns straight off the decode tree.
 
-    A column is Algorithm 4's recurrence with every other column's keys set
-    to 0 (:meth:`repro.core.TOCMatrix.column`), so a predicate touching two
-    columns costs two compressed scans, never a full decode.  It is not
-    ``A @ e_col``: ``0 * NaN`` and ``0 * inf`` are NaN, and would leak into
-    this column's value for every row holding one.
+    Columns are Algorithm 4's recurrence run once over a block of keys, each
+    column's own keys kept and every other key set to 0
+    (:meth:`repro.core.TOCMatrix.columns`), so every column a scan touches
+    costs one compressed pass together, never a full decode.  It is not
+    ``A @ E``: ``0 * NaN`` and ``0 * inf`` are NaN, and would leak into a
+    column's value for every row holding one.  Matched rows are decoded
+    directly off their code runs (the row-slice kernel).
     """
 
     name = "compressed-ops"
-    selection_pushdown = False
 
     def column(self, matrix: TOCCompressedMatrix, col: int) -> np.ndarray:
         return matrix.toc.column(col)
+
+    def columns(self, matrix: TOCCompressedMatrix, cols: Sequence[int]) -> np.ndarray:
+        return matrix.toc.columns(cols)
+
+    select_rows = staticmethod(dispatch.row_slice)
 
 
 class DenseFallbackReader(ScanReader):
@@ -247,23 +267,37 @@ def scan_reader_for(matrix, pushdown: bool = True) -> ScanReader:
 
 
 class _ShardContext:
-    """Binds one shard's matrix to its reader, caching what it extracts.
+    """Binds one shard's matrix to its reader, with every column the scan needs.
 
-    This is what predicate leaves evaluate against: ``compare`` routes to
-    the reader's fast path, columns are extracted at most once, and the
-    dense fallback materialises the block exactly once no matter how many
-    leaves touch it.
+    This is what predicate leaves and aggregates evaluate against.  Every
+    column the scan touches (``compared`` by the predicate, ``projected``,
+    ``aggregated``) is extracted once, up front, in one ``reader.columns``
+    call, except where the reader answers without the column: a reader that
+    overrides ``compare`` / ``column_stats`` (a dictionary probe) keeps them
+    for the columns only the predicate / only an aggregate touches.  The
+    dense fallback materialises the block exactly once and serves its
+    columns off it.
     """
 
-    def __init__(self, matrix, pushdown: bool = True, selection: bool = False):
+    def __init__(self, matrix, pushdown=True, compared=(), projected=(), aggregated=()):
         self.matrix = matrix
-        reader = scan_reader_for(matrix, pushdown)
-        if selection and not reader.selection_pushdown:
-            reader = _DENSE_FALLBACK
-        self.reader = reader
-        self.pushdown = reader.pushdown
+        self.reader = scan_reader_for(matrix, pushdown)
+        self.pushdown = self.reader.pushdown
         self._dense: np.ndarray | None = None
+        for col in {*compared, *projected, *aggregated}:
+            if not 0 <= col < self.n_cols:
+                raise IndexError(f"column {col} out of range [0, {self.n_cols})")
+        wanted = {*projected}
+        if _derived(self.reader, "compare"):
+            wanted.update(compared)
+        if _derived(self.reader, "column_stats"):
+            wanted.update(aggregated)
+        wanted = sorted(wanted)
         self._columns: dict[int, np.ndarray] = {}
+        if wanted and self.pushdown:
+            self._columns = dict(zip(wanted, self.reader.columns(matrix, wanted).T))
+        elif wanted:
+            self._columns = {col: self.dense()[:, col] for col in wanted}
 
     @property
     def n_rows(self) -> int:
@@ -273,43 +307,22 @@ class _ShardContext:
     def n_cols(self) -> int:
         return self.matrix.shape[1]
 
-    def _check_column(self, col: int) -> int:
-        if not 0 <= col < self.n_cols:
-            raise IndexError(f"column {col} out of range [0, {self.n_cols})")
-        return col
-
     def dense(self) -> np.ndarray:
         if self._dense is None:
             self._dense = dispatch.to_dense(self.matrix)
         return self._dense
 
-    def column(self, col: int) -> np.ndarray:
-        col = self._check_column(col)
-        cached = self._columns.get(col)
-        if cached is None:
-            if self.pushdown:
-                cached = self.reader.column(self.matrix, col)
-            else:
-                cached = self.dense()[:, col]
-            self._columns[col] = cached
-        return cached
-
     def compare(self, col: int, op: str, value: float) -> np.ndarray:
-        col = self._check_column(col)
-        if self.pushdown and col not in self._columns:
+        values = self._columns.get(col)
+        if values is None:  # a column only the reader's own probe touches
             return self.reader.compare(self.matrix, col, op, value)
-        return COMPARE_OPS[op](self.column(col), value)
+        return COMPARE_OPS[op](values, value)
 
     def column_stats(self, col: int, mask: np.ndarray | None):
-        col = self._check_column(col)
-        if self.pushdown:
+        values = self._columns.get(col)
+        if values is None:
             return self.reader.column_stats(self.matrix, col, mask)
-        values = self.column(col)
-        if mask is not None:
-            values = values[mask]
-        if values.size == 0:
-            return None
-        return values.size, float(values.sum()), float(values.min()), float(values.max())
+        return _stats(values, mask)
 
     def select(self, local_rows: np.ndarray, columns: Sequence[int] | None) -> np.ndarray:
         """Materialise the selected rows (projected when ``columns`` given).
@@ -321,14 +334,13 @@ class _ShardContext:
         block that some fallback already built is always reused.
         """
         if columns is not None:
-            projected = [self.column(col) for col in columns]
-            return np.column_stack([values[local_rows] for values in projected])
+            return np.column_stack([self._columns[col][local_rows] for col in columns])
         selective = local_rows.size <= SELECT_DENSE_THRESHOLD * self.n_rows
         if self.pushdown and self._dense is None and selective:
             sliced = self.reader.select_rows(self.matrix, local_rows)
             if sliced is not None:
                 return sliced
-        return self.dense()[local_rows].copy()
+        return self.dense()[local_rows]
 
 
 # -- aggregate accumulation ----------------------------------------------------
@@ -417,13 +429,8 @@ def scan_matrix(
     The single-shard building block, exposed for tests and ad-hoc use;
     multi-shard scans go through :func:`scan_shards`.
     """
-    predicate = parse_predicate(where) if where is not None else None
-    context = _ShardContext(matrix, pushdown, selection=True)
-    if predicate is None:
-        local_rows = np.arange(context.n_rows, dtype=np.intp)
-    else:
-        local_rows = np.flatnonzero(predicate.evaluate(context)).astype(np.intp)
-    return context.select(local_rows, columns), local_rows, context.pushdown
+    result = _scan_shards(iter([(matrix, 0)]), columns=columns, where=where, pushdown=pushdown)
+    return result.rows, result.row_ids, result.pushdown_shards == 1
 
 
 def scan_shards(
@@ -480,6 +487,8 @@ def _scan_shards(
         # result where "no limit" (None) was almost certainly meant.
         raise ValueError("limit must be at least 1")
     selected_columns = [int(c) for c in columns] if columns is not None else None
+    compared = predicate.columns() if predicate is not None else set()
+    aggregated = {spec.column for spec in aggregates or () if spec.column is not None}
 
     result = ScanResult(columns=selected_columns)
     states = [_AggregateState(spec) for spec in aggregates] if aggregates else None
@@ -489,7 +498,7 @@ def _scan_shards(
     n_cols_seen = 0
 
     for matrix, row_offset in shard_stream:
-        context = _ShardContext(matrix, pushdown, selection=states is None)
+        context = _ShardContext(matrix, pushdown, compared, selected_columns or (), aggregated)
         n_cols_seen = context.n_cols
         result.shards_scanned += 1
         result.n_rows_scanned += context.n_rows

@@ -21,7 +21,8 @@ from hypothesis.extra import numpy as hnp
 from repro.core import ops
 from repro.core.decode_tree import DecodeTree, build_decode_tree
 from repro.core.logical import LogicalEncoding, prefix_tree_encode
-from repro.core.sparse import sparse_encode
+from repro.core.sparse import sparse_decode, sparse_encode
+from repro.core.toc import TOCMatrix
 
 # NaN and ±inf cells make NumPy warn about invalid operations, on both sides.
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -163,8 +164,7 @@ def _assert_all_kernels(dense: np.ndarray, seed: int = 0) -> None:
     for actual, expected in products:
         assert actual.dtype == np.float64
         np.testing.assert_allclose(actual, expected, **close)
-    for col in range(dense.shape[1]):
-        np.testing.assert_array_equal(ops.matrix_column(encoding, col, tree), dense[:, col])
+    _assert_bits_equal(ops.matrix_columns(encoding, range(dense.shape[1]), tree), dense)
 
 
 # -- the properties --------------------------------------------------------------
@@ -190,6 +190,37 @@ class TestAgainstOracleAndDense:
         dense = np.ones((260, 260))
         assert build_decode_tree(_encode(dense)).max_depth > 255
         _assert_all_kernels(dense)
+
+
+class TestColumnsAndDenseDecode:
+    """Column extraction and the dense decode, bit for bit against the decoded matrix."""
+
+    @given(dense=MATRICES, picks=st.lists(st.integers(0, 2**8), max_size=6))
+    @example(dense=np.array([[np.nan, 1.0, 0.0], [0.0, 0.0, 0.0], [np.inf, 0.0, -np.inf]]),
+             picks=[1])  # NaN/±inf only in the other columns, and an empty row
+    @example(dense=np.array([[np.nan, 1.0, np.inf], [-np.inf, 0.0, 2.5]]),
+             picks=[2, 0, 2])  # NaN/±inf in the requested columns, unsorted and repeated
+    @example(dense=np.ones((3, 2)), picks=[])
+    @settings(max_examples=150, deadline=None)
+    def test_columns_are_the_decoded_columns(self, dense, picks):
+        toc = TOCMatrix.encode(dense)
+        cols = [pick % dense.shape[1] for pick in picks]
+        _assert_bits_equal(toc.columns(cols), toc.to_dense()[:, cols])
+        if cols:
+            _assert_bits_equal(toc.column(cols[0]), dense[:, cols[0]])
+
+    @given(dense=MATRICES)
+    @example(dense=np.zeros((4, 3)))  # only the root
+    @settings(max_examples=150, deadline=None)
+    def test_dense_decode_is_the_sparse_decode(self, dense):
+        toc = TOCMatrix.encode(dense)
+        _assert_bits_equal(toc.to_dense(), sparse_decode(toc.to_sparse()))
+        _assert_bits_equal(toc.to_dense(), dense)
+
+    @pytest.mark.parametrize("cols", [[3], [-1], [0, 3]])
+    def test_a_column_out_of_range_raises(self, cols):
+        with pytest.raises(IndexError, match="column"):
+            TOCMatrix.encode(np.ones((2, 3))).columns(cols)
 
 
 class TestPastTheTwoByteSortKey:

@@ -8,6 +8,8 @@ answer.
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -129,6 +131,86 @@ class TestImplicitZeros:
             np.testing.assert_array_equal(row_ids, np.flatnonzero(expected))
 
 
+class TestNonFiniteCells:
+    """Push-down answers exactly what the dense fallback does, NaN and ±inf cells included."""
+
+    DOMAIN = (0.0, 0.5, 1.0, 2.5, np.nan, np.inf, -np.inf)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("scheme", ALL_SCHEMES)
+    def test_pushdown_equals_fallback(self, scheme):
+        rng = np.random.default_rng(31)
+        dense = rng.choice(self.DOMAIN, size=(80, 6), p=(0.4, 0.15, 0.15, 0.1, 0.1, 0.05, 0.05))
+        shards = [(get_scheme(scheme).compress(dense[start : start + 20]), start)
+                  for start in range(0, 80, 20)]
+        agg = "count,sum:c4,mean:c1,min:c4,max:c2"
+        for _ in range(6):
+            predicate = random_predicate(rng, dense.shape[1])
+            scans = [
+                {"where": predicate},
+                {"where": predicate, "columns": [4, 1, 4]},
+                {"where": predicate, "agg": agg},
+            ]
+            for kwargs in scans:
+                pushed = scan_shards(iter(shards), **kwargs)
+                fallback = scan_shards(iter(shards), pushdown=False, **kwargs)
+                if pushed.is_aggregate:  # repr: exact floats, and every NaN reads "nan"
+                    assert repr(pushed.aggregates) == repr(fallback.aggregates), kwargs
+                else:
+                    expected = predicate.evaluate(_EvalDense(dense))
+                    np.testing.assert_array_equal(pushed.row_ids, np.flatnonzero(expected))
+                    np.testing.assert_array_equal(pushed.row_ids, fallback.row_ids)
+                    assert np.array_equal(pushed.rows.view(np.uint64),
+                                          fallback.rows.view(np.uint64)), kwargs
+
+
+class TestOnePassOverTheTree:
+    """A TOC shard's scan takes every column it touches out of one pass over ``C'``."""
+
+    @pytest.fixture()
+    def calls(self, monkeypatch):
+        from repro.core import decode_tree, ops
+        from repro.core.toc import TOCMatrix
+
+        calls: Counter = Counter()
+        for owner, name in ((decode_tree, "_level_major_layout"), (ops, "matrix_columns"),
+                            (TOCMatrix, "to_dense"), (TOCMatrix, "row_slice")):
+            original = getattr(owner, name)
+
+            def counted(*args, _original=original, _name=name):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(owner, name, counted)
+        return calls
+
+    @pytest.fixture()
+    def shard(self):
+        """A shard as a scan reads it: parsed from its bytes, no tree built yet."""
+        dense = quantised(np.random.default_rng(12), rows=200)
+        scheme = get_scheme("TOC")
+        return dense, scheme.decompress_bytes(scheme.compress(dense).to_bytes())
+
+    def test_a_projected_selection(self, shard, calls):
+        dense, matrix = shard
+        result = scan_shards(iter([(matrix, 0)]), where="c0 >= 1", columns=[0, 1, 2])
+        np.testing.assert_array_equal(result.rows, dense[dense[:, 0] >= 1][:, :3])
+        assert calls == Counter(_level_major_layout=1, matrix_columns=1)
+
+    def test_an_aggregate(self, shard, calls):
+        dense, matrix = shard
+        result = scan_shards(iter([(matrix, 0)]), where="c0 >= 1", agg="count,sum:c5")
+        assert result.aggregates["sum(c5)"] == dense[dense[:, 0] >= 1, 5].sum()
+        assert calls == Counter(_level_major_layout=1, matrix_columns=1)
+
+    def test_a_selective_unprojected_selection_gathers_only_its_rows(self, shard, calls):
+        dense, matrix = shard
+        result = scan_shards(iter([(matrix, 0)]), where="c0 >= 2.5 and c1 >= 1")
+        assert 0 < result.n_rows_matched <= 0.25 * dense.shape[0]
+        np.testing.assert_array_equal(result.rows, dense[(dense[:, 0] >= 2.5) & (dense[:, 1] >= 1)])
+        assert calls == Counter(_level_major_layout=1, matrix_columns=1, row_slice=1)
+
+
 class TestScanShards:
     """Multi-shard streams: mixed schemes, limits, aggregates, empties."""
 
@@ -237,6 +319,16 @@ class TestReaderRegistry:
         assert scan_reader_for(get_scheme("DEN").compress(dense)).name == "dense-fallback"
         assert not scan_reader_for(get_scheme("DVI").compress(dense), pushdown=False).pushdown
 
+    @pytest.mark.parametrize("scheme", ("CVI", "DVI", "TOC"))
+    def test_columns_are_the_dense_columns_in_any_order(self, scheme):
+        dense = quantised(np.random.default_rng(10))
+        dense[3] = 0.0  # a row with nothing stored
+        matrix = get_scheme(scheme).compress(dense)
+        reader = scan_reader_for(matrix)
+        for cols in ([3, 0, 3], [6], []):
+            np.testing.assert_array_equal(reader.columns(matrix, cols), dense[:, cols])
+        np.testing.assert_array_equal(reader.column(matrix, 2), dense[:, 2])
+
     def test_register_scan_reader_extends_fast_path(self):
         class Tagged:
             def __init__(self, dense):
@@ -266,10 +358,11 @@ class TestReaderRegistry:
         finally:
             _SCAN_READERS.pop()
 
-    def test_toc_aggregates_push_down_but_selections_do_not(self):
+    def test_toc_selections_and_aggregates_push_down(self):
         rng = np.random.default_rng(8)
         matrix = get_scheme("TOC").compress(quantised(rng))
         selection = scan_shards(iter([(matrix, 0)]), where="c0 == 0.5")
+        projection = scan_shards(iter([(matrix, 0)]), where="c0 == 0.5", columns=[0, 3])
         aggregate = scan_shards(iter([(matrix, 0)]), where="c0 == 0.5", agg="count")
-        assert selection.fallback_shards == 1  # probing columns would add work
-        assert aggregate.pushdown_shards == 1  # no materialisation: probing wins
+        for result in (selection, projection, aggregate):
+            assert (result.pushdown_shards, result.fallback_shards) == (1, 0)
