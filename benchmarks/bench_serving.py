@@ -70,13 +70,8 @@ def _measure_backend(registry_dir, n_shards: int, workload: np.ndarray, backend:
     """Best-of-N closed-loop throughput for one service configuration."""
     best = None
     for _ in range(MEASURE_ROUNDS):
-        service, _ = PredictionService.from_registry(
-            registry_dir,
-            store_kwargs=dict(decoded_cache_rows=ROWS),
-            **BACKENDS[backend],
-        )
+        service, _ = PredictionService.from_registry(registry_dir, **BACKENDS[backend])
         with service:
-            service.store.get_rows(range(ROWS))  # warm the row LRU (bulk scoring decodes no row)
             start = time.perf_counter()
             with ThreadPoolExecutor(max_workers=CLIENTS) as clients:
                 list(clients.map(service.predict_id, workload))
@@ -174,9 +169,7 @@ def test_microbatching_beats_unbatched(bench_json, serving_setup):
 def test_bulk_path_beats_single_row(bench_json, serving_setup):
     """The no-queue bulk API is the upper bound on the single-row path."""
     registry_dir, n_shards, workload = serving_setup
-    service, _ = PredictionService.from_registry(
-        registry_dir, store_kwargs=dict(decoded_cache_rows=ROWS)
-    )
+    service, _ = PredictionService.from_registry(registry_dir)
     with service:
         service.predict_ids(range(ROWS))  # warm
         start = time.perf_counter()

@@ -74,17 +74,13 @@ def main() -> None:
         print(f"\n{REQUESTS} requests from {CLIENTS} clients:\n")
         print(f"{'backend':<14} {'req/s':>9} {'model calls':>12} "
               f"{'mean batch':>11} {'cache hits':>11}")
-        # A hot serving tier keeps every decoded row resident (the shards
-        # stay compressed on disk; the pool + row LRU bound what is in memory).
-        store_kwargs = dict(decoded_cache_rows=ROWS)
         for label, kwargs in (
             ("unbatched", dict(max_batch_size=1, cache_size=0)),
             ("micro-batched", dict(max_batch_size=64, cache_size=0)),
             ("batched+cache", dict(max_batch_size=64, cache_size=512)),
         ):
-            service, _ = open_service(registry_dir, store_kwargs=store_kwargs, **kwargs)
+            service, _ = open_service(registry_dir, **kwargs)
             with service:
-                service.store.get_rows(range(ROWS))  # warm the row LRU (bulk scoring decodes no row)
                 wall = drive(service, workload)
                 print(
                     f"{label:<14} {REQUESTS / wall:>9,.0f} "

@@ -54,6 +54,7 @@ from repro.api import (
     recommend_scheme,
 )
 from repro.core.calibration import WORKLOADS, ensure_calibration
+from repro.serve.service import DEFAULT_CACHE_SIZE
 
 
 def _profile_or_none(name: str):
@@ -474,8 +475,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print(f"pred cache: {stats.cache_hit_rate:.0%} hit rate ({stats.cache_hits} hits)")
         print(
             f"store:      {rows.row_hit_rate:.0%} row hit rate "
-            f"({rows.shards_scored} shards scored whole, {rows.shard_decodes} row-sliced), "
-            f"{store.pool.stats.bytes_read_from_disk / 1e6:.2f} MB read through the pool"
+            f"({rows.shards_scored} shards scored whole, {rows.shard_decodes} row-sliced)"
         )
     return 0
 
@@ -870,7 +870,7 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument(
             "--cache-size",
             type=int,
-            default=256,
+            default=DEFAULT_CACHE_SIZE,
             help="cache entries, 0 disables: whole-shard score vectors for linear models "
             "(shard_rows x 8 bytes each; a miss scores one shard), row predictions for ffnn",
         )

@@ -45,7 +45,6 @@ from repro.engine.shards import (
 )
 from repro.exec import row_slice
 from repro.exec.scan import ScanResult, scan_shards
-from repro.storage.buffer_pool import BufferPool
 
 #: Default mini-batch row count (matches the training default).
 DEFAULT_BATCH_SIZE = 250
@@ -275,7 +274,6 @@ class Dataset:
         agg=None,
         limit: int | None = None,
         pushdown: bool = True,
-        budget_bytes: int | None = None,
     ) -> ScanResult:
         """Select rows or compute aggregates, pushed down into the shards.
 
@@ -292,22 +290,16 @@ class Dataset:
         forces the dense path, which is what the benchmark gate compares
         against).
 
-        Shards stream through a byte-budgeted
-        :class:`~repro.storage.buffer_pool.BufferPool` (``budget_bytes``
-        defaults to the full payload) and a selection with ``limit`` stops
-        reading as soon as enough rows matched (``limit`` must be at least
-        1 — pass ``None`` for no limit).
+        Each shard file is mapped and decoded in turn, read once, and a
+        selection with ``limit`` stops reading as soon as enough rows
+        matched (``limit`` must be at least 1 — pass ``None`` for no limit).
         """
         sharded = self._sharded
-        pool = BufferPool(
-            budget_bytes=budget_bytes or max(1, sharded.total_payload_bytes())
-        )
-        sharded.attach(pool)
 
         def stream():
             offset = 0
             for shard in sharded.shards:
-                yield sharded.decode(shard.batch_id, pool.read(shard.batch_id)), offset
+                yield sharded.decode(shard.batch_id), offset
                 offset += shard.n_rows
 
         return scan_shards(

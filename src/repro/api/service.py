@@ -19,7 +19,7 @@ from __future__ import annotations
 from pathlib import Path
 
 from repro.serve.checkpoint import Checkpoint, ModelRegistry
-from repro.serve.service import PredictionService
+from repro.serve.service import DEFAULT_CACHE_SIZE, PredictionService
 
 
 def open_service(
@@ -29,8 +29,7 @@ def open_service(
     shard_dir: Path | str | None = None,
     max_batch_size: int = 32,
     max_wait_seconds: float = 0.0,
-    cache_size: int = 256,
-    store_kwargs: dict | None = None,
+    cache_size: int = DEFAULT_CACHE_SIZE,
     workers: int = 1,
     backlog: int = 64,
     admission: str = "block",
@@ -74,7 +73,6 @@ def open_service(
             default_deadline=deadline,
             max_batch_size=max_batch_size,
             cache_size=cache_size,
-            store_kwargs=store_kwargs,
             poll_seconds=poll_seconds,
         )
         return cluster, cluster.checkpoint
@@ -82,7 +80,6 @@ def open_service(
         checkpoint_dir,
         version,
         shard_dir=shard_dir,
-        store_kwargs=store_kwargs,
         max_batch_size=max_batch_size,
         max_wait_seconds=max_wait_seconds,
         cache_size=cache_size,

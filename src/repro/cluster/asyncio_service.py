@@ -61,7 +61,6 @@ class AsyncPredictionService:
         version: int | str = "latest",
         *,
         shard_dir: Path | str | None = None,
-        store_kwargs: dict | None = None,
         watch_generation: float | None = None,
         **service_kwargs,
     ) -> tuple["AsyncPredictionService", Checkpoint]:
@@ -71,7 +70,6 @@ class AsyncPredictionService:
             registry,
             version,
             shard_dir=shard_dir,
-            store_kwargs=store_kwargs,
             **service_kwargs,
         )
         return cls(service, watch_generation=watch_generation), checkpoint

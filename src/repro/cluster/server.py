@@ -68,6 +68,7 @@ from repro.engine.shards import row_id_array
 from repro.obs import metrics as obs_metrics
 from repro.serve.batcher import fail_future
 from repro.serve.checkpoint import Checkpoint, ModelRegistry
+from repro.serve.service import DEFAULT_CACHE_SIZE
 
 #: What the dispatcher does when every worker is at its backlog.
 ADMISSION_POLICIES = ("block", "reject")
@@ -186,7 +187,7 @@ class ClusterService:
         worker is at its backlog.
     default_deadline:
         Seconds-from-submit deadline applied when a call passes none.
-    max_batch_size / cache_size / store_kwargs:
+    max_batch_size / cache_size:
         Forwarded to each worker's private service stack (``cache_size``
         entries *per worker*: shard score vectors for linear models, row
         predictions for networks — see :mod:`repro.serve.service`).
@@ -206,8 +207,7 @@ class ClusterService:
         admission: str = "block",
         default_deadline: float | None = None,
         max_batch_size: int = 32,
-        cache_size: int = 256,
-        store_kwargs: dict | None = None,
+        cache_size: int = DEFAULT_CACHE_SIZE,
         poll_seconds: float | None = None,
     ):
         if workers < 1:
@@ -262,7 +262,6 @@ class ClusterService:
                     "backlog": backlog,
                     "max_batch_size": max_batch_size,
                     "cache_size": cache_size,
-                    "store_kwargs": store_kwargs,
                     "poll_seconds": poll_seconds,
                 },
             )

@@ -19,6 +19,7 @@ import numpy as np
 
 from repro.compression.base import CompressedMatrix, CompressionScheme
 from repro.compression.dense import DenseMatrix
+from repro.core.validate import EncodingError
 
 _HEADER_DTYPE = np.dtype("<u8")
 
@@ -53,8 +54,21 @@ class _ByteBlockMatrix(CompressedMatrix):
     # -- decompression (the expensive step) ------------------------------------
 
     def decompress(self) -> DenseMatrix:
-        """Decompress to a :class:`DenseMatrix` (pays the full inflate cost)."""
-        raw = zlib.decompress(self._payload)
+        """Decompress to a :class:`DenseMatrix` (pays the full inflate cost).
+
+        The block is inflated here, not in :meth:`from_bytes`, so a corrupt
+        stream or one whose length disagrees with the header raises
+        :class:`~repro.core.validate.EncodingError` here.
+        """
+        try:
+            raw = zlib.decompress(self._payload)
+        except zlib.error as exc:
+            raise EncodingError(f"{self.scheme_name} block does not inflate: {exc}") from exc
+        if len(raw) != self.n_rows * self.n_cols * 8:
+            raise EncodingError(
+                f"{self.scheme_name} block inflates to {len(raw)} bytes, "
+                f"not the {self.n_rows} x {self.n_cols} float64 its header gives"
+            )
         data = np.frombuffer(raw, dtype=np.float64).reshape(self.shape)
         return DenseMatrix(data.copy())
 
@@ -88,6 +102,8 @@ class _ByteBlockMatrix(CompressedMatrix):
     @classmethod
     def from_bytes(cls, raw) -> "_ByteBlockMatrix":
         header_size = 2 * _HEADER_DTYPE.itemsize
+        if len(raw) < header_size:
+            raise EncodingError(f"{cls.scheme_name} payload of {len(raw)} bytes has no header")
         rows, cols = (int(x) for x in np.frombuffer(raw[:header_size], dtype=_HEADER_DTYPE))
         return cls(_payload=raw[header_size:], _shape=(rows, cols))
 

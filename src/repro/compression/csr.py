@@ -12,6 +12,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.compression.base import CompressedMatrix, CompressionScheme
+from repro.core.validate import EncodingError
 
 _HEADER_DTYPE = np.dtype("<u8")
 
@@ -78,16 +79,36 @@ class CSRMatrix(CompressedMatrix):
 
     @classmethod
     def from_bytes(cls, raw: bytes) -> "CSRMatrix":
+        """Rebuild a matrix from :meth:`to_bytes` output.
+
+        SciPy trusts the arrays it is handed, and an ``indptr`` or an index
+        out of range makes its kernels read past their buffers.  So the
+        lengths, ``indptr`` (monotonic from 0 to nnz) and every column index
+        are checked first, and a payload that fails raises
+        :class:`~repro.core.validate.EncodingError`.
+        """
         header_size = 3 * _HEADER_DTYPE.itemsize
+        if len(raw) < header_size:
+            raise EncodingError(f"CSR payload of {len(raw)} bytes has no header")
         rows, cols, nnz = (
             int(x) for x in np.frombuffer(raw[:header_size], dtype=_HEADER_DTYPE)
         )
+        expected = header_size + (rows + 1) * 4 + nnz * 12
+        if len(raw) != expected:
+            raise EncodingError(
+                f"CSR payload is {len(raw)} bytes; its header ({rows} x {cols}, "
+                f"{nnz} non-zeros) needs {expected}"
+            )
         offset = header_size
         indptr = np.frombuffer(raw[offset:], dtype="<u4", count=rows + 1).astype(np.int64)
         offset += (rows + 1) * 4
         indices = np.frombuffer(raw[offset:], dtype="<u4", count=nnz).astype(np.int64)
         offset += nnz * 4
         data = np.frombuffer(raw[offset:], dtype="<f8", count=nnz).astype(np.float64)
+        if indptr[0] != 0 or indptr[-1] != nnz or np.any(np.diff(indptr) < 0):
+            raise EncodingError("CSR row offsets must run monotonically from 0 to nnz")
+        if nnz and int(indices.max()) >= cols:
+            raise EncodingError(f"CSR column index out of range for {cols} columns")
         csr = sp.csr_matrix((data, indices, indptr), shape=(rows, cols))
         return cls(csr)
 

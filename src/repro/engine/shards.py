@@ -104,7 +104,7 @@ def _publish_file(path: Path, payload) -> None:
     """Write ``payload`` to a dot-temp file beside ``path``, then ``os.replace`` it in.
 
     A reader may hold a mapping of the file already at ``path`` (every shard
-    read is a :func:`~repro.storage.mmapio.map_file` view, and pools keep
+    read is a :func:`~repro.storage.mmapio.map_file` view, and feature stores keep
     them).  Rewriting that file in place would truncate the mapped inode
     under the reader — wrong rows, or SIGBUS on a page past the new end of
     file; the rename leaves the old mapping on the old inode.
@@ -448,9 +448,9 @@ class ShardedDataset:
     def decode(self, batch_id: int, payload=None) -> CompressedMatrix:
         """Rebuild one shard's compressed matrix with *its* scheme.
 
-        ``payload`` (bytes or any buffer) lets callers that read through a
-        buffer pool hand over the bytes they already have; otherwise the
-        shard file is mapped (:meth:`read_payload`).
+        ``payload`` (bytes or any buffer) lets callers that already hold the
+        bytes (the trainer's buffer pool, a feature store's mapping) hand
+        them over; otherwise the shard file is mapped (:meth:`read_payload`).
         """
         if payload is None:
             payload = self.read_payload(batch_id)

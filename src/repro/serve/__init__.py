@@ -6,10 +6,10 @@ plus a shard directory into a high-throughput prediction service:
 
 1. **checkpoint** — versioned save/load for the :mod:`repro.ml` models and a
    :class:`ModelRegistry` resolving pinned and ``"latest"`` versions;
-2. **feature store** — point and range row lookups over a
-   :class:`~repro.engine.shards.ShardedDataset`, served through the
-   byte-budgeted :class:`~repro.storage.buffer_pool.BufferPool` with a
-   decoded-block LRU on top (decode-on-demand, never the whole dataset);
+2. **feature store** — point and bulk row lookups over a
+   :class:`~repro.engine.shards.ShardedDataset`, each shard file mapped
+   directly and a few parsed shards kept (decode-on-demand, never the whole
+   dataset);
 3. **micro-batcher** — the one request pipeline: a bounded queue coalescing
    concurrent single-row requests into mini-batches (decode and matmul costs
    amortized as in the MGD loop), shedding cancelled or expired ones first;

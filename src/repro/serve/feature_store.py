@@ -1,42 +1,42 @@
-"""Row lookups over a sharded dataset, through the buffer pool.
+"""Row lookups over a sharded dataset, straight from the mapped shard files.
 
 The training engine reads whole shards; serving needs individual rows.  The
 feature store maps global row ids onto (shard, local row) with the manifest
 row counts — :meth:`FeatureStore.locate` for one id,
 :meth:`FeatureStore.locate_rows` for a whole request in one vectorised,
-range-checked step — reads the compressed payload through the same
-byte-budgeted :class:`~repro.storage.buffer_pool.BufferPool` the trainer
-uses, and resolves the decoder *per shard* from the manifest (so
-mixed-scheme directories serve exactly like uniform ones).
+range-checked step — maps each shard file on first touch
+(:func:`repro.storage.mmapio.map_file`), and resolves the decoder *per
+shard* from the manifest (so mixed-scheme directories serve exactly like
+uniform ones).
 
 It hands a shard out in two ways.  :meth:`FeatureStore.parsed` is the shard
 in its sliceable form, still compressed: what ``PredictionService`` scores
 *as stored* with the paper's Section 4 kernels, one ``A·v`` for every row of
 the shard — for a linear model that is how single-row and bulk requests
 alike are answered (the service keeps the score vector; such a shard is
-never densified, its rows pass no row cache, and the rows answered are
-reported through :meth:`FeatureStore.count_scored`).
-:meth:`FeatureStore.get_rows` is for callers that want the features
-themselves — direct readers, networks, an uncached service's single rows
-and the scattered remainder of its bulk requests: it decodes **only the
-requested rows** with the :func:`repro.exec.row_slice` kernel — an array
-slice for DEN shards, SciPy row indexing for CSR, a selection ``M @ A`` on
-the compressed form for TOC — never the whole dense block.
+never densified, and the rows answered are reported through
+:meth:`FeatureStore.count_scored`).  :meth:`FeatureStore.get_rows` is for
+callers that want the features themselves — direct readers, networks, an
+uncached service's single rows and the scattered remainder of its bulk
+requests: it decodes **only the requested rows** with the
+:func:`repro.exec.row_slice` kernel — an array slice for DEN shards, SciPy
+row indexing for CSR, a selection ``M @ A`` on the compressed form for TOC —
+never the whole dense block.
 
-On top sit two small LRUs.  The *row* LRU holds the rows ``get_rows``
-decoded, keyed by global row id; caching rows instead of whole blocks keeps
-the dense footprint proportional to the working set of the traffic, not to
-``shard_rows x shards_touched`` — a point lookup no longer drags a few
-hundred dense neighbours into memory with it.  The *parsed* LRU holds a few
-shards in sliceable form so consecutive reads of the same shard skip the
-expensive part: for direct-op schemes that is the parsed ``CompressedMatrix``
-(still compressed — it does not defeat the compression the way caching every
-dense block did); for byte-block schemes (Gzip/Snappy), whose only row path
-is a full inflate, it is the inflated dense block, since re-inflating per
-miss would be strictly worse.  Either form row-slices through the same
-:func:`repro.exec.row_slice` dispatch and multiplies through the same
-``matvec``.  The buffer pool underneath still bounds resident compressed
-*bytes* (the paper's RAM-budget mechanism).
+The store's one cache is the *parsed* LRU of :data:`PARSED_CACHE_SHARDS`
+shards in sliceable form, so consecutive reads of the same shard skip the
+expensive part: for direct-op schemes that is the parsed
+``CompressedMatrix`` (still compressed); for byte-block schemes
+(Gzip/Snappy), whose only row path is a full inflate, it is the inflated
+dense block, since re-inflating per read would be strictly worse.  Either
+form row-slices through the same :func:`repro.exec.row_slice` dispatch and
+multiplies through the same ``matvec``.
+
+The shard mappings are not a cache — they copy nothing, the pages belong to
+the OS page cache — but they are kept: a shard is mapped at most once, and
+the mapping lives as long as the store.  That pins the store to the files of
+the generation it first read, so a writer that publishes a new file under an
+old name (``os.replace``) never changes the rows an open store serves.
 """
 
 from __future__ import annotations
@@ -51,12 +51,21 @@ import numpy as np
 from repro.engine.shards import ShardedDataset, group_by_shard, locate_rows, shard_offsets
 from repro.exec import row_slice, supports_direct_ops
 from repro.serve.lru import LRUCache
-from repro.storage.buffer_pool import BufferPool
+
+#: Parsed shards a store keeps.  A linear model's requests are answered from
+#: the service's score vectors and touch this only on a score miss; networks
+#: and an uncached service row-slice out of it.
+PARSED_CACHE_SHARDS = 8
 
 
 @dataclass
 class FeatureStoreStats:
-    """Counters accumulated by a :class:`FeatureStore`."""
+    """Counters accumulated by a :class:`FeatureStore`.
+
+    ``rows_served == row_hits + row_misses + rows_gathered``: a row
+    :meth:`FeatureStore.get_rows` decoded is a miss, and rows answered out
+    of shard scores are counted by :meth:`FeatureStore.count_scored`.
+    """
 
     lookups: int = 0
     rows_served: int = 0
@@ -83,50 +92,23 @@ class FeatureStoreStats:
 
 
 class FeatureStore:
-    """Point and range row access over a :class:`ShardedDataset`.
+    """Point and bulk row access over a :class:`ShardedDataset`.
 
     Parameters
     ----------
     dataset:
         An open shard directory (:meth:`repro.engine.shards.ShardedDataset.open`).
-    pool:
-        Buffer pool for the compressed payloads.  When omitted, one is built
-        with ``budget_bytes`` (default: the full payload fits — serving wants
-        hot data resident; pass a smaller budget to model a RAM-starved tier).
-    decoded_cache_rows:
-        How many decoded dense rows the LRU holds (>= 1).
-    parsed_cache_shards:
-        How many parsed (still compressed) shard matrices to keep so misses
-        into a recently-touched shard skip re-parsing its payload (>= 1).
     """
 
-    def __init__(
-        self,
-        dataset: ShardedDataset,
-        *,
-        pool: BufferPool | None = None,
-        budget_bytes: int | None = None,
-        decoded_cache_rows: int = 1024,
-        parsed_cache_shards: int = 8,
-    ):
-        if decoded_cache_rows < 1:
-            raise ValueError("decoded_cache_rows must be at least 1")
-        if parsed_cache_shards < 1:
-            raise ValueError("parsed_cache_shards must be at least 1")
+    def __init__(self, dataset: ShardedDataset):
         self.dataset = dataset
-        if pool is None:
-            pool = BufferPool(budget_bytes=budget_bytes or max(1, dataset.total_payload_bytes()))
-        dataset.attach(pool)
-        self.pool = pool
-        self.decoded_cache_rows = decoded_cache_rows
-        self.parsed_cache_shards = parsed_cache_shards
-        #: LRU of decoded rows keyed by global row id.
-        self._rows: LRUCache = LRUCache(decoded_cache_rows)
         #: LRU of parsed ``CompressedMatrix`` objects keyed by batch id.
-        self._parsed: LRUCache = LRUCache(parsed_cache_shards)
+        self._parsed: LRUCache = LRUCache(PARSED_CACHE_SHARDS)
+        #: Each shard's mapping, taken on first touch and kept (see the module docstring).
+        self._mapped: list[memoryview | None] = [None] * len(dataset.shards)
         self.stats = FeatureStoreStats()
-        # Guards stats and the (single-threaded) buffer pool: the store is
-        # shared between client threads (bulk API) and the batcher worker.
+        # Guards stats and the mapping table: the store is shared between
+        # client threads (bulk API) and the batcher worker.
         self._lock = threading.Lock()
         # offsets[i] = global row id of the first row of shard i; offsets[-1] = n_rows.
         self._offsets = shard_offsets(dataset.shards)
@@ -134,9 +116,9 @@ class FeatureStore:
         self._n_rows = self._offset_list[-1]
 
     @classmethod
-    def open(cls, directory, **kwargs) -> "FeatureStore":
+    def open(cls, directory) -> "FeatureStore":
         """Open a shard directory and build a store over it."""
-        return cls(ShardedDataset.open(directory), **kwargs)
+        return cls(ShardedDataset.open(directory))
 
     # -- geometry -------------------------------------------------------------
 
@@ -174,24 +156,24 @@ class FeatureStore:
     # -- decode ---------------------------------------------------------------
 
     def parsed(self, batch_id: int):
-        """Shard ``batch_id`` in its sliceable form, through the pool and the parsed LRU.
+        """Shard ``batch_id`` in its sliceable form, through the parsed LRU.
 
         For direct-op schemes that is the parsed ``CompressedMatrix``, on
         which both :func:`repro.exec.row_slice` and the multiplication
         kernels run without decoding it; for byte-block schemes, the
-        inflated dense block.
+        inflated dense block.  A racing miss parses twice and last-write-wins.
         """
         sliceable = self._parsed.get(batch_id)
         if sliceable is None:
             with self._lock:
-                # The pool is not thread-safe, so the read stays under the
-                # lock; a racing miss parses twice and last-write-wins.
                 self.stats.payload_parses += 1
-                payload = self.pool.read(batch_id)
+                payload = self._mapped[batch_id]
+                if payload is None:  # first touch: map the file, and keep the mapping
+                    payload = self._mapped[batch_id] = self.dataset.read_payload(batch_id)
             sliceable = self.dataset.decode(batch_id, payload)
             if not supports_direct_ops(sliceable):
                 # Byte-block schemes can only row-slice via a full inflate;
-                # cache the inflated block so misses don't re-inflate it.
+                # cache the inflated block so later reads don't re-inflate it.
                 sliceable = sliceable.to_dense()
             self._parsed.put(batch_id, sliceable)
         return sliceable
@@ -207,10 +189,10 @@ class FeatureStore:
     ) -> None:
         """Account for :meth:`parsed` shards a caller scored whole, and rows answered from scores.
 
-        Such rows never pass the row LRU.  A bulk request's are served
-        without a hit or a miss (``gathered``); a single-row request is a hit
-        when its shard's scores were resident and a miss when they had to be
-        computed, so ``rows_served == row_hits + row_misses + rows_gathered``.
+        A bulk request's rows are served without a hit or a miss
+        (``gathered``); a single-row request is a hit when its shard's
+        scores were resident and a miss when they had to be computed, so
+        ``rows_served == row_hits + row_misses + rows_gathered``.
         """
         with self._lock:
             self.stats.rows_served += gathered + hits + misses
@@ -230,48 +212,30 @@ class FeatureStore:
         """Many rows as one dense matrix, touching each shard at most once.
 
         Rows come back in request order; duplicate ids are allowed (a cache
-        serving repeat traffic produces them naturally).  Cached rows are
-        served from the row LRU; the misses of each touched shard are decoded
-        with one ``row_slice`` call on its compressed form.
+        serving repeat traffic produces them naturally).  Every id is
+        located, so range-checked, before any shard is read; the rows of each
+        touched shard are decoded with one ``row_slice`` call on its
+        compressed form, and each counts as a ``row_miss``.  A request is a
+        few ids, so they are located one by one and grouped in a dict, which
+        costs less than the vectorised ``locate_rows`` + ``group_by_shard``
+        for anything this short.
         """
-        ids = [int(r) for r in row_ids]
-        out = np.empty((len(ids), self.n_cols), dtype=np.float64)
-
-        # Group cache-missing positions by shard so each compressed block is
-        # parsed and row-sliced exactly once per lookup.  Only a miss needs
-        # locating (a cached id was in range when it was cached), and every
-        # miss is located, so range-checked, before any shard is read.
-        misses = 0
-        missing_by_shard: dict[int, tuple[list[int], list[int]]] = {}
+        ids = list(row_ids)
+        by_shard: dict[int, tuple[list[int], list[int]]] = {}
         for position, row_id in enumerate(ids):
-            cached = self._rows.get(row_id)
-            if cached is not None:
-                out[position] = cached
-            else:
-                misses += 1
-                batch_id, local_row = self.locate(row_id)
-                positions, local_rows = missing_by_shard.setdefault(batch_id, ([], []))
-                positions.append(position)
-                local_rows.append(local_row)
+            batch_id, local_row = self.locate(row_id)
+            positions, local_rows = by_shard.setdefault(batch_id, ([], []))
+            positions.append(position)
+            local_rows.append(local_row)
         with self._lock:
             self.stats.lookups += 1
             self.stats.rows_served += len(ids)
-            self.stats.row_hits += len(ids) - misses
-            self.stats.row_misses += misses
-            self.stats.shard_decodes += len(missing_by_shard)
-
-        for batch_id, (positions, local_rows) in missing_by_shard.items():
-            decoded = row_slice(self.parsed(batch_id), local_rows)
-            for position, row in zip(positions, decoded):
-                out[position] = row
-                self._rows.put(ids[position], row.copy())
+            self.stats.row_misses += len(ids)
+            self.stats.shard_decodes += len(by_shard)
+        out = np.empty((len(ids), self.n_cols), dtype=np.float64)
+        for batch_id, (positions, local_rows) in by_shard.items():
+            out[positions] = row_slice(self.parsed(batch_id), local_rows)
         return out
-
-    def get_range(self, start: int, stop: int) -> np.ndarray:
-        """Rows ``start:stop`` as one dense matrix (half-open, like slicing)."""
-        if stop < start:
-            raise ValueError(f"invalid range [{start}, {stop})")
-        return self.get_rows(range(start, stop))
 
     def get_labels(self, row_ids: Iterable[int]) -> np.ndarray:
         """Stored labels for the given rows (ground truth for evaluation)."""

@@ -1,8 +1,8 @@
 """The prediction service: registry + feature store + micro-batcher.
 
 One object answers online prediction traffic end to end: row ids are looked
-up in the :class:`~repro.serve.feature_store.FeatureStore` (through the
-buffer pool), requests are coalesced by the
+up in the :class:`~repro.serve.feature_store.FeatureStore` (which maps the
+shard files directly), requests are coalesced by the
 :class:`~repro.serve.batcher.MicroBatcher` so the model runs one compressed-
 style batch operation per mini-batch instead of per request, and a cache of
 ``cache_size`` entries absorbs repeat traffic entirely.  Counters cover the
@@ -70,9 +70,13 @@ from repro.serve.lru import LRUCache
 #: Fixed by measurement on 250-row census shards, linear models, parsed shard
 #: warm and cold: against a bare ``row_slice`` + dense predict the whole shard
 #: is level at 64-77 rows on CVI (the last scheme to cross; TOC 3-40, DEN, CSR
-#: and Gzip from the first row), and against ``get_rows`` as it stands, row LRU
-#: included, at 2-12 rows.  A quarter is never behind under either.
+#: and Gzip from the first row), and against ``get_rows`` with a 1 024-row LRU
+#: of decoded rows in front at 2-12 rows.  A quarter is never behind under either.
 SCORE_WHOLE_COVERAGE = 0.25
+
+#: Cache entries a service built from a registry keeps, in-process, per cluster
+#: worker and from the CLI: 256 score vectors are 512 KB on 250-row shards.
+DEFAULT_CACHE_SIZE = 256
 
 #: Distinguishes each service instance's metrics in the process registry
 #: (label ``svc=<n>``), so two services never share counters.
@@ -286,14 +290,16 @@ class PredictionService:
         version: int | str = "latest",
         *,
         shard_dir: Path | str | None = None,
-        store_kwargs: dict | None = None,
+        cache_size: int = DEFAULT_CACHE_SIZE,
         **kwargs,
     ) -> tuple["PredictionService", Checkpoint]:
         """Build a service from a checkpoint registry (and its shard dir).
 
         ``shard_dir`` overrides the directory recorded in the checkpoint;
         when neither is available the service runs without a feature store.
-        Returns the service and the resolved checkpoint (for provenance).
+        ``cache_size`` defaults to :data:`DEFAULT_CACHE_SIZE`, and ``kwargs``
+        go to the constructor.  Returns the service and the resolved
+        checkpoint (for provenance).
         """
         if not isinstance(registry, ModelRegistry):
             registry = ModelRegistry(registry)
@@ -301,8 +307,8 @@ class PredictionService:
         directory = Path(shard_dir) if shard_dir is not None else checkpoint.shard_dir
         store = None
         if directory is not None:
-            store = FeatureStore.open(directory, **(store_kwargs or {}))
-        return cls(checkpoint.model, store, **kwargs), checkpoint
+            store = FeatureStore.open(directory)
+        return cls(checkpoint.model, store, cache_size=cache_size, **kwargs), checkpoint
 
     # -- the store handle ------------------------------------------------------
 
@@ -369,8 +375,8 @@ class PredictionService:
         try:
             return lookup(self._serving, row_ids)
         except OSError:
-            # A compact/append swapped the manifest and deleted the files
-            # this store's lazy loaders still point at.  Shards are
+            # A compact/append swapped the manifest and deleted files this
+            # store had not mapped yet.  Shards are
             # immutable between swaps and compaction preserves row order,
             # so re-opening at the new generation and retrying is always
             # correct — in-flight requests survive the swap.
@@ -607,19 +613,13 @@ class PredictionService:
         started with, which is safe because shard data is immutable between
         swaps (compaction re-encodes bytes, never changes rows).  Returns
         ``False`` for store-less services.  The score vectors go with the
-        store they were computed from, so that cache and the row/parsed
-        caches start cold; the buffer-pool budget resets to the new
-        generation's full payload (the open-time default).
+        store they were computed from, so they and the new store's parsed
+        shards start cold, and the new store maps the new generation's files.
         """
         if self.store is None:
             return False
         with self._reopen_lock:
-            current = self.store
-            reopened = FeatureStore.open(
-                current.dataset.directory,
-                decoded_cache_rows=current.decoded_cache_rows,
-                parsed_cache_shards=current.parsed_cache_shards,
-            )
+            reopened = FeatureStore.open(self.store.dataset.directory)
             with self._lock:
                 self._serving = self._serve_from(reopened)
                 self._vectors_resident.set(0)

@@ -66,6 +66,21 @@ class TestPrediction:
 
         np.testing.assert_allclose(_run(go()), expected)
 
+    def test_the_bridge_caches_like_open_service(self, published):
+        registry, _, _ = published
+        reference, _ = open_service(registry)
+        bridge, _ = AsyncPredictionService.from_registry(registry)
+
+        async def go():
+            async with bridge:
+                return await bridge.predict(3)
+
+        with reference:
+            expected = reference.predict_id(3)
+            assert bridge.service.cache_size == reference.cache_size > 0
+        assert _run(go()) == expected
+        assert bridge.service.store_stats.shards_scored == 1  # a score vector, not a dense row
+
     def test_predict_vector(self, published):
         registry, _, _ = published
         service, _ = open_service(registry)

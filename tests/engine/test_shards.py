@@ -294,13 +294,15 @@ class TestShardedDataset:
 
 #: Two handles on one directory: A appends shard 2, a store serves it, then
 #: stale handle B appends its own shard 2 under the same filename.  The store
-#: keeps answering from the mapping its pool holds, which must still be A's.
+#: keeps answering from the mapping it took on first touch, which must still
+#: be A's; a one-shard parsed LRU makes it re-parse shard 2 from that mapping.
 _TWO_WRITERS = """
 import sys
 import numpy as np
 from repro.data.registry import DATASET_PROFILES
 from repro.engine.shards import ShardedDataset
-from repro.serve.feature_store import FeatureStore
+from repro.obs import metrics
+from repro.serve import feature_store
 
 root = sys.argv[1]
 x, y = DATASET_PROFILES["census"].classification(902, seed=3)
@@ -308,14 +310,16 @@ ShardedDataset.create(root, [(x[:300], y[:300]), (x[300:600], y[300:600])], "TOC
                       executor="serial")
 a, b = ShardedDataset.open(root), ShardedDataset.open(root)
 a.append([(x[600:900], y[600:900])], executor="serial")
-store = FeatureStore.open(root, parsed_cache_shards=1)
+feature_store.PARSED_CACHE_SHARDS = 1
+store = feature_store.FeatureStore.open(root)
 assert np.array_equal(store.get_row(600), x[600])
 b.append([(x[900:], y[900:])], executor="serial")
-store.get_row(0)  # evicts parsed shard 2; its pooled mapping stays
-hits = store.pool.stats.hits
+store.get_row(0)  # evicts parsed shard 2; its mapping stays
+maps, parses = metrics.counter("storage.mmap.maps").value, store.stats.payload_parses
 assert np.array_equal(store.get_rows(range(600, 900)), x[600:900]), "wrong rows"
-assert store.pool.stats.hits == hits + 1  # re-parsed from the pooled mapping
-assert len(bytes(store.pool.read(2))) > 300  # touches every mapped page
+assert store.stats.payload_parses == parses + 1  # re-parsed ...
+assert metrics.counter("storage.mmap.maps").value == maps  # ... from the mapping it kept
+assert len(bytes(store._mapped[2])) > 300  # touches every mapped page
 print("ok")
 """
 

@@ -7,8 +7,9 @@ import pytest
 
 from repro.data.registry import DATASET_PROFILES
 from repro.engine.shards import ShardedDataset
+from repro.obs import metrics as obs_metrics
+from repro.serve import feature_store
 from repro.serve.feature_store import FeatureStore
-from repro.storage.buffer_pool import BufferPool
 
 
 @pytest.fixture(scope="module")
@@ -84,18 +85,6 @@ class TestRowAccess:
         ids = [170, 3, 3, 99, 0, 170]
         np.testing.assert_allclose(store.get_rows(ids), dense[ids])
 
-    def test_get_range_crosses_shards(self, shard_fixture):
-        directory, dense, _ = shard_fixture
-        store = FeatureStore.open(directory)
-        boundary = store.dataset.shards[0].n_rows
-        got = store.get_range(boundary - 5, boundary + 5)
-        np.testing.assert_allclose(got, dense[boundary - 5 : boundary + 5])
-
-    def test_invalid_range_rejected(self, shard_fixture):
-        directory, _, _ = shard_fixture
-        with pytest.raises(ValueError):
-            FeatureStore.open(directory).get_range(10, 5)
-
     def test_labels_match(self, shard_fixture):
         directory, _, labels = shard_fixture
         store = FeatureStore.open(directory)
@@ -118,84 +107,50 @@ class TestRowAccess:
 
 
 class TestCaching:
-    def test_row_lru_hits_on_repeat_access(self, shard_fixture):
-        directory, _, _ = shard_fixture
-        store = FeatureStore.open(directory, decoded_cache_rows=8)
-        store.get_row(0)
-        store.get_row(0)  # same row: served from the row LRU
-        assert store.stats.row_misses == 1
-        assert store.stats.row_hits == 1
-        assert store.stats.shard_decodes == 1
-
     def test_distinct_rows_of_one_shard_decode_once_per_lookup(self, shard_fixture):
         directory, dense, _ = shard_fixture
-        store = FeatureStore.open(directory, decoded_cache_rows=8)
+        store = FeatureStore.open(directory)
         np.testing.assert_allclose(store.get_rows([0, 1, 2]), dense[[0, 1, 2]])
-        # One shard touched, all three rows missing: one row_slice decode.
+        # One shard touched, three rows decoded: one row_slice call.
         assert store.stats.shard_decodes == 1
         assert store.stats.row_misses == 3
-
-    def test_row_lru_evicts_oldest_row(self, shard_fixture):
-        directory, _, _ = shard_fixture
-        store = FeatureStore.open(directory, decoded_cache_rows=1)
-        store.get_row(0)
-        store.get_row(1)  # evicts row 0 from the single-slot LRU
-        store.get_row(0)  # must decode again
-        assert store.stats.row_misses == 3
-        assert store.stats.row_hits == 0
 
     def test_group_lookup_decodes_each_shard_once(self, shard_fixture):
         directory, dense, _ = shard_fixture
-        store = FeatureStore.open(directory, decoded_cache_rows=4)
+        store = FeatureStore.open(directory)
         store.get_rows(range(dense.shape[0]))  # every row, all shards
         assert store.stats.shard_decodes == len(store.dataset.shards)
 
-    def test_cached_rows_skip_the_pool(self, shard_fixture):
-        directory, dense, _ = shard_fixture
-        store = FeatureStore.open(directory, decoded_cache_rows=dense.shape[0])
-        store.get_rows(range(dense.shape[0]))
-        decodes_after_warm = store.stats.shard_decodes
-        store.get_rows(range(dense.shape[0]))  # fully cached
-        assert store.stats.shard_decodes == decodes_after_warm
-        assert store.stats.row_hits == dense.shape[0]
-
-    def test_compressed_bytes_flow_through_pool(self, shard_fixture):
-        directory, _, _ = shard_fixture
-        dataset = ShardedDataset.open(directory)
-        pool = BufferPool(budget_bytes=dataset.total_payload_bytes())
-        store = FeatureStore(dataset, pool=pool, decoded_cache_rows=1)
-        for row_id in (0, 50, 100, 150, 199):
-            store.get_row(row_id)
-        assert pool.stats.accesses > 0
-        assert pool.stats.bytes_read_from_disk > 0
-
     def test_parsed_cache_skips_payload_reparse(self, shard_fixture):
         directory, _, _ = shard_fixture
-        store = FeatureStore.open(directory, decoded_cache_rows=1, parsed_cache_shards=5)
+        store = FeatureStore.open(directory)
         store.get_row(0)
-        store.get_row(1)  # row LRU too small to hit, but the shard is parsed
+        store.get_row(1)  # each row is decoded again, but the shard is parsed
         store.get_row(2)
         assert store.stats.shard_decodes == 3  # three row_slice calls...
         assert store.stats.payload_parses == 1  # ...one payload parse
 
+    def test_each_shard_is_mapped_once_for_the_store_lifetime(self, shard_fixture, monkeypatch):
+        directory, dense, _ = shard_fixture
+        monkeypatch.setattr(feature_store, "PARSED_CACHE_SHARDS", 1)
+        store = FeatureStore.open(directory)
+        maps = obs_metrics.counter("storage.mmap.maps")
+        before = maps.value
+        for _ in range(2):  # a one-shard parsed LRU: every shard is parsed twice
+            for row_id in range(0, dense.shape[0], 40):
+                np.testing.assert_allclose(store.get_row(row_id), dense[row_id])
+        shards = len(store.dataset.shards)
+        assert store.stats.payload_parses == 2 * shards
+        assert maps.value - before == shards
+
     def test_byte_block_shards_inflate_once_per_residency(self, tmp_path, rng):
-        """Gzip shards cache the inflated block: misses must not re-inflate."""
+        """Gzip shards cache the inflated block: later reads must not re-inflate."""
         features = np.round(rng.normal(size=(60, 10)), 1)
         ShardedDataset.create(tmp_path, [(features, np.zeros(60))], "Gzip", executor="serial")
-        store = FeatureStore.open(tmp_path, decoded_cache_rows=1, parsed_cache_shards=2)
+        store = FeatureStore.open(tmp_path)
         for row_id in (0, 10, 20, 30):
             np.testing.assert_allclose(store.get_row(row_id), features[row_id])
-        assert store.stats.payload_parses == 1  # one inflate for four misses
-
-    def test_rejects_zero_cache_rows(self, shard_fixture):
-        directory, _, _ = shard_fixture
-        with pytest.raises(ValueError):
-            FeatureStore.open(directory, decoded_cache_rows=0)
-
-    def test_rejects_zero_parsed_cache(self, shard_fixture):
-        directory, _, _ = shard_fixture
-        with pytest.raises(ValueError):
-            FeatureStore.open(directory, parsed_cache_shards=0)
+        assert store.stats.payload_parses == 1  # one inflate for four reads
 
 
 class TestMixedSchemeStore:
@@ -211,4 +166,4 @@ class TestMixedSchemeStore:
         store = FeatureStore.open(tmp_path)
         expected = np.vstack([sparse, dense])
         np.testing.assert_allclose(store.get_rows([0, 39, 40, 79]), expected[[0, 39, 40, 79]])
-        np.testing.assert_allclose(store.get_range(30, 50), expected[30:50])
+        np.testing.assert_allclose(store.get_rows(range(30, 50)), expected[30:50])

@@ -13,6 +13,7 @@ from repro.data.registry import DATASET_PROFILES
 from repro.engine.trainer import OutOfCoreTrainer
 from repro.ml.models import FeedForwardNetwork, LogisticRegressionModel
 from repro.ml.optimizer import GradientDescentConfig
+from repro.serve import feature_store
 from repro.serve.checkpoint import ModelRegistry
 from repro.serve.feature_store import FeatureStore
 from repro.serve.service import PredictionService
@@ -59,11 +60,13 @@ class TestSingleRowPath:
             assert service.batcher_stats.requests == len(ids)
         np.testing.assert_allclose(got, expected)
 
-    def test_bulk_and_single_row_race_on_a_tiny_store_cache(self, trained_setup):
+    def test_bulk_and_single_row_race_on_a_tiny_store_cache(self, trained_setup, monkeypatch):
         # Regression: the bulk API (client thread) and the batcher worker
-        # share the store; with a one-row decoded LRU their evictions race.
+        # share the store; with a one-shard parsed LRU their evictions race,
+        # and so do their first touches of each shard's mapping.
         model, shard_dir, _, _ = trained_setup
-        store = FeatureStore.open(shard_dir, decoded_cache_rows=1)
+        monkeypatch.setattr(feature_store, "PARSED_CACHE_SHARDS", 1)
+        store = FeatureStore.open(shard_dir)
         ids = list(range(0, 300, 7))
         expected = model.predict(store.get_rows(ids))
         with PredictionService(model, store, max_batch_size=8) as service:
@@ -325,14 +328,14 @@ class TestStatsSnapshot:
             service.predict_ids(range(75))  # all out of resident scores: a hit
             service.submit_ids([150, 299]).result(timeout=10)  # shards 2 and 3 scored: a miss
             service.predict_id(299)  # resident since the bulk request: a hit
-            store.get_rows([7, 8])  # a direct reader: the row LRU's own two misses ...
-            store.get_rows([7])  # ... and a hit
+            store.get_rows([7, 8])  # a direct reader: every row it decodes is a miss
+            store.get_rows([7])
             stats, served = service.stats.snapshot(), service.store_stats
             counters = service.metrics()["counters"]
             assert service.metrics()["gauges"]["serve.cache.shards"] == 4
         assert stats.requests == stats.cache_hits + stats.cache_misses == 6
         assert (stats.cache_hits, stats.cache_misses) == (3, 3)
-        assert (served.row_hits, served.row_misses, served.rows_gathered) == (2 + 1, 1 + 2, 80)
+        assert (served.row_hits, served.row_misses, served.rows_gathered) == (2, 1 + 3, 80)
         assert served.rows_served == served.row_hits + served.row_misses + served.rows_gathered
         assert (served.shards_scored, served.rows_scored) == (4, 300)
         assert stats.rows_predicted == 1 + 1 + 2  # rows asked of the model, not rows it scored
