@@ -10,8 +10,9 @@ shows the serving side, entirely through the facade: ``Estimator.fit`` with
 a ``shard_dir`` trains out-of-core, ``Estimator.save`` publishes the model
 to a version registry, and ``open_service`` turns the registry into a live
 service that coalesces concurrent single-row requests into mini-batches
-over the same compressed shard files (the cache keeps each shard's score
-vector, computed once in the compressed domain, and answers its rows).  The closing table compares the same traffic served unbatched
+over the same compressed shard files (the cache keeps each shard's scores,
+computed once in the compressed domain, and answers its rows from them).
+The closing table compares the same traffic served unbatched
 (batch size 1), micro-batched, and micro-batched with the cache on.
 """
 

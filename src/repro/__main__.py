@@ -871,8 +871,8 @@ def build_parser() -> argparse.ArgumentParser:
             "--cache-size",
             type=int,
             default=DEFAULT_CACHE_SIZE,
-            help="cache entries, 0 disables: whole-shard score vectors for linear models "
-            "(shard_rows x 8 bytes each; a miss scores one shard), row predictions for ffnn",
+            help="0 disables the cache; for linear models any positive value keeps every "
+            "scored shard's scores (n_rows x 8 bytes in all), for ffnn it counts row predictions",
         )
 
     predict = subparsers.add_parser(

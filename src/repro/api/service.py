@@ -43,13 +43,13 @@ def open_service(
     (but not row-id lookups).  Returns ``(service, checkpoint)`` so callers
     can print provenance (version, model, scheme) next to their stats.
 
-    ``cache_size`` counts cache entries (0 = no cache).  For ``logreg`` /
-    ``svm`` / ``linreg`` an entry is the score vector of one whole shard,
-    scored once in the compressed domain: ``cache_size × shard_rows × 8``
-    bytes (512 KB at the default and 250-row shards), every row of a resident
-    shard is answered without decoding anything, and a miss costs one
-    whole-shard score — so keep ``cache_size`` at or above the number of
-    shards in the hot set.  For ``ffnn`` an entry is one row's prediction.
+    ``cache_size=0`` turns the cache off.  For ``logreg`` / ``svm`` /
+    ``linreg`` any positive value keeps one score array per store: a shard
+    is scored once in the compressed domain on its first touch, nothing at
+    open, and never evicted, so the array costs ``n_rows × 8`` bytes (192 KB
+    for 24 000 rows, 80 MB for 10 M rows) and every row of a scored shard is
+    answered without decoding anything.  For ``ffnn`` ``cache_size`` counts
+    row predictions in an LRU.
 
     With ``workers > 1`` the service is a
     :class:`~repro.cluster.server.ClusterService`: ``workers`` processes

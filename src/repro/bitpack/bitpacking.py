@@ -20,6 +20,14 @@ _WIDTH_DTYPES = {1: np.dtype("<u1"), 2: np.dtype("<u2"), 4: np.dtype("<u4")}
 _SUPPORTED_WIDTHS = (1, 2, 3, 4)
 
 
+class EncodingError(ValueError):
+    """Raised when an encoded artefact violates a structural invariant.
+
+    Defined here, in the lowest layer that parses bytes, so every decoder
+    can raise it; :mod:`repro.core.validate` is its public home.
+    """
+
+
 def bytes_per_integer(max_value: int) -> int:
     """Return the number of bytes needed to store ``max_value``.
 
@@ -73,13 +81,13 @@ class PackedIntArray:
     def from_bytes(cls, raw) -> tuple["PackedIntArray", int]:
         """Parse a packed array from ``raw``; return it and the bytes consumed."""
         if len(raw) < _HEADER.size:
-            raise ValueError("truncated packed-integer header")
+            raise EncodingError("truncated packed-integer header")
         count, width = _HEADER.unpack_from(raw)
         if width not in _SUPPORTED_WIDTHS:
-            raise ValueError(f"unsupported packed-integer width {width}")
+            raise EncodingError(f"unsupported packed-integer width {width}")
         end = _HEADER.size + count * width
         if len(raw) < end:
-            raise ValueError("truncated packed-integer payload")
+            raise EncodingError("truncated packed-integer payload")
         return cls(data=raw[_HEADER.size : end], count=count, width=width), end
 
     def unpack(self) -> np.ndarray:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro import kernels
-from repro.bitpack.bitpacking import PackedIntArray, pack_integers
+from repro.bitpack.bitpacking import EncodingError, PackedIntArray, pack_integers
 
 
 @dataclass(frozen=True)
@@ -32,7 +32,7 @@ class ValueIndex:
 
     def __post_init__(self) -> None:
         if self.codes.size and (self.codes.max() >= self.dictionary.size or self.codes.min() < 0):
-            raise ValueError("value-index codes out of dictionary range")
+            raise EncodingError("value-index codes out of dictionary range")
 
     @property
     def nbytes(self) -> int:
@@ -58,11 +58,11 @@ class ValueIndex:
         dict_header, consumed = PackedIntArray.from_bytes(raw[offset:])
         offset += consumed
         if dict_header.count != 1:
-            raise ValueError("value-index dictionary size must be a single integer")
+            raise EncodingError("value-index dictionary size must be a single integer")
         dict_size = int.from_bytes(dict_header.data, "little")
         end = offset + dict_size * 8
         if len(raw) < end:
-            raise ValueError("truncated value-index dictionary")
+            raise EncodingError("truncated value-index dictionary")
         dictionary = np.frombuffer(raw[offset:end], dtype="<f8").copy()
         codes = packed_codes.unpack()
         return cls(dictionary=dictionary, codes=codes), end

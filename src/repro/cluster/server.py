@@ -64,7 +64,7 @@ from repro.cluster.errors import (
 )
 from repro.cluster.protocol import MAX_ROW_IDS, ProtocolError, recv_frame, send_frame
 from repro.cluster.worker import ERROR_CODES, worker_main
-from repro.engine.shards import row_id_array
+from repro.engine.shards import as_row_id, row_id_array
 from repro.obs import metrics as obs_metrics
 from repro.serve.batcher import fail_future
 from repro.serve.checkpoint import Checkpoint, ModelRegistry
@@ -96,9 +96,10 @@ _INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max
 
 
 def _wire_row_id(row_id) -> int:
-    """``row_id`` as the int64 a predict frame carries, refused before admission
-    with the ``IndexError`` an in-process ``predict_id`` raises if it is none."""
-    row_id = int(row_id)
+    """``row_id`` as the int64 a predict frame carries, refused before admission:
+    ``TypeError`` for a float or a bool, and the ``IndexError`` an in-process
+    ``predict_id`` raises for an id no int64 holds."""
+    row_id = as_row_id(row_id)
     if not _INT64_MIN <= row_id <= _INT64_MAX:
         raise IndexError(f"row {row_id} out of range: frames carry 64-bit row ids")
     return row_id
@@ -106,8 +107,8 @@ def _wire_row_id(row_id) -> int:
 
 def _wire_row_ids(row_ids) -> np.ndarray:
     """``row_ids`` as the int64 array a ``predict_many`` frame carries, refused
-    before admission: ``IndexError`` for an id past int64, ``ProtocolError``
-    for more ids than one frame holds."""
+    before admission: ``TypeError`` for a float or bool id, ``IndexError`` for
+    an id past int64, ``ProtocolError`` for more ids than one frame holds."""
     try:
         ids = row_id_array(row_ids)
     except OverflowError:
@@ -188,9 +189,10 @@ class ClusterService:
     default_deadline:
         Seconds-from-submit deadline applied when a call passes none.
     max_batch_size / cache_size:
-        Forwarded to each worker's private service stack (``cache_size``
-        entries *per worker*: shard score vectors for linear models, row
-        predictions for networks — see :mod:`repro.serve.service`).
+        Forwarded to each worker's private service stack, so each worker
+        keeps its own cache: for a linear model any positive ``cache_size``
+        is a score array of ``n_rows × 8`` bytes *per worker*, for a network
+        ``cache_size`` row predictions — see :mod:`repro.serve.service`.
     poll_seconds:
         Worker manifest-generation poll interval (hot re-open after
         ``Dataset.compact``).

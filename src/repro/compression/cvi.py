@@ -15,6 +15,7 @@ from repro import kernels
 from repro.bitpack.bitpacking import PackedIntArray, pack_integers
 from repro.bitpack.value_index import ValueIndex, build_value_index
 from repro.compression.base import CompressedMatrix, CompressionScheme
+from repro.core.validate import EncodingError
 
 _HEADER_DTYPE = np.dtype("<u8")
 
@@ -138,8 +139,17 @@ class CVIMatrix(CompressedMatrix):
 
     @classmethod
     def from_bytes(cls, raw) -> "CVIMatrix":
+        """Rebuild a matrix from :meth:`to_bytes` output.
+
+        The block lengths, ``indptr`` (monotonic from 0 to nnz), every column
+        index and every dictionary code are checked before anything indexes
+        with them; a payload that fails raises
+        :class:`~repro.core.validate.EncodingError`.
+        """
         header_size = 3 * _HEADER_DTYPE.itemsize
-        rows, cols, _nnz = (
+        if len(raw) < header_size:
+            raise EncodingError(f"CVI payload of {len(raw)} bytes has no header")
+        rows, cols, nnz = (
             int(x) for x in np.frombuffer(raw[:header_size], dtype=_HEADER_DTYPE)
         )
         offset = header_size
@@ -147,12 +157,25 @@ class CVIMatrix(CompressedMatrix):
         offset += consumed
         indices, consumed = PackedIntArray.from_bytes(raw[offset:])
         offset += consumed
-        values, _ = ValueIndex.from_bytes(raw[offset:])
+        values, consumed = ValueIndex.from_bytes(raw[offset:])
+        offset += consumed
+        if offset != len(raw):
+            raise EncodingError(f"CVI payload is {len(raw)} bytes; its blocks end at {offset}")
+        if (indptr.count, indices.count, values.codes.size) != (rows + 1, nnz, nnz):
+            raise EncodingError(
+                f"CVI blocks hold {indptr.count} offsets, {indices.count} columns and "
+                f"{values.codes.size} values; its header ({rows} x {cols}) needs "
+                f"{rows + 1}, {nnz} and {nnz}"
+            )
         instance = cls.__new__(cls)
         CompressedMatrix.__init__(instance, (rows, cols))
-        instance._indptr = indptr.unpack()
+        instance._indptr = offsets = indptr.unpack()
         instance._indices = indices.unpack()
         instance._values = values
+        if offsets[0] != 0 or offsets[-1] != nnz or (offsets[1:] < offsets[:-1]).any():
+            raise EncodingError("CVI row offsets must run monotonically from 0 to nnz")
+        if nnz and int(instance._indices.max()) >= cols:
+            raise EncodingError(f"CVI column index out of range for {cols} columns")
         return instance
 
 

@@ -14,6 +14,7 @@ import numpy as np
 from repro import kernels
 from repro.bitpack.value_index import ValueIndex, build_value_index
 from repro.compression.base import CompressedMatrix, CompressionScheme
+from repro.core.validate import EncodingError
 
 _HEADER_DTYPE = np.dtype("<u8")
 
@@ -89,9 +90,26 @@ class DVIMatrix(CompressedMatrix):
 
     @classmethod
     def from_bytes(cls, raw) -> "DVIMatrix":
+        """Rebuild a matrix from :meth:`to_bytes` output.
+
+        The code count must be ``rows × cols`` and every code must index the
+        dictionary; a payload that fails raises
+        :class:`~repro.core.validate.EncodingError`.
+        """
         header_size = 2 * _HEADER_DTYPE.itemsize
+        if len(raw) < header_size:
+            raise EncodingError(f"DVI payload of {len(raw)} bytes has no header")
         rows, cols = (int(x) for x in np.frombuffer(raw[:header_size], dtype=_HEADER_DTYPE))
-        values, _ = ValueIndex.from_bytes(raw[header_size:])
+        values, consumed = ValueIndex.from_bytes(raw[header_size:])
+        if header_size + consumed != len(raw):
+            raise EncodingError(
+                f"DVI payload is {len(raw)} bytes; its blocks end at {header_size + consumed}"
+            )
+        if values.codes.size != rows * cols:
+            raise EncodingError(
+                f"DVI payload holds {values.codes.size} codes; its header ({rows} x {cols}) "
+                f"needs {rows * cols}"
+            )
         instance = cls.__new__(cls)
         CompressedMatrix.__init__(instance, (rows, cols))
         instance._values = values

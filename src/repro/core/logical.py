@@ -22,6 +22,7 @@ import numpy as np
 
 from repro.core.prefix_tree import ROOT_INDEX, PrefixTree
 from repro.core.sparse import SparseEncodedTable
+from repro.core.validate import EncodingError
 
 
 @dataclass(frozen=True)
@@ -51,15 +52,15 @@ class LogicalEncoding:
 
     def __post_init__(self) -> None:
         if self.first_layer_columns.size != self.first_layer_values.size:
-            raise ValueError("first-layer columns and values must align")
+            raise EncodingError("first-layer columns and values must align")
         if self.row_offsets.size != self.shape[0] + 1:
-            raise ValueError("row_offsets must have exactly one more entry than rows")
+            raise EncodingError("row_offsets must have exactly one more entry than rows")
         if int(self.row_offsets[0]) != 0 or int(self.row_offsets[-1]) != self.codes.size:
-            raise ValueError("row_offsets must run from 0 to the number of codes")
+            raise EncodingError("row_offsets must run from 0 to the number of codes")
         if (self.row_offsets[1:] < self.row_offsets[:-1]).any():
-            raise ValueError("row_offsets must be non-decreasing")
+            raise EncodingError("row_offsets must be non-decreasing")
         if self.codes.size and self.codes.min() < 1:
-            raise ValueError("codes must reference non-root tree nodes (index >= 1)")
+            raise EncodingError("codes must reference non-root tree nodes (index >= 1)")
 
     @property
     def n_rows(self) -> int:

@@ -25,6 +25,7 @@ from repro.bitpack.bitpacking import PackedIntArray, pack_integers
 from repro.bitpack.value_index import ValueIndex, build_value_index
 from repro.bitpack.varint import encode_varints
 from repro.core.logical import LogicalEncoding
+from repro.core.validate import EncodingError
 
 _MAGIC = b"TOC1"
 #: ``(n_rows, n_cols)`` as little-endian uint64, right after the magic.
@@ -70,13 +71,17 @@ class PhysicalEncoding:
 
         Passing a memoryview (e.g. over an mmap'd shard) keeps every slice —
         including the packed payloads — zero-copy views of the source buffer.
+        Every block must fit the payload and the last must end where it
+        does, or :class:`~repro.core.validate.EncodingError` is raised
+        before anything is unpacked; :func:`physical_decode` and
+        :class:`~repro.core.logical.LogicalEncoding` check the values.
         """
         raw = memoryview(raw)
-        if raw[: len(_MAGIC)] != _MAGIC:
-            raise ValueError("not a TOC physical encoding (bad magic)")
         offset = len(_MAGIC) + _SHAPE.size
         if len(raw) < offset:
-            raise ValueError("truncated TOC physical encoding header")
+            raise EncodingError("truncated TOC physical encoding header")
+        if raw[: len(_MAGIC)] != _MAGIC:
+            raise EncodingError("not a TOC physical encoding (bad magic)")
         shape = _SHAPE.unpack_from(raw, len(_MAGIC))
         first_cols, consumed = PackedIntArray.from_bytes(raw[offset:])
         offset += consumed
@@ -86,6 +91,8 @@ class PhysicalEncoding:
         offset += consumed
         row_offsets, consumed = PackedIntArray.from_bytes(raw[offset:])
         offset += consumed
+        if offset != len(raw):
+            raise EncodingError(f"TOC payload is {len(raw)} bytes; its blocks end at {offset}")
         return cls(
             first_layer_columns=first_cols,
             first_layer_values=first_vals,
@@ -107,9 +114,17 @@ def physical_encode(encoding: LogicalEncoding) -> PhysicalEncoding:
 
 
 def physical_decode(physical: PhysicalEncoding) -> LogicalEncoding:
-    """Recover the logical encoding from its physical form."""
+    """Recover the logical encoding from its physical form.
+
+    A first-layer column past the header's column count raises
+    :class:`~repro.core.validate.EncodingError` here; the row offsets and
+    codes are checked by :class:`LogicalEncoding` and the decode tree.
+    """
+    columns, n_cols = physical.first_layer_columns.unpack(), physical.shape[1]
+    if columns.size and int(columns.max()) >= n_cols:
+        raise EncodingError(f"first-layer column index out of range for {n_cols} columns")
     return LogicalEncoding(
-        first_layer_columns=physical.first_layer_columns.unpack(),
+        first_layer_columns=columns,
         first_layer_values=physical.first_layer_values.decode(),
         codes=physical.codes.unpack(),
         row_offsets=physical.row_offsets.unpack(),

@@ -8,14 +8,17 @@ producing silently wrong arithmetic.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
-from repro.core.logical import LogicalEncoding
-from repro.core.sparse import SparseEncodedTable
+from repro.bitpack.bitpacking import EncodingError
 
+if TYPE_CHECKING:  # annotations only: the encoders import this module's error
+    from repro.core.logical import LogicalEncoding
+    from repro.core.sparse import SparseEncodedTable
 
-class EncodingError(ValueError):
-    """Raised when an encoded artefact violates a structural invariant."""
+__all__ = ["EncodingError", "validate_logical", "validate_roundtrip", "validate_sparse"]
 
 
 def validate_sparse(table: SparseEncodedTable) -> None:

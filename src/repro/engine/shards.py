@@ -34,6 +34,7 @@ published new files and the observer should re-open
 from __future__ import annotations
 
 import json
+import operator
 import os
 import re
 import time
@@ -47,6 +48,7 @@ import numpy as np
 
 from repro.compression.base import CompressedMatrix, CompressionScheme
 from repro.compression.registry import get_scheme
+from repro.core.validate import EncodingError
 from repro.engine.encode import (
     AUTO_SCHEME,
     EncodedBatch,
@@ -133,11 +135,49 @@ def shard_offsets(shards: Sequence[ShardInfo]) -> np.ndarray:
     return offsets
 
 
+def as_row_id(value) -> int:
+    """One row id as a Python ``int``.
+
+    ``TypeError`` for a float or a bool, which ``int()`` would quietly turn
+    into some row (``1.7`` into row 1, ``True`` into row 1).
+    """
+    if isinstance(value, (bool, np.bool_)):
+        raise TypeError(f"a row id must be an integer, not {type(value).__name__}")
+    return operator.index(value)
+
+
 def row_id_array(row_ids) -> np.ndarray:
-    """Any iterable of row ids as a flat ``int64`` array of its own (a queued request keeps it)."""
-    if isinstance(row_ids, np.ndarray):
-        return row_ids.astype(np.int64).ravel()
-    return np.fromiter(row_ids, dtype=np.int64)
+    """Row ids as a flat ``int64`` array of its own (a queued request keeps it).
+
+    Takes a ``range`` (built with ``np.arange``, never iterated), an integer
+    array or an iterable of integers.  A float or bool id — an array of
+    them, a boolean mask — raises ``TypeError`` instead of being truncated to
+    rows; an id past int64 raises ``OverflowError``.
+    """
+    if isinstance(row_ids, range):
+        return np.arange(row_ids.start, row_ids.stop, row_ids.step, dtype=np.int64)
+    items = row_ids.ravel() if isinstance(row_ids, np.ndarray) else list(row_ids)
+    ids = np.asarray(items)
+    if ids.size == 0:
+        return np.empty(0, dtype=np.int64)
+    if ids.dtype.kind in "fO":  # floats, or ints NumPy could not hold as one (0 and 2**63)
+        return np.fromiter(map(as_row_id, items), dtype=np.int64, count=ids.size)
+    if ids.dtype.kind not in "iu":
+        raise TypeError(f"row ids must be integers, not {ids.dtype}")
+    if ids.dtype.kind == "u" and ids.max() > np.iinfo(np.int64).max:
+        raise OverflowError(f"row id {int(ids.max())} does not fit in int64")
+    return ids.astype(np.int64)
+
+
+def row_out_of_range(row_id: int, n_rows: int) -> IndexError:
+    """The error every row-id path raises for an id outside ``[0, n_rows)``."""
+    return IndexError(f"row {row_id} out of range [0, {n_rows})")
+
+
+def check_row_ids(ids: np.ndarray, n_rows: int) -> None:
+    """Raise :func:`row_out_of_range` for the first of ``ids`` outside ``[0, n_rows)``."""
+    if ids.size and (ids.min() < 0 or ids.max() >= n_rows):
+        raise row_out_of_range(int(ids[(ids < 0) | (ids >= n_rows)][0]), n_rows)
 
 
 def locate_rows(offsets: np.ndarray, row_ids) -> tuple[np.ndarray, np.ndarray]:
@@ -149,10 +189,7 @@ def locate_rows(offsets: np.ndarray, row_ids) -> tuple[np.ndarray, np.ndarray]:
     of a request that holds a bad id.
     """
     ids = row_id_array(row_ids)
-    n_rows = int(offsets[-1])
-    if ids.size and (ids.min() < 0 or ids.max() >= n_rows):
-        bad = int(ids[(ids < 0) | (ids >= n_rows)][0])
-        raise IndexError(f"row {bad} out of range [0, {n_rows})")
+    check_row_ids(ids, int(offsets[-1]))
     batch_ids = np.searchsorted(offsets, ids, side="right") - 1
     return batch_ids, ids - offsets[batch_ids]
 
@@ -451,10 +488,20 @@ class ShardedDataset:
         ``payload`` (bytes or any buffer) lets callers that already hold the
         bytes (the trainer's buffer pool, a feature store's mapping) hand
         them over; otherwise the shard file is mapped (:meth:`read_payload`).
+        A payload whose matrix is not the shape the manifest records raises
+        :class:`~repro.core.validate.EncodingError`: every reader sizes its
+        output from the manifest.
         """
         if payload is None:
             payload = self.read_payload(batch_id)
-        return self.scheme_for(batch_id).decompress_bytes(payload)
+        matrix = self.scheme_for(batch_id).decompress_bytes(payload)
+        info = self.shards[batch_id]
+        if matrix.shape != (info.n_rows, info.n_cols):
+            raise EncodingError(
+                f"shard {batch_id} decodes to {matrix.shape[0]} x {matrix.shape[1]}; "
+                f"the manifest records {info.n_rows} x {info.n_cols}"
+            )
+        return matrix
 
     # -- access ---------------------------------------------------------------
 

@@ -13,7 +13,7 @@ It hands a shard out in two ways.  :meth:`FeatureStore.parsed` is the shard
 in its sliceable form, still compressed: what ``PredictionService`` scores
 *as stored* with the paper's Section 4 kernels, one ``A·v`` for every row of
 the shard — for a linear model that is how single-row and bulk requests
-alike are answered (the service keeps the score vector; such a shard is
+alike are answered (the service keeps the scores; such a shard is
 never densified, and the rows answered are reported through
 :meth:`FeatureStore.count_scored`).  :meth:`FeatureStore.get_rows` is for
 callers that want the features themselves — direct readers, networks, an
@@ -48,12 +48,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.engine.shards import ShardedDataset, group_by_shard, locate_rows, shard_offsets
+from repro.engine.shards import (
+    ShardedDataset,
+    as_row_id,
+    group_by_shard,
+    locate_rows,
+    row_out_of_range,
+    shard_offsets,
+)
 from repro.exec import row_slice, supports_direct_ops
 from repro.serve.lru import LRUCache
 
 #: Parsed shards a store keeps.  A linear model's requests are answered from
-#: the service's score vectors and touch this only on a score miss; networks
+#: the service's score array and touch this only to fill it; networks
 #: and an uncached service row-slice out of it.
 PARSED_CACHE_SHARDS = 8
 
@@ -77,7 +84,7 @@ class FeatureStoreStats:
     #: in the compressed domain, the rows those shards hold (attempted), and
     #: the rows of bulk requests answered out of shard scores (useful).  A
     #: single-row request answered that way is a ``row_hit`` when the shard's
-    #: scores were already resident, a ``row_miss`` when it had them scored.
+    #: scores were already filled, a ``row_miss`` when it had them scored.
     shards_scored: int = 0
     rows_scored: int = 0
     rows_gathered: int = 0
@@ -135,9 +142,9 @@ class FeatureStore:
 
     def locate(self, row_id: int) -> tuple[int, int]:
         """Map a global row id to ``(batch_id, local_row)``."""
-        row_id = int(row_id)
+        row_id = as_row_id(row_id)
         if not 0 <= row_id < self._n_rows:
-            raise IndexError(f"row {row_id} out of range [0, {self._n_rows})")
+            raise row_out_of_range(row_id, self._n_rows)
         batch_id = bisect_right(self._offset_list, row_id) - 1
         return batch_id, row_id - self._offset_list[batch_id]
 
@@ -148,6 +155,14 @@ class FeatureStore:
         shard is read.
         """
         return locate_rows(self._offsets, row_ids)
+
+    @property
+    def n_shards(self) -> int:
+        return len(self.dataset.shards)
+
+    def row_span(self, batch_id: int) -> tuple[int, int]:
+        """Shard ``batch_id``'s rows as ``(first global row id, one past the last)``."""
+        return self._offset_list[batch_id], self._offset_list[batch_id + 1]
 
     def shard_rows(self, batch_id: int) -> int:
         """How many rows shard ``batch_id`` holds."""
@@ -191,7 +206,7 @@ class FeatureStore:
 
         A bulk request's rows are served without a hit or a miss
         (``gathered``); a single-row request is a hit when its shard's
-        scores were resident and a miss when they had to be computed, so
+        scores were filled and a miss when they had to be computed, so
         ``rows_served == row_hits + row_misses + rows_gathered``.
         """
         with self._lock:

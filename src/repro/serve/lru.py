@@ -1,7 +1,7 @@
 """A small thread-safe LRU cache shared by the serving layer.
 
-Both serving caches — parsed shards in the feature store and score vectors
-or predictions in the service — are plain count-bounded LRUs accessed from
+Both serving LRUs — parsed shards in the feature store and a network's row
+predictions in the service — are plain count-bounded caches accessed from
 client threads *and* the micro-batcher worker, so the dict bookkeeping must
 be guarded.  The lock covers only the bookkeeping: expensive work (decoding
 a block, running the model) happens outside, and a racing miss simply does

@@ -9,35 +9,35 @@ style batch operation per mini-batch instead of per request, and a cache of
 three levels (cache, batcher, store) so a load test can tell *where* each
 request was answered.
 
-What a cache entry is depends on the model.  For one built on ``A·v``
-(``"matvec"`` in its ``core_ops``) it is a whole shard's **score vector**:
-the paper's Section 4 route, one ``model.predict(parsed shard)`` in the
-compressed domain, costs less for all of a shard's rows than decoding one of
-them, and the vector (``shard_rows × 8`` bytes) is small enough to keep.  So
-:meth:`PredictionService.submit_id` locates the id on the caller's thread
-and answers ``float(vector[local_row])`` when the shard's vector is resident
-— no future, no batcher hop, no decode; on a miss the batcher scores each
-missing shard of its batch once (batch-mates in one shard share the call),
-keeps the vector and gathers.  Bulk requests
-(:meth:`PredictionService.predict_ids`, ``submit_ids``) read and fill the
-same cache through the same scoring call
-(:meth:`PredictionService._shard_scores`), so a single-row answer, a bulk
-one and ``Estimator.predict(Dataset)`` are bit-equal.  The footprint is
-``cache_size × shard_rows × 8`` bytes; a miss costs one whole-shard score, so
-``cache_size`` wants to be at least the number of shards in the hot set —
-under it, uniform traffic re-scores a shard per request, and a long bulk
-scan can evict hot vectors at one re-score each.  The vectors live with the
-store handle they were scored from (:class:`_Serving`), so
-:meth:`PredictionService.reopen_store` drops them by construction.
+What the cache holds depends on the model.  For one built on ``A·v``
+(``"matvec"`` in its ``core_ops``) it is one **score array** per store
+handle, a prediction for every stored row: the paper's Section 4 route, one
+``model.predict(parsed shard)`` in the compressed domain, costs less for all
+of a shard's rows than decoding one of them.  A shard's slice is filled on
+its first touch and never evicted, so the array costs ``n_rows × 8`` bytes
+per process — 192 KB for 24 000 rows, 80 MB for 10 M — and any positive
+``cache_size`` means "keep every scored shard".  Nothing is scored when the
+service opens.  :meth:`PredictionService.submit_id` answers a row whose
+shard is filled with ``float(scores[row_id])`` on the caller's thread — no
+future, no batcher hop, no decode; on a miss the batcher scores each missing
+shard of its batch once (batch-mates in one shard share the call).  Bulk
+requests (:meth:`PredictionService.predict_ids`, ``submit_ids``) range-check
+their ids, fill the touched shards not yet filled through the same scoring
+call (:meth:`PredictionService._shard_scores`) and gather — once every shard
+is filled, that is one check and one gather — so a single-row answer, a bulk
+one and ``Estimator.predict(Dataset)`` are bit-equal.  The array lives with
+the store handle it was scored from (:class:`_Serving`), so
+:meth:`PredictionService.reopen_store` drops it by construction.
 
 For a network (``A·M`` over a whole shard costs more than decoding all of
-it) an entry is one row's prediction keyed by row id, a miss row-slices just
-that row, and bulk requests take ``get_rows``.  ``cache_size=0`` is that
-dense single-row path for every model, and bulk requests then score whole
-only the shards they cover (:data:`SCORE_WHOLE_COVERAGE`).  A regression
-score from the dense path can differ in its last bits from one out of a
-score vector — within 8 ulp of the score's scale ``|x|·|w| + |b|``, pinned
-by ``tests/serve/test_bulk_scoring.py``; labels never differ.
+it) a cache entry is one row's prediction keyed by row id, an LRU of
+``cache_size`` entries; a miss row-slices just that row, and bulk requests
+take ``get_rows``.  ``cache_size=0`` is that dense single-row path for every
+model, and bulk requests then score whole only the shards they cover
+(:data:`SCORE_WHOLE_COVERAGE`).  A regression score from the dense path can
+differ in its last bits from one out of the score array — within 8 ulp of
+the score's scale ``|x|·|w| + |b|``, pinned by
+``tests/serve/test_bulk_scoring.py``; labels never differ.
 
 Every front-end serves through this object — threads call it, the asyncio
 surface and the cluster workers use its ``submit_*`` futures — so cache, queue
@@ -49,15 +49,22 @@ from __future__ import annotations
 import itertools
 import threading
 import time
+from collections import Counter
 from collections.abc import Iterable
 from concurrent.futures import Future
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
-from repro.engine.shards import group_by_shard, read_generation, row_id_array
+from repro.engine.shards import (
+    as_row_id,
+    check_row_ids,
+    group_by_shard,
+    read_generation,
+    row_id_array,
+    row_out_of_range,
+)
 from repro.obs import metrics as obs_metrics
 from repro.serve.batcher import MicroBatcher
 from repro.serve.checkpoint import Checkpoint, ModelRegistry
@@ -74,8 +81,9 @@ from repro.serve.lru import LRUCache
 #: of decoded rows in front at 2-12 rows.  A quarter is never behind under either.
 SCORE_WHOLE_COVERAGE = 0.25
 
-#: Cache entries a service built from a registry keeps, in-process, per cluster
-#: worker and from the CLI: 256 score vectors are 512 KB on 250-row shards.
+#: The ``cache_size`` a service built from a registry uses, in-process, per
+#: cluster worker and from the CLI: 256 row predictions for a network; for a
+#: linear model any positive value keeps the whole score array.
 DEFAULT_CACHE_SIZE = 256
 
 #: Distinguishes each service instance's metrics in the process registry
@@ -206,17 +214,27 @@ class ServiceStats:
         self._cache_misses.inc_locked()
 
 
-class _Serving(NamedTuple):
-    """One feature-store handle and the score vectors computed from it.
+class _Serving:
+    """One feature-store handle and the scores computed from it.
 
-    ``scores`` maps a shard's batch id to the model's predictions for all of
-    its rows (``None`` when the service does not cache them).  The pair is
-    replaced in one assignment, so a vector scored on one manifest generation
-    is never consulted by a lookup that started on the next.
+    For a linear model the service keeps ``scores``, one prediction per
+    stored row (``n_rows × 8`` bytes; ``None`` when it keeps none).  Shard
+    ``b``'s slice holds its scores once ``filled[b]`` is set — the slice is
+    written first — and ``complete`` once all ``n_filled`` shards' do;
+    nothing is ever evicted.  The service replaces the whole object in one assignment, so a
+    score computed on one manifest generation never answers a lookup that
+    started on the next.
     """
 
-    store: FeatureStore | None
-    scores: LRUCache | None
+    __slots__ = ("store", "scores", "filled", "n_filled", "complete")
+
+    def __init__(self, store: FeatureStore | None, keeps_scores: bool):
+        self.store = store
+        kept = keeps_scores and store is not None
+        self.scores = np.empty(store.n_rows) if kept else None
+        self.filled = np.zeros(store.n_shards, dtype=bool) if kept else None
+        self.n_filled = 0
+        self.complete = False
 
 
 class PredictionService:
@@ -232,10 +250,10 @@ class PredictionService:
     max_batch_size / max_wait_seconds:
         Micro-batching knobs (``max_batch_size=1`` disables coalescing).
     cache_size:
-        Cache entries (0 disables the cache).  For a model built on ``A·v`` an
-        entry is one shard's score vector — ``cache_size × shard_rows × 8``
-        bytes in all, and a miss scores a whole shard, so cover the hot set's
-        shards; for a network it is one row's prediction, keyed by row id.
+        0 disables the cache.  For a model built on ``A·v`` any positive value
+        keeps a score array of ``n_rows × 8`` bytes, filled a shard at a time
+        and never evicted; for a network it is the number of row predictions
+        an LRU keeps, keyed by row id.
     max_queue:
         Bound on queued requests (a cluster worker's ``backlog``; ``None`` = unbounded).
     """
@@ -260,21 +278,21 @@ class PredictionService:
         self._reopen_lock = threading.Lock()
         # Re-entrant: the metrics share this lock, so a stats mutator called
         # while the service already holds it must be able to re-acquire.
-        self._lock = threading.RLock()  # guards stats only; the caches self-lock
+        self._lock = threading.RLock()  # guards stats and score fills; the row LRU self-locks
         self.stats = ServiceStats(self._lock, self._svc_id)
         # Whole-shard scoring is for models whose prediction is one ``A·v``; the
-        # cache holds their shards' score vectors, and a network's predictions by row id.
+        # cache is their score array, and a network's predictions by row id.
         self._scores_shards = "matvec" in getattr(model, "core_ops", ())
         self._caches_scores = self._scores_shards and cache_size > 0
         self._cache: LRUCache | None = (
             LRUCache(cache_size) if cache_size and not self._scores_shards else None
         )
-        self._serving = self._serve_from(store)
+        self._serving = _Serving(store, self._caches_scores)
         # The store's whole-shard counters, kept across store reopens.
         self._shards_scored = obs_metrics.counter("serve.store.shards_scored", svc=self._svc_id)
         self._rows_scored = obs_metrics.counter("serve.store.rows_scored", svc=self._svc_id)
         self._rows_gathered = obs_metrics.counter("serve.store.rows_gathered", svc=self._svc_id)
-        self._vectors_resident = obs_metrics.gauge("serve.cache.shards", svc=self._svc_id)
+        self._shards_filled = obs_metrics.gauge("serve.cache.shards", svc=self._svc_id)
         self._batcher = MicroBatcher(
             self._handle_batch,
             max_batch_size=max_batch_size,
@@ -317,11 +335,6 @@ class PredictionService:
         """The feature store requests are being answered from right now."""
         return self._serving.store
 
-    def _serve_from(self, store: FeatureStore | None) -> _Serving:
-        """``store`` paired with an empty score cache of its own (if this service keeps one)."""
-        cached = self._caches_scores and store is not None
-        return _Serving(store, LRUCache(self.cache_size) if cached else None)
-
     # -- batched execution -----------------------------------------------------
 
     def _handle_batch(self, requests: list) -> list:
@@ -352,7 +365,7 @@ class PredictionService:
             for i, prediction in zip(slots, predictions):
                 outputs[i] = prediction
 
-        if self._caches_scores:  # stored rows come out of score vectors, not a model call of theirs
+        if self._caches_scores:  # stored rows come out of the score array, not a model call
             answer(id_slots, lambda: self._on_store(self._score_singles, ids))
             answer(vec_slots, lambda: self._score_dense([], vectors))
         else:  # one matrix: stored rows first, then raw vectors
@@ -386,49 +399,45 @@ class PredictionService:
     def _shard_scores(self, serving: _Serving, batch_id: int, rows: int) -> tuple[np.ndarray, bool]:
         """The model's predictions for every row of one shard, and whether it had to run.
 
-        The one place a stored shard is scored: resident vectors are
-        returned as they are; otherwise ``model.predict`` runs on the
-        shard's parsed form with the compressed-domain kernels — it is never
-        decoded — and the vector is kept if the service caches them.
-        ``rows`` is how many of the shard's rows the caller wants.
+        The one place a stored shard is scored: a filled slice of the
+        service's scores is returned as it is; otherwise ``model.predict``
+        runs on the shard's parsed form with the compressed-domain kernels —
+        it is never decoded — and, if the service keeps scores, fills the
+        shard's slice.  ``rows`` is how many of the shard's rows the caller
+        wants.  Two racing misses may both score a shard; the first to take
+        the lock fills it, with the same values the second computed.
         """
-        store, scores = serving
-        vector = scores.get(batch_id) if scores is not None else None
-        if vector is not None:
-            return vector, False
+        store, scores = serving.store, serving.scores
+        if scores is not None:
+            first, stop = store.row_span(batch_id)
+            if serving.filled[batch_id]:
+                return scores[first:stop], False
         vector = self._score(store.parsed(batch_id), rows=rows)
         store.count_scored(1, vector.size)
         self._shards_scored.inc()
         self._rows_scored.inc(vector.size)
         if scores is not None:
-            with self._lock:  # the gauge follows the handle in use, exactly
-                scores.put(batch_id, vector)
-                if serving is self._serving:
-                    self._vectors_resident.set(len(scores))
+            with self._lock:
+                if not serving.filled[batch_id]:
+                    scores[first:stop] = vector  # before the flag: a reader that sees it sees these
+                    serving.filled[batch_id] = True
+                    serving.n_filled += 1
+                    serving.complete = serving.n_filled == serving.filled.size
+                    if serving is self._serving:  # the gauge follows the handle in use
+                        self._shards_filled.set(serving.n_filled)
         return vector, True
 
     def _score_singles(self, serving: _Serving, row_ids: list[int]) -> list[float]:
-        """A batch's single-row ids out of their shards' score vectors, a shard scored at most once.
-
-        A batch is a few ids, so they are located one by one and grouped in
-        a dict: the vectorised ``locate_rows`` + ``group_by_shard`` of the
-        bulk path costs more than that for anything this short.
-        """
+        """A batch's single-row ids out of the stored scores, each missing shard scored once."""
         store = serving.store
-        by_shard: dict[int, list[tuple[int, int]]] = {}
-        for position, row_id in enumerate(row_ids):
-            batch_id, local_row = store.locate(row_id)
-            by_shard.setdefault(batch_id, []).append((position, local_row))
-        out = [0.0] * len(row_ids)
-        misses = 0
-        for batch_id, wanted in by_shard.items():
-            vector, computed = self._shard_scores(serving, batch_id, len(wanted))
-            if computed:
-                misses += len(wanted)
-            for position, local_row in wanted:
-                out[position] = float(vector[local_row])
+        wanted = Counter(store.locate(row_id)[0] for row_id in row_ids)
+        misses = sum(
+            rows
+            for batch_id, rows in wanted.items()
+            if self._shard_scores(serving, batch_id, rows)[1]
+        )
         store.count_scored(hits=len(row_ids) - misses, misses=misses)
-        return out
+        return serving.scores[row_ids].tolist()
 
     def _score_ids(self, row_ids: np.ndarray) -> np.ndarray:
         """Predictions for a bulk request of stored rows, in request order."""
@@ -442,29 +451,47 @@ class PredictionService:
         return predictions
 
     def _score_stored(self, serving: _Serving, ids: np.ndarray) -> tuple[np.ndarray, int]:
-        """Answer each shard's rows out of its score vector, the scattered rest densely.
+        """A bulk request answered out of the stored scores, or per shard without them.
 
-        With a score cache every shard the request touches is answered from
-        its vector (:meth:`_shard_scores`), so a bulk answer is bit-equal to
-        the single-row one.  Without one, a covered shard
-        (:data:`SCORE_WHOLE_COVERAGE`) is scored whole and the scattered
-        remainder row-sliced.  Either pays only for models built on ``A·v``;
-        a network's ``A·M`` over a whole shard costs more than decoding all
-        of it, so those keep ``row_slice``.  Returns the predictions and how
+        With stored scores the ids are range-checked first — a negative id
+        must never wrap around — then each touched shard not yet filled is
+        scored (:meth:`_shard_scores`), and the answer is one gather, so it
+        is bit-equal to the single-row one.  Once every shard is filled that
+        is the check and the gather alone.  Returns the predictions and how
         many shards had to be scored.
         """
-        store, scores = serving
+        store, scores = serving.store, serving.scores
+        if scores is None:
+            return self._score_by_shard(serving, ids)
+        check_row_ids(ids, scores.size)  # IndexError before any shard is read
+        shards_computed = 0
+        if not serving.complete:
+            batch_ids, rows = np.unique(store.locate_rows(ids)[0], return_counts=True)
+            for batch_id, wanted in zip(batch_ids.tolist(), rows.tolist()):
+                shards_computed += self._shard_scores(serving, batch_id, wanted)[1]
+        store.count_scored(gathered=ids.size)
+        self._rows_gathered.inc(ids.size)
+        return scores[ids], shards_computed
+
+    def _score_by_shard(self, serving: _Serving, ids: np.ndarray) -> tuple[np.ndarray, int]:
+        """Without stored scores: covered shards scored whole, the scattered rest densely.
+
+        A shard the request covers (:data:`SCORE_WHOLE_COVERAGE`) is scored
+        whole and its rows gathered out of the scores; the remainder is
+        row-sliced.  Scoring whole pays only for models built on ``A·v``; a
+        network's ``A·M`` over a whole shard costs more than decoding all of
+        it, so those keep ``row_slice``.
+        """
+        store = serving.store
         batch_ids, local_rows = store.locate_rows(ids)  # IndexError before any shard is read
         out = np.empty(ids.size, dtype=np.float64)
         rest, shards_computed = [], 0
         for batch_id, positions in group_by_shard(batch_ids):
-            if scores is not None or (
-                self._scores_shards
-                and positions.size >= SCORE_WHOLE_COVERAGE * store.shard_rows(batch_id)
-            ):
-                vector, computed = self._shard_scores(serving, batch_id, positions.size)
+            covered = positions.size >= SCORE_WHOLE_COVERAGE * store.shard_rows(batch_id)
+            if self._scores_shards and covered:
+                vector, _ = self._shard_scores(serving, batch_id, positions.size)
                 out[positions] = vector[local_rows[positions]]
-                shards_computed += computed
+                shards_computed += 1
             else:
                 rest.append(positions)
         rows_gathered = ids.size - sum(positions.size for positions in rest)
@@ -496,28 +523,28 @@ class PredictionService:
         """Non-blocking :meth:`predict_id`: the cached prediction itself, or the
         future of the request just queued.
 
-        The id is located — so range-checked — here, on the caller's thread:
+        The id must be an integer (``TypeError`` for a float or a bool, never
+        a truncated row), and is range-checked here, on the caller's thread:
         one out of range comes back as a future already failed with that
         ``IndexError`` and is never queued, so it cannot fail its batch-mates.
-        A hit (the shard's score vector is resident; for a network, the row's
-        prediction is) submits nothing, so it costs no :class:`Future` either
-        — threads, the asyncio surface and the cluster workers all enter here.
-        A miss resolves from the micro-batcher's thread; stats and the cache
-        fill happen there.  ``deadline`` is :meth:`MicroBatcher.submit`'s.
+        A hit submits nothing, so it costs no :class:`Future` either —
+        threads, the asyncio surface and the cluster workers all enter here.
+        For a linear model a hit is a row whose shard's scores are filled:
+        ``float(scores[row_id])``, with no ``locate`` once every shard is;
+        for a network it is the row's prediction in the row LRU.  A miss
+        resolves from the micro-batcher's thread; stats and the cache fill
+        happen there.  ``deadline`` is :meth:`MicroBatcher.submit`'s.
         """
-        row_id = int(row_id)
+        row_id = as_row_id(row_id)
         start = time.perf_counter()
-        store, scores = self._serving
-        if store is not None:
-            try:
-                batch_id, local_row = store.locate(row_id)
-            except IndexError as exc:
-                failed: Future = Future()
-                failed.set_exception(exc)
-                return failed
+        serving = self._serving
+        store, scores = serving.store, serving.scores
+        if store is not None and not 0 <= row_id < store.n_rows:
+            failed: Future = Future()
+            failed.set_exception(row_out_of_range(row_id, store.n_rows))
+            return failed
         if scores is not None:
-            vector = scores.get(batch_id)
-            if vector is None:
+            if not (serving.complete or serving.filled[store.locate(row_id)[0]]):
                 with self._lock:
                     self.stats.record_cache_miss()
                 return self._submit(("id", row_id), start, deadline)
@@ -525,7 +552,7 @@ class PredictionService:
                 self.stats.record_cache_hit()
                 self.stats.record_request(time.perf_counter() - start)
             store.count_scored(hits=1)
-            return float(vector[local_row])
+            return float(scores[row_id])
         if self._cache is not None:
             value = self._cache.get(row_id)
             with self._lock:
@@ -580,7 +607,7 @@ class PredictionService:
     # -- bulk API --------------------------------------------------------------
 
     def predict_ids(self, row_ids: Iterable[int]) -> np.ndarray:
-        """Bulk path, no queueing: covered shards scored compressed, the rest row-sliced."""
+        """Bulk path, no queueing: answered by :meth:`_score_stored` on the caller's thread."""
         start = time.perf_counter()
         predictions = self._score_ids(row_id_array(row_ids))
         with self._lock:
@@ -612,17 +639,17 @@ class PredictionService:
         assignment — in-flight requests finish on whichever store they
         started with, which is safe because shard data is immutable between
         swaps (compaction re-encodes bytes, never changes rows).  Returns
-        ``False`` for store-less services.  The score vectors go with the
-        store they were computed from, so they and the new store's parsed
-        shards start cold, and the new store maps the new generation's files.
+        ``False`` for store-less services.  The score array goes with the
+        store it was computed from, so it and the new store's parsed shards
+        start cold, and the new store maps the new generation's files.
         """
         if self.store is None:
             return False
         with self._reopen_lock:
             reopened = FeatureStore.open(self.store.dataset.directory)
             with self._lock:
-                self._serving = self._serve_from(reopened)
-                self._vectors_resident.set(0)
+                self._serving = _Serving(reopened, self._caches_scores)
+                self._shards_filled.set(0)
         obs_metrics.counter("serve.store.reopens", svc=self._svc_id).inc()
         return True
 

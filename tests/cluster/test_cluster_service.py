@@ -528,6 +528,27 @@ class TestWorkerServesThroughThePipeline:
         assert single.inflight == 0
         assert counters() == before  # not admitted, no frame sent
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda c: c.predict(1.7),
+            lambda c: c.predict(np.float64(3.0)),
+            lambda c: c.submit(True),
+            lambda c: c.predict_many(np.array([1.7, 2.2])),
+            lambda c: c.predict_many(np.array([True, False])),
+            lambda c: c.predict_many([1, 2.0]),
+        ],
+        ids=["predict", "predict_numpy_float", "submit_bool", "predict_many", "mask", "mixed"],
+    )
+    def test_a_float_or_bool_id_is_refused_before_admission(self, single, call):
+        # int() used to truncate these: 1.7 was answered as row 1, and a
+        # boolean mask as rows [1, 0].
+        before = single.metrics()["counters"]["cluster.server.requests"]
+        with pytest.raises(TypeError):
+            call(single)
+        assert single.inflight == 0
+        assert single.metrics()["counters"]["cluster.server.requests"] == before
+
     def test_queued_work_past_its_budget_is_shed_by_the_worker(self, single, published):
         _, _, expected = published
         before = self._worker_counters(single)["shed"]

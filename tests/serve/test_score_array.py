@@ -1,0 +1,192 @@
+"""A linear model's stored rows are answered out of one score array per store handle.
+
+The array fills a shard at a time and never evicts; a reopen starts a new
+one.  These tests pin the counters that the traced benchmark divides by, and
+that concurrent callers across a compaction never get a score from the
+wrong generation.
+"""
+
+from __future__ import annotations
+
+import sys
+import threading
+from concurrent.futures import Future, ThreadPoolExecutor
+
+import numpy as np
+import pytest
+
+from repro.api import Dataset, Estimator
+from repro.data.registry import DATASET_PROFILES
+from repro.serve.feature_store import FeatureStore
+from repro.serve.service import PredictionService
+
+ROWS, BATCH = 400, 50
+
+
+def _resident(service: PredictionService) -> int:
+    return service.metrics()["gauges"]["serve.cache.shards"]
+
+
+def _filled(service: PredictionService) -> int:
+    return service._serving.n_filled
+
+
+@pytest.fixture(scope="module")
+def fitted(tmp_path_factory):
+    features, labels = DATASET_PROFILES["census"].classification(ROWS, seed=3)
+    dataset = Dataset.create(
+        tmp_path_factory.mktemp("score-array") / "shards", features, labels,
+        scheme="TOC", batch_size=BATCH, executor="serial", shuffle=False,
+    )
+    estimator = Estimator("logreg", epochs=2)
+    estimator.fit(dataset)
+    return estimator, dataset
+
+
+def _answer(served) -> float:
+    return served.result(timeout=10) if isinstance(served, Future) else served
+
+
+class TestCounters:
+    def test_mixed_traffic_and_a_reopen_keep_every_counter_meaningful(self, fitted):
+        estimator, dataset = fitted
+        expected = estimator.predict(dataset)
+        n_shards = ROWS // BATCH
+        with PredictionService(
+            estimator.model, FeatureStore.open(dataset.path), cache_size=1
+        ) as service:
+            id_requests = 0
+
+            def single(row: int) -> None:
+                nonlocal id_requests
+                assert _answer(service.submit_id(row)) == expected[row]
+                id_requests += 1
+
+            def bulk(ids) -> None:
+                nonlocal id_requests
+                assert np.array_equal(service.predict_ids(ids), expected[list(ids)])
+                id_requests += 1
+
+            single(0)  # miss: shard 0 scored
+            single(1)  # hit
+            bulk(range(40, 120))  # shard 0 filled, shard 1 and 2 scored: a miss
+            single(110)  # hit, out of the bulk request's fill
+            assert service.submit_ids([7, 399]).result(timeout=10) == expected[[7, 399]].tolist()
+            id_requests += 1  # shard 7 scored
+            assert service.predict_vector(dataset.take([3])[0]) == pytest.approx(expected[3])
+            assert _resident(service) == _filled(service) == 4 <= n_shards
+
+            first = service.store
+            service.reopen_store()
+            assert _resident(service) == _filled(service) == 0
+            single(399)  # the new handle scores afresh: a miss
+            bulk(range(ROWS))  # every other shard scored: a miss
+            bulk(range(ROWS))  # complete: a hit, one gather
+            single(5)  # complete: a hit without locate
+
+            stats = service.stats.snapshot()
+            assert stats.cache_hits + stats.cache_misses == id_requests == 9
+            assert (stats.cache_hits, stats.cache_misses) == (4, 5)
+            assert _resident(service) == _filled(service) == n_shards
+            for store in (first, service.store):
+                served = store.stats
+                assert served.rows_served == (
+                    served.row_hits + served.row_misses + served.rows_gathered
+                )
+            assert (first.stats.row_hits, first.stats.row_misses) == (2, 1)
+            assert first.stats.rows_gathered == 80 + 2  # a queued bulk request gathers too
+            assert (service.store.stats.row_hits, service.store.stats.row_misses) == (1, 1)
+            assert service.store.stats.rows_gathered == 2 * ROWS
+            counters = service.metrics()["counters"]
+            assert counters["serve.store.shards_scored"] == 4 + n_shards
+            assert counters["serve.store.rows_scored"] == (4 + n_shards) * BATCH
+
+    def test_a_negative_id_never_wraps_around_into_the_array(self, fitted):
+        estimator, dataset = fitted
+        with PredictionService(
+            estimator.model, FeatureStore.open(dataset.path), cache_size=8
+        ) as service:
+            service.predict_ids(range(ROWS))  # every shard filled: the gather path
+            with pytest.raises(IndexError, match=r"row -1 out of range \[0, 400\)"):
+                service.predict_ids([3, -1])
+            with pytest.raises(IndexError, match=r"row -400 out of range"):
+                service.predict_id(-400)
+            with pytest.raises(IndexError, match=r"row 400 out of range"):
+                service.predict_ids(range(399, 401))
+
+    def test_scoring_happens_on_first_touch_not_at_open(self, fitted):
+        estimator, dataset = fitted
+        with PredictionService(
+            estimator.model, FeatureStore.open(dataset.path), cache_size=8
+        ) as service:
+            assert service.store_stats.shards_scored == 0 and _resident(service) == 0
+            service.predict_ids(range(BATCH, 2 * BATCH))
+            assert service.store_stats.shards_scored == 1 and _resident(service) == 1
+
+
+def test_racing_callers_across_a_compaction_get_their_generations_answers(tmp_path):
+    """Bulk and single-row callers race over a cold store while it is compacted and reopened."""
+    features, labels = DATASET_PROFILES["census"].classification(ROWS, seed=5)
+    # DEN -> TOC: the compaction re-encodes every shard and deletes the old
+    # files; linreg's compressed-domain scores differ between the two
+    # schemes in their last bits, so an answer shows which generation it came from.
+    dataset = Dataset.create(
+        tmp_path / "shards", features, labels, scheme="DEN",
+        batch_size=BATCH, executor="serial", shuffle=False,
+    )
+    estimator = Estimator("linreg", epochs=1, learning_rate=1e-3)
+    estimator.fit(dataset)
+    before = estimator.predict(Dataset.open(dataset.path))
+    started, answered = threading.Event(), []
+    stop = threading.Event()
+
+    def call(service, work):
+        rng = np.random.default_rng(len(answered))
+        while not stop.is_set():
+            generation = service.generation
+            ids, got = work(service, rng)
+            answered.append((generation, service.generation, ids, got))
+            started.set()
+
+    def single(service, rng):
+        row = int(rng.integers(ROWS))
+        return [row], [_answer(service.submit_id(row))]
+
+    def bulk(service, rng):
+        start = int(rng.integers(ROWS))
+        ids = range(start, min(ROWS, start + int(rng.integers(1, 3 * BATCH))))
+        return list(ids), service.predict_ids(ids).tolist()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with PredictionService(
+            estimator.model, FeatureStore.open(dataset.path), cache_size=8, max_batch_size=4
+        ) as service, ThreadPoolExecutor(max_workers=4) as callers:
+            g = service.generation
+            running = [callers.submit(call, service, work) for work in (single, bulk) * 2]
+            assert started.wait(timeout=10)
+            Dataset.open(dataset.path).compact(readvise=True, executor="serial")
+            service.maybe_reopen_store()
+            after = estimator.predict(Dataset.open(dataset.path))
+            mark = len(answered)
+            while len(answered) < mark + 200 and not any(f.done() for f in running):
+                stop.wait(0.01)
+            stop.set()
+            for future in running:
+                future.result(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+
+    assert service.generation == g + 1
+    assert not np.array_equal(before, after)  # the generations are told apart
+    by_generation = {g: before, g + 1: after}
+    seen = set()
+    for first, last, ids, got in answered:
+        candidates = [by_generation[first], by_generation[last]]
+        matches = [i for i, scores in enumerate(candidates) if scores[ids].tolist() == got]
+        assert matches, f"rows {ids[:3]}... match neither generation"
+        if first == last:
+            assert 0 in matches, f"rows {ids[:3]}... answered from another generation"
+            seen.add(first)
+    assert seen == {g, g + 1}

@@ -107,6 +107,55 @@ class TestSingleRowPath:
                 service.predict_id(0)
 
 
+class TestRowIdsAreIntegers:
+    """A float or bool row id is a ``TypeError``, never a truncated row."""
+
+    @pytest.mark.parametrize(
+        "row_ids",
+        [np.array([1.7, 2.2]), [1.7], np.array([True, False]), [1, 2.0], [True]],
+        ids=["float_array", "float_list", "mask", "mixed", "bool_list"],
+    )
+    def test_row_id_array_refuses_non_integers(self, row_ids):
+        from repro.engine.shards import row_id_array
+
+        with pytest.raises(TypeError):
+            row_id_array(row_ids)
+
+    def test_row_id_array_takes_ranges_and_integers(self):
+        from repro.engine.shards import row_id_array
+
+        assert row_id_array(range(3, 9, 2)).tolist() == [3, 5, 7]
+        assert row_id_array(np.array([[4], [2]], dtype=np.uint8)).tolist() == [4, 2]
+        assert row_id_array(iter([np.int32(1), 2])).tolist() == [1, 2]
+        assert row_id_array([]).dtype == np.int64
+        with pytest.raises(OverflowError):
+            row_id_array([0, 2**63])
+
+    @pytest.mark.parametrize("cache_size", [0, 8], ids=["uncached", "cached"])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda service: service.predict_id(1.7),
+            lambda service: service.predict_id(True),
+            lambda service: service.submit_id(np.float64(2.0)),
+            lambda service: service.predict_ids(np.array([1.7, 2.2])),
+            lambda service: service.predict_ids(np.array([True, False])),
+            lambda service: service.submit_ids([1.5]),
+            lambda service: service.store.get_rows([1.7]),
+        ],
+        ids=["predict_id", "bool", "submit_id", "predict_ids", "mask", "submit_ids", "get_rows"],
+    )
+    def test_every_in_process_path_refuses_them(self, trained_setup, cache_size, call):
+        model, shard_dir, _, _ = trained_setup
+        store = FeatureStore.open(shard_dir)
+        with PredictionService(model, store, cache_size=cache_size) as service:
+            with pytest.raises(TypeError):
+                call(service)
+            assert service.stats.requests == 0
+            assert service.batcher_stats.requests == 0
+            assert service.store_stats.rows_served == 0
+
+
 class TestCache:
     """For a linear model a cache entry is one shard's score vector (75-row shards here)."""
 
@@ -128,18 +177,19 @@ class TestCache:
             assert (service.store_stats.row_hits, service.store_stats.row_misses) == (26, 4)
             assert service.metrics()["gauges"]["serve.cache.shards"] == 4
 
-    def test_cache_eviction_keeps_bound(self, trained_setup):
+    def test_a_scored_shard_is_never_evicted(self, trained_setup):
+        # For a linear model any positive cache_size keeps every scored shard.
         model, shard_dir, _, _ = trained_setup
         store = FeatureStore.open(shard_dir)
         with PredictionService(model, store, cache_size=2) as service:
-            for row_id in (0, 80, 160, 240, 0):  # four shards, then the evicted first again
+            for row_id in (0, 80, 160, 240, 0):  # four shards, then the first again
                 service.predict_id(row_id)
-            assert service.metrics()["gauges"]["serve.cache.shards"] == 2
-            assert service.stats.cache_misses == 5
-            assert service.store_stats.shards_scored == 5
+            assert service.metrics()["gauges"]["serve.cache.shards"] == 4
+            assert (service.stats.cache_hits, service.stats.cache_misses) == (1, 4)
+            assert service.store_stats.shards_scored == 4
 
-    def test_thrashing_cache_under_concurrent_callers_and_reopens(self, trained_setup):
-        """Six callers, a two-entry cache over four shards, the store re-opened under them."""
+    def test_concurrent_callers_and_reopens_over_a_small_cache_size(self, trained_setup):
+        """Six callers, ``cache_size=2`` over four shards, the store re-opened under them."""
         import sys
         import threading
         import time
@@ -183,7 +233,7 @@ class TestCache:
                     served.row_hits + served.row_misses + served.rows_gathered
                 )
                 resident = service.metrics()["gauges"]["serve.cache.shards"]
-                assert resident == len(service._serving.scores) <= 2
+                assert resident == service._serving.n_filled <= 4
         finally:
             sys.setswitchinterval(interval)
 
