@@ -131,7 +131,6 @@ def test_saturation_sheds_fast_and_bounds_accepted_tail(bench_json, published):
         backlog=2,
         admission="reject",
         default_deadline=SATURATION_DEADLINE,
-        cache_size=0,
     ) as cluster:
         cluster.predict_many(range(ROWS))  # warm
 

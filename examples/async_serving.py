@@ -48,7 +48,7 @@ REQUESTS = 400
 
 async def serve_async(registry_dir: Path) -> None:
     """The asyncio surface: concurrent awaits coalesce into mini-batches."""
-    service, checkpoint = open_service(registry_dir, cache_size=256)
+    service, checkpoint = open_service(registry_dir)
     async with AsyncPredictionService(service) as aps:
         rng = np.random.default_rng(0)
         ids = rng.integers(0, ROWS, size=REQUESTS)
@@ -67,7 +67,8 @@ async def serve_async(registry_dir: Path) -> None:
         )
 
         # Deadlines turn slow answers into explicit errors, not hangs (a
-        # feature vector is never a cache hit, so this one always queues).
+        # feature vector is never answered from the score array, so this one
+        # always queues).
         try:
             await aps.predict_vector(service.store.get_row(0), deadline=1e-9)
         except DeadlineExceeded:
@@ -82,7 +83,6 @@ def shed_load(registry_dir: Path, shard_dir: Path) -> None:
         workers=1,
         backlog=2,
         admission="reject",
-        cache_size=0,
     ) as cluster:
         cluster.predict_many(range(8))  # warm the worker
         from concurrent.futures import ThreadPoolExecutor

@@ -47,7 +47,7 @@ def run_pipeline(tmp: Path) -> tuple[Dataset, dict]:
     estimator.fit(dataset)
     estimator.save(tmp / "checkpoints")
 
-    service, _ = open_service(tmp / "checkpoints", max_batch_size=32, cache_size=128)
+    service, _ = open_service(tmp / "checkpoints", max_batch_size=32)
     rng = np.random.default_rng(0)
     with service:
         for row_id in rng.integers(0, ROWS, size=REQUESTS):

@@ -54,7 +54,6 @@ from repro.api import (
     recommend_scheme,
 )
 from repro.core.calibration import WORKLOADS, ensure_calibration
-from repro.serve.service import DEFAULT_CACHE_SIZE
 
 
 def _profile_or_none(name: str):
@@ -376,7 +375,6 @@ def _load_service(args):
             shard_dir=args.shards,
             max_batch_size=args.max_batch,
             max_wait_seconds=args.max_wait_ms / 1e3,
-            cache_size=args.cache_size,
         )
     except FileNotFoundError as exc:
         print(f"cannot load checkpoint: {exc}")
@@ -452,7 +450,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             f"serving model v{checkpoint.version:05d} ({checkpoint.model_name}, "
             f"scheme {checkpoint.scheme_name}): {args.requests} requests from "
             f"{args.clients} clients over {n_rows} rows "
-            f"(batch<= {args.max_batch}, wait {args.max_wait_ms}ms, cache {args.cache_size})"
+            f"(batch<= {args.max_batch}, wait {args.max_wait_ms}ms)"
         )
         start = time.perf_counter()
         with ThreadPoolExecutor(max_workers=args.clients) as clients:
@@ -505,7 +503,6 @@ def _cmd_serve_cluster(args: argparse.Namespace) -> int:
             admission=args.admission,
             default_deadline=args.deadline_ms / 1e3 if args.deadline_ms else None,
             max_batch_size=args.max_batch,
-            cache_size=args.cache_size,
         )
     except FileNotFoundError as exc:
         print(f"cannot load checkpoint: {exc}")
@@ -626,7 +623,7 @@ def _obs_exercise(rows: int) -> None:
         estimator.fit(dataset)
         dataset.scan(where="c0 >= 0", agg="count")
         estimator.save(f"{tmp}/registry")
-        service, _ = open_service(f"{tmp}/registry", cache_size=32)
+        service, _ = open_service(f"{tmp}/registry")
 
         async def serve_leg():
             async with AsyncPredictionService(service) as async_service:
@@ -867,13 +864,6 @@ def build_parser() -> argparse.ArgumentParser:
             default=0.0,
             help="micro-batch linger for stragglers (0: dispatch when the queue empties)",
         )
-        sub.add_argument(
-            "--cache-size",
-            type=int,
-            default=DEFAULT_CACHE_SIZE,
-            help="0 disables the cache; for linear models any positive value keeps every "
-            "scored shard's scores (n_rows x 8 bytes in all), for ffnn it counts row predictions",
-        )
 
     predict = subparsers.add_parser(
         "predict",
@@ -888,6 +878,11 @@ def build_parser() -> argparse.ArgumentParser:
     serve = subparsers.add_parser(
         "serve",
         help="run the micro-batched prediction service under synthetic load",
+        description="Drive the prediction service with a closed-loop 80/20 workload.  "
+        "Stored rows are answered out of one score array per process (per worker "
+        "with --workers): a prediction and a filled flag per row, n_rows x 9 bytes, "
+        "filled on first touch and never evicted.  A linear model scores a touched "
+        "shard whole in the compressed domain; ffnn decodes and scores the missing rows.",
     )
     add_serving_args(serve)
     serve.add_argument("--requests", type=int, default=2000, help="total requests to issue")

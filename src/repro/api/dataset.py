@@ -25,7 +25,7 @@ through :attr:`Dataset.sharded` for advanced use.
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -39,8 +39,10 @@ from repro.engine.shards import (
     MANIFEST_NAME,
     ShardedDataset,
     ShardInfo,
+    as_row_id,
     group_by_shard,
     locate_rows,
+    row_out_of_range,
     shard_offsets,
 )
 from repro.exec import row_slice
@@ -332,15 +334,21 @@ class Dataset:
 
     def __getitem__(self, key) -> np.ndarray:
         """Sugar over :meth:`take`: ``dataset[7]``, ``dataset[10:20]``,
-        ``dataset[[3, 1, 4]]``."""
-        if isinstance(key, (int, np.integer)):
-            index = int(key)
-            if index < 0:
-                index += self.n_examples
-            return self.take([index])[0]
+        ``dataset[[3, 1, 4]]``.
+
+        A scalar key is a row id: an integer, negative ones counting from
+        the end (``TypeError`` for a float or a bool, never a truncated
+        row); one out of range raises ``IndexError`` naming the key itself.
+        """
         if isinstance(key, slice):
             return self.take(range(*key.indices(self.n_examples)))
-        return self.take(key)
+        if isinstance(key, Iterable):
+            return self.take(key)
+        row_id = as_row_id(key)
+        index = row_id + self.n_examples if row_id < 0 else row_id
+        if not 0 <= index < self.n_examples:
+            raise row_out_of_range(row_id, self.n_examples)
+        return self.take([index])[0]
 
     # -- inspection ------------------------------------------------------------
 

@@ -3,7 +3,7 @@
 :func:`open_service` is the only serving entry point the CLI and examples
 need: it resolves a checkpoint version, opens the shard directory the
 checkpoint recorded (or an override), and wires the feature store,
-micro-batcher, and prediction cache together.  ``workers=1`` (the default)
+micro-batcher, and score array together.  ``workers=1`` (the default)
 returns an in-process :class:`~repro.serve.service.PredictionService`
 (``predict_id`` / ``predict_ids`` / ``predict_vector``, non-blocking
 ``submit_*``); ``workers>1`` returns the multi-process
@@ -19,7 +19,7 @@ from __future__ import annotations
 from pathlib import Path
 
 from repro.serve.checkpoint import Checkpoint, ModelRegistry
-from repro.serve.service import DEFAULT_CACHE_SIZE, PredictionService
+from repro.serve.service import PredictionService
 
 
 def open_service(
@@ -29,7 +29,6 @@ def open_service(
     shard_dir: Path | str | None = None,
     max_batch_size: int = 32,
     max_wait_seconds: float = 0.0,
-    cache_size: int = DEFAULT_CACHE_SIZE,
     workers: int = 1,
     backlog: int = 64,
     admission: str = "block",
@@ -43,13 +42,13 @@ def open_service(
     (but not row-id lookups).  Returns ``(service, checkpoint)`` so callers
     can print provenance (version, model, scheme) next to their stats.
 
-    ``cache_size=0`` turns the cache off.  For ``logreg`` / ``svm`` /
-    ``linreg`` any positive value keeps one score array per store: a shard
-    is scored once in the compressed domain on its first touch, nothing at
-    open, and never evicted, so the array costs ``n_rows × 8`` bytes (192 KB
-    for 24 000 rows, 80 MB for 10 M rows) and every row of a scored shard is
-    answered without decoding anything.  For ``ffnn`` ``cache_size`` counts
-    row predictions in an LRU.
+    Stored rows are answered out of one score array per store, a score and
+    a filled flag per row: ``n_rows × 9`` bytes per process (216 KB for
+    24 000 rows, 90 MB for 10 M rows), filled on first touch — nothing at
+    open — and never evicted.  For ``logreg`` / ``svm`` / ``linreg`` a
+    touched shard is scored whole in the compressed domain, so every row of
+    it is then answered without decoding anything; for ``ffnn`` the missing
+    rows of a request are decoded and scored.
 
     With ``workers > 1`` the service is a
     :class:`~repro.cluster.server.ClusterService`: ``workers`` processes
@@ -72,7 +71,6 @@ def open_service(
             admission=admission,
             default_deadline=deadline,
             max_batch_size=max_batch_size,
-            cache_size=cache_size,
             poll_seconds=poll_seconds,
         )
         return cluster, cluster.checkpoint
@@ -82,7 +80,6 @@ def open_service(
         shard_dir=shard_dir,
         max_batch_size=max_batch_size,
         max_wait_seconds=max_wait_seconds,
-        cache_size=cache_size,
     )
 
 

@@ -3,9 +3,9 @@
 ``await service.predict(row_id)`` with the event loop never blocking on a
 decode.  The surface is a bridge, not a tier: each call is the service's
 non-blocking :meth:`~repro.serve.service.PredictionService.submit_id` /
-``submit_vector`` with its own ``deadline``; a cache hit comes back as the
+``submit_vector`` with its own ``deadline``; a score-array hit comes back as the
 value itself, a queued request as a ``concurrent.futures.Future`` that
-``asyncio.wrap_future`` makes awaitable.  Batching, the prediction cache,
+``asyncio.wrap_future`` makes awaitable.  Batching, the score array,
 the queue bound and deadline shedding are the
 :class:`~repro.serve.batcher.MicroBatcher`'s, exactly as for threaded callers
 and cluster workers: a service built with ``max_queue=N`` refuses a request
@@ -65,7 +65,7 @@ class AsyncPredictionService:
         **service_kwargs,
     ) -> tuple["AsyncPredictionService", Checkpoint]:
         """Build the async service straight from a checkpoint registry;
-        ``service_kwargs`` (``max_queue``, ``cache_size``, ...) go to the service."""
+        ``service_kwargs`` (``max_queue``, ``max_batch_size``, ...) go to the service."""
         service, checkpoint = PredictionService.from_registry(
             registry,
             version,
@@ -106,7 +106,7 @@ class AsyncPredictionService:
     @staticmethod
     async def _await(served, deadline: float | None):
         if not isinstance(served, Future):
-            return served  # a prediction-cache hit: nothing was queued
+            return served  # a score-array hit: nothing was queued
         try:
             return await asyncio.wait_for(asyncio.wrap_future(served), deadline)
         except DeadlineExceeded:  # shed by the batcher while queued

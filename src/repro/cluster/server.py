@@ -68,7 +68,6 @@ from repro.engine.shards import as_row_id, row_id_array
 from repro.obs import metrics as obs_metrics
 from repro.serve.batcher import fail_future
 from repro.serve.checkpoint import Checkpoint, ModelRegistry
-from repro.serve.service import DEFAULT_CACHE_SIZE
 
 #: What the dispatcher does when every worker is at its backlog.
 ADMISSION_POLICIES = ("block", "reject")
@@ -188,11 +187,10 @@ class ClusterService:
         worker is at its backlog.
     default_deadline:
         Seconds-from-submit deadline applied when a call passes none.
-    max_batch_size / cache_size:
-        Forwarded to each worker's private service stack, so each worker
-        keeps its own cache: for a linear model any positive ``cache_size``
-        is a score array of ``n_rows × 8`` bytes *per worker*, for a network
-        ``cache_size`` row predictions — see :mod:`repro.serve.service`.
+    max_batch_size:
+        Forwarded to each worker's private service stack.  Each worker
+        keeps its own score array, ``n_rows × 9`` bytes *per worker* once
+        every row is filled — see :mod:`repro.serve.service`.
     poll_seconds:
         Worker manifest-generation poll interval (hot re-open after
         ``Dataset.compact``).
@@ -209,7 +207,6 @@ class ClusterService:
         admission: str = "block",
         default_deadline: float | None = None,
         max_batch_size: int = 32,
-        cache_size: int = DEFAULT_CACHE_SIZE,
         poll_seconds: float | None = None,
     ):
         if workers < 1:
@@ -263,7 +260,6 @@ class ClusterService:
                     "shard_dir": str(directory),
                     "backlog": backlog,
                     "max_batch_size": max_batch_size,
-                    "cache_size": cache_size,
                     "poll_seconds": poll_seconds,
                 },
             )

@@ -1,7 +1,7 @@
 """One serving worker process: a socket adapter over a ``PredictionService``.
 
 Each worker owns a full, private copy of the read path — its own feature
-store and shard mappings, checkpoint load, and score/prediction cache — over
+store and shard mappings, checkpoint load, and score array — over
 the *shared* shard directory.
 Shards are immutable between manifest swaps, so N workers need no
 coordination beyond watching the manifest generation; the page cache
@@ -40,7 +40,7 @@ from repro.cluster.errors import DeadlineExceeded, ServiceClosed, ServiceOverloa
 from repro.cluster.protocol import ProtocolError, encode_frame, recv_frame, send_frame
 from repro.cluster.watch import DEFAULT_POLL_SECONDS, GenerationWatcher
 from repro.obs import metrics as obs_metrics
-from repro.serve.service import DEFAULT_CACHE_SIZE, PredictionService
+from repro.serve.service import PredictionService
 
 #: The error code a worker answers with for each exception class the
 #: pipeline raises — and for a reply that cannot be framed; the dispatcher
@@ -93,7 +93,6 @@ class _Worker:
             version if version == "latest" else int(version),
             shard_dir=config["shard_dir"],
             max_batch_size=int(config.get("max_batch_size", 32)),
-            cache_size=int(config.get("cache_size", DEFAULT_CACHE_SIZE)),
             max_queue=int(config.get("backlog", 64)),
         )
 

@@ -14,9 +14,10 @@ plus a shard directory into a high-throughput prediction service:
    concurrent single-row requests into mini-batches (decode and matmul costs
    amortized as in the MGD loop), shedding cancelled or expired ones first;
 4. **service** — :class:`PredictionService` tying registry, feature store and
-   batcher together with a prediction LRU and latency/throughput counters;
-   bulk requests score the shards they cover in the compressed domain
-   (``A·w`` on the parsed shard) instead of decoding their rows.
+   batcher together with one score array per store (a prediction per
+   stored row, filled on first touch) and latency/throughput counters; a
+   linear model fills it a shard at a time in the compressed domain
+   (``A·w`` on the parsed shard) instead of decoding rows.
 """
 
 from repro.serve.batcher import (

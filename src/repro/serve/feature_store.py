@@ -12,18 +12,18 @@ uniform ones).
 It hands a shard out in two ways.  :meth:`FeatureStore.parsed` is the shard
 in its sliceable form, still compressed: what ``PredictionService`` scores
 *as stored* with the paper's Section 4 kernels, one ``A·v`` for every row of
-the shard — for a linear model that is how single-row and bulk requests
-alike are answered (the service keeps the scores; such a shard is
-never densified, and the rows answered are reported through
-:meth:`FeatureStore.count_scored`).  :meth:`FeatureStore.get_rows` is for
-callers that want the features themselves — direct readers, networks, an
-uncached service's single rows and the scattered remainder of its bulk
-requests: it decodes **only the requested rows** with the
-:func:`repro.exec.row_slice` kernel — an array slice for DEN shards, SciPy
-row indexing for CSR, a selection ``M @ A`` on the compressed form for TOC —
-never the whole dense block.
+the shard — for a linear model that is how the service's score array is
+filled (such a shard is never densified).  :meth:`FeatureStore.get_rows` is
+for callers that want the features themselves — direct readers, and a
+network's fill of the rows it has not scored yet: it decodes **only the
+requested rows** with the :func:`repro.exec.row_slice` kernel — an array
+slice for DEN shards, SciPy row indexing for CSR, a selection ``M @ A`` on
+the compressed form for TOC — never the whole dense block.  Rows the
+service answers out of its score array are reported through
+:meth:`FeatureStore.count_scored`.
 
-The store's one cache is the *parsed* LRU of :data:`PARSED_CACHE_SHARDS`
+The store's one cache (predictions live in the service's score array) is
+the *parsed* LRU of :data:`PARSED_CACHE_SHARDS`
 shards in sliceable form, so consecutive reads of the same shard skip the
 expensive part: for direct-op schemes that is the parsed
 ``CompressedMatrix`` (still compressed); for byte-block schemes
@@ -59,9 +59,9 @@ from repro.engine.shards import (
 from repro.exec import row_slice, supports_direct_ops
 from repro.serve.lru import LRUCache
 
-#: Parsed shards a store keeps.  A linear model's requests are answered from
-#: the service's score array and touch this only to fill it; networks
-#: and an uncached service row-slice out of it.
+#: Parsed shards a store keeps.  Requests are answered from the service's
+#: score array and touch this only to fill it: a linear model scores a
+#: parsed shard whole, a network row-slices out of it.
 PARSED_CACHE_SHARDS = 8
 
 
@@ -71,7 +71,7 @@ class FeatureStoreStats:
 
     ``rows_served == row_hits + row_misses + rows_gathered``: a row
     :meth:`FeatureStore.get_rows` decoded is a miss, and rows answered out
-    of shard scores are counted by :meth:`FeatureStore.count_scored`.
+    of the service's score array are counted by :meth:`FeatureStore.count_scored`.
     """
 
     lookups: int = 0
@@ -82,9 +82,9 @@ class FeatureStoreStats:
     payload_parses: int = 0
     #: Whole-shard scoring (:meth:`FeatureStore.count_scored`): shards scored
     #: in the compressed domain, the rows those shards hold (attempted), and
-    #: the rows of bulk requests answered out of shard scores (useful).  A
-    #: single-row request answered that way is a ``row_hit`` when the shard's
-    #: scores were already filled, a ``row_miss`` when it had them scored.
+    #: the rows of bulk requests answered out of the score array as filled
+    #: before the request (useful).  A single-row request answered that way
+    #: is a ``row_hit``; a row the service had to compute is a ``row_miss``.
     shards_scored: int = 0
     rows_scored: int = 0
     rows_gathered: int = 0
@@ -204,10 +204,10 @@ class FeatureStore:
     ) -> None:
         """Account for :meth:`parsed` shards a caller scored whole, and rows answered from scores.
 
-        A bulk request's rows are served without a hit or a miss
-        (``gathered``); a single-row request is a hit when its shard's
-        scores were filled and a miss when they had to be computed, so
-        ``rows_served == row_hits + row_misses + rows_gathered``.
+        A row whose score had to be computed for the request is a miss; one
+        already filled is a hit for a single-row request and ``gathered``
+        for a bulk one, so ``rows_served == row_hits + row_misses +
+        rows_gathered``.
         """
         with self._lock:
             self.stats.rows_served += gathered + hits + misses

@@ -4,40 +4,40 @@ One object answers online prediction traffic end to end: row ids are looked
 up in the :class:`~repro.serve.feature_store.FeatureStore` (which maps the
 shard files directly), requests are coalesced by the
 :class:`~repro.serve.batcher.MicroBatcher` so the model runs one compressed-
-style batch operation per mini-batch instead of per request, and a cache of
-``cache_size`` entries absorbs repeat traffic entirely.  Counters cover the
-three levels (cache, batcher, store) so a load test can tell *where* each
-request was answered.
+style batch operation per mini-batch instead of per request, and a score
+array absorbs repeat traffic entirely.  Counters cover the three levels
+(cache, batcher, store) so a load test can tell *where* each request was
+answered.
 
-What the cache holds depends on the model.  For one built on ``A·v``
-(``"matvec"`` in its ``core_ops``) it is one **score array** per store
-handle, a prediction for every stored row: the paper's Section 4 route, one
-``model.predict(parsed shard)`` in the compressed domain, costs less for all
-of a shard's rows than decoding one of them.  A shard's slice is filled on
-its first touch and never evicted, so the array costs ``n_rows × 8`` bytes
-per process — 192 KB for 24 000 rows, 80 MB for 10 M — and any positive
-``cache_size`` means "keep every scored shard".  Nothing is scored when the
-service opens.  :meth:`PredictionService.submit_id` answers a row whose
-shard is filled with ``float(scores[row_id])`` on the caller's thread — no
-future, no batcher hop, no decode; on a miss the batcher scores each missing
-shard of its batch once (batch-mates in one shard share the call).  Bulk
-requests (:meth:`PredictionService.predict_ids`, ``submit_ids``) range-check
-their ids, fill the touched shards not yet filled through the same scoring
-call (:meth:`PredictionService._shard_scores`) and gather — once every shard
-is filled, that is one check and one gather — so a single-row answer, a bulk
-one and ``Estimator.predict(Dataset)`` are bit-equal.  The array lives with
-the store handle it was scored from (:class:`_Serving`), so
+The cache is one **score array** per store handle (:class:`_Serving`), for
+every model: a ``float64`` prediction and a filled flag per stored row, so it
+costs ``n_rows × 9`` bytes per process — 216 KB for 24 000 rows, 90 MB for
+10 M.  The pages of ``np.empty``/``np.zeros`` become resident only when a
+fill touches them, so there is no budget to set, and nothing is ever
+evicted.  Nothing is scored when the service opens.  One fill step
+(:meth:`PredictionService._fill`) computes the rows a request needs that are
+not yet filled and writes the values first, then the flags, under the
+service lock:
+
+* a model built on ``A·v`` (``"matvec"`` in its ``core_ops``) scores each
+  touched shard that is not yet filled whole, in the compressed domain
+  (:meth:`PredictionService._shard_scores`, the paper's Section 4 route):
+  one ``model.predict(parsed shard)`` costs less for all of a shard's rows
+  than decoding one of them;
+* a network (``A·M`` over a whole shard costs more than decoding all of it)
+  decodes its missing rows with one ``get_rows`` and scores them with one
+  model call.
+
+:meth:`PredictionService.submit_id` answers a filled row with
+``float(scores[row_id])`` on the caller's thread — no future, no batcher
+hop, no ``locate``; a miss goes through the batcher, which fills its whole
+batch at once.  A bulk request (:meth:`PredictionService.predict_ids`,
+``submit_ids``) is a range check, a fill of its missing rows and one gather,
+so a single-row answer, a bulk one and — for a linear model —
+``Estimator.predict(Dataset)`` are bit-equal.  A filled row is never
+written again, so once a row is scored every path returns the same bits.
+The array lives with the store handle it was scored from, so
 :meth:`PredictionService.reopen_store` drops it by construction.
-
-For a network (``A·M`` over a whole shard costs more than decoding all of
-it) a cache entry is one row's prediction keyed by row id, an LRU of
-``cache_size`` entries; a miss row-slices just that row, and bulk requests
-take ``get_rows``.  ``cache_size=0`` is that dense single-row path for every
-model, and bulk requests then score whole only the shards they cover
-(:data:`SCORE_WHOLE_COVERAGE`).  A regression score from the dense path can
-differ in its last bits from one out of the score array — within 8 ulp of
-the score's scale ``|x|·|w| + |b|``, pinned by
-``tests/serve/test_bulk_scoring.py``; labels never differ.
 
 Every front-end serves through this object — threads call it, the asyncio
 surface and the cluster workers use its ``submit_*`` futures — so cache, queue
@@ -49,7 +49,6 @@ from __future__ import annotations
 import itertools
 import threading
 import time
-from collections import Counter
 from collections.abc import Iterable
 from concurrent.futures import Future
 from dataclasses import dataclass
@@ -60,7 +59,6 @@ import numpy as np
 from repro.engine.shards import (
     as_row_id,
     check_row_ids,
-    group_by_shard,
     read_generation,
     row_id_array,
     row_out_of_range,
@@ -69,22 +67,6 @@ from repro.obs import metrics as obs_metrics
 from repro.serve.batcher import MicroBatcher
 from repro.serve.checkpoint import Checkpoint, ModelRegistry
 from repro.serve.feature_store import FeatureStore
-from repro.serve.lru import LRUCache
-
-#: A bulk request that asks for at least this share of a shard's rows has the
-#: shard scored whole, ``model.predict(parsed shard)``, and its answers gathered
-#: out of the scores; below it the rows are row-sliced and scored densely.
-#: Fixed by measurement on 250-row census shards, linear models, parsed shard
-#: warm and cold: against a bare ``row_slice`` + dense predict the whole shard
-#: is level at 64-77 rows on CVI (the last scheme to cross; TOC 3-40, DEN, CSR
-#: and Gzip from the first row), and against ``get_rows`` with a 1 024-row LRU
-#: of decoded rows in front at 2-12 rows.  A quarter is never behind under either.
-SCORE_WHOLE_COVERAGE = 0.25
-
-#: The ``cache_size`` a service built from a registry uses, in-process, per
-#: cluster worker and from the CLI: 256 row predictions for a network; for a
-#: linear model any positive value keeps the whole score array.
-DEFAULT_CACHE_SIZE = 256
 
 #: Distinguishes each service instance's metrics in the process registry
 #: (label ``svc=<n>``), so two services never share counters.
@@ -217,28 +199,30 @@ class ServiceStats:
 class _Serving:
     """One feature-store handle and the scores computed from it.
 
-    For a linear model the service keeps ``scores``, one prediction per
-    stored row (``n_rows × 8`` bytes; ``None`` when it keeps none).  Shard
-    ``b``'s slice holds its scores once ``filled[b]`` is set — the slice is
-    written first — and ``complete`` once all ``n_filled`` shards' do;
-    nothing is ever evicted.  The service replaces the whole object in one assignment, so a
-    score computed on one manifest generation never answers a lookup that
-    started on the next.
+    ``scores`` holds one prediction per stored row and ``filled`` one flag
+    per row (``n_rows × 9`` bytes); row ``r``'s score is final once
+    ``filled[r]`` is set — the value is written first — and ``complete``
+    once all ``n_filled`` rows are; nothing is ever evicted.  The service
+    replaces the whole object in one assignment, so a score computed on one
+    manifest generation never answers a lookup that started on the next.
     """
 
     __slots__ = ("store", "scores", "filled", "n_filled", "complete")
 
-    def __init__(self, store: FeatureStore | None, keeps_scores: bool):
+    def __init__(self, store: FeatureStore | None):
         self.store = store
-        kept = keeps_scores and store is not None
-        self.scores = np.empty(store.n_rows) if kept else None
-        self.filled = np.zeros(store.n_shards, dtype=bool) if kept else None
+        n_rows = store.n_rows if store is not None else 0
+        self.scores = np.empty(n_rows)
+        self.filled = np.zeros(n_rows, dtype=bool)
         self.n_filled = 0
         self.complete = False
 
 
 class PredictionService:
     """Serve single-row and bulk predictions from a trained model.
+
+    Stored rows are answered out of one score array of ``n_rows × 9`` bytes
+    per store handle (see the module docstring), filled on first touch.
 
     Parameters
     ----------
@@ -249,11 +233,6 @@ class PredictionService:
         still answers feature-vector requests.
     max_batch_size / max_wait_seconds:
         Micro-batching knobs (``max_batch_size=1`` disables coalescing).
-    cache_size:
-        0 disables the cache.  For a model built on ``A·v`` any positive value
-        keeps a score array of ``n_rows × 8`` bytes, filled a shard at a time
-        and never evicted; for a network it is the number of row predictions
-        an LRU keeps, keyed by row id.
     max_queue:
         Bound on queued requests (a cluster worker's ``backlog``; ``None`` = unbounded).
     """
@@ -265,34 +244,25 @@ class PredictionService:
         *,
         max_batch_size: int = 32,
         max_wait_seconds: float = 0.0,
-        cache_size: int = 0,
         max_queue: int | None = None,
     ):
-        if cache_size < 0:
-            raise ValueError("cache_size must be non-negative")
         self.model = model
-        self.cache_size = cache_size
         self._svc_id = next(_SVC_IDS)
         # Serialises generation reopens; the store handle itself is
         # swapped atomically so readers never need this lock.
         self._reopen_lock = threading.Lock()
         # Re-entrant: the metrics share this lock, so a stats mutator called
         # while the service already holds it must be able to re-acquire.
-        self._lock = threading.RLock()  # guards stats and score fills; the row LRU self-locks
+        self._lock = threading.RLock()  # guards stats and score fills
         self.stats = ServiceStats(self._lock, self._svc_id)
-        # Whole-shard scoring is for models whose prediction is one ``A·v``; the
-        # cache is their score array, and a network's predictions by row id.
+        # Whole-shard scoring is for models whose prediction is one ``A·v``.
         self._scores_shards = "matvec" in getattr(model, "core_ops", ())
-        self._caches_scores = self._scores_shards and cache_size > 0
-        self._cache: LRUCache | None = (
-            LRUCache(cache_size) if cache_size and not self._scores_shards else None
-        )
-        self._serving = _Serving(store, self._caches_scores)
+        self._serving = _Serving(store)
         # The store's whole-shard counters, kept across store reopens.
         self._shards_scored = obs_metrics.counter("serve.store.shards_scored", svc=self._svc_id)
         self._rows_scored = obs_metrics.counter("serve.store.rows_scored", svc=self._svc_id)
         self._rows_gathered = obs_metrics.counter("serve.store.rows_gathered", svc=self._svc_id)
-        self._shards_filled = obs_metrics.gauge("serve.cache.shards", svc=self._svc_id)
+        self._rows_filled = obs_metrics.gauge("serve.cache.rows", svc=self._svc_id)
         self._batcher = MicroBatcher(
             self._handle_batch,
             max_batch_size=max_batch_size,
@@ -308,16 +278,14 @@ class PredictionService:
         version: int | str = "latest",
         *,
         shard_dir: Path | str | None = None,
-        cache_size: int = DEFAULT_CACHE_SIZE,
         **kwargs,
     ) -> tuple["PredictionService", Checkpoint]:
         """Build a service from a checkpoint registry (and its shard dir).
 
         ``shard_dir`` overrides the directory recorded in the checkpoint;
         when neither is available the service runs without a feature store.
-        ``cache_size`` defaults to :data:`DEFAULT_CACHE_SIZE`, and ``kwargs``
-        go to the constructor.  Returns the service and the resolved
-        checkpoint (for provenance).
+        ``kwargs`` go to the constructor.  Returns the service and the
+        resolved checkpoint (for provenance).
         """
         if not isinstance(registry, ModelRegistry):
             registry = ModelRegistry(registry)
@@ -326,7 +294,7 @@ class PredictionService:
         store = None
         if directory is not None:
             store = FeatureStore.open(directory)
-        return cls(checkpoint.model, store, cache_size=cache_size, **kwargs), checkpoint
+        return cls(checkpoint.model, store, **kwargs), checkpoint
 
     # -- the store handle ------------------------------------------------------
 
@@ -338,7 +306,7 @@ class PredictionService:
     # -- batched execution -----------------------------------------------------
 
     def _handle_batch(self, requests: list) -> list:
-        """Worker-side handler: one model invocation for the whole batch."""
+        """Worker-side handler: one fill for the batch's rows, one model call for its vectors."""
         outputs: list = [None] * len(requests)
         ids, id_slots, vec_slots = [], [], []
         for i, (kind, req) in enumerate(requests):
@@ -353,8 +321,6 @@ class PredictionService:
                 except Exception as exc:
                     outputs[i] = exc
 
-        vectors = [requests[i][1] for i in vec_slots]
-
         def answer(slots: list[int], score) -> None:
             if not slots:
                 return
@@ -365,28 +331,18 @@ class PredictionService:
             for i, prediction in zip(slots, predictions):
                 outputs[i] = prediction
 
-        if self._caches_scores:  # stored rows come out of the score array, not a model call
-            answer(id_slots, lambda: self._on_store(self._score_singles, ids))
-            answer(vec_slots, lambda: self._score_dense([], vectors))
-        else:  # one matrix: stored rows first, then raw vectors
-            answer(id_slots + vec_slots, lambda: self._score_dense(ids, vectors))
+        row_ids = np.array(ids, dtype=np.int64)
+        vectors = [requests[i][1] for i in vec_slots]
+        answer(id_slots, lambda: self._on_store(self._lookup, row_ids, bulk=False)[0].tolist())
+        answer(vec_slots, lambda: self._score(np.vstack(vectors)).tolist())
         return outputs
 
-    def _score_dense(self, ids: list[int], vectors: list[np.ndarray]) -> list[float]:
-        """One model call over decoded stored rows, then raw vectors, as one matrix."""
-        matrix = None
-        if ids:
-            matrix = self._on_store(lambda serving, ids: serving.store.get_rows(ids), ids)
-        if vectors:
-            matrix = np.vstack(vectors if matrix is None else [matrix, *vectors])
-        return self._score(matrix).tolist()
-
-    def _on_store(self, lookup, row_ids):
+    def _on_store(self, lookup, row_ids, **kwargs):
         """``lookup(serving, row_ids)`` for every row-id path, surviving a generation swap."""
         if self._serving.store is None:
             raise RuntimeError("row-id predictions need a feature store")
         try:
-            return lookup(self._serving, row_ids)
+            return lookup(self._serving, row_ids, **kwargs)
         except OSError:
             # A compact/append swapped the manifest and deleted files this
             # store had not mapped yet.  Shards are
@@ -394,114 +350,92 @@ class PredictionService:
             # so re-opening at the new generation and retrying is always
             # correct — in-flight requests survive the swap.
             self.reopen_store()
-            return lookup(self._serving, row_ids)
+            return lookup(self._serving, row_ids, **kwargs)
 
-    def _shard_scores(self, serving: _Serving, batch_id: int, rows: int) -> tuple[np.ndarray, bool]:
-        """The model's predictions for every row of one shard, and whether it had to run.
+    def _lookup(self, serving: _Serving, ids: np.ndarray, *, bulk: bool) -> tuple[np.ndarray, int]:
+        """Stored rows out of the score array: a range check, a fill, one gather.
 
-        The one place a stored shard is scored: a filled slice of the
-        service's scores is returned as it is; otherwise ``model.predict``
-        runs on the shard's parsed form with the compressed-domain kernels —
-        it is never decoded — and, if the service keeps scores, fills the
-        shard's slice.  ``rows`` is how many of the shard's rows the caller
-        wants.  Two racing misses may both score a shard; the first to take
-        the lock fills it, with the same values the second computed.
+        The ids are range-checked first — a negative id must never wrap
+        around — then :meth:`_fill` computes the rows not yet filled; once
+        the array is complete that is the check and the gather alone.  Each
+        row the fill computed is a store ``row_miss``; every other row is a
+        ``row_hit`` for a single-row request and gathered for a bulk one.
+        Returns the predictions and how many rows had to be computed.
         """
         store, scores = serving.store, serving.scores
-        if scores is not None:
-            first, stop = store.row_span(batch_id)
-            if serving.filled[batch_id]:
-                return scores[first:stop], False
+        check_row_ids(ids, scores.size)  # IndexError before any shard is read
+        computed = 0 if serving.complete else self._fill(serving, ids)
+        answered = ids.size - computed
+        if bulk:
+            store.count_scored(gathered=answered)
+            self._rows_gathered.inc(answered)
+        else:
+            store.count_scored(hits=answered)
+        return scores[ids], computed
+
+    def _fill(self, serving: _Serving, ids: np.ndarray) -> int:
+        """Compute and store the scores of the rows of ``ids`` not yet filled.
+
+        A model built on ``A·v`` scores each shard those rows live in whole
+        (:meth:`_shard_scores`); a network decodes the rows with one
+        ``get_rows`` and scores them with one model call.  Either way each
+        distinct row asked for is counted as one store ``row_miss``.
+        Returns how many distinct rows that was.
+        """
+        missing = np.unique(ids[~serving.filled[ids]])
+        if not missing.size:
+            return 0
+        store = serving.store
+        if self._scores_shards:
+            batch_ids, wanted = np.unique(store.locate_rows(missing)[0], return_counts=True)
+            for batch_id, rows in zip(batch_ids.tolist(), wanted.tolist()):
+                vector = self._shard_scores(store, batch_id, rows)
+                self._write(serving, np.arange(*store.row_span(batch_id)), vector)
+            store.count_scored(misses=missing.size)
+        else:  # get_rows counts the rows it decodes as misses
+            self._write(serving, missing, self._score(store.get_rows(missing)))
+        return missing.size
+
+    def _shard_scores(self, store: FeatureStore, batch_id: int, rows: int) -> np.ndarray:
+        """The model's predictions for every row of one shard.
+
+        The one place a stored shard is scored: ``model.predict`` runs on
+        the shard's parsed form with the compressed-domain kernels — it is
+        never decoded.  ``rows`` is how many of the shard's rows the caller
+        wants.
+        """
         vector = self._score(store.parsed(batch_id), rows=rows)
         store.count_scored(1, vector.size)
         self._shards_scored.inc()
         self._rows_scored.inc(vector.size)
-        if scores is not None:
-            with self._lock:
-                if not serving.filled[batch_id]:
-                    scores[first:stop] = vector  # before the flag: a reader that sees it sees these
-                    serving.filled[batch_id] = True
-                    serving.n_filled += 1
-                    serving.complete = serving.n_filled == serving.filled.size
-                    if serving is self._serving:  # the gauge follows the handle in use
-                        self._shards_filled.set(serving.n_filled)
-        return vector, True
+        return vector
 
-    def _score_singles(self, serving: _Serving, row_ids: list[int]) -> list[float]:
-        """A batch's single-row ids out of the stored scores, each missing shard scored once."""
-        store = serving.store
-        wanted = Counter(store.locate(row_id)[0] for row_id in row_ids)
-        misses = sum(
-            rows
-            for batch_id, rows in wanted.items()
-            if self._shard_scores(serving, batch_id, rows)[1]
-        )
-        store.count_scored(hits=len(row_ids) - misses, misses=misses)
-        return serving.scores[row_ids].tolist()
+    def _write(self, serving: _Serving, rows: np.ndarray, values: np.ndarray) -> None:
+        """Store ``values`` for the distinct ``rows`` still unfilled: values first, then flags.
+
+        Two racing misses may both compute a row; the first to take the lock
+        fills it, and the second's value is dropped, so a filled row never
+        changes.
+        """
+        with self._lock:
+            fresh = ~serving.filled[rows]
+            rows = rows[fresh]
+            serving.scores[rows] = values[fresh]  # before the flags: a flag means its value
+            serving.filled[rows] = True
+            serving.n_filled += rows.size
+            serving.complete = serving.n_filled == serving.filled.size
+            if serving is self._serving:  # the gauge follows the handle in use
+                self._rows_filled.set(serving.n_filled)
 
     def _score_ids(self, row_ids: np.ndarray) -> np.ndarray:
         """Predictions for a bulk request of stored rows, in request order."""
-        predictions, shards_computed = self._on_store(self._score_stored, row_ids)
-        if self._caches_scores:  # a hit is a request the model did not run for
-            with self._lock:
-                if shards_computed:
-                    self.stats.record_cache_miss()
-                else:
-                    self.stats.record_cache_hit()
-        return predictions
-
-    def _score_stored(self, serving: _Serving, ids: np.ndarray) -> tuple[np.ndarray, int]:
-        """A bulk request answered out of the stored scores, or per shard without them.
-
-        With stored scores the ids are range-checked first — a negative id
-        must never wrap around — then each touched shard not yet filled is
-        scored (:meth:`_shard_scores`), and the answer is one gather, so it
-        is bit-equal to the single-row one.  Once every shard is filled that
-        is the check and the gather alone.  Returns the predictions and how
-        many shards had to be scored.
-        """
-        store, scores = serving.store, serving.scores
-        if scores is None:
-            return self._score_by_shard(serving, ids)
-        check_row_ids(ids, scores.size)  # IndexError before any shard is read
-        shards_computed = 0
-        if not serving.complete:
-            batch_ids, rows = np.unique(store.locate_rows(ids)[0], return_counts=True)
-            for batch_id, wanted in zip(batch_ids.tolist(), rows.tolist()):
-                shards_computed += self._shard_scores(serving, batch_id, wanted)[1]
-        store.count_scored(gathered=ids.size)
-        self._rows_gathered.inc(ids.size)
-        return scores[ids], shards_computed
-
-    def _score_by_shard(self, serving: _Serving, ids: np.ndarray) -> tuple[np.ndarray, int]:
-        """Without stored scores: covered shards scored whole, the scattered rest densely.
-
-        A shard the request covers (:data:`SCORE_WHOLE_COVERAGE`) is scored
-        whole and its rows gathered out of the scores; the remainder is
-        row-sliced.  Scoring whole pays only for models built on ``A·v``; a
-        network's ``A·M`` over a whole shard costs more than decoding all of
-        it, so those keep ``row_slice``.
-        """
-        store = serving.store
-        batch_ids, local_rows = store.locate_rows(ids)  # IndexError before any shard is read
-        out = np.empty(ids.size, dtype=np.float64)
-        rest, shards_computed = [], 0
-        for batch_id, positions in group_by_shard(batch_ids):
-            covered = positions.size >= SCORE_WHOLE_COVERAGE * store.shard_rows(batch_id)
-            if self._scores_shards and covered:
-                vector, _ = self._shard_scores(serving, batch_id, positions.size)
-                out[positions] = vector[local_rows[positions]]
-                shards_computed += 1
+        predictions, computed = self._on_store(self._lookup, row_ids, bulk=True)
+        with self._lock:  # a hit is a request the model did not run for
+            if computed:
+                self.stats.record_cache_miss()
             else:
-                rest.append(positions)
-        rows_gathered = ids.size - sum(positions.size for positions in rest)
-        if rows_gathered:
-            store.count_scored(gathered=rows_gathered)
-            self._rows_gathered.inc(rows_gathered)
-        if rest:
-            positions = np.concatenate(rest)
-            out[positions] = self._score(store.get_rows(ids[positions]))
-        return out, shards_computed
+                self.stats.record_cache_hit()
+        return predictions
 
     def _score(self, batch, rows: int | None = None) -> np.ndarray:
         """One model call over a mini-batch, timed into the predict stats.
@@ -527,41 +461,31 @@ class PredictionService:
         a truncated row), and is range-checked here, on the caller's thread:
         one out of range comes back as a future already failed with that
         ``IndexError`` and is never queued, so it cannot fail its batch-mates.
-        A hit submits nothing, so it costs no :class:`Future` either —
-        threads, the asyncio surface and the cluster workers all enter here.
-        For a linear model a hit is a row whose shard's scores are filled:
-        ``float(scores[row_id])``, with no ``locate`` once every shard is;
-        for a network it is the row's prediction in the row LRU.  A miss
-        resolves from the micro-batcher's thread; stats and the cache fill
-        happen there.  ``deadline`` is :meth:`MicroBatcher.submit`'s.
+        A hit — ``complete or filled[row_id]``, no ``locate`` — is
+        ``float(scores[row_id])`` and submits nothing, so it costs no
+        :class:`Future` either; threads, the asyncio surface and the cluster
+        workers all enter here.  A miss resolves from the micro-batcher's
+        thread, which fills the scores of its whole batch.  ``deadline`` is
+        :meth:`MicroBatcher.submit`'s.
         """
         row_id = as_row_id(row_id)
         start = time.perf_counter()
         serving = self._serving
-        store, scores = serving.store, serving.scores
-        if store is not None and not 0 <= row_id < store.n_rows:
-            failed: Future = Future()
-            failed.set_exception(row_out_of_range(row_id, store.n_rows))
-            return failed
-        if scores is not None:
-            if not (serving.complete or serving.filled[store.locate(row_id)[0]]):
+        store = serving.store
+        if store is not None:
+            if not 0 <= row_id < store.n_rows:
+                failed: Future = Future()
+                failed.set_exception(row_out_of_range(row_id, store.n_rows))
+                return failed
+            if serving.complete or serving.filled[row_id]:
                 with self._lock:
-                    self.stats.record_cache_miss()
-                return self._submit(("id", row_id), start, deadline)
-            with self._lock:
-                self.stats.record_cache_hit()
-                self.stats.record_request(time.perf_counter() - start)
-            store.count_scored(hits=1)
-            return float(scores[row_id])
-        if self._cache is not None:
-            value = self._cache.get(row_id)
-            with self._lock:
-                if value is not None:
                     self.stats.record_cache_hit()
                     self.stats.record_request(time.perf_counter() - start)
-                    return value
-                self.stats.record_cache_miss()
-        return self._submit(("id", row_id), start, deadline, row_id)
+                store.count_scored(hits=1)
+                return float(serving.scores[row_id])
+        with self._lock:
+            self.stats.record_cache_miss()
+        return self._submit(("id", row_id), start, deadline)
 
     def submit_vector(self, features: np.ndarray, *, deadline: float | None = None) -> Future:
         """Non-blocking :meth:`predict_vector` (uncached, micro-batched)."""
@@ -577,17 +501,14 @@ class PredictionService:
         """
         return self._submit(("ids", row_id_array(row_ids)), time.perf_counter(), deadline)
 
-    def _submit(self, request, start: float, deadline, row_id: int | None = None) -> Future:
-        """Queue one request; on success its done-callback counts it and, given a
-        ``row_id``, fills the per-row prediction cache."""
+    def _submit(self, request, start: float, deadline) -> Future:
+        """Queue one request; on success its done-callback counts it."""
 
         def finish(future: Future) -> None:
             try:
-                value = future.result()
-            except BaseException:  # cancelled, shed or failed: nothing to cache or count
+                future.result()
+            except BaseException:  # cancelled, shed or failed: nothing to count
                 return
-            if row_id is not None and self._cache is not None:
-                self._cache.put(row_id, value)
             with self._lock:
                 self.stats.record_request(time.perf_counter() - start)
 
@@ -607,7 +528,7 @@ class PredictionService:
     # -- bulk API --------------------------------------------------------------
 
     def predict_ids(self, row_ids: Iterable[int]) -> np.ndarray:
-        """Bulk path, no queueing: answered by :meth:`_score_stored` on the caller's thread."""
+        """Bulk path, no queueing: answered by :meth:`_lookup` on the caller's thread."""
         start = time.perf_counter()
         predictions = self._score_ids(row_id_array(row_ids))
         with self._lock:
@@ -648,8 +569,8 @@ class PredictionService:
         with self._reopen_lock:
             reopened = FeatureStore.open(self.store.dataset.directory)
             with self._lock:
-                self._serving = _Serving(reopened, self._caches_scores)
-                self._shards_filled.set(0)
+                self._serving = _Serving(reopened)
+                self._rows_filled.set(0)
         obs_metrics.counter("serve.store.reopens", svc=self._svc_id).inc()
         return True
 

@@ -79,6 +79,24 @@ class TestLifecycle:
         json.dumps(as_dict)  # bench provenance must be JSON-serialisable
 
 
+class TestScalarKeys:
+    """``dataset[key]`` with a scalar key takes the same integer row ids as serving."""
+
+    @pytest.mark.parametrize("key", [True, np.bool_(False), 1.0, np.float64(2.0)],
+                             ids=["True", "np_False", "float", "np_float"])
+    def test_a_bool_or_float_key_is_a_type_error_not_a_row(self, dataset, key):
+        with pytest.raises(TypeError):
+            dataset[key]
+
+    def test_an_out_of_range_key_is_named_as_given(self, dataset):
+        np.testing.assert_array_equal(dataset[-400], dataset.take([0])[0])
+        np.testing.assert_array_equal(dataset[np.int32(-1)], dataset.take([399])[0])
+        with pytest.raises(IndexError, match=r"row -401 out of range \[0, 400\)"):
+            dataset[-401]
+        with pytest.raises(IndexError, match=r"row 400 out of range \[0, 400\)"):
+            dataset[400]
+
+
 class TestCompact:
     def test_reencodes_drifted_shards(self, tmp_path, census):
         features, labels = census

@@ -38,7 +38,7 @@ class TestOpenService:
 
     def test_micro_batching_and_cache_wired(self, published):
         registry, _, _ = published
-        service, _ = open_service(registry, max_batch_size=16, cache_size=64)
+        service, _ = open_service(registry, max_batch_size=16)
         with service:
             first = service.predict_id(5)
             second = service.predict_id(5)

@@ -56,7 +56,7 @@ def _run(coro):
 class TestPrediction:
     def test_predict_matches_sync_service(self, published):
         registry, _, estimator = published
-        service, _ = open_service(registry, cache_size=0)
+        service, _ = open_service(registry)
         ids = [0, 5, 100, 239]
         expected = estimator.predict(service.store.get_rows(ids))
 
@@ -77,7 +77,7 @@ class TestPrediction:
 
         with reference:
             expected = reference.predict_id(3)
-            assert bridge.service.cache_size == reference.cache_size > 0
+            assert reference.store_stats.shards_scored == 1
         assert _run(go()) == expected
         assert bridge.service.store_stats.shards_scored == 1  # a score vector, not a dense row
 
@@ -97,18 +97,20 @@ class TestPrediction:
 
     def test_concurrent_requests_micro_batch(self, published):
         registry, _, _ = published
-        service, _ = open_service(registry, max_batch_size=16, cache_size=0)
+        service, _ = open_service(registry, max_batch_size=16)
+        vectors = service.store.get_rows(range(48))  # raw vectors: every request queues
 
         async def go():
             async with AsyncPredictionService(service) as aps:
-                await asyncio.gather(*(aps.predict(i) for i in range(48)))
+                await asyncio.gather(*(aps.predict_vector(vector) for vector in vectors))
 
         _run(go())
+        assert service.batcher_stats.requests == 48
         assert service.batcher_stats.batches < 48
 
     def test_event_loop_not_blocked_during_decode(self, published):
         registry, _, _ = published
-        service, _ = open_service(registry, cache_size=0)
+        service, _ = open_service(registry)
         ticks = []
 
         async def ticker():
@@ -229,7 +231,7 @@ class TestAdmission:
 
     def test_a_score_vector_hit_submits_nothing(self, published, monkeypatch):
         registry, _, estimator = published
-        service, _ = open_service(registry, cache_size=8)
+        service, _ = open_service(registry)
         expected = estimator.predict(service.store.get_rows([0, 1]))
         submits = []
         real_submit = MicroBatcher.submit
@@ -253,7 +255,7 @@ class TestAdmission:
 class TestMetrics:
     def test_metrics_are_the_services_own(self, published):
         registry, _, _ = published
-        service, _ = open_service(registry, cache_size=8)
+        service, _ = open_service(registry)
 
         async def go():
             async with AsyncPredictionService(service) as aps:
@@ -303,7 +305,7 @@ class TestGenerationWatching:
         estimator = Estimator("logreg", epochs=1)
         estimator.fit(dataset)
         estimator.save(tmp_path / "registry")
-        service, _ = open_service(tmp_path / "registry", cache_size=0)
+        service, _ = open_service(tmp_path / "registry")
         generation_before = service.generation
 
         reopened = threading.Event()

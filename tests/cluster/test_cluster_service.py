@@ -44,7 +44,7 @@ def published(tmp_path_factory):
     estimator.save(registry)
     # The authoritative baseline comes from the same store the workers read:
     # stored rows are the model's actual serving inputs.
-    service, _ = open_service(registry, cache_size=0)
+    service, _ = open_service(registry)
     expected = np.asarray(
         estimator.predict(service.store.get_rows(list(range(N_ROWS))))
     )
@@ -58,7 +58,7 @@ def cluster(published):
     must not depend on which test ran first; a start is only a fork)."""
     registry, shard_dir, _ = published
     service = ClusterService(
-        registry, shard_dir=shard_dir, workers=2, backlog=8, cache_size=16
+        registry, shard_dir=shard_dir, workers=2, backlog=8
     )
     yield service
     service.close()
@@ -218,7 +218,7 @@ class TestCrashRecovery:
                     answered.append(np.allclose(values, expected[rows]))
 
         with ClusterService(
-            registry, shard_dir=shard_dir, workers=2, backlog=8, cache_size=0
+            registry, shard_dir=shard_dir, workers=2, backlog=8
         ) as service:
             clients = [threading.Thread(target=client, args=(k,)) for k in range(2)]
             for thread in clients:
@@ -287,7 +287,7 @@ class TestLifecycle:
     def test_drain_on_close_answers_everything_already_submitted(self, published):
         registry, shard_dir, expected = published
         service = ClusterService(
-            registry, shard_dir=shard_dir, workers=2, backlog=64, cache_size=0
+            registry, shard_dir=shard_dir, workers=2, backlog=64
         )
         futures = [service.submit(i) for i in range(100)]
         service.close(drain=True)
@@ -306,7 +306,6 @@ class TestBackpressure:
             workers=1,
             backlog=1,
             admission="reject",
-            cache_size=0,
         )
         yield service
         service.close()
@@ -314,7 +313,7 @@ class TestBackpressure:
     def test_saturated_reject_fails_fast(self, tiny):
         # A large bulk request occupies the single slot for a while...
         blocker = threading.Thread(
-            target=lambda: tiny.predict_many(list(range(N_ROWS)) * 400)
+            target=lambda: tiny.predict_many(list(range(N_ROWS)) * 2000)
         )
         blocker.start()
         try:
@@ -352,13 +351,13 @@ class TestBlockingAdmission:
             workers=1,
             backlog=1,
             admission="block",
-            cache_size=0,
         )
         try:
-            # Bulk scoring runs on the compressed shards (~0.5 µs a row), so it
-            # takes a million rows to hold the only worker for a few deadlines.
+            # A bulk request is a gather out of the score array, so it takes
+            # nearly a frame's worth of ids (MAX_ROW_IDS) to hold the only
+            # worker for a few deadlines: most of that is framing 2M ids each way.
             blocker = threading.Thread(
-                target=lambda: service.predict_many(list(range(N_ROWS)) * 4000)
+                target=lambda: service.predict_many(list(range(N_ROWS)) * 8000)
             )
             blocker.start()
             give_up = time.monotonic() + 10
@@ -445,8 +444,7 @@ class TestWorkerServesThroughThePipeline:
         # The worker keeps each 60-row shard's scores once computed; the tests
         # that need a miss ask for shards no other test here touches.
         service = ClusterService(
-            registry, shard_dir=shard_dir, workers=1, backlog=4, cache_size=16,
-            max_batch_size=1,
+            registry, shard_dir=shard_dir, workers=1, backlog=4, max_batch_size=1,
         )
         yield service
         service.close()
@@ -485,10 +483,11 @@ class TestWorkerServesThroughThePipeline:
         # bad id's IndexError.  It is refused at the worker's door now.
         registry, shard_dir, expected = published
         with ClusterService(
-            registry, shard_dir=shard_dir, workers=1, backlog=8, cache_size=0
+            registry, shard_dir=shard_dir, workers=1, backlog=8
         ) as one:
+            # Rows 0-59 are left out: row 5 must be a first touch, so it queues.
             blocker = threading.Thread(
-                target=lambda: one.predict_many(list(range(N_ROWS)) * 400)
+                target=lambda: one.predict_many(list(range(60, N_ROWS)) * 2000)
             )
             blocker.start()
             try:
@@ -555,7 +554,7 @@ class TestWorkerServesThroughThePipeline:
         # Rows 60-119 are left out: shard 1's scores must not be resident,
         # or the two requests below are answered at once and never queue.
         elsewhere = [*range(60), *range(120, N_ROWS)]
-        blocker = threading.Thread(target=lambda: single.predict_many(elsewhere * 2000))
+        blocker = threading.Thread(target=lambda: single.predict_many(elsewhere * 10000))
         blocker.start()
         try:
             give_up = time.monotonic() + 10
@@ -604,12 +603,13 @@ class TestWorkerServesThroughThePipeline:
             return one.metrics()["workers"]["0"]["histograms"]["serve.batch.size"]["count"]
 
         with ClusterService(
-            registry, shard_dir=shard_dir, workers=1, backlog=1, cache_size=0,
-            max_batch_size=1,
+            registry, shard_dir=shard_dir, workers=1, backlog=1, max_batch_size=1,
         ) as one:
             assert sheds() == {"dispatcher": 0, "deadline": (0, 0), "overloaded": (0, 0)}
+            # Rows 0-59 are left out: row 5 must be a first touch, or it is
+            # answered at once and never takes the queue slot.
             blocker = threading.Thread(
-                target=lambda: one.predict_many(list(range(N_ROWS)) * 4000)
+                target=lambda: one.predict_many(list(range(60, N_ROWS)) * 10000)
             )
             blocker.start()
             try:
@@ -644,7 +644,7 @@ class TestFrameLimits:
         # raised inside a done-callback, so the caller waited out its deadline
         # (DeadlineExceeded after 7 s) and the slot stayed taken for good.
         registry, shard_dir, expected = regression
-        with ClusterService(registry, shard_dir=shard_dir, workers=1, cache_size=0) as one:
+        with ClusterService(registry, shard_dir=shard_dir, workers=1) as one:
             values = one.predict_many(list(range(N_ROWS)) * 4000, deadline=30.0)
             assert len(values) == N_ROWS * 4000
             np.testing.assert_array_equal(values[-N_ROWS:], expected)

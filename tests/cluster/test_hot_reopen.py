@@ -35,7 +35,7 @@ def live(tmp_path_factory):
     estimator.fit(dataset)
     estimator.save(registry)
     # Baseline from the stored rows, the workers' actual serving inputs.
-    service, _ = open_service(registry, cache_size=0)
+    service, _ = open_service(registry)
     expected = np.asarray(
         estimator.predict(service.store.get_rows(list(range(N_ROWS))))
     )
@@ -51,7 +51,6 @@ class TestHotReopen:
             shard_dir=shard_dir,
             workers=2,
             backlog=16,
-            cache_size=0,
             poll_seconds=0.1,
         ) as cluster:
             generation_before = max(cluster.generations())
@@ -65,7 +64,10 @@ class TestHotReopen:
                 i = 0
                 while not stop.is_set():
                     try:
-                        cluster.predict(i % N_ROWS)
+                        if i % 2:  # a bulk request queues on the worker's batcher
+                            cluster.predict_many([i % N_ROWS, (i * 7) % N_ROWS])
+                        else:  # a single row queues there until its row is scored
+                            cluster.predict(i % N_ROWS)
                     except BaseException as exc:  # noqa: BLE001 - recorded
                         with lock:
                             errors.append(exc)

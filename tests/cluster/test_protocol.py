@@ -318,8 +318,7 @@ def worker(published):
     registry, shard_dir, _ = published
     dispatcher_end, worker_end = socket.socketpair()
     dispatcher_end.settimeout(10.0)  # a wedged worker fails the test instead of hanging it
-    config = {"worker_index": 90, "checkpoint_dir": str(registry), "shard_dir": str(shard_dir),
-              "cache_size": 16}
+    config = {"worker_index": 90, "checkpoint_dir": str(registry), "shard_dir": str(shard_dir)}
     thread = threading.Thread(target=worker_main, args=(config, worker_end), daemon=True)
     thread.start()
     try:

@@ -1,13 +1,13 @@
-"""Bulk scoring in the compressed domain: the oracle, the routing rule, the counts.
+"""Scoring in the compressed domain: the oracle, the fill, the counts.
 
-``PredictionService.predict_ids`` scores every shard a request covers with
-one ``model.predict(parsed shard)`` — the paper's §4 kernels — and gathers
-the requested rows out of the scores; only the scattered remainder is
-row-sliced and scored densely.  Compressed-domain sums associate
-differently from dense ones, so the oracle is pinned here:
+For a linear model the service fills its score array a shard at a time,
+one ``model.predict(parsed shard)`` — the paper's §4 kernels — and every
+row-id path gathers its answers out of that array.  Compressed-domain sums
+associate differently from dense ones, so the oracle is pinned here:
 
-* a bulk answer over covered shards is **bit-equal** to
-  ``Estimator.predict(Dataset)``, which runs the same kernels per shard;
+* every answer — single row, bulk, queued bulk, the asyncio bridge and a
+  cluster worker — is **bit-equal** to ``Estimator.predict(Dataset)``,
+  which runs the same kernels per shard;
 * against ``Estimator.predict(dense features)`` labels are identical and a
   regression score is within :data:`SCORE_ULPS` ulps of its *scale*
   ``|x|·|w| + |b|`` (the magnitude the rounding errors of a 68-term sum are
@@ -16,14 +16,14 @@ differently from dense ones, so the oracle is pinned here:
   worst case on the census profile, all 8 schemes, 150-3000 rows, converged
   and diverged weights: 5.
 
-A single-row answer (``predict_id``) comes out of the same per-shard score
-vector once the service caches them (``cache_size > 0``, linear models), so
-it is bit-equal to the bulk one; with ``cache_size=0`` it is the dense path's
-and the bound above holds between the two.  Networks never score a shard
-whole: their single-row answers stay the dense path's.
+Networks never score a shard whole: the rows a request needs are decoded
+and scored densely, and go into the same array, so once a row is scored its
+single-row and bulk answers are bit-identical too.
 """
 
 from __future__ import annotations
+
+import asyncio
 
 import numpy as np
 import pytest
@@ -31,18 +31,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.serve.feature_store as feature_store_module
-from repro.api import Dataset, Estimator
+from repro.api import AsyncPredictionService, ClusterService, Dataset, Estimator, open_service
 from repro.compression.registry import available_schemes
 from repro.compression.toc_scheme import TOCCompressedMatrix
 from repro.data.registry import DATASET_PROFILES
 from repro.serve.feature_store import FeatureStore
-from repro.serve.service import SCORE_WHOLE_COVERAGE, PredictionService
+from repro.serve.service import PredictionService
 
 #: The stated distance between a compressed-domain and a dense regression score.
 SCORE_ULPS = 8
 
 ROWS, BATCH = 150, 50
 MODELS = ("logreg", "svm", "linreg", "ffnn")
+LINEAR = MODELS[:3]
 
 
 def assert_scores_close(got, expected, rows: np.ndarray, model) -> None:
@@ -85,6 +86,14 @@ def datasets(census, tmp_path_factory) -> dict[str, Dataset]:
     }
 
 
+@pytest.fixture(scope="module")
+def registries(estimators, tmp_path_factory) -> dict[str, object]:
+    root = tmp_path_factory.mktemp("bulk-registries")
+    for name, estimator in estimators.items():
+        estimator.save(root / name)
+    return {name: root / name for name in estimators}
+
+
 class TestTheOracle:
     @pytest.mark.parametrize("model", MODELS)
     @pytest.mark.parametrize("scheme", available_schemes())
@@ -113,16 +122,16 @@ class TestTheOracle:
         features, _ = census
         estimator, dataset = estimators[model], datasets[scheme]
         rows = [*range(0, ROWS, 7), ROWS - 1]
-        with serve(estimator, dataset, cache_size=8) as service:
+        with serve(estimator, dataset) as service:
             singles = np.array([service.predict_id(row) for row in rows])
             bulk = service.predict_ids(range(ROWS))
             scored = service.store_stats.shards_scored
         dense = estimator.predict(features)[rows]
-        if model == "ffnn":  # the dense path, as ever
+        assert np.array_equal(singles, bulk[rows])  # one array answers both
+        if model == "ffnn":  # decoded rows, scored densely
             assert np.array_equal(singles, dense)
             assert scored == 0
             return
-        assert np.array_equal(singles, bulk[rows])
         assert np.array_equal(singles, estimator.predict(dataset)[rows])
         # Each shard was scored once, for its first single row; the bulk request found them all.
         assert scored == len(dataset)
@@ -131,20 +140,38 @@ class TestTheOracle:
         else:
             assert np.array_equal(singles, dense)
 
-    def test_uncached_a_bulk_and_a_single_row_score_stay_within_the_bound(
-        self, census, estimators, datasets
+    @pytest.mark.parametrize("model", LINEAR)
+    @pytest.mark.parametrize("scheme", available_schemes())
+    def test_every_serving_path_answers_the_estimator_bit_for_bit(
+        self, estimators, datasets, registries, scheme, model
     ):
-        features, _ = census
-        estimator = estimators["linreg"]
-        with serve(estimator, datasets["TOC"]) as service:
-            bulk = service.predict_ids(range(ROWS))
-            singles = [service.predict_id(row) for row in range(0, ROWS, 5)]
-        assert_scores_close(singles, bulk[::5], features[::5], estimator.model)
+        """Single, bulk, queued bulk, the asyncio bridge and a one-worker cluster, each cold."""
+        dataset = datasets[scheme]
+        expected = estimators[model].predict(dataset)
+        rows = [ROWS - 1, *range(0, ROWS, 7), 3]
+        opened = dict(shard_dir=dataset.path)
+        with open_service(registries[model], **opened)[0] as service:
+            assert [service.predict_id(row) for row in rows] == expected[rows].tolist()
+        with open_service(registries[model], **opened)[0] as service:
+            assert np.array_equal(service.predict_ids(range(ROWS)), expected)
+            assert [service.predict_id(row) for row in rows] == expected[rows].tolist()
+        with open_service(registries[model], **opened)[0] as service:
+            assert service.submit_ids(rows).result(timeout=10) == expected[rows].tolist()
+
+        async def bridged():
+            bridge, _ = AsyncPredictionService.from_registry(registries[model], **opened)
+            async with bridge:
+                return await bridge.predict_many(rows)
+
+        assert asyncio.run(bridged()) == expected[rows].tolist()
+        with ClusterService(registries[model], workers=1, **opened) as cluster:
+            assert [cluster.predict(row) for row in rows] == expected[rows].tolist()
+            assert cluster.predict_many(range(ROWS)) == expected.tolist()
 
 
 class TestMixedRequests:
     SHARD = 200
-    THRESHOLD = int(SCORE_WHOLE_COVERAGE * SHARD)  # 50 rows of 200
+    SOME = 50  # rows of a shard a request asks for without covering it
 
     @pytest.fixture(scope="class")
     def mixed(self, tmp_path_factory):
@@ -162,9 +189,9 @@ class TestMixedRequests:
         shard = self.SHARD
         ids = list(range(0, shard))  # shard 0, whole
         ids += list(range(2 * shard - 1, shard - 1, -1))  # shard 1, whole, backwards
-        ids += list(range(2 * shard, 2 * shard + self.THRESHOLD))  # exactly the threshold
-        ids += list(range(3 * shard, 3 * shard + self.THRESHOLD - 1))  # one row short of it
-        ids += list(range(4 * shard + 7, 4 * shard + 7 + self.THRESHOLD + 1))  # one row over
+        ids += list(range(2 * shard, 2 * shard + self.SOME))
+        ids += list(range(3 * shard, 3 * shard + self.SOME - 1))
+        ids += list(range(4 * shard + 7, 4 * shard + 7 + self.SOME + 1))
         ids += [5 * shard + 3, 5 * shard + 190, 5 * shard + 3, 5 * shard + 3]  # scattered, repeated
         return ids[::-1][::2] + ids[::-1][1::2]  # every shard's rows interleaved with the others'
 
@@ -177,22 +204,25 @@ class TestMixedRequests:
             queued = service.submit_ids(ids).result(timeout=10)
         assert bulk.tolist() == [per_row[row] for row in ids] == queued
 
-    def test_the_coverage_rule_and_what_the_counters_say(self, mixed):
+    def test_every_touched_shard_is_scored_whole_and_the_counters_say_so(self, mixed):
         dataset, estimator = mixed
         ids = self.request()
+        distinct = len(set(ids))
         with serve(estimator, dataset) as service:
             service.predict_ids(ids)
+            service.predict_ids(ids)  # every touched shard filled: all gathered
             stats = service.store_stats
             counters = service.metrics()["counters"]
-            assert service.stats.rows_predicted == len(ids)
-        # Shards 0, 1, 2 and 4 reach a quarter; 3 (one row short) and 5 (scattered) do not.
-        gathered = 2 * self.SHARD + 2 * self.THRESHOLD + 1
-        assert (stats.shards_scored, stats.rows_scored) == (4, 4 * self.SHARD)
-        assert stats.rows_gathered == gathered
-        assert (stats.row_hits, stats.row_misses) == (0, len(ids) - gathered)
+            assert service.stats.rows_predicted == distinct  # rows asked of the model
+            assert service.metrics()["gauges"]["serve.cache.rows"] == 6 * self.SHARD
+            assert (service.stats.cache_misses, service.stats.cache_hits) == (1, 1)
+        assert (stats.shards_scored, stats.rows_scored) == (6, 6 * self.SHARD)
+        # A row the first request had computed is a miss; every other one is gathered.
+        assert (stats.row_hits, stats.row_misses) == (0, distinct)
+        assert stats.rows_gathered == 2 * len(ids) - distinct
         assert stats.rows_served == stats.row_hits + stats.row_misses + stats.rows_gathered
-        assert stats.rows_served == len(ids)
-        assert stats.payload_parses == 6  # one per shard touched, whichever way it was read
+        assert stats.rows_served == 2 * len(ids)
+        assert stats.payload_parses == 6  # one per shard touched
         assert counters["serve.store.shards_scored"] == stats.shards_scored
         assert counters["serve.store.rows_scored"] == stats.rows_scored
         assert counters["serve.store.rows_gathered"] == stats.rows_gathered
@@ -264,14 +294,14 @@ class TestNothingIsDecoded:
             assert calls == {"row_slice": 0, "to_dense": 0, "matvec": len(dataset)}
             assert service.store_stats.payload_parses == len(dataset)
             assert service.store_stats.shard_decodes == 0
-            service.predict_id(0)  # the wrappers are live: uncached, a single row does slice
+            service.store.get_rows([0])  # the wrappers are live: a direct read does slice
             assert calls["row_slice"] == 2  # the store's call and the method under it
 
     def test_warm_single_rows_run_no_model_and_decode_nothing(self, estimators, datasets, calls):
         dataset = datasets["TOC"]
         model = CountingModel(estimators["logreg"].model)
         store = FeatureStore.open(dataset.path)
-        with PredictionService(model, store, cache_size=len(dataset)) as service:
+        with PredictionService(model, store) as service:
             for shard in range(len(dataset)):
                 service.predict_id(shard * BATCH)  # one request per shard
             assert (model.predicts, calls["matvec"]) == (len(dataset), len(dataset))
@@ -289,9 +319,7 @@ class TestNothingIsDecoded:
         model = CountingModel(estimators["logreg"].model)
         store = FeatureStore.open(dataset.path)
         # The batcher lingers for a second request, so both share its one batch.
-        with PredictionService(
-            model, store, cache_size=4, max_batch_size=2, max_wait_seconds=5.0
-        ) as service:
+        with PredictionService(model, store, max_batch_size=2, max_wait_seconds=5.0) as service:
             first, second = service.submit_id(3), service.submit_id(BATCH - 1)
             answers = [first.result(timeout=10), second.result(timeout=10)]
             assert service.batcher_stats.batches == 1

@@ -1,9 +1,10 @@
-"""A linear model's stored rows are answered out of one score array per store handle.
+"""Every model's stored rows are answered out of one score array per store handle.
 
-The array fills a shard at a time and never evicts; a reopen starts a new
-one.  These tests pin the counters that the traced benchmark divides by, and
-that concurrent callers across a compaction never get a score from the
-wrong generation.
+A linear model fills it a shard at a time, a network a request's missing
+rows at a time; nothing is evicted, and a reopen starts a new array.  These
+tests pin the counters that the traced benchmark divides by, and that
+concurrent callers across a compaction never get a score from the wrong
+generation.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ ROWS, BATCH = 400, 50
 
 
 def _resident(service: PredictionService) -> int:
-    return service.metrics()["gauges"]["serve.cache.shards"]
+    return service.metrics()["gauges"]["serve.cache.rows"]
 
 
 def _filled(service: PredictionService) -> int:
@@ -52,9 +53,7 @@ class TestCounters:
         estimator, dataset = fitted
         expected = estimator.predict(dataset)
         n_shards = ROWS // BATCH
-        with PredictionService(
-            estimator.model, FeatureStore.open(dataset.path), cache_size=1
-        ) as service:
+        with PredictionService(estimator.model, FeatureStore.open(dataset.path)) as service:
             id_requests = 0
 
             def single(row: int) -> None:
@@ -69,12 +68,12 @@ class TestCounters:
 
             single(0)  # miss: shard 0 scored
             single(1)  # hit
-            bulk(range(40, 120))  # shard 0 filled, shard 1 and 2 scored: a miss
+            bulk(range(40, 120))  # shard 0 filled, shards 1 and 2 scored: a miss
             single(110)  # hit, out of the bulk request's fill
             assert service.submit_ids([7, 399]).result(timeout=10) == expected[[7, 399]].tolist()
             id_requests += 1  # shard 7 scored
             assert service.predict_vector(dataset.take([3])[0]) == pytest.approx(expected[3])
-            assert _resident(service) == _filled(service) == 4 <= n_shards
+            assert _resident(service) == _filled(service) == 4 * BATCH
 
             first = service.store
             service.reopen_store()
@@ -87,25 +86,26 @@ class TestCounters:
             stats = service.stats.snapshot()
             assert stats.cache_hits + stats.cache_misses == id_requests == 9
             assert (stats.cache_hits, stats.cache_misses) == (4, 5)
-            assert _resident(service) == _filled(service) == n_shards
+            assert _resident(service) == _filled(service) == ROWS
             for store in (first, service.store):
                 served = store.stats
                 assert served.rows_served == (
                     served.row_hits + served.row_misses + served.rows_gathered
                 )
-            assert (first.stats.row_hits, first.stats.row_misses) == (2, 1)
-            assert first.stats.rows_gathered == 80 + 2  # a queued bulk request gathers too
-            assert (service.store.stats.row_hits, service.store.stats.row_misses) == (1, 1)
-            assert service.store.stats.rows_gathered == 2 * ROWS
+            # A row a request had computed is a miss, bulk or single: rows 0,
+            # 50-119 and 399 on the first handle; 399, then the other 350 on
+            # the second.  A queued bulk request gathers too.
+            assert (first.stats.row_hits, first.stats.row_misses) == (2, 1 + 70 + 1)
+            assert first.stats.rows_gathered == 10 + 1
+            assert (service.store.stats.row_hits, service.store.stats.row_misses) == (1, 1 + 350)
+            assert service.store.stats.rows_gathered == 50 + ROWS
             counters = service.metrics()["counters"]
             assert counters["serve.store.shards_scored"] == 4 + n_shards
             assert counters["serve.store.rows_scored"] == (4 + n_shards) * BATCH
 
     def test_a_negative_id_never_wraps_around_into_the_array(self, fitted):
         estimator, dataset = fitted
-        with PredictionService(
-            estimator.model, FeatureStore.open(dataset.path), cache_size=8
-        ) as service:
+        with PredictionService(estimator.model, FeatureStore.open(dataset.path)) as service:
             service.predict_ids(range(ROWS))  # every shard filled: the gather path
             with pytest.raises(IndexError, match=r"row -1 out of range \[0, 400\)"):
                 service.predict_ids([3, -1])
@@ -116,27 +116,74 @@ class TestCounters:
 
     def test_scoring_happens_on_first_touch_not_at_open(self, fitted):
         estimator, dataset = fitted
-        with PredictionService(
-            estimator.model, FeatureStore.open(dataset.path), cache_size=8
-        ) as service:
+        with PredictionService(estimator.model, FeatureStore.open(dataset.path)) as service:
             assert service.store_stats.shards_scored == 0 and _resident(service) == 0
             service.predict_ids(range(BATCH, 2 * BATCH))
-            assert service.store_stats.shards_scored == 1 and _resident(service) == 1
+            assert service.store_stats.shards_scored == 1 and _resident(service) == BATCH
 
 
-def test_racing_callers_across_a_compaction_get_their_generations_answers(tmp_path):
+class TestNetworks:
+    """A network fills the array with the rows a request misses, decoded and scored densely."""
+
+    @pytest.fixture(scope="class")
+    def network(self, fitted):
+        _, dataset = fitted
+        estimator = Estimator("ffnn", epochs=1, hidden_sizes=(8,))
+        estimator.fit(dataset)
+        return estimator, dataset
+
+    def test_once_scored_single_and_bulk_answers_are_the_same_bits(self, network):
+        estimator, dataset = network
+        rows = [*range(0, ROWS, 9), 7, 7, ROWS - 1]
+        with PredictionService(estimator.model, FeatureStore.open(dataset.path)) as service:
+            singles = [service.predict_id(row) for row in rows]
+            assert service.predict_ids(rows).tolist() == singles
+            bulk = service.predict_ids(range(ROWS))  # the rest decoded here, in one call
+            assert [service.predict_id(row) for row in range(ROWS)] == bulk.tolist()
+            assert service.submit_ids(rows).result(timeout=10) == singles
+            assert service.stats.rows_predicted == ROWS
+
+    def test_every_request_and_every_row_is_counted_once(self, network):
+        estimator, dataset = network
+        with PredictionService(
+            estimator.model, FeatureStore.open(dataset.path), max_batch_size=8
+        ) as service, ThreadPoolExecutor(max_workers=4) as callers:
+            id_requests = 0
+            for start in range(0, 120, 10):
+                window = range(start, start + 30)
+                singles = [callers.submit(service.predict_id, row) for row in window]
+                bulk = callers.submit(service.predict_ids, window)
+                queued = service.submit_ids([*window, start])
+                assert [f.result(timeout=10) for f in singles] == bulk.result(timeout=10).tolist()
+                queued.result(timeout=10)
+                id_requests += len(window) + 2
+            stats, served = service.stats.snapshot(), service.store_stats
+            assert stats.cache_hits + stats.cache_misses == stats.requests == id_requests
+            assert served.rows_served == served.row_hits + served.row_misses + served.rows_gathered
+            # Racing fills may both decode a row; the first write is the one kept.
+            assert served.row_misses >= _filled(service) == 140
+
+
+@pytest.mark.parametrize("model", ["linreg", "ffnn"])
+def test_racing_callers_across_a_compaction_get_their_generations_answers(tmp_path, model):
     """Bulk and single-row callers race over a cold store while it is compacted and reopened."""
     features, labels = DATASET_PROFILES["census"].classification(ROWS, seed=5)
     # DEN -> TOC: the compaction re-encodes every shard and deletes the old
     # files; linreg's compressed-domain scores differ between the two
-    # schemes in their last bits, so an answer shows which generation it came from.
+    # schemes in their last bits, so an answer shows which generation it came
+    # from.  A network scores decoded rows, the same on both generations, so
+    # there every answer must be the one value both agree on.
     dataset = Dataset.create(
         tmp_path / "shards", features, labels, scheme="DEN",
         batch_size=BATCH, executor="serial", shuffle=False,
     )
-    estimator = Estimator("linreg", epochs=1, learning_rate=1e-3)
+    estimator = Estimator(model, epochs=1, learning_rate=1e-3)
     estimator.fit(dataset)
-    before = estimator.predict(Dataset.open(dataset.path))
+
+    def reference():
+        return estimator.predict(features if model == "ffnn" else Dataset.open(dataset.path))
+
+    before = reference()
     started, answered = threading.Event(), []
     stop = threading.Event()
 
@@ -161,14 +208,15 @@ def test_racing_callers_across_a_compaction_get_their_generations_answers(tmp_pa
     sys.setswitchinterval(1e-5)
     try:
         with PredictionService(
-            estimator.model, FeatureStore.open(dataset.path), cache_size=8, max_batch_size=4
+            estimator.model, FeatureStore.open(dataset.path), max_batch_size=4
         ) as service, ThreadPoolExecutor(max_workers=4) as callers:
             g = service.generation
             running = [callers.submit(call, service, work) for work in (single, bulk) * 2]
             assert started.wait(timeout=10)
+            first = service._serving
             Dataset.open(dataset.path).compact(readvise=True, executor="serial")
             service.maybe_reopen_store()
-            after = estimator.predict(Dataset.open(dataset.path))
+            after = reference()
             mark = len(answered)
             while len(answered) < mark + 200 and not any(f.done() for f in running):
                 stop.wait(0.01)
@@ -179,7 +227,10 @@ def test_racing_callers_across_a_compaction_get_their_generations_answers(tmp_pa
         sys.setswitchinterval(interval)
 
     assert service.generation == g + 1
-    assert not np.array_equal(before, after)  # the generations are told apart
+    # the generations are told apart by linreg's scores, and agree on a network's
+    assert np.array_equal(before, after) == (model == "ffnn")
+    for serving, scores in ((first, before), (service._serving, after)):
+        assert np.array_equal(serving.scores[serving.filled], scores[serving.filled])
     by_generation = {g: before, g + 1: after}
     seen = set()
     for first, last, ids, got in answered:

@@ -53,11 +53,15 @@ class TestSingleRowPath:
         model, shard_dir, _, _ = trained_setup
         store = FeatureStore.open(shard_dir)
         ids = list(range(60))
-        expected = model.predict(store.get_rows(ids))
+        rows = store.get_rows(ids)
+        expected = model.predict(rows)
         with PredictionService(model, store, max_batch_size=16) as service:
             with ThreadPoolExecutor(max_workers=6) as clients:
+                vectors = list(clients.map(service.predict_vector, rows))  # every one queued
+                assert service.batcher_stats.requests == len(ids)
                 got = list(clients.map(service.predict_id, ids))
-            assert service.batcher_stats.requests == len(ids)
+            assert service.stats.cache_hits + service.stats.cache_misses == len(ids)
+        np.testing.assert_allclose(vectors, expected)
         np.testing.assert_allclose(got, expected)
 
     def test_bulk_and_single_row_race_on_a_tiny_store_cache(self, trained_setup, monkeypatch):
@@ -78,16 +82,13 @@ class TestSingleRowPath:
                 got = [future.result(timeout=10) for future in singles]
         np.testing.assert_allclose(got, expected)
 
-    @pytest.mark.parametrize("cache_size", [0, 8], ids=["uncached", "cached"])
-    def test_an_id_out_of_range_fails_alone(self, trained_setup, cache_size):
+    def test_an_id_out_of_range_fails_alone(self, trained_setup):
         # Regression: located only in the batch handler, the bad id failed
         # every single-row request coalesced with it.
         model, shard_dir, _, _ = trained_setup
         store = FeatureStore.open(shard_dir)
         expected = model.predict(FeatureStore.open(shard_dir).get_rows([1, 2, 3]))
-        with PredictionService(
-            model, store, cache_size=cache_size, max_batch_size=8, max_wait_seconds=0.05
-        ) as service:
+        with PredictionService(model, store, max_batch_size=8, max_wait_seconds=0.05) as service:
             futures = [service.submit_id(row) for row in (1, 5000, 2, 3)]
             bad = futures.pop(1)
             assert bad.done()  # failed at the door: nothing was queued for it
@@ -131,7 +132,6 @@ class TestRowIdsAreIntegers:
         with pytest.raises(OverflowError):
             row_id_array([0, 2**63])
 
-    @pytest.mark.parametrize("cache_size", [0, 8], ids=["uncached", "cached"])
     @pytest.mark.parametrize(
         "call",
         [
@@ -145,10 +145,10 @@ class TestRowIdsAreIntegers:
         ],
         ids=["predict_id", "bool", "submit_id", "predict_ids", "mask", "submit_ids", "get_rows"],
     )
-    def test_every_in_process_path_refuses_them(self, trained_setup, cache_size, call):
+    def test_every_in_process_path_refuses_them(self, trained_setup, call):
         model, shard_dir, _, _ = trained_setup
         store = FeatureStore.open(shard_dir)
-        with PredictionService(model, store, cache_size=cache_size) as service:
+        with PredictionService(model, store) as service:
             with pytest.raises(TypeError):
                 call(service)
             assert service.stats.requests == 0
@@ -157,12 +157,12 @@ class TestRowIdsAreIntegers:
 
 
 class TestCache:
-    """For a linear model a cache entry is one shard's score vector (75-row shards here)."""
+    """One score array per store: a linear model fills it a shard at a time (75-row shards here)."""
 
     def test_repeat_traffic_hits_cache(self, trained_setup):
         model, shard_dir, _, _ = trained_setup
         store = FeatureStore.open(shard_dir)
-        with PredictionService(model, store, cache_size=64) as service:
+        with PredictionService(model, store) as service:
             for _ in range(3):
                 for row_id in range(0, 300, 30):  # ten rows over all four shards
                     service.predict_id(row_id)
@@ -175,21 +175,20 @@ class TestCache:
             assert service.store_stats.shards_scored == 4
             assert service.store_stats.rows_scored == 300
             assert (service.store_stats.row_hits, service.store_stats.row_misses) == (26, 4)
-            assert service.metrics()["gauges"]["serve.cache.shards"] == 4
+            assert service.metrics()["gauges"]["serve.cache.rows"] == 300
 
     def test_a_scored_shard_is_never_evicted(self, trained_setup):
-        # For a linear model any positive cache_size keeps every scored shard.
         model, shard_dir, _, _ = trained_setup
         store = FeatureStore.open(shard_dir)
-        with PredictionService(model, store, cache_size=2) as service:
+        with PredictionService(model, store) as service:
             for row_id in (0, 80, 160, 240, 0):  # four shards, then the first again
                 service.predict_id(row_id)
-            assert service.metrics()["gauges"]["serve.cache.shards"] == 4
+            assert service.metrics()["gauges"]["serve.cache.rows"] == 300
             assert (service.stats.cache_hits, service.stats.cache_misses) == (1, 4)
             assert service.store_stats.shards_scored == 4
 
-    def test_concurrent_callers_and_reopens_over_a_small_cache_size(self, trained_setup):
-        """Six callers, ``cache_size=2`` over four shards, the store re-opened under them."""
+    def test_concurrent_callers_and_reopens(self, trained_setup):
+        """Six callers over four shards, the store re-opened under them."""
         import sys
         import threading
         import time
@@ -216,7 +215,7 @@ class TestCache:
         sys.setswitchinterval(1e-5)
         try:
             with PredictionService(
-                model, FeatureStore.open(shard_dir), cache_size=2, max_batch_size=4
+                model, FeatureStore.open(shard_dir), max_batch_size=4
             ) as service, ThreadPoolExecutor(max_workers=7) as callers:
                 reopening = callers.submit(reopen, service)
                 work = [callers.submit(job, service) for job in (single, bulk) * 3]
@@ -232,8 +231,8 @@ class TestCache:
                 assert served.rows_served == (
                     served.row_hits + served.row_misses + served.rows_gathered
                 )
-                resident = service.metrics()["gauges"]["serve.cache.shards"]
-                assert resident == service._serving.n_filled <= 4
+                resident = service.metrics()["gauges"]["serve.cache.rows"]
+                assert resident == service._serving.n_filled <= 300
         finally:
             sys.setswitchinterval(interval)
 
@@ -241,20 +240,21 @@ class TestCache:
         _, shard_dir, _, _ = trained_setup
         store = FeatureStore.open(shard_dir)
         network = FeedForwardNetwork(store.n_cols, (8,), seed=0)
-        with PredictionService(network, store, cache_size=4) as service:
+        with PredictionService(network, store) as service:
             for _ in range(3):
                 for row_id in range(10):
                     service.predict_id(row_id)
-            assert len(service._cache) == 4
-            # Ten rows cycling through four entries: LRU never hits.
-            assert (service.stats.cache_hits, service.stats.cache_misses) == (0, 30)
-            assert service.store_stats.shards_scored == 0
-            assert service.metrics()["gauges"]["serve.cache.shards"] == 0
+            # Ten rows cycling: each is decoded and scored once, then answered from the array.
+            assert (service.stats.cache_hits, service.stats.cache_misses) == (20, 10)
+            assert service.stats.rows_predicted == 10
+            served = service.store_stats
+            assert (served.row_hits, served.row_misses, served.shards_scored) == (20, 10, 0)
+            assert service.metrics()["gauges"]["serve.cache.rows"] == 10
 
     def test_cached_value_matches_fresh_prediction(self, trained_setup):
         model, shard_dir, _, _ = trained_setup
         store = FeatureStore.open(shard_dir)
-        with PredictionService(model, store, cache_size=8) as service:
+        with PredictionService(model, store) as service:
             first = service.predict_id(3)
             second = service.predict_id(3)
         assert first == second == model.predict(store.get_rows([3]))[0]
@@ -315,7 +315,7 @@ class TestStatsSnapshot:
     def test_snapshot_matches_live_attributes_when_idle(self, trained_setup):
         model, shard_dir, _, _ = trained_setup
         store = FeatureStore.open(shard_dir)
-        with PredictionService(model, store, cache_size=8) as service:
+        with PredictionService(model, store) as service:
             for row_id in (0, 80, 0, 160):  # shards 0, 1, 0 again, 2
                 service.predict_id(row_id)
             snap = service.stats.snapshot()
@@ -371,7 +371,7 @@ class TestStatsSnapshot:
     def test_mixed_traffic_reconciles_rows_and_requests(self, trained_setup):
         model, shard_dir, _, _ = trained_setup
         store = FeatureStore.open(shard_dir)
-        with PredictionService(model, store, cache_size=8) as service:
+        with PredictionService(model, store) as service:
             service.predict_id(3)  # scores shard 0: a miss
             service.predict_id(4)  # its shard-mate: a hit
             service.predict_ids([5, 6, 100])  # shard 0 resident, shard 1 scored: a miss
@@ -382,15 +382,17 @@ class TestStatsSnapshot:
             store.get_rows([7])
             stats, served = service.stats.snapshot(), service.store_stats
             counters = service.metrics()["counters"]
-            assert service.metrics()["gauges"]["serve.cache.shards"] == 4
+            assert service.metrics()["gauges"]["serve.cache.rows"] == 300
         assert stats.requests == stats.cache_hits + stats.cache_misses == 6
         assert (stats.cache_hits, stats.cache_misses) == (3, 3)
-        assert (served.row_hits, served.row_misses, served.rows_gathered) == (2, 1 + 3, 80)
+        # A row computed for its request is a miss (3; 100; 150 and 299), as is
+        # every row a direct reader decodes (7, 8, 7); the rest are hits or gathered.
+        assert (served.row_hits, served.row_misses, served.rows_gathered) == (2, 1 + 1 + 2 + 3, 77)
         assert served.rows_served == served.row_hits + served.row_misses + served.rows_gathered
         assert (served.shards_scored, served.rows_scored) == (4, 300)
         assert stats.rows_predicted == 1 + 1 + 2  # rows asked of the model, not rows it scored
         assert counters["serve.store.shards_scored"] == 4
-        assert counters["serve.store.rows_gathered"] == 80
+        assert counters["serve.store.rows_gathered"] == 77
 
     def test_a_refusal_and_a_queued_shed_each_count_once(self, trained_setup):
         from repro.serve import DeadlineExceeded, ServiceOverloaded
@@ -428,25 +430,22 @@ class TestLiveCompaction:
     """Every row-id path shares one reopen-after-compact retry."""
 
     @pytest.mark.parametrize(
-        "call, bulk",
+        "call",
         [
-            (lambda service, ids: service.predict_ids(ids), True),
-            (lambda service, ids: [service.predict_id(i) for i in ids], False),
-            (lambda service, ids: service.submit_ids(ids).result(timeout=10), True),
+            lambda service, ids: service.predict_ids(ids),
+            lambda service, ids: [service.predict_id(i) for i in ids],
+            lambda service, ids: service.submit_ids(ids).result(timeout=10),
         ],
         ids=["predict_ids", "predict_id", "submit_ids"],
     )
     @pytest.mark.parametrize(
-        "ids, shards_covered",
-        # 7-8 rows of each 50-row shard are row-sliced; whole shards (and one
-        # scattered row) are scored in the compressed domain, so that branch
-        # meets the deleted files too.
-        [(list(range(0, 200, 7)), 0), ([*range(150), 199], 3)],
+        "ids",
+        # Either way every 50-row shard is touched and scored whole, on the
+        # new generation: the first attempt meets the deleted files.
+        [list(range(0, 200, 7)), [*range(150), 199]],
         ids=["scattered", "covering"],
     )
-    def test_row_id_paths_survive_a_generation_swap(
-        self, tmp_path, call, bulk, ids, shards_covered
-    ):
+    def test_row_id_paths_survive_a_generation_swap(self, tmp_path, call, ids):
         from repro.api import Dataset, Estimator, open_service
 
         features, labels = DATASET_PROFILES["census"].classification(200, seed=5)
@@ -459,17 +458,17 @@ class TestLiveCompaction:
         estimator = Estimator("logreg", epochs=1)
         estimator.fit(dataset)
         estimator.save(tmp_path / "registry")
-        with open_service(tmp_path / "registry", cache_size=0)[0] as reference:
+        with open_service(tmp_path / "registry")[0] as reference:
             expected = reference.predict_ids(ids)
 
-        with open_service(tmp_path / "registry", cache_size=0)[0] as service:
+        with open_service(tmp_path / "registry")[0] as service:
             generation = service.generation
             Dataset.open(tmp_path / "shards").compact(readvise=True, executor="serial")
             np.testing.assert_allclose(call(service, ids), expected)
             assert service.generation == generation + 1
             counters = service.metrics()["counters"]
             assert counters["serve.store.reopens"] == 1
-            assert counters["serve.store.shards_scored"] == (shards_covered if bulk else 0)
+            assert counters["serve.store.shards_scored"] == 4
 
 
     def test_score_vectors_go_with_the_store_they_were_scored_from(self, tmp_path):
@@ -486,11 +485,11 @@ class TestLiveCompaction:
         expected = estimator.predict(features).tolist()
 
         def resident(service):
-            return service.metrics()["gauges"]["serve.cache.shards"]
+            return service.metrics()["gauges"]["serve.cache.rows"]
 
-        with open_service(tmp_path / "registry", cache_size=8)[0] as service:
+        with open_service(tmp_path / "registry")[0] as service:
             assert [service.predict_id(row) for row in (0, 60)] == [expected[0], expected[60]]
-            assert resident(service) == 2
+            assert resident(service) == 2 * 50
             first = service.store
             # DEN -> TOC: the compact deletes the files `first` still points at.
             dataset.compact(readvise=True, executor="serial")
@@ -500,7 +499,7 @@ class TestLiveCompaction:
             second = service.store
             assert second is not first and second.dataset.generation == first.dataset.generation + 1
             assert service.metrics()["counters"]["serve.store.reopens"] == 1
-            assert resident(service) == 1  # shard 3 alone: nothing came over from `first`
+            assert resident(service) == 50  # shard 3 alone: nothing came over from `first`
             misses, served_by_first = service.stats.cache_misses, first.stats.rows_served
             # Row 0's vector was resident on the old handle; the new one scores it afresh.
             assert service.predict_id(0) == expected[0]
@@ -516,7 +515,7 @@ class TestLiveCompaction:
             assert resident(service) == 0 and service.store_stats.rows_served == 0
             assert [service.predict_id(row) for row in range(250)] == expected
             assert service.predict_ids(range(250)).tolist() == expected
-            assert resident(service) == 5
+            assert resident(service) == 250
             assert service.store_stats.shards_scored == 5
             assert (second.stats.shards_scored, second.stats.rows_served) == (2, 2)
 
@@ -527,7 +526,7 @@ class TestBulkRequestsOnTheQueue:
 
         model, shard_dir, _, _ = trained_setup
         store = FeatureStore.open(shard_dir)
-        with PredictionService(model, store, cache_size=4) as service:
+        with PredictionService(model, store) as service:
             miss = service.submit_id(3, deadline=30.0)
             assert isinstance(miss, Future)
             value = miss.result(timeout=10)
@@ -555,7 +554,7 @@ class TestBulkRequestsOnTheQueue:
 
         class Gated:
             n_features = model.n_features
-            core_ops = model.core_ops  # bulk requests score covered shards whole
+            core_ops = model.core_ops  # shards are scored whole
 
             def predict(self, matrix):
                 entered.set()
@@ -575,12 +574,12 @@ class TestBulkRequestsOnTheQueue:
             assert service.batcher_stats.batches == 2  # bad and good shared one
             # ... and the other way round: a bad single row leaves the bulk request alone.
             gate.clear(), entered.clear()
-            blocker = service.submit_id(0)
+            blocker = service.submit_id(80)  # shard 1's first touch: queued, holds the batcher
             assert entered.wait(timeout=5)
-            covered = list(range(30))  # of a 75-row shard: scored whole
+            covered = list(range(150, 180))  # shard 2, not yet scored
             bulk, bad_single = service.submit_ids(covered), service.submit_id(10_000_000)
             gate.set()
             np.testing.assert_allclose(bulk.result(timeout=10), original(store.get_rows(covered)))
-            assert service.store_stats.shards_scored == 1
+            assert service.store_stats.shards_scored == 3
             with pytest.raises(Exception, match="10000000"):
                 bad_single.result(timeout=10)

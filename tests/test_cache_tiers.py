@@ -1,27 +1,35 @@
-"""Only the trainer and the storage layer build a buffer pool; the feature store keeps one cache.
+"""Only the trainer and the storage layer build a buffer pool; serving keeps two caches.
 
 A byte-budgeted :class:`~repro.storage.buffer_pool.BufferPool` is the
 paper's RAM-budget mechanism for training (Figure 9, Tables 6–7).  Readers
 that serve rows or scan shards map the files directly, under the service's
-prediction cache and the store's parsed-shard LRU.  This test lists every
-``BufferPool(...)`` call under ``src/repro`` and fails when one appears
-outside the trainer, the storage package and the storage simulation, and
-fails when the feature store grows a cache besides its parsed-shard LRU.
+score array and the store's parsed-shard LRU.  These tests list every
+``BufferPool(...)`` and ``LRUCache(...)`` call under ``src/repro`` and fail
+when a pool appears outside the trainer, the storage package and the
+storage simulation, or an LRU outside the feature store; they fail when the
+feature store grows a cache besides its parsed-shard LRU, when a live
+service holds a cache besides its score array, and when a serving entry
+point takes a cache size again.
 """
 
 from __future__ import annotations
 
 import ast
+import inspect
 from collections import OrderedDict
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import repro
+from repro.api import AsyncPredictionService, ClusterService, open_service
 from repro.data.registry import DATASET_PROFILES
 from repro.engine.shards import ShardedDataset
+from repro.ml.models import FeedForwardNetwork, LogisticRegressionModel
 from repro.serve.feature_store import FeatureStore
 from repro.serve.lru import LRUCache
+from repro.serve.service import PredictionService
 from repro.storage.buffer_pool import BufferPool
 
 PACKAGE = Path(repro.__file__).resolve().parent
@@ -30,29 +38,43 @@ PACKAGE = Path(repro.__file__).resolve().parent
 #: package itself, and the simulated-disk experiments.
 POOL_OWNERS = ("engine/trainer.py", "storage/", "bench/experiments.py")
 
+#: Where an LRU may be built: the feature store's parsed shards.  A
+#: service's predictions live in its score array, which has no size to bound.
+LRU_OWNERS = ("serve/feature_store.py",)
 
-def _pool_constructions(path: Path) -> list[int]:
-    """Line numbers of every ``BufferPool(...)`` / ``<module>.BufferPool(...)`` call in ``path``."""
+
+def _constructions(path: Path, cls: str) -> list[int]:
+    """Line numbers of every ``cls(...)`` / ``<module>.cls(...)`` call in ``path``."""
     tree = ast.parse(path.read_text(), filename=str(path))
     lines = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Call):
             func = node.func
             name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-            if name == "BufferPool":
+            if name == cls:
                 lines.append(node.lineno)
     return lines
 
 
-def test_only_the_trainer_and_the_storage_layer_build_buffer_pools():
-    found = [
+def _built_outside(cls: str, owners: tuple[str, ...]) -> list[str]:
+    return [
         f"{relative}:{line}"
         for path in sorted(PACKAGE.rglob("*.py"))
-        if not (relative := path.relative_to(PACKAGE).as_posix()).startswith(POOL_OWNERS)
-        for line in _pool_constructions(path)
+        if not (relative := path.relative_to(PACKAGE).as_posix()).startswith(owners)
+        for line in _constructions(path, cls)
     ]
+
+
+def test_only_the_trainer_and_the_storage_layer_build_buffer_pools():
+    found = _built_outside("BufferPool", POOL_OWNERS)
     assert not found, f"a buffer pool outside the trainer and storage: {found}"
-    assert _pool_constructions(PACKAGE / "engine" / "trainer.py")
+    assert _constructions(PACKAGE / "engine" / "trainer.py", "BufferPool")
+
+
+def test_only_the_feature_store_builds_an_lru():
+    found = _built_outside("LRUCache", LRU_OWNERS)
+    assert not found, f"an LRU outside the feature store: {found}"
+    assert _constructions(PACKAGE / "serve" / "feature_store.py", "LRUCache")
 
 
 def test_the_scan_sees_a_pool(tmp_path):
@@ -64,7 +86,27 @@ def test_the_scan_sees_a_pool(tmp_path):
         "b = buffer_pool.BufferPool(budget_bytes=2)\n"
         "c = BufferPoolStats()\n"
     )
-    assert _pool_constructions(probe) == [2, 3]
+    assert _constructions(probe, "BufferPool") == [2, 3]
+
+
+def test_the_scan_sees_an_lru(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "from repro.serve import lru\n"
+        "a = LRUCache(8)\n"
+        "b = lru.LRUCache(capacity=4)\n"
+        "c = LRUCacheStats()\n"
+        "d = LRUCache\n"
+    )
+    assert _constructions(probe, "LRUCache") == [2, 3]
+
+
+def _caches(obj) -> set[str]:
+    return {
+        name
+        for name, value in vars(obj).items()
+        if isinstance(value, (LRUCache, BufferPool, dict, OrderedDict))
+    }
 
 
 def test_the_feature_store_holds_one_cache(tmp_path):
@@ -72,13 +114,39 @@ def test_the_feature_store_holds_one_cache(tmp_path):
     batches = [(features[i : i + 40], labels[i : i + 40]) for i in range(0, 120, 40)]
     store = FeatureStore(ShardedDataset.create(tmp_path, batches, "TOC", executor="serial"))
     np.testing.assert_allclose(store.get_rows([0, 50, 119, 50]), features[[0, 50, 119, 50]])
-
-    caches = {
-        name
-        for name, value in vars(store).items()
-        if isinstance(value, (LRUCache, BufferPool, dict, OrderedDict))
-    }
-    assert caches == {"_parsed"}
+    assert _caches(store) == {"_parsed"}
     assert not any(
         hasattr(getattr(FeatureStore, name), "cache_info") for name in dir(FeatureStore)
     ), "a functools cache on a FeatureStore method"
+
+
+@pytest.mark.parametrize("network", [False, True], ids=["logreg", "ffnn"])
+def test_a_live_service_holds_no_cache_but_its_score_array(tmp_path, network):
+    features, labels = DATASET_PROFILES["census"].classification(120, seed=2)
+    batches = [(features[i : i + 40], labels[i : i + 40]) for i in range(0, 120, 40)]
+    store = FeatureStore(ShardedDataset.create(tmp_path, batches, "TOC", executor="serial"))
+    n_cols = features.shape[1]
+    model = FeedForwardNetwork(n_cols, (4,), seed=0) if network else LogisticRegressionModel(n_cols)
+    with PredictionService(model, store) as service:
+        service.predict_id(3)
+        service.predict_ids([0, 50, 119, 50])
+        assert _caches(service) == set()
+        serving = service._serving
+        assert (serving.scores.shape, serving.filled.shape) == ((120,), (120,))
+        assert serving.scores.nbytes + serving.filled.nbytes == 120 * 9
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        PredictionService,
+        PredictionService.from_registry,
+        AsyncPredictionService.from_registry,
+        open_service,
+        ClusterService,
+    ],
+    ids=["PredictionService", "from_registry", "async_from_registry", "open_service",
+         "ClusterService"],
+)
+def test_no_serving_entry_point_takes_a_cache_size(entry):
+    assert "cache_size" not in inspect.signature(entry).parameters
