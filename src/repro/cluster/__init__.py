@@ -1,8 +1,9 @@
 """repro.cluster — the scale-out serving tier.
 
 Two front-ends over the one request pipeline in :mod:`repro.serve` (neither
-queues, caches or sheds on its own behalf; only the dispatcher admits, routes
-and supervises):
+queues or sheds on its own behalf; only the dispatcher admits, routes and
+supervises, and answers the rows its workers have scored out of its own
+:class:`~repro.serve.service.ScoreArray`):
 
 * :class:`AsyncPredictionService` — an asyncio bridge over one in-process
   :class:`~repro.serve.service.PredictionService`: ``await

@@ -21,6 +21,9 @@ value reply     2    ``id`` int64, ``value`` float64                 17
 predict_many    3    ``id`` int64, ``deadline`` float64,             17 + 8 n
                      n × ``row_ids`` int64
 values reply    4    ``id`` int64, n × ``values`` float64            9 + 8 n
+scored reply    5    ``id`` int64, ``generation`` int64,             33 + 8 n
+                     ``value`` float64, ``start`` int64,
+                     n × ``span`` float64
 ==============  ===  ==============================================  ==============
 
 A ``deadline`` of NaN means none.  Each tag has one exact length (``n`` follows
@@ -28,10 +31,19 @@ from it), so a wrong length, an unknown tag or a truncated frame is a
 :class:`ProtocolError`.  The layout is chosen by the message's exact shape:
 :func:`send_frame` writes binary only for ``{"op": "predict", "id", "row_id",
 "deadline"}``, ``{"op": "predict_many", "id", "row_ids", "deadline"}`` and the
-replies ``{"id", "ok": True, "value" | "values"}``, with ``int`` ids that fit an
-int64, a ``float`` value (or a list of them, or a 1-D array of that kind) and a
-``float`` or ``None`` deadline; :func:`recv_frame` returns the same dict, with
-lists for arrays.  Anything else travels as JSON.
+replies ``{"id", "ok": True, "value" | "values"}`` and ``{"id", "ok": True,
+"generation", "value", "start", "span"}``, with ``int`` ids, generations and
+starts that fit an int64, a ``float`` value (or a list of them, or a 1-D array
+of that kind) and a ``float`` or ``None`` deadline; :func:`recv_frame` returns
+the same dict, with lists for arrays.  Anything else travels as JSON.
+
+A worker answers a ``predict`` with a scored reply: besides the value, the
+manifest ``generation`` its score array belongs to and the run of that
+array's scores from row ``start`` on (the row's whole shard, or the row
+alone), which the dispatcher keeps to answer those rows itself
+(:mod:`repro.cluster.server`).  No worker sends the value reply; it stays
+because ``bench/layers.py`` times a predict and a value reply as its frame
+round trip.
 
 Why two encodings: a hot predict is answered in a few microseconds, and
 ``json.dumps`` + ``json.loads`` each way cost more than that (a JSON round
@@ -62,17 +74,20 @@ _HEADER = struct.Struct(">I")
 MAX_FRAME_BYTES = 16 * 1024 * 1024
 
 _JSON_OPEN = ord("{")
-_PREDICT_TAG, _VALUE_TAG, _PREDICT_MANY_TAG, _VALUES_TAG = 1, 2, 3, 4
+_PREDICT_TAG, _VALUE_TAG, _PREDICT_MANY_TAG, _VALUES_TAG, _SCORED_TAG = 1, 2, 3, 4, 5
+_TAGS = (_PREDICT_TAG, _VALUE_TAG, _PREDICT_MANY_TAG, _VALUES_TAG, _SCORED_TAG)
 _PREDICT = struct.Struct(">Bqqd")  # tag, id, row_id, deadline
 _VALUE = struct.Struct(">Bqd")  # tag, id, value
 _PREDICT_MANY = struct.Struct(">Bqd")  # tag, id, deadline; the row ids follow
 _VALUES = struct.Struct(">Bq")  # tag, id; the values follow
+_SCORED = struct.Struct(">Bqqdq")  # tag, id, generation, value, start; the span follows
 _ROW_IDS, _FLOATS = np.dtype(">i8"), np.dtype(">f8")
 
 _PREDICT_KEYS = frozenset(("op", "id", "row_id", "deadline"))
 _PREDICT_MANY_KEYS = frozenset(("op", "id", "row_ids", "deadline"))
 _VALUE_KEYS = frozenset(("id", "ok", "value"))
 _VALUES_KEYS = frozenset(("id", "ok", "values"))
+_SCORED_KEYS = frozenset(("id", "ok", "generation", "value", "start", "span"))
 
 #: The most row ids one ``predict_many`` frame carries.
 MAX_ROW_IDS = (MAX_FRAME_BYTES - _PREDICT_MANY.size) // _ROW_IDS.itemsize
@@ -151,7 +166,12 @@ def decode_payload(payload: bytes) -> dict:
         _, req_id = _VALUES.unpack_from(payload)
         values = np.frombuffer(payload, _FLOATS, offset=_VALUES.size).tolist()
         return {"id": req_id, "ok": True, "values": values}
-    if tag in (_PREDICT_TAG, _VALUE_TAG, _PREDICT_MANY_TAG, _VALUES_TAG):
+    if tag == _SCORED_TAG and _has_items(size, _SCORED):
+        _, req_id, generation, value, start = _SCORED.unpack_from(payload)
+        span = np.frombuffer(payload, _FLOATS, offset=_SCORED.size).tolist()
+        return {"id": req_id, "ok": True, "generation": generation, "value": value,
+                "start": start, "span": span}
+    if tag in _TAGS:
         raise ProtocolError(f"binary frame with tag {tag} cannot be {size} bytes long")
     raise ProtocolError(
         f"frame payload of {size} bytes is neither a JSON object nor a binary frame "
@@ -185,6 +205,15 @@ def _binary_payload(message: dict) -> bytes | None:
             items = _wire_array(message["values"], _FLOATS, float)
             if message["ok"] is True and items is not None:
                 return _VALUES.pack(_VALUES_TAG, req_id) + items.tobytes()
+        elif keys == _SCORED_KEYS:
+            generation, value, start = message["generation"], message["value"], message["start"]
+            items = _wire_array(message["span"], _FLOATS, float)
+            if (
+                message["ok"] is True and type(generation) is int and type(value) is float
+                and type(start) is int and items is not None
+            ):
+                head = _SCORED.pack(_SCORED_TAG, req_id, generation, value, start)
+                return head + items.tobytes()
     except (struct.error, OverflowError):  # an int past int64: JSON carries it as it is
         pass
     return None

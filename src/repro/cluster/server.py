@@ -16,9 +16,25 @@ dispatcher-side copy is closed after launch, so a worker that dies at any
 point, start-up included, is an EOF, never a timeout; its first frame is
 ``ready``, or the exception that kept it from serving.
 
-The dispatcher is deliberately thin — it holds no model and no shard
-bytes.  Per request it does:
+The dispatcher holds no model and no shard bytes, only a score array
+(:class:`~repro.serve.service.ScoreArray`, ``n_rows × 9`` bytes) for the
+manifest generation its workers serve.  Per request it does:
 
+* **answering from the array** — ``predict``/``submit`` of a row the array
+  has filled is ``float(scores[row_id])`` on the caller's thread: no
+  admission slot, no frame, no wait (``submit`` returns a resolved future).
+  The array is filled only from worker replies: a worker answers a
+  ``predict`` with a scored reply carrying its manifest generation and the
+  run of its own stored scores around the row — the row's whole shard for a
+  linear model, the row alone for a network — and the dispatcher keeps that
+  run if the generation is the array's.  It is sized from the workers'
+  ``ready`` frames, nothing is scored for it, and a
+  :class:`~repro.cluster.watch.GenerationWatcher` polling the manifest every
+  ``poll_seconds`` replaces it whole when the generation moves — replies
+  alone cannot tell, since a row the array answers sends none.  Everything
+  else is forwarded: ``predict_many``, ids out of range (the array's
+  ``n_rows`` may trail an ``append`` by one poll) and every request before
+  its row's first reply;
 * **admission** — find the least-loaded live worker with queue room
   (in-flight per worker is bounded by ``backlog``).  When every worker is
   full the configured policy decides: ``"reject"`` raises
@@ -63,11 +79,13 @@ from repro.cluster.errors import (
     WorkerCrashed,
 )
 from repro.cluster.protocol import MAX_ROW_IDS, ProtocolError, recv_frame, send_frame
+from repro.cluster.watch import DEFAULT_POLL_SECONDS, GenerationWatcher
 from repro.cluster.worker import ERROR_CODES, worker_main
-from repro.engine.shards import as_row_id, row_id_array
+from repro.engine.shards import as_row_id, read_extent, row_id_array
 from repro.obs import metrics as obs_metrics
 from repro.serve.batcher import fail_future
 from repro.serve.checkpoint import Checkpoint, ModelRegistry
+from repro.serve.service import ScoreArray
 
 #: What the dispatcher does when every worker is at its backlog.
 ADMISSION_POLICIES = ("block", "reject")
@@ -190,10 +208,11 @@ class ClusterService:
     max_batch_size:
         Forwarded to each worker's private service stack.  Each worker
         keeps its own score array, ``n_rows × 9`` bytes *per worker* once
-        every row is filled — see :mod:`repro.serve.service`.
+        every row is filled — see :mod:`repro.serve.service` — and the
+        dispatcher one more.
     poll_seconds:
-        Worker manifest-generation poll interval (hot re-open after
-        ``Dataset.compact``).
+        Manifest-generation poll interval of the workers (hot re-open after
+        ``Dataset.compact``) and of the dispatcher's score array.
     """
 
     def __init__(
@@ -239,7 +258,15 @@ class ClusterService:
         self._closing = False
 
         labels = {"svc": self._cluster_id}
-        self._m_requests = obs_metrics.counter("cluster.server.requests", **labels)
+        # A row answered from the array counts both under one lock.
+        self._hits_lock = threading.Lock()
+        self._m_requests = obs_metrics.counter(
+            "cluster.server.requests", lock=self._hits_lock, **labels
+        )
+        self._m_cache_hits = obs_metrics.counter(
+            "cluster.server.cache_hits", lock=self._hits_lock, **labels
+        )
+        self._m_rows_filled = obs_metrics.gauge("cluster.server.rows_filled", **labels)
         self._m_rejected = obs_metrics.counter("cluster.server.rejected", **labels)
         self._m_shed = obs_metrics.counter("cluster.server.shed", **labels)
         self._m_crashed = obs_metrics.counter("cluster.server.crashed_requests", **labels)
@@ -269,14 +296,20 @@ class ClusterService:
         try:
             for handle in self._handles:
                 self._launch(handle)
-            for handle in self._handles:
-                self._await_ready(handle)
+            ready = [self._await_ready(handle) for handle in self._handles]
         except BaseException:
             for handle in self._handles:
                 self._reap(handle)
             raise
+        newest = max(ready, key=lambda frame: frame["generation"])
+        self._scores = ScoreArray(newest["n_rows"], newest["generation"])
         for handle in self._handles:
             self._adopt(handle)
+        self._watcher = GenerationWatcher(
+            self._follow_generation,
+            poll_seconds=poll_seconds or DEFAULT_POLL_SECONDS,
+            name=f"repro-cluster-{self._cluster_id}-watcher",
+        ).start()
 
     # -- worker lifecycle ------------------------------------------------------
 
@@ -297,7 +330,7 @@ class ClusterService:
             worker_end.close()
         handle.process = process
 
-    def _await_ready(self, handle: _WorkerHandle) -> None:
+    def _await_ready(self, handle: _WorkerHandle) -> dict:
         """Receive the worker's ready frame, or raise naming why there is none."""
         handle.conn.settimeout(SPAWN_CONNECT_TIMEOUT)
         try:
@@ -314,6 +347,7 @@ class ClusterService:
                 f"{frame.get('error')}: {frame.get('message')}"
             )
         self._m_start_seconds.observe(time.monotonic() - handle.launched)
+        return frame
 
     def _adopt(self, handle: _WorkerHandle, respawned: bool = False) -> bool:
         """Put a ready worker into service, unless the service closed meanwhile."""
@@ -384,10 +418,30 @@ class ClusterService:
                 entry = handle.pending.pop(frame.get("id"), None)
                 self._m_inflight.set(self._total_inflight())
                 self._slot_free.notify_all()
+                if "span" in frame:  # before the caller wakes: its next ask is a hit
+                    self._keep(frame)
             if entry is None:
                 continue  # late reply for a request the caller gave up on
             self._resolve(entry, frame)
         self._on_worker_gone(handle)
+
+    def _keep(self, frame: dict) -> None:
+        """Store a scored reply's span if it is of the array's generation; under the lock."""
+        scores, span = self._scores, frame["span"]
+        if span and frame["generation"] == scores.generation:
+            start = frame["start"]
+            scores.write(np.arange(start, start + len(span)), np.asarray(span))
+            self._m_rows_filled.set(scores.n_filled)
+
+    def _follow_generation(self) -> bool:
+        """The watcher's poll: a new, empty array when the manifest generation moved."""
+        generation, n_rows = read_extent(self.shard_dir)
+        if generation == self._scores.generation:
+            return False
+        with self._lock:
+            self._scores = ScoreArray(n_rows, generation)
+            self._m_rows_filled.set(0)
+        return True
 
     def _resolve(self, entry: tuple[Future, str], frame: dict) -> None:
         future, kind = entry
@@ -485,21 +539,41 @@ class ClusterService:
                 f"could not reach worker {handle.index}: {exc}"
             ) from exc
 
+    def _answer(self, row_id: int) -> float | None:
+        """Row ``row_id``'s score out of the dispatcher's array, counted as a
+        request and a hit; ``None`` if the request must go to a worker."""
+        value = None if self._closing else self._scores.get(row_id)
+        if value is not None:
+            with self._hits_lock:
+                self._m_requests.inc_locked()
+                self._m_cache_hits.inc_locked()
+        return value
+
     def submit(self, row_id: int, *, deadline: float | None = None) -> Future:
         """Route one row-id prediction; non-blocking, returns a future.
 
         ``asyncio`` callers can ``await asyncio.wrap_future(cluster.submit(r))``.
-        Raises admission errors (:class:`ServiceOverloaded`,
+        A row the dispatcher's array holds comes back as a future already
+        resolved.  Raises admission errors (:class:`ServiceOverloaded`,
         :class:`DeadlineExceeded`, :class:`ServiceClosed`) synchronously; the
         future fails with worker-side errors.
         """
-        frame = {"op": "predict", "row_id": _wire_row_id(row_id)}
-        return self._route("value", frame, deadline)[0]
+        row_id = _wire_row_id(row_id)
+        value = self._answer(row_id)
+        if value is not None:
+            answered: Future = Future()
+            answered.set_result(value)
+            return answered
+        return self._route("value", {"op": "predict", "row_id": row_id}, deadline)[0]
 
     def predict(self, row_id: int, *, deadline: float | None = None) -> float:
-        """Predict for one stored row on some worker; explicit errors, no hangs."""
-        frame = {"op": "predict", "row_id": _wire_row_id(row_id)}
-        return self._await(*self._route("value", frame, deadline))
+        """Predict for one stored row: out of the dispatcher's array, else on
+        some worker; explicit errors, no hangs."""
+        row_id = _wire_row_id(row_id)
+        value = self._answer(row_id)
+        if value is not None:
+            return value
+        return self._await(*self._route("value", {"op": "predict", "row_id": row_id}, deadline))
 
     def predict_many(self, row_ids, *, deadline: float | None = None) -> list[float]:
         """Bulk predict: one frame to one worker, one bulk store+model call."""
@@ -586,7 +660,11 @@ class ClusterService:
         """Dispatcher counters plus every worker's metrics (``worker=i`` keys).
 
         Top-level ``counters``/``gauges``/``histograms`` hold the
-        dispatcher's own ``cluster.server.*`` series and each worker's
+        dispatcher's own ``cluster.server.*`` series (``requests`` counts
+        every ``predict``/``submit``/``predict_many`` call that got past the
+        id check, and unless the service closed or lost its workers under
+        it, each is one of ``cache_hits``, a worker's ``requests``, ``shed``
+        and ``rejected``) and each worker's
         ``cluster.worker.*`` series (label-suffixed, e.g.
         ``cluster.worker.queue_depth{worker=1}``); ``workers`` maps worker
         index to its full per-process snapshot.
@@ -658,6 +736,7 @@ class ClusterService:
         for reader in readers:
             if reader is not threading.current_thread():
                 reader.join(timeout)
+        self._watcher.stop()
 
     def __enter__(self) -> "ClusterService":
         return self

@@ -11,7 +11,10 @@ The worker has no request pipeline of its own.  A ``predict`` frame becomes
 :meth:`~repro.serve.service.PredictionService.submit_id` and a
 ``predict_many`` frame ``submit_ids``, each with the frame's remaining-seconds
 ``deadline`` and a done-callback that writes the reply frame: the value, or
-an error code chosen from the exception class.  Cache probe, the queue
+an error code chosen from the exception class.  A ``predict`` answer is a
+scored reply: it also carries the manifest generation and the run of stored
+scores around the row (:meth:`~repro.serve.service.PredictionService.scored_span`),
+which the dispatcher keeps to answer those rows itself.  Cache probe, the queue
 bounded at ``backlog`` (a refusal means the dispatcher's in-flight count
 slipped, and is still an explicit :class:`ServiceOverloaded`), coalescing,
 deadline shedding and the reopen-after-compact retry are the service's,
@@ -35,6 +38,7 @@ import os
 import socket
 import threading
 from concurrent.futures import Future
+from functools import partial
 
 from repro.cluster.errors import DeadlineExceeded, ServiceClosed, ServiceOverloaded
 from repro.cluster.protocol import ProtocolError, encode_frame, recv_frame, send_frame
@@ -46,6 +50,7 @@ from repro.serve.service import PredictionService
 #: pipeline raises — and for a reply that cannot be framed; the dispatcher
 #: inverts this table to raise the same class.
 ERROR_CODES = {
+    IndexError: "out_of_range",
     DeadlineExceeded: "deadline",
     ServiceOverloaded: "overloaded",
     ServiceClosed: "closed",
@@ -99,7 +104,13 @@ class _Worker:
     # -- lifecycle -------------------------------------------------------------
 
     def run(self) -> None:
-        self._send({"op": "ready", "ok": True, "pid": os.getpid()})
+        self._send({
+            "op": "ready",
+            "ok": True,
+            "pid": os.getpid(),
+            "generation": self.service.generation,
+            "n_rows": self.service.store.n_rows,
+        })
         watcher = GenerationWatcher(
             self.service.maybe_reopen_store, poll_seconds=self.poll_seconds
         )
@@ -126,9 +137,10 @@ class _Worker:
                 return None  # dispatcher went away; drain and exit
             op = frame.get("op")
             if op == "predict":
-                self._serve(frame, "value", self.service.submit_id, frame.get("row_id"))
+                row_id = frame.get("row_id")
+                self._serve(frame, self.service.submit_id, row_id, partial(self._scored, row_id))
             elif op == "predict_many":
-                self._serve(frame, "values", self.service.submit_ids, frame.get("row_ids") or [])
+                self._serve(frame, self.service.submit_ids, frame.get("row_ids") or [], _values)
             elif op == "ping":
                 self._send(
                     {
@@ -151,8 +163,9 @@ class _Worker:
             else:
                 self._reply_error(frame.get("id"), "bad_request", f"unknown op {op!r}")
 
-    def _serve(self, frame: dict, key: str, submit, rows) -> None:
-        """Submit one prediction frame; its reply is written when it resolves."""
+    def _serve(self, frame: dict, submit, rows, answer) -> None:
+        """Submit one prediction frame; its reply, the fields ``answer(result)``
+        returns, is written when it resolves."""
         self._m_requests.inc()
         req_id = frame.get("id")
         try:
@@ -161,17 +174,23 @@ class _Worker:
             self._reply_exception(req_id, exc)
             return
         if isinstance(served, Future):
-            served.add_done_callback(lambda f: self._reply(req_id, key, f))
+            served.add_done_callback(lambda f: self._reply(req_id, answer, f))
         else:  # a cache hit: answered on the reader thread
-            self._send({"id": req_id, "ok": True, key: served})
+            self._send({"id": req_id, "ok": True, **answer(served)})
 
-    def _reply(self, req_id, key: str, future: Future) -> None:
+    def _reply(self, req_id, answer, future: Future) -> None:
         """Done-callback, on the batcher thread."""
         try:
-            value = future.result()
+            result = future.result()
         except BaseException as exc:  # whatever the pipeline stored in the future
             return self._reply_exception(req_id, exc)
-        self._send({"id": req_id, "ok": True, key: value})
+        self._send({"id": req_id, "ok": True, **answer(result)})
+
+    def _scored(self, row_id: int, value: float) -> dict:
+        """A ``predict`` answer's fields: the value, and the run of stored scores
+        around the row that the dispatcher may keep (the protocol's scored reply)."""
+        generation, start, span = self.service.scored_span(row_id)
+        return {"generation": generation, "value": value, "start": start, "span": span}
 
     def _reply_exception(self, req_id, exc: BaseException) -> None:
         self._reply_error(req_id, ERROR_CODES.get(type(exc), type(exc).__name__), str(exc))
@@ -211,6 +230,10 @@ class _Worker:
                 # The dispatcher hung up; nothing to answer to.  The reader
                 # will see EOF and wind the worker down.
                 pass
+
+
+def _values(values: list) -> dict:
+    return {"values": values}
 
 
 def _error(req_id, code: str, message: str) -> dict:

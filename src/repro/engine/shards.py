@@ -86,10 +86,21 @@ def read_generation(directory: Path | str) -> int:
     counter existed report generation ``0``; a missing manifest raises
     :class:`FileNotFoundError` like :meth:`ShardedDataset.open` would.
     """
+    return read_extent(directory)[0]
+
+
+def read_extent(directory: Path | str) -> tuple[int, int]:
+    """``(generation, n_rows)`` of the manifest at ``directory``, from its JSON alone.
+
+    What :func:`read_generation` reads, plus the row count a score array
+    for that generation is sized by.
+    """
     manifest_path = Path(directory) / MANIFEST_NAME
     if not manifest_path.exists():
         raise FileNotFoundError(f"no shard manifest at {manifest_path}")
-    return int(json.loads(manifest_path.read_text()).get("generation", 0))
+    manifest = json.loads(manifest_path.read_text())
+    n_rows = sum(int(shard["n_rows"]) for shard in manifest["shards"])
+    return int(manifest.get("generation", 0)), n_rows
 
 
 def shard_filename_stem(name: str) -> str | None:
@@ -569,6 +580,7 @@ __all__ = [
     "MIXED_SCHEME",
     "ShardInfo",
     "ShardedDataset",
+    "read_extent",
     "read_generation",
     "shard_filename_stem",
 ]

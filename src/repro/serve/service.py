@@ -9,10 +9,10 @@ array absorbs repeat traffic entirely.  Counters cover the three levels
 (cache, batcher, store) so a load test can tell *where* each request was
 answered.
 
-The cache is one **score array** per store handle (:class:`_Serving`), for
-every model: a ``float64`` prediction and a filled flag per stored row, so it
-costs ``n_rows × 9`` bytes per process — 216 KB for 24 000 rows, 90 MB for
-10 M.  The pages of ``np.empty``/``np.zeros`` become resident only when a
+The cache is one **score array** (:class:`ScoreArray`) per store handle
+(:class:`_Serving`), for every model: a ``float64`` prediction and a filled
+flag per stored row, so it costs ``n_rows × 9`` bytes per process — 216 KB
+for 24 000 rows, 90 MB for 10 M.  The pages of ``np.empty``/``np.zeros`` become resident only when a
 fill touches them, so there is no budget to set, and nothing is ever
 evicted.  Nothing is scored when the service opens.  One fill step
 (:meth:`PredictionService._fill`) computes the rows a request needs that are
@@ -38,9 +38,12 @@ so a single-row answer, a bulk one and — for a linear model —
 written again, so once a row is scored every path returns the same bits.
 The array lives with the store handle it was scored from, so
 :meth:`PredictionService.reopen_store` drops it by construction.
+:meth:`PredictionService.scored_span` reads a run of it back out, which is
+how a cluster worker shares its scores with the dispatcher, the one other
+holder of a :class:`ScoreArray`.
 
 Every front-end serves through this object — threads call it, the asyncio
-surface and the cluster workers use its ``submit_*`` futures — so cache, queue
+surface and the cluster workers use its ``submit_*`` futures — so queue
 bound, deadline shedding and the reopen-after-compact retry exist once.
 """
 
@@ -196,26 +199,73 @@ class ServiceStats:
         self._cache_misses.inc_locked()
 
 
-class _Serving:
-    """One feature-store handle and the scores computed from it.
+class ScoreArray:
+    """One manifest generation's predictions: a ``float64`` score and a filled flag per row.
 
-    ``scores`` holds one prediction per stored row and ``filled`` one flag
-    per row (``n_rows × 9`` bytes); row ``r``'s score is final once
-    ``filled[r]`` is set — the value is written first — and ``complete``
-    once all ``n_filled`` rows are; nothing is ever evicted.  The service
-    replaces the whole object in one assignment, so a score computed on one
-    manifest generation never answers a lookup that started on the next.
+    ``n_rows × 9`` bytes.  :meth:`write` stores the values first, then the
+    flags, and never rewrites a filled row, so a reader that sees
+    ``filled[r]`` without taking a lock reads row ``r``'s final score;
+    ``complete`` once all ``n_filled`` rows are.  Writers serialise their
+    :meth:`write` calls.  A new generation gets a new array, never an
+    update of the old one.  :class:`PredictionService` keeps one per store
+    handle and the cluster dispatcher one per generation its workers serve.
     """
 
-    __slots__ = ("store", "scores", "filled", "n_filled", "complete")
+    __slots__ = ("generation", "scores", "filled", "n_filled", "complete")
 
-    def __init__(self, store: FeatureStore | None):
-        self.store = store
-        n_rows = store.n_rows if store is not None else 0
+    def __init__(self, n_rows: int, generation: int | None = None):
+        self.generation = generation
         self.scores = np.empty(n_rows)
         self.filled = np.zeros(n_rows, dtype=bool)
         self.n_filled = 0
         self.complete = False
+
+    def get(self, row_id: int) -> float | None:
+        """Row ``row_id``'s score once it is filled, else ``None`` (an id out of range too)."""
+        if 0 <= row_id < self.scores.size and (self.complete or self.filled[row_id]):
+            return float(self.scores[row_id])
+        return None
+
+    def write(self, rows: np.ndarray, values: np.ndarray) -> None:
+        """Store ``values`` for the distinct ``rows`` still unfilled: values first, then flags.
+
+        Two racing writers may both have computed a row; the first fills it,
+        and the second's value is dropped, so a filled row never changes.
+        """
+        fresh = ~self.filled[rows]
+        rows = rows[fresh]
+        self.scores[rows] = values[fresh]  # before the flags: a flag means its value
+        self.filled[rows] = True
+        self.n_filled += rows.size
+        self.complete = self.n_filled == self.filled.size
+
+    def span(self, row_id: int, start: int, stop: int) -> tuple[int, np.ndarray]:
+        """The widest filled run this array vouches for around ``row_id``, as
+        ``(first row, scores)``: all of ``[start, stop)`` when every row of it
+        is filled, else ``row_id`` alone, else nothing."""
+        if self.complete or self.filled[start:stop].all():
+            return start, self.scores[start:stop].copy()
+        if self.filled[row_id]:
+            return row_id, self.scores[row_id : row_id + 1].copy()
+        return row_id, np.empty(0)
+
+
+class _Serving(ScoreArray):
+    """One feature-store handle and the score array computed from it.
+
+    The service replaces the whole object in one assignment, so a score
+    computed on one manifest generation never answers a lookup that started
+    on the next.
+    """
+
+    __slots__ = ("store",)
+
+    def __init__(self, store: FeatureStore | None):
+        if store is None:
+            super().__init__(0)
+        else:
+            super().__init__(store.n_rows, store.dataset.generation)
+        self.store = store
 
 
 class PredictionService:
@@ -411,19 +461,9 @@ class PredictionService:
         return vector
 
     def _write(self, serving: _Serving, rows: np.ndarray, values: np.ndarray) -> None:
-        """Store ``values`` for the distinct ``rows`` still unfilled: values first, then flags.
-
-        Two racing misses may both compute a row; the first to take the lock
-        fills it, and the second's value is dropped, so a filled row never
-        changes.
-        """
+        """:meth:`ScoreArray.write` under the service lock, which serialises the writers."""
         with self._lock:
-            fresh = ~serving.filled[rows]
-            rows = rows[fresh]
-            serving.scores[rows] = values[fresh]  # before the flags: a flag means its value
-            serving.filled[rows] = True
-            serving.n_filled += rows.size
-            serving.complete = serving.n_filled == serving.filled.size
+            serving.write(rows, values)
             if serving is self._serving:  # the gauge follows the handle in use
                 self._rows_filled.set(serving.n_filled)
 
@@ -548,8 +588,23 @@ class PredictionService:
     @property
     def generation(self) -> int | None:
         """The manifest generation the feature store was opened at."""
-        store = self.store
-        return store.dataset.generation if store is not None else None
+        return self._serving.generation
+
+    def scored_span(self, row_id: int) -> tuple[int | None, int, np.ndarray]:
+        """The widest run of stored scores around ``row_id``, as
+        ``(generation, first row, scores)``, all read from one score array.
+
+        The run is the row's whole shard when the array holds all of it —
+        always, once a linear model has answered the row, since its fill
+        scores shards whole — otherwise the row alone, or nothing if the row
+        is not scored (an id out of range too).  What a cluster worker sends
+        its dispatcher with each single-row answer.
+        """
+        serving = self._serving
+        store = serving.store
+        if store is None or not 0 <= row_id < store.n_rows:
+            return serving.generation, row_id, np.empty(0)
+        return (serving.generation, *serving.span(row_id, *store.row_span(store.locate(row_id)[0])))
 
     def reopen_store(self) -> bool:
         """Re-open the feature store over the same shard directory.

@@ -16,7 +16,6 @@ import pytest
 
 from repro.api import Dataset, Estimator, open_service
 from repro.cluster import (
-    ClusterError,
     ClusterService,
     DeadlineExceeded,
     ServiceClosed,
@@ -114,15 +113,15 @@ class TestServing:
         assert future.result(timeout=10) == pytest.approx(expected[3])
 
     def test_unknown_row_fails_that_request_only(self, cluster):
-        from repro.cluster import ClusterError
-
-        with pytest.raises(ClusterError):
+        with pytest.raises(IndexError, match=re.escape(f"row {N_ROWS + 5000} out of range")):
             cluster.predict_many([0, N_ROWS + 5000])
         assert cluster.predict(0) is not None  # the worker survived
 
     def test_expired_deadline_is_shed_with_explicit_error(self, cluster):
+        # A bulk request always goes through admission; a row the dispatcher
+        # holds would be answered, deadline or not, as in-process.
         with pytest.raises(DeadlineExceeded):
-            cluster.predict(0, deadline=-0.001)
+            cluster.predict_many([0], deadline=-0.001)
 
     def test_metrics_have_per_worker_labels(self, cluster):
         cluster.predict(0)
@@ -428,9 +427,11 @@ class TestMonotonicDeadlines:
         _, _, expected = published
         real = time.time
         monkeypatch.setattr(time, "time", lambda: real() + step)
-        assert cluster.predict(0, deadline=5.0) == pytest.approx(expected[0])
+        # Bulk requests: their deadlines cross to a worker, whatever the
+        # dispatcher's own array holds.
+        assert cluster.predict_many([0], deadline=5.0) == pytest.approx([expected[0]])
         with pytest.raises(DeadlineExceeded):
-            cluster.predict(0, deadline=-0.001)
+            cluster.predict_many([0], deadline=-0.001)
 
 
 class TestWorkerServesThroughThePipeline:
@@ -461,8 +462,9 @@ class TestWorkerServesThroughThePipeline:
 
     def test_serve_requests_counts_requests_not_bulk_calls(self, single):
         before = self._worker_counters(single)
+        # Bulk requests, which the dispatcher never answers itself.
         for _ in range(3):
-            single.predict(7)  # scores shard 0: one miss, then two cache hits
+            single.predict_many([7])  # scores shard 0: one miss, then two cache hits
         single.predict_many([181, 182, 183])  # shard 3 is not resident: scored for these three
         after = self._worker_counters(single)
 
@@ -498,8 +500,9 @@ class TestWorkerServesThroughThePipeline:
                 with ThreadPoolExecutor(max_workers=2) as callers:
                     good = callers.submit(one.predict, 5, deadline=60.0)
                     bad = callers.submit(one.predict, 5000, deadline=60.0)
-                    message = re.escape(f"(IndexError): row 5000 out of range [0, {N_ROWS})")
-                    with pytest.raises(ClusterError, match=message):
+                    # The class and message an in-process predict_id raises.
+                    message = re.escape(f"row 5000 out of range [0, {N_ROWS})")
+                    with pytest.raises(IndexError, match=f"^{message}$"):
                         bad.result(timeout=60)
                     assert good.result(timeout=60) == pytest.approx(expected[5])
             finally:

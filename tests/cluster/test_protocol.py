@@ -182,6 +182,35 @@ class TestBinaryLayouts:
         array = np.asarray(values, dtype=np.float64)
         assert _payload({"id": req_id, "ok": True, "values": array}) == payload
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        req_id=INT64, generation=INT64, value=FLOATS, start=INT64,
+        span=st.lists(FLOATS, max_size=40),
+    )
+    def test_scored_reply_is_bit_exact(self, req_id, generation, value, start, span):
+        message = {"id": req_id, "ok": True, "generation": generation, "value": value,
+                   "start": start, "span": span}
+        payload = _payload(message)
+        assert len(payload) == 33 + 8 * len(span) and payload[0] == 5
+        decoded = decode_payload(payload)
+        assert decoded.keys() == message.keys() and decoded["ok"] is True
+        for key in ("id", "generation", "start"):
+            assert type(decoded[key]) is int and decoded[key] == message[key]
+        assert type(decoded["value"]) is float and _bits(decoded["value"]) == _bits(value)
+        assert [_bits(v) for v in decoded["span"]] == [_bits(v) for v in span]
+        array = np.asarray(span, dtype=np.float64)  # what a worker sends
+        assert _payload({**message, "span": array}) == payload
+
+    @pytest.mark.parametrize("n", [0, 1, 60])
+    def test_a_scored_reply_has_its_exact_size(self, pair, n):
+        left, right = pair
+        span = np.arange(n, dtype=np.float64) / 7
+        message = {"id": 3, "ok": True, "generation": 2, "value": 0.5, "start": 120, "span": span}
+        frame = encode_frame(message)
+        assert len(frame) == 4 + 33 + 8 * n
+        left.sendall(frame)
+        assert recv_frame(right) == {**message, "span": span.tolist()}
+
     @pytest.mark.parametrize("as_array", [False, True], ids=["list", "array"])
     def test_a_hundred_thousand_ids_and_their_answers(self, pair, as_array):
         left, right = pair
@@ -220,6 +249,10 @@ class TestBinaryLayouts:
             {"op": "predict_many", "id": 1, "row_ids": [1, True], "deadline": None},
             {"op": "predict_many", "id": 1, "row_ids": (1, 2), "deadline": None},
             {"op": "predict_many", "id": 1, "row_ids": [1, -(2**63) - 1], "deadline": None},
+            {"id": 1, "ok": True, "generation": None, "value": 0.5, "start": 0, "span": [0.5]},
+            {"id": 1, "ok": True, "generation": 2, "value": 0.5, "start": True, "span": [0.5]},
+            {"id": 1, "ok": True, "generation": 2, "value": 0.5, "start": 0, "span": [1]},
+            {"id": 1, "ok": True, "generation": 2**63, "value": 0.5, "start": 0, "span": []},
         ],
     )
     def test_any_other_shape_travels_as_json(self, message):
@@ -232,6 +265,7 @@ class TestBinaryLayouts:
         (2, [16, 18]),
         (3, [16, 18, 32, 34]),  # around 0 and 2 row ids
         (4, [8, 10, 24, 26]),  # around 0 and 2 values
+        (5, [32, 34, 48, 50]),  # around a span of 0 and 2 scores
     ])
     def test_every_tag_at_a_wrong_length_is_a_protocol_error(self, pair, tag, lengths):
         left, right = pair
@@ -243,7 +277,7 @@ class TestBinaryLayouts:
             with pytest.raises(ProtocolError):
                 recv_frame(right)
 
-    @pytest.mark.parametrize("first", [0, 5, 0x7A, 0x7C, 0xFF, ord("["), ord(" ")])
+    @pytest.mark.parametrize("first", [0, 6, 0x7A, 0x7C, 0xFF, ord("["), ord(" ")])
     def test_an_unknown_tag_is_a_protocol_error(self, first):
         for size in (1, 17, 25):
             with pytest.raises(ProtocolError, match="neither a JSON object nor a binary frame"):
@@ -348,8 +382,12 @@ class TestWorkerOnTheWire:
             assert len(request) == 4 + 25
             worker.sendall(request)
             payload = _raw_payload(worker)
-            assert len(payload) == 17 and payload[0] == 2
-            assert decode_payload(payload) == {"id": req_id, "ok": True, "value": expected[7]}
+            # A scored reply: the value, and all of shard 0 (rows 0-59) at generation 1.
+            assert len(payload) == 33 + 60 * 8 and payload[0] == 5
+            assert decode_payload(payload) == {
+                "id": req_id, "ok": True, "generation": 1, "value": expected[7],
+                "start": 0, "span": expected[:60].tolist(),
+            }
         rows = [1, 70, 200]
         send_frame(worker, {"op": "predict_many", "id": 4, "row_ids": rows, "deadline": None})
         payload = _raw_payload(worker)
@@ -367,7 +405,8 @@ class TestWorkerOnTheWire:
 
         monkeypatch.setattr(server, "send_frame", spy)
         with server.ClusterService(registry, shard_dir=shard_dir, workers=1) as one:
-            assert [one.predict(7), one.predict(7, deadline=5.0)] == [expected[7]] * 2
+            # Two shards, so that neither predict is a row the dispatcher holds.
+            assert [one.predict(7), one.predict(70, deadline=5.0)] == expected[[7, 70]].tolist()
             assert one.predict_many([1, 2]) == expected[[1, 2]].tolist()
         assert sizes == [4 + 25, 4 + 25, 4 + 17 + 2 * 8]
 

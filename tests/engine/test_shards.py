@@ -27,6 +27,7 @@ from repro.engine.shards import (
     MANIFEST_NAME,
     MIXED_SCHEME,
     ShardedDataset,
+    read_extent,
     read_generation,
 )
 from repro.storage.buffer_pool import BufferPool
@@ -360,6 +361,7 @@ class TestManifestGeneration:
         dataset.append([small_batches[0]], executor="serial")
         assert dataset.generation == before + 1
         assert read_generation(tmp_path) == before + 1
+        assert read_extent(tmp_path) == (before + 1, dataset.n_examples)
         dataset.rewrite_manifest()
         assert read_generation(tmp_path) == before + 2
 

@@ -5,9 +5,10 @@ one ``model.predict(parsed shard)`` — the paper's §4 kernels — and every
 row-id path gathers its answers out of that array.  Compressed-domain sums
 associate differently from dense ones, so the oracle is pinned here:
 
-* every answer — single row, bulk, queued bulk, the asyncio bridge and a
-  cluster worker — is **bit-equal** to ``Estimator.predict(Dataset)``,
-  which runs the same kernels per shard;
+* every answer — single row, bulk, queued bulk, the asyncio bridge, a
+  cluster worker and the cluster dispatcher's own score array — is
+  **bit-equal** to ``Estimator.predict(Dataset)``, which runs the same
+  kernels per shard;
 * against ``Estimator.predict(dense features)`` labels are identical and a
   regression score is within :data:`SCORE_ULPS` ulps of its *scale*
   ``|x|·|w| + |b|`` (the magnitude the rounding errors of a 68-term sum are
@@ -167,6 +168,37 @@ class TestTheOracle:
         with ClusterService(registries[model], workers=1, **opened) as cluster:
             assert [cluster.predict(row) for row in rows] == expected[rows].tolist()
             assert cluster.predict_many(range(ROWS)) == expected.tolist()
+            # Each first touch brought its whole shard back: now the dispatcher answers every row.
+            hits, forwarded = _dispatcher_counts(cluster)
+            assert [cluster.predict(row) for row in range(ROWS)] == expected.tolist()
+            assert _dispatcher_counts(cluster) == (hits + ROWS, forwarded)
+
+    @pytest.mark.parametrize("scheme", available_schemes())
+    def test_a_network_on_the_cluster_answers_the_estimator_bit_for_bit(
+        self, estimators, datasets, registries, scheme
+    ):
+        """A network's worker scores single rows, so the dispatcher keeps single rows."""
+        dataset = datasets[scheme]
+        expected = estimators["ffnn"].predict(dataset)
+        rows = [ROWS - 1, *range(0, ROWS, 7), 3]
+        with ClusterService(registries["ffnn"], workers=1, shard_dir=dataset.path) as cluster:
+            assert [cluster.predict(row) for row in rows] == expected[rows].tolist()
+            filled = cluster.metrics()["gauges"]["cluster.server.rows_filled"]
+            assert filled == len(set(rows))
+            hits, forwarded = _dispatcher_counts(cluster)
+            assert [cluster.predict(row) for row in rows] == expected[rows].tolist()
+            assert _dispatcher_counts(cluster) == (hits + len(rows), forwarded)
+            # Their neighbours were never asked for: a worker answers them.
+            neighbours = [row + 1 for row in rows if row + 1 not in rows and row + 1 < ROWS]
+            assert [cluster.predict(row) for row in neighbours] == expected[neighbours].tolist()
+            assert _dispatcher_counts(cluster) == (hits + len(rows), forwarded + len(neighbours))
+            assert cluster.predict_many(range(ROWS)) == expected.tolist()
+
+
+def _dispatcher_counts(cluster: ClusterService) -> tuple[int, int]:
+    """(rows the dispatcher answered itself, requests its worker counted)."""
+    counters = cluster.metrics()["counters"]
+    return counters["cluster.server.cache_hits"], counters["cluster.worker.requests{worker=0}"]
 
 
 class TestMixedRequests:

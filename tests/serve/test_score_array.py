@@ -19,7 +19,7 @@ import pytest
 from repro.api import Dataset, Estimator
 from repro.data.registry import DATASET_PROFILES
 from repro.serve.feature_store import FeatureStore
-from repro.serve.service import PredictionService
+from repro.serve.service import PredictionService, ScoreArray
 
 ROWS, BATCH = 400, 50
 
@@ -46,6 +46,48 @@ def fitted(tmp_path_factory):
 
 def _answer(served) -> float:
     return served.result(timeout=10) if isinstance(served, Future) else served
+
+
+class TestTheArray:
+    def test_a_filled_row_keeps_its_first_value_and_no_id_wraps_around(self):
+        array = ScoreArray(6, generation=3)
+        array.write(np.array([1, 2]), np.array([0.25, 0.5]))
+        array.write(np.array([2, 3]), np.array([9.0, 0.75]))  # row 2 is filled: kept
+        assert [array.get(row) for row in range(-1, 7)] == [
+            None, None, 0.25, 0.5, 0.75, None, None, None
+        ]
+        assert (array.n_filled, array.complete) == (3, False)
+        array.write(np.arange(6), np.arange(6.0))
+        assert (array.n_filled, array.complete) == (6, True)
+        assert array.get(2) == 0.5 and array.get(6) is None
+
+    def test_a_span_is_the_whole_run_when_filled_else_the_row_else_nothing(self):
+        array = ScoreArray(6, generation=3)
+        array.write(np.array([1, 4, 5]), np.array([0.25, 0.5, 0.75]))
+        start, scores = array.span(1, 0, 3)
+        assert start == 1 and scores.tolist() == [0.25]
+        start, scores = array.span(5, 3, 6)
+        assert start == 5 and scores.tolist() == [0.75]
+        start, scores = array.span(0, 0, 3)
+        assert start == 0 and scores.size == 0
+        array.write(np.array([3]), np.array([0.125]))
+        start, scores = array.span(4, 3, 6)
+        assert start == 3 and scores.tolist() == [0.125, 0.5, 0.75]
+        scores[0] = 7.0  # a copy: the caller cannot write into the array
+        assert array.get(3) == 0.125
+
+    def test_the_service_reads_a_shard_back_once_it_is_scored(self, fitted):
+        estimator, dataset = fitted
+        expected = estimator.predict(dataset)
+        with PredictionService(estimator.model, FeatureStore.open(dataset.path)) as service:
+            generation = service.generation
+            start, scores = service.scored_span(BATCH + 3)[1:]
+            assert start == BATCH + 3 and scores.size == 0  # nothing scored yet
+            service.predict_id(BATCH + 3)
+            assert service.scored_span(BATCH + 3)[:2] == (generation, BATCH)
+            scores = service.scored_span(BATCH + 3)[2]
+            assert scores.tolist() == expected[BATCH : 2 * BATCH].tolist()
+            assert service.scored_span(ROWS)[2].size == service.scored_span(-1)[2].size == 0
 
 
 class TestCounters:
