@@ -93,7 +93,7 @@ def main() -> None:
                     f"{label:<14} {REQUESTS / wall:>9,.0f} "
                     f"{service.batcher_stats.batches:>12} "
                     f"{service.batcher_stats.mean_batch_size:>11.1f} "
-                    f"{service.stats.cache_hits:>11}"
+                    f"{service.stats.snapshot().cache_hits:>11}"
                 )
 
     print("\nCoalescing concurrent requests into mini-batches amortizes the model call")

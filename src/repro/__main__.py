@@ -457,14 +457,14 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             list(clients.map(service.predict_id, workload))
         wall = time.perf_counter() - start
 
-        # One consistent copy under the service lock — the worker thread may
-        # still be counting the tail of the swarm while we print.
-        stats = service.stats.snapshot()
+        # Every client has its answer, so the counters have come to rest.
+        metrics = service.metrics()
+        stats, queued = service.stats.snapshot(), metrics["histograms"]["serve.request.seconds"]
         batcher, rows = service.batcher_stats, store.stats
         print(f"\nthroughput: {args.requests / wall:,.0f} requests/s ({wall:.3f}s wall)")
         print(
-            f"latency:    {stats.mean_request_seconds * 1e6:,.0f} us mean "
-            f"({stats.requests} requests)"
+            f"latency:    {queued['mean'] * 1e6:,.0f} us mean over the {queued['count']} "
+            f"queued requests (score-array hits are counted, not timed)"
         )
         print(
             f"batching:   {batcher.batches} model calls, mean batch "
@@ -473,7 +473,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print(f"pred cache: {stats.cache_hit_rate:.0%} hit rate ({stats.cache_hits} hits)")
         print(
             f"store:      {rows.row_hit_rate:.0%} row hit rate "
-            f"({rows.shards_scored} shards scored whole, {rows.shard_decodes} row-sliced)"
+            f"({metrics['counters']['serve.store.shards_scored']} shards scored whole, "
+            f"{rows.shard_decodes} row-sliced)"
         )
     return 0
 

@@ -85,12 +85,6 @@ class _Worker:
 
         labels = {"worker": self.index}
         self._m_requests = obs_metrics.counter("cluster.worker.requests", **labels)
-        self._m_shed = {
-            code: obs_metrics.counter("cluster.worker.shed", reason=code, **labels)
-            for code in ("deadline", "overloaded")
-        }
-        self._m_cache_hits = obs_metrics.counter("cluster.worker.cache_hits", **labels)
-        self._m_depth = obs_metrics.gauge("cluster.worker.queue_depth", **labels)
 
         version = config.get("version", "latest")
         self.service, self.checkpoint = PredictionService.from_registry(
@@ -198,17 +192,18 @@ class _Worker:
     # -- helpers ---------------------------------------------------------------
 
     def _metrics(self) -> dict:
-        # The cache, the queue and the sheds are the service's; the
-        # dispatcher-side readers find them under this worker's label,
-        # refreshed per snapshot.
+        # The cache, the queue and the sheds are the service's; they are
+        # read from its series here and reported under this worker's label.
         merged = self.service.metrics()
-        for reason, shed in self._m_shed.items():
-            shed.inc(merged["counters"][f"serve.shed{{reason={reason}}}"] - shed.value)
-        self._m_cache_hits.inc(self.service.stats.cache_hits - self._m_cache_hits.value)
-        self._m_depth.set(self.service.queue_depth)
+        served, label = merged["counters"], f"worker={self.index}"
         mine = obs_metrics.snapshot("cluster.worker.", labels={"worker": self.index})
+        mine["counters"][f"cluster.worker.cache_hits{{{label}}}"] = served["serve.cache.hits"]
+        for reason in ("deadline", "overloaded"):
+            shed = served[f"serve.shed{{reason={reason}}}"]
+            mine["counters"][f"cluster.worker.shed{{reason={reason},{label}}}"] = shed
+        mine["gauges"][f"cluster.worker.queue_depth{{{label}}}"] = self.service.queue_depth
         for kind in ("counters", "gauges", "histograms"):
-            merged.setdefault(kind, {}).update(mine.get(kind, {}))
+            merged[kind].update(mine[kind])
         merged["generation"] = self.service.generation
         merged["pid"] = os.getpid()
         return merged

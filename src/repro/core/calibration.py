@@ -46,6 +46,7 @@ import numpy as np
 
 from repro.bench.runner import current_git_commit, time_callable, time_matrix_ops
 from repro.compression.registry import available_schemes, get_scheme
+from repro.storage.mmapio import publish_file
 
 #: Filename the calibration persists under, next to a dataset's manifest.
 CALIBRATION_NAME = "calibration.json"
@@ -262,7 +263,7 @@ class Calibration:
         """Write the calibration as JSON (parent directories created)."""
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True))
+        publish_file(path, json.dumps(self.to_dict(), indent=2, sort_keys=True).encode())
         return path
 
     @classmethod

@@ -57,7 +57,7 @@ from repro.engine.encode import (
     resolve_workers,
 )
 from repro.storage.buffer_pool import BufferPool
-from repro.storage.mmapio import map_file
+from repro.storage.mmapio import map_file, publish_file
 from repro.storage.pages import stored_bytes
 from repro.storage.table import BlobTable
 
@@ -111,20 +111,6 @@ def shard_filename_stem(name: str) -> str | None:
     """
     match = _SHARD_FILENAME_RE.match(name)
     return match.group("stem") if match else None
-
-
-def _publish_file(path: Path, payload) -> None:
-    """Write ``payload`` to a dot-temp file beside ``path``, then ``os.replace`` it in.
-
-    A reader may hold a mapping of the file already at ``path`` (every shard
-    read is a :func:`~repro.storage.mmapio.map_file` view, and feature stores keep
-    them).  Rewriting that file in place would truncate the mapped inode
-    under the reader — wrong rows, or SIGBUS on a page past the new end of
-    file; the rename leaves the old mapping on the old inode.
-    """
-    tmp = path.with_name(f".{path.name}.tmp")
-    tmp.write_bytes(payload)
-    os.replace(tmp, path)
 
 
 @dataclass(frozen=True)
@@ -301,7 +287,7 @@ class ShardedDataset:
     @staticmethod
     def _write_shard(directory: Path, enc: EncodedBatch) -> ShardInfo:
         filename = f"shard-{enc.batch_id:05d}.bin"
-        _publish_file(directory / filename, enc.payload)
+        publish_file(directory / filename, enc.payload)
         return ShardInfo(
             batch_id=enc.batch_id,
             filename=filename,
@@ -357,8 +343,9 @@ class ShardedDataset:
         """Atomically rewrite the manifest (format v2) from the current state.
 
         The new manifest is written next to the old one and swapped in with
-        ``os.replace``, so a crash mid-write never leaves a torn manifest —
-        readers see either the old dataset or the new one.
+        ``os.replace`` (:func:`~repro.storage.mmapio.publish_file`), so a
+        crash mid-write never leaves a torn manifest — readers see either
+        the old dataset or the new one.
 
         Each rewrite bumps :attr:`generation` *before* the swap, so the
         published manifest always carries a strictly higher generation than
@@ -378,9 +365,7 @@ class ShardedDataset:
             "shards": [vars(s) for s in self.shards],
         }
         path = self.directory / MANIFEST_NAME
-        tmp = self.directory / f".{MANIFEST_NAME}.tmp"
-        tmp.write_text(json.dumps(manifest, indent=2))
-        os.replace(tmp, path)
+        publish_file(path, json.dumps(manifest, indent=2).encode())
         return path
 
     # -- mutation --------------------------------------------------------------
@@ -463,7 +448,7 @@ class ShardedDataset:
             raise ValueError(f"unrecognised shard filename {info.filename!r}")
         generation = int(match.group("gen") or 0) + 1
         filename = f"{match.group('stem')}.g{generation}.bin"
-        _publish_file(self.directory / filename, payload)
+        publish_file(self.directory / filename, payload)
         updated = replace(
             info, filename=filename, nbytes=len(payload), scheme=scheme_name
         )

@@ -10,11 +10,12 @@ and created on first touch, so instrumentation sites never coordinate:
 * :class:`Histogram` — distributions over fixed log-scale buckets with
   p50/p95/p99 summaries (request latency, batch size, kernel timings).
 
-Every metric locks its own mutations, and a metric can be created with a
-*shared* lock so a subsystem that already serialises its updates (the
-prediction service holds one lock across a multi-metric update) gets
-cross-metric consistency for free: ``snapshot()`` under that lock sees all
-of the update or none of it.
+A unit ``Counter.inc()`` takes no lock: it advances the counter's own
+``itertools.count``, one C call that is exact under the GIL, and a read
+looks at that count without advancing it.  Any other amount, and every
+``Gauge`` and ``Histogram`` mutation, takes the metric's own private lock.
+No lock is shared between metrics, so a snapshot is exact per metric and
+consistent across metrics only at quiescence.
 
 :func:`default_registry` returns the process-global registry the
 instrumented hot paths feed; :func:`snapshot` dumps it as a plain dict (the
@@ -26,6 +27,7 @@ through exactly this switch.
 
 from __future__ import annotations
 
+import itertools
 import math
 import threading
 from bisect import bisect_left
@@ -36,7 +38,7 @@ from bisect import bisect_left
 #: *fixed* so histograms from different runs are always mergeable.
 DEFAULT_BUCKETS: tuple[float, ...] = tuple(10.0 ** (e / 4.0) for e in range(-28, 17))
 
-#: Module-wide switch; when False every mutation returns before locking.
+#: Module-wide switch; when False every mutation returns before it counts.
 _ENABLED = True
 
 
@@ -57,17 +59,20 @@ def _render(name: str, labels: tuple[tuple[str, str], ...]) -> str:
     return name + "{" + ",".join(f"{k}={v}" for k, v in labels) + "}"
 
 
+def ticks(count: itertools.count) -> int:
+    """How far an ``itertools.count()`` has advanced, read without advancing it."""
+    return int(repr(count)[6:-1])  # "count(n)"
+
+
 class _Metric:
-    """Shared plumbing: identity, label set, and the mutation lock."""
+    """Shared plumbing: identity, label set, and the private mutation lock."""
 
     __slots__ = ("name", "labels", "_lock")
 
-    def __init__(self, name: str, labels: tuple[tuple[str, str], ...], lock=None):
+    def __init__(self, name: str, labels: tuple[tuple[str, str], ...]):
         self.name = name
         self.labels = labels
-        # A shared (re-entrant) lock lets a caller that already holds it
-        # batch multi-metric updates atomically; the default is private.
-        self._lock = lock if lock is not None else threading.Lock()
+        self._lock = threading.Lock()
 
     @property
     def full_name(self) -> str:
@@ -75,38 +80,38 @@ class _Metric:
 
 
 class Counter(_Metric):
-    """A monotonically increasing total (float increments allowed)."""
+    """A monotonically increasing total (float increments allowed).
 
-    __slots__ = ("_value",)
+    ``inc()`` of one is a tick of an ``itertools.count`` and takes no lock;
+    any other amount is added under the counter's lock.  ``value`` is the
+    sum of the two.
+    """
 
-    def __init__(self, name: str, labels=(), lock=None):
-        super().__init__(name, labels, lock)
+    __slots__ = ("_ticks", "_value")
+
+    def __init__(self, name: str, labels=()):
+        super().__init__(name, labels)
+        self._ticks = itertools.count()
         self._value = 0
 
     def inc(self, amount: int | float = 1) -> None:
         if not _ENABLED:
+            return
+        if amount == 1:
+            next(self._ticks)
             return
         if amount < 0:
             raise ValueError("counters only go up; use a Gauge for deltas")
         with self._lock:
             self._value += amount
 
-    def inc_locked(self, amount: int | float = 1) -> None:
-        """``inc`` for callers that already hold this metric's (shared) lock.
-
-        Skips the re-acquisition — the hot serving path batches several
-        metric updates under one lock and must not pay per-metric locking.
-        """
-        if not _ENABLED:
-            return
-        self._value += amount
-
     @property
     def value(self) -> int | float:
-        return self._value
+        return self._value + ticks(self._ticks)
 
     def _reset(self) -> None:
         with self._lock:
+            self._ticks = itertools.count()
             self._value = 0
 
 
@@ -115,8 +120,8 @@ class Gauge(_Metric):
 
     __slots__ = ("_value",)
 
-    def __init__(self, name: str, labels=(), lock=None):
-        super().__init__(name, labels, lock)
+    def __init__(self, name: str, labels=()):
+        super().__init__(name, labels)
         self._value = 0.0
 
     def set(self, value: float) -> None:
@@ -156,8 +161,8 @@ class Histogram(_Metric):
 
     __slots__ = ("buckets", "_counts", "_count", "_sum", "_min", "_max")
 
-    def __init__(self, name: str, labels=(), lock=None, buckets=DEFAULT_BUCKETS):
-        super().__init__(name, labels, lock)
+    def __init__(self, name: str, labels=(), buckets=DEFAULT_BUCKETS):
+        super().__init__(name, labels)
         self.buckets = tuple(buckets)
         self._counts = [0] * (len(self.buckets) + 1)  # +1: overflow bucket
         self._count = 0
@@ -177,18 +182,6 @@ class Histogram(_Metric):
                 self._min = value
             if value > self._max:
                 self._max = value
-
-    def observe_locked(self, value: float) -> None:
-        """``observe`` for callers that already hold this metric's lock."""
-        if not _ENABLED:
-            return
-        self._counts[bisect_left(self.buckets, value)] += 1
-        self._count += 1
-        self._sum += value
-        if value < self._min:
-            self._min = value
-        if value > self._max:
-            self._max = value
 
     @property
     def count(self) -> int:
@@ -268,7 +261,7 @@ class MetricsRegistry:
 
     # -- creation --------------------------------------------------------------
 
-    def _get_or_create(self, cls, name: str, lock, labels: dict, **kwargs):
+    def _get_or_create(self, cls, name: str, labels: dict, **kwargs):
         if not name:
             raise ValueError("metric name must be non-empty")
         label_items = tuple(sorted((str(k), str(v)) for k, v in labels.items()))
@@ -276,7 +269,7 @@ class MetricsRegistry:
         with self._lock:
             metric = self._metrics.get(key)
             if metric is None:
-                metric = cls(name, label_items, lock=lock, **kwargs)
+                metric = cls(name, label_items, **kwargs)
                 self._metrics[key] = metric
             elif not isinstance(metric, cls):
                 raise TypeError(
@@ -285,16 +278,14 @@ class MetricsRegistry:
                 )
             return metric
 
-    def counter(self, name: str, *, lock=None, **labels) -> Counter:
-        return self._get_or_create(Counter, name, lock, labels)
+    def counter(self, name: str, **labels) -> Counter:
+        return self._get_or_create(Counter, name, labels)
 
-    def gauge(self, name: str, *, lock=None, **labels) -> Gauge:
-        return self._get_or_create(Gauge, name, lock, labels)
+    def gauge(self, name: str, **labels) -> Gauge:
+        return self._get_or_create(Gauge, name, labels)
 
-    def histogram(
-        self, name: str, *, lock=None, buckets=DEFAULT_BUCKETS, **labels
-    ) -> Histogram:
-        return self._get_or_create(Histogram, name, lock, labels, buckets=buckets)
+    def histogram(self, name: str, *, buckets=DEFAULT_BUCKETS, **labels) -> Histogram:
+        return self._get_or_create(Histogram, name, labels, buckets=buckets)
 
     # -- reading ---------------------------------------------------------------
 
@@ -355,16 +346,16 @@ def default_registry() -> MetricsRegistry:
     return _DEFAULT
 
 
-def counter(name: str, *, lock=None, **labels) -> Counter:
-    return _DEFAULT.counter(name, lock=lock, **labels)
+def counter(name: str, **labels) -> Counter:
+    return _DEFAULT.counter(name, **labels)
 
 
-def gauge(name: str, *, lock=None, **labels) -> Gauge:
-    return _DEFAULT.gauge(name, lock=lock, **labels)
+def gauge(name: str, **labels) -> Gauge:
+    return _DEFAULT.gauge(name, **labels)
 
 
-def histogram(name: str, *, lock=None, **labels) -> Histogram:
-    return _DEFAULT.histogram(name, lock=lock, **labels)
+def histogram(name: str, **labels) -> Histogram:
+    return _DEFAULT.histogram(name, **labels)
 
 
 def snapshot(prefix: str = "", **kwargs) -> dict:
@@ -391,4 +382,5 @@ __all__ = [
     "reset",
     "set_enabled",
     "snapshot",
+    "ticks",
 ]

@@ -34,6 +34,7 @@ from repro.ml.models import (
     LogisticRegressionModel,
 )
 from repro.ml.multiclass import OneVsRestModel
+from repro.storage.mmapio import publish_file
 
 CHECKPOINT_NAME = "checkpoint.json"
 WEIGHTS_NAME = "weights.npz"
@@ -145,7 +146,8 @@ def save_checkpoint(
         "api": dict(api_meta or {}),
         "created_unix": time.time(),
     }
-    (directory / CHECKPOINT_NAME).write_text(json.dumps(manifest, indent=2))
+    # Written last and whole: a version directory without it is not listed.
+    publish_file(directory / CHECKPOINT_NAME, json.dumps(manifest, indent=2).encode())
     return directory
 
 

@@ -20,7 +20,7 @@ requested rows** with the :func:`repro.exec.row_slice` kernel — an array
 slice for DEN shards, SciPy row indexing for CSR, a selection ``M @ A`` on
 the compressed form for TOC — never the whole dense block.  Rows the
 service answers out of its score array are reported through
-:meth:`FeatureStore.count_scored`.
+:meth:`FeatureStore.count_hit` and :meth:`FeatureStore.count_scored`.
 
 The store's one cache (predictions live in the service's score array) is
 the *parsed* LRU of :data:`PARSED_CACHE_SHARDS`
@@ -41,10 +41,11 @@ old name (``os.replace``) never changes the rows an open store serves.
 
 from __future__ import annotations
 
+import itertools
 import threading
 from bisect import bisect_right
 from collections.abc import Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -57,6 +58,7 @@ from repro.engine.shards import (
     shard_offsets,
 )
 from repro.exec import row_slice, supports_direct_ops
+from repro.obs.metrics import ticks
 from repro.serve.lru import LRUCache
 
 #: Parsed shards a store keeps.  Requests are answered from the service's
@@ -69,25 +71,20 @@ PARSED_CACHE_SHARDS = 8
 class FeatureStoreStats:
     """Counters accumulated by a :class:`FeatureStore`.
 
-    ``rows_served == row_hits + row_misses + rows_gathered``: a row
-    :meth:`FeatureStore.get_rows` decoded is a miss, and rows answered out
-    of the service's score array are counted by :meth:`FeatureStore.count_scored`.
+    Every row the service answers out of this store is counted once: a row
+    scored for its request is a ``row_miss``, bulk or not; an already
+    scored row of a single-row request is a ``row_hit``, and of a bulk
+    request ``serve.store.rows_gathered``, which the service alone keeps
+    (as it does the shards it scores whole).  A row :meth:`FeatureStore.get_rows`
+    decodes is a miss too.  So single-row traffic asks exactly
+    ``row_hits + row_misses`` rows of the store.
     """
 
     lookups: int = 0
-    rows_served: int = 0
     row_hits: int = 0
     row_misses: int = 0
     shard_decodes: int = 0
     payload_parses: int = 0
-    #: Whole-shard scoring (:meth:`FeatureStore.count_scored`): shards scored
-    #: in the compressed domain, the rows those shards hold (attempted), and
-    #: the rows of bulk requests answered out of the score array as filled
-    #: before the request (useful).  A single-row request answered that way
-    #: is a ``row_hit``; a row the service had to compute is a ``row_miss``.
-    shards_scored: int = 0
-    rows_scored: int = 0
-    rows_gathered: int = 0
 
     @property
     def row_accesses(self) -> int:
@@ -113,7 +110,9 @@ class FeatureStore:
         self._parsed: LRUCache = LRUCache(PARSED_CACHE_SHARDS)
         #: Each shard's mapping, taken on first touch and kept (see the module docstring).
         self._mapped: list[memoryview | None] = [None] * len(dataset.shards)
-        self.stats = FeatureStoreStats()
+        self._stats = FeatureStoreStats()
+        # Single-row hits on the service's lock-free path: one tick each.
+        self._hit_ticks = itertools.count()
         # Guards stats and the mapping table: the store is shared between
         # client threads (bulk API) and the batcher worker.
         self._lock = threading.Lock()
@@ -121,6 +120,11 @@ class FeatureStore:
         self._offsets = shard_offsets(dataset.shards)
         self._offset_list: list[int] = self._offsets.tolist()  # what the scalar `locate` bisects
         self._n_rows = self._offset_list[-1]
+
+    @property
+    def stats(self) -> FeatureStoreStats:
+        """A copy of the store's counters, the lock-free hits included."""
+        return replace(self._stats, row_hits=self._stats.row_hits + ticks(self._hit_ticks))
 
     @classmethod
     def open(cls, directory) -> "FeatureStore":
@@ -181,7 +185,7 @@ class FeatureStore:
         sliceable = self._parsed.get(batch_id)
         if sliceable is None:
             with self._lock:
-                self.stats.payload_parses += 1
+                self._stats.payload_parses += 1
                 payload = self._mapped[batch_id]
                 if payload is None:  # first touch: map the file, and keep the mapping
                     payload = self._mapped[batch_id] = self.dataset.read_payload(batch_id)
@@ -193,29 +197,17 @@ class FeatureStore:
             self._parsed.put(batch_id, sliceable)
         return sliceable
 
-    def count_scored(
-        self,
-        shards: int = 0,
-        rows_scored: int = 0,
-        *,
-        gathered: int = 0,
-        hits: int = 0,
-        misses: int = 0,
-    ) -> None:
-        """Account for :meth:`parsed` shards a caller scored whole, and rows answered from scores.
+    def count_hit(self) -> None:
+        """Count one single-row request answered out of the service's score array, lock-free."""
+        next(self._hit_ticks)
 
-        A row whose score had to be computed for the request is a miss; one
-        already filled is a hit for a single-row request and ``gathered``
-        for a bulk one, so ``rows_served == row_hits + row_misses +
-        rows_gathered``.
-        """
+    def count_scored(self, *, hits: int = 0, misses: int = 0) -> None:
+        """Count the rows of a single-row batch answered from scores: a row
+        whose score had to be computed for the request is a miss, one
+        already filled a hit."""
         with self._lock:
-            self.stats.rows_served += gathered + hits + misses
-            self.stats.row_hits += hits
-            self.stats.row_misses += misses
-            self.stats.shards_scored += shards
-            self.stats.rows_scored += rows_scored
-            self.stats.rows_gathered += gathered
+            self._stats.row_hits += hits
+            self._stats.row_misses += misses
 
     # -- row access -----------------------------------------------------------
 
@@ -243,10 +235,9 @@ class FeatureStore:
             positions.append(position)
             local_rows.append(local_row)
         with self._lock:
-            self.stats.lookups += 1
-            self.stats.rows_served += len(ids)
-            self.stats.row_misses += len(ids)
-            self.stats.shard_decodes += len(by_shard)
+            self._stats.lookups += 1
+            self._stats.row_misses += len(ids)
+            self._stats.shard_decodes += len(by_shard)
         out = np.empty((len(ids), self.n_cols), dtype=np.float64)
         for batch_id, (positions, local_rows) in by_shard.items():
             out[positions] = row_slice(self.parsed(batch_id), local_rows)

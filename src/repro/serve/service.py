@@ -7,7 +7,9 @@ shard files directly), requests are coalesced by the
 style batch operation per mini-batch instead of per request, and a score
 array absorbs repeat traffic entirely.  Counters cover the three levels
 (cache, batcher, store) so a load test can tell *where* each request was
-answered.
+answered.  They are the ``serve.*`` series of the process registry, bumped
+directly (:mod:`repro.obs.metrics`); ``service.stats.snapshot()`` reads
+them back, exact per field and consistent across fields at quiescence.
 
 The cache is one **score array** (:class:`ScoreArray`) per store handle
 (:class:`_Serving`), for every model: a ``float64`` prediction and a filled
@@ -29,10 +31,11 @@ service lock:
   model call.
 
 :meth:`PredictionService.submit_id` answers a filled row with
-``float(scores[row_id])`` on the caller's thread — no future, no batcher
-hop, no ``locate``; a miss goes through the batcher, which fills its whole
-batch at once.  A bulk request (:meth:`PredictionService.predict_ids`,
-``submit_ids``) is a range check, a fill of its missing rows and one gather,
+:meth:`ScoreArray.get` on the caller's thread — no future, no batcher hop,
+no ``locate``, no lock, no clock: the hit is counted, not timed; a miss
+goes through the batcher, which fills its whole batch at once.  A bulk
+request (:meth:`PredictionService.predict_ids`, ``submit_ids``) is a
+range check, a fill of its missing rows and one gather,
 so a single-row answer, a bulk one and — for a linear model —
 ``Estimator.predict(Dataset)`` are bit-equal.  A filled row is never
 written again, so once a row is scored every path returns the same bits.
@@ -78,12 +81,12 @@ _SVC_IDS = itertools.count()
 
 @dataclass(frozen=True)
 class ServiceStatsSnapshot:
-    """A consistent point-in-time copy of a service's request counters.
+    """A copy of a service's request counters, read from its ``serve.*`` series.
 
-    Taken under the service lock (:meth:`ServiceStats.snapshot`), so the
-    fields are mutually consistent — ``requests`` counted at the same
-    instant as ``request_seconds`` — unlike reading the live attributes
-    one by one while the worker keeps writing.
+    Each field is exact, but the fields are read one after another while
+    traffic may still be counting, so they agree with each other only at
+    quiescence.  A stored-row hit is counted, not timed: ``request_seconds``
+    sums the requests that were not single-row hits.
     """
 
     requests: int = 0
@@ -99,104 +102,30 @@ class ServiceStatsSnapshot:
         return self.cache_hits / accesses if accesses else 0.0
 
     @property
-    def mean_request_seconds(self) -> float:
-        return self.request_seconds / self.requests if self.requests else 0.0
-
-    @property
     def predicted_rows_per_second(self) -> float:
         return self.rows_predicted / self.predict_seconds if self.predict_seconds else 0.0
 
 
 class ServiceStats:
-    """Request-level counters for a :class:`PredictionService`.
+    """``service.stats``: reads the service's ``serve.*`` series into a
+    :class:`ServiceStatsSnapshot`."""
 
-    Since the obs migration this is a *view* over ``serve.*`` metrics in the
-    process-global registry (labelled per service instance), not standalone
-    storage: the same numbers appear in ``repro.obs.metrics_snapshot()`` and
-    ``service.metrics()``.  The attribute API (``stats.requests``,
-    ``stats.cache_hit_rate``, ...) is unchanged; for multi-field reads use
-    :meth:`snapshot`, which copies everything under one lock.
+    __slots__ = ("_metrics",)
 
-    All metrics share the service's re-entrant lock, so a snapshot can never
-    observe a half-applied multi-counter update.
-    """
-
-    def __init__(self, lock: threading.RLock, svc: int):
-        registry = obs_metrics.default_registry()
-        self._lock = lock
-        self._requests = registry.counter("serve.requests", lock=lock, svc=svc)
-        self._rows = registry.counter("serve.rows_predicted", lock=lock, svc=svc)
-        self._cache_hits = registry.counter("serve.cache.hits", lock=lock, svc=svc)
-        self._cache_misses = registry.counter("serve.cache.misses", lock=lock, svc=svc)
-        self._predict = registry.histogram("serve.predict.seconds", lock=lock, svc=svc)
-        self._request = registry.histogram("serve.request.seconds", lock=lock, svc=svc)
-
-    # -- live attribute API (unchanged shape) ----------------------------------
-
-    @property
-    def requests(self) -> int:
-        return self._requests.value
-
-    @property
-    def rows_predicted(self) -> int:
-        return self._rows.value
-
-    @property
-    def cache_hits(self) -> int:
-        return self._cache_hits.value
-
-    @property
-    def cache_misses(self) -> int:
-        return self._cache_misses.value
-
-    @property
-    def predict_seconds(self) -> float:
-        return self._predict.sum
-
-    @property
-    def request_seconds(self) -> float:
-        return self._request.sum
-
-    @property
-    def cache_hit_rate(self) -> float:
-        return self.snapshot().cache_hit_rate
-
-    @property
-    def mean_request_seconds(self) -> float:
-        return self.snapshot().mean_request_seconds
-
-    @property
-    def predicted_rows_per_second(self) -> float:
-        return self.snapshot().predicted_rows_per_second
+    def __init__(self, metrics):
+        self._metrics = metrics  # the service's ``metrics()``
 
     def snapshot(self) -> ServiceStatsSnapshot:
-        """All counters copied atomically under the service lock."""
-        with self._lock:
-            return ServiceStatsSnapshot(
-                requests=self._requests.value,
-                rows_predicted=self._rows.value,
-                cache_hits=self._cache_hits.value,
-                cache_misses=self._cache_misses.value,
-                predict_seconds=self._predict.sum,
-                request_seconds=self._request.sum,
-            )
-
-    # -- mutators (service-internal; the caller holds the service lock, which
-    # is every metric's lock too, so the `_locked` fast paths apply) -----------
-
-    def record_request(self, seconds: float) -> None:
-        self._requests.inc_locked()
-        self._request.observe_locked(seconds)
-
-    def record_predict(self, rows: int, seconds: float) -> None:
-        self._rows.inc_locked(rows)
-        self._predict.observe_locked(seconds)
-
-    def record_cache_hit(self) -> None:
-        self._cache_hits.inc_locked()
-
-    def record_cache_miss(self) -> None:
-        self._cache_misses.inc_locked()
+        metrics = self._metrics()
+        counters, histograms = metrics["counters"], metrics["histograms"]
+        return ServiceStatsSnapshot(
+            requests=counters["serve.requests"],
+            rows_predicted=counters["serve.rows_predicted"],
+            cache_hits=counters["serve.cache.hits"],
+            cache_misses=counters["serve.cache.misses"],
+            predict_seconds=histograms["serve.predict.seconds"]["sum"],
+            request_seconds=histograms["serve.request.seconds"]["sum"],
+        )
 
 
 class ScoreArray:
@@ -297,22 +226,27 @@ class PredictionService:
         max_queue: int | None = None,
     ):
         self.model = model
-        self._svc_id = next(_SVC_IDS)
+        self._svc_id = svc = next(_SVC_IDS)
         # Serialises generation reopens; the store handle itself is
         # swapped atomically so readers never need this lock.
         self._reopen_lock = threading.Lock()
-        # Re-entrant: the metrics share this lock, so a stats mutator called
-        # while the service already holds it must be able to re-acquire.
-        self._lock = threading.RLock()  # guards stats and score fills
-        self.stats = ServiceStats(self._lock, self._svc_id)
+        self._lock = threading.Lock()  # serialises score-array writes and the reopen swap
         # Whole-shard scoring is for models whose prediction is one ``A·v``.
         self._scores_shards = "matvec" in getattr(model, "core_ops", ())
         self._serving = _Serving(store)
-        # The store's whole-shard counters, kept across store reopens.
-        self._shards_scored = obs_metrics.counter("serve.store.shards_scored", svc=self._svc_id)
-        self._rows_scored = obs_metrics.counter("serve.store.rows_scored", svc=self._svc_id)
-        self._rows_gathered = obs_metrics.counter("serve.store.rows_gathered", svc=self._svc_id)
-        self._rows_filled = obs_metrics.gauge("serve.cache.rows", svc=self._svc_id)
+        counter, histogram = obs_metrics.counter, obs_metrics.histogram
+        self._requests = counter("serve.requests", svc=svc)
+        self._hits = counter("serve.cache.hits", svc=svc)
+        self._misses = counter("serve.cache.misses", svc=svc)
+        self._rows_predicted = counter("serve.rows_predicted", svc=svc)
+        self._predict_seconds = histogram("serve.predict.seconds", svc=svc)
+        self._request_seconds = histogram("serve.request.seconds", svc=svc)
+        # The store's whole-shard counts, kept across store reopens.
+        self._shards_scored = counter("serve.store.shards_scored", svc=svc)
+        self._rows_scored = counter("serve.store.rows_scored", svc=svc)
+        self._rows_gathered = counter("serve.store.rows_gathered", svc=svc)
+        self._rows_filled = obs_metrics.gauge("serve.cache.rows", svc=svc)
+        self.stats = ServiceStats(self.metrics)
         self._batcher = MicroBatcher(
             self._handle_batch,
             max_batch_size=max_batch_size,
@@ -417,7 +351,6 @@ class PredictionService:
         computed = 0 if serving.complete else self._fill(serving, ids)
         answered = ids.size - computed
         if bulk:
-            store.count_scored(gathered=answered)
             self._rows_gathered.inc(answered)
         else:
             store.count_scored(hits=answered)
@@ -455,7 +388,6 @@ class PredictionService:
         wants.
         """
         vector = self._score(store.parsed(batch_id), rows=rows)
-        store.count_scored(1, vector.size)
         self._shards_scored.inc()
         self._rows_scored.inc(vector.size)
         return vector
@@ -470,11 +402,7 @@ class PredictionService:
     def _score_ids(self, row_ids: np.ndarray) -> np.ndarray:
         """Predictions for a bulk request of stored rows, in request order."""
         predictions, computed = self._on_store(self._lookup, row_ids, bulk=True)
-        with self._lock:  # a hit is a request the model did not run for
-            if computed:
-                self.stats.record_cache_miss()
-            else:
-                self.stats.record_cache_hit()
+        (self._misses if computed else self._hits).inc()  # a hit: the model did not run for it
         return predictions
 
     def _score(self, batch, rows: int | None = None) -> np.ndarray:
@@ -485,10 +413,8 @@ class PredictionService:
         """
         start = time.perf_counter()
         predictions = np.asarray(self.model.predict(batch), dtype=np.float64)
-        with self._lock:
-            self.stats.record_predict(
-                predictions.shape[0] if rows is None else rows, time.perf_counter() - start
-            )
+        self._predict_seconds.observe(time.perf_counter() - start)
+        self._rows_predicted.inc(predictions.shape[0] if rows is None else rows)
         return predictions
 
     # -- single-row API --------------------------------------------------------
@@ -501,31 +427,30 @@ class PredictionService:
         a truncated row), and is range-checked here, on the caller's thread:
         one out of range comes back as a future already failed with that
         ``IndexError`` and is never queued, so it cannot fail its batch-mates.
-        A hit — ``complete or filled[row_id]``, no ``locate`` — is
-        ``float(scores[row_id])`` and submits nothing, so it costs no
-        :class:`Future` either; threads, the asyncio surface and the cluster
+        A hit is :meth:`ScoreArray.get` and submits nothing, so it costs no
+        :class:`Future` either; it is counted — a request, a cache hit and
+        the store's row hit, three lock-free ticks — but not timed, and it
+        takes no lock.  Threads, the asyncio surface and the cluster
         workers all enter here.  A miss resolves from the micro-batcher's
         thread, which fills the scores of its whole batch.  ``deadline`` is
         :meth:`MicroBatcher.submit`'s.
         """
         row_id = as_row_id(row_id)
-        start = time.perf_counter()
         serving = self._serving
         store = serving.store
         if store is not None:
+            value = serving.get(row_id)
+            if value is not None:
+                self._requests.inc()
+                self._hits.inc()
+                store.count_hit()
+                return value
             if not 0 <= row_id < store.n_rows:
                 failed: Future = Future()
                 failed.set_exception(row_out_of_range(row_id, store.n_rows))
                 return failed
-            if serving.complete or serving.filled[row_id]:
-                with self._lock:
-                    self.stats.record_cache_hit()
-                    self.stats.record_request(time.perf_counter() - start)
-                store.count_scored(hits=1)
-                return float(serving.scores[row_id])
-        with self._lock:
-            self.stats.record_cache_miss()
-        return self._submit(("id", row_id), start, deadline)
+        self._misses.inc()
+        return self._submit(("id", row_id), time.perf_counter(), deadline)
 
     def submit_vector(self, features: np.ndarray, *, deadline: float | None = None) -> Future:
         """Non-blocking :meth:`predict_vector` (uncached, micro-batched)."""
@@ -549,12 +474,16 @@ class PredictionService:
                 future.result()
             except BaseException:  # cancelled, shed or failed: nothing to count
                 return
-            with self._lock:
-                self.stats.record_request(time.perf_counter() - start)
+            self._count_request(start)
 
         future = self._batcher.submit(request, deadline=deadline)
         future.add_done_callback(finish)
         return future
+
+    def _count_request(self, start: float) -> None:
+        """Count and time one answered request that was not a single-row hit."""
+        self._requests.inc()
+        self._request_seconds.observe(time.perf_counter() - start)
 
     def predict_id(self, row_id: int) -> float:
         """One stored row, through cache and micro-batcher; ``IndexError`` if out of range."""
@@ -571,16 +500,14 @@ class PredictionService:
         """Bulk path, no queueing: answered by :meth:`_lookup` on the caller's thread."""
         start = time.perf_counter()
         predictions = self._score_ids(row_id_array(row_ids))
-        with self._lock:
-            self.stats.record_request(time.perf_counter() - start)
+        self._count_request(start)
         return predictions
 
     def predict_matrix(self, features: np.ndarray) -> np.ndarray:
         """Bulk path over raw features: one model call."""
         start = time.perf_counter()
         predictions = self._score(np.asarray(features, dtype=np.float64))
-        with self._lock:
-            self.stats.record_request(time.perf_counter() - start)
+        self._count_request(start)
         return predictions
 
     # -- generation watching ---------------------------------------------------
@@ -654,11 +581,10 @@ class PredictionService:
         Keys are the bare metric names (``serve.requests``,
         ``serve.queue.wait_seconds``, ...) — the per-instance ``svc`` label
         used in the process-global registry is filtered on and stripped.
+        Each series is exact; read while traffic is counting, they agree
+        with each other only at quiescence.
         """
-        with self._lock:
-            return obs_metrics.snapshot(
-                "serve.", labels={"svc": self._svc_id}, strip_labels=True
-            )
+        return obs_metrics.snapshot("serve.", labels={"svc": self._svc_id}, strip_labels=True)
 
     @property
     def batcher_stats(self):

@@ -1,4 +1,4 @@
-"""Zero-copy shard reads: read-only mmap loaders returning memoryviews.
+"""Zero-copy shard reads (read-only mmap views) and the one way files are published.
 
 ``path.read_bytes()`` copies the whole shard file into a fresh Python bytes
 object on every miss.  For decode paths that only *view* the payload (every
@@ -12,7 +12,8 @@ mapping (and the pages) alive, so the file descriptor is closed immediately
 and callers treat the view like bytes.  Empty files cannot be mapped — they
 come back as ``memoryview(b"")``.  A mapping stays valid because shard files
 are never rewritten in place: writers publish each payload under its name
-with ``os.replace``, which leaves a live mapping on the old inode.
+with :func:`publish_file` (``os.replace``), which leaves a live mapping on
+the old inode.
 ``storage.mmap.maps`` / ``storage.mmap.bytes_mapped`` obs counters record
 the mapping volume.
 """
@@ -24,6 +25,23 @@ import os
 from pathlib import Path
 
 from repro.obs import metrics as obs_metrics
+
+
+def publish_file(path: Path, payload) -> None:
+    """Write ``payload`` to a dot-temp file beside ``path``, then ``os.replace`` it in.
+
+    Every file a reader may find by name is written this way: shards,
+    checkpoint manifests, calibrations.  A crash mid-write leaves the temp
+    file, never a torn file under ``path``.  A reader may also hold a
+    mapping of the file already at ``path`` (every shard read is a
+    :func:`map_file` view, and feature stores keep them).  Rewriting that
+    file in place would truncate the mapped inode under the reader — wrong
+    rows, or SIGBUS on a page past the new end of file; the rename leaves
+    the old mapping on the old inode.
+    """
+    tmp = path.with_name(f".{path.name}.tmp")
+    tmp.write_bytes(payload)
+    os.replace(tmp, path)
 
 
 def map_file(path: Path | str) -> memoryview:
@@ -45,4 +63,4 @@ def map_file(path: Path | str) -> memoryview:
     return memoryview(mapping)
 
 
-__all__ = ["map_file"]
+__all__ = ["map_file", "publish_file"]

@@ -43,7 +43,7 @@ class TestOpenService:
             first = service.predict_id(5)
             second = service.predict_id(5)
             assert first == second
-            assert service.stats.cache_hits == 1
+            assert service.stats.snapshot().cache_hits == 1
 
     def test_missing_registry_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):

@@ -77,9 +77,10 @@ class TestPrediction:
 
         with reference:
             expected = reference.predict_id(3)
-            assert reference.store_stats.shards_scored == 1
+            assert reference.metrics()["counters"]["serve.store.shards_scored"] == 1
         assert _run(go()) == expected
-        assert bridge.service.store_stats.shards_scored == 1  # a score vector, not a dense row
+        # A score vector, not a dense row.
+        assert bridge.service.metrics()["counters"]["serve.store.shards_scored"] == 1
 
     def test_predict_vector(self, published):
         registry, _, _ = published
@@ -99,10 +100,26 @@ class TestPrediction:
         registry, _, _ = published
         service, _ = open_service(registry, max_batch_size=16)
         vectors = service.store.get_rows(range(48))  # raw vectors: every request queues
+        # The first model call waits until all 48 requests are queued or in
+        # its batch, so the rest must coalesce however the threads interleave.
+        model, held, release = service.model, [], threading.Event()
+
+        class Gated:
+            def predict(self, batch):
+                held.append(batch.shape[0])
+                release.wait(timeout=30)
+                return model.predict(batch)
+
+        service.model = Gated()
 
         async def go():
             async with AsyncPredictionService(service) as aps:
-                await asyncio.gather(*(aps.predict_vector(vector) for vector in vectors))
+                answers = asyncio.gather(*(aps.predict_vector(vector) for vector in vectors))
+                while not (release.is_set() or answers.done()):
+                    await asyncio.sleep(0.001)
+                    if held and held[0] + service.queue_depth == 48:
+                        release.set()
+                await answers
 
         _run(go())
         assert service.batcher_stats.requests == 48

@@ -141,6 +141,15 @@ class TestServing:
     def test_generations_visible(self, cluster):
         assert cluster.generations() == [1, 1]
 
+    def test_a_dispatcher_hit_takes_no_cluster_lock(self, cluster):
+        expected = cluster.predict(3)  # the reply brings row 3's shard back
+        answered: list = []
+        caller = threading.Thread(target=lambda: answered.append(cluster.predict(3)))
+        with cluster._lock:
+            caller.start()
+            caller.join(timeout=10)
+        assert answered == [expected]
+
 
 def _wait_for(condition, seconds: float) -> bool:
     give_up = time.monotonic() + seconds

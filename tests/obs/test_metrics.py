@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+import sys
 import threading
 
 import pytest
@@ -36,13 +38,51 @@ class TestCounter:
         counter.inc(0.75)
         assert counter.value == pytest.approx(1.0)
 
-    def test_inc_locked_under_a_shared_lock(self):
-        lock = threading.RLock()
-        counter = MetricsRegistry().counter("t.requests", lock=lock)
-        with lock:
-            counter.inc_locked()
-            counter.inc_locked(3)
-        assert counter.value == 4
+    def test_racing_unit_and_bulk_increments_stay_exact_without_a_lock(self):
+        """A unit ``inc()`` is a lock-free tick; a thread switch between any
+        two bytecodes must still lose none of them, nor any ``inc(n)``."""
+        counter = MetricsRegistry().counter("t.requests")
+        threads, rounds = 8, 20_000
+        start = threading.Barrier(threads)
+
+        def worker(index: int) -> None:
+            start.wait()
+            for i in range(rounds):
+                if (i + index) % 4:
+                    counter.inc()
+                else:
+                    counter.inc(3)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            pool = [threading.Thread(target=worker, args=(k,)) for k in range(threads)]
+            for thread in pool:
+                thread.start()
+            for thread in pool:
+                thread.join()
+        finally:
+            sys.setswitchinterval(interval)
+        # Each thread: three quarters of its rounds tick once, one quarter adds 3.
+        assert counter.value == threads * (rounds * 3 // 4 + 3 * rounds // 4)
+
+    def test_reset_zeroes_a_ticked_counter(self):
+        registry = MetricsRegistry()
+        counter = registry.counter("t.requests")
+        counter.inc()
+        counter.inc()
+        counter.inc(2.5)
+        assert counter.value == 4.5
+        registry.reset()
+        assert counter.value == 0
+        counter.inc()
+        assert counter.value == 1
+
+    def test_ticks_reads_a_count_without_advancing_it(self):
+        count = itertools.count()
+        assert obs_metrics.ticks(count) == 0
+        next(count), next(count)
+        assert obs_metrics.ticks(count) == obs_metrics.ticks(count) == 2
 
 
 class TestGauge:
@@ -109,14 +149,6 @@ class TestHistogram:
         summary = hist.summary()
         assert set(summary) == {"count", "sum", "mean", "min", "max", "p50", "p95", "p99"}
         assert summary["count"] == 1
-
-    def test_observe_locked_under_a_shared_lock(self):
-        lock = threading.RLock()
-        hist = MetricsRegistry().histogram("t.seconds", lock=lock)
-        with lock:
-            hist.observe_locked(1.0)
-            hist.observe_locked(2.0)
-        assert hist.count == 2
 
     def test_default_buckets_strictly_increasing(self):
         assert all(a < b for a, b in zip(DEFAULT_BUCKETS, DEFAULT_BUCKETS[1:]))
@@ -227,11 +259,10 @@ class TestEnabledSwitch:
         obs_metrics.set_enabled(False)
         try:
             counter.inc()
-            counter.inc_locked()
+            counter.inc(3)
             gauge.set(5.0)
             gauge.inc()
             hist.observe(1.0)
-            hist.observe_locked(1.0)
         finally:
             obs_metrics.set_enabled(True)
         assert counter.value == 0

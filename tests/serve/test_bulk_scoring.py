@@ -105,7 +105,7 @@ class TestTheOracle:
         estimator, dataset = estimators[model], datasets[scheme]
         with serve(estimator, dataset) as service:
             bulk = service.predict_ids(range(ROWS))
-            scored = service.store_stats.shards_scored
+            scored = service.metrics()["counters"]["serve.store.shards_scored"]
         assert np.array_equal(bulk, estimator.predict(dataset))
         dense = estimator.predict(features)
         if model == "linreg":
@@ -126,7 +126,7 @@ class TestTheOracle:
         with serve(estimator, dataset) as service:
             singles = np.array([service.predict_id(row) for row in rows])
             bulk = service.predict_ids(range(ROWS))
-            scored = service.store_stats.shards_scored
+            scored = service.metrics()["counters"]["serve.store.shards_scored"]
         dense = estimator.predict(features)[rows]
         assert np.array_equal(singles, bulk[rows])  # one array answers both
         if model == "ffnn":  # decoded rows, scored densely
@@ -243,21 +243,17 @@ class TestMixedRequests:
         with serve(estimator, dataset) as service:
             service.predict_ids(ids)
             service.predict_ids(ids)  # every touched shard filled: all gathered
-            stats = service.store_stats
+            stats, snap = service.store_stats, service.stats.snapshot()
             counters = service.metrics()["counters"]
-            assert service.stats.rows_predicted == distinct  # rows asked of the model
+            assert snap.rows_predicted == distinct  # rows asked of the model
             assert service.metrics()["gauges"]["serve.cache.rows"] == 6 * self.SHARD
-            assert (service.stats.cache_misses, service.stats.cache_hits) == (1, 1)
-        assert (stats.shards_scored, stats.rows_scored) == (6, 6 * self.SHARD)
+            assert (snap.cache_misses, snap.cache_hits) == (1, 1)
+        assert counters["serve.store.shards_scored"] == 6
+        assert counters["serve.store.rows_scored"] == 6 * self.SHARD
         # A row the first request had computed is a miss; every other one is gathered.
         assert (stats.row_hits, stats.row_misses) == (0, distinct)
-        assert stats.rows_gathered == 2 * len(ids) - distinct
-        assert stats.rows_served == stats.row_hits + stats.row_misses + stats.rows_gathered
-        assert stats.rows_served == 2 * len(ids)
+        assert counters["serve.store.rows_gathered"] == 2 * len(ids) - distinct
         assert stats.payload_parses == 6  # one per shard touched
-        assert counters["serve.store.shards_scored"] == stats.shards_scored
-        assert counters["serve.store.rows_scored"] == stats.rows_scored
-        assert counters["serve.store.rows_gathered"] == stats.rows_gathered
 
     def test_an_empty_request_touches_nothing(self, mixed):
         dataset, estimator = mixed
@@ -279,7 +275,7 @@ class TestMixedRequests:
             with pytest.raises(IndexError, match=rf"row {bad} out of range \[0, 1200\)"):
                 service.submit_ids(ids).result(timeout=10)
             assert service.store_stats.payload_parses == 0
-            assert service.stats.rows_predicted == 0
+            assert service.stats.snapshot().rows_predicted == 0
 
 
 class CountingModel:
@@ -356,8 +352,9 @@ class TestNothingIsDecoded:
             answers = [first.result(timeout=10), second.result(timeout=10)]
             assert service.batcher_stats.batches == 1
             assert (model.predicts, calls["matvec"]) == (1, 1)
-            assert (service.stats.cache_misses, service.store_stats.row_misses) == (2, 2)
-            assert (service.store_stats.shards_scored, service.stats.rows_predicted) == (1, 2)
+            assert (service.stats.snapshot().cache_misses, service.store_stats.row_misses) == (2, 2)
+            assert service.metrics()["counters"]["serve.store.shards_scored"] == 1
+            assert service.stats.snapshot().rows_predicted == 2
         assert answers == estimators["logreg"].predict(dataset)[[3, BATCH - 1]].tolist()
 
 

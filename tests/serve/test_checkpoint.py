@@ -11,7 +11,9 @@ from repro.ml.models import (
     LogisticRegressionModel,
 )
 from repro.ml.multiclass import OneVsRestClassifier
+from repro.storage import mmapio
 from repro.serve.checkpoint import (
+    CHECKPOINT_NAME,
     ModelRegistry,
     load_checkpoint,
     save_checkpoint,
@@ -115,3 +117,25 @@ class TestModelRegistry:
     def test_empty_registry_fails(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             ModelRegistry(tmp_path / "empty").load()
+
+    def test_a_failed_publish_leaves_the_previous_version_latest(self, tmp_path, monkeypatch):
+        """A crash between writing the manifest and publishing it must not
+        leave a version that is listed but cannot be parsed."""
+        registry = ModelRegistry(tmp_path)
+        first = LogisticRegressionModel(5, seed=0)
+        first.bias = 1.0
+        registry.save(first)
+
+        def crash(src, dst):
+            raise OSError("crashed before the rename")
+
+        monkeypatch.setattr(mmapio.os, "replace", crash)
+        with pytest.raises(OSError, match="crashed"):
+            registry.save(LogisticRegressionModel(5, seed=0))
+        monkeypatch.undo()
+
+        assert not (registry.path_for(2) / CHECKPOINT_NAME).exists()
+        assert registry.versions() == [1]
+        latest = registry.load("latest")
+        assert (latest.version, latest.model.bias) == (1, 1.0)
+        assert registry.save(LogisticRegressionModel(5, seed=0)) == 2  # the next save reuses v2

@@ -129,19 +129,14 @@ class TestCounters:
             assert stats.cache_hits + stats.cache_misses == id_requests == 9
             assert (stats.cache_hits, stats.cache_misses) == (4, 5)
             assert _resident(service) == _filled(service) == ROWS
-            for store in (first, service.store):
-                served = store.stats
-                assert served.rows_served == (
-                    served.row_hits + served.row_misses + served.rows_gathered
-                )
             # A row a request had computed is a miss, bulk or single: rows 0,
             # 50-119 and 399 on the first handle; 399, then the other 350 on
-            # the second.  A queued bulk request gathers too.
+            # the second.  A bulk request's other rows are gathered, queued
+            # or not (10 + 1, then 50 + 400), and counted by the service.
             assert (first.stats.row_hits, first.stats.row_misses) == (2, 1 + 70 + 1)
-            assert first.stats.rows_gathered == 10 + 1
             assert (service.store.stats.row_hits, service.store.stats.row_misses) == (1, 1 + 350)
-            assert service.store.stats.rows_gathered == 50 + ROWS
             counters = service.metrics()["counters"]
+            assert counters["serve.store.rows_gathered"] == 10 + 1 + 50 + ROWS
             assert counters["serve.store.shards_scored"] == 4 + n_shards
             assert counters["serve.store.rows_scored"] == (4 + n_shards) * BATCH
 
@@ -159,9 +154,12 @@ class TestCounters:
     def test_scoring_happens_on_first_touch_not_at_open(self, fitted):
         estimator, dataset = fitted
         with PredictionService(estimator.model, FeatureStore.open(dataset.path)) as service:
-            assert service.store_stats.shards_scored == 0 and _resident(service) == 0
+            def scored() -> int:
+                return service.metrics()["counters"]["serve.store.shards_scored"]
+
+            assert scored() == 0 and _resident(service) == 0
             service.predict_ids(range(BATCH, 2 * BATCH))
-            assert service.store_stats.shards_scored == 1 and _resident(service) == BATCH
+            assert scored() == 1 and _resident(service) == BATCH
 
 
 class TestNetworks:
@@ -183,7 +181,7 @@ class TestNetworks:
             bulk = service.predict_ids(range(ROWS))  # the rest decoded here, in one call
             assert [service.predict_id(row) for row in range(ROWS)] == bulk.tolist()
             assert service.submit_ids(rows).result(timeout=10) == singles
-            assert service.stats.rows_predicted == ROWS
+            assert service.stats.snapshot().rows_predicted == ROWS
 
     def test_every_request_and_every_row_is_counted_once(self, network):
         estimator, dataset = network
@@ -200,8 +198,10 @@ class TestNetworks:
                 queued.result(timeout=10)
                 id_requests += len(window) + 2
             stats, served = service.stats.snapshot(), service.store_stats
+            gathered = service.metrics()["counters"]["serve.store.rows_gathered"]
             assert stats.cache_hits + stats.cache_misses == stats.requests == id_requests
-            assert served.rows_served == served.row_hits + served.row_misses + served.rows_gathered
+            # Every row asked for is a store hit or miss, or gathered by a bulk request.
+            assert served.row_accesses + gathered == 12 * (30 + 30 + 31)
             # Racing fills may both decode a row; the first write is the one kept.
             assert served.row_misses >= _filled(service) == 140
 

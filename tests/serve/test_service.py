@@ -60,7 +60,8 @@ class TestSingleRowPath:
                 vectors = list(clients.map(service.predict_vector, rows))  # every one queued
                 assert service.batcher_stats.requests == len(ids)
                 got = list(clients.map(service.predict_id, ids))
-            assert service.stats.cache_hits + service.stats.cache_misses == len(ids)
+            stats = service.stats.snapshot()
+            assert stats.cache_hits + stats.cache_misses == len(ids)
         np.testing.assert_allclose(vectors, expected)
         np.testing.assert_allclose(got, expected)
 
@@ -98,8 +99,8 @@ class TestSingleRowPath:
             assert service.batcher_stats.requests == 3
             with pytest.raises(IndexError, match=r"row -1 out of range \[0, 300\)"):
                 service.predict_id(-1)
-            assert service.stats.requests == 3
-            assert service.store_stats.rows_served == 3
+            assert service.stats.snapshot().requests == 3
+            assert service.store_stats.row_accesses == 3
 
     def test_row_id_without_store_rejected(self, trained_setup):
         model, _, _, _ = trained_setup
@@ -151,9 +152,9 @@ class TestRowIdsAreIntegers:
         with PredictionService(model, store) as service:
             with pytest.raises(TypeError):
                 call(service)
-            assert service.stats.requests == 0
+            assert service.stats.snapshot().requests == 0
             assert service.batcher_stats.requests == 0
-            assert service.store_stats.rows_served == 0
+            assert service.store_stats.row_accesses == 0
 
 
 class TestCache:
@@ -167,13 +168,13 @@ class TestCache:
                 for row_id in range(0, 300, 30):  # ten rows over all four shards
                     service.predict_id(row_id)
             # The first row asked of each shard scores it; its shard-mates hit at once.
-            assert service.stats.cache_hits == 26
-            assert service.stats.cache_misses == 4
-            assert service.stats.cache_hit_rate == pytest.approx(26 / 30)
+            assert service.stats.snapshot().cache_hits == 26
+            assert service.stats.snapshot().cache_misses == 4
+            assert service.stats.snapshot().cache_hit_rate == pytest.approx(26 / 30)
             # Only the misses reached the model, one whole shard each.
-            assert service.stats.rows_predicted == 4
-            assert service.store_stats.shards_scored == 4
-            assert service.store_stats.rows_scored == 300
+            assert service.stats.snapshot().rows_predicted == 4
+            assert service.metrics()["counters"]["serve.store.shards_scored"] == 4
+            assert service.metrics()["counters"]["serve.store.rows_scored"] == 300
             assert (service.store_stats.row_hits, service.store_stats.row_misses) == (26, 4)
             assert service.metrics()["gauges"]["serve.cache.rows"] == 300
 
@@ -184,8 +185,9 @@ class TestCache:
             for row_id in (0, 80, 160, 240, 0):  # four shards, then the first again
                 service.predict_id(row_id)
             assert service.metrics()["gauges"]["serve.cache.rows"] == 300
-            assert (service.stats.cache_hits, service.stats.cache_misses) == (1, 4)
-            assert service.store_stats.shards_scored == 4
+            stats = service.stats.snapshot()
+            assert (stats.cache_hits, stats.cache_misses) == (1, 4)
+            assert service.metrics()["counters"]["serve.store.shards_scored"] == 4
 
     def test_concurrent_callers_and_reopens(self, trained_setup):
         """Six callers over four shards, the store re-opened under them."""
@@ -225,12 +227,9 @@ class TestCache:
                 finally:
                     stop.set()
                     reopening.result(timeout=60)
-                stats, served = service.stats.snapshot(), service.store_stats
+                stats = service.stats.snapshot()
                 assert stats.requests == 3 * len(ids) * 4 + 3 * 40
                 assert stats.requests == stats.cache_hits + stats.cache_misses
-                assert served.rows_served == (
-                    served.row_hits + served.row_misses + served.rows_gathered
-                )
                 resident = service.metrics()["gauges"]["serve.cache.rows"]
                 assert resident == service._serving.n_filled <= 300
         finally:
@@ -245,10 +244,10 @@ class TestCache:
                 for row_id in range(10):
                     service.predict_id(row_id)
             # Ten rows cycling: each is decoded and scored once, then answered from the array.
-            assert (service.stats.cache_hits, service.stats.cache_misses) == (20, 10)
-            assert service.stats.rows_predicted == 10
-            served = service.store_stats
-            assert (served.row_hits, served.row_misses, served.shards_scored) == (20, 10, 0)
+            stats, served = service.stats.snapshot(), service.store_stats
+            assert (stats.cache_hits, stats.cache_misses, stats.rows_predicted) == (20, 10, 10)
+            assert (served.row_hits, served.row_misses) == (20, 10)
+            assert service.metrics()["counters"]["serve.store.shards_scored"] == 0
             assert service.metrics()["gauges"]["serve.cache.rows"] == 10
 
     def test_cached_value_matches_fresh_prediction(self, trained_setup):
@@ -281,9 +280,9 @@ class TestBulkPath:
         store = FeatureStore.open(shard_dir)
         with PredictionService(model, store) as service:
             service.predict_ids(range(25))
-            assert service.stats.rows_predicted == 25
-            assert service.stats.predict_seconds > 0
-            assert service.stats.predicted_rows_per_second > 0
+            assert service.stats.snapshot().rows_predicted == 25
+            assert service.stats.snapshot().predict_seconds > 0
+            assert service.stats.snapshot().predicted_rows_per_second > 0
 
 
 class TestFromRegistry:
@@ -312,57 +311,29 @@ class TestFromRegistry:
 
 
 class TestStatsSnapshot:
-    def test_snapshot_matches_live_attributes_when_idle(self, trained_setup):
+    def test_snapshot_reads_the_registry_series_when_idle(self, trained_setup):
         model, shard_dir, _, _ = trained_setup
         store = FeatureStore.open(shard_dir)
         with PredictionService(model, store) as service:
             for row_id in (0, 80, 0, 160):  # shards 0, 1, 0 again, 2
                 service.predict_id(row_id)
-            snap = service.stats.snapshot()
-        assert snap.requests == service.stats.requests == 4
-        assert snap.cache_hits == service.stats.cache_hits == 1
-        assert snap.cache_misses == service.stats.cache_misses == 3
-        assert snap.rows_predicted == service.stats.rows_predicted == 3
-        assert snap.request_seconds == pytest.approx(service.stats.request_seconds)
+            snap, metrics = service.stats.snapshot(), service.metrics()
+        counters, histograms = metrics["counters"], metrics["histograms"]
+        assert (snap.requests, snap.cache_hits, snap.cache_misses) == (4, 1, 3)
+        assert (counters["serve.requests"], counters["serve.cache.hits"]) == (4, 1)
+        assert snap.rows_predicted == counters["serve.rows_predicted"] == 3
+        # The hit was counted, not timed: only the three queued requests were.
+        assert histograms["serve.request.seconds"]["count"] == 3
+        assert snap.request_seconds == histograms["serve.request.seconds"]["sum"] > 0
         assert snap.cache_hit_rate == pytest.approx(0.25)
-        assert snap.mean_request_seconds == pytest.approx(snap.request_seconds / 4)
-
-    def test_snapshot_is_atomic_against_concurrent_writers(self, trained_setup):
-        """A snapshot must never split a multi-metric update in half.
-
-        Each synthetic request adds exactly 1.0 to ``request_seconds`` in the
-        same locked section that bumps ``requests`` — so any snapshot where
-        the two disagree caught a half-applied update (the race the locked
-        ``snapshot()`` exists to close).
-        """
-        import threading
-
-        model, *_ = trained_setup
-        with PredictionService(model) as service:
-            stop = threading.Event()
-
-            def writer():
-                while not stop.is_set():
-                    with service._lock:
-                        service.stats.record_request(1.0)
-
-            thread = threading.Thread(target=writer)
-            thread.start()
-            try:
-                for _ in range(300):
-                    snap = service.stats.snapshot()
-                    assert snap.request_seconds == pytest.approx(float(snap.requests))
-            finally:
-                stop.set()
-                thread.join()
 
     def test_two_services_do_not_share_counters(self, trained_setup):
         model, shard_dir, _, _ = trained_setup
         store = FeatureStore.open(shard_dir)
         with PredictionService(model, store) as a, PredictionService(model, store) as b:
             a.predict_id(0)
-            assert a.stats.requests == 1
-            assert b.stats.requests == 0
+            assert a.stats.snapshot().requests == 1
+            assert b.stats.snapshot().requests == 0
             metrics_a, metrics_b = a.metrics(), b.metrics()
         assert metrics_a["counters"]["serve.requests"] == 1
         assert metrics_b["counters"]["serve.requests"] == 0
@@ -387,11 +358,10 @@ class TestStatsSnapshot:
         assert (stats.cache_hits, stats.cache_misses) == (3, 3)
         # A row computed for its request is a miss (3; 100; 150 and 299), as is
         # every row a direct reader decodes (7, 8, 7); the rest are hits or gathered.
-        assert (served.row_hits, served.row_misses, served.rows_gathered) == (2, 1 + 1 + 2 + 3, 77)
-        assert served.rows_served == served.row_hits + served.row_misses + served.rows_gathered
-        assert (served.shards_scored, served.rows_scored) == (4, 300)
+        assert (served.row_hits, served.row_misses) == (2, 1 + 1 + 2 + 3)
         assert stats.rows_predicted == 1 + 1 + 2  # rows asked of the model, not rows it scored
         assert counters["serve.store.shards_scored"] == 4
+        assert counters["serve.store.rows_scored"] == 300
         assert counters["serve.store.rows_gathered"] == 77
 
     def test_a_refusal_and_a_queued_shed_each_count_once(self, trained_setup):
@@ -500,24 +470,25 @@ class TestLiveCompaction:
             assert second is not first and second.dataset.generation == first.dataset.generation + 1
             assert service.metrics()["counters"]["serve.store.reopens"] == 1
             assert resident(service) == 50  # shard 3 alone: nothing came over from `first`
-            misses, served_by_first = service.stats.cache_misses, first.stats.rows_served
+            misses, served_by_first = service.stats.snapshot().cache_misses, first.stats
             # Row 0's vector was resident on the old handle; the new one scores it afresh.
             assert service.predict_id(0) == expected[0]
-            assert service.stats.cache_misses == misses + 1
-            assert second.stats.shards_scored == 2
-            assert first.stats.rows_served == served_by_first
+            assert service.stats.snapshot().cache_misses == misses + 1
+            assert second.stats.row_misses == 2  # rows 150 and 0, one shard scored for each
+            assert first.stats == served_by_first
 
             dataset.append(features[200:], labels[200:], executor="serial")
             with pytest.raises(IndexError, match=r"row 249 out of range \[0, 200\)"):
                 service.predict_id(249)
             assert service.maybe_reopen_store()
             assert service.metrics()["counters"]["serve.store.reopens"] == 2
-            assert resident(service) == 0 and service.store_stats.rows_served == 0
+            assert resident(service) == 0 and service.store_stats.row_accesses == 0
             assert [service.predict_id(row) for row in range(250)] == expected
             assert service.predict_ids(range(250)).tolist() == expected
             assert resident(service) == 250
-            assert service.store_stats.shards_scored == 5
-            assert (second.stats.shards_scored, second.stats.rows_served) == (2, 2)
+            # Two shards scored on each earlier handle, all five on this one.
+            assert service.metrics()["counters"]["serve.store.shards_scored"] == 2 + 2 + 5
+            assert second.stats.row_accesses == 2
 
 
 class TestBulkRequestsOnTheQueue:
@@ -531,7 +502,8 @@ class TestBulkRequestsOnTheQueue:
             assert isinstance(miss, Future)
             value = miss.result(timeout=10)
             assert service.submit_id(3) == value == service.predict_id(3)
-            assert service.stats.requests == 3 and service.stats.cache_hits == 2
+            stats = service.stats.snapshot()
+            assert (stats.requests, stats.cache_hits) == (3, 2)
 
     def test_submit_ids_counts_one_request_and_every_row(self, trained_setup):
         model, shard_dir, _, _ = trained_setup
@@ -539,8 +511,8 @@ class TestBulkRequestsOnTheQueue:
         ids = list(range(40))
         with PredictionService(model, store, max_batch_size=8) as service:
             got = service.submit_ids(ids).result(timeout=10)
-            assert service.stats.requests == 1
-            assert service.stats.rows_predicted == len(ids)
+            assert service.stats.snapshot().requests == 1
+            assert service.stats.snapshot().rows_predicted == len(ids)
         assert isinstance(got, list)
         np.testing.assert_allclose(got, model.predict(store.get_rows(ids)))
 
@@ -580,6 +552,6 @@ class TestBulkRequestsOnTheQueue:
             bulk, bad_single = service.submit_ids(covered), service.submit_id(10_000_000)
             gate.set()
             np.testing.assert_allclose(bulk.result(timeout=10), original(store.get_rows(covered)))
-            assert service.store_stats.shards_scored == 3
+            assert service.metrics()["counters"]["serve.store.shards_scored"] == 3
             with pytest.raises(Exception, match="10000000"):
                 bad_single.result(timeout=10)

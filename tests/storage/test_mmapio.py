@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.compression.registry import available_schemes
-from repro.engine.shards import ShardedDataset, _publish_file
+from repro.engine.shards import ShardedDataset
 from repro.storage import mmapio
 from repro.storage.buffer_pool import BufferPool
 
@@ -53,14 +53,14 @@ class TestPublishUnderALiveMapping:
         old = bytes(range(256)) * 256  # 64 KB: many pages past the new end of file
         path.write_bytes(old)
         view = mmapio.map_file(path)
-        _publish_file(path, b"short")
+        mmapio.publish_file(path, b"short")
         assert bytes(view) == old  # reads every old page: no SIGBUS
         assert path.read_bytes() == b"short"
 
     def test_publish_leaves_no_temporary_file(self, tmp_path):
         path = tmp_path / "shard-00001.bin"
-        _publish_file(path, b"first")
-        _publish_file(path, b"second")
+        mmapio.publish_file(path, b"first")
+        mmapio.publish_file(path, b"second")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["shard-00001.bin"]
         assert bytes(mmapio.map_file(path)) == b"second"
 
