@@ -99,7 +99,7 @@ def test_report_figure8_shape(benchmark, capsys):
     assert rows["CVI"]["A*c"] < rows["Gzip"]["A*c"] / 10
     # Right/left multiplication: TOC avoids the full-batch decompression the
     # byte-block schemes pay.  (Against Gzip the margin on this small profile
-    # is thin in Python — zlib inflate is C — so v*A is checked against the
-    # fast byte compressor; see EXPERIMENTS.md for the Figure 8 divergences.)
+    # is thin in Python — zlib inflate is C, the TOC kernels are NumPy — so
+    # v*A is checked against the fast byte compressor instead.)
     assert rows["TOC"]["A*v"] < rows["Gzip"]["A*v"]
     assert rows["TOC"]["v*A"] < rows["Snappy"]["v*A"]

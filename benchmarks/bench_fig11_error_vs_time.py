@@ -4,25 +4,24 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench.experiments import run_fig11
+from repro.bench.experiments import run_fig11, store_batches, train_from_pool
 from repro.bench.reporting import format_table
 from repro.bench.workloads import labeled_dataset
-from repro.compression.registry import get_scheme
 from repro.data.minibatch import split_minibatches
 from repro.ml.models import FeedForwardNetwork
-from repro.storage.bismarck import BismarckSession
-from repro.storage.buffer_pool import BufferPool
 
 
 @pytest.mark.parametrize("scheme", ("TOC", "DEN", "CSR"))
 def test_one_epoch_through_storage(benchmark, scheme):
+    """One epoch of the experiments' stream: pool read, decode, gradient step."""
     features, labels = labeled_dataset("mnist", 500, seed=0)
     batches = split_minibatches(features, labels, batch_size=125, seed=0)
-    session = BismarckSession(get_scheme(scheme), BufferPool(budget_bytes=10**9))
-    session.load(batches)
+    pool, _sizes = store_batches(batches, scheme, budget_bytes=10**9)
+    targets = [y for _x, y in batches]
     model = FeedForwardNetwork(features.shape[1], hidden_sizes=(32, 16), n_classes=10, seed=0)
-    session.register_model(model)
-    benchmark.pedantic(session.run_epoch, args=(model, 0.5), rounds=1, iterations=3)
+    benchmark.pedantic(
+        train_from_pool, args=(model, pool, scheme, targets, 1, 0.5), rounds=1, iterations=3
+    )
 
 
 def test_report_figure11(benchmark, capsys):

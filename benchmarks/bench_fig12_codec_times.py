@@ -43,7 +43,7 @@ def test_report_figure12(benchmark, capsys):
     # Shape claims.  The paper finds TOC compression between Snappy and Gzip
     # and TOC decompression faster than both; with NumPy kernels against C
     # zlib the decompression ordering does not survive on the smallest
-    # profiles (see EXPERIMENTS.md), so the assertions use loose factors that
+    # profiles, so the assertions use loose factors that
     # the paper's ordering would satisfy by a wide margin.
     for per_codec in results.values():
         assert per_codec["Snappy"]["compress"] < per_codec["Gzip"]["compress"]

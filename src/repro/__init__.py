@@ -14,7 +14,8 @@ plus the lower-level pieces advanced users reach for:
   schemes plus TOC behind one interface;
 * the MGD training stack (models, optimizer, metrics);
 * the dataset profiles mirroring the paper's Table 5;
-* the Bismarck-style storage layer (buffer pool + blob table + session).
+* the byte-budgeted :class:`BufferPool` the end-to-end experiments train
+  through, with its simulated disk.
 """
 
 from repro.compression import available_schemes, get_scheme
@@ -32,7 +33,7 @@ from repro.ml import (
     OneVsRestClassifier,
 )
 from repro.serve import FeatureStore, MicroBatcher, ModelRegistry, PredictionService
-from repro.storage import BismarckSession, BufferPool
+from repro.storage import BufferPool
 
 __version__ = "0.2.0"
 
@@ -41,7 +42,6 @@ __version__ = "0.2.0"
 from repro.api import Dataset, Estimator, open_service  # noqa: E402
 
 __all__ = [
-    "BismarckSession",
     "Dataset",
     "Estimator",
     "open_service",

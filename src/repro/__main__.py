@@ -647,7 +647,9 @@ def _cmd_obs_dump(args: argparse.Namespace) -> int:
     if args.output is not None:
         from pathlib import Path
 
-        Path(args.output).write_text(text)
+        from repro.storage.mmapio import publish_file
+
+        publish_file(Path(args.output), text.encode())
         print(f"wrote {len(tracer)} spans ({args.format}) to {args.output}")
     else:
         print(text)

@@ -150,24 +150,6 @@ class Dataset:
         return cls(sharded)
 
     @classmethod
-    def from_batches(
-        cls,
-        path: Path | str,
-        batches: list[tuple[np.ndarray, np.ndarray]],
-        *,
-        scheme: str | Sequence[str] = AUTO_SCHEME,
-        workers: int | None = None,
-        executor: str = "auto",
-        workload: str | None = None,
-    ) -> "Dataset":
-        """Encode pre-split ``(features, labels)`` batches to ``path``."""
-        sharded = ShardedDataset.create(
-            path, batches, scheme, workers=workers, executor=executor,
-            workload=workload, calibration=_calibration_for(path, workload),
-        )
-        return cls(sharded)
-
-    @classmethod
     def open(cls, path: Path | str) -> "Dataset":
         """Attach to an existing shard directory (manifest v1 or v2)."""
         return cls(ShardedDataset.open(path))

@@ -8,6 +8,10 @@ the module can be invoked from the command line::
     python -m repro.bench.experiments tab6 --quick
 
 The pytest-benchmark scripts under ``benchmarks/`` call the same drivers.
+The end-to-end experiments (Tables 6/7, Figures 9-11) store the compressed
+batches on a buffer pool's simulated disk and train through the MGD loop
+the out-of-core trainer uses (``MiniBatchGradientDescent.train_streaming``),
+so whether a format fits the memory budget shows up as simulated IO.
 Row counts default to laptop-scale values; the ``scale`` argument lets the
 CLI or the benches shrink/grow them without touching the experiment logic.
 """
@@ -34,9 +38,10 @@ from repro.compression.registry import get_scheme
 from repro.data.minibatch import split_minibatches
 from repro.ml.metrics import error_rate
 from repro.ml.models import FeedForwardNetwork, LinearSVMModel, LogisticRegressionModel
+from repro.ml.optimizer import GradientDescentConfig, MiniBatchGradientDescent
 from repro.ml.reference import gradient_descent_spectrum
-from repro.storage.bismarck import BismarckSession
 from repro.storage.buffer_pool import BufferPool
+from repro.storage.pages import stored_bytes
 
 #: Schemes shown in the compression-ratio figures, paper order.
 RATIO_SCHEMES = ("CSR", "CVI", "DVI", "Snappy", "Gzip", "TOC", "CLA")
@@ -52,7 +57,8 @@ END_TO_END_SCHEMES = ("TOC", "DEN", "CSR", "CVI", "DVI", "Snappy", "Gzip")
 #: slower in absolute terms, so the simulated disk is scaled down by roughly
 #: the same factor to keep the compute-to-IO balance (and hence the crossover
 #: points of Figures 9-11 and Tables 6-7) in the regime the paper studies.
-#: See EXPERIMENTS.md for the calibration note.
+#: 20 MB/s is 150 MB/s (the pool's cloud-disk default) divided by roughly
+#: the measured NumPy-over-C++ kernel slowdown.
 SIMULATED_DISK_BANDWIDTH = 20e6
 
 
@@ -199,6 +205,46 @@ def _make_model(model_name: str, n_features: int, classes: int, seed: int = 0):
     raise ValueError(f"unknown model {model_name!r}")
 
 
+def store_batches(batches, scheme_name: str, budget_bytes: int) -> tuple[BufferPool, list[int]]:
+    """Compress every batch onto a fresh pool's simulated disk; return it and the blob sizes."""
+    scheme = get_scheme(scheme_name)
+    pool = BufferPool(
+        budget_bytes=budget_bytes, disk_bandwidth_bytes_per_sec=SIMULATED_DISK_BANDWIDTH
+    )
+    sizes = []
+    for batch_id, (batch_x, _y) in enumerate(batches):
+        payload = scheme.compress(batch_x).to_bytes()
+        pool.put_on_disk(batch_id, payload)
+        sizes.append(len(payload))
+    return pool, sizes
+
+
+def train_from_pool(
+    model, pool: BufferPool, scheme_name: str, labels, epochs: int, learning_rate: float
+) -> tuple[float, list[float]]:
+    """Train ``model`` for ``epochs`` passes over the pool's batches, in order.
+
+    Every epoch reads each batch through the pool and decodes it, so a
+    format that does not fit the budget pays simulated IO again.  Returns
+    the compute seconds and each epoch's simulated IO seconds.
+    """
+    scheme = get_scheme(scheme_name)
+    io_marks: list[float] = []
+
+    def epoch_batches():
+        io_marks.append(pool.stats.simulated_io_seconds)
+        return (
+            (scheme.decompress_bytes(pool.read(batch_id)), targets)
+            for batch_id, targets in enumerate(labels)
+        )
+
+    # The stream fixes the batches; only the epochs and the step size apply.
+    config = GradientDescentConfig(epochs=epochs, learning_rate=learning_rate)
+    history = MiniBatchGradientDescent(config).train_streaming(model, epoch_batches)
+    io_marks.append(pool.stats.simulated_io_seconds)
+    return history.total_time, [b - a for a, b in zip(io_marks, io_marks[1:])]
+
+
 def run_end_to_end(
     dataset: str,
     scheme_name: str,
@@ -212,39 +258,38 @@ def run_end_to_end(
 ) -> dict:
     """One cell of Tables 6/7: train one model, one scheme, one dataset size.
 
-    Training goes through the Bismarck-style session so memory pressure (via
-    the buffer pool) and the page fudge factor are included; multi-class
-    datasets wrap LR/SVM in one-vs-rest like the paper.
+    The compressed batches sit on the simulated disk of a buffer pool, so
+    memory pressure is included and the page fudge factor reported; multi-class
+    datasets wrap LR/SVM in one-vs-rest like the paper, each per-class model
+    making its own passes over the batches.
     """
     features, labels = labeled_dataset(dataset, n_rows, seed=seed)
     batches = split_minibatches(features, labels, batch_size=batch_size, seed=seed)
-
-    pool = BufferPool(
-        budget_bytes=memory_budget_bytes,
-        disk_bandwidth_bytes_per_sec=SIMULATED_DISK_BANDWIDTH,
-    )
-    session = BismarckSession(get_scheme(scheme_name), pool)
-    session.load(batches)
+    pool, sizes = store_batches(batches, scheme_name, memory_budget_bytes)
+    batch_labels = [y for _x, y in batches]
 
     classes = n_classes(dataset)
     start = time.perf_counter()
+    compute_seconds = 0.0
+    epoch_io: list[float] = []
     if model_name in ("LR", "SVM") and classes > 2:
-        # One-vs-rest: each per-class model does its own pass over the table.
-        compute_io = [0.0, 0.0]
-        for klass in range(classes):
-            model = _make_model(model_name, features.shape[1], 2, seed=seed + klass)
-            session.register_model(model)
-            for _ in range(epochs):
-                binar_report = session.run_epoch(model, learning_rate)
-                compute_io[0] += binar_report.compute_seconds
-                compute_io[1] += binar_report.io_seconds
-        compute_seconds, io_seconds = compute_io
+        runs = [
+            (
+                _make_model(model_name, features.shape[1], 2, seed=seed + klass),
+                [(y == klass).astype(np.float64) for y in batch_labels],
+            )
+            for klass in range(classes)
+        ]
     else:
-        model = _make_model(model_name, features.shape[1], classes, seed=seed)
-        report = session.train(model, epochs=epochs, learning_rate=learning_rate)
-        compute_seconds, io_seconds = report.total_compute_seconds, report.total_io_seconds
+        runs = [(_make_model(model_name, features.shape[1], classes, seed=seed), batch_labels)]
+    for model, targets in runs:
+        compute, io = train_from_pool(model, pool, scheme_name, targets, epochs, learning_rate)
+        compute_seconds += compute
+        epoch_io += io
+    io_seconds = sum(epoch_io)
     wall = time.perf_counter() - start
 
+    payload_bytes = sum(sizes)
     return {
         "dataset": dataset,
         "scheme": scheme_name,
@@ -256,7 +301,7 @@ def run_end_to_end(
         "wall_seconds": wall,
         "fits_in_memory": pool.fits_entirely(),
         "stored_bytes": pool.total_stored_bytes(),
-        "fudge_factor": session.table.fudge_factor(),
+        "fudge_factor": stored_bytes(sizes) / payload_bytes if payload_bytes else 1.0,
     }
 
 
@@ -388,7 +433,8 @@ def run_fig11(
     The classifier is a one-vs-rest logistic regression (the paper's LR panel
     of Figure 11); all schemes train exactly the same models, so the error
     curves coincide and the wall-clock axis — driven by whether the format
-    fits in the buffer-pool budget — is what separates them.
+    fits in the buffer-pool budget — is what separates them.  Each epoch
+    makes one pass over the batches per class.
     """
     features, labels = labeled_dataset(dataset, n_rows + test_rows, seed=seed)
     train_x, train_y = features[:n_rows], labels[:n_rows]
@@ -399,14 +445,13 @@ def run_fig11(
     toc_bytes = sum(get_scheme("TOC").compress(bx).nbytes for bx, _ in batches)
     den_bytes = sum(bx.shape[0] * bx.shape[1] * 8 for bx, _ in batches)
     budget = 2 * toc_bytes if memory_pressure else 4 * den_bytes
+    class_targets = [
+        [(by == klass).astype(np.float64) for _bx, by in batches] for klass in range(classes)
+    ]
 
     curves: dict[str, dict[str, list[float]]] = {}
     for scheme_name in ("TOC", "DEN", "CSR"):
-        pool = BufferPool(
-            budget_bytes=budget, disk_bandwidth_bytes_per_sec=SIMULATED_DISK_BANDWIDTH
-        )
-        session = BismarckSession(get_scheme(scheme_name), pool)
-        session.load(batches)
+        pool, _sizes = store_batches(batches, scheme_name, budget)
         models = [
             LogisticRegressionModel(train_x.shape[1], seed=seed + klass)
             for klass in range(classes)
@@ -415,15 +460,9 @@ def run_fig11(
         errors: list[float] = []
         elapsed = 0.0
         for _ in range(epochs):
-            for klass, model in enumerate(models):
-                session.register_model(model)
-                io_before = pool.stats.simulated_io_seconds
-                start = time.perf_counter()
-                for compressed, batch_labels in session.table.iter_batches():
-                    binary = (batch_labels == klass).astype(np.float64)
-                    model.gradient_step(compressed, binary, learning_rate)
-                elapsed += time.perf_counter() - start
-                elapsed += pool.stats.simulated_io_seconds - io_before
+            for model, targets in zip(models, class_targets):
+                compute, io = train_from_pool(model, pool, scheme_name, targets, 1, learning_rate)
+                elapsed += compute + sum(io)
             scores = np.column_stack([model.scores(test_x) for model in models])
             predictions = np.argmax(scores, axis=1).astype(np.float64)
             times.append(elapsed)

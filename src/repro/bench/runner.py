@@ -21,6 +21,7 @@ import numpy as np
 
 from repro.compression.registry import get_scheme
 from repro.obs import platform_key
+from repro.storage.mmapio import publish_file
 
 #: Environment variable selecting where ``BENCH_*.json`` files are written.
 BENCH_JSON_DIR_ENV = "BENCH_JSON_DIR"
@@ -137,7 +138,7 @@ def write_bench_json(
         "platform_key": platform_key(fingerprint),
         "records": [asdict(r) if hasattr(r, "__dataclass_fields__") else dict(r) for r in records],
     }
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True))
+    publish_file(path, json.dumps(payload, indent=2, sort_keys=True).encode())
     return path
 
 

@@ -149,7 +149,3 @@ class CompressionScheme(abc.ABC):
     @abc.abstractmethod
     def decompress_bytes(self, raw: bytes) -> CompressedMatrix:
         """Rebuild a compressed batch from its serialised form."""
-
-    def compressed_size(self, matrix: np.ndarray) -> int:
-        """Convenience: compressed size of ``matrix`` in bytes."""
-        return self.compress(matrix).nbytes

@@ -37,11 +37,6 @@ class DVIMatrix(CompressedMatrix):
         return int(self._values.nbytes)
 
     @property
-    def n_distinct(self) -> int:
-        """Number of distinct cell values (the dictionary size)."""
-        return int(self._values.dictionary.size)
-
-    @property
     def value_index(self) -> ValueIndex:
         """The dictionary-encoded cell array (what scans probe directly)."""
         return self._values

@@ -11,7 +11,7 @@ imply but the seed code never assembled:
    :class:`~repro.storage.buffer_pool.BufferPool` and stream them in
    order on the training thread;
 4. **train** — drive the existing MGD optimizer and models over the stream
-   (:mod:`repro.engine.trainer`), or hand the shards to a Bismarck session.
+   (:mod:`repro.engine.trainer`).
 """
 
 from repro.engine.compact import CompactReport, ShardChange, compact_dataset, readvise_shard

@@ -33,9 +33,9 @@ published new files and the observer should re-open
 
 from __future__ import annotations
 
+import io
 import json
 import operator
-import os
 import re
 import time
 from collections import Counter
@@ -59,7 +59,6 @@ from repro.engine.encode import (
 from repro.storage.buffer_pool import BufferPool
 from repro.storage.mmapio import map_file, publish_file
 from repro.storage.pages import stored_bytes
-from repro.storage.table import BlobTable
 
 MANIFEST_NAME = "manifest.json"
 LABELS_NAME = "labels.npz"
@@ -335,9 +334,9 @@ class ShardedDataset:
 
     def _write_labels(self) -> None:
         """Atomically persist the label archive (write-new, then rename)."""
-        tmp = self.directory / f".{LABELS_NAME}.tmp.npz"
-        np.savez(tmp, **{f"y{bid:05d}": y for bid, y in self._labels.items()})
-        os.replace(tmp, self.directory / LABELS_NAME)
+        archive = io.BytesIO()
+        np.savez(archive, **{f"y{bid:05d}": y for bid, y in self._labels.items()})
+        publish_file(self.directory / LABELS_NAME, archive.getvalue())
 
     def rewrite_manifest(self) -> Path:
         """Atomically rewrite the manifest (format v2) from the current state.
@@ -521,24 +520,6 @@ class ShardedDataset:
         for shard in self.shards:
             path = self.directory / shard.filename
             pool.put_on_disk(shard.batch_id, size=shard.nbytes, loader=partial(map_file, path))
-
-    def as_blob_table(self, pool: BufferPool) -> BlobTable:
-        """Expose the shards as a Bismarck-style blob table over ``pool``.
-
-        The decoder for every row is resolved from the manifest; the old
-        ``scheme`` parameter (deprecated in the previous release) is gone.
-        """
-        table = BlobTable(None, pool)
-        for shard in self.shards:
-            path = self.directory / shard.filename
-            table.add_encoded(
-                shard.batch_id,
-                self._labels[shard.batch_id],
-                size=shard.nbytes,
-                loader=partial(map_file, path),
-                scheme=self.scheme_for(shard.batch_id),
-            )
-        return table
 
     # -- statistics -------------------------------------------------------------
 

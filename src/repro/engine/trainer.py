@@ -25,8 +25,6 @@ from repro.engine.shards import ShardedDataset
 from repro.ml.optimizer import GradientDescentConfig, MiniBatchGradientDescent, TrainingHistory
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
-from repro.storage.arena import ModelArena
-from repro.storage.bismarck import BismarckSession
 from repro.storage.buffer_pool import BufferPool, BufferPoolStats
 
 
@@ -257,19 +255,3 @@ class OutOfCoreTrainer:
             },
         )
         return version, registry.path_for(version)
-
-    # -- Bismarck integration ----------------------------------------------------
-
-    def bismarck_session(self, arena: ModelArena | None = None) -> BismarckSession:
-        """Wrap the attached shards in a Bismarck-style in-database session.
-
-        The session's UDF-style epoch runner then reads the same shard files
-        through the same buffer pool, which is how the in-RDBMS experiments
-        reuse shards produced by the parallel encode pipeline.
-        """
-        if self.dataset is None or self.pool is None:
-            raise RuntimeError("call shard() or attach() before bismarck_session()")
-        # The table resolves each row's decoder from the manifest, so the
-        # session works for uniform and mixed-scheme shard directories alike.
-        table = self.dataset.as_blob_table(self.pool)
-        return BismarckSession(self.scheme, self.pool, arena=arena, table=table)

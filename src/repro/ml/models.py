@@ -246,7 +246,7 @@ class FeedForwardNetwork:
         return loss
 
     def get_parameters(self) -> np.ndarray:
-        """Flattened parameter vector (used by the storage arena)."""
+        """Flattened parameter vector (weight matrices, then biases)."""
         parts = [w.ravel() for w in self.weights] + [b.ravel() for b in self.biases]
         return np.concatenate(parts)
 

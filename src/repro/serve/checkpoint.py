@@ -10,16 +10,17 @@ rebuild a trained model and find its data:
                         # compression scheme, dataset metadata, created time
       weights.npz       # the flattened parameter vector
 
-Weights travel through ``model.get_parameters()`` / ``set_parameters()`` —
-the same interface the storage arena uses — so every model in
-:mod:`repro.ml.models` checkpoints without model-specific code.  The
-:class:`ModelRegistry` stacks numbered checkpoint directories under one root
-and resolves ``"latest"`` or a pinned version number, which is what lets a
-trainer keep publishing new versions while serving stays on a known-good one.
+Weights travel through ``model.get_parameters()`` / ``set_parameters()``,
+so every model in :mod:`repro.ml.models` checkpoints without model-specific
+code.  The :class:`ModelRegistry` stacks numbered checkpoint directories
+under one root and resolves ``"latest"`` or a pinned version number, which
+is what lets a trainer keep publishing new versions while serving stays on
+a known-good one.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import time
 from dataclasses import dataclass, field
@@ -136,7 +137,9 @@ def save_checkpoint(
         )
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    np.savez(directory / WEIGHTS_NAME, parameters=model.get_parameters())
+    weights = io.BytesIO()
+    np.savez(weights, parameters=model.get_parameters())
+    publish_file(directory / WEIGHTS_NAME, weights.getvalue())
     manifest = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
         "model": model_name,

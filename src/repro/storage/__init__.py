@@ -1,30 +1,24 @@
-"""Bismarck-like in-DB storage substrate and memory-pressure simulation.
+"""Storage substrate: the byte-budgeted buffer pool, page layout and file IO.
 
 The paper's end-to-end experiments hinge on two storage-level effects:
 
 1. **which formats fit in memory** — once compressed mini-batches exceed the
    buffer budget they spill to disk and every epoch pays IO again
    (:mod:`repro.storage.buffer_pool`);
-2. **integration into an RDBMS** — compressed batches stored as blobs in a
-   heap table, model state in a shared-memory arena, training driven by a
-   UDF-style epoch runner, all with a small storage fudge factor
-   (:mod:`repro.storage.pages`, :mod:`repro.storage.table`,
-   :mod:`repro.storage.arena`, :mod:`repro.storage.bismarck`).
+2. **the storage fudge factor** — blobs laid out on fixed-size pages take a
+   little more room than the sum of their sizes (:mod:`repro.storage.pages`).
+
+:mod:`repro.storage.mmapio` is the one way shard files are read (a
+read-only mapping) and the one way any file is written (publish by rename).
 """
 
-from repro.storage.arena import ModelArena
-from repro.storage.bismarck import BismarckSession
 from repro.storage.buffer_pool import BufferPool, BufferPoolStats, DiskBlob
 from repro.storage.pages import Page, PAGE_SIZE_BYTES
-from repro.storage.table import BlobTable
 
 __all__ = [
-    "BismarckSession",
-    "BlobTable",
     "BufferPool",
     "BufferPoolStats",
     "DiskBlob",
-    "ModelArena",
     "PAGE_SIZE_BYTES",
     "Page",
 ]

@@ -30,8 +30,10 @@ from repro.obs import metrics as obs_metrics
 def publish_file(path: Path, payload) -> None:
     """Write ``payload`` to a dot-temp file beside ``path``, then ``os.replace`` it in.
 
-    Every file a reader may find by name is written this way: shards,
-    checkpoint manifests, calibrations.  A crash mid-write leaves the temp
+    Every file the package writes goes through here: shards, manifests,
+    label archives, checkpoints, calibrations, bench snapshots and trace
+    dumps (``tests/test_file_writes.py`` holds every module to it; an npz
+    is serialised into a ``BytesIO`` first).  A crash mid-write leaves the temp
     file, never a torn file under ``path``.  A reader may also hold a
     mapping of the file already at ``path`` (every shard read is a
     :func:`map_file` view, and feature stores keep them).  Rewriting that

@@ -1,4 +1,4 @@
-"""Fixed-size pages for the heap table of compressed mini-batches.
+"""Fixed-size pages: the layout model behind the storage fudge factor.
 
 Postgres-style 8 KiB pages with a per-page and per-item header: this is the
 source of the "fudge factor" the paper mentions when comparing BismarckTOC

@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.bench import experiments
+from repro.bench.workloads import labeled_dataset
+from repro.compression.registry import get_scheme
+from repro.data.minibatch import split_minibatches
+from repro.ml.models import LogisticRegressionModel
+from repro.ml.optimizer import GradientDescentConfig, MiniBatchGradientDescent
 
 
 class TestFig2:
@@ -143,6 +149,64 @@ class TestEndToEndDrivers:
             assert len(curve["time"]) == 2
             assert len(curve["error"]) == 2
             assert curve["time"] == sorted(curve["time"])
+        # Every scheme trains the same models: only the time axis differs.
+        errors = [curve["error"] for curve in result["curves"].values()]
+        assert errors[1:] == errors[:1] * 2
+
+
+class TestPoolStream:
+    """The end-to-end experiments' batches: stored in a pool, streamed through MGD."""
+
+    @pytest.fixture(scope="class")
+    def batches(self):
+        features, labels = labeled_dataset("census", 300, seed=3)
+        return split_minibatches(features, labels, batch_size=50, seed=0)
+
+    def test_trains_the_same_model_as_the_in_memory_loop(self, batches):
+        n_features = batches[0][0].shape[1]
+        pool, _sizes = experiments.store_batches(batches, "TOC", budget_bytes=10**8)
+        streamed = LogisticRegressionModel(n_features, seed=0)
+        experiments.train_from_pool(streamed, pool, "TOC", [y for _x, y in batches], 2, 0.5)
+
+        in_memory = LogisticRegressionModel(n_features, seed=0)
+        compressed = [(get_scheme("TOC").compress(bx), by) for bx, by in batches]
+        config = GradientDescentConfig(epochs=2, learning_rate=0.5)
+        MiniBatchGradientDescent(config).train(in_memory, compressed)
+        np.testing.assert_array_equal(streamed.get_parameters(), in_memory.get_parameters())
+
+    def test_a_pool_that_holds_every_batch_reads_the_disk_once(self, batches):
+        pool, sizes = experiments.store_batches(batches, "TOC", budget_bytes=10**8)
+        model = LogisticRegressionModel(batches[0][0].shape[1], seed=0)
+        _compute, epoch_io = experiments.train_from_pool(
+            model, pool, "TOC", [y for _x, y in batches], 3, 0.1
+        )
+        assert epoch_io[0] == pytest.approx(sum(sizes) / experiments.SIMULATED_DISK_BANDWIDTH)
+        assert epoch_io[1:] == [0.0, 0.0]
+        assert pool.stats.misses == len(batches)
+        assert pool.stats.hits == 2 * len(batches)
+
+    def test_a_spilling_pool_pays_io_every_epoch(self, batches):
+        toc_bytes = sum(get_scheme("TOC").compress(bx).nbytes for bx, _ in batches)
+        pool, _sizes = experiments.store_batches(batches, "TOC", budget_bytes=toc_bytes // 3)
+        model = LogisticRegressionModel(batches[0][0].shape[1], seed=0)
+        _compute, epoch_io = experiments.train_from_pool(
+            model, pool, "TOC", [y for _x, y in batches], 3, 0.1
+        )
+        assert len(epoch_io) == 3
+        assert all(io > 0 for io in epoch_io)
+
+    def test_one_vs_rest_makes_one_pass_per_class_per_epoch(self):
+        # A budget below one batch: every read misses, so the IO counts passes.
+        classes, epochs = experiments.n_classes("mnist"), 2
+        assert classes > 2
+        cell = experiments.run_end_to_end(
+            "mnist", "TOC", "LR", n_rows=200, memory_budget_bytes=1, epochs=epochs,
+            batch_size=50,
+        )
+        one_pass = cell["stored_bytes"] / experiments.SIMULATED_DISK_BANDWIDTH
+        assert cell["io_seconds"] == pytest.approx(classes * epochs * one_pass)
+        assert not cell["fits_in_memory"]
+        assert cell["fudge_factor"] >= 1.0
 
 
 class TestTable1Driver:

@@ -193,15 +193,6 @@ class TestShardedDataset:
         assert pool.cached_bytes <= pool.budget_bytes
         assert pool.stats.bytes_read_from_disk > dataset.total_payload_bytes()
 
-    def test_as_blob_table_reads_decoded_batches(self, tmp_path, small_batches):
-        dataset = ShardedDataset.create(tmp_path, small_batches, "TOC", executor="serial")
-        pool = BufferPool(budget_bytes=10 * dataset.total_payload_bytes())
-        table = dataset.as_blob_table(pool)
-        assert len(table) == len(dataset)
-        for batch_id, (compressed, labels) in enumerate(table.iter_batches()):
-            np.testing.assert_allclose(compressed.to_dense(), small_batches[batch_id][0])
-            np.testing.assert_array_equal(labels, small_batches[batch_id][1])
-
     def test_manifest_records_scheme_per_shard(self, tmp_path, small_batches):
         import json
 
@@ -221,28 +212,14 @@ class TestShardedDataset:
         assert reopened.requested_scheme == AUTO_SCHEME
         assert [s.scheme for s in reopened.shards] == [s.scheme for s in created.shards]
         for batch_id, (features, _) in enumerate(mixed_batches):
-            np.testing.assert_allclose(reopened.decode(batch_id).to_dense(), features)
+            decoded = reopened.decode(batch_id)
+            assert decoded.scheme_name == reopened.shards[batch_id].scheme
+            np.testing.assert_allclose(decoded.to_dense(), features)
 
     def test_scheme_for_caches_instances(self, tmp_path, small_batches):
         dataset = ShardedDataset.create(tmp_path, small_batches, "TOC", executor="serial")
         assert dataset.scheme_for(0) is dataset.scheme_for(1)
         assert dataset.scheme_for(0).name == "TOC"
-
-    def test_as_blob_table_resolves_mixed_schemes(self, tmp_path, mixed_batches):
-        dataset = ShardedDataset.create(tmp_path, mixed_batches, AUTO_SCHEME, executor="serial")
-        pool = BufferPool(budget_bytes=10 * dataset.total_payload_bytes())
-        table = dataset.as_blob_table(pool)
-        for batch_id, (compressed, _) in enumerate(table.iter_batches()):
-            assert compressed.scheme_name == dataset.shards[batch_id].scheme
-            np.testing.assert_allclose(compressed.to_dense(), mixed_batches[batch_id][0])
-
-    def test_as_blob_table_scheme_parameter_removed(self, tmp_path, small_batches):
-        # The parameter was deprecated for one release and is now gone: the
-        # manifest is the only source of per-shard decoders.
-        dataset = ShardedDataset.create(tmp_path, small_batches, "TOC", executor="serial")
-        pool = BufferPool(budget_bytes=10 * dataset.total_payload_bytes())
-        with pytest.raises(TypeError):
-            dataset.as_blob_table(pool, get_scheme("TOC"))
 
     def test_append_extends_manifest_and_labels(self, tmp_path, small_batches):
         dataset = ShardedDataset.create(tmp_path, small_batches, "TOC", executor="serial")

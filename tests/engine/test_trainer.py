@@ -81,16 +81,6 @@ class TestOutOfCoreTrainer:
         with pytest.raises(RuntimeError):
             trainer.train(LogisticRegressionModel(4, seed=0))
 
-    def test_bismarck_session_over_shards(self, tmp_path, dataset, config):
-        features, labels = dataset
-        trainer = OutOfCoreTrainer("TOC", config, budget_ratio=10.0, executor="serial")
-        trainer.shard(features, labels, tmp_path)
-
-        session = trainer.bismarck_session()
-        model = LogisticRegressionModel(features.shape[1], seed=0)
-        report = session.train(model, epochs=2, learning_rate=0.3)
-        assert report.epochs[-1].mean_loss < report.epochs[0].mean_loss
-
     def test_shards_reusable_across_trainers(self, tmp_path, dataset, config):
         """Shard once, reattach from disk in a fresh trainer (open path)."""
         from repro.engine.shards import ShardedDataset
@@ -212,17 +202,6 @@ class TestAdaptiveScheme:
         assert meta["requested_scheme"] == "auto"
         assert sum(meta["scheme_counts"].values()) == len(trainer.dataset)
         assert checkpoint.scheme_name == trainer.dataset.scheme_name
-
-    def test_auto_bismarck_session_over_mixed_shards(self, mixed_dataset, config):
-        from repro.engine.shards import ShardedDataset
-
-        directory, batches, _ = mixed_dataset
-        trainer = OutOfCoreTrainer("auto", config, budget_ratio=10.0)
-        trainer.attach(ShardedDataset.open(directory))
-        session = trainer.bismarck_session()
-        model = LogisticRegressionModel(batches[0][0].shape[1], seed=0)
-        report = session.train(model, epochs=2, learning_rate=0.3)
-        assert np.isfinite(report.final_loss)
 
 
 class TestReportAndSchemeGuards:

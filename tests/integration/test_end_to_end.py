@@ -12,14 +12,14 @@ import numpy as np
 import pytest
 
 import repro
+from repro.bench.experiments import SIMULATED_DISK_BANDWIDTH, run_end_to_end
+from repro.bench.workloads import labeled_dataset
 from repro.compression.registry import available_schemes, get_scheme
 from repro.data.minibatch import split_minibatches
 from repro.data.registry import DATASET_PROFILES
 from repro.ml.metrics import accuracy
 from repro.ml.models import FeedForwardNetwork, LogisticRegressionModel
 from repro.ml.optimizer import GradientDescentConfig, MiniBatchGradientDescent
-from repro.storage.bismarck import BismarckSession
-from repro.storage.buffer_pool import BufferPool
 
 
 class TestPublicAPI:
@@ -80,38 +80,47 @@ class TestTrainingAcrossSchemes:
 
 
 class TestMemoryPressureScenario:
+    """Tables 6-7 and Figures 9-11 through the experiment that produces them."""
+
     def test_toc_avoids_io_that_den_pays(self):
         """The paper's core end-to-end claim as an integration test."""
-        features, labels = DATASET_PROFILES["imagenet"].classification(500, seed=24)
-        batches = split_minibatches(features, labels, batch_size=100, seed=0)
+        features, labels = labeled_dataset("imagenet", 500, seed=24)
+        batches = split_minibatches(features, labels, batch_size=100, seed=24)
         toc_bytes = sum(get_scheme("TOC").compress(bx).nbytes for bx, _ in batches)
         den_bytes = sum(bx.size * 8 for bx, _ in batches)
         budget = 3 * toc_bytes
         assert budget < den_bytes  # the scenario only makes sense if DEN spills
 
-        io_seconds = {}
-        for scheme_name in ("TOC", "DEN"):
-            pool = BufferPool(budget_bytes=budget)
-            session = BismarckSession(get_scheme(scheme_name), pool)
-            session.load(batches)
-            model = LogisticRegressionModel(features.shape[1], seed=0)
-            report = session.train(model, epochs=3, learning_rate=0.3)
-            io_seconds[scheme_name] = report.total_io_seconds
-
-        assert io_seconds["TOC"] < io_seconds["DEN"] / 2
+        cells = {
+            scheme_name: run_end_to_end(
+                "imagenet", scheme_name, "LR", n_rows=500, memory_budget_bytes=budget,
+                epochs=3, batch_size=100, learning_rate=0.3, seed=24,
+            )
+            for scheme_name in ("TOC", "DEN")
+        }
+        assert cells["TOC"]["fits_in_memory"] and not cells["DEN"]["fits_in_memory"]
+        assert cells["TOC"]["stored_bytes"] < cells["DEN"]["stored_bytes"]
+        assert cells["TOC"]["io_seconds"] < cells["DEN"]["io_seconds"] / 2
 
     def test_big_memory_makes_formats_equivalent_in_io(self):
         """The Figure 11 '180 GB RAM' observation: with a large enough budget
         every format trains from memory after the first epoch."""
-        features, labels = DATASET_PROFILES["census"].classification(300, seed=25)
-        batches = split_minibatches(features, labels, batch_size=75, seed=0)
         for scheme_name in ("TOC", "DEN"):
-            pool = BufferPool(budget_bytes=10**9)
-            session = BismarckSession(get_scheme(scheme_name), pool)
-            session.load(batches)
-            model = LogisticRegressionModel(features.shape[1], seed=0)
-            report = session.train(model, epochs=2, learning_rate=0.3)
-            assert report.epochs[1].io_seconds == 0.0
+            one, two = (
+                run_end_to_end(
+                    "census", scheme_name, "LR", n_rows=300, memory_budget_bytes=10**9,
+                    epochs=epochs, batch_size=75, learning_rate=0.3, seed=25,
+                )
+                for epochs in (1, 2)
+            )
+            assert one["fits_in_memory"]
+            # The first epoch reads every stored byte once, through the pool...
+            assert one["io_seconds"] == pytest.approx(
+                one["stored_bytes"] / SIMULATED_DISK_BANDWIDTH
+            )
+            # ...and the second reads nothing.
+            assert two["io_seconds"] == one["io_seconds"]
+            assert 1.0 <= one["fudge_factor"] < 3.0
 
 
 class TestSerialisationAcrossTheStack:

@@ -1,8 +1,8 @@
 """One MGD step is one ``A @ w`` and one ``w @ A``, and the loss it records is free.
 
-Every training loop — in-memory :meth:`MiniBatchGradientDescent.train`,
-streaming ``train_streaming`` through :class:`OutOfCoreTrainer`, and the
-in-database :class:`BismarckSession` — must run exactly one compressed
+Every training loop — in-memory :meth:`MiniBatchGradientDescent.train`
+and streaming ``train_streaming`` through :class:`OutOfCoreTrainer`, which
+the end-to-end experiments also train through — must run exactly one compressed
 ``matvec`` and one ``rmatvec`` per batch per epoch on TOC batches, and record
 as an epoch's loss the mean, over its batches, of the batch loss at the
 weights each step started from.  The hand loop below is that definition.
@@ -15,14 +15,13 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from repro.bench.experiments import run_end_to_end
 from repro.compression.registry import get_scheme
 from repro.core.toc import TOCMatrix
 from repro.data.registry import DATASET_PROFILES
 from repro.engine.trainer import OutOfCoreTrainer
 from repro.ml.models import LogisticRegressionModel
 from repro.ml.optimizer import GradientDescentConfig, MiniBatchGradientDescent
-from repro.storage.bismarck import BismarckSession
-from repro.storage.buffer_pool import BufferPool
 
 CONFIG = GradientDescentConfig(batch_size=100, epochs=3, learning_rate=0.05, shuffle_seed=0)
 
@@ -85,17 +84,11 @@ def test_streaming_train_through_the_out_of_core_trainer(tmp_path, data, kernel_
     assert report.history.epoch_losses == pytest.approx(expected, rel=1e-12)
 
 
-def test_bismarck_session(data, kernel_calls):
-    features, labels = data
-    batches = MiniBatchGradientDescent(CONFIG).prepare_batches(features, labels)
-    session = BismarckSession(get_scheme("TOC"), BufferPool(budget_bytes=10**8))
-    session.load(batches)
-    report = session.train(
-        LogisticRegressionModel(features.shape[1], seed=0),
-        epochs=CONFIG.epochs,
-        learning_rate=CONFIG.learning_rate,
+def test_the_end_to_end_experiment(kernel_calls):
+    """Tables 6-7's experiment streams its batches through the same loop."""
+    n_rows = 500
+    run_end_to_end(
+        "census", "TOC", "LR", n_rows=n_rows, memory_budget_bytes=10**8,
+        epochs=CONFIG.epochs, batch_size=CONFIG.batch_size, learning_rate=CONFIG.learning_rate,
     )
-    _assert_one_pass(kernel_calls, len(batches), CONFIG.epochs)
-    compressed = list(session.table.iter_batches())
-    expected = _hand_loop(compressed, features.shape[1], CONFIG.epochs, CONFIG.learning_rate)
-    assert [epoch.mean_loss for epoch in report.epochs] == pytest.approx(expected, rel=1e-12)
+    _assert_one_pass(kernel_calls, n_rows // CONFIG.batch_size, CONFIG.epochs)

@@ -1,12 +1,12 @@
-"""Only the trainer and the storage layer build a buffer pool; serving keeps two caches.
+"""Only the trainer and the experiments build a buffer pool; serving keeps two caches.
 
 A byte-budgeted :class:`~repro.storage.buffer_pool.BufferPool` is the
 paper's RAM-budget mechanism for training (Figure 9, Tables 6–7).  Readers
 that serve rows or scan shards map the files directly, under the service's
 score array and the store's parsed-shard LRU.  These tests list every
 ``BufferPool(...)`` and ``LRUCache(...)`` call under ``src/repro`` and fail
-when a pool appears outside the trainer, the storage package and the
-storage simulation, or an LRU outside the feature store; they fail when the
+when a pool appears outside the out-of-core trainer and the simulated-disk
+experiments, or an LRU outside the feature store; they fail when the
 feature store grows a cache besides its parsed-shard LRU, when a live
 service holds a cache besides its score array, and when a serving entry
 point takes a cache size again.
@@ -34,9 +34,9 @@ from repro.storage.buffer_pool import BufferPool
 
 PACKAGE = Path(repro.__file__).resolve().parent
 
-#: Where a buffer pool may be built: the out-of-core trainer, the storage
-#: package itself, and the simulated-disk experiments.
-POOL_OWNERS = ("engine/trainer.py", "storage/", "bench/experiments.py")
+#: Where a buffer pool may be built: the out-of-core trainer and the
+#: simulated-disk experiments of Tables 6-7 and Figures 9-11.
+POOL_OWNERS = ("engine/trainer.py", "bench/experiments.py")
 
 #: Where an LRU may be built: the feature store's parsed shards.  A
 #: service's predictions live in its score array, which has no size to bound.
@@ -65,10 +65,11 @@ def _built_outside(cls: str, owners: tuple[str, ...]) -> list[str]:
     ]
 
 
-def test_only_the_trainer_and_the_storage_layer_build_buffer_pools():
+def test_only_the_trainer_and_the_experiments_build_buffer_pools():
     found = _built_outside("BufferPool", POOL_OWNERS)
-    assert not found, f"a buffer pool outside the trainer and storage: {found}"
-    assert _constructions(PACKAGE / "engine" / "trainer.py", "BufferPool")
+    assert not found, f"a buffer pool outside the trainer and the experiments: {found}"
+    for owner in POOL_OWNERS:
+        assert _constructions(PACKAGE / owner, "BufferPool"), owner
 
 
 def test_only_the_feature_store_builds_an_lru():
