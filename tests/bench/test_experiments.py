@@ -11,6 +11,7 @@ from repro.compression.registry import get_scheme
 from repro.data.minibatch import split_minibatches
 from repro.ml.models import LogisticRegressionModel
 from repro.ml.optimizer import GradientDescentConfig, MiniBatchGradientDescent
+from repro.storage.pages import PAGE_SIZE_BYTES, stored_bytes
 
 
 class TestFig2:
@@ -162,17 +163,73 @@ class TestPoolStream:
         features, labels = labeled_dataset("census", 300, seed=3)
         return split_minibatches(features, labels, batch_size=50, seed=0)
 
-    def test_trains_the_same_model_as_the_in_memory_loop(self, batches):
+    @pytest.mark.parametrize("scheme_name", experiments.END_TO_END_SCHEMES)
+    def test_stores_every_batch_losslessly(self, batches, scheme_name):
+        pool, sizes = experiments.store_batches(batches, scheme_name, budget_bytes=10**8)
+        scheme = get_scheme(scheme_name)
+        assert len(sizes) == len(batches)
+        assert pool.total_stored_bytes() == sum(sizes)
+        for batch_id, (features, _labels) in enumerate(batches):
+            payload = pool.read(batch_id)
+            assert len(payload) == sizes[batch_id]
+            np.testing.assert_array_equal(scheme.decompress_bytes(payload).to_dense(), features)
+
+    @pytest.mark.parametrize(
+        "scheme_name", [s for s in experiments.END_TO_END_SCHEMES if s != "DEN"]
+    )
+    def test_a_compressed_format_stores_less_than_dense(self, batches, scheme_name):
+        _pool, sizes = experiments.store_batches(batches, scheme_name, budget_bytes=10**8)
+        _pool, dense_sizes = experiments.store_batches(batches, "DEN", budget_bytes=10**8)
+        assert sum(sizes) < sum(dense_sizes)
+
+    @pytest.mark.parametrize("scheme_name", experiments.END_TO_END_SCHEMES)
+    def test_trains_the_same_model_as_the_in_memory_loop(self, batches, scheme_name):
         n_features = batches[0][0].shape[1]
-        pool, _sizes = experiments.store_batches(batches, "TOC", budget_bytes=10**8)
+        pool, _sizes = experiments.store_batches(batches, scheme_name, budget_bytes=10**8)
         streamed = LogisticRegressionModel(n_features, seed=0)
-        experiments.train_from_pool(streamed, pool, "TOC", [y for _x, y in batches], 2, 0.5)
+        experiments.train_from_pool(streamed, pool, scheme_name, [y for _x, y in batches], 2, 0.5)
 
         in_memory = LogisticRegressionModel(n_features, seed=0)
-        compressed = [(get_scheme("TOC").compress(bx), by) for bx, by in batches]
+        compressed = [(get_scheme(scheme_name).compress(bx), by) for bx, by in batches]
         config = GradientDescentConfig(epochs=2, learning_rate=0.5)
         MiniBatchGradientDescent(config).train(in_memory, compressed)
         np.testing.assert_array_equal(streamed.get_parameters(), in_memory.get_parameters())
+
+    def test_training_through_the_pool_reduces_the_loss(self, batches):
+        pool, _sizes = experiments.store_batches(batches, "TOC", budget_bytes=10**8)
+        model = LogisticRegressionModel(batches[0][0].shape[1], seed=0)
+
+        def total_loss():
+            return sum(model.loss(features, labels) for features, labels in batches)
+
+        initial = total_loss()
+        compute, _epoch_io = experiments.train_from_pool(
+            model, pool, "TOC", [y for _x, y in batches], 4, 0.05
+        )
+        assert total_loss() < initial
+        assert compute > 0
+
+    def test_every_epoch_reads_every_batch_in_order_through_the_pool(self, batches, monkeypatch):
+        pool, _sizes = experiments.store_batches(batches, "CSR", budget_bytes=10**8)
+        read = pool.read
+        keys: list[int] = []
+
+        def spy(key):
+            keys.append(key)
+            return read(key)
+
+        monkeypatch.setattr(pool, "read", spy)
+        model = LogisticRegressionModel(batches[0][0].shape[1], seed=0)
+        experiments.train_from_pool(model, pool, "CSR", [y for _x, y in batches], 3, 0.1)
+        assert keys == list(range(len(batches))) * 3
+        assert pool.stats.accesses == 3 * len(batches)
+
+    def test_zero_epochs_rejected(self, batches):
+        pool, _sizes = experiments.store_batches(batches, "TOC", budget_bytes=10**8)
+        model = LogisticRegressionModel(batches[0][0].shape[1], seed=0)
+        with pytest.raises(ValueError, match="epochs"):
+            experiments.train_from_pool(model, pool, "TOC", [y for _x, y in batches], 0, 0.1)
+        assert pool.stats.accesses == 0
 
     def test_a_pool_that_holds_every_batch_reads_the_disk_once(self, batches):
         pool, sizes = experiments.store_batches(batches, "TOC", budget_bytes=10**8)
@@ -195,17 +252,40 @@ class TestPoolStream:
         assert len(epoch_io) == 3
         assert all(io > 0 for io in epoch_io)
 
-    def test_one_vs_rest_makes_one_pass_per_class_per_epoch(self):
+    @pytest.mark.parametrize("model_name", ["LR", "SVM"])
+    def test_one_vs_rest_makes_one_pass_per_class_per_epoch(self, model_name):
         # A budget below one batch: every read misses, so the IO counts passes.
         classes, epochs = experiments.n_classes("mnist"), 2
         assert classes > 2
         cell = experiments.run_end_to_end(
-            "mnist", "TOC", "LR", n_rows=200, memory_budget_bytes=1, epochs=epochs,
+            "mnist", "TOC", model_name, n_rows=200, memory_budget_bytes=1, epochs=epochs,
             batch_size=50,
         )
         one_pass = cell["stored_bytes"] / experiments.SIMULATED_DISK_BANDWIDTH
         assert cell["io_seconds"] == pytest.approx(classes * epochs * one_pass)
         assert not cell["fits_in_memory"]
+        assert cell["fudge_factor"] >= 1.0
+
+    def test_a_multiclass_network_makes_one_pass_per_epoch(self):
+        epochs = 2
+        cell = experiments.run_end_to_end(
+            "mnist", "TOC", "NN", n_rows=200, memory_budget_bytes=1, epochs=epochs,
+            batch_size=50,
+        )
+        one_pass = cell["stored_bytes"] / experiments.SIMULATED_DISK_BANDWIDTH
+        assert cell["io_seconds"] == pytest.approx(epochs * one_pass)
+
+    def test_fudge_factor_is_the_page_layout_over_the_payload(self, batches):
+        cell = experiments.run_end_to_end(
+            "census", "TOC", "LR", n_rows=300, memory_budget_bytes=10**8, epochs=1,
+            batch_size=50, seed=3,
+        )
+        features, labels = labeled_dataset("census", 300, seed=3)
+        same = split_minibatches(features, labels, batch_size=50, seed=3)
+        _pool, sizes = experiments.store_batches(same, "TOC", budget_bytes=10**8)
+        assert cell["stored_bytes"] == sum(sizes)
+        assert cell["fudge_factor"] == stored_bytes(sizes) / sum(sizes)
+        assert stored_bytes(sizes) % PAGE_SIZE_BYTES == 0
         assert cell["fudge_factor"] >= 1.0
 
 

@@ -131,6 +131,23 @@ class TestBenchJSON:
         assert payload["platform"]["cpu_count"] >= 1
         assert "git_commit" in payload
 
+    def test_a_crashed_rewrite_keeps_the_previous_snapshot(self, tmp_path, monkeypatch):
+        import json
+
+        from repro.bench.runner import write_bench_json
+        from repro.storage import mmapio
+
+        path = write_bench_json("unit", [{"run": 1}], directory=tmp_path)
+
+        def crash(src, dst):
+            raise OSError("crashed before the rename")
+
+        monkeypatch.setattr(mmapio.os, "replace", crash)
+        with pytest.raises(OSError, match="crashed"):
+            write_bench_json("unit", [{"run": 2}], directory=tmp_path)
+        monkeypatch.undo()
+        assert json.loads(path.read_text())["records"] == [{"run": 1}]
+
     def test_git_commit_resolves_in_this_checkout(self):
         from repro.bench.runner import current_git_commit
 

@@ -24,6 +24,7 @@ from repro.engine.encode import (
     usable_cpus,
 )
 from repro.engine.shards import (
+    LABELS_NAME,
     MANIFEST_NAME,
     MIXED_SCHEME,
     ShardedDataset,
@@ -241,6 +242,40 @@ class TestShardedDataset:
         bad = np.zeros((4, small_batches[0][0].shape[1] + 1))
         with pytest.raises(ValueError, match="columns"):
             dataset.append([(bad, np.zeros(4))], executor="serial")
+
+    @pytest.mark.parametrize("crashed_at", [LABELS_NAME, MANIFEST_NAME])
+    def test_a_crashed_append_leaves_the_dataset_as_it_was(
+        self, tmp_path, small_batches, monkeypatch, crashed_at
+    ):
+        """The labels archive goes first and the manifest last: a crash before
+        either rename reopens the old shards with the old labels."""
+        from repro.storage import mmapio
+
+        dataset = ShardedDataset.create(tmp_path, small_batches, "TOC", executor="serial")
+        n_before = len(dataset)
+        replace = mmapio.os.replace
+
+        def crash(src, dst):
+            if Path(dst).name == crashed_at:
+                raise OSError("crashed before the rename")
+            replace(src, dst)
+
+        monkeypatch.setattr(mmapio.os, "replace", crash)
+        extra = (np.ones((10, small_batches[0][0].shape[1])), np.ones(10))
+        with pytest.raises(OSError, match="crashed"):
+            dataset.append([extra], executor="serial")
+        monkeypatch.undo()
+
+        reopened = ShardedDataset.open(tmp_path)
+        assert len(reopened) == n_before
+        for batch_id, (features, labels) in enumerate(small_batches):
+            np.testing.assert_allclose(reopened.decode(batch_id).to_dense(), features)
+            np.testing.assert_array_equal(reopened.labels_for(batch_id), labels)
+
+    def test_create_and_append_leave_no_temporary_files(self, tmp_path, small_batches):
+        dataset = ShardedDataset.create(tmp_path, small_batches, "TOC", executor="serial")
+        dataset.append(small_batches[:1], executor="serial")
+        assert [p.name for p in tmp_path.iterdir() if p.name.startswith(".")] == []
 
     def test_stage_shard_publishes_on_manifest_swap(self, tmp_path, small_batches):
         dataset = ShardedDataset.create(tmp_path, small_batches, "TOC", executor="serial")

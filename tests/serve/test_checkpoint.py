@@ -139,3 +139,28 @@ class TestModelRegistry:
         latest = registry.load("latest")
         assert (latest.version, latest.model.bias) == (1, 1.0)
         assert registry.save(LogisticRegressionModel(5, seed=0)) == 2  # the next save reuses v2
+
+    def test_weights_without_a_published_manifest_are_not_a_version(self, tmp_path, monkeypatch):
+        """The weights are published first: a crash before the manifest's
+        rename leaves them in a directory the registry does not list."""
+        registry = ModelRegistry(tmp_path)
+        first = LogisticRegressionModel(5, seed=0)
+        first.bias = 1.0
+        registry.save(first)
+        replace = mmapio.os.replace
+
+        def crash(src, dst):
+            if dst.name == CHECKPOINT_NAME:
+                raise OSError("crashed before the rename")
+            replace(src, dst)
+
+        monkeypatch.setattr(mmapio.os, "replace", crash)
+        with pytest.raises(OSError, match="crashed"):
+            registry.save(LogisticRegressionModel(5, seed=0))
+        monkeypatch.undo()
+
+        assert (registry.path_for(2) / "weights.npz").exists()
+        assert registry.versions() == [1]
+        assert registry.load("latest").model.bias == 1.0
+        with pytest.raises(FileNotFoundError):
+            load_checkpoint(registry.path_for(2))

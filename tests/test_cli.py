@@ -595,6 +595,28 @@ class TestObsCommand:
         events = payload["traceEvents"]
         assert events and all(event["ph"] == "X" for event in events)
 
+    def test_dump_to_file_replaces_a_previous_dump_whole(self, capsys, tmp_path, monkeypatch):
+        import json
+
+        from repro.storage import mmapio
+
+        out_path = tmp_path / "trace.json"
+        out_path.write_text('{"old": true}')
+
+        def crash(src, dst):
+            raise OSError("crashed before the rename")
+
+        monkeypatch.setattr(mmapio.os, "replace", crash)
+        with pytest.raises(OSError, match="crashed"):
+            main(["obs", "dump", "--rows", "60", "--output", str(out_path)])
+        monkeypatch.undo()
+        assert json.loads(out_path.read_text()) == {"old": True}
+
+        assert main(["obs", "dump", "--rows", "60", "--output", str(out_path)]) == 0
+        capsys.readouterr()
+        assert any(record["name"] == "engine.train" for record in json.loads(out_path.read_text()))
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["trace.json"]
+
     def test_parser_defaults(self):
         args = build_parser().parse_args(["obs", "dump"])
         assert args.format == "json"

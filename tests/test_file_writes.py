@@ -190,3 +190,18 @@ def test_an_npz_published_from_memory_loads_like_one_saved_to_a_path(tmp_path):
     with np.load(tmp_path / "weights.npz") as archive:
         np.testing.assert_array_equal(archive["parameters"], np.arange(5.0))
     assert sorted(p.name for p in tmp_path.iterdir()) == ["weights.npz"]
+
+
+def test_a_buffer_counts_only_in_the_function_that_made_it():
+    source = '''
+import io
+import numpy as np
+
+def make():
+    buffer = io.BytesIO()
+    return buffer
+
+def save(buffer):
+    np.savez(buffer, a=np.zeros(1))
+'''
+    assert writes_in(source, "example.py") == ["example.py:10 np.savez to a path"]
