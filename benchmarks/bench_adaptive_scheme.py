@@ -20,11 +20,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.api import Dataset, Estimator
 from repro.bench.runner import write_bench_json
-from repro.engine.shards import ShardedDataset
-from repro.engine.trainer import OutOfCoreTrainer
-from repro.ml.models import LogisticRegressionModel
-from repro.ml.optimizer import GradientDescentConfig
 
 N_BATCHES = 8  # alternating sparse / dense
 BATCH_ROWS = 200
@@ -56,24 +53,28 @@ def _shard_and_train(tmp_path, batches, scheme: str) -> dict:
     """Shard with ``scheme``, then stream one training pass over the result."""
     import time
 
-    directory = tmp_path / scheme
-    dataset = ShardedDataset.create(directory, batches, scheme, executor="serial")
-
-    config = GradientDescentConfig(batch_size=BATCH_ROWS, epochs=2, learning_rate=0.3)
-    trainer = OutOfCoreTrainer("auto", config, budget_ratio=0.5)
-    trainer.attach(dataset)
-    model = LogisticRegressionModel(N_COLS, seed=0)
+    # The batches are kept in order: one row-order split rebuilds them.
+    dataset = Dataset.create(
+        tmp_path / scheme,
+        np.vstack([features for features, _ in batches]),
+        np.concatenate([labels for _, labels in batches]),
+        scheme=scheme, batch_size=BATCH_ROWS, shuffle=False, workers=1,
+    )
+    estimator = Estimator(
+        "logreg", epochs=2, learning_rate=0.3, batch_size=BATCH_ROWS, budget_ratio=0.5
+    )
     start = time.perf_counter()
-    report = trainer.train(model)
+    report = estimator.fit(dataset)
     train_seconds = time.perf_counter() - start
 
+    stats = dataset.stats()
     return {
         "bench": "adaptive_scheme",
         "config": scheme,
-        "scheme_counts": dataset.scheme_counts(),
-        "payload_bytes": dataset.total_payload_bytes(),
-        "physical_bytes": dataset.physical_bytes(),
-        "encode_seconds": dataset.encode_seconds,
+        "scheme_counts": stats.scheme_counts,
+        "payload_bytes": stats.payload_bytes,
+        "physical_bytes": stats.physical_bytes,
+        "encode_seconds": stats.encode_seconds,
         "train_seconds": train_seconds,
         "final_loss": report.final_loss,
     }

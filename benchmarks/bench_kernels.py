@@ -363,7 +363,7 @@ def test_mmap_full_shard_decode_no_regression(bench_json, tmp_path_factory):
         scheme="TOC",
         batch_size=1_500,
         shuffle=False,
-        executor="serial",
+        workers=1,
     )
     sharded = dataset.sharded
     paths = [sharded.directory / s.filename for s in sharded.shards]

@@ -82,7 +82,7 @@ def test_pushdown_beats_decode_then_filter(bench_json, tmp_path_factory, quantis
             scheme=scheme,
             batch_size=BATCH_ROWS,
             shuffle=False,
-            executor="serial",
+            workers=1,
         )
 
         # Correctness before timing: end-to-end through Dataset.scan, both

@@ -28,11 +28,9 @@ import numpy as np
 import pytest
 
 from repro import obs
+from repro.api import Dataset, Estimator
 from repro.bench.runner import write_bench_json
 from repro.data.registry import DATASET_PROFILES
-from repro.engine.trainer import OutOfCoreTrainer
-from repro.ml.models import LogisticRegressionModel
-from repro.ml.optimizer import GradientDescentConfig
 from repro.serve.service import PredictionService
 
 ROWS = 1200
@@ -54,12 +52,17 @@ BACKENDS = {
 def serving_setup(tmp_path_factory):
     """Train out-of-core once and publish a checkpoint to serve from."""
     features, labels = DATASET_PROFILES["census"].classification(ROWS, seed=3)
-    config = GradientDescentConfig(batch_size=BATCH_SIZE, epochs=2, learning_rate=0.3)
-    trainer = OutOfCoreTrainer("TOC", config, budget_ratio=2.0, executor="serial")
-    model = LogisticRegressionModel(features.shape[1], seed=0)
     shard_dir = tmp_path_factory.mktemp("serving-shards")
     registry_dir = tmp_path_factory.mktemp("serving-registry")
-    trainer.fit(model, features, labels, shard_dir, checkpoint_to=registry_dir)
+    dataset = Dataset.create(
+        shard_dir, features, labels, scheme="TOC", batch_size=BATCH_SIZE, workers=1
+    )
+    estimator = Estimator(
+        "logreg", scheme="TOC", batch_size=BATCH_SIZE, epochs=2, learning_rate=0.3,
+        budget_ratio=2.0,
+    )
+    estimator.fit(dataset)
+    estimator.save(registry_dir)
 
     rng = np.random.default_rng(0)
     hot = rng.choice(ROWS, size=ROWS // 5, replace=False)
@@ -68,7 +71,7 @@ def serving_setup(tmp_path_factory):
         rng.choice(hot, size=REQUESTS),
         rng.integers(0, ROWS, size=REQUESTS),
     )
-    return registry_dir, len(trainer.dataset), workload
+    return registry_dir, len(dataset), workload
 
 
 def _measure_backends(registry_dir, workload: np.ndarray, backends) -> dict:

@@ -41,7 +41,7 @@ def build_dataset(tmp: Path) -> Dataset:
     features, labels = DATASET_PROFILES["census"].classification(ROWS, seed=5)
     return Dataset.create(
         tmp / "shards", features, labels,
-        scheme="TOC", batch_size=1_000, executor="serial",
+        scheme="TOC", batch_size=1_000, workers=1,
     )
 
 

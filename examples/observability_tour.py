@@ -40,10 +40,10 @@ def run_pipeline(tmp: Path) -> tuple[Dataset, dict]:
     features, labels = DATASET_PROFILES["census"].classification(ROWS, seed=1)
     dataset = Dataset.create(
         tmp / "shards", features, labels,
-        scheme="auto", batch_size=200, executor="serial", seed=0,
+        scheme="auto", batch_size=200, workers=1, seed=0,
     )
 
-    estimator = Estimator("logreg", epochs=3, executor="serial", learning_rate=0.3)
+    estimator = Estimator("logreg", epochs=3, workers=1, learning_rate=0.3)
     estimator.fit(dataset)
     estimator.save(tmp / "checkpoints")
 

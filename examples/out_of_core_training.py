@@ -37,7 +37,7 @@ def main() -> None:
         toc_bytes = (
             Dataset.create(
                 Path(tmp) / "sizing", features, labels, scheme="TOC",
-                batch_size=BATCH_SIZE, executor="serial",
+                batch_size=BATCH_SIZE, workers=1,
             )
             .stats()
             .payload_bytes

@@ -143,7 +143,6 @@ def _cmd_encode(args: argparse.Namespace) -> int:
             batch_size=args.batch_size,
             seed=args.seed,
             workers=args.workers,
-            executor=args.executor,
             workload=args.workload,
         )
     except (KeyError, ValueError) as exc:
@@ -177,7 +176,6 @@ def _cmd_compact(args: argparse.Namespace) -> int:
             workload=args.workload,
             max_shards=args.max_shards,
             workers=args.workers,
-            executor=args.executor,
         )
     except ValueError as exc:
         print(f"compact failed: {exc}")
@@ -293,7 +291,6 @@ def _cmd_train_ooc(args: argparse.Namespace) -> int:
             budget_bytes=int(args.budget_mb * 1e6) if args.budget_mb is not None else None,
             budget_ratio=args.budget_ratio,
             workers=args.workers,
-            executor=args.executor,
             workload=args.workload,
         )
     except (KeyError, ValueError) as exc:
@@ -595,7 +592,7 @@ def _cmd_serve_cluster(args: argparse.Namespace) -> int:
 def _obs_exercise(rows: int) -> None:
     """Populate spans/metrics with a real encode + train + scan + serve workload.
 
-    Serial executors throughout, so every span lands in this process's
+    One encode worker throughout, so every span lands in this process's
     tracer (process-pool workers would record into their own).  The serving
     leg awaits 16 requests through the asyncio surface, which submits them to
     the service's micro-batcher: they show up in the ``serve.*`` series.
@@ -617,10 +614,10 @@ def _obs_exercise(rows: int) -> None:
             labels,
             scheme="TOC",
             batch_size=max(rows // 4, 1),
-            executor="serial",
+            workers=1,
             seed=0,
         )
-        estimator = Estimator("logreg", scheme="TOC", epochs=2, executor="serial")
+        estimator = Estimator("logreg", scheme="TOC", epochs=2, workers=1)
         estimator.fit(dataset)
         dataset.scan(where="c0 >= 0", agg="count")
         estimator.save(f"{tmp}/registry")
@@ -678,13 +675,10 @@ def _add_encode_args(sub: argparse.ArgumentParser, default_dataset: str) -> None
     )
     sub.add_argument("--seed", type=int, default=0, help="data / shuffle / init seed")
     sub.add_argument(
-        "--workers", type=int, default=None, help="encode workers (default: one per core)"
-    )
-    sub.add_argument(
-        "--executor",
-        choices=("auto", "serial", "thread", "process"),
-        default="auto",
-        help="encode executor kind",
+        "--workers",
+        type=int,
+        default=None,
+        help="encode workers (default: one per usable CPU; 1 encodes in this process)",
     )
     sub.add_argument(
         "--workload",
@@ -763,13 +757,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="re-encode at most this many shards per pass (rest deferred)",
     )
     compact.add_argument(
-        "--workers", type=int, default=None, help="re-encode worker count (default: cores)"
-    )
-    compact.add_argument(
-        "--executor",
-        choices=("auto", "serial", "thread", "process"),
-        default="auto",
-        help="executor for the re-encode fan-out",
+        "--workers",
+        type=int,
+        default=None,
+        help="re-encode workers (default: one per usable CPU; 1 re-encodes in this process)",
     )
     compact.set_defaults(func=_cmd_compact)
 

@@ -125,7 +125,6 @@ class Dataset:
         shuffle: bool = True,
         seed: int | None = 0,
         workers: int | None = None,
-        executor: str = "auto",
         workload: str | None = None,
     ) -> "Dataset":
         """Shuffle once, split into mini-batches, and encode them to ``path``.
@@ -133,6 +132,11 @@ class Dataset:
         ``scheme`` is any registered scheme name, ``"auto"`` (default) for
         per-shard advisor selection, or a sequence naming one scheme per
         batch.  The directory is created if needed.
+
+        ``workers`` (default: one per usable CPU) sets the encode fan-out:
+        ``1``, or a process pinned to one CPU, encodes in this process;
+        anything else runs a process pool.  The manifest's
+        ``encode_executor`` records which of the two ran.
 
         ``workload`` (``"train"``, ``"serve"``, ``"scan"``) switches
         ``"auto"`` selection to the measured cost model: the kernel
@@ -144,7 +148,7 @@ class Dataset:
             features, labels, batch_size=batch_size, shuffle=shuffle, seed=seed
         )
         sharded = ShardedDataset.create(
-            path, batches, scheme, workers=workers, executor=executor,
+            path, batches, scheme, workers=workers,
             workload=workload, calibration=_calibration_for(path, workload),
         )
         return cls(sharded)
@@ -169,7 +173,6 @@ class Dataset:
         scheme: str | Sequence[str] | None = None,
         batch_size: int | None = None,
         workers: int | None = None,
-        executor: str = "auto",
         workload: str | None = None,
     ) -> list[ShardInfo]:
         """Append data as new shards (manifest and labels rewritten atomically).
@@ -187,7 +190,7 @@ class Dataset:
             )
             batches = split_minibatches(batches, labels, batch_size=size, shuffle=False)
         return self._sharded.append(
-            list(batches), scheme, workers=workers, executor=executor,
+            list(batches), scheme, workers=workers,
             workload=workload, calibration=_calibration_for(self.path, workload),
         )
 
@@ -201,7 +204,6 @@ class Dataset:
         workload: str | None = None,
         max_shards: int | None = None,
         workers: int | None = None,
-        executor: str = "auto",
     ) -> CompactReport:
         """Re-advise every shard; re-encode only those whose winner changed.
 
@@ -221,8 +223,8 @@ class Dataset:
         — and re-running ``compact`` with a workload retroactively upgrades
         datasets encoded under the old flat-penalty advisor.
 
-        Re-encoding fans out over the encode executor (``workers`` /
-        ``executor`` as in :meth:`create`); ``max_shards`` bounds how many
+        Re-encoding fans out over ``workers`` as in :meth:`create`
+        (``report.executor`` says where it ran); ``max_shards`` bounds how many
         shards one pass may rewrite, deferring the rest to later passes
         (``report.deferred`` counts them).
         """
@@ -234,7 +236,6 @@ class Dataset:
             calibration=_calibration_for(self.path, workload),
             max_shards=max_shards,
             workers=workers,
-            executor=executor,
         )
 
     def fsck(self, *, remove: bool = True) -> FsckReport:

@@ -110,8 +110,12 @@ class Estimator:
         L2 penalty; ``None`` keeps each model's own default.
     hidden_sizes / n_classes:
         Feed-forward network shape (ignored by the linear models).
-    budget_bytes / budget_ratio / workers / executor:
-        Out-of-core knobs, passed to the engine when that path runs.
+    budget_bytes / budget_ratio / disk_bandwidth_bytes_per_sec:
+        Buffer-pool knobs, passed to the engine when the out-of-core path
+        runs.
+    workers:
+        Encode fan-out when ``fit(X, y, shard_dir=...)`` shards arrays (see
+        :meth:`Dataset.create`).
     """
 
     def __init__(
@@ -132,7 +136,6 @@ class Estimator:
         budget_ratio: float = 0.5,
         disk_bandwidth_bytes_per_sec: float = 150e6,
         workers: int | None = None,
-        executor: str = "auto",
     ):
         self._ovr_base: str | None = None
         if isinstance(model, str):
@@ -185,7 +188,6 @@ class Estimator:
         self.budget_ratio = budget_ratio
         self.disk_bandwidth_bytes_per_sec = disk_bandwidth_bytes_per_sec
         self.workers = workers
-        self.executor = executor
         #: The checkpoint this estimator was loaded from, if any.
         self.checkpoint: Checkpoint | None = None
         self._last_fit: FitReport | None = None
@@ -216,7 +218,6 @@ class Estimator:
             "budget_ratio": self.budget_ratio,
             "disk_bandwidth_bytes_per_sec": self.disk_bandwidth_bytes_per_sec,
             "workers": self.workers,
-            "executor": self.executor,
         }
 
     def _config(self, epochs: int | None = None) -> GradientDescentConfig:
@@ -295,7 +296,6 @@ class Estimator:
                 batch_size=config.batch_size,
                 seed=config.shuffle_seed,
                 workers=self.workers,
-                executor=self.executor,
                 workload=self.workload if self.scheme == AUTO_SCHEME else None,
             )
             report = self._run_out_of_core(dataset, config, eval_fn, reset)
@@ -318,17 +318,11 @@ class Estimator:
         return None
 
     def _run_out_of_core(self, dataset, config, eval_fn, reset) -> FitReport:
-        # The trainer is built in "auto" mode so any shard mix attaches; the
-        # estimator's own scheme only governs *encoding*, which has already
-        # happened by the time a Dataset exists.
         trainer = OutOfCoreTrainer(
-            AUTO_SCHEME,
             config,
             budget_bytes=self.budget_bytes,
             budget_ratio=self.budget_ratio,
             disk_bandwidth_bytes_per_sec=self.disk_bandwidth_bytes_per_sec,
-            workers=self.workers,
-            executor=self.executor,
         )
         trainer.attach(dataset.sharded)
         model = self._ensure_model(dataset.n_cols, reset)
@@ -467,8 +461,10 @@ class Estimator:
         checkpoint = ModelRegistry(registry_root).load(version)
         params = dict(checkpoint.api_meta.get("estimator", {}))
         params.pop("model", None)
-        # Checkpoints saved while the inert read-ahead knob existed record it.
+        # Checkpoints saved while the inert read-ahead knob or the encode
+        # executor knob existed record them.
         params.pop("prefetch_depth", None)
+        params.pop("executor", None)
         if "hidden_sizes" in params:
             params["hidden_sizes"] = tuple(params["hidden_sizes"])
         if isinstance(checkpoint.model, FeedForwardNetwork):

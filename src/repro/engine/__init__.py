@@ -3,8 +3,9 @@
 This package is the end-to-end data path the paper's storage experiments
 imply but the seed code never assembled:
 
-1. **encode** — shard a dataset into TOC-compressed mini-batches with a
-   multi-worker ``concurrent.futures`` pipeline (:mod:`repro.engine.encode`);
+1. **encode** — shard a dataset into compressed mini-batches, in this
+   process or across a process pool as ``workers`` and the CPU affinity
+   decide (:func:`repro.engine.encode.fan_out`);
 2. **persist** — write one blob file per batch plus a manifest
    (:mod:`repro.engine.shards`), page-layout accounting included;
 3. **serve** — register shards as lazy entries in the byte-budgeted
@@ -19,7 +20,6 @@ from repro.engine.encode import (
     AUTO_SCHEME,
     EncodedBatch,
     encode_batches,
-    resolve_executor,
     resolve_workers,
 )
 from repro.engine.shards import ShardedDataset, ShardInfo
@@ -37,6 +37,5 @@ __all__ = [
     "compact_dataset",
     "encode_batches",
     "readvise_shard",
-    "resolve_executor",
     "resolve_workers",
 ]

@@ -32,15 +32,8 @@ import json
 import time
 from dataclasses import dataclass, field
 
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-
 from repro.compression.registry import get_scheme
-from repro.engine.encode import (
-    AUTO_SAMPLE_ROWS,
-    advise_scheme,
-    resolve_executor,
-    resolve_workers,
-)
+from repro.engine.encode import AUTO_SAMPLE_ROWS, advise_scheme, fan_out
 from repro.engine.shards import (
     FORMAT_VERSION,
     LABELS_NAME,
@@ -83,8 +76,8 @@ class CompactReport:
     #: Shards whose winner changed but that the ``max_shards`` budget pushed
     #: to a later pass.
     deferred: int = 0
-    #: The executor kind that ran the re-encodes (``"serial"`` when nothing
-    #: needed re-encoding).
+    #: Where the re-encodes ran, as :func:`repro.engine.encode.fan_out`
+    #: reports it (``"serial"`` when nothing needed re-encoding).
     executor: str = "serial"
 
     @property
@@ -174,7 +167,6 @@ def compact_dataset(
     calibration=None,
     max_shards: int | None = None,
     workers: int | None = None,
-    executor: str = "auto",
 ) -> CompactReport:
     """Re-advise every shard and re-encode the ones whose winner changed.
 
@@ -188,8 +180,8 @@ def compact_dataset(
     compaction re-advises, a calibrated advisor retroactively improves
     datasets encoded before calibration existed.
 
-    Re-encoding fans out over the encode executor (``workers``/``executor``
-    as in :func:`repro.engine.encode.encode_batches`).  ``max_shards`` caps
+    Re-encoding fans out over ``workers`` through the encode pipeline's
+    :func:`repro.engine.encode.fan_out`.  ``max_shards`` caps
     how many shards one pass may rewrite: shards beyond the budget are left
     untouched and counted in ``report.deferred``, so an operator can spread
     a large rewrite over several bounded passes (each one still ends with a
@@ -233,21 +225,11 @@ def compact_dataset(
                 report.deferred = len(pending) - max_shards
                 pending = pending[:max_shards]
             if pending:
-                n_workers = resolve_workers(workers)
-                kind = resolve_executor(executor, n_workers)
-                report.executor = kind
                 tasks = [
                     (s.batch_id, str(dataset.directory / s.filename), s.scheme, winner)
                     for s, winner in pending
                 ]
-                if kind == "serial" or n_workers == 1:
-                    results = [_reencode_one(task) for task in tasks]
-                else:
-                    pool_cls = (
-                        ProcessPoolExecutor if kind == "process" else ThreadPoolExecutor
-                    )
-                    with pool_cls(max_workers=n_workers) as pool:
-                        results = list(pool.map(_reencode_one, tasks))
+                results, report.executor = fan_out(_reencode_one, tasks, workers)
                 payloads = dict(results)
                 for shard, winner in pending:
                     updated = dataset.stage_shard(

@@ -3,9 +3,12 @@
 Encoding is the expensive, embarrassingly-parallel half of the out-of-core
 story: every mini-batch is compressed exactly once (shuffle-once discipline)
 and the per-batch ``TOCMatrix.encode`` calls share nothing, so they fan out
-cleanly over a ``concurrent.futures`` executor.  Workers return serialised
-payload bytes (via ``to_bytes``), which is both what gets written to the
-shard files and the only thing that has to cross the process boundary.
+cleanly over a process pool (:func:`fan_out`: in this process when one
+worker is asked for or only one CPU is usable, a ``ProcessPoolExecutor``
+otherwise — Algorithm 1 holds the GIL, so threads would gain nothing).
+Workers return serialised payload bytes (via ``to_bytes``), which is both
+what gets written to the shard files and the only thing that has to cross
+the process boundary.
 
 Scheme selection is per batch.  Besides a fixed scheme name, callers may
 pass :data:`AUTO_SCHEME` (``"auto"``) — the paper's Section 5.1 advice made
@@ -20,8 +23,8 @@ from __future__ import annotations
 
 import os
 import time
-from collections.abc import Sequence
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from collections.abc import Callable, Sequence
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,16 +32,13 @@ import numpy as np
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 
-#: Valid values for the ``executor`` argument of :func:`encode_batches`.
-EXECUTOR_KINDS = ("auto", "serial", "thread", "process")
-
 #: Scheme name that triggers per-batch advisor-driven selection.
 AUTO_SCHEME = "auto"
 
 #: How many rows of a batch the advisor samples in ``auto`` mode.  The first
 #: rows are used — batches come out of a shuffled split, so a deterministic
-#: prefix is already a random sample, and determinism keeps serial / thread /
-#: process encodes byte-identical.
+#: prefix is already a random sample, and determinism keeps in-process and
+#: pool encodes byte-identical.
 AUTO_SAMPLE_ROWS = 100
 
 
@@ -148,18 +148,20 @@ def resolve_workers(workers: int | None = None) -> int:
     return usable_cpus()
 
 
-def resolve_executor(executor: str, workers: int) -> str:
-    """Map ``"auto"`` to a concrete executor kind for this machine."""
-    if executor not in EXECUTOR_KINDS:
-        raise ValueError(f"executor must be one of {EXECUTOR_KINDS}, got {executor!r}")
-    if executor != "auto":
-        return executor
-    # Processes pay off only when more than one worker is asked for and this
-    # process may run on more than one CPU.  Algorithm 1's loop holds the
-    # GIL, so "auto" never picks threads.
-    if workers > 1 and usable_cpus() > 1:
-        return "process"
-    return "serial"
+def fan_out(fn: Callable, tasks: list, workers: int | None = None) -> tuple[list, str]:
+    """Run ``fn`` over ``tasks`` in order; return the results and the kind that ran.
+
+    The one place the encode pipeline chooses where work runs: in this
+    process (``"serial"``) when one worker is asked for or this process may
+    run on only one CPU, across a ``ProcessPoolExecutor`` (``"process"``)
+    otherwise.  ``fn`` must be a top-level function so it pickles.
+    """
+    n_workers = resolve_workers(workers)
+    if n_workers == 1 or usable_cpus() == 1:
+        return [fn(task) for task in tasks], "serial"
+    chunksize = max(1, len(tasks) // (4 * n_workers))
+    with ProcessPoolExecutor(max_workers=n_workers) as pool:
+        return list(pool.map(fn, tasks, chunksize=chunksize)), "process"
 
 
 def encode_batches(
@@ -167,26 +169,22 @@ def encode_batches(
     scheme_name: str | Sequence[str] = "TOC",
     *,
     workers: int | None = None,
-    executor: str = "auto",
     workload: str | None = None,
     calibration=None,
-) -> list[EncodedBatch]:
-    """Compress every batch, fanning out over workers.
+) -> tuple[list[EncodedBatch], str]:
+    """Compress every batch, fanning out over ``workers`` (see :func:`fan_out`).
 
     ``scheme_name`` is a single name applied to every batch (including
     :data:`AUTO_SCHEME` for per-batch advisor selection) or a sequence naming
-    the scheme for each batch individually.  Results come back in batch order
-    regardless of executor scheduling, each carrying the scheme actually
-    used.  ``executor`` is one of ``"auto"`` (processes when this process may
-    run on several CPUs), ``"serial"``, ``"thread"``, or ``"process"``.
+    the scheme for each batch individually.  Returns the encoded batches in
+    batch order, each carrying the scheme actually used, and the kind that
+    ran them (``"serial"`` or ``"process"``).
 
     ``workload`` switches ``"auto"`` selection to the measured cost model:
     the calibration is resolved once here (``ensure_calibration``) — never
     inside pool workers, which would each re-run the timing pass — and
     travels to them pickled inside the tasks.
     """
-    n_workers = resolve_workers(workers)
-    kind = resolve_executor(executor, n_workers)
     if isinstance(scheme_name, str):
         per_batch = [scheme_name] * len(feature_batches)
     else:
@@ -206,17 +204,9 @@ def encode_batches(
     if not tasks:
         raise ValueError("at least one mini-batch is required")
 
-    with obs_trace.span("engine.encode", n_batches=len(tasks), executor=kind):
-        if kind == "serial" or n_workers == 1:
-            encoded = [_encode_one(task) for task in tasks]
-        else:
-            pool_cls = ProcessPoolExecutor if kind == "process" else ThreadPoolExecutor
-            chunksize = max(1, len(tasks) // (4 * n_workers)) if kind == "process" else 1
-            with pool_cls(max_workers=n_workers) as pool:
-                if kind == "process":
-                    encoded = list(pool.map(_encode_one, tasks, chunksize=chunksize))
-                else:
-                    encoded = list(pool.map(_encode_one, tasks))
+    with obs_trace.span("engine.encode", n_batches=len(tasks)) as labels:
+        encoded, kind = fan_out(_encode_one, tasks, workers)
+        labels["executor"] = kind
     # Worker-side timings feed the histogram here in the parent, so the
     # numbers survive the process-pool boundary (workers have their own,
     # unobserved, registry).
@@ -224,4 +214,4 @@ def encode_batches(
     obs_metrics.counter("engine.encode.batches").inc(len(encoded))
     for enc in encoded:
         batch_hist.observe(enc.seconds)
-    return encoded
+    return encoded, kind

@@ -49,13 +49,7 @@ import numpy as np
 from repro.compression.base import CompressedMatrix, CompressionScheme
 from repro.compression.registry import get_scheme
 from repro.core.validate import EncodingError
-from repro.engine.encode import (
-    AUTO_SCHEME,
-    EncodedBatch,
-    encode_batches,
-    resolve_executor,
-    resolve_workers,
-)
+from repro.engine.encode import AUTO_SCHEME, EncodedBatch, encode_batches
 from repro.storage.buffer_pool import BufferPool
 from repro.storage.mmapio import map_file, publish_file
 from repro.storage.pages import stored_bytes
@@ -217,7 +211,8 @@ class ShardedDataset:
         self.encode_seconds = encode_seconds
         #: What the encoder was asked for (e.g. ``"auto"``), for provenance.
         self.requested_scheme = requested_scheme
-        #: The executor kind that last encoded shards, for provenance.
+        #: Where the last encode ran (``"serial"`` or ``"process"``), for
+        #: provenance.  Older manifests may also say ``"thread"``.
         self.encode_executor = encode_executor
         #: Bumped by every :meth:`rewrite_manifest`; what observers poll.
         self.generation = generation
@@ -233,11 +228,10 @@ class ShardedDataset:
         scheme_name: str | Sequence[str] = "TOC",
         *,
         workers: int | None = None,
-        executor: str = "auto",
         workload: str | None = None,
         calibration=None,
     ) -> "ShardedDataset":
-        """Encode ``(features, labels)`` batches in parallel and persist them.
+        """Encode ``(features, labels)`` batches over ``workers`` and persist them.
 
         ``scheme_name`` may be any registered scheme, ``"auto"`` to let the
         advisor pick per batch, or a sequence naming a scheme per batch; the
@@ -251,11 +245,10 @@ class ShardedDataset:
         directory.mkdir(parents=True, exist_ok=True)
 
         start = time.perf_counter()
-        encoded = encode_batches(
+        encoded, kind = encode_batches(
             [features for features, _ in batches],
             scheme_name,
             workers=workers,
-            executor=executor,
             workload=workload,
             calibration=calibration,
         )
@@ -275,9 +268,7 @@ class ShardedDataset:
             labels,
             encode_seconds,
             requested_scheme=requested,
-            # Provenance: the executor actually used, not the requested kind
-            # ("auto" resolves differently per machine).
-            encode_executor=resolve_executor(executor, resolve_workers(workers)),
+            encode_executor=kind,
         )
         dataset._write_labels()
         dataset.rewrite_manifest()
@@ -375,7 +366,6 @@ class ShardedDataset:
         scheme_name: str | Sequence[str] | None = None,
         *,
         workers: int | None = None,
-        executor: str = "auto",
         workload: str | None = None,
         calibration=None,
     ) -> list[ShardInfo]:
@@ -401,16 +391,14 @@ class ShardedDataset:
                 )
 
         start = time.perf_counter()
-        encoded = encode_batches(
+        encoded, self.encode_executor = encode_batches(
             [features for features, _ in batches],
             scheme_name,
             workers=workers,
-            executor=executor,
             workload=workload,
             calibration=calibration,
         )
         self.encode_seconds += time.perf_counter() - start
-        self.encode_executor = resolve_executor(executor, resolve_workers(workers))
 
         next_id = max((s.batch_id for s in self.shards), default=-1) + 1
         added: list[ShardInfo] = []

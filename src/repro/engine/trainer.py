@@ -1,26 +1,21 @@
 """Epoch-level out-of-core training driver.
 
-The trainer wires the whole data path together: mini-batches are sharded to
-disk through the parallel encode pipeline (:mod:`repro.engine.encode` /
-:mod:`repro.engine.shards`), served through a byte-budgeted
-:class:`~repro.storage.buffer_pool.BufferPool`, decoded in order on the
-training thread, and stepped through the existing
+The trainer streams an already-encoded shard directory
+(:class:`~repro.engine.shards.ShardedDataset`, written by
+:meth:`repro.api.Dataset.create`) through a byte-budgeted
+:class:`~repro.storage.buffer_pool.BufferPool`, decodes each shard in order
+on the training thread, and steps it through the existing
 :class:`~repro.ml.optimizer.MiniBatchGradientDescent` loop — so any model in
 :mod:`repro.ml.models` trains unchanged over datasets larger than memory.
+Encoding and checkpointing belong to the :mod:`repro.api` facade
+(``Dataset.create``, ``Estimator.fit``, ``Estimator.save``).
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 
-import numpy as np
-
-from repro.compression.base import CompressionScheme
-from repro.compression.registry import get_scheme
-from repro.data.minibatch import split_minibatches
-from repro.engine.encode import AUTO_SCHEME, resolve_executor, resolve_workers
 from repro.engine.shards import ShardedDataset
 from repro.ml.optimizer import GradientDescentConfig, MiniBatchGradientDescent, TrainingHistory
 from repro.obs import metrics as obs_metrics
@@ -39,8 +34,6 @@ class OOCTrainReport:
     budget_bytes: int = 0
     total_payload_bytes: int = 0
     physical_bytes: int = 0
-    checkpoint_version: int | None = None
-    checkpoint_path: Path | None = None
 
     @property
     def fits_in_memory(self) -> bool:
@@ -56,15 +49,10 @@ class OOCTrainReport:
 
 
 class OutOfCoreTrainer:
-    """Stream TOC-compressed shards from disk through the MGD loop.
+    """Stream compressed shards from disk through the MGD loop.
 
     Parameters
     ----------
-    scheme_name:
-        Compression scheme for the shards: any registered scheme (TOC is the
-        point of the paper) or ``"auto"`` to let the advisor pick per shard.
-        Decoding always resolves per shard from the manifest, so a trainer
-        can attach and train any dataset whose shards mix schemes.
     config:
         MGD hyper-parameters (batch size, epochs, learning rate, seed).
     budget_bytes / budget_ratio:
@@ -72,81 +60,36 @@ class OutOfCoreTrainer:
         is sized to ``budget_ratio`` of the total shard payload, and the
         default of 0.5 deliberately makes the dataset *not* fit so the run
         actually exercises the out-of-core path.
-    workers / executor:
-        Encode fan-out (see :func:`repro.engine.encode.encode_batches`).
+    disk_bandwidth_bytes_per_sec:
+        The pool's simulated disk bandwidth for misses.
     """
 
     def __init__(
         self,
-        scheme_name: str = "TOC",
         config: GradientDescentConfig | None = None,
         *,
         budget_bytes: int | None = None,
         budget_ratio: float = 0.5,
         disk_bandwidth_bytes_per_sec: float = 150e6,
-        workers: int | None = None,
-        executor: str = "auto",
     ):
         if budget_bytes is None and budget_ratio <= 0:
             raise ValueError("budget_ratio must be positive")
         if budget_bytes is not None and budget_bytes <= 0:
             raise ValueError("budget_bytes must be positive")
-        resolve_executor(executor, resolve_workers(workers))  # fail fast on bad knobs
-        self.scheme_name = scheme_name
-        #: The fixed encode scheme, or ``None`` in per-shard ``"auto"`` mode.
-        self.scheme: CompressionScheme | None = (
-            None if scheme_name == AUTO_SCHEME else get_scheme(scheme_name)
-        )
         self.config = config or GradientDescentConfig()
         self.budget_bytes = budget_bytes
         self.budget_ratio = budget_ratio
         self.disk_bandwidth_bytes_per_sec = disk_bandwidth_bytes_per_sec
-        self.workers = workers
-        self.executor = executor
         self.dataset: ShardedDataset | None = None
         self.pool: BufferPool | None = None
         self._shard_seconds = obs_metrics.histogram("engine.train.shard_seconds")
 
-    # -- preparation -----------------------------------------------------------
-
-    def shard(
-        self,
-        features: np.ndarray,
-        labels: np.ndarray,
-        shard_dir: Path | str,
-    ) -> ShardedDataset:
-        """Shuffle once, split, and persist compressed shards to ``shard_dir``."""
-        batches = split_minibatches(
-            features,
-            labels,
-            batch_size=self.config.batch_size,
-            shuffle=True,
-            seed=self.config.shuffle_seed,
-        )
-        dataset = ShardedDataset.create(
-            shard_dir,
-            batches,
-            self.scheme_name,
-            workers=self.workers,
-            executor=self.executor,
-        )
-        self.attach(dataset)
-        return dataset
-
     def attach(self, dataset: ShardedDataset) -> BufferPool:
-        """Attach an existing shard directory behind a fresh buffer pool.
+        """Attach a shard directory behind a fresh buffer pool.
 
         Decoding resolves per shard from the manifest, so any dataset —
-        uniform or mixed-scheme — trains through an ``"auto"`` trainer.  A
-        trainer pinned to one scheme still refuses foreign shard directories:
-        that mismatch is a caller error worth failing loudly on.
+        uniform or mixed-scheme — trains through the same trainer.
         """
-        if self.scheme is not None and dataset.scheme_name != self.scheme.name:
-            raise ValueError(
-                f"shards were encoded with {dataset.scheme_name!r} but this trainer "
-                f"is pinned to {self.scheme.name!r} (use scheme_name='auto' to "
-                f"train over any shard mix)"
-            )
         budget = self.budget_bytes
         if budget is None:
             budget = max(1, int(self.budget_ratio * dataset.total_payload_bytes()))
@@ -176,7 +119,7 @@ class OutOfCoreTrainer:
     def train(self, model, eval_fn=None) -> OOCTrainReport:
         """Run the configured epochs, reading and decoding shards in order."""
         if self.dataset is None or self.pool is None:
-            raise RuntimeError("call shard() or attach() before train()")
+            raise RuntimeError("call attach() before train()")
         dataset, pool = self.dataset, self.pool
         keys = range(len(dataset))
         io_checkpoints: list[float] = []
@@ -207,51 +150,3 @@ class OutOfCoreTrainer:
             total_payload_bytes=dataset.total_payload_bytes(),
             physical_bytes=dataset.physical_bytes(),
         )
-
-    def fit(
-        self,
-        model,
-        features: np.ndarray,
-        labels: np.ndarray,
-        shard_dir: Path | str,
-        eval_fn=None,
-        *,
-        checkpoint_to: Path | str | None = None,
-    ) -> OOCTrainReport:
-        """Convenience wrapper: shard to disk, then train.
-
-        With ``checkpoint_to`` the trained model is published as the next
-        version in a :class:`repro.serve.checkpoint.ModelRegistry` rooted
-        there, recording the shard directory so ``python -m repro serve`` can
-        find the features again; the report carries the version and path.
-        """
-        self.shard(features, labels, shard_dir)
-        report = self.train(model, eval_fn=eval_fn)
-        if checkpoint_to is not None:
-            report.checkpoint_version, report.checkpoint_path = self.checkpoint(
-                model, checkpoint_to
-            )
-        return report
-
-    def checkpoint(self, model, registry_root: Path | str) -> tuple[int, Path]:
-        """Publish ``model`` to the registry with this run's provenance."""
-        if self.dataset is None:
-            raise RuntimeError("call shard() or attach() before checkpoint()")
-        # Local import: repro.serve sits on top of the engine, so importing it
-        # at module scope would be circular.
-        from repro.serve.checkpoint import ModelRegistry
-
-        registry = ModelRegistry(registry_root)
-        version = registry.save(
-            model,
-            scheme_name=self.dataset.scheme_name,
-            dataset_meta={
-                "shard_dir": str(self.dataset.directory.resolve()),
-                "n_examples": self.dataset.n_examples,
-                "n_shards": len(self.dataset),
-                "scheme": self.dataset.scheme_name,
-                "requested_scheme": self.scheme_name,
-                "scheme_counts": self.dataset.scheme_counts(),
-            },
-        )
-        return version, registry.path_for(version)

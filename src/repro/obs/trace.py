@@ -74,9 +74,13 @@ class Tracer:
 
     @contextmanager
     def span(self, name: str, **labels):
-        """Time a region; the span is recorded when the block exits."""
+        """Time a region; the span is recorded when the block exits.
+
+        Yields the span's labels dict: a label known only once the region has
+        run (say, which executor ran it) is set on it inside the block.
+        """
         if not _ENABLED:
-            yield
+            yield labels
             return
         stack = self._stack()
         with self._lock:
@@ -86,7 +90,7 @@ class Tracer:
         start = time.perf_counter()
         stack.append(span_id)
         try:
-            yield
+            yield labels
         finally:
             end = time.perf_counter()
             stack.pop()

@@ -27,7 +27,7 @@ def dataset(tmp_path, census):
     features, labels = census
     return Dataset.create(
         tmp_path / "shards", features, labels, scheme="TOC", batch_size=100,
-        executor="serial",
+        workers=1,
     )
 
 
@@ -45,7 +45,7 @@ class TestLifecycle:
         features, labels = census
         with pytest.raises(KeyError):
             Dataset.create(tmp_path / "bad", features, labels, scheme="LZ77",
-                           executor="serial")
+                           workers=1)
 
     def test_batches_decode_losslessly(self, census, dataset):
         features, labels = census
@@ -58,10 +58,10 @@ class TestLifecycle:
     def test_append_arrays_and_batches(self, census, dataset):
         features, labels = census
         n_before = len(dataset)
-        added = dataset.append(features[:150], labels[:150], executor="serial")
+        added = dataset.append(features[:150], labels[:150], workers=1)
         assert [a.batch_id for a in added] == [n_before, n_before + 1]
 
-        added = dataset.append([(features[:40], labels[:40])], executor="serial")
+        added = dataset.append([(features[:40], labels[:40])], workers=1)
         assert added[0].batch_id == n_before + 2
         reopened = Dataset.open(dataset.path)
         assert reopened.n_examples == features.shape[0] + 150 + 40
@@ -104,7 +104,7 @@ class TestCompact:
         # scheme the advisor would never pick.
         dataset = Dataset.create(
             tmp_path / "den", features, labels, scheme="DEN", batch_size=100,
-            executor="serial",
+            workers=1,
         )
         before = dataset.stats().payload_bytes
         report = dataset.compact(readvise=True)
@@ -120,7 +120,7 @@ class TestCompact:
         features, labels = census
         dataset = Dataset.create(
             tmp_path / "den", features, labels, scheme="DEN", batch_size=100,
-            executor="serial",
+            workers=1,
         )
         dataset.compact()
 
@@ -132,7 +132,7 @@ class TestCompact:
         # The trainer streams the compacted directory...
         reopened = ShardedDataset.open(dataset.path)
         trainer = OutOfCoreTrainer(
-            "auto", GradientDescentConfig(batch_size=100, epochs=1, learning_rate=0.3)
+            GradientDescentConfig(batch_size=100, epochs=1, learning_rate=0.3)
         )
         trainer.attach(reopened)
         model = LogisticRegressionModel(features.shape[1], seed=0)
@@ -149,7 +149,7 @@ class TestCompact:
         features, labels = census
         dataset = Dataset.create(
             tmp_path / "den", features, labels, scheme="DEN", batch_size=100,
-            executor="serial",
+            workers=1,
         )
         first = dataset.compact()
         assert first.changed
@@ -170,7 +170,7 @@ class TestCompact:
         features, labels = census
         dataset = Dataset.create(
             tmp_path / "den", features, labels, scheme="DEN", batch_size=100,
-            executor="serial",
+            workers=1,
         )
         old_files = [s.filename for s in dataset.sharded.shards]
         dataset.compact()
@@ -190,7 +190,7 @@ class TestCompact:
         features, labels = census
         dataset = Dataset.create(
             tmp_path / "den", features, labels, scheme="DEN", batch_size=100,
-            executor="serial",
+            workers=1,
         )
         report = dataset.compact(readvise=False)
         assert not report.readvised
@@ -201,7 +201,7 @@ class TestCompact:
         features, labels = census
         dataset = Dataset.create(
             tmp_path / "v1", features, labels, scheme="TOC", batch_size=100,
-            executor="serial",
+            workers=1,
         )
         # Downgrade the on-disk manifest to the PR 1 format.
         manifest = json.loads((dataset.path / MANIFEST_NAME).read_text())
@@ -232,7 +232,7 @@ class TestWorkloadCalibration:
         features, labels = census
         dataset = Dataset.create(
             tmp_path / "serve", features, labels, scheme="auto", batch_size=100,
-            executor="serial", workload="serve",
+            workers=1, workload="serve",
         )
         cal_file = dataset.path / CALIBRATION_NAME
         assert cal_file.exists()
@@ -243,7 +243,7 @@ class TestWorkloadCalibration:
         features, labels = census
         dataset = Dataset.create(
             tmp_path / "shards", features, labels, scheme="TOC", batch_size=100,
-            executor="serial",
+            workers=1,
         )
         report = dataset.compact(workload="serve")
         assert report.examined == 4
@@ -255,7 +255,7 @@ class TestWorkloadCalibration:
         features, labels = census
         dataset = Dataset.create(
             tmp_path / "shards", features, labels, scheme="auto", batch_size=100,
-            executor="serial", workload="train",
+            workers=1, workload="train",
         )
         report = dataset.compact(workload="train")
         assert not report.changed  # encode and compact share one advisor
@@ -264,7 +264,7 @@ class TestWorkloadCalibration:
         features, labels = census
         dataset = Dataset.create(
             tmp_path / "shards", features, labels, scheme="auto", batch_size=100,
-            executor="serial", workload="scan",
+            workers=1, workload="scan",
         )
         report = dataset.fsck()
         assert report.clean
@@ -275,5 +275,5 @@ class TestWorkloadCalibration:
         with pytest.raises(ValueError, match="unknown workload"):
             Dataset.create(
                 tmp_path / "bad", features, labels, scheme="auto",
-                executor="serial", workload="oltp",
+                workers=1, workload="oltp",
             )

@@ -24,7 +24,7 @@ def dataset(tmp_path, census):
     features, labels = census
     return Dataset.create(
         tmp_path / "shards", features, labels, scheme="auto", batch_size=100,
-        executor="serial",
+        workers=1,
     )
 
 
@@ -87,7 +87,7 @@ class TestRouting:
     def test_shard_dir_routes_arrays_out_of_core(self, tmp_path, census):
         features, labels = census
         report = Estimator(
-            "logreg", scheme="TOC", epochs=1, learning_rate=0.3, executor="serial"
+            "logreg", scheme="TOC", epochs=1, learning_rate=0.3, workers=1
         ).fit(features, labels, shard_dir=tmp_path / "spill")
         assert report.backend == "out-of-core"
         assert (tmp_path / "spill" / "manifest.json").exists()
@@ -247,6 +247,27 @@ class TestPersistence:
         )
         np.testing.assert_array_equal(loaded.predict(features), estimator.predict(features))
 
+    def test_checkpoint_recording_the_encode_executor_loads_and_fits(
+        self, tmp_path, census, dataset
+    ):
+        """Checkpoints saved while the ``executor`` knob existed still load."""
+        features, _ = census
+        estimator = Estimator("logreg", epochs=1, learning_rate=0.3, batch_size=100, workers=1)
+        estimator.fit(dataset)
+        _, path = estimator.save(tmp_path / "registry")
+        manifest = json.loads((path / CHECKPOINT_NAME).read_text())
+        manifest["api"]["estimator"]["executor"] = "process"
+        (path / CHECKPOINT_NAME).write_text(json.dumps(manifest))
+
+        loaded = Estimator.load(tmp_path / "registry")
+        assert "executor" not in loaded.get_params()
+        assert loaded.workers == 1
+        np.testing.assert_array_equal(loaded.predict(features), estimator.predict(features))
+        loaded.fit(dataset)
+        np.testing.assert_allclose(
+            loaded.model.get_parameters(), estimator.model.get_parameters()
+        )
+
     def test_loaded_estimator_continues_training(self, tmp_path, census):
         features, labels = census
         estimator = Estimator("logreg", scheme="TOC", epochs=1, learning_rate=0.3)
@@ -319,7 +340,7 @@ class TestMulticlassSpec:
     def test_out_of_core_multiclass(self, tmp_path):
         features, labels = self._data()
         dataset = Dataset.create(
-            tmp_path / "shards", features, labels, batch_size=60, executor="serial"
+            tmp_path / "shards", features, labels, batch_size=60, workers=1
         )
         estimator = Estimator("ovr:svm", n_classes=3, epochs=12, learning_rate=0.1)
         report = estimator.fit(dataset)

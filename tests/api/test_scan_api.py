@@ -55,7 +55,7 @@ def quantised_features():
 def _make(tmp_path, features, labels, scheme, batch=40):
     return Dataset.create(
         tmp_path / "ds", features, labels, scheme=scheme, batch_size=batch,
-        shuffle=False, executor="serial",
+        shuffle=False, workers=1,
     )
 
 
@@ -80,7 +80,7 @@ class TestScanProperty:
         schemes = [ALL_SCHEMES[i % len(ALL_SCHEMES)] for i in range(8)]
         dataset = Dataset.create(
             tmp_path / "mixed", features, labels, scheme=schemes, batch_size=20,
-            shuffle=False, executor="serial",
+            shuffle=False, workers=1,
         )
         assert dataset.is_mixed if hasattr(dataset, "is_mixed") else True
         rng = np.random.default_rng(99)
@@ -148,7 +148,7 @@ class TestNonFiniteCells:
     def test_pushdown_equals_the_dense_path(self, tmp_path, features, scheme):
         dataset = Dataset.create(
             tmp_path / "ds", features, np.zeros(40), scheme=scheme, batch_size=10,
-            shuffle=False, executor="serial",
+            shuffle=False, workers=1,
         )
         with np.errstate(invalid="ignore"):
             pushed = dataset.scan(where=self.WHERE, agg=self.AGG)

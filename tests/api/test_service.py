@@ -16,7 +16,7 @@ def published(tmp_path_factory):
     shard_dir = tmp_path_factory.mktemp("api-shards")
     registry = tmp_path_factory.mktemp("api-registry")
     dataset = Dataset.create(
-        shard_dir, features, labels, scheme="auto", batch_size=75, executor="serial"
+        shard_dir, features, labels, scheme="auto", batch_size=75, workers=1
     )
     estimator = Estimator("logreg", epochs=2, learning_rate=0.3)
     estimator.fit(dataset)

@@ -28,7 +28,7 @@ def published(tmp_path_factory):
     shard_dir = tmp_path_factory.mktemp("async-shards")
     registry = tmp_path_factory.mktemp("async-registry")
     dataset = Dataset.create(
-        shard_dir, features, labels, scheme="TOC", batch_size=60, executor="serial"
+        shard_dir, features, labels, scheme="TOC", batch_size=60, workers=1
     )
     estimator = Estimator("logreg", epochs=2, learning_rate=0.3)
     estimator.fit(dataset)
@@ -317,7 +317,7 @@ class TestGenerationWatching:
         # compact deliberately does neither).
         dataset = Dataset.create(
             tmp_path / "shards", features, labels, scheme="DEN",
-            batch_size=50, executor="serial",
+            batch_size=50, workers=1,
         )
         estimator = Estimator("logreg", epochs=1)
         estimator.fit(dataset)
@@ -338,7 +338,7 @@ class TestGenerationWatching:
             aps = AsyncPredictionService(service, watch_generation=0.05)
             aps._watcher.callback = spy
             expected = await aps.predict(0)
-            dataset.compact(readvise=True, executor="serial")
+            dataset.compact(readvise=True, workers=1)
             assert reopened.wait(timeout=5)
             assert await aps.predict(0) == expected
             await aps.close()

@@ -36,7 +36,7 @@ def published(tmp_path_factory):
     shard_dir = tmp_path_factory.mktemp("cluster-shards")
     registry = tmp_path_factory.mktemp("cluster-registry")
     dataset = Dataset.create(
-        shard_dir, features, labels, scheme="TOC", batch_size=60, executor="serial"
+        shard_dir, features, labels, scheme="TOC", batch_size=60, workers=1
     )
     estimator = Estimator("logreg", epochs=2, learning_rate=0.3)
     estimator.fit(dataset)

@@ -36,7 +36,7 @@ def test_all_hit_traffic_follows_a_compaction_within_two_polls(tmp_path):
     # schemes in their last bits, so each answer shows its generation.
     dataset = Dataset.create(
         tmp_path / "shards", features, labels, scheme="DEN",
-        batch_size=BATCH, executor="serial", shuffle=False,
+        batch_size=BATCH, workers=1, shuffle=False,
     )
     estimator = Estimator("linreg", epochs=1, learning_rate=1e-3)
     estimator.fit(dataset)
@@ -70,7 +70,7 @@ def test_all_hit_traffic_follows_a_compaction_within_two_polls(tmp_path):
             # Up to here every request was answered by the dispatcher alone.
             hits = counters["cluster.server.cache_hits"]
             assert hits == counters["cluster.server.requests"] - forwarded > 0
-            Dataset.open(dataset.path).compact(readvise=True, executor="serial")
+            Dataset.open(dataset.path).compact(readvise=True, workers=1)
             settled = time.monotonic() + 2 * POLL_SECONDS + SLACK_SECONDS
             after = estimator.predict(Dataset.open(dataset.path))
             while time.monotonic() < settled + 3 * POLL_SECONDS:
@@ -95,7 +95,7 @@ def test_rows_an_append_adds_are_forwarded_until_the_array_grows(tmp_path):
     features, labels = DATASET_PROFILES["census"].classification(240, seed=9)
     dataset = Dataset.create(
         tmp_path / "shards", features[:180], labels[:180], scheme="TOC",
-        batch_size=60, executor="serial", shuffle=False,
+        batch_size=60, workers=1, shuffle=False,
     )
     estimator = Estimator("logreg", epochs=1, learning_rate=0.3)
     estimator.fit(dataset)
@@ -104,7 +104,7 @@ def test_rows_an_append_adds_are_forwarded_until_the_array_grows(tmp_path):
         tmp_path / "registry", shard_dir=dataset.path, workers=1, poll_seconds=POLL_SECONDS
     ) as one:
         assert one.predict(0) == estimator.predict(dataset)[0]
-        dataset.append(features[180:], labels[180:], executor="serial")
+        dataset.append(features[180:], labels[180:], workers=1)
         expected = estimator.predict(Dataset.open(dataset.path))
         give_up = time.monotonic() + 2 * POLL_SECONDS + SLACK_SECONDS
         while one.generations() != [2] and time.monotonic() < give_up:
@@ -125,7 +125,7 @@ def published(tmp_path_factory):
     shard_dir = tmp_path_factory.mktemp("dispatcher-shards")
     registry = tmp_path_factory.mktemp("dispatcher-registry")
     dataset = Dataset.create(
-        shard_dir, features, labels, scheme="TOC", batch_size=60, executor="serial"
+        shard_dir, features, labels, scheme="TOC", batch_size=60, workers=1
     )
     estimator = Estimator("logreg", epochs=2, learning_rate=0.3)
     estimator.fit(dataset)

@@ -29,7 +29,7 @@ def live(tmp_path_factory):
     # DEN shards so readvise re-encodes to a sparser scheme and the compact
     # actually replaces (and unlinks) the files the workers hold open.
     dataset = Dataset.create(
-        shard_dir, features, labels, scheme="DEN", batch_size=60, executor="serial"
+        shard_dir, features, labels, scheme="DEN", batch_size=60, workers=1
     )
     estimator = Estimator("logreg", epochs=2, learning_rate=0.3)
     estimator.fit(dataset)
@@ -80,7 +80,7 @@ class TestHotReopen:
             client.start()
             try:
                 time.sleep(0.3)  # requests in flight before the swap
-                stats = dataset.compact(readvise=True, executor="serial")
+                stats = dataset.compact(readvise=True, workers=1)
                 assert stats is not None
                 # Wait for every worker to observe the new generation.
                 deadline = time.monotonic() + 30

@@ -338,7 +338,7 @@ def published(tmp_path_factory):
     shard_dir = tmp_path_factory.mktemp("protocol-shards")
     registry = tmp_path_factory.mktemp("protocol-registry")
     dataset = Dataset.create(
-        shard_dir, features, labels, scheme="TOC", batch_size=60, executor="serial"
+        shard_dir, features, labels, scheme="TOC", batch_size=60, workers=1
     )
     estimator = Estimator("logreg", epochs=2, learning_rate=0.3)
     estimator.fit(dataset)

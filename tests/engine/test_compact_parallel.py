@@ -1,4 +1,4 @@
-"""Parallel compaction: executor fan-out and the ``max_shards`` pass budget."""
+"""Parallel compaction: the re-encode fan-out and the ``max_shards`` pass budget."""
 
 from __future__ import annotations
 
@@ -21,13 +21,13 @@ def drifted(tmp_path, census):
     features, labels = census
     return Dataset.create(
         tmp_path / "den", features, labels, scheme="DEN", batch_size=100,
-        executor="serial",
+        workers=1,
     )
 
 
 class TestMaxShardsBudget:
     def test_budget_defers_excess_shards(self, drifted):
-        report = drifted.compact(max_shards=2, executor="serial")
+        report = drifted.compact(max_shards=2, workers=1)
         assert report.n_reencoded == 2
         assert report.deferred == 2
         # The untouched shards stay DEN until a later pass.
@@ -35,16 +35,16 @@ class TestMaxShardsBudget:
         assert schemes.count("DEN") == 2
 
     def test_budgeted_passes_converge(self, drifted):
-        first = drifted.compact(max_shards=2, executor="serial")
-        second = drifted.compact(max_shards=2, executor="serial")
-        third = drifted.compact(executor="serial")
+        first = drifted.compact(max_shards=2, workers=1)
+        second = drifted.compact(max_shards=2, workers=1)
+        third = drifted.compact(workers=1)
         assert (first.n_reencoded, first.deferred) == (2, 2)
         assert (second.n_reencoded, second.deferred) == (2, 0)
         assert not third.changed
         assert all(s.scheme != "DEN" for s in drifted.sharded.shards)
 
     def test_zero_budget_is_an_advise_only_pass(self, drifted):
-        report = drifted.compact(max_shards=0, executor="serial")
+        report = drifted.compact(max_shards=0, workers=1)
         assert report.n_reencoded == 0
         assert report.deferred == 4
         assert all(s.scheme == "DEN" for s in drifted.sharded.shards)
@@ -55,7 +55,7 @@ class TestMaxShardsBudget:
 
     def test_budgeted_pass_leaves_directory_consistent(self, drifted):
         before = np.vstack([m.to_dense() for m, _ in drifted.batches()])
-        drifted.compact(max_shards=1, executor="serial")
+        drifted.compact(max_shards=1, workers=1)
         assert fsck_dataset(drifted.sharded, remove=False).clean
         reopened = Dataset.open(drifted.path)
         decoded = np.vstack([m.to_dense() for m, _ in reopened.batches()])
@@ -63,34 +63,41 @@ class TestMaxShardsBudget:
 
 
 class TestExecutors:
-    @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
-    def test_every_executor_produces_identical_results(
-        self, tmp_path, census, executor
-    ):
+    def test_pool_and_in_process_write_identical_shards(self, tmp_path, census, pool_spy):
         features, labels = census
-        dataset = Dataset.create(
-            tmp_path / f"den-{executor}", features, labels, scheme="DEN",
-            batch_size=100, executor="serial",
-        )
-        before = np.vstack([m.to_dense() for m, _ in dataset.batches()])
-        report = dataset.compact(executor=executor, workers=2)
+        payloads = {}
+        for workers in (1, 2):
+            dataset = Dataset.create(
+                tmp_path / f"den-{workers}", features, labels, scheme="DEN",
+                batch_size=100, workers=1,
+            )
+            before = np.vstack([m.to_dense() for m, _ in dataset.batches()])
+            report = dataset.compact(workers=workers)
+            assert report.n_reencoded == 4
+            reopened = Dataset.open(dataset.path)
+            decoded = np.vstack([m.to_dense() for m, _ in reopened.batches()])
+            np.testing.assert_allclose(decoded, before)
+            payloads[workers] = [
+                (reopened.path / s.filename).read_bytes() for s in reopened.sharded.shards
+            ]
+        assert len(pool_spy) == 1
+        assert payloads[1] == payloads[2]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_report_names_what_ran(self, drifted, pool_spy, workers):
+        report = drifted.compact(workers=workers)
         assert report.n_reencoded == 4
-        assert report.executor == executor
-        reopened = Dataset.open(dataset.path)
-        decoded = np.vstack([m.to_dense() for m, _ in reopened.batches()])
-        np.testing.assert_allclose(decoded, before)
+        assert report.executor == ("process" if pool_spy else "serial")
+        assert bool(pool_spy) == (workers > 1)
 
-    def test_auto_resolves_to_a_known_kind(self, drifted):
-        report = drifted.compact(executor="auto")
-        assert report.executor in ("serial", "thread", "process")
+    def test_default_workers_resolve_to_a_known_kind(self, drifted):
+        report = drifted.compact()
+        assert report.executor in ("serial", "process")
         assert report.n_reencoded == 4
 
-    def test_unknown_executor_rejected(self, drifted):
-        with pytest.raises(ValueError):
-            drifted.compact(executor="gpu")
-
-    def test_noop_pass_reports_serial(self, drifted):
-        drifted.compact(executor="process")
-        report = drifted.compact(executor="process")
+    def test_noop_pass_reports_serial(self, drifted, pool_spy):
+        drifted.compact(workers=2)
+        report = drifted.compact(workers=2)
         assert not report.changed
         assert report.executor == "serial"
+        assert len(pool_spy) == 1  # only the first pass had work to fan out

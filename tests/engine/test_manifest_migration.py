@@ -46,7 +46,7 @@ def downgrade_manifest_to_v1(directory) -> None:
 
 class TestManifestMigration:
     def test_v1_manifest_loads_with_per_shard_schemes(self, tmp_path, batches):
-        ShardedDataset.create(tmp_path, batches, "TOC", executor="serial")
+        ShardedDataset.create(tmp_path, batches, "TOC", workers=1)
         downgrade_manifest_to_v1(tmp_path)
 
         dataset = ShardedDataset.open(tmp_path)
@@ -60,14 +60,14 @@ class TestManifestMigration:
     def test_v1_and_v2_train_identically(self, tmp_path, batches):
         """Same shards, different manifest generation: identical parameters."""
         v2_dir, v1_dir = tmp_path / "v2", tmp_path / "v1"
-        ShardedDataset.create(v2_dir, batches, "TOC", executor="serial")
-        ShardedDataset.create(v1_dir, batches, "TOC", executor="serial")
+        ShardedDataset.create(v2_dir, batches, "TOC", workers=1)
+        ShardedDataset.create(v1_dir, batches, "TOC", workers=1)
         downgrade_manifest_to_v1(v1_dir)
 
         config = GradientDescentConfig(batch_size=60, epochs=2, learning_rate=0.3)
         parameters = []
         for directory in (v2_dir, v1_dir):
-            trainer = OutOfCoreTrainer("TOC", config, budget_ratio=0.5)
+            trainer = OutOfCoreTrainer(config, budget_ratio=0.5)
             trainer.attach(ShardedDataset.open(directory))
             model = LogisticRegressionModel(batches[0][0].shape[1], seed=0)
             trainer.train(model)
@@ -75,7 +75,7 @@ class TestManifestMigration:
         np.testing.assert_array_equal(parameters[0], parameters[1])
 
     def test_unknown_format_version_rejected(self, tmp_path, batches):
-        ShardedDataset.create(tmp_path, batches, "TOC", executor="serial")
+        ShardedDataset.create(tmp_path, batches, "TOC", workers=1)
         path = tmp_path / MANIFEST_NAME
         manifest = json.loads(path.read_text())
         manifest["format_version"] = 99

@@ -18,7 +18,7 @@ from repro.engine.compact import fsck_dataset
 from repro.engine.encode import (
     AUTO_SCHEME,
     encode_batches,
-    resolve_executor,
+    fan_out,
     resolve_scheme_name,
     resolve_workers,
     usable_cpus,
@@ -31,6 +31,7 @@ from repro.engine.shards import (
     read_extent,
     read_generation,
 )
+from repro.obs import trace as obs_trace
 from repro.storage.buffer_pool import BufferPool
 
 
@@ -53,54 +54,75 @@ def mixed_batches():
 
 class TestEncodePipeline:
     def test_serial_encode_round_trips(self, small_batches):
-        encoded = encode_batches([x for x, _ in small_batches], "TOC", executor="serial")
+        encoded, kind = encode_batches([x for x, _ in small_batches], "TOC", workers=1)
+        assert kind == "serial"
         scheme = get_scheme("TOC")
         for enc, (features, _) in zip(encoded, small_batches):
             decoded = scheme.decompress_bytes(enc.payload).to_dense()
             np.testing.assert_allclose(decoded, features)
 
-    def test_thread_and_serial_payloads_identical(self, small_batches):
+    def test_process_payloads_identical(self, small_batches, pool_spy):
         feats = [x for x, _ in small_batches]
-        serial = encode_batches(feats, "TOC", executor="serial")
-        threaded = encode_batches(feats, "TOC", workers=2, executor="thread")
-        assert [e.payload for e in serial] == [e.payload for e in threaded]
-        assert [e.batch_id for e in threaded] == list(range(len(feats)))
-
-    def test_process_payloads_identical(self, small_batches):
-        feats = [x for x, _ in small_batches]
-        serial = encode_batches(feats, "TOC", executor="serial")
-        procs = encode_batches(feats, "TOC", workers=2, executor="process")
+        serial, _ = encode_batches(feats, "TOC", workers=1)
+        procs, kind = encode_batches(feats, "TOC", workers=2)
+        assert kind == "process" and len(pool_spy) == 1
         assert [e.payload for e in serial] == [e.payload for e in procs]
+        assert [e.batch_id for e in procs] == list(range(len(feats)))
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
             encode_batches([], "TOC")
-
-    def test_bad_executor_rejected(self, small_batches):
-        with pytest.raises(ValueError):
-            encode_batches([small_batches[0][0]], "TOC", executor="gpu")
 
     def test_worker_resolution(self):
         assert resolve_workers(3) == 3
         assert resolve_workers(None) >= 1
         with pytest.raises(ValueError):
             resolve_workers(0)
-        assert resolve_executor("serial", 8) == "serial"
-        assert resolve_executor("auto", 1) == "serial"
 
     def test_worker_count_follows_cpu_affinity(self, monkeypatch):
         # Pinned to one CPU of a big machine: a pool could not run in parallel.
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
         assert usable_cpus() == resolve_workers(None) == 1
-        assert resolve_executor("auto", resolve_workers(None)) == "serial"
-        assert resolve_executor("auto", 4) == "serial"
+        assert fan_out(abs, [-1, 2]) == ([1, 2], "serial")
+        assert fan_out(abs, [-1, 2], workers=4) == ([1, 2], "serial")
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
         assert usable_cpus() == resolve_workers(None) == 3
-        assert resolve_executor("auto", 3) == "process"
         # No affinity API (macOS, Windows): fall back to the machine's count.
         monkeypatch.delattr(os, "sched_getaffinity")
         assert usable_cpus() == 64
+
+
+class TestEncodeProvenance:
+    """What the manifest and the span record is what ran, never what was asked."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_recorded_kind_matches_whether_a_pool_ran(
+        self, tmp_path, small_batches, pool_spy, workers
+    ):
+        obs_trace.clear()
+        dataset = ShardedDataset.create(tmp_path, small_batches, "TOC", workers=workers)
+        ran = "process" if pool_spy else "serial"
+        assert ran == ("process" if workers > 1 else "serial")
+        assert dataset.encode_executor == ran
+        manifest = json.loads((tmp_path / MANIFEST_NAME).read_text())
+        assert manifest["encode_executor"] == ran
+        (span,) = [s for s in obs_trace.spans() if s["name"] == "engine.encode"]
+        assert span["labels"]["executor"] == ran
+
+        del pool_spy[:]
+        dataset.append(small_batches[:1], workers=workers)
+        ran = "process" if pool_spy else "serial"
+        assert ShardedDataset.open(tmp_path).encode_executor == ran
+
+    def test_a_thread_era_manifest_still_opens(self, tmp_path, small_batches):
+        ShardedDataset.create(tmp_path, small_batches, "TOC", workers=1)
+        manifest = json.loads((tmp_path / MANIFEST_NAME).read_text())
+        manifest["encode_executor"] = "thread"
+        (tmp_path / MANIFEST_NAME).write_text(json.dumps(manifest))
+        reopened = ShardedDataset.open(tmp_path)
+        assert reopened.encode_executor == "thread"
+        np.testing.assert_allclose(reopened.decode(0).to_dense(), small_batches[0][0])
 
 
 class TestAutoSchemeEncode:
@@ -115,9 +137,7 @@ class TestAutoSchemeEncode:
         )
 
     def test_auto_encode_records_chosen_schemes(self, mixed_batches):
-        encoded = encode_batches(
-            [x for x, _ in mixed_batches], AUTO_SCHEME, executor="serial"
-        )
+        encoded, _ = encode_batches([x for x, _ in mixed_batches], AUTO_SCHEME, workers=1)
         schemes = [e.scheme for e in encoded]
         assert AUTO_SCHEME not in schemes  # every shard resolved to a real scheme
         assert len(set(schemes)) > 1  # the mix genuinely splits
@@ -126,27 +146,28 @@ class TestAutoSchemeEncode:
             decoded = get_scheme(enc.scheme).decompress_bytes(enc.payload).to_dense()
             np.testing.assert_allclose(decoded, features)
 
-    def test_auto_is_deterministic_across_executors(self, mixed_batches):
+    def test_auto_is_deterministic_across_executors(self, mixed_batches, pool_spy):
         feats = [x for x, _ in mixed_batches]
-        serial = encode_batches(feats, AUTO_SCHEME, executor="serial")
-        threaded = encode_batches(feats, AUTO_SCHEME, workers=2, executor="thread")
-        assert [e.scheme for e in serial] == [e.scheme for e in threaded]
-        assert [e.payload for e in serial] == [e.payload for e in threaded]
+        serial, _ = encode_batches(feats, AUTO_SCHEME, workers=1)
+        pooled, kind = encode_batches(feats, AUTO_SCHEME, workers=2)
+        assert kind == "process" and len(pool_spy) == 1
+        assert [e.scheme for e in serial] == [e.scheme for e in pooled]
+        assert [e.payload for e in serial] == [e.payload for e in pooled]
 
     def test_explicit_per_batch_schemes(self, mixed_batches):
         feats = [x for x, _ in mixed_batches]
-        encoded = encode_batches(feats, ["TOC", "DEN", "CSR"], executor="serial")
+        encoded, _ = encode_batches(feats, ["TOC", "DEN", "CSR"], workers=1)
         assert [e.scheme for e in encoded] == ["TOC", "DEN", "CSR"]
 
     def test_per_batch_scheme_count_mismatch_rejected(self, mixed_batches):
         feats = [x for x, _ in mixed_batches]
         with pytest.raises(ValueError, match="scheme names"):
-            encode_batches(feats, ["TOC"], executor="serial")
+            encode_batches(feats, ["TOC"], workers=1)
 
 
 class TestShardedDataset:
     def test_create_open_round_trip(self, tmp_path, small_batches):
-        created = ShardedDataset.create(tmp_path, small_batches, "TOC", executor="serial")
+        created = ShardedDataset.create(tmp_path, small_batches, "TOC", workers=1)
         reopened = ShardedDataset.open(tmp_path)
         assert reopened.scheme_name == "TOC"
         assert len(reopened) == len(small_batches)
@@ -160,7 +181,7 @@ class TestShardedDataset:
             np.testing.assert_array_equal(reopened.labels_for(batch_id), labels)
 
     def test_physical_bytes_include_fudge_factor(self, tmp_path, small_batches):
-        dataset = ShardedDataset.create(tmp_path, small_batches, "TOC", executor="serial")
+        dataset = ShardedDataset.create(tmp_path, small_batches, "TOC", workers=1)
         assert dataset.physical_bytes() >= dataset.total_payload_bytes()
 
     def test_open_missing_directory_fails(self, tmp_path):
@@ -168,7 +189,7 @@ class TestShardedDataset:
             ShardedDataset.open(tmp_path / "nope")
 
     def test_attach_serves_bytes_through_pool(self, tmp_path, small_batches):
-        dataset = ShardedDataset.create(tmp_path, small_batches, "TOC", executor="serial")
+        dataset = ShardedDataset.create(tmp_path, small_batches, "TOC", workers=1)
         pool = BufferPool(budget_bytes=10 * dataset.total_payload_bytes())
         dataset.attach(pool)
         for batch_id in range(len(dataset)):
@@ -180,7 +201,7 @@ class TestShardedDataset:
         assert pool.stats.misses == len(dataset)
 
     def test_pool_smaller_than_shard_set_evicts_and_rereads(self, tmp_path, small_batches):
-        dataset = ShardedDataset.create(tmp_path, small_batches, "TOC", executor="serial")
+        dataset = ShardedDataset.create(tmp_path, small_batches, "TOC", workers=1)
         sizes = dataset.payload_sizes()
         # Room for roughly two shards: the cyclic scan must keep missing.
         pool = BufferPool(budget_bytes=sizes[0] + sizes[1] + 1)
@@ -197,14 +218,14 @@ class TestShardedDataset:
     def test_manifest_records_scheme_per_shard(self, tmp_path, small_batches):
         import json
 
-        ShardedDataset.create(tmp_path, small_batches, "TOC", executor="serial")
+        ShardedDataset.create(tmp_path, small_batches, "TOC", workers=1)
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["format_version"] == 2
         assert manifest["scheme"] == "TOC"
         assert all(row["scheme"] == "TOC" for row in manifest["shards"])
 
     def test_auto_create_open_round_trip(self, tmp_path, mixed_batches):
-        created = ShardedDataset.create(tmp_path, mixed_batches, AUTO_SCHEME, executor="serial")
+        created = ShardedDataset.create(tmp_path, mixed_batches, AUTO_SCHEME, workers=1)
         assert created.is_mixed
         assert created.scheme_name == MIXED_SCHEME
         assert sum(created.scheme_counts().values()) == len(mixed_batches)
@@ -218,17 +239,17 @@ class TestShardedDataset:
             np.testing.assert_allclose(decoded.to_dense(), features)
 
     def test_scheme_for_caches_instances(self, tmp_path, small_batches):
-        dataset = ShardedDataset.create(tmp_path, small_batches, "TOC", executor="serial")
+        dataset = ShardedDataset.create(tmp_path, small_batches, "TOC", workers=1)
         assert dataset.scheme_for(0) is dataset.scheme_for(1)
         assert dataset.scheme_for(0).name == "TOC"
 
     def test_append_extends_manifest_and_labels(self, tmp_path, small_batches):
-        dataset = ShardedDataset.create(tmp_path, small_batches, "TOC", executor="serial")
+        dataset = ShardedDataset.create(tmp_path, small_batches, "TOC", workers=1)
         n_before = len(dataset)
         rng = np.random.default_rng(9)
         extra_x = rng.random((40, small_batches[0][0].shape[1]))
         extra_y = rng.integers(0, 2, size=40).astype(np.float64)
-        added = dataset.append([(extra_x, extra_y)], executor="serial")
+        added = dataset.append([(extra_x, extra_y)], workers=1)
 
         assert [info.batch_id for info in added] == [n_before]
         assert added[0].scheme == "TOC"  # default: the dataset's requested scheme
@@ -238,10 +259,10 @@ class TestShardedDataset:
         np.testing.assert_array_equal(reopened.labels_for(n_before), extra_y)
 
     def test_append_rejects_mismatched_width(self, tmp_path, small_batches):
-        dataset = ShardedDataset.create(tmp_path, small_batches, "TOC", executor="serial")
+        dataset = ShardedDataset.create(tmp_path, small_batches, "TOC", workers=1)
         bad = np.zeros((4, small_batches[0][0].shape[1] + 1))
         with pytest.raises(ValueError, match="columns"):
-            dataset.append([(bad, np.zeros(4))], executor="serial")
+            dataset.append([(bad, np.zeros(4))], workers=1)
 
     @pytest.mark.parametrize("crashed_at", [LABELS_NAME, MANIFEST_NAME])
     def test_a_crashed_append_leaves_the_dataset_as_it_was(
@@ -251,7 +272,7 @@ class TestShardedDataset:
         either rename reopens the old shards with the old labels."""
         from repro.storage import mmapio
 
-        dataset = ShardedDataset.create(tmp_path, small_batches, "TOC", executor="serial")
+        dataset = ShardedDataset.create(tmp_path, small_batches, "TOC", workers=1)
         n_before = len(dataset)
         replace = mmapio.os.replace
 
@@ -263,7 +284,7 @@ class TestShardedDataset:
         monkeypatch.setattr(mmapio.os, "replace", crash)
         extra = (np.ones((10, small_batches[0][0].shape[1])), np.ones(10))
         with pytest.raises(OSError, match="crashed"):
-            dataset.append([extra], executor="serial")
+            dataset.append([extra], workers=1)
         monkeypatch.undo()
 
         reopened = ShardedDataset.open(tmp_path)
@@ -273,12 +294,12 @@ class TestShardedDataset:
             np.testing.assert_array_equal(reopened.labels_for(batch_id), labels)
 
     def test_create_and_append_leave_no_temporary_files(self, tmp_path, small_batches):
-        dataset = ShardedDataset.create(tmp_path, small_batches, "TOC", executor="serial")
-        dataset.append(small_batches[:1], executor="serial")
+        dataset = ShardedDataset.create(tmp_path, small_batches, "TOC", workers=1)
+        dataset.append(small_batches[:1], workers=1)
         assert [p.name for p in tmp_path.iterdir() if p.name.startswith(".")] == []
 
     def test_stage_shard_publishes_on_manifest_swap(self, tmp_path, small_batches):
-        dataset = ShardedDataset.create(tmp_path, small_batches, "TOC", executor="serial")
+        dataset = ShardedDataset.create(tmp_path, small_batches, "TOC", workers=1)
         dense = dataset.decode(0).to_dense()
         payload = get_scheme("DEN").compress(dense).to_bytes()
         info = dataset.stage_shard(0, payload, "DEN")
@@ -298,7 +319,7 @@ class TestShardedDataset:
         np.testing.assert_allclose(reopened.decode(0).to_dense(), dense)
 
     def test_stage_shard_generation_counter_increments(self, tmp_path, small_batches):
-        dataset = ShardedDataset.create(tmp_path, small_batches, "TOC", executor="serial")
+        dataset = ShardedDataset.create(tmp_path, small_batches, "TOC", workers=1)
         dense = dataset.decode(0).to_dense()
         dataset.stage_shard(0, get_scheme("DEN").compress(dense).to_bytes(), "DEN")
         info = dataset.stage_shard(0, get_scheme("CSR").compress(dense).to_bytes(), "CSR")
@@ -320,13 +341,13 @@ from repro.serve import feature_store
 root = sys.argv[1]
 x, y = DATASET_PROFILES["census"].classification(902, seed=3)
 ShardedDataset.create(root, [(x[:300], y[:300]), (x[300:600], y[300:600])], "TOC",
-                      executor="serial")
+                      workers=1)
 a, b = ShardedDataset.open(root), ShardedDataset.open(root)
-a.append([(x[600:900], y[600:900])], executor="serial")
+a.append([(x[600:900], y[600:900])], workers=1)
 feature_store.PARSED_CACHE_SHARDS = 1
 store = feature_store.FeatureStore.open(root)
 assert np.array_equal(store.get_row(600), x[600])
-b.append([(x[900:], y[900:])], executor="serial")
+b.append([(x[900:], y[900:])], workers=1)
 store.get_row(0)  # evicts parsed shard 2; its mapping stays
 maps, parses = metrics.counter("storage.mmap.maps").value, store.stats.payload_parses
 assert np.array_equal(store.get_rows(range(600, 900)), x[600:900]), "wrong rows"
@@ -352,7 +373,7 @@ def test_stale_writer_never_rewrites_a_mapped_shard_in_place(tmp_path):
 
 
 def test_fsck_sweeps_an_unpublished_shard_payload(tmp_path, small_batches):
-    dataset = ShardedDataset.create(tmp_path, small_batches, "TOC", executor="serial")
+    dataset = ShardedDataset.create(tmp_path, small_batches, "TOC", workers=1)
     leftover = tmp_path / ".shard-00004.bin.tmp"
     leftover.write_bytes(b"interrupted append")
     report = fsck_dataset(dataset)
@@ -362,15 +383,15 @@ def test_fsck_sweeps_an_unpublished_shard_payload(tmp_path, small_batches):
 
 class TestManifestGeneration:
     def test_create_publishes_generation_one(self, tmp_path, small_batches):
-        dataset = ShardedDataset.create(tmp_path, small_batches, "TOC", executor="serial")
+        dataset = ShardedDataset.create(tmp_path, small_batches, "TOC", workers=1)
         assert dataset.generation == 1
         assert read_generation(tmp_path) == 1
         assert ShardedDataset.open(tmp_path).generation == 1
 
     def test_every_manifest_swap_bumps_the_generation(self, tmp_path, small_batches):
-        dataset = ShardedDataset.create(tmp_path, small_batches, "TOC", executor="serial")
+        dataset = ShardedDataset.create(tmp_path, small_batches, "TOC", workers=1)
         before = dataset.generation
-        dataset.append([small_batches[0]], executor="serial")
+        dataset.append([small_batches[0]], workers=1)
         assert dataset.generation == before + 1
         assert read_generation(tmp_path) == before + 1
         assert read_extent(tmp_path) == (before + 1, dataset.n_examples)
@@ -382,7 +403,7 @@ class TestManifestGeneration:
             read_generation(tmp_path)
 
     def test_pre_generation_manifest_reads_as_zero(self, tmp_path, small_batches):
-        ShardedDataset.create(tmp_path, small_batches, "TOC", executor="serial")
+        ShardedDataset.create(tmp_path, small_batches, "TOC", workers=1)
         manifest_path = tmp_path / MANIFEST_NAME
         manifest = json.loads(manifest_path.read_text())
         del manifest["generation"]

@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 from repro.compression.registry import get_scheme
+from repro.data.minibatch import split_minibatches
 from repro.data.registry import DATASET_PROFILES
+from repro.engine.shards import ShardedDataset
 from repro.engine.trainer import OutOfCoreTrainer
 from repro.ml.models import LogisticRegressionModel
 from repro.ml.optimizer import GradientDescentConfig, MiniBatchGradientDescent
@@ -24,6 +26,21 @@ def config():
     return GradientDescentConfig(batch_size=100, epochs=2, learning_rate=0.3, shuffle_seed=0)
 
 
+def _shard(directory, features, labels, config, scheme="TOC") -> ShardedDataset:
+    """Shuffle once with the config's seed and encode in this process."""
+    batches = split_minibatches(
+        features, labels, batch_size=config.batch_size, shuffle=True,
+        seed=config.shuffle_seed,
+    )
+    return ShardedDataset.create(directory, batches, scheme, workers=1)
+
+
+def _attached(directory, dataset, config, **budget) -> OutOfCoreTrainer:
+    trainer = OutOfCoreTrainer(config, **budget)
+    trainer.attach(_shard(directory, *dataset, config))
+    return trainer
+
+
 class TestOutOfCoreTrainer:
     def test_two_epoch_convergence_matches_in_memory_reference(self, tmp_path, dataset, config):
         """Same seed, same batches: OOC training equals the in-memory loop."""
@@ -34,9 +51,9 @@ class TestOutOfCoreTrainer:
             reference, features, labels, scheme=get_scheme("TOC")
         )
 
-        trainer = OutOfCoreTrainer("TOC", config, budget_ratio=0.5, executor="serial")
+        trainer = _attached(tmp_path, dataset, config, budget_ratio=0.5)
         model = LogisticRegressionModel(features.shape[1], seed=0)
-        report = trainer.fit(model, features, labels, tmp_path)
+        report = trainer.train(model)
 
         np.testing.assert_allclose(model.get_parameters(), reference.get_parameters())
         assert report.history.epoch_losses[-1] < report.history.epoch_losses[0]
@@ -45,10 +62,8 @@ class TestOutOfCoreTrainer:
         assert model.loss(features, labels) == pytest.approx(reference.loss(features, labels))
 
     def test_dataset_larger_than_pool_spills(self, tmp_path, dataset, config):
-        features, labels = dataset
-        trainer = OutOfCoreTrainer("TOC", config, budget_ratio=0.5, executor="serial")
-        model = LogisticRegressionModel(features.shape[1], seed=0)
-        report = trainer.fit(model, features, labels, tmp_path)
+        trainer = _attached(tmp_path, dataset, config, budget_ratio=0.5)
+        report = trainer.train(LogisticRegressionModel(dataset[0].shape[1], seed=0))
 
         assert not report.fits_in_memory
         assert report.pool_stats.evictions > 0
@@ -57,10 +72,8 @@ class TestOutOfCoreTrainer:
         assert all(io > 0 for io in report.epoch_io_seconds)
 
     def test_generous_pool_hits_after_first_epoch(self, tmp_path, dataset, config):
-        features, labels = dataset
-        trainer = OutOfCoreTrainer("TOC", config, budget_ratio=10.0, executor="serial")
-        model = LogisticRegressionModel(features.shape[1], seed=0)
-        report = trainer.fit(model, features, labels, tmp_path)
+        trainer = _attached(tmp_path, dataset, config, budget_ratio=10.0)
+        report = trainer.train(LogisticRegressionModel(dataset[0].shape[1], seed=0))
 
         assert report.fits_in_memory
         n = len(trainer.dataset)
@@ -69,30 +82,24 @@ class TestOutOfCoreTrainer:
         assert report.epoch_io_seconds[-1] == 0.0
 
     def test_explicit_budget_bytes(self, tmp_path, dataset, config):
-        features, labels = dataset
-        trainer = OutOfCoreTrainer("TOC", config, budget_bytes=1 << 20, executor="serial")
-        model = LogisticRegressionModel(features.shape[1], seed=0)
-        report = trainer.fit(model, features, labels, tmp_path)
+        trainer = _attached(tmp_path, dataset, config, budget_bytes=1 << 20)
+        report = trainer.train(LogisticRegressionModel(dataset[0].shape[1], seed=0))
         assert report.budget_bytes == 1 << 20
         assert len(report.history.epoch_losses) == config.epochs
 
-    def test_train_before_shard_rejected(self, config):
-        trainer = OutOfCoreTrainer("TOC", config)
-        with pytest.raises(RuntimeError):
+    def test_train_before_attach_rejected(self, config):
+        trainer = OutOfCoreTrainer(config)
+        with pytest.raises(RuntimeError, match="attach"):
             trainer.train(LogisticRegressionModel(4, seed=0))
 
     def test_shards_reusable_across_trainers(self, tmp_path, dataset, config):
         """Shard once, reattach from disk in a fresh trainer (open path)."""
-        from repro.engine.shards import ShardedDataset
-
         features, labels = dataset
-        first = OutOfCoreTrainer("TOC", config, budget_ratio=0.5, executor="serial")
-        first.shard(features, labels, tmp_path)
+        _shard(tmp_path, features, labels, config)
 
-        second = OutOfCoreTrainer("TOC", config, budget_ratio=0.5)
+        second = OutOfCoreTrainer(config, budget_ratio=0.5)
         second.attach(ShardedDataset.open(tmp_path))
-        model = LogisticRegressionModel(features.shape[1], seed=0)
-        report = second.train(model)
+        report = second.train(LogisticRegressionModel(features.shape[1], seed=0))
         assert len(report.history.epoch_losses) == config.epochs
 
 
@@ -103,8 +110,7 @@ class TestEpochStream:
         self, tmp_path, dataset, config, monkeypatch
     ):
         features, labels = dataset
-        trainer = OutOfCoreTrainer("TOC", config, budget_ratio=0.5, executor="serial")
-        trainer.shard(features, labels, tmp_path)
+        trainer = _attached(tmp_path, dataset, config, budget_ratio=0.5)
         reads: list[tuple[int, int]] = []
         real_read = trainer.pool.read
 
@@ -124,8 +130,7 @@ class TestEpochStream:
 
     def test_a_shard_read_error_reaches_the_caller(self, tmp_path, dataset, config):
         features, labels = dataset
-        trainer = OutOfCoreTrainer("TOC", config, budget_ratio=0.5, executor="serial")
-        trainer.shard(features, labels, tmp_path)
+        trainer = _attached(tmp_path, dataset, config, budget_ratio=0.5)
         (tmp_path / trainer.dataset.shards[2].filename).unlink()
         with pytest.raises(FileNotFoundError):
             trainer.train(LogisticRegressionModel(features.shape[1], seed=0))
@@ -137,24 +142,20 @@ class TestAdaptiveScheme:
     @pytest.fixture(scope="class")
     def mixed_dataset(self, tmp_path_factory):
         """A shard directory whose batches genuinely favour different schemes."""
-        from repro.engine.shards import ShardedDataset
-
         rng = np.random.default_rng(5)
         sparse = rng.normal(size=(90, 20)) * (rng.random((90, 20)) < 0.05)
         dense = rng.normal(size=(90, 20))
         labels = (rng.random(90) < 0.5).astype(np.float64)
         batches = [(sparse, labels), (dense, labels), (sparse.copy(), labels)]
         directory = tmp_path_factory.mktemp("auto-shards")
-        created = ShardedDataset.create(directory, batches, "auto", executor="serial")
+        created = ShardedDataset.create(directory, batches, "auto", workers=1)
         return directory, batches, created
 
-    def test_auto_trainer_trains_over_mixed_shards(self, mixed_dataset, config):
-        from repro.engine.shards import ShardedDataset
-
+    def test_trainer_trains_over_mixed_shards(self, mixed_dataset, config):
         directory, batches, created = mixed_dataset
         assert created.is_mixed  # the fixture data must actually split
 
-        trainer = OutOfCoreTrainer("auto", config, budget_ratio=0.5)
+        trainer = OutOfCoreTrainer(config, budget_ratio=0.5)
         trainer.attach(ShardedDataset.open(directory))
         model = LogisticRegressionModel(batches[0][0].shape[1], seed=0)
         report = trainer.train(model)
@@ -163,10 +164,8 @@ class TestAdaptiveScheme:
 
     def test_mixed_training_matches_per_batch_reference(self, mixed_dataset, config):
         """Per-shard decoding is exact: same updates as in-memory batches."""
-        from repro.engine.shards import ShardedDataset
-
         directory, batches, _ = mixed_dataset
-        trainer = OutOfCoreTrainer("auto", config, budget_ratio=10.0)
+        trainer = OutOfCoreTrainer(config, budget_ratio=10.0)
         trainer.attach(ShardedDataset.open(directory))
         model = LogisticRegressionModel(batches[0][0].shape[1], seed=0)
         trainer.train(model)
@@ -179,51 +178,32 @@ class TestAdaptiveScheme:
             model.get_parameters(), reference.get_parameters(), rtol=1e-9, atol=1e-12
         )
 
-    def test_pinned_trainer_rejects_mixed_shards(self, mixed_dataset, config):
-        from repro.engine.shards import ShardedDataset
-
-        directory, _, _ = mixed_dataset
-        pinned = OutOfCoreTrainer("TOC", config)
-        with pytest.raises(ValueError, match="pinned to 'TOC'"):
-            pinned.attach(ShardedDataset.open(directory))
-
     def test_auto_fit_and_checkpoint_record_scheme_mix(self, tmp_path, dataset, config):
+        from repro.api import Dataset, Estimator
         from repro.serve.checkpoint import ModelRegistry
 
         features, labels = dataset
-        trainer = OutOfCoreTrainer("auto", config, budget_ratio=2.0, executor="serial")
-        model = LogisticRegressionModel(features.shape[1], seed=0)
-        trainer.fit(
-            model, features, labels, tmp_path / "shards",
-            checkpoint_to=tmp_path / "registry",
+        data = Dataset.create(
+            tmp_path / "shards", features, labels, scheme="auto",
+            batch_size=config.batch_size, seed=config.shuffle_seed, workers=1,
         )
+        estimator = Estimator(
+            "logreg", scheme="auto", batch_size=config.batch_size, epochs=config.epochs,
+            learning_rate=config.learning_rate, budget_ratio=2.0, workers=1,
+        )
+        estimator.fit(data)
+        estimator.save(tmp_path / "registry")
         checkpoint = ModelRegistry(tmp_path / "registry").load("latest")
         meta = checkpoint.dataset_meta
         assert meta["requested_scheme"] == "auto"
-        assert sum(meta["scheme_counts"].values()) == len(trainer.dataset)
-        assert checkpoint.scheme_name == trainer.dataset.scheme_name
+        assert sum(meta["scheme_counts"].values()) == len(data)
+        assert checkpoint.scheme_name == data.scheme
 
 
-class TestReportAndSchemeGuards:
-    def test_attach_rejects_mismatched_scheme(self, tmp_path, dataset, config):
-        from repro.engine.shards import ShardedDataset
-
-        features, labels = dataset
-        csr_trainer = OutOfCoreTrainer("CSR", config, executor="serial")
-        csr_trainer.shard(features, labels, tmp_path)
-
-        toc_trainer = OutOfCoreTrainer("TOC", config)
-        with pytest.raises(ValueError, match="encoded with 'CSR'"):
-            toc_trainer.attach(ShardedDataset.open(tmp_path))
-
-    def test_unknown_scheme_rejected_at_construction(self, config):
-        with pytest.raises(KeyError):
-            OutOfCoreTrainer("LZ77", config)
-
+class TestReport:
     def test_report_stats_are_a_snapshot(self, tmp_path, dataset, config):
         features, labels = dataset
-        trainer = OutOfCoreTrainer("TOC", config, budget_ratio=10.0, executor="serial")
-        trainer.shard(features, labels, tmp_path)
+        trainer = _attached(tmp_path, dataset, config, budget_ratio=10.0)
 
         first = trainer.train(LogisticRegressionModel(features.shape[1], seed=0))
         hits_after_first = first.pool_stats.hits

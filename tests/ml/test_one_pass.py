@@ -18,7 +18,9 @@ import pytest
 from repro.bench.experiments import run_end_to_end
 from repro.compression.registry import get_scheme
 from repro.core.toc import TOCMatrix
+from repro.data.minibatch import split_minibatches
 from repro.data.registry import DATASET_PROFILES
+from repro.engine.shards import ShardedDataset
 from repro.engine.trainer import OutOfCoreTrainer
 from repro.ml.models import LogisticRegressionModel
 from repro.ml.optimizer import GradientDescentConfig, MiniBatchGradientDescent
@@ -75,8 +77,12 @@ def test_in_memory_train(data, kernel_calls):
 
 def test_streaming_train_through_the_out_of_core_trainer(tmp_path, data, kernel_calls):
     features, labels = data
-    trainer = OutOfCoreTrainer("TOC", CONFIG, budget_ratio=0.5, executor="serial")
-    dataset = trainer.shard(features, labels, tmp_path)
+    batches = split_minibatches(
+        features, labels, batch_size=CONFIG.batch_size, seed=CONFIG.shuffle_seed
+    )
+    dataset = ShardedDataset.create(tmp_path, batches, "TOC", workers=1)
+    trainer = OutOfCoreTrainer(CONFIG, budget_ratio=0.5)
+    trainer.attach(dataset)
     report = trainer.train(LogisticRegressionModel(features.shape[1], seed=0))
     _assert_one_pass(kernel_calls, len(dataset), CONFIG.epochs)
     batches = [(dataset.decode(b), dataset.labels_for(b)) for b in range(len(dataset))]

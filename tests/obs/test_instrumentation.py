@@ -1,7 +1,7 @@
 """Integration: a real encode+train+scan run feeds spans and metrics.
 
 The unit tests poke the primitives; these run the actual instrumented hot
-paths (serial executors, so every span lands in this process) and check
+paths (one encode worker, so every span lands in this process) and check
 what comes out the other side — in particular that the Chrome trace dump
 round-trips with consistent nesting, the satellite the ``repro obs dump``
 CLI relies on.
@@ -30,9 +30,9 @@ def traced_run(tmp_path_factory):
     obs_trace.clear()
     dataset = Dataset.create(
         tmp / "shards", features, labels,
-        scheme="TOC", batch_size=30, executor="serial", seed=0,
+        scheme="TOC", batch_size=30, workers=1, seed=0,
     )
-    Estimator("logreg", scheme="TOC", epochs=2, executor="serial").fit(dataset)
+    Estimator("logreg", scheme="TOC", epochs=2, workers=1).fit(dataset)
     result = dataset.scan(where="c0 >= 0", agg="count")
     return dataset, result, default_tracer().spans()
 

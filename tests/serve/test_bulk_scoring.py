@@ -81,7 +81,7 @@ def datasets(census, tmp_path_factory) -> dict[str, Dataset]:
     return {
         scheme: Dataset.create(
             root / scheme, features, labels, scheme=scheme,
-            batch_size=BATCH, executor="serial", shuffle=False,
+            batch_size=BATCH, workers=1, shuffle=False,
         )
         for scheme in available_schemes()
     }
@@ -211,7 +211,7 @@ class TestMixedRequests:
         features, labels = DATASET_PROFILES["census"].classification(6 * self.SHARD, seed=11)
         dataset = Dataset.create(
             tmp_path_factory.mktemp("bulk-mixed"), features, labels,
-            scheme=["TOC", "CVI"] * 3, batch_size=self.SHARD, executor="serial", shuffle=False,
+            scheme=["TOC", "CVI"] * 3, batch_size=self.SHARD, workers=1, shuffle=False,
         )
         estimator = Estimator("logreg", epochs=2, learning_rate=0.3)
         estimator.fit(dataset)

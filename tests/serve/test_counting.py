@@ -31,7 +31,7 @@ def fitted(tmp_path_factory):
     features, labels = DATASET_PROFILES["census"].classification(ROWS, seed=5)
     dataset = Dataset.create(
         tmp_path_factory.mktemp("counting") / "shards", features, labels,
-        scheme="TOC", batch_size=BATCH, executor="serial", shuffle=False,
+        scheme="TOC", batch_size=BATCH, workers=1, shuffle=False,
     )
     fitted = {}
     for name, params in (("linreg", {"learning_rate": 1e-3}), ("ffnn", {"hidden_sizes": (8,)})):

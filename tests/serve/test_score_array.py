@@ -37,7 +37,7 @@ def fitted(tmp_path_factory):
     features, labels = DATASET_PROFILES["census"].classification(ROWS, seed=3)
     dataset = Dataset.create(
         tmp_path_factory.mktemp("score-array") / "shards", features, labels,
-        scheme="TOC", batch_size=BATCH, executor="serial", shuffle=False,
+        scheme="TOC", batch_size=BATCH, workers=1, shuffle=False,
     )
     estimator = Estimator("logreg", epochs=2)
     estimator.fit(dataset)
@@ -217,7 +217,7 @@ def test_racing_callers_across_a_compaction_get_their_generations_answers(tmp_pa
     # there every answer must be the one value both agree on.
     dataset = Dataset.create(
         tmp_path / "shards", features, labels, scheme="DEN",
-        batch_size=BATCH, executor="serial", shuffle=False,
+        batch_size=BATCH, workers=1, shuffle=False,
     )
     estimator = Estimator(model, epochs=1, learning_rate=1e-3)
     estimator.fit(dataset)
@@ -256,7 +256,7 @@ def test_racing_callers_across_a_compaction_get_their_generations_answers(tmp_pa
             running = [callers.submit(call, service, work) for work in (single, bulk) * 2]
             assert started.wait(timeout=10)
             first = service._serving
-            Dataset.open(dataset.path).compact(readvise=True, executor="serial")
+            Dataset.open(dataset.path).compact(readvise=True, workers=1)
             service.maybe_reopen_store()
             after = reference()
             mark = len(answered)

@@ -9,10 +9,9 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+from repro.api import Dataset, Estimator
 from repro.data.registry import DATASET_PROFILES
-from repro.engine.trainer import OutOfCoreTrainer
-from repro.ml.models import FeedForwardNetwork, LogisticRegressionModel
-from repro.ml.optimizer import GradientDescentConfig
+from repro.ml.models import FeedForwardNetwork
 from repro.serve import feature_store
 from repro.serve.checkpoint import ModelRegistry
 from repro.serve.feature_store import FeatureStore
@@ -23,13 +22,17 @@ from repro.serve.service import PredictionService
 def trained_setup(tmp_path_factory):
     """Train out-of-core, checkpoint, and keep the shard dir around."""
     features, labels = DATASET_PROFILES["census"].classification(300, seed=5)
-    config = GradientDescentConfig(batch_size=75, epochs=2, learning_rate=0.3)
-    trainer = OutOfCoreTrainer("TOC", config, executor="serial", budget_ratio=2.0)
-    model = LogisticRegressionModel(features.shape[1], seed=0)
     shard_dir = tmp_path_factory.mktemp("serve-shards")
     registry_dir = tmp_path_factory.mktemp("serve-registry")
-    report = trainer.fit(model, features, labels, shard_dir, checkpoint_to=registry_dir)
-    return model, shard_dir, registry_dir, report
+    dataset = Dataset.create(
+        shard_dir, features, labels, scheme="TOC", batch_size=75, workers=1
+    )
+    estimator = Estimator(
+        "logreg", scheme="TOC", batch_size=75, epochs=2, learning_rate=0.3, budget_ratio=2.0
+    )
+    estimator.fit(dataset)
+    version, _ = estimator.save(registry_dir)
+    return estimator.model, shard_dir, registry_dir, version
 
 
 class TestSingleRowPath:
@@ -287,8 +290,8 @@ class TestBulkPath:
 
 class TestFromRegistry:
     def test_checkpoint_hook_publishes_a_version(self, trained_setup):
-        _, _, registry_dir, report = trained_setup
-        assert report.checkpoint_version == 1
+        _, _, registry_dir, version = trained_setup
+        assert version == 1
         assert ModelRegistry(registry_dir).versions() == [1]
 
     def test_from_registry_serves_like_the_live_model(self, trained_setup):
@@ -423,7 +426,7 @@ class TestLiveCompaction:
         # files the open service's lazy loaders still point at.
         dataset = Dataset.create(
             tmp_path / "shards", features, labels, scheme="DEN",
-            batch_size=50, executor="serial",
+            batch_size=50, workers=1,
         )
         estimator = Estimator("logreg", epochs=1)
         estimator.fit(dataset)
@@ -433,7 +436,7 @@ class TestLiveCompaction:
 
         with open_service(tmp_path / "registry")[0] as service:
             generation = service.generation
-            Dataset.open(tmp_path / "shards").compact(readvise=True, executor="serial")
+            Dataset.open(tmp_path / "shards").compact(readvise=True, workers=1)
             np.testing.assert_allclose(call(service, ids), expected)
             assert service.generation == generation + 1
             counters = service.metrics()["counters"]
@@ -447,7 +450,7 @@ class TestLiveCompaction:
         features, labels = DATASET_PROFILES["census"].classification(250, seed=5)
         dataset = Dataset.create(
             tmp_path / "shards", features[:200], labels[:200], scheme="DEN",
-            batch_size=50, executor="serial", shuffle=False,
+            batch_size=50, workers=1, shuffle=False,
         )
         estimator = Estimator("logreg", epochs=1)
         estimator.fit(dataset)
@@ -462,7 +465,7 @@ class TestLiveCompaction:
             assert resident(service) == 2 * 50
             first = service.store
             # DEN -> TOC: the compact deletes the files `first` still points at.
-            dataset.compact(readvise=True, executor="serial")
+            dataset.compact(readvise=True, workers=1)
             # In flight across the swap: shard 3 was never read, its file is
             # gone, and the retry answers from the new generation.
             assert service.predict_id(150) == expected[150]
@@ -477,7 +480,7 @@ class TestLiveCompaction:
             assert second.stats.row_misses == 2  # rows 150 and 0, one shard scored for each
             assert first.stats == served_by_first
 
-            dataset.append(features[200:], labels[200:], executor="serial")
+            dataset.append(features[200:], labels[200:], workers=1)
             with pytest.raises(IndexError, match=r"row 249 out of range \[0, 200\)"):
                 service.predict_id(249)
             assert service.maybe_reopen_store()

@@ -72,7 +72,7 @@ class TestShardIntegration:
         for _ in range(3):
             dense = np.round(rng.random((20, 6)) * (rng.random((20, 6)) < 0.5), 1)
             batches.append((dense, rng.integers(0, 2, size=20).astype(np.float64)))
-        return ShardedDataset.create(tmp_path / "ds", batches, "TOC", executor="serial")
+        return ShardedDataset.create(tmp_path / "ds", batches, "TOC", workers=1)
 
     def test_read_payload_is_a_mapping(self, dataset):
         assert isinstance(dataset.read_payload(0), memoryview)
@@ -88,7 +88,7 @@ class TestShardIntegration:
         dense = np.round(rng.random((30, 7)) * (rng.random((30, 7)) < 0.4), 1)
         labels = np.zeros(30)
         dataset = ShardedDataset.create(
-            tmp_path / scheme_name, [(dense, labels)], scheme_name, executor="serial"
+            tmp_path / scheme_name, [(dense, labels)], scheme_name, workers=1
         )
         mapped = dataset.read_payload(0)
         from_map = dataset.decode(0, mapped).to_dense()

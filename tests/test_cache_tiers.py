@@ -113,7 +113,7 @@ def _caches(obj) -> set[str]:
 def test_the_feature_store_holds_one_cache(tmp_path):
     features, labels = DATASET_PROFILES["census"].classification(120, seed=2)
     batches = [(features[i : i + 40], labels[i : i + 40]) for i in range(0, 120, 40)]
-    store = FeatureStore(ShardedDataset.create(tmp_path, batches, "TOC", executor="serial"))
+    store = FeatureStore(ShardedDataset.create(tmp_path, batches, "TOC", workers=1))
     np.testing.assert_allclose(store.get_rows([0, 50, 119, 50]), features[[0, 50, 119, 50]])
     assert _caches(store) == {"_parsed"}
     assert not any(
@@ -125,7 +125,7 @@ def test_the_feature_store_holds_one_cache(tmp_path):
 def test_a_live_service_holds_no_cache_but_its_score_array(tmp_path, network):
     features, labels = DATASET_PROFILES["census"].classification(120, seed=2)
     batches = [(features[i : i + 40], labels[i : i + 40]) for i in range(0, 120, 40)]
-    store = FeatureStore(ShardedDataset.create(tmp_path, batches, "TOC", executor="serial"))
+    store = FeatureStore(ShardedDataset.create(tmp_path, batches, "TOC", workers=1))
     n_cols = features.shape[1]
     model = FeedForwardNetwork(n_cols, (4,), seed=0) if network else LogisticRegressionModel(n_cols)
     with PredictionService(model, store) as service:

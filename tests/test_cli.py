@@ -83,6 +83,18 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["train-ooc", "--prefetch-depth", "2"])
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["encode", "--shard-dir", "x"], ["train-ooc"], ["compact", "--shard-dir", "x"]],
+    )
+    def test_there_is_no_executor_option(self, capsys, argv):
+        # ``--workers`` alone decides: 1 encodes in this process.
+        with pytest.raises(SystemExit) as exit_info:
+            main([*argv, "--executor", "serial"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and "unrecognized arguments: --executor serial" in err
+
 
 class TestEncodeStatsCompactCommands:
     def test_round_trip_encode_stats_compact_train_predict(self, capsys, tmp_path):
@@ -102,7 +114,7 @@ class TestEncodeStatsCompactCommands:
                 "--rows", "300",
                 "--batch-size", "75",
                 "--scheme", "DEN",
-                "--executor", "serial",
+                "--workers", "1",
                 "--shard-dir", str(shard_dir),
             ]
         ) == 0
@@ -165,7 +177,7 @@ class TestEncodeStatsCompactCommands:
                 "--rows", "150",
                 "--batch-size", "75",
                 "--scheme", "DEN",
-                "--executor", "serial",
+                "--workers", "1",
                 "--shard-dir", str(tmp_path),
             ]
         ) == 0
@@ -180,7 +192,7 @@ class TestEncodeStatsCompactCommands:
                 "--dataset", "census",
                 "--rows", "150",
                 "--batch-size", "75",
-                "--executor", "serial",
+                "--workers", "1",
                 "--workload", "serve",
                 "--shard-dir", str(tmp_path),
             ]
@@ -208,7 +220,7 @@ class TestTrainOOCCommand:
                     "--rows", "400",
                     "--batch-size", "100",
                     "--epochs", "2",
-                    "--executor", "serial",
+                    "--workers", "1",
                     "--shard-dir", str(tmp_path),
                 ]
             )
@@ -235,7 +247,7 @@ class TestTrainOOCCommand:
                 "--batch-size", "75",
                 "--epochs", "1",
                 "--scheme", "auto",
-                "--executor", "serial",
+                "--workers", "1",
                 "--shard-dir", str(shard_dir),
                 "--checkpoint-dir", str(registry_dir),
             ]
@@ -272,7 +284,7 @@ def served_checkpoint(tmp_path_factory):
             "--rows", "300",
             "--batch-size", "75",
             "--epochs", "2",
-            "--executor", "serial",
+            "--workers", "1",
             "--shard-dir", str(shard_dir),
             "--checkpoint-dir", str(registry_dir),
         ]
@@ -439,7 +451,7 @@ class TestScanCommand:
                 "--dataset", "census",
                 "--rows", "200",
                 "--batch-size", "50",
-                "--executor", "serial",
+                "--workers", "1",
                 "--shard-dir", str(shard_dir),
             ]
         ) == 0
@@ -510,7 +522,7 @@ class TestFsckCommand:
                 "--dataset", "census",
                 "--rows", "120",
                 "--batch-size", "60",
-                "--executor", "serial",
+                "--workers", "1",
                 "--shard-dir", str(shard_dir),
             ]
         ) == 0
