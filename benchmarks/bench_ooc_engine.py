@@ -27,6 +27,7 @@ from repro.api import Dataset
 from repro.data.minibatch import split_minibatches
 from repro.data.registry import DATASET_PROFILES
 from repro.engine import OutOfCoreTrainer, encode_batches
+from repro.engine.encode import usable_cpus
 from repro.ml.models import LogisticRegressionModel
 from repro.ml.optimizer import GradientDescentConfig, MiniBatchGradientDescent
 from repro.compression.registry import get_scheme
@@ -85,7 +86,10 @@ def test_encode_parallel_speedup(bench_json, ooc_dataset):
     # Enough work to amortise pool start-up: a batch encodes in ~2.5 ms, so the
     # fork + task pickling of a 2-worker pool (~0.1 s) needs ~100+ batches.
     feature_batches = [x for x, _ in batches] * 24
-    workers = max(2, os.cpu_count() or 2)
+    # The CPUs this process may run on, as the encoder itself counts them:
+    # a process pinned to one CPU encodes in-process whatever ``workers`` says.
+    cpus = usable_cpus()
+    workers = max(2, cpus)
 
     def timed(**kwargs):
         # Best of two rounds: damps scheduler noise on shared CI runners.
@@ -105,14 +109,15 @@ def test_encode_parallel_speedup(bench_json, ooc_dataset):
         "encode_speedup",
         workers=workers,
         cpu_count=os.cpu_count(),
+        usable_cpus=cpus,
         serial_seconds=serial_s,
         parallel_seconds=parallel_s,
         speedup=speedup,
     )
-    if (os.cpu_count() or 1) < 2:
+    if cpus < 2:
         # The row above still lands in the JSON; only the expectation is
-        # waived — a single core has no parallel win to measure.
-        pytest.skip("single-core machine: parallel encode speedup not expected")
+        # waived — a single usable CPU has no parallel win to measure.
+        pytest.skip("one usable CPU: parallel encode speedup not expected")
     if speedup <= 1.0:
         # xfail, not a hard assert: on a loaded shared runner the pool
         # start-up can eat the win for this small workload, and the smoke
@@ -120,7 +125,7 @@ def test_encode_parallel_speedup(bench_json, ooc_dataset):
         # JSON row above still tracks the real speedup per run.
         pytest.xfail(
             f"parallel encode ({parallel_s:.3f}s with {workers} workers) not faster than "
-            f"serial ({serial_s:.3f}s) on a {os.cpu_count()}-core machine — noisy runner?"
+            f"serial ({serial_s:.3f}s) on {cpus} usable CPUs — noisy runner?"
         )
 
 

@@ -4,24 +4,24 @@ Run with::
 
     python examples/workload_compaction.py
 
-The Section 5.1 advisor originally ranked schemes by compression ratio
-with a flat 0.25 penalty for decode-only schemes — a guess that mis-picks
-exactly where the paper's Figure 8 shows kernel costs diverging.  TOC's
-ratio wins on moderately-sparse data, but its ``row_slice`` kernel runs
-orders of magnitude slower than the value-indexed schemes', so a serving
-replica encoded on ratio alone answers point lookups through the slowest
-possible path.
+A scheme's compression ratio is a poor guide to its speed: the paper's
+Figure 8 shows kernel costs diverging between schemes.  TOC's ratio wins on
+moderately-sparse data, but its ``row_slice`` kernel runs orders of
+magnitude slower than the value-indexed schemes', so a serving replica
+encoded on ratio alone answers point lookups through the slowest possible
+path.
 
-The fix is measurement: a one-time calibration pass times every scheme's
+So the advisor measures: a one-time calibration pass times every scheme's
 kernels on this machine, persists next to the dataset as
 ``calibration.json``, and ``workload=`` scores schemes by
-``bytes x expected op mix`` — ``"train"`` weighs the matmat epoch kernels,
-``"serve"`` weighs row_slice lookups, ``"scan"`` weighs decode+gather.
+``bytes x expected op mix`` — ``"train"`` (the default) weighs the matmat
+epoch kernels, ``"serve"`` weighs row_slice lookups, ``"scan"`` weighs
+decode+gather.
 
 This example:
 
-1. shards a moderately-sparse dataset with the ratio-only advisor (the
-   historical behaviour — no calibration involved);
+1. shards a moderately-sparse dataset with TOC, the scheme with the best
+   ratio on it;
 2. compacts the same directory for a serving replica with
    ``compact(workload="serve")`` — the calibration is measured (or
    reloaded) automatically and only the shards whose winner changed are
@@ -56,16 +56,16 @@ def main() -> None:
     ids = sorted(rng.choice(features.shape[0], size=64, replace=False).tolist())
 
     with tempfile.TemporaryDirectory(prefix="repro-workload-") as tmp:
-        # 1. The historical advisor: ratio with a flat decode penalty.
+        # 1. Picked on ratio alone: TOC compresses this data best.
         dataset = Dataset.create(
-            Path(tmp) / "shards", features, labels, scheme="auto", batch_size=500
+            Path(tmp) / "shards", features, labels, scheme="TOC", batch_size=500
         )
         mix = dataset.stats().scheme_counts
         before = time_lookups(dataset, ids)
-        print(f"ratio-only advisor: {mix}, 64 lookups in {before * 1e3:.2f}ms")
+        print(f"best-ratio scheme: {mix}, 64 lookups in {before * 1e3:.2f}ms")
 
-        # 2. Re-advise the same directory for serving.  The first workload=
-        # call runs the calibration pass (well under a second) and persists
+        # 2. Re-advise the same directory for serving.  The first advice
+        # runs the calibration pass (well under a second) and persists
         # calibration.json next to the manifest; later calls reload it.
         report = dataset.compact(workload="serve")
         print(
@@ -83,7 +83,7 @@ def main() -> None:
         # costs than point lookups.
         replica = Dataset.create(
             Path(tmp) / "train-replica", features, labels,
-            scheme="auto", batch_size=500, workload="train",
+            scheme="auto", batch_size=500,
         )
         print(f"train-workload replica: {replica.stats().scheme_counts}")
 

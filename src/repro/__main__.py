@@ -53,7 +53,7 @@ from repro.api import (
     open_service,
     recommend_scheme,
 )
-from repro.core.calibration import WORKLOADS, ensure_calibration
+from repro.core.calibration import DEFAULT_WORKLOAD, WORKLOADS
 
 
 def _profile_or_none(name: str):
@@ -98,24 +98,15 @@ def _cmd_advise(args: argparse.Namespace) -> int:
     if profile is None:
         return 2
     sample = profile.matrix(args.rows, seed=args.seed)
-    calibration = ensure_calibration() if args.workload is not None else None
-    recommendation = recommend_scheme(sample, workload=args.workload, calibration=calibration)
+    recommendation = recommend_scheme(sample, workload=args.workload)
     print(f"sample: {args.rows} rows x {sample.shape[1]} columns from {args.dataset!r}")
-    if recommendation.calibrated:
-        print(f"workload: {recommendation.workload!r} (measured-cost ranking)")
-        print(f"{'scheme':<10} {'ratio':>8} {'direct ops':>11} {'cost':>12}")
-        for report in recommendation.reports:
-            print(
-                f"{report.name:<10} {report.compression_ratio:>8.1f} "
-                f"{str(report.supports_direct_ops):>11} {report.measured_cost:>12.3e}"
-            )
-    else:
-        print(f"{'scheme':<10} {'ratio':>8} {'direct ops':>11} {'score':>8}")
-        for report in recommendation.reports:
-            print(
-                f"{report.name:<10} {report.compression_ratio:>8.1f} "
-                f"{str(report.supports_direct_ops):>11} {report.score:>8.1f}"
-            )
+    print(f"workload: {recommendation.workload!r} (measured-cost ranking)")
+    print(f"{'scheme':<10} {'ratio':>8} {'direct ops':>11} {'cost':>12}")
+    for report in recommendation.reports:
+        print(
+            f"{report.name:<10} {report.compression_ratio:>8.1f} "
+            f"{str(report.supports_direct_ops):>11} {report.measured_cost:>12.3e}"
+        )
     print(f"\nrecommended scheme: {recommendation.best.name}")
     return 0
 
@@ -683,9 +674,9 @@ def _add_encode_args(sub: argparse.ArgumentParser, default_dataset: str) -> None
     sub.add_argument(
         "--workload",
         choices=WORKLOADS,
-        default=None,
+        default=DEFAULT_WORKLOAD,
         help='rank "auto" scheme candidates by measured kernel cost for this '
-        "workload (runs a one-time calibration pass; default: ratio heuristic)",
+        "workload (calibration is persisted next to the dataset; default: %(default)s)",
     )
 
 
@@ -704,8 +695,8 @@ def build_parser() -> argparse.ArgumentParser:
     advise.add_argument(
         "--workload",
         choices=WORKLOADS,
-        default=None,
-        help="rank by measured kernel cost for this workload instead of the ratio heuristic",
+        default=DEFAULT_WORKLOAD,
+        help="rank by measured kernel cost for this workload (default: %(default)s)",
     )
     advise.set_defaults(func=_cmd_advise)
 
@@ -746,9 +737,9 @@ def build_parser() -> argparse.ArgumentParser:
     compact.add_argument(
         "--workload",
         choices=WORKLOADS,
-        default=None,
-        help="re-advise with the measured cost model for this workload "
-        "(calibration is persisted next to the dataset)",
+        default=DEFAULT_WORKLOAD,
+        help="re-advise by measured kernel cost for this workload "
+        "(calibration is persisted next to the dataset; default: %(default)s)",
     )
     compact.add_argument(
         "--max-shards",

@@ -5,7 +5,8 @@ this module wraps that machinery in a single handle covering the whole
 dataset lifecycle the paper's workloads need:
 
 * :meth:`Dataset.create` — shuffle-once split + parallel encode (the
-  Section 5.1 advisor picks per shard with ``scheme="auto"``);
+  Section 5.1 advisor picks per shard with ``scheme="auto"``, ranking the
+  schemes by their measured cost for a workload);
 * :meth:`Dataset.open` — attach to an existing directory (manifest v1 or v2);
 * :meth:`Dataset.append` — grow a live dataset with new batches;
 * :meth:`Dataset.stats` — sizes, compression ratio, and the per-shard
@@ -17,6 +18,10 @@ dataset lifecycle the paper's workloads need:
 * :meth:`Dataset.take` / ``dataset[rows]`` — ad-hoc row reads through the
   per-scheme ``row_slice`` kernel;
 * :meth:`Dataset.fsck` — sweep leftovers of interrupted compactions.
+
+Create, append and compact advise alike: all three rank by the
+``calibration.json`` kept next to the manifest, so a directory compacted
+for the workload it was encoded for is left as it is.
 
 Everything downstream (training, serving, benchmarks) takes a ``Dataset``;
 the underlying :class:`~repro.engine.shards.ShardedDataset` stays reachable
@@ -31,7 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.calibration import WORKLOADS, Calibration, ensure_calibration
+from repro.core.calibration import DEFAULT_WORKLOAD
 from repro.data.minibatch import split_minibatches
 from repro.engine.compact import CompactReport, FsckReport, compact_dataset, fsck_dataset
 from repro.engine.encode import AUTO_SAMPLE_ROWS, AUTO_SCHEME
@@ -50,23 +55,6 @@ from repro.exec.scan import ScanResult, scan_shards
 
 #: Default mini-batch row count (matches the training default).
 DEFAULT_BATCH_SIZE = 250
-
-
-def _calibration_for(path: Path | str, workload: str | None) -> Calibration | None:
-    """The calibration backing workload-aware advice, or ``None`` without one.
-
-    Resolved next to the dataset directory so the timing pass runs at most
-    once per machine and the measurements persist as ``calibration.json``
-    for every later open/compact of the same data.
-    """
-    if workload is None:
-        return None
-    if workload not in WORKLOADS:
-        # Fail before the timing pass, not after it.
-        raise ValueError(
-            f"unknown workload {workload!r}; valid workloads: {list(WORKLOADS)}"
-        )
-    return ensure_calibration(path)
 
 
 @dataclass(frozen=True)
@@ -125,7 +113,7 @@ class Dataset:
         shuffle: bool = True,
         seed: int | None = 0,
         workers: int | None = None,
-        workload: str | None = None,
+        workload: str = DEFAULT_WORKLOAD,
     ) -> "Dataset":
         """Shuffle once, split into mini-batches, and encode them to ``path``.
 
@@ -138,18 +126,17 @@ class Dataset:
         anything else runs a process pool.  The manifest's
         ``encode_executor`` records which of the two ran.
 
-        ``workload`` (``"train"``, ``"serve"``, ``"scan"``) switches
-        ``"auto"`` selection to the measured cost model: the kernel
-        calibration is resolved once (computed on first use, persisted as
-        ``calibration.json`` next to the manifest) and each shard gets the
-        scheme whose measured op mix is cheapest for that workload.
+        ``workload`` (``"train"``, ``"serve"`` or ``"scan"``) is what
+        ``"auto"`` selection optimises: the kernel calibration is resolved
+        once (computed on first use, persisted as ``calibration.json`` next
+        to the manifest) and each shard gets the scheme whose measured op
+        mix is cheapest for that workload.
         """
         batches = split_minibatches(
             features, labels, batch_size=batch_size, shuffle=shuffle, seed=seed
         )
         sharded = ShardedDataset.create(
-            path, batches, scheme, workers=workers,
-            workload=workload, calibration=_calibration_for(path, workload),
+            path, batches, scheme, workers=workers, workload=workload
         )
         return cls(sharded)
 
@@ -173,7 +160,7 @@ class Dataset:
         scheme: str | Sequence[str] | None = None,
         batch_size: int | None = None,
         workers: int | None = None,
-        workload: str | None = None,
+        workload: str = DEFAULT_WORKLOAD,
     ) -> list[ShardInfo]:
         """Append data as new shards (manifest and labels rewritten atomically).
 
@@ -181,8 +168,8 @@ class Dataset:
         a ``(features, labels)`` array pair that is split in row order with
         ``batch_size`` (default: the dataset's widest existing shard).  The
         scheme defaults to the dataset's original request, so an ``"auto"``
-        dataset keeps advising per shard as it grows; ``workload`` makes that
-        advice use the measured cost model (see :meth:`create`).
+        dataset keeps advising per shard as it grows, for ``workload`` (see
+        :meth:`create`).
         """
         if labels is not None:
             size = batch_size or max(
@@ -190,8 +177,7 @@ class Dataset:
             )
             batches = split_minibatches(batches, labels, batch_size=size, shuffle=False)
         return self._sharded.append(
-            list(batches), scheme, workers=workers,
-            workload=workload, calibration=_calibration_for(self.path, workload),
+            list(batches), scheme, workers=workers, workload=workload
         )
 
     # -- maintenance -----------------------------------------------------------
@@ -201,7 +187,7 @@ class Dataset:
         readvise: bool = True,
         *,
         sample_rows: int = AUTO_SAMPLE_ROWS,
-        workload: str | None = None,
+        workload: str = DEFAULT_WORKLOAD,
         max_shards: int | None = None,
         workers: int | None = None,
     ) -> CompactReport:
@@ -215,13 +201,11 @@ class Dataset:
         ``False``).  With ``readvise=False`` only the manifest is rewritten
         (normalising a v1 directory to format v2).
 
-        ``workload`` re-advises with the measured cost model: the kernel
-        calibration (``calibration.json`` next to the manifest; computed on
-        first use) scores each scheme by the ops that workload actually runs,
-        so the *same* data compacts differently for a training replica
-        (``workload="train"``) than for a serving one (``workload="serve"``)
-        — and re-running ``compact`` with a workload retroactively upgrades
-        datasets encoded under the old flat-penalty advisor.
+        ``workload`` is what the advisor optimises, as in :meth:`create`:
+        the kernel calibration next to the manifest scores each scheme by
+        the ops that workload actually runs, so the *same* data compacts
+        differently for a training replica (``workload="train"``) than for
+        a serving one (``workload="serve"``).
 
         Re-encoding fans out over ``workers`` as in :meth:`create`
         (``report.executor`` says where it ran); ``max_shards`` bounds how many
@@ -233,7 +217,6 @@ class Dataset:
             readvise=readvise,
             sample_rows=sample_rows,
             workload=workload,
-            calibration=_calibration_for(self.path, workload),
             max_shards=max_shards,
             workers=workers,
         )

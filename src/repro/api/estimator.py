@@ -28,7 +28,7 @@ import scipy.sparse as sp
 
 from repro.api.dataset import Dataset
 from repro.compression.registry import get_scheme
-from repro.core.calibration import WORKLOADS, ensure_calibration
+from repro.core.calibration import DEFAULT_WORKLOAD, check_workload
 from repro.data.minibatch import iter_minibatch_slices
 from repro.engine.encode import AUTO_SCHEME, resolve_scheme_name
 from repro.engine.shards import ShardedDataset
@@ -102,8 +102,7 @@ class Estimator:
         Op mix the ``"auto"`` advisor optimises for when encoding.  Defaults
         to ``"train"`` — fitting is matmat-heavy epochs, so batches are
         compressed with the scheme whose *measured* kernel costs make those
-        epochs cheapest (see :mod:`repro.core.calibration`).  ``None``
-        restores the ratio-only flat-penalty advisor.
+        epochs cheapest (see :mod:`repro.core.calibration`).
     batch_size / epochs / learning_rate / learning_rate_decay / seed:
         MGD hyper-parameters (the seed also drives shuffling and model init).
     l2:
@@ -123,7 +122,7 @@ class Estimator:
         model: str | object = "logreg",
         *,
         scheme: str | None = AUTO_SCHEME,
-        workload: str | None = "train",
+        workload: str = DEFAULT_WORKLOAD,
         batch_size: int = 250,
         epochs: int = 10,
         learning_rate: float = 0.1,
@@ -170,12 +169,8 @@ class Estimator:
                 get_scheme(scheme)
             except KeyError:
                 raise ValueError(f"unknown compression scheme {scheme!r}") from None
-        if workload is not None and workload not in WORKLOADS:
-            raise ValueError(
-                f"unknown workload {workload!r}; valid workloads: {list(WORKLOADS)}"
-            )
         self.scheme = scheme
-        self.workload = workload
+        self.workload = check_workload(workload)
         self.batch_size = batch_size
         self.epochs = epochs
         self.learning_rate = learning_rate
@@ -296,7 +291,7 @@ class Estimator:
                 batch_size=config.batch_size,
                 seed=config.shuffle_seed,
                 workers=self.workers,
-                workload=self.workload if self.scheme == AUTO_SCHEME else None,
+                workload=self.workload,
             )
             report = self._run_out_of_core(dataset, config, eval_fn, reset)
         else:
@@ -350,25 +345,15 @@ class Estimator:
             n_rows, n_cols = matrix.shape
         else:
             dense = np.asarray(features, dtype=np.float64)
-            # The calibration is resolved once for the whole fit (not per
-            # batch); it is machine-wide, so later fits reuse the process
-            # cache and pay nothing.
-            calibration = (
-                ensure_calibration()
-                if self.scheme == AUTO_SCHEME and self.workload is not None
-                else None
-            )
             batches = []
             for idx in iter_minibatch_slices(
                 dense.shape[0], config.batch_size, seed=config.shuffle_seed
             ):
                 batch = dense[idx]
                 if self.scheme is not None:
-                    # "auto" advises per batch, exactly as shard encoding does.
-                    name = resolve_scheme_name(
-                        self.scheme, batch,
-                        workload=self.workload, calibration=calibration,
-                    )
+                    # "auto" advises per batch, exactly as shard encoding
+                    # does, from this process's calibration.
+                    name = resolve_scheme_name(self.scheme, batch, workload=self.workload)
                     batch = get_scheme(name).compress(batch)
                 batches.append((batch, targets[idx]))
             n_rows, n_cols = dense.shape
@@ -462,9 +447,12 @@ class Estimator:
         params = dict(checkpoint.api_meta.get("estimator", {}))
         params.pop("model", None)
         # Checkpoints saved while the inert read-ahead knob or the encode
-        # executor knob existed record them.
+        # executor knob existed record them; those saved while a null
+        # workload meant "rank by ratio" record that, and now get the default.
         params.pop("prefetch_depth", None)
         params.pop("executor", None)
+        if params.get("workload") is None:
+            params.pop("workload", None)
         if "hidden_sizes" in params:
             params["hidden_sizes"] = tuple(params["hidden_sizes"])
         if isinstance(checkpoint.model, FeedForwardNetwork):

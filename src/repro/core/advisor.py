@@ -2,20 +2,14 @@
 
 Section 5.1 of the paper ends with a practical recommendation: "one can
 simply test TOC on a mini-batch sample and figure out if TOC is suitable for
-the dataset".  This module turns that advice into a utility: measure every
-registered scheme on a sample batch and recommend one.
+the dataset".  This module turns that advice into a utility: compress the
+sample with every registered scheme and rank the schemes by measured cost.
 
-Two rankings are available:
-
-* **measured cost** (preferred): pass a :class:`~repro.core.calibration.Calibration`
-  and a ``workload`` and each scheme is scored by ``bytes × expected op
-  mix`` — the kernel timings actually measured on this machine, weighted by
-  the ops the workload runs, plus an I/O term from the compressed bytes.
-  This is what fixes the systematic mis-selection the flat penalty causes
-  on machines whose kernel costs diverge from the guess (Figure 8).
-* **ratio fallback**: without a calibration the original ranking applies —
-  compression ratio, discounted by a flat 0.25 for schemes whose every op
-  must decompress first.  Ties break deterministically on the scheme name.
+Each scheme is scored by ``bytes × expected op mix``
+(:meth:`~repro.core.calibration.Calibration.expected_cost`): the kernel
+timings measured on this machine, weighted by the ops the ``workload`` runs
+(``"train"`` by default), plus an I/O term from the compressed bytes.  The
+cheapest scheme wins; ties break deterministically on the scheme name.
 """
 
 from __future__ import annotations
@@ -25,7 +19,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.compression.registry import available_schemes, get_scheme
-from repro.core.calibration import WORKLOAD_MIXES, WORKLOADS, Calibration
+from repro.core.calibration import (
+    DEFAULT_WORKLOAD,
+    Calibration,
+    check_workload,
+    ensure_calibration,
+)
 
 
 @dataclass(frozen=True)
@@ -36,33 +35,16 @@ class SchemeReport:
     compression_ratio: float
     supports_direct_ops: bool
     #: Expected seconds per matrix element under the requested workload,
-    #: from the calibrated cost model; ``None`` when ranked by ratio only.
-    measured_cost: float | None = None
-
-    @property
-    def score(self) -> float:
-        """Fallback ranking score: ratio, discounted when every op must decompress.
-
-        The discount reflects the paper's Figure 8: byte-block schemes pay a
-        full inflate on every matrix operation, so their ratio advantage has
-        to be large before they win end-to-end.  It is a guess — the
-        calibrated ranking replaces it with measurements when available.
-        """
-        penalty = 1.0 if self.supports_direct_ops else 0.25
-        return self.compression_ratio * penalty
+    #: from the calibrated cost model.
+    measured_cost: float
 
 
-def _fallback_rank_key(report: SchemeReport):
-    """Ratio ranking: score descending, scheme name breaking ties.
+def _rank_key(report: SchemeReport):
+    """Cheapest first, scheme name breaking ties.
 
-    Without the name tie-break the order of equal-scored schemes (Snappy and
-    Gzip tie routinely) would depend on registry insertion order.
+    Without the name tie-break the order of equal-cost schemes would depend
+    on registry insertion order.
     """
-    return (-report.score, report.name)
-
-
-def _calibrated_rank_key(report: SchemeReport):
-    """Measured-cost ranking: cheapest first, scheme name breaking ties."""
     return (report.measured_cost, report.name)
 
 
@@ -72,10 +54,8 @@ class Recommendation:
 
     sample_shape: tuple[int, int]
     reports: tuple[SchemeReport, ...]
-    #: The workload the ranking was scored for (``None``: ratio fallback).
-    workload: str | None = None
-    #: Whether measured kernel costs (vs the flat-penalty guess) ranked it.
-    calibrated: bool = False
+    #: The workload the ranking was scored for.
+    workload: str
 
     @property
     def best(self) -> SchemeReport:
@@ -89,29 +69,23 @@ def recommend_scheme(
     sample_batch: np.ndarray,
     schemes: list[str] | None = None,
     *,
-    workload: str | None = None,
+    workload: str = DEFAULT_WORKLOAD,
     calibration: Calibration | None = None,
 ) -> Recommendation:
     """Measure ``schemes`` (default: all registered) on a sample mini-batch.
 
-    Returns a :class:`Recommendation` whose reports are sorted best-first.
-    The sample should be a representative mini-batch (a few hundred rows);
-    compression behaviour is stable across batches drawn from the same data.
-
-    With a ``calibration`` the ranking minimises the measured cost of
-    ``workload`` (default ``"train"``); without one, the ratio-only fallback
-    ranks exactly as before (modulo the deterministic name tie-break), and
-    ``workload`` is validated but otherwise ignored.
+    Returns a :class:`Recommendation` whose reports are sorted cheapest
+    first for ``workload``.  The sample should be a representative
+    mini-batch (a few hundred rows); compression behaviour is stable across
+    batches drawn from the same data.  ``calibration`` defaults to this
+    process's :func:`~repro.core.calibration.ensure_calibration`.
 
     Compression ratios are computed against the *source* dtype's dense
     footprint: schemes store float64 internally, but a float32 sample's
     baseline is 4 bytes per element, not 8 — the old float64 baseline
     overstated ratios 2x for float32 datasets.
     """
-    if workload is not None and workload not in WORKLOAD_MIXES:
-        raise ValueError(
-            f"unknown workload {workload!r}; valid workloads: {list(WORKLOADS)}"
-        )
+    check_workload(workload)
     source = np.asarray(sample_batch)
     batch = np.asarray(source, dtype=np.float64)
     if batch.ndim != 2 or batch.size == 0:
@@ -120,33 +94,25 @@ def recommend_scheme(
     dense_bytes = batch.shape[0] * batch.shape[1] * source_itemsize
     sparsity = float(np.mean(batch == 0.0))
     names = list(schemes) if schemes is not None else available_schemes()
-    effective_workload = workload
-    if calibration is not None:
-        effective_workload = workload or "train"
+    if calibration is None:
+        calibration = ensure_calibration(schemes=names)
     reports = []
     for name in names:
         compressed = get_scheme(name).compress(batch)
-        cost = None
-        if calibration is not None:
-            cost = calibration.expected_cost(
-                name,
-                workload=effective_workload,
-                sparsity=sparsity,
-                bytes_per_element=compressed.nbytes / batch.size,
-            )
         reports.append(
             SchemeReport(
                 name=name,
                 compression_ratio=dense_bytes / max(compressed.nbytes, 1),
                 supports_direct_ops=compressed.supports_direct_ops,
-                measured_cost=cost,
+                measured_cost=calibration.expected_cost(
+                    name,
+                    workload=workload,
+                    sparsity=sparsity,
+                    bytes_per_element=compressed.nbytes / batch.size,
+                ),
             )
         )
-    key = _calibrated_rank_key if calibration is not None else _fallback_rank_key
-    reports.sort(key=key)
+    reports.sort(key=_rank_key)
     return Recommendation(
-        sample_shape=batch.shape,
-        reports=tuple(reports),
-        workload=effective_workload,
-        calibrated=calibration is not None,
+        sample_shape=batch.shape, reports=tuple(reports), workload=workload
     )

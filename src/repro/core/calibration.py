@@ -1,14 +1,9 @@
-"""Measured-kernel calibration: the cost model behind workload-aware advice.
+"""Measured-kernel calibration: the cost model behind every scheme pick.
 
-The Section 5.1 advisor originally ranked schemes by compression ratio with
-a flat 0.25 penalty for decode-only schemes.  That guess is wrong exactly
-where the paper's Figure 8 says kernel costs diverge: a scheme's ratio says
-nothing about how fast *this machine* runs its ``matmat`` or ``row_slice``
-kernels, so the flat penalty systematically mis-picks — and
-``Dataset.compact(readvise=True)`` then bakes the wrong choice into every
-shard.
-
-This module replaces the guess with measurements:
+A scheme's compression ratio says nothing about how fast *this machine*
+runs its ``matmat`` or ``row_slice`` kernels — the paper's Figure 8 shows
+kernel costs diverging exactly where ratios look alike — so the advisor
+ranks schemes by measured cost:
 
 * :func:`calibrate` times every registered scheme's kernels (``matvec`` /
   ``matmat`` / ``rmatvec`` / ``rmatmat`` / ``scale`` / ``row_slice`` /
@@ -28,9 +23,9 @@ This module replaces the guess with measurements:
   ``"scan"`` is decode+gather), plus an I/O term from the compressed bytes
   over the assumed disk bandwidth.
 
-The advisor (:func:`repro.core.advisor.recommend_scheme`) consumes this via
-its ``workload=`` / ``calibration=`` parameters; without a calibration it
-falls back to the original ratio ranking.
+The advisor (:func:`repro.core.advisor.recommend_scheme`) ranks by this
+model and nothing else; the engine resolves one calibration per dataset
+directory (:func:`repro.engine.encode.advice_calibration`).
 """
 
 from __future__ import annotations
@@ -90,6 +85,9 @@ WORKLOAD_MIXES: dict[str, dict[str, float]] = {
 #: Valid ``workload=`` values, in a stable order for error messages.
 WORKLOADS = tuple(sorted(WORKLOAD_MIXES))
 
+#: The workload every ``"auto"`` pick is scored for unless told otherwise.
+DEFAULT_WORKLOAD = "train"
+
 #: Assumed sequential disk bandwidth for the I/O term of the cost model
 #: (matches :class:`repro.engine.trainer.OutOfCoreTrainer`'s default).
 DEFAULT_DISK_BANDWIDTH = 150e6
@@ -112,6 +110,15 @@ def platform_fingerprint() -> dict:
         "machine": platform_module.machine(),
         "system": platform_module.system(),
     }
+
+
+def check_workload(workload) -> str:
+    """``workload`` itself when it names an op mix; ``ValueError`` otherwise."""
+    if workload not in WORKLOAD_MIXES:
+        raise ValueError(
+            f"unknown workload {workload!r}; valid workloads: {list(WORKLOADS)}"
+        )
+    return workload
 
 
 def _level_key(level: float) -> str:
@@ -216,13 +223,9 @@ class Calibration:
         kernel times weighted by the workload's op mix; the I/O term charges
         the compressed bytes at ``disk_bandwidth``.  Lower is better.
         """
-        if workload not in WORKLOAD_MIXES:
-            raise ValueError(
-                f"unknown workload {workload!r}; valid workloads: {list(WORKLOADS)}"
-            )
         compute = sum(
             weight * self.op_seconds(scheme, op, sparsity)
-            for op, weight in WORKLOAD_MIXES[workload].items()
+            for op, weight in WORKLOAD_MIXES[check_workload(workload)].items()
         )
         return compute + bytes_per_element / disk_bandwidth
 
@@ -387,11 +390,13 @@ __all__ = [
     "CALIBRATION_VERSION",
     "Calibration",
     "DEFAULT_DISK_BANDWIDTH",
+    "DEFAULT_WORKLOAD",
     "SPARSITY_LEVELS",
     "WORKLOADS",
     "WORKLOAD_MIXES",
     "calibrate",
     "calibration_path",
+    "check_workload",
     "ensure_calibration",
     "invalidate_cache",
     "platform_fingerprint",

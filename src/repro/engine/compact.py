@@ -11,9 +11,11 @@ today.  Compaction closes that gap:
    costs a sample decode, not a full one (byte-block schemes, whose only
    row path is a full inflate, are the exception);
 2. only the shards whose winning scheme *changed* are re-encoded — the
-   advisor rule is shared with encode time
-   (:func:`repro.engine.encode.advise_scheme`), so an already-optimal
-   directory compacts to a no-op;
+   advisor rule (:func:`repro.engine.encode.advise_scheme`) and the
+   calibration it ranks by (:func:`repro.engine.encode.advice_calibration`,
+   ``calibration.json`` next to the manifest) are shared with encode time,
+   so a directory ``"auto"`` encoded for a workload compacts to a no-op for
+   that workload;
 3. re-encoded payloads are staged under *new* generation filenames
    (:meth:`~repro.engine.shards.ShardedDataset.stage_shard`), the (format
    v2) manifest is rewritten atomically once at the end, and only then are
@@ -33,7 +35,8 @@ import time
 from dataclasses import dataclass, field
 
 from repro.compression.registry import get_scheme
-from repro.engine.encode import AUTO_SAMPLE_ROWS, advise_scheme, fan_out
+from repro.core.calibration import DEFAULT_WORKLOAD, check_workload
+from repro.engine.encode import AUTO_SAMPLE_ROWS, advice_calibration, advise_scheme, fan_out
 from repro.engine.shards import (
     FORMAT_VERSION,
     LABELS_NAME,
@@ -41,7 +44,7 @@ from repro.engine.shards import (
     ShardedDataset,
     shard_filename_stem,
 )
-from repro.exec import row_slice, supports_direct_ops
+from repro.exec import row_slice
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.storage.mmapio import map_file
@@ -94,16 +97,12 @@ class CompactReport:
 
 
 def _sample_rows(matrix, n_rows: int, sample_rows: int):
-    """A dense row-prefix sample of one decoded shard, cheaply.
+    """The dense row prefix of one shard the advisor samples.
 
-    Direct-op schemes row-slice the compressed form (only the sampled rows
-    are densified); byte-block schemes can only inflate whole, so they pay
-    the full decode either way.
+    ``row_slice`` densifies only the sampled rows of a direct-op scheme and
+    inflates a byte-block scheme whole, its only row path.
     """
-    prefix = list(range(min(n_rows, sample_rows)))
-    if supports_direct_ops(matrix):
-        return row_slice(matrix, prefix)
-    return matrix.to_dense()[: len(prefix)]
+    return row_slice(matrix, range(min(n_rows, sample_rows)))
 
 
 def readvise_shard(
@@ -111,22 +110,21 @@ def readvise_shard(
     batch_id: int,
     sample_rows: int = AUTO_SAMPLE_ROWS,
     *,
-    workload: str | None = None,
-    calibration=None,
+    workload: str = DEFAULT_WORKLOAD,
 ) -> str:
     """The scheme the advisor would pick for one shard *today*.
 
     Decoding is lossless, so the sampled rows are exactly the rows the
     encoder saw — a shard whose data has not changed always re-advises to
-    the scheme ``"auto"`` encoding picked for it (under the same workload
-    and calibration).
+    the scheme ``"auto"`` encoding picked for it under the same workload
+    (both read the directory's calibration).
     """
-    matrix = dataset.decode(batch_id)
-    n_rows = dataset.shards[batch_id].n_rows
     return advise_scheme(
-        _sample_rows(matrix, n_rows, sample_rows),
+        _sample_rows(
+            dataset.decode(batch_id), dataset.shards[batch_id].n_rows, sample_rows
+        ),
         workload=workload,
-        calibration=calibration,
+        calibration=advice_calibration(dataset.directory, workload),
     )
 
 
@@ -163,8 +161,7 @@ def compact_dataset(
     *,
     readvise: bool = True,
     sample_rows: int = AUTO_SAMPLE_ROWS,
-    workload: str | None = None,
-    calibration=None,
+    workload: str = DEFAULT_WORKLOAD,
     max_shards: int | None = None,
     workers: int | None = None,
 ) -> CompactReport:
@@ -174,11 +171,10 @@ def compact_dataset(
     the directory was already optimal (which makes compaction idempotent —
     a second pass right after a first is always a no-op).
 
-    ``workload``/``calibration`` switch the advisor to the measured cost
-    model — the same shard directory compacts differently for a training
-    replica (``"train"``) than for a serving one (``"serve"``), and because
-    compaction re-advises, a calibrated advisor retroactively improves
-    datasets encoded before calibration existed.
+    The advisor ranks by the measured cost of ``workload`` from the
+    directory's calibration, so the same shard directory compacts
+    differently for a training replica (``"train"``) than for a serving one
+    (``"serve"``).
 
     Re-encoding fans out over ``workers`` through the encode pipeline's
     :func:`repro.engine.encode.fan_out`.  ``max_shards`` caps
@@ -187,16 +183,12 @@ def compact_dataset(
     a large rewrite over several bounded passes (each one still ends with a
     single atomic manifest swap).
     """
+    check_workload(workload)
     if sample_rows < 1:
         raise ValueError("sample_rows must be at least 1")
     if max_shards is not None and max_shards < 0:
         raise ValueError("max_shards must be non-negative")
-    if readvise and workload is not None and calibration is None:
-        from repro.core.calibration import ensure_calibration
-
-        # Resolved (and persisted) next to the dataset so later compacts and
-        # other processes reload the same measurements instead of re-timing.
-        calibration = ensure_calibration(dataset.directory)
+    calibration = advice_calibration(dataset.directory, workload) if readvise else None
     start = time.perf_counter()
     report = CompactReport(
         examined=len(dataset.shards),
@@ -213,9 +205,10 @@ def compact_dataset(
             # serially; only the winners that changed pay a re-encode.
             pending: list[tuple] = []  # (shard, winner)
             for shard in list(dataset.shards):
-                matrix = dataset.decode(shard.batch_id)
                 winner = advise_scheme(
-                    _sample_rows(matrix, shard.n_rows, sample_rows),
+                    _sample_rows(
+                        dataset.decode(shard.batch_id), shard.n_rows, sample_rows
+                    ),
                     workload=workload,
                     calibration=calibration,
                 )

@@ -15,8 +15,11 @@ pass :data:`AUTO_SCHEME` (``"auto"``) — the paper's Section 5.1 advice made
 operational: each worker runs the scheme advisor on a row sample of *its*
 batch and compresses with the winner, so a mixed-density dataset ends up
 with TOC on its sparse shards and DEN (or whatever wins) on its dense ones.
-The chosen name travels back in :attr:`EncodedBatch.scheme` and is recorded
-per shard in the manifest.
+The advisor ranks by the measured cost of a workload (``"train"`` unless
+told otherwise); :func:`advice_calibration` resolves the measurements once
+per dataset directory, and they travel to pool workers pickled inside the
+tasks.  The chosen name travels back in :attr:`EncodedBatch.scheme` and is
+recorded per shard in the manifest.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.calibration import DEFAULT_WORKLOAD, check_workload, ensure_calibration
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 
@@ -64,17 +68,29 @@ class EncodedBatch:
         return len(self.payload)
 
 
-def advise_scheme(sample_rows: np.ndarray, workload: str | None = None,
+def advice_calibration(directory, workload: str):
+    """The measured kernel costs ``"auto"`` advice ranks by for one dataset.
+
+    The engine's one resolution site: encoding (create and append) and
+    compaction all call it with the dataset directory, so they advise from
+    the same measurements — computed at most once per machine, persisted as
+    ``calibration.json`` next to the manifest, reloaded by every later pass
+    — and a freshly advised directory compacts to a no-op.  ``workload`` is
+    checked first, so a bad name fails before any timing pass.
+    """
+    check_workload(workload)
+    return ensure_calibration(directory)
+
+
+def advise_scheme(sample_rows: np.ndarray, workload: str = DEFAULT_WORKLOAD,
                   calibration=None) -> str:
     """The Section 5.1 rule: the advisor's winner for a dense row sample.
 
     This one function is the whole encode-time / compact-time selection
     policy — ``scheme="auto"`` encoding and
     :func:`repro.engine.compact.readvise_shard` both call it, so the two can
-    never diverge (which is what keeps a freshly-advised dataset compacting
-    to a no-op).  With a ``calibration``
-    (:class:`~repro.core.calibration.Calibration`) the winner minimises the
-    measured cost of ``workload``; without one the ratio fallback applies.
+    never diverge.  The winner minimises the measured cost of ``workload``
+    under ``calibration`` (default: this process's).
     """
     from repro.core.advisor import recommend_scheme
 
@@ -84,7 +100,7 @@ def advise_scheme(sample_rows: np.ndarray, workload: str | None = None,
 
 
 def resolve_scheme_name(scheme_name: str, features: np.ndarray,
-                        workload: str | None = None, calibration=None) -> str:
+                        workload: str = DEFAULT_WORKLOAD, calibration=None) -> str:
     """Map :data:`AUTO_SCHEME` to a concrete scheme for one batch.
 
     Fixed names pass through untouched; ``"auto"`` runs the advisor on a
@@ -151,13 +167,15 @@ def resolve_workers(workers: int | None = None) -> int:
 def fan_out(fn: Callable, tasks: list, workers: int | None = None) -> tuple[list, str]:
     """Run ``fn`` over ``tasks`` in order; return the results and the kind that ran.
 
-    The one place the encode pipeline chooses where work runs: in this
-    process (``"serial"``) when one worker is asked for or this process may
-    run on only one CPU, across a ``ProcessPoolExecutor`` (``"process"``)
-    otherwise.  ``fn`` must be a top-level function so it pickles.
+    The one place the encode pipeline chooses where work runs.  The pool
+    never gets more workers than there are tasks, so it runs in this process
+    (``"serial"``) when one worker is asked for, there is one task, or this
+    process may run on only one CPU; across a ``ProcessPoolExecutor``
+    (``"process"``) otherwise.  ``fn`` must be a top-level function so it
+    pickles.
     """
-    n_workers = resolve_workers(workers)
-    if n_workers == 1 or usable_cpus() == 1:
+    n_workers = min(resolve_workers(workers), len(tasks))
+    if n_workers <= 1 or usable_cpus() == 1:
         return [fn(task) for task in tasks], "serial"
     chunksize = max(1, len(tasks) // (4 * n_workers))
     with ProcessPoolExecutor(max_workers=n_workers) as pool:
@@ -169,8 +187,8 @@ def encode_batches(
     scheme_name: str | Sequence[str] = "TOC",
     *,
     workers: int | None = None,
-    workload: str | None = None,
-    calibration=None,
+    workload: str = DEFAULT_WORKLOAD,
+    directory=None,
 ) -> tuple[list[EncodedBatch], str]:
     """Compress every batch, fanning out over ``workers`` (see :func:`fan_out`).
 
@@ -180,11 +198,12 @@ def encode_batches(
     batch order, each carrying the scheme actually used, and the kind that
     ran them (``"serial"`` or ``"process"``).
 
-    ``workload`` switches ``"auto"`` selection to the measured cost model:
-    the calibration is resolved once here (``ensure_calibration``) — never
-    inside pool workers, which would each re-run the timing pass — and
-    travels to them pickled inside the tasks.
+    ``"auto"`` batches are advised for ``workload`` from the calibration of
+    ``directory`` (:func:`advice_calibration`; ``None``: this process's),
+    resolved once here — never inside pool workers, which would each re-run
+    the timing pass — and pickled into the tasks.
     """
+    check_workload(workload)
     if isinstance(scheme_name, str):
         per_batch = [scheme_name] * len(feature_batches)
     else:
@@ -193,16 +212,15 @@ def encode_batches(
             raise ValueError(
                 f"got {len(per_batch)} scheme names for {len(feature_batches)} batches"
             )
-    if workload is not None and calibration is None and AUTO_SCHEME in per_batch:
-        from repro.core.calibration import ensure_calibration
-
-        calibration = ensure_calibration()
+    if not per_batch:
+        raise ValueError("at least one mini-batch is required")
+    calibration = (
+        advice_calibration(directory, workload) if AUTO_SCHEME in per_batch else None
+    )
     tasks = [
         (batch_id, np.asarray(features, dtype=np.float64), name, workload, calibration)
         for batch_id, (features, name) in enumerate(zip(feature_batches, per_batch))
     ]
-    if not tasks:
-        raise ValueError("at least one mini-batch is required")
 
     with obs_trace.span("engine.encode", n_batches=len(tasks)) as labels:
         encoded, kind = fan_out(_encode_one, tasks, workers)

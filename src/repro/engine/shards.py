@@ -48,6 +48,7 @@ import numpy as np
 
 from repro.compression.base import CompressedMatrix, CompressionScheme
 from repro.compression.registry import get_scheme
+from repro.core.calibration import DEFAULT_WORKLOAD
 from repro.core.validate import EncodingError
 from repro.engine.encode import AUTO_SCHEME, EncodedBatch, encode_batches
 from repro.storage.buffer_pool import BufferPool
@@ -228,21 +229,19 @@ class ShardedDataset:
         scheme_name: str | Sequence[str] = "TOC",
         *,
         workers: int | None = None,
-        workload: str | None = None,
-        calibration=None,
+        workload: str = DEFAULT_WORKLOAD,
     ) -> "ShardedDataset":
         """Encode ``(features, labels)`` batches over ``workers`` and persist them.
 
         ``scheme_name`` may be any registered scheme, ``"auto"`` to let the
-        advisor pick per batch, or a sequence naming a scheme per batch; the
-        manifest records the scheme actually used for every shard.
-        ``workload``/``calibration`` switch ``"auto"`` to the measured cost
-        model (see :mod:`repro.core.calibration`).
+        advisor pick per batch for ``workload`` (the directory's calibration
+        is resolved first, see :func:`repro.engine.encode.advice_calibration`),
+        or a sequence naming a scheme per batch; the manifest records the
+        scheme actually used for every shard.
         """
         if not batches:
             raise ValueError("at least one mini-batch is required")
         directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
 
         start = time.perf_counter()
         encoded, kind = encode_batches(
@@ -250,9 +249,10 @@ class ShardedDataset:
             scheme_name,
             workers=workers,
             workload=workload,
-            calibration=calibration,
+            directory=directory,
         )
         encode_seconds = time.perf_counter() - start
+        directory.mkdir(parents=True, exist_ok=True)
 
         shards: list[ShardInfo] = []
         labels: dict[int, np.ndarray] = {}
@@ -366,8 +366,7 @@ class ShardedDataset:
         scheme_name: str | Sequence[str] | None = None,
         *,
         workers: int | None = None,
-        workload: str | None = None,
-        calibration=None,
+        workload: str = DEFAULT_WORKLOAD,
     ) -> list[ShardInfo]:
         """Encode and persist additional ``(features, labels)`` batches.
 
@@ -396,7 +395,7 @@ class ShardedDataset:
             scheme_name,
             workers=workers,
             workload=workload,
-            calibration=calibration,
+            directory=self.directory,
         )
         self.encode_seconds += time.perf_counter() - start
 

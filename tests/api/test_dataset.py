@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.api import Dataset
+from repro.api import Dataset, Estimator
 from repro.core.calibration import CALIBRATION_NAME, Calibration
 from repro.data.registry import DATASET_PROFILES
 from repro.engine.shards import MANIFEST_NAME, ShardedDataset
@@ -20,6 +20,18 @@ from repro.serve.feature_store import FeatureStore
 @pytest.fixture(scope="module")
 def census():
     return DATASET_PROFILES["census"].classification(400, seed=3)
+
+
+@pytest.fixture()
+def drifted(tmp_path, census, pin_calibration):
+    """DEN shards of sparse census data, pinned to re-advise to TOC."""
+    features, labels = census
+    dataset = Dataset.create(
+        tmp_path / "den", features, labels, scheme="DEN", batch_size=100,
+        workers=1,
+    )
+    pin_calibration(dataset.path, {"TOC": 1e-9})
+    return dataset
 
 
 @pytest.fixture()
@@ -98,14 +110,8 @@ class TestScalarKeys:
 
 
 class TestCompact:
-    def test_reencodes_drifted_shards(self, tmp_path, census):
-        features, labels = census
-        # Force a drifted directory: DEN on sparse census data is exactly the
-        # scheme the advisor would never pick.
-        dataset = Dataset.create(
-            tmp_path / "den", features, labels, scheme="DEN", batch_size=100,
-            workers=1,
-        )
+    def test_reencodes_drifted_shards(self, drifted):
+        dataset = drifted
         before = dataset.stats().payload_bytes
         report = dataset.compact(readvise=True)
 
@@ -116,12 +122,9 @@ class TestCompact:
         assert report.payload_bytes_after < before
         assert report.bytes_saved > 0
 
-    def test_compacted_directory_trains_and_serves(self, tmp_path, census):
-        features, labels = census
-        dataset = Dataset.create(
-            tmp_path / "den", features, labels, scheme="DEN", batch_size=100,
-            workers=1,
-        )
+    def test_compacted_directory_trains_and_serves(self, census, drifted):
+        features, _ = census
+        dataset = drifted
         dataset.compact()
 
         # The manifest on disk is format v2 and names the new schemes.
@@ -145,12 +148,8 @@ class TestCompact:
         decoded = reopened.decode(0).to_dense()
         np.testing.assert_allclose(row, decoded[0])
 
-    def test_second_compact_is_a_no_op(self, tmp_path, census):
-        features, labels = census
-        dataset = Dataset.create(
-            tmp_path / "den", features, labels, scheme="DEN", batch_size=100,
-            workers=1,
-        )
+    def test_second_compact_is_a_no_op(self, drifted):
+        dataset = drifted
         first = dataset.compact()
         assert first.changed
 
@@ -166,12 +165,8 @@ class TestCompact:
             manifest_before
         )
 
-    def test_compact_removes_superseded_shard_files(self, tmp_path, census):
-        features, labels = census
-        dataset = Dataset.create(
-            tmp_path / "den", features, labels, scheme="DEN", batch_size=100,
-            workers=1,
-        )
+    def test_compact_removes_superseded_shard_files(self, drifted):
+        dataset = drifted
         old_files = [s.filename for s in dataset.sharded.shards]
         dataset.compact()
         new_files = [s.filename for s in dataset.sharded.shards]
@@ -181,10 +176,29 @@ class TestCompact:
         for filename in new_files:
             assert (dataset.path / filename).exists()
 
-    def test_already_optimal_dataset_is_untouched(self, dataset):
-        # "auto"-advised TOC shards on census data re-advise to TOC.
+    def test_already_optimal_dataset_is_untouched(self, tmp_path, census):
+        # Create and compact advise from the same calibration.json, for the
+        # same default workload, so "auto" shards re-advise to themselves.
+        features, labels = census
+        dataset = Dataset.create(
+            tmp_path / "auto", features, labels, scheme="auto", batch_size=100,
+            workers=1,
+        )
+        assert (dataset.path / CALIBRATION_NAME).exists()
         report = dataset.compact()
+        assert report.examined == 4
         assert not report.changed
+
+    @pytest.mark.parametrize("profile", sorted(DATASET_PROFILES))
+    def test_fitted_auto_directory_compacts_to_a_no_op(self, tmp_path, profile):
+        """``Estimator`` and ``compact`` share one default workload and ranking."""
+        features, labels = DATASET_PROFILES[profile].classification(1000, seed=0)
+        Estimator(scheme="auto", workers=1, epochs=1).fit(
+            features, labels, shard_dir=tmp_path / "shards"
+        )
+        report = Dataset.open(tmp_path / "shards").compact(workers=1)
+        assert report.examined == 4
+        assert report.n_reencoded == 0
 
     def test_no_readvise_only_rewrites_manifest(self, tmp_path, census):
         features, labels = census
@@ -255,9 +269,9 @@ class TestWorkloadCalibration:
         features, labels = census
         dataset = Dataset.create(
             tmp_path / "shards", features, labels, scheme="auto", batch_size=100,
-            workers=1, workload="train",
+            workers=1, workload="serve",
         )
-        report = dataset.compact(workload="train")
+        report = dataset.compact(workload="serve")
         assert not report.changed  # encode and compact share one advisor
 
     def test_fsck_never_sweeps_the_calibration_file(self, tmp_path, census):
@@ -270,10 +284,17 @@ class TestWorkloadCalibration:
         assert report.clean
         assert (dataset.path / CALIBRATION_NAME).exists()
 
-    def test_unknown_workload_rejected(self, tmp_path, census):
+    @pytest.mark.parametrize("workload", ["oltp", None])
+    def test_unknown_workload_rejected(self, tmp_path, census, dataset, workload):
         features, labels = census
         with pytest.raises(ValueError, match="unknown workload"):
             Dataset.create(
                 tmp_path / "bad", features, labels, scheme="auto",
-                workers=1, workload="oltp",
+                workers=1, workload=workload,
             )
+        assert not (tmp_path / "bad").exists()
+        with pytest.raises(ValueError, match="unknown workload"):
+            dataset.append(features[:100], labels[:100], workload=workload)
+        with pytest.raises(ValueError, match="unknown workload"):
+            dataset.compact(workload=workload)
+        assert len(dataset) == 4

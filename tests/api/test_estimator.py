@@ -56,7 +56,11 @@ class TestConstruction:
         estimator = Estimator("logreg")
         assert estimator.workload == "train"
         assert estimator.get_params()["workload"] == "train"
-        assert Estimator("logreg", workload=None).get_params()["workload"] is None
+
+    def test_null_workload_rejected(self):
+        # One ranking: there is no ratio-only advisor for None to select.
+        with pytest.raises(ValueError, match="unknown workload None"):
+            Estimator("logreg", workload=None)
 
     def test_auto_scheme_with_workload_trains_in_memory(self, census):
         features, labels = census
@@ -262,6 +266,26 @@ class TestPersistence:
         loaded = Estimator.load(tmp_path / "registry")
         assert "executor" not in loaded.get_params()
         assert loaded.workers == 1
+        np.testing.assert_array_equal(loaded.predict(features), estimator.predict(features))
+        loaded.fit(dataset)
+        np.testing.assert_allclose(
+            loaded.model.get_parameters(), estimator.model.get_parameters()
+        )
+
+    def test_checkpoint_recording_a_null_workload_loads_and_fits(
+        self, tmp_path, census, dataset
+    ):
+        """Checkpoints saved while ``workload=None`` meant "rank by ratio" still load."""
+        features, _ = census
+        estimator = Estimator("logreg", epochs=1, learning_rate=0.3, batch_size=100)
+        estimator.fit(dataset)
+        _, path = estimator.save(tmp_path / "registry")
+        manifest = json.loads((path / CHECKPOINT_NAME).read_text())
+        manifest["api"]["estimator"]["workload"] = None
+        (path / CHECKPOINT_NAME).write_text(json.dumps(manifest))
+
+        loaded = Estimator.load(tmp_path / "registry")
+        assert loaded.workload == "train"
         np.testing.assert_array_equal(loaded.predict(features), estimator.predict(features))
         loaded.fit(dataset)
         np.testing.assert_allclose(

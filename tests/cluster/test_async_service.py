@@ -310,15 +310,16 @@ class TestMetrics:
 
 
 class TestGenerationWatching:
-    def test_watcher_reopens_after_compact(self, tmp_path):
+    def test_watcher_reopens_after_compact(self, tmp_path, pin_calibration):
         features, labels = DATASET_PROFILES["census"].classification(200, seed=5)
-        # DEN shards: readvise re-encodes to a sparser scheme, so the compact
-        # genuinely swaps files and bumps the manifest generation (a no-op
-        # compact deliberately does neither).
+        # DEN shards: readvise re-encodes to TOC (the pinned calibration's
+        # pick), so the compact genuinely swaps files and bumps the manifest
+        # generation (a no-op compact deliberately does neither).
         dataset = Dataset.create(
             tmp_path / "shards", features, labels, scheme="DEN",
             batch_size=50, workers=1,
         )
+        pin_calibration(dataset.path, {"TOC": 1e-9})
         estimator = Estimator("logreg", epochs=1)
         estimator.fit(dataset)
         estimator.save(tmp_path / "registry")

@@ -30,14 +30,16 @@ POLL_SECONDS = 0.1
 SLACK_SECONDS = 1.0
 
 
-def test_all_hit_traffic_follows_a_compaction_within_two_polls(tmp_path):
+def test_all_hit_traffic_follows_a_compaction_within_two_polls(tmp_path, pin_calibration):
     features, labels = DATASET_PROFILES["census"].classification(ROWS, seed=5)
-    # DEN -> TOC: linreg's compressed-domain scores differ between the two
-    # schemes in their last bits, so each answer shows its generation.
+    # DEN -> TOC (the pinned calibration makes TOC the pick): linreg's
+    # compressed-domain scores differ between the two schemes in their last
+    # bits, so each answer shows its generation.
     dataset = Dataset.create(
         tmp_path / "shards", features, labels, scheme="DEN",
         batch_size=BATCH, workers=1, shuffle=False,
     )
+    pin_calibration(dataset.path, {"TOC": 1e-9})
     estimator = Estimator("linreg", epochs=1, learning_rate=1e-3)
     estimator.fit(dataset)
     estimator.save(tmp_path / "registry")

@@ -44,8 +44,9 @@ def live(tmp_path_factory):
 
 
 class TestHotReopen:
-    def test_compact_under_load_drops_no_requests(self, live):
+    def test_compact_under_load_drops_no_requests(self, live, pin_calibration):
         registry, shard_dir, dataset, expected = live
+        pin_calibration(shard_dir, {"TOC": 1e-9})
         with ClusterService(
             registry,
             shard_dir=shard_dir,

@@ -5,6 +5,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.compression.registry import available_schemes
+from repro.core import calibration as calibration_module
+from repro.core.calibration import (
+    CALIBRATION_OPS,
+    CALIBRATION_VERSION,
+    Calibration,
+    calibration_path,
+    platform_fingerprint,
+)
 from repro.data.registry import DATASET_PROFILES
 
 
@@ -59,3 +68,40 @@ def random_sparse_matrix(
     mask = rng.random((n_rows, n_cols)) < sparsity
     cells = values[rng.integers(0, values.size, size=(n_rows, n_cols))]
     return np.where(mask, cells, 0.0)
+
+
+def fake_calibration(costs: dict[str, float], level: float = 0.0) -> Calibration:
+    """A hand-built calibration: every op of a scheme costs ``costs[name]``."""
+    return Calibration(
+        version=CALIBRATION_VERSION,
+        created_unix=0.0,
+        git_commit=None,
+        platform=platform_fingerprint(),
+        rows=96,
+        cols=32,
+        sparsity_levels=(level,),
+        timings={
+            name: {repr(float(level)): {op: seconds for op in CALIBRATION_OPS}}
+            for name, seconds in costs.items()
+        },
+    )
+
+
+@pytest.fixture()
+def pin_calibration(monkeypatch):
+    """Write a hand-built calibration next to a dataset, so its advice is known.
+
+    ``pin(directory, costs)``: every registered scheme's ops cost ``costs``'
+    seconds per element, 1 s for a scheme it does not name.  Advising from
+    the file makes it this process's calibration too; the previous one is
+    restored after the test.
+    """
+    monkeypatch.setattr(
+        calibration_module, "_PROCESS_CACHE", calibration_module._PROCESS_CACHE
+    )
+
+    def pin(directory, costs: dict[str, float]) -> None:
+        full = {name: costs.get(name, 1.0) for name in available_schemes()}
+        fake_calibration(full).save(calibration_path(directory))
+
+    return pin

@@ -5,35 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.advisor import (
-    SchemeReport,
-    _calibrated_rank_key,
-    _fallback_rank_key,
-    recommend_scheme,
-)
-from repro.core.calibration import (
-    CALIBRATION_OPS,
-    CALIBRATION_VERSION,
-    Calibration,
-    platform_fingerprint,
-)
-
-
-def fake_calibration(costs: dict[str, float], level: float = 0.0) -> Calibration:
-    """A hand-built calibration: every op of a scheme costs ``costs[name]``."""
-    return Calibration(
-        version=CALIBRATION_VERSION,
-        created_unix=0.0,
-        git_commit=None,
-        platform=platform_fingerprint(),
-        rows=96,
-        cols=32,
-        sparsity_levels=(level,),
-        timings={
-            name: {repr(float(level)): {op: seconds for op in CALIBRATION_OPS}}
-            for name, seconds in costs.items()
-        },
-    )
+from repro.core.advisor import SchemeReport, _rank_key, recommend_scheme
+from repro.core.calibration import ensure_calibration
+from tests.conftest import fake_calibration
 
 
 class TestRecommendScheme:
@@ -42,24 +16,26 @@ class TestRecommendScheme:
         assert len(recommendation.reports) == 8
         assert recommendation.sample_shape == census_batch.shape
 
-    def test_reports_sorted_best_first(self, census_batch):
+    def test_reports_sorted_cheapest_first(self, census_batch):
         recommendation = recommend_scheme(census_batch)
-        scores = [report.score for report in recommendation.reports]
-        assert scores == sorted(scores, reverse=True)
+        costs = [report.measured_cost for report in recommendation.reports]
+        assert costs == sorted(costs)
 
-    def test_moderate_sparsity_prefers_toc(self, census_batch):
-        """On the repetitive moderately-sparse profile the advisor picks TOC:
-        it compresses far better than the LMC schemes and, unlike Gzip, its
-        matrix operations do not pay a decompression."""
-        assert recommend_scheme(census_batch).best.name == "TOC"
+    def test_equal_kernel_costs_rank_by_compressed_size(self, census_batch):
+        """With every kernel equally fast only the I/O term differs: the
+        scheme that stores the sample in the fewest bytes wins."""
+        names = ["DEN", "CSR", "TOC", "Gzip"]
+        cal = fake_calibration(dict.fromkeys(names, 1e-8))
+        recommendation = recommend_scheme(census_batch, schemes=names, calibration=cal)
+        by_ratio = sorted(
+            recommendation.reports, key=lambda r: (-r.compression_ratio, r.name)
+        )
+        assert recommendation.ranked_names() == [r.name for r in by_ratio]
 
-    def test_very_sparse_data_ranks_csr_family_high(self, rcv1_batch):
-        recommendation = recommend_scheme(rcv1_batch)
-        assert recommendation.best.name in {"CSR", "CVI", "TOC"}
-
-    def test_dense_noise_does_not_recommend_sparse_schemes(self, dense_batch):
-        best = recommend_scheme(dense_batch).best
-        assert best.compression_ratio <= 1.5
+    def test_default_calibration_is_this_process(self, census_batch):
+        implicit = recommend_scheme(census_batch)
+        explicit = recommend_scheme(census_batch, calibration=ensure_calibration())
+        assert implicit.reports == explicit.reports
 
     def test_subset_of_schemes(self, census_batch):
         recommendation = recommend_scheme(census_batch, schemes=["DEN", "CSR"])
@@ -74,36 +50,17 @@ class TestRecommendScheme:
     def test_rejects_unknown_workload(self, census_batch):
         with pytest.raises(ValueError, match="unknown workload"):
             recommend_scheme(census_batch, workload="batch-oltp")
-
-    def test_fallback_score_is_ratio_times_flat_penalty(self, census_batch):
-        """The no-calibration ranking is exactly the historical formula."""
-        recommendation = recommend_scheme(census_batch)
-        assert not recommendation.calibrated
-        for report in recommendation.reports:
-            penalty = 1.0 if report.supports_direct_ops else 0.25
-            assert report.score == pytest.approx(report.compression_ratio * penalty)
-            assert report.measured_cost is None
-        by_name = {r.name: r for r in recommendation.reports}
-        names = recommendation.ranked_names()
-        assert names == sorted(names, key=lambda n: (-by_name[n].score, n))
+        with pytest.raises(ValueError, match="unknown workload None"):
+            recommend_scheme(census_batch, workload=None)
 
 
 class TestDeterministicTieBreak:
-    def test_fallback_ties_break_on_name(self):
-        tied = [
-            SchemeReport(name=n, compression_ratio=2.0, supports_direct_ops=True)
-            for n in ("Zeta", "Alpha", "Mid")
-        ]
-        assert [r.name for r in sorted(tied, key=_fallback_rank_key)] == [
-            "Alpha", "Mid", "Zeta",
-        ]
-
-    def test_calibrated_ties_break_on_name(self):
+    def test_ties_break_on_name(self):
         tied = [
             SchemeReport(n, 2.0, True, measured_cost=1e-9)
             for n in ("Zeta", "Alpha", "Mid")
         ]
-        assert [r.name for r in sorted(tied, key=_calibrated_rank_key)] == [
+        assert [r.name for r in sorted(tied, key=_rank_key)] == [
             "Alpha", "Mid", "Zeta",
         ]
 
@@ -139,27 +96,20 @@ class TestSourceDtypeBaseline:
 
 
 class TestCalibratedRanking:
-    def test_calibrated_pick_follows_measured_cost(self, census_batch):
-        # TOC's ratio wins the fallback on this batch, but a calibration
-        # saying its kernels are 1000x slower must flip the serve pick.
+    def test_pick_follows_measured_cost(self, census_batch):
+        # A calibration saying one scheme's kernels are 1000x slower must
+        # steer the pick away from it, whichever way round.
         names = ["DEN", "TOC"]
-        cal = fake_calibration({"DEN": 1e-9, "TOC": 1e-6})
-        flat = recommend_scheme(census_batch, schemes=names)
-        measured = recommend_scheme(
-            census_batch, schemes=names, workload="serve", calibration=cal
-        )
-        assert flat.best.name == "TOC"
-        assert measured.best.name == "DEN"
-        assert measured.calibrated
-        assert all(r.measured_cost is not None for r in measured.reports)
+        toc_slow = fake_calibration({"DEN": 1e-9, "TOC": 1e-6})
+        den_slow = fake_calibration({"DEN": 1e-6, "TOC": 1e-9})
+        for cal, winner in ((toc_slow, "DEN"), (den_slow, "TOC")):
+            measured = recommend_scheme(
+                census_batch, schemes=names, workload="serve", calibration=cal
+            )
+            assert measured.best.name == winner
+            assert measured.workload == "serve"
 
-    def test_calibration_defaults_workload_to_train(self, census_batch):
+    def test_workload_defaults_to_train(self, census_batch):
         cal = fake_calibration({"DEN": 1e-9, "TOC": 1e-6})
         measured = recommend_scheme(census_batch, schemes=["DEN", "TOC"], calibration=cal)
         assert measured.workload == "train"
-
-    def test_workload_without_calibration_keeps_fallback_ranking(self, census_batch):
-        plain = recommend_scheme(census_batch)
-        with_workload = recommend_scheme(census_batch, workload="serve")
-        assert not with_workload.calibrated
-        assert with_workload.ranked_names() == plain.ranked_names()

@@ -1,4 +1,4 @@
-"""Parallel compaction: the re-encode fan-out and the ``max_shards`` pass budget."""
+"""Compaction: the advice sample, the re-encode fan-out and the ``max_shards`` budget."""
 
 from __future__ import annotations
 
@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from repro.api import Dataset
+from repro.compression.registry import available_schemes, get_scheme
 from repro.data.registry import DATASET_PROFILES
-from repro.engine.compact import fsck_dataset
+from repro.engine.compact import _sample_rows, fsck_dataset
 
 
 @pytest.fixture(scope="module")
@@ -16,13 +17,28 @@ def census():
 
 
 @pytest.fixture()
-def drifted(tmp_path, census):
-    """A directory whose every shard re-advises away from DEN."""
+def drifted(tmp_path, census, pin_calibration):
+    """A directory whose every shard re-advises away from DEN (to TOC)."""
     features, labels = census
-    return Dataset.create(
+    dataset = Dataset.create(
         tmp_path / "den", features, labels, scheme="DEN", batch_size=100,
         workers=1,
     )
+    pin_calibration(dataset.path, {"TOC": 1e-9})
+    return dataset
+
+
+class TestAdviceSample:
+    @pytest.mark.parametrize("scheme", available_schemes())
+    def test_sample_is_the_decoded_row_prefix(self, census, scheme):
+        """Every scheme's sample is bit-equal to its full decode's first rows."""
+        stored = get_scheme(scheme).compress(census[0][:100]).to_bytes()
+        matrix = get_scheme(scheme).decompress_bytes(stored)
+        dense = matrix.to_dense()
+        for k in (1, 37, 100, 250):
+            sample = _sample_rows(matrix, 100, k)
+            assert sample.shape == dense[:k].shape
+            assert sample.tobytes() == dense[:k].tobytes()
 
 
 class TestMaxShardsBudget:
@@ -63,7 +79,9 @@ class TestMaxShardsBudget:
 
 
 class TestExecutors:
-    def test_pool_and_in_process_write_identical_shards(self, tmp_path, census, pool_spy):
+    def test_pool_and_in_process_write_identical_shards(
+        self, tmp_path, census, pool_spy, pin_calibration
+    ):
         features, labels = census
         payloads = {}
         for workers in (1, 2):
@@ -71,6 +89,7 @@ class TestExecutors:
                 tmp_path / f"den-{workers}", features, labels, scheme="DEN",
                 batch_size=100, workers=1,
             )
+            pin_calibration(dataset.path, {"TOC": 1e-9})
             before = np.vstack([m.to_dense() for m, _ in dataset.batches()])
             report = dataset.compact(workers=workers)
             assert report.n_reencoded == 4
@@ -89,6 +108,13 @@ class TestExecutors:
         assert report.n_reencoded == 4
         assert report.executor == ("process" if pool_spy else "serial")
         assert bool(pool_spy) == (workers > 1)
+
+    def test_a_one_shard_rewrite_enters_no_pool(self, drifted, pool_spy):
+        # Default workers on a two-CPU box, but one re-encode is one task.
+        report = drifted.compact(max_shards=1)
+        assert (report.n_reencoded, report.deferred) == (1, 3)
+        assert report.executor == "serial"
+        assert pool_spy == []
 
     def test_default_workers_resolve_to_a_known_kind(self, drifted):
         report = drifted.compact()

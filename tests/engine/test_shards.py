@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import repro
+from repro.api import Dataset
 from repro.compression.registry import get_scheme
 from repro.data.registry import DATASET_PROFILES
 from repro.engine.compact import fsck_dataset
@@ -114,6 +115,16 @@ class TestEncodeProvenance:
         dataset.append(small_batches[:1], workers=workers)
         ran = "process" if pool_spy else "serial"
         assert ShardedDataset.open(tmp_path).encode_executor == ran
+
+    def test_a_one_batch_append_enters_no_pool(self, tmp_path, small_batches, pool_spy):
+        # Default workers on a two-CPU box, but one batch is one task.
+        dataset = Dataset(ShardedDataset.create(tmp_path, small_batches, "TOC", workers=1))
+        features, labels = small_batches[0]
+        (added,) = dataset.append(features, labels)
+        assert added.n_rows == features.shape[0]
+        assert pool_spy == []
+        manifest = json.loads((tmp_path / MANIFEST_NAME).read_text())
+        assert manifest["encode_executor"] == "serial"
 
     def test_a_thread_era_manifest_still_opens(self, tmp_path, small_batches):
         ShardedDataset.create(tmp_path, small_batches, "TOC", workers=1)

@@ -207,10 +207,13 @@ class TestNetworks:
 
 
 @pytest.mark.parametrize("model", ["linreg", "ffnn"])
-def test_racing_callers_across_a_compaction_get_their_generations_answers(tmp_path, model):
+def test_racing_callers_across_a_compaction_get_their_generations_answers(
+    tmp_path, model, pin_calibration
+):
     """Bulk and single-row callers race over a cold store while it is compacted and reopened."""
     features, labels = DATASET_PROFILES["census"].classification(ROWS, seed=5)
-    # DEN -> TOC: the compaction re-encodes every shard and deletes the old
+    # DEN -> TOC (the calibration pinned next to the shards makes TOC the
+    # pick): the compaction re-encodes every shard and deletes the old
     # files; linreg's compressed-domain scores differ between the two
     # schemes in their last bits, so an answer shows which generation it came
     # from.  A network scores decoded rows, the same on both generations, so
@@ -219,6 +222,7 @@ def test_racing_callers_across_a_compaction_get_their_generations_answers(tmp_pa
         tmp_path / "shards", features, labels, scheme="DEN",
         batch_size=BATCH, workers=1, shuffle=False,
     )
+    pin_calibration(dataset.path, {"TOC": 1e-9})
     estimator = Estimator(model, epochs=1, learning_rate=1e-3)
     estimator.fit(dataset)
 

@@ -418,16 +418,20 @@ class TestLiveCompaction:
         [list(range(0, 200, 7)), [*range(150), 199]],
         ids=["scattered", "covering"],
     )
-    def test_row_id_paths_survive_a_generation_swap(self, tmp_path, call, ids):
+    def test_row_id_paths_survive_a_generation_swap(
+        self, tmp_path, call, ids, pin_calibration
+    ):
         from repro.api import Dataset, Estimator, open_service
 
         features, labels = DATASET_PROFILES["census"].classification(200, seed=5)
-        # DEN shards: readvise re-encodes them, so the compact deletes the
-        # files the open service's lazy loaders still point at.
+        # DEN shards: readvise re-encodes them (to the pinned pick, TOC), so
+        # the compact deletes the files the open service's lazy loaders
+        # still point at.
         dataset = Dataset.create(
             tmp_path / "shards", features, labels, scheme="DEN",
             batch_size=50, workers=1,
         )
+        pin_calibration(dataset.path, {"TOC": 1e-9})
         estimator = Estimator("logreg", epochs=1)
         estimator.fit(dataset)
         estimator.save(tmp_path / "registry")
@@ -444,7 +448,9 @@ class TestLiveCompaction:
             assert counters["serve.store.shards_scored"] == 4
 
 
-    def test_score_vectors_go_with_the_store_they_were_scored_from(self, tmp_path):
+    def test_score_vectors_go_with_the_store_they_were_scored_from(
+        self, tmp_path, pin_calibration
+    ):
         from repro.api import Dataset, Estimator, open_service
 
         features, labels = DATASET_PROFILES["census"].classification(250, seed=5)
@@ -452,6 +458,7 @@ class TestLiveCompaction:
             tmp_path / "shards", features[:200], labels[:200], scheme="DEN",
             batch_size=50, workers=1, shuffle=False,
         )
+        pin_calibration(dataset.path, {"TOC": 1e-9})
         estimator = Estimator("logreg", epochs=1)
         estimator.fit(dataset)
         estimator.save(tmp_path / "registry")

@@ -5,6 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.__main__ import build_parser, main
+from repro.core.advisor import recommend_scheme
+from repro.data.registry import DATASET_PROFILES
 
 
 class TestInfoCommand:
@@ -17,10 +19,12 @@ class TestInfoCommand:
 
 
 class TestAdviseCommand:
-    def test_recommends_toc_for_census_profile(self, capsys):
+    def test_prints_the_measured_cost_pick_for_training(self, capsys):
         assert main(["advise", "--dataset", "census", "--rows", "100"]) == 0
         out = capsys.readouterr().out
-        assert "recommended scheme: TOC" in out
+        assert "workload: 'train' (measured-cost ranking)" in out
+        sample = DATASET_PROFILES["census"].matrix(100, seed=0)
+        assert f"recommended scheme: {recommend_scheme(sample).best.name}" in out
 
     def test_unknown_dataset_fails_cleanly(self, capsys):
         assert main(["advise", "--dataset", "criteo"]) == 2
@@ -65,10 +69,10 @@ class TestParser:
         args = build_parser().parse_args(["train-ooc"])
         assert args.scheme == "TOC"
 
-    def test_workload_defaults_off_everywhere(self):
+    def test_workload_defaults_to_train_everywhere(self):
         for argv in (["encode", "--shard-dir", "x"], ["train-ooc"],
                      ["compact", "--shard-dir", "x"], ["advise"]):
-            assert build_parser().parse_args(argv).workload is None
+            assert build_parser().parse_args(argv).workload == "train"
 
     def test_workload_choices_validated(self):
         with pytest.raises(SystemExit):
@@ -97,11 +101,14 @@ class TestParser:
 
 
 class TestEncodeStatsCompactCommands:
-    def test_round_trip_encode_stats_compact_train_predict(self, capsys, tmp_path):
+    def test_round_trip_encode_stats_compact_train_predict(
+        self, capsys, tmp_path, pin_calibration
+    ):
         """The facade lifecycle end to end on one tmpdir.
 
         encode (deliberately mis-scheming sparse data as DEN) → stats →
-        compact (drift repair: the advisor re-encodes every shard) →
+        compact (drift repair: the advisor re-encodes every shard, to TOC
+        under the calibration pinned next to them) →
         train-ooc over the *existing* compacted shards → predict.
         """
         import json
@@ -123,6 +130,7 @@ class TestEncodeStatsCompactCommands:
 
         assert main(["stats", "--shard-dir", str(shard_dir)]) == 0
         assert "DENx4" in capsys.readouterr().out
+        pin_calibration(shard_dir, {"TOC": 1e-9})
 
         assert main(["compact", "--shard-dir", str(shard_dir)]) == 0
         out = capsys.readouterr().out
