@@ -98,8 +98,9 @@ _FIGURE8_OPS = {
     "A*v": "matvec", "A*M": "matmat", "v*A": "rmatvec", "M*A": "rmatmat", "A*c": "scale",
 }
 
-#: Process-wide cache: kernel timings are per-machine, not per-dataset, so
-#: one pass serves every dataset this process touches.
+#: Process-wide cache of this process's own timing pass: kernel timings are
+#: per-machine, not per-dataset, so one pass serves every dataset this
+#: process touches.  A file loaded from a directory never lands here.
 _PROCESS_CACHE: "Calibration | None" = None
 
 
@@ -356,6 +357,10 @@ def ensure_calibration(
     overwritten; a valid cached calibration is copied down to a directory
     that lacks one, so the file always ends up next to the dataset.
     ``refresh=True`` forces a fresh pass.
+
+    Only this process's own measurements are cached: a file loaded from a
+    directory answers for that directory alone, so one dataset's (possibly
+    hand-written) calibration never steers the picks made for another.
     """
     global _PROCESS_CACHE
     names = list(schemes) if schemes is not None else available_schemes()
@@ -364,7 +369,6 @@ def ensure_calibration(
         if path is not None and path.exists():
             loaded = Calibration.load(path)
             if loaded is not None and not loaded.is_stale(names):
-                _PROCESS_CACHE = loaded
                 return loaded
         cached = _PROCESS_CACHE
         if cached is not None and not cached.is_stale(names):

@@ -15,7 +15,7 @@ imply but the seed code never assembled:
    (:mod:`repro.engine.trainer`).
 """
 
-from repro.engine.compact import CompactReport, ShardChange, compact_dataset, readvise_shard
+from repro.engine.compact import CompactReport, ShardChange, compact_dataset
 from repro.engine.encode import (
     AUTO_SCHEME,
     EncodedBatch,
@@ -36,6 +36,5 @@ __all__ = [
     "ShardedDataset",
     "compact_dataset",
     "encode_batches",
-    "readvise_shard",
     "resolve_workers",
 ]

@@ -105,29 +105,6 @@ def _sample_rows(matrix, n_rows: int, sample_rows: int):
     return row_slice(matrix, range(min(n_rows, sample_rows)))
 
 
-def readvise_shard(
-    dataset: ShardedDataset,
-    batch_id: int,
-    sample_rows: int = AUTO_SAMPLE_ROWS,
-    *,
-    workload: str = DEFAULT_WORKLOAD,
-) -> str:
-    """The scheme the advisor would pick for one shard *today*.
-
-    Decoding is lossless, so the sampled rows are exactly the rows the
-    encoder saw — a shard whose data has not changed always re-advises to
-    the scheme ``"auto"`` encoding picked for it under the same workload
-    (both read the directory's calibration).
-    """
-    return advise_scheme(
-        _sample_rows(
-            dataset.decode(batch_id), dataset.shards[batch_id].n_rows, sample_rows
-        ),
-        workload=workload,
-        calibration=advice_calibration(dataset.directory, workload),
-    )
-
-
 def _reencode_one(task: tuple) -> tuple:
     """Worker body: re-encode one shard file with its new winning scheme.
 
@@ -188,7 +165,7 @@ def compact_dataset(
         raise ValueError("sample_rows must be at least 1")
     if max_shards is not None and max_shards < 0:
         raise ValueError("max_shards must be non-negative")
-    calibration = advice_calibration(dataset.directory, workload) if readvise else None
+    calibration = advice_calibration(dataset.directory) if readvise else None
     start = time.perf_counter()
     report = CompactReport(
         examined=len(dataset.shards),

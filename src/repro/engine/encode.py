@@ -68,17 +68,15 @@ class EncodedBatch:
         return len(self.payload)
 
 
-def advice_calibration(directory, workload: str):
+def advice_calibration(directory):
     """The measured kernel costs ``"auto"`` advice ranks by for one dataset.
 
     The engine's one resolution site: encoding (create and append) and
-    compaction all call it with the dataset directory, so they advise from
+    compaction both call it with the dataset directory, so they advise from
     the same measurements — computed at most once per machine, persisted as
     ``calibration.json`` next to the manifest, reloaded by every later pass
-    — and a freshly advised directory compacts to a no-op.  ``workload`` is
-    checked first, so a bad name fails before any timing pass.
+    — and a freshly advised directory compacts to a no-op.
     """
-    check_workload(workload)
     return ensure_calibration(directory)
 
 
@@ -88,8 +86,8 @@ def advise_scheme(sample_rows: np.ndarray, workload: str = DEFAULT_WORKLOAD,
 
     This one function is the whole encode-time / compact-time selection
     policy — ``scheme="auto"`` encoding and
-    :func:`repro.engine.compact.readvise_shard` both call it, so the two can
-    never diverge.  The winner minimises the measured cost of ``workload``
+    :func:`repro.engine.compact.compact_dataset` both call it, so the two
+    can never diverge.  The winner minimises the measured cost of ``workload``
     under ``calibration`` (default: this process's).
     """
     from repro.core.advisor import recommend_scheme
@@ -215,7 +213,7 @@ def encode_batches(
     if not per_batch:
         raise ValueError("at least one mini-batch is required")
     calibration = (
-        advice_calibration(directory, workload) if AUTO_SCHEME in per_batch else None
+        advice_calibration(directory) if AUTO_SCHEME in per_batch else None
     )
     tasks = [
         (batch_id, np.asarray(features, dtype=np.float64), name, workload, calibration)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from repro.api import Dataset, Estimator
+from repro.core.advisor import recommend_scheme
 from repro.core.calibration import CALIBRATION_NAME, Calibration
 from repro.data.registry import DATASET_PROFILES
 from repro.engine.shards import MANIFEST_NAME, ShardedDataset
@@ -283,6 +284,35 @@ class TestWorkloadCalibration:
         report = dataset.fsck()
         assert report.clean
         assert (dataset.path / CALIBRATION_NAME).exists()
+
+    def test_a_directory_calibration_steers_that_directory_only(
+        self, tmp_path, census, pin_calibration
+    ):
+        features, labels = census
+        sample = features[:100]
+        before = recommend_scheme(sample).best.name
+        baseline = Dataset.create(
+            tmp_path / "baseline", features, labels, scheme="auto",
+            batch_size=100, workers=1,
+        )
+        pinned = "CSR" if before != "CSR" else "TOC"
+        drifted = Dataset.create(
+            tmp_path / "a", features, labels, scheme="DEN", batch_size=100,
+            workers=1,
+        )
+        pin_calibration(drifted.path, {pinned: 1e-9})
+        drifted.compact(workers=1)
+        assert drifted.stats().scheme_counts == {pinned: 4}
+
+        assert recommend_scheme(sample).best.name == before
+        fresh = Dataset.create(
+            tmp_path / "b", features, labels, scheme="auto", batch_size=100,
+            workers=1,
+        )
+        assert fresh.stats().scheme_counts == baseline.stats().scheme_counts
+        assert Calibration.load(fresh.path / CALIBRATION_NAME) != Calibration.load(
+            drifted.path / CALIBRATION_NAME
+        )
 
     @pytest.mark.parametrize("workload", ["oltp", None])
     def test_unknown_workload_rejected(self, tmp_path, census, dataset, workload):

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.compression.registry import available_schemes
-from repro.core import calibration as calibration_module
 from repro.core.calibration import (
     CALIBRATION_OPS,
     CALIBRATION_VERSION,
@@ -88,17 +87,13 @@ def fake_calibration(costs: dict[str, float], level: float = 0.0) -> Calibration
 
 
 @pytest.fixture()
-def pin_calibration(monkeypatch):
+def pin_calibration():
     """Write a hand-built calibration next to a dataset, so its advice is known.
 
     ``pin(directory, costs)``: every registered scheme's ops cost ``costs``'
-    seconds per element, 1 s for a scheme it does not name.  Advising from
-    the file makes it this process's calibration too; the previous one is
-    restored after the test.
+    seconds per element, 1 s for a scheme it does not name.  The file steers
+    that directory's advice only.
     """
-    monkeypatch.setattr(
-        calibration_module, "_PROCESS_CACHE", calibration_module._PROCESS_CACHE
-    )
 
     def pin(directory, costs: dict[str, float]) -> None:
         full = {name: costs.get(name, 1.0) for name in available_schemes()}

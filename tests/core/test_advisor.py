@@ -32,6 +32,10 @@ class TestRecommendScheme:
         )
         assert recommendation.ranked_names() == [r.name for r in by_ratio]
 
+    def test_dense_noise_does_not_recommend_sparse_schemes(self, dense_batch):
+        best = recommend_scheme(dense_batch).best
+        assert best.compression_ratio <= 1.5
+
     def test_default_calibration_is_this_process(self, census_batch):
         implicit = recommend_scheme(census_batch)
         explicit = recommend_scheme(census_batch, calibration=ensure_calibration())
