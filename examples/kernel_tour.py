@@ -1,4 +1,4 @@
-"""A tour of the code-walk kernels and zero-copy shard reads.
+"""A tour of the code-walk kernels and the two ways a shard is read.
 
 Run with::
 
@@ -9,16 +9,19 @@ value-index gathers — have one runtime implementation: the vectorized NumPy
 passes in :mod:`repro.kernels.numpy_backend`, which :mod:`repro.kernels`
 exports.  :mod:`repro.kernels.python_backend` keeps the per-element
 reference loops with the same semantics; the property tests check the two
-agree bit for bit.  Every shard read is a ``memoryview`` over a read-only
-mmap of the shard file, and every scheme's ``from_bytes`` decodes straight
-out of the mapping.
+agree bit for bit.  A one-pass reader (the trainer's pool, scans, ``take``)
+reads a shard into bytes it owns (``read_payload``); the feature store, which
+keeps each shard, maps it (``map_payload``).  Either way the reader gets a
+read-only ``memoryview``, and every scheme's ``from_bytes`` decodes straight
+out of it without copying.
 
 This example:
 
 1. encodes a dataset, parses one TOC shard, and times the Python reference
    ``toc_row_slice`` against the NumPy one on the same arguments;
-2. reads that shard as a mapping, checks it decodes exactly like a copy of
-   its bytes, and prints the ``storage.mmap.*`` obs counters.
+2. reads that shard both ways, checks each decodes exactly like a copy of
+   its bytes, and prints the ``storage.reads`` and ``storage.mmap.*`` obs
+   counters.
 """
 
 from __future__ import annotations
@@ -73,18 +76,22 @@ def show_row_slice(dataset: Dataset) -> None:
           f"({python_secs / numpy_secs:5.1f}x, bit-identical output)")
 
 
-def show_zero_copy(dataset: Dataset) -> None:
+def show_shard_reads(dataset: Dataset) -> None:
     sharded = dataset.sharded
-    payload = sharded.read_payload(0)
-    print(f"\nread_payload(0): {type(payload).__name__} of {len(payload):,} bytes "
-          "(zero-copy view of the shard file)")
-    mapped = sharded.decode(0, payload=payload).to_dense()
-    copied = sharded.decode(0, payload=bytes(payload)).to_dense()
-    assert mapped.tobytes() == copied.tobytes()
-    print(f"decoding straight from the mapping: shard 0 -> {mapped.shape}, "
-          "bit-equal to decoding a copy")
+    copied = sharded.decode(0, payload=bytes(sharded.read_payload(0))).to_dense()
+    for name, payload in (
+        ("read_payload", sharded.read_payload(0)),
+        ("map_payload", sharded.map_payload(0)),
+    ):
+        print(f"\n{name}(0): {type(payload).__name__} of {len(payload):,} bytes over "
+              f"{type(payload.obj).__name__}")
+        decoded = sharded.decode(0, payload=payload).to_dense()
+        assert decoded.tobytes() == copied.tobytes()
+        print(f"decoding straight from it: shard 0 -> {decoded.shape}, "
+              "bit-equal to decoding a copy")
     counters = metrics.snapshot()["counters"]
-    for name in ("storage.mmap.maps", "storage.mmap.bytes_mapped"):
+    for name in ("storage.reads", "storage.bytes_read",
+                 "storage.mmap.maps", "storage.mmap.bytes_mapped"):
         print(f"  {name:<28} {counters.get(name, 0):,}")
 
 
@@ -92,7 +99,7 @@ def main() -> None:
     with tempfile.TemporaryDirectory(prefix="repro-kernel-tour-") as tmp:
         dataset = build_dataset(Path(tmp))
         show_row_slice(dataset)
-        show_zero_copy(dataset)
+        show_shard_reads(dataset)
 
 
 if __name__ == "__main__":

@@ -258,7 +258,7 @@ class Dataset:
         forces the dense path, which is what the benchmark gate compares
         against).
 
-        Each shard file is mapped and decoded in turn, read once, and a
+        Each shard file is read and decoded in turn, once, and a
         selection with ``limit`` stops reading as soon as enough rows
         matched (``limit`` must be at least 1 — pass ``None`` for no limit).
         """

@@ -96,7 +96,7 @@ class _ByteBlockMatrix(CompressedMatrix):
 
     def to_bytes(self) -> bytes:
         header = np.array(self.shape, dtype=_HEADER_DTYPE).tobytes()
-        # The payload may be a zero-copy memoryview of an mmap'd shard.
+        # The payload may be a zero-copy memoryview of a shard's bytes.
         return header + bytes(self._payload)
 
     @classmethod

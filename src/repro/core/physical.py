@@ -69,7 +69,7 @@ class PhysicalEncoding:
     def from_bytes(cls, raw) -> "PhysicalEncoding":
         """Parse a :class:`PhysicalEncoding` from bytes or any buffer object.
 
-        Passing a memoryview (e.g. over an mmap'd shard) keeps every slice —
+        Passing a memoryview (e.g. over a shard's bytes) keeps every slice —
         including the packed payloads — zero-copy views of the source buffer.
         Every block must fit the payload and the last must end where it
         does, or :class:`~repro.core.validate.EncodingError` is raised

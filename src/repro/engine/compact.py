@@ -47,7 +47,7 @@ from repro.engine.shards import (
 from repro.exec import row_slice
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
-from repro.storage.mmapio import map_file
+from repro.storage.mmapio import read_file
 
 
 @dataclass(frozen=True)
@@ -109,12 +109,12 @@ def _reencode_one(task: tuple) -> tuple:
     """Worker body: re-encode one shard file with its new winning scheme.
 
     Top-level so it pickles into ``ProcessPoolExecutor`` workers.  The shard
-    is re-read from its path inside the worker — a zero-copy mmap read, so
-    parallel workers share the page-cache copy of immutable shard files
-    instead of each shipping the payload across the pool boundary.
+    is re-read from its path inside the worker, one pass
+    (:func:`~repro.storage.mmapio.read_file`), so only a path and two scheme
+    names cross the pool boundary, never the payload.
     """
     batch_id, path, scheme_before, winner = task
-    matrix = get_scheme(scheme_before).decompress_bytes(map_file(path))
+    matrix = get_scheme(scheme_before).decompress_bytes(read_file(path))
     payload = get_scheme(winner).compress(matrix.to_dense()).to_bytes()
     return batch_id, payload
 

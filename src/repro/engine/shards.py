@@ -36,6 +36,7 @@ from __future__ import annotations
 import io
 import json
 import operator
+import os
 import re
 import time
 from collections import Counter
@@ -52,7 +53,7 @@ from repro.core.calibration import DEFAULT_WORKLOAD
 from repro.core.validate import EncodingError
 from repro.engine.encode import AUTO_SCHEME, EncodedBatch, encode_batches
 from repro.storage.buffer_pool import BufferPool
-from repro.storage.mmapio import map_file, publish_file
+from repro.storage.mmapio import map_file, publish_file, read_file
 from repro.storage.pages import stored_bytes
 
 MANIFEST_NAME = "manifest.json"
@@ -469,7 +470,7 @@ class ShardedDataset:
 
         ``payload`` (bytes or any buffer) lets callers that already hold the
         bytes (the trainer's buffer pool, a feature store's mapping) hand
-        them over; otherwise the shard file is mapped (:meth:`read_payload`).
+        them over; otherwise the shard file is read once (:meth:`read_payload`).
         A payload whose matrix is not the shape the manifest records raises
         :class:`~repro.core.validate.EncodingError`: every reader sizes its
         output from the manifest.
@@ -490,23 +491,52 @@ class ShardedDataset:
     def __len__(self) -> int:
         return len(self.shards)
 
-    def read_payload(self, batch_id: int):
-        """Read one shard's payload straight from disk (no caching).
+    def read_payload(self, batch_id: int) -> memoryview:
+        """Read one shard's payload straight from disk, for one pass (no caching).
 
-        Returns a zero-copy ``memoryview`` over a read-only mmap of the
-        shard file; every scheme's ``decompress_bytes`` decodes straight
-        out of it.
+        A read-only ``memoryview`` over bytes the process owns
+        (:func:`~repro.storage.mmapio.read_file`): what the trainer's pool,
+        scans, ``take`` and compaction decode and then drop.  A payload whose
+        length is not the manifest's ``nbytes`` raises
+        :class:`~repro.core.validate.EncodingError`.
         """
-        return map_file(self.directory / self.shards[batch_id].filename)
+        return self._checked(batch_id, read_file)
+
+    def map_payload(self, batch_id: int) -> memoryview:
+        """Map one shard's payload, for a reader that keeps it.
+
+        A zero-copy view over a read-only mapping
+        (:func:`~repro.storage.mmapio.map_file`), whose pages the OS page
+        cache shares across processes and which stays on the inode it
+        mapped.  A feature store takes one per shard and holds it; the length
+        is checked as in :meth:`read_payload`.
+        """
+        return self._checked(batch_id, map_file)
+
+    def _checked(self, batch_id: int, read) -> memoryview:
+        """Shard ``batch_id``'s file through ``read``, held to the manifest's ``nbytes``."""
+        info = self.shards[batch_id]
+        # A str path: a fresh ``Path``, joined and rendered, costs half as much as the read.
+        payload = read(os.path.join(self.directory, info.filename))
+        if len(payload) != info.nbytes:
+            raise EncodingError(
+                f"shard {batch_id} ({info.filename}) holds {len(payload)} bytes; "
+                f"the manifest records {info.nbytes}"
+            )
+        return payload
 
     def labels_for(self, batch_id: int) -> np.ndarray:
         return self._labels[batch_id]
 
     def attach(self, pool: BufferPool) -> None:
-        """Register every shard in ``pool`` as a lazy on-disk blob."""
+        """Register every shard in ``pool`` as a lazy blob that :meth:`read_payload` loads.
+
+        A miss reads the file into bytes the pool then owns, so its byte
+        budget bounds memory the process holds, and an eviction frees it.
+        """
         for shard in self.shards:
-            path = self.directory / shard.filename
-            pool.put_on_disk(shard.batch_id, size=shard.nbytes, loader=partial(map_file, path))
+            loader = partial(self.read_payload, shard.batch_id)
+            pool.put_on_disk(shard.batch_id, size=shard.nbytes, loader=loader)
 
     # -- statistics -------------------------------------------------------------
 

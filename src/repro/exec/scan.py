@@ -16,7 +16,7 @@ The executor mirrors :mod:`repro.exec.dispatch`: an ordered registry of
 ``(predicate, reader)`` pairs resolves the scan reader for each shard's
 representation, and :func:`register_scan_reader` adds fast paths for new
 schemes without touching the executor.  :func:`scan_shards` streams a whole
-:class:`~repro.engine.shards.ShardedDataset`, each shard mapped straight
+:class:`~repro.engine.shards.ShardedDataset`, each shard read once
 from its file, into the per-shard scan, combining selections (with an early-exit ``limit``) or aggregate partials
 across shards.
 """
@@ -445,7 +445,7 @@ def scan_shards(
 
     ``shard_stream`` yields each shard's matrix with the global row id of its
     first row (what :meth:`repro.api.Dataset.scan` builds from the manifest
-    and the mapped shard files).  Selections honour ``limit`` with an early
+    and the shard files, each read once).  Selections honour ``limit`` with an early
     exit — once enough rows matched, remaining shards are never decoded.
     """
     with obs_trace.span("exec.scan", pushdown=pushdown):

@@ -5,7 +5,7 @@ feature store maps global row ids onto (shard, local row) with the manifest
 row counts — :meth:`FeatureStore.locate` for one id,
 :meth:`FeatureStore.locate_rows` for a whole request in one vectorised,
 range-checked step — maps each shard file on first touch
-(:func:`repro.storage.mmapio.map_file`), and resolves the decoder *per
+(:meth:`repro.engine.shards.ShardedDataset.map_payload`), and resolves the decoder *per
 shard* from the manifest (so mixed-scheme directories serve exactly like
 uniform ones).
 
@@ -188,7 +188,7 @@ class FeatureStore:
                 self._stats.payload_parses += 1
                 payload = self._mapped[batch_id]
                 if payload is None:  # first touch: map the file, and keep the mapping
-                    payload = self._mapped[batch_id] = self.dataset.read_payload(batch_id)
+                    payload = self._mapped[batch_id] = self.dataset.map_payload(batch_id)
             sliceable = self.dataset.decode(batch_id, payload)
             if not supports_direct_ops(sliceable):
                 # Byte-block schemes can only row-slice via a full inflate;

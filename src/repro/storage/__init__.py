@@ -8,8 +8,9 @@ The paper's end-to-end experiments hinge on two storage-level effects:
 2. **the storage fudge factor** — blobs laid out on fixed-size pages take a
    little more room than the sum of their sizes (:mod:`repro.storage.pages`).
 
-:mod:`repro.storage.mmapio` is the one way shard files are read (a
-read-only mapping) and the one way any file is written (publish by rename).
+:mod:`repro.storage.mmapio` reads shard files — into owned bytes for a
+one-pass reader, as a read-only mapping for the feature store that keeps
+them — and is the one way any file is written (publish by rename).
 """
 
 from repro.storage.buffer_pool import BufferPool, BufferPoolStats, DiskBlob

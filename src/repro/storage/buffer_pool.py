@@ -19,8 +19,9 @@ Entries come in two flavours.  A plain ``bytes`` payload models a blob whose
 "disk" is simulated (the original behaviour, used by the simulation benches).
 A :class:`DiskBlob` is a handle to a payload that truly lives on disk — the
 out-of-core engine registers one per shard file — and is only loaded into
-memory when admitted to the cache, so the pool's byte budget genuinely bounds
-resident memory.
+memory when admitted to the cache.  A shard loader reads the file into bytes
+the process owns (:func:`repro.storage.mmapio.read_file`), so the pool's byte
+budget bounds memory the process holds, and an eviction frees it.
 
 Each pool keeps its own :class:`BufferPoolStats` *and* mirrors the traffic
 into process-global ``storage.pool.*`` metrics (hits, misses, evictions,
@@ -41,8 +42,9 @@ from repro.obs import metrics as obs_metrics
 
 
 #: What loaders and reads hand back: plain bytes for a simulated-disk entry,
-#: or — from every shard loader — a zero-copy ``memoryview`` over the mmap'd
-#: shard file (:func:`repro.storage.mmapio.map_file`).
+#: or — from every shard loader — a read-only ``memoryview`` over the shard
+#: file's bytes, read into memory the pool then owns
+#: (:func:`repro.storage.mmapio.read_file`).
 Payload = bytes | memoryview
 
 
@@ -165,8 +167,8 @@ class BufferPool:
         """Read a batch, going through the cache and charging IO on a miss.
 
         Lazy (``DiskBlob``) entries return whatever their loader produced —
-        for shard files, a zero-copy memoryview of their mapping; caching
-        one pins the mapping, so the pool budget still bounds resident bytes.
+        for shard files, a view of the bytes read from the file; caching one
+        holds those bytes until it is evicted, so the pool budget bounds them.
         """
         with self._lock:
             if key not in self._store:

@@ -103,9 +103,13 @@ def test_a_shard_that_decodes_to_another_shape_is_refused(tmp_path):
     x, y = DATASET_PROFILES["census"].classification(100, seed=0)
     dataset = ShardedDataset.create(tmp_path, [(x[:50], y[:50]), (x[50:], y[50:])], "TOC",
                                     workers=1)
-    shard = tmp_path / dataset.shards[1].filename
-    shard.write_bytes(TOCCompressedMatrix.compress(x[50:99]).to_bytes())  # one row short
+    short = TOCCompressedMatrix.compress(x[50:99]).to_bytes()  # one row short
+    # Handed over (as a pool or a feature store hands its bytes), the shape is checked ...
     with pytest.raises(EncodingError, match="decodes to 49 x 68; the manifest records 50 x 68"):
+        dataset.decode(1, short)
+    # ... and read from disk, the file's length is checked before it is parsed.
+    (tmp_path / dataset.shards[1].filename).write_bytes(short)
+    with pytest.raises(EncodingError, match=f"holds {len(short)} bytes; the manifest records"):
         ShardedDataset.open(tmp_path).decode(1)
 
 

@@ -2,8 +2,9 @@
 
 A byte-budgeted :class:`~repro.storage.buffer_pool.BufferPool` is the
 paper's RAM-budget mechanism for training (Figure 9, Tables 6–7).  Readers
-that serve rows or scan shards map the files directly, under the service's
-score array and the store's parsed-shard LRU.  These tests list every
+that serve rows or scan shards go to the files directly — a scan reads each
+shard once, the feature store maps it — under the service's score array and
+the store's parsed-shard LRU.  These tests list every
 ``BufferPool(...)`` and ``LRUCache(...)`` call under ``src/repro`` and fail
 when a pool appears outside the out-of-core trainer and the simulated-disk
 experiments, or an LRU outside the feature store; they fail when the
