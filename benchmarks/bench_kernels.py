@@ -377,10 +377,9 @@ def test_mmap_full_shard_decode_no_regression(bench_json, tmp_path_factory):
         shuffle=False,
         workers=1,
     )
-    sharded = dataset.sharded
-    paths = [sharded.directory / s.filename for s in sharded.shards]
-    schemes = [sharded.scheme_for(s.batch_id) for s in sharded.shards]
-    assert isinstance(sharded.map_payload(0), memoryview)  # what the feature store keeps
+    paths = [dataset.path / s.filename for s in dataset.shards]
+    schemes = [dataset.scheme_for(s.batch_id) for s in dataset.shards]
+    assert isinstance(dataset.map_payload(0), memoryview)  # what the feature store keeps
 
     def decode_all(read):
         return [
@@ -395,8 +394,8 @@ def test_mmap_full_shard_decode_no_regression(bench_json, tmp_path_factory):
     record = {
         "bench": "kernels",
         "op": "mmap_full_decode",
-        "n_shards": len(sharded.shards),
-        "payload_bytes": sharded.total_payload_bytes(),
+        "n_shards": len(dataset.shards),
+        "payload_bytes": dataset.total_payload_bytes(),
         "mmap_decode_secs": mmap_secs,
         "copy_decode_secs": bytes_secs,
         # Direction-neutral on purpose: ~1.0 plus CI jitter, so a 20%
@@ -419,7 +418,7 @@ def test_one_pass_read_no_slower_than_a_mapping(bench_json, tmp_path_factory):
     x, y = DATASET_PROFILES["census"].classification(
         ONE_PASS_SHARDS * COLD_READ_ROWS, seed=11
     )
-    sharded = Dataset.create(
+    dataset = Dataset.create(
         tmp_path_factory.mktemp("one-pass-bench") / "shards",
         x,
         y,
@@ -427,9 +426,9 @@ def test_one_pass_read_no_slower_than_a_mapping(bench_json, tmp_path_factory):
         batch_size=COLD_READ_ROWS,
         shuffle=False,
         workers=1,
-    ).sharded
+    )
     scheme = get_scheme("TOC")
-    paths = [sharded.directory / s.filename for s in sharded.shards]
+    paths = [dataset.path / s.filename for s in dataset.shards]
     for path in paths:  # equivalence before timing; also warms the page cache
         assert scheme.decompress_bytes(read_file(path)).to_dense().tobytes() == (
             scheme.decompress_bytes(map_file(path)).to_dense().tobytes()
@@ -448,7 +447,7 @@ def test_one_pass_read_no_slower_than_a_mapping(bench_json, tmp_path_factory):
         "op": "one_pass_read",
         "n_shards": len(paths),
         "shard_rows": COLD_READ_ROWS,
-        "mean_shard_bytes": sharded.total_payload_bytes() / len(paths),
+        "mean_shard_bytes": dataset.total_payload_bytes() / len(paths),
         "read_decode_secs": read_secs,
         "map_decode_secs": map_secs,
         # Direction-neutral, like ``mmap_relative_cost``: the ceiling gates it.

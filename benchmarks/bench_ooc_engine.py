@@ -167,7 +167,7 @@ def test_train_out_of_core(benchmark, bench_json, ooc_dataset, tmp_path_factory,
         seed=0,
     )
     trainer = OutOfCoreTrainer(config, budget_ratio=0.5)
-    trainer.attach(dataset.sharded)
+    trainer.attach(dataset)
 
     def run():
         model = LogisticRegressionModel(features.shape[1], seed=0)

@@ -58,7 +58,7 @@ def median_seconds(func, repeats: int = 5) -> float:
 
 
 def show_row_slice(dataset: Dataset) -> None:
-    toc = dataset.sharded.decode(0).toc
+    toc = dataset.decode(0).toc
     encoding, tree = toc.logical, toc.decode_tree
     rows = np.random.default_rng(0).choice(encoding.n_rows, size=SELECT, replace=False)
     args = (
@@ -77,15 +77,14 @@ def show_row_slice(dataset: Dataset) -> None:
 
 
 def show_shard_reads(dataset: Dataset) -> None:
-    sharded = dataset.sharded
-    copied = sharded.decode(0, payload=bytes(sharded.read_payload(0))).to_dense()
+    copied = dataset.decode(0, payload=bytes(dataset.read_payload(0))).to_dense()
     for name, payload in (
-        ("read_payload", sharded.read_payload(0)),
-        ("map_payload", sharded.map_payload(0)),
+        ("read_payload", dataset.read_payload(0)),
+        ("map_payload", dataset.map_payload(0)),
     ):
         print(f"\n{name}(0): {type(payload).__name__} of {len(payload):,} bytes over "
               f"{type(payload.obj).__name__}")
-        decoded = sharded.decode(0, payload=payload).to_dense()
+        decoded = dataset.decode(0, payload=payload).to_dense()
         assert decoded.tobytes() == copied.tobytes()
         print(f"decoding straight from it: shard 0 -> {decoded.shape}, "
               "bit-equal to decoding a copy")

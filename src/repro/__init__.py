@@ -22,7 +22,7 @@ from repro.compression import available_schemes, get_scheme
 from repro.core import TOCMatrix, TOCVariant
 from repro.core.advisor import recommend_scheme
 from repro.data import DATASET_PROFILES, generate_dataset, split_minibatches
-from repro.engine import OutOfCoreTrainer, ShardedDataset, encode_batches
+from repro.engine import OutOfCoreTrainer, encode_batches
 from repro.ml import (
     FeedForwardNetwork,
     GradientDescentConfig,
@@ -59,7 +59,6 @@ __all__ = [
     "OneVsRestClassifier",
     "OutOfCoreTrainer",
     "PredictionService",
-    "ShardedDataset",
     "TOCMatrix",
     "TOCVariant",
     "available_schemes",

@@ -256,6 +256,8 @@ def _cmd_fsck(args: argparse.Namespace) -> int:
         print(f"{action}: {name}")
     for name in report.missing:
         print(f"MISSING (referenced by the manifest, not on disk): {name}")
+    for name in report.wrong_size:
+        print(f"WRONG SIZE (not the manifest's nbytes): {name}")
     if report.clean:
         print(f"{dataset.path}: clean ({report.examined} unreferenced entries examined)")
     else:
@@ -265,9 +267,10 @@ def _cmd_fsck(args: argparse.Namespace) -> int:
             + (" reclaimable), dry run — nothing deleted"
                if args.dry_run else " reclaimed)")
             + (f", {len(report.missing)} referenced files MISSING" if report.missing else "")
+            + (f", {len(report.wrong_size)} of the WRONG SIZE" if report.wrong_size else "")
         )
-    # Missing referenced files mean real data loss — nonzero exit for scripts.
-    return 1 if report.missing else 0
+    # Missing or damaged referenced files mean real data loss — nonzero exit for scripts.
+    return 1 if report.missing or report.wrong_size else 0
 
 
 def _cmd_train_ooc(args: argparse.Namespace) -> int:

@@ -32,7 +32,6 @@ remain importable for advanced use but are not needed day to day.
 """
 
 from repro import __version__
-from repro.api.dataset import Dataset, DatasetStats
 from repro.api.estimator import MODEL_ALIASES, Estimator, FitReport
 from repro.api.service import open_service
 from repro.cluster import (
@@ -54,7 +53,8 @@ from repro.core.calibration import (
     ensure_calibration,
 )
 from repro.data import DATASET_PROFILES, generate_dataset
-from repro.engine.compact import CompactReport, FsckReport, ShardChange
+from repro.engine.compact import CompactReport, ShardChange
+from repro.engine.shards import Dataset, DatasetStats, FsckReport
 from repro.exec import (
     Aggregate,
     Compare,

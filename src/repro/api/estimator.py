@@ -8,7 +8,7 @@ loop, and the out-of-core engine behind ``fit(data)``:
   :mod:`repro.exec`);
 * ``fit(X, y, shard_dir=...)`` shards to disk first and streams through the
   byte-budgeted buffer pool;
-* ``fit(dataset)`` on a :class:`~repro.api.dataset.Dataset` (or a shard
+* ``fit(dataset)`` on a :class:`~repro.engine.shards.Dataset` (or a shard
   directory path) always takes the out-of-core path — the backend is chosen
   by what the caller hands over, never by a flag.
 
@@ -26,12 +26,11 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 
-from repro.api.dataset import Dataset
 from repro.compression.registry import get_scheme
 from repro.core.calibration import DEFAULT_WORKLOAD, check_workload
 from repro.data.minibatch import iter_minibatch_slices
 from repro.engine.encode import AUTO_SCHEME, resolve_scheme_name
-from repro.engine.shards import ShardedDataset
+from repro.engine.shards import Dataset
 from repro.engine.trainer import OOCTrainReport, OutOfCoreTrainer
 from repro.ml.models import (
     FeedForwardNetwork,
@@ -304,8 +303,6 @@ class Estimator:
         """Coerce dataset-ish inputs; ``None`` means array-like."""
         if isinstance(data, Dataset):
             return data
-        if isinstance(data, ShardedDataset):
-            return Dataset(data)
         if isinstance(data, (str, Path)):
             if not Dataset.exists(data):
                 raise FileNotFoundError(f"no shard manifest under {data}")
@@ -319,7 +316,7 @@ class Estimator:
             budget_ratio=self.budget_ratio,
             disk_bandwidth_bytes_per_sec=self.disk_bandwidth_bytes_per_sec,
         )
-        trainer.attach(dataset.sharded)
+        trainer.attach(dataset)
         model = self._ensure_model(dataset.n_cols, reset)
         ooc = trainer.train(model, eval_fn=eval_fn)
         return FitReport(

@@ -2,7 +2,7 @@
 
 Shard directories are immutable *between* atomic manifest swaps, and every
 swap bumps the manifest's ``generation`` counter
-(:func:`repro.engine.shards.read_generation`).  A read-only serving process
+(:func:`repro.engine.shards.read_extent`).  A read-only serving process
 therefore needs exactly one background behaviour to survive maintenance: a
 poll of that counter, and a store re-open when it moves.  The watcher is a
 tiny daemon thread around any zero-argument callback —

@@ -86,7 +86,7 @@ def advise_scheme(sample_rows: np.ndarray, workload: str = DEFAULT_WORKLOAD,
 
     This one function is the whole encode-time / compact-time selection
     policy — ``scheme="auto"`` encoding and
-    :func:`repro.engine.compact.compact_dataset` both call it, so the two
+    :func:`repro.engine.compact.reencode_drifted` both call it, so the two
     can never diverge.  The winner minimises the measured cost of ``workload``
     under ``calibration`` (default: this process's).
     """

@@ -1,8 +1,8 @@
 """Epoch-level out-of-core training driver.
 
 The trainer streams an already-encoded shard directory
-(:class:`~repro.engine.shards.ShardedDataset`, written by
-:meth:`repro.api.Dataset.create`) through a byte-budgeted
+(:class:`~repro.engine.shards.Dataset`, written by
+:meth:`~repro.engine.shards.Dataset.create`) through a byte-budgeted
 :class:`~repro.storage.buffer_pool.BufferPool`, decodes each shard in order
 on the training thread, and steps it through the existing
 :class:`~repro.ml.optimizer.MiniBatchGradientDescent` loop — so any model in
@@ -16,7 +16,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field, replace
 
-from repro.engine.shards import ShardedDataset
+from repro.engine.shards import Dataset
 from repro.ml.optimizer import GradientDescentConfig, MiniBatchGradientDescent, TrainingHistory
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
@@ -80,11 +80,11 @@ class OutOfCoreTrainer:
         self.budget_bytes = budget_bytes
         self.budget_ratio = budget_ratio
         self.disk_bandwidth_bytes_per_sec = disk_bandwidth_bytes_per_sec
-        self.dataset: ShardedDataset | None = None
+        self.dataset: Dataset | None = None
         self.pool: BufferPool | None = None
         self._shard_seconds = obs_metrics.histogram("engine.train.shard_seconds")
 
-    def attach(self, dataset: ShardedDataset) -> BufferPool:
+    def attach(self, dataset: Dataset) -> BufferPool:
         """Attach a shard directory behind a fresh buffer pool.
 
         Decoding resolves per shard from the manifest, so any dataset —

@@ -16,7 +16,7 @@ The executor mirrors :mod:`repro.exec.dispatch`: an ordered registry of
 ``(predicate, reader)`` pairs resolves the scan reader for each shard's
 representation, and :func:`register_scan_reader` adds fast paths for new
 schemes without touching the executor.  :func:`scan_shards` streams a whole
-:class:`~repro.engine.shards.ShardedDataset`, each shard read once
+:class:`~repro.engine.shards.Dataset`, each shard read once
 from its file, into the per-shard scan, combining selections (with an early-exit ``limit``) or aggregate partials
 across shards.
 """

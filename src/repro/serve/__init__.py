@@ -7,7 +7,7 @@ plus a shard directory into a high-throughput prediction service:
 1. **checkpoint** — versioned save/load for the :mod:`repro.ml` models and a
    :class:`ModelRegistry` resolving pinned and ``"latest"`` versions;
 2. **feature store** — point and bulk row lookups over a
-   :class:`~repro.engine.shards.ShardedDataset`, each shard file mapped
+   :class:`~repro.engine.shards.Dataset`, each shard file mapped
    directly and a few parsed shards kept (decode-on-demand, never the whole
    dataset);
 3. **micro-batcher** — the one request pipeline: a bounded queue coalescing

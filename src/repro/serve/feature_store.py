@@ -5,8 +5,8 @@ feature store maps global row ids onto (shard, local row) with the manifest
 row counts — :meth:`FeatureStore.locate` for one id,
 :meth:`FeatureStore.locate_rows` for a whole request in one vectorised,
 range-checked step — maps each shard file on first touch
-(:meth:`repro.engine.shards.ShardedDataset.map_payload`), and resolves the decoder *per
-shard* from the manifest (so mixed-scheme directories serve exactly like
+(:meth:`repro.engine.shards.Dataset.map_payload`), and resolves the decoder
+*per shard* from the manifest (so mixed-scheme directories serve exactly like
 uniform ones).
 
 It hands a shard out in two ways.  :meth:`FeatureStore.parsed` is the shard
@@ -50,7 +50,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from repro.engine.shards import (
-    ShardedDataset,
+    Dataset,
     as_row_id,
     group_by_shard,
     locate_rows,
@@ -96,15 +96,15 @@ class FeatureStoreStats:
 
 
 class FeatureStore:
-    """Point and bulk row access over a :class:`ShardedDataset`.
+    """Point and bulk row access over a :class:`~repro.engine.shards.Dataset`.
 
     Parameters
     ----------
     dataset:
-        An open shard directory (:meth:`repro.engine.shards.ShardedDataset.open`).
+        An open shard directory (:meth:`repro.engine.shards.Dataset.open`).
     """
 
-    def __init__(self, dataset: ShardedDataset):
+    def __init__(self, dataset: Dataset):
         self.dataset = dataset
         #: LRU of parsed ``CompressedMatrix`` objects keyed by batch id.
         self._parsed: LRUCache = LRUCache(PARSED_CACHE_SHARDS)
@@ -129,7 +129,7 @@ class FeatureStore:
     @classmethod
     def open(cls, directory) -> "FeatureStore":
         """Open a shard directory and build a store over it."""
-        return cls(ShardedDataset.open(directory))
+        return cls(Dataset.open(directory))
 
     # -- geometry -------------------------------------------------------------
 

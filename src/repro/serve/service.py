@@ -65,7 +65,7 @@ import numpy as np
 from repro.engine.shards import (
     as_row_id,
     check_row_ids,
-    read_generation,
+    read_extent,
     row_id_array,
     row_out_of_range,
 )
@@ -549,7 +549,7 @@ class PredictionService:
         if self.store is None:
             return False
         with self._reopen_lock:
-            reopened = FeatureStore.open(self.store.dataset.directory)
+            reopened = FeatureStore.open(self.store.dataset.path)
             with self._lock:
                 self._serving = _Serving(reopened)
                 self._rows_filled.set(0)
@@ -566,7 +566,7 @@ class PredictionService:
         if store is None:
             return False
         try:
-            current = read_generation(store.dataset.directory)
+            current, _ = read_extent(store.dataset.path)
         except (FileNotFoundError, ValueError):
             return False  # mid-swap or gone; the retry path covers races
         if current == store.dataset.generation:

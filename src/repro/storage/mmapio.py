@@ -15,7 +15,7 @@ A shard file is read one of two ways, chosen by how long the reader keeps it:
   buffer export keeps the mapping (and the pages) alive, so the file
   descriptor is closed immediately and callers treat the view like bytes.
   Empty files cannot be mapped — they come back as ``memoryview(b"")``.
-  ``ShardedDataset.map_payload`` is its one caller in the package.
+  ``Dataset.map_payload`` is its one caller in the package.
 
 A mapping stays valid because shard files are never rewritten in place:
 writers publish each payload under its name with :func:`publish_file`

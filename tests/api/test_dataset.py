@@ -11,7 +11,7 @@ from repro.api import Dataset, Estimator
 from repro.core.advisor import recommend_scheme
 from repro.core.calibration import CALIBRATION_NAME, Calibration
 from repro.data.registry import DATASET_PROFILES
-from repro.engine.shards import MANIFEST_NAME, ShardedDataset
+from repro.engine.shards import MANIFEST_NAME
 from repro.engine.trainer import OutOfCoreTrainer
 from repro.ml.models import LogisticRegressionModel
 from repro.ml.optimizer import GradientDescentConfig
@@ -134,7 +134,7 @@ class TestCompact:
         assert all(row["scheme"] != "DEN" for row in manifest["shards"])
 
         # The trainer streams the compacted directory...
-        reopened = ShardedDataset.open(dataset.path)
+        reopened = Dataset.open(dataset.path)
         trainer = OutOfCoreTrainer(
             GradientDescentConfig(batch_size=100, epochs=1, learning_rate=0.3)
         )
@@ -155,12 +155,12 @@ class TestCompact:
         assert first.changed
 
         manifest_before = (dataset.path / MANIFEST_NAME).read_text()
-        payloads_before = [dataset.sharded.read_payload(i) for i in range(len(dataset))]
+        payloads_before = [dataset.read_payload(i) for i in range(len(dataset))]
         second = dataset.compact()
         assert not second.changed
         assert second.n_reencoded == 0
         assert second.payload_bytes_after == first.payload_bytes_after
-        assert [dataset.sharded.read_payload(i) for i in range(len(dataset))] == payloads_before
+        assert [dataset.read_payload(i) for i in range(len(dataset))] == payloads_before
         # The manifest rewrite is byte-identical modulo nothing: same content.
         assert json.loads((dataset.path / MANIFEST_NAME).read_text()) == json.loads(
             manifest_before
@@ -168,9 +168,9 @@ class TestCompact:
 
     def test_compact_removes_superseded_shard_files(self, drifted):
         dataset = drifted
-        old_files = [s.filename for s in dataset.sharded.shards]
+        old_files = [s.filename for s in dataset.shards]
         dataset.compact()
-        new_files = [s.filename for s in dataset.sharded.shards]
+        new_files = [s.filename for s in dataset.shards]
         assert set(old_files).isdisjoint(new_files)  # staged under new names
         for filename in old_files:
             assert not (dataset.path / filename).exists()  # cleaned after swap

@@ -12,6 +12,8 @@ import pytest
 
 from repro.api import Dataset, FsckReport, ScanResult
 from repro.compression.registry import available_schemes
+from repro.engine import shards
+from repro.engine.shards import MANIFEST_NAME
 from repro.exec.predicates import COMPARE_OPS, Compare
 
 ALL_SCHEMES = available_schemes()
@@ -82,7 +84,7 @@ class TestScanProperty:
             tmp_path / "mixed", features, labels, scheme=schemes, batch_size=20,
             shuffle=False, workers=1,
         )
-        assert dataset.is_mixed if hasattr(dataset, "is_mixed") else True
+        assert dataset.scheme == "mixed"
         rng = np.random.default_rng(99)
         for _ in range(6):
             predicate = random_predicate(rng, features.shape[1])
@@ -233,26 +235,38 @@ class TestFsck:
     ):
         features, labels = quantised_features
         dataset = _make(tmp_path, features, labels, "DEN")
-        victim = dataset.sharded.shards[1].filename
+        victim = dataset.shards[1].filename
         (dataset.path / victim).unlink()
         report = dataset.fsck()
         assert report.missing == (victim,)
         assert not report.clean
 
-    def test_interrupted_compact_leftovers(self, tmp_path, quantised_features):
+    def test_interrupted_compact_leftovers(
+        self, tmp_path, quantised_features, monkeypatch, pin_calibration
+    ):
         """A staged-but-unpublished generation is exactly what fsck removes."""
         features, labels = quantised_features
         dataset = _make(tmp_path, features, labels, "DEN")
-        # Stage a re-encode without rewriting the manifest — a mid-compact crash.
-        sharded = dataset.sharded
-        old_name = sharded.shards[0].filename
-        payload = (dataset.path / old_name).read_bytes()
-        sharded.stage_shard(0, payload, "DEN")
-        staged_name = sharded.shards[0].filename
-        assert staged_name != old_name
-        # A reopened handle (the manifest still names the old file) sees the
-        # staged generation as the orphan.
+        pin_calibration(dataset.path, {"TOC": 1e-9})
+        old_names = [s.filename for s in dataset.shards]
+        # A compaction that crashes after staging its re-encodes, before the manifest swap.
+        publish = shards.publish_file
+
+        def crash(path, payload):
+            if path.name == MANIFEST_NAME:
+                raise OSError("crashed before the manifest swap")
+            publish(path, payload)
+
+        monkeypatch.setattr(shards, "publish_file", crash)
+        with pytest.raises(OSError, match="crashed"):
+            dataset.compact(workers=1)
+        monkeypatch.undo()
+        staged = {p.name for p in dataset.path.glob("shard-*")} - set(old_names)
+        assert staged == {name.replace(".bin", ".g1.bin") for name in old_names}
+        # The handle and a reopened one (the manifest still names the old
+        # files) both see the staged generations as the orphans.
+        assert [s.filename for s in dataset.shards] == old_names
         reopened = Dataset.open(dataset.path)
         report = reopened.fsck()
-        assert staged_name in report.removed
+        assert set(report.removed) == staged
         assert reopened.scan(agg="count").aggregates["count"] == features.shape[0]

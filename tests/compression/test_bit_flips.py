@@ -98,10 +98,10 @@ def test_indexed_bit_flips_raise_only_encoding_errors(scheme):
 
 def test_a_shard_that_decodes_to_another_shape_is_refused(tmp_path):
     from repro.compression.toc_scheme import TOCCompressedMatrix
-    from repro.engine.shards import ShardedDataset
+    from repro.engine.shards import Dataset
 
     x, y = DATASET_PROFILES["census"].classification(100, seed=0)
-    dataset = ShardedDataset.create(tmp_path, [(x[:50], y[:50]), (x[50:], y[50:])], "TOC",
+    dataset = Dataset.create(tmp_path, [(x[:50], y[:50]), (x[50:], y[50:])], scheme="TOC",
                                     workers=1)
     short = TOCCompressedMatrix.compress(x[50:99]).to_bytes()  # one row short
     # Handed over (as a pool or a feature store hands its bytes), the shape is checked ...
@@ -110,7 +110,7 @@ def test_a_shard_that_decodes_to_another_shape_is_refused(tmp_path):
     # ... and read from disk, the file's length is checked before it is parsed.
     (tmp_path / dataset.shards[1].filename).write_bytes(short)
     with pytest.raises(EncodingError, match=f"holds {len(short)} bytes; the manifest records"):
-        ShardedDataset.open(tmp_path).decode(1)
+        Dataset.open(tmp_path).decode(1)
 
 
 @pytest.mark.parametrize("matrix_type", [GzipMatrix, SnappyLikeMatrix])

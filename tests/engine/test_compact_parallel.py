@@ -8,7 +8,7 @@ import pytest
 from repro.api import Dataset
 from repro.compression.registry import available_schemes, get_scheme
 from repro.data.registry import DATASET_PROFILES
-from repro.engine.compact import _sample_rows, fsck_dataset
+from repro.engine.compact import _sample_rows
 
 
 @pytest.fixture(scope="module")
@@ -47,7 +47,7 @@ class TestMaxShardsBudget:
         assert report.n_reencoded == 2
         assert report.deferred == 2
         # The untouched shards stay DEN until a later pass.
-        schemes = [s.scheme for s in drifted.sharded.shards]
+        schemes = [s.scheme for s in drifted.shards]
         assert schemes.count("DEN") == 2
 
     def test_budgeted_passes_converge(self, drifted):
@@ -57,13 +57,13 @@ class TestMaxShardsBudget:
         assert (first.n_reencoded, first.deferred) == (2, 2)
         assert (second.n_reencoded, second.deferred) == (2, 0)
         assert not third.changed
-        assert all(s.scheme != "DEN" for s in drifted.sharded.shards)
+        assert all(s.scheme != "DEN" for s in drifted.shards)
 
     def test_zero_budget_is_an_advise_only_pass(self, drifted):
         report = drifted.compact(max_shards=0, workers=1)
         assert report.n_reencoded == 0
         assert report.deferred == 4
-        assert all(s.scheme == "DEN" for s in drifted.sharded.shards)
+        assert all(s.scheme == "DEN" for s in drifted.shards)
 
     def test_negative_budget_rejected(self, drifted):
         with pytest.raises(ValueError, match="max_shards"):
@@ -72,7 +72,7 @@ class TestMaxShardsBudget:
     def test_budgeted_pass_leaves_directory_consistent(self, drifted):
         before = np.vstack([m.to_dense() for m, _ in drifted.batches()])
         drifted.compact(max_shards=1, workers=1)
-        assert fsck_dataset(drifted.sharded, remove=False).clean
+        assert drifted.fsck(remove=False).clean
         reopened = Dataset.open(drifted.path)
         decoded = np.vstack([m.to_dense() for m, _ in reopened.batches()])
         np.testing.assert_allclose(decoded, before)
@@ -97,7 +97,7 @@ class TestExecutors:
             decoded = np.vstack([m.to_dense() for m, _ in reopened.batches()])
             np.testing.assert_allclose(decoded, before)
             payloads[workers] = [
-                (reopened.path / s.filename).read_bytes() for s in reopened.sharded.shards
+                (reopened.path / s.filename).read_bytes() for s in reopened.shards
             ]
         assert len(pool_spy) == 1
         assert payloads[1] == payloads[2]

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.data.registry import DATASET_PROFILES
-from repro.engine.shards import MANIFEST_NAME, ShardedDataset
+from repro.engine.shards import MANIFEST_NAME, Dataset
 from repro.engine.trainer import OutOfCoreTrainer
 from repro.ml.models import LogisticRegressionModel
 from repro.ml.optimizer import GradientDescentConfig
@@ -46,12 +46,11 @@ def downgrade_manifest_to_v1(directory) -> None:
 
 class TestManifestMigration:
     def test_v1_manifest_loads_with_per_shard_schemes(self, tmp_path, batches):
-        ShardedDataset.create(tmp_path, batches, "TOC", workers=1)
+        Dataset.create(tmp_path, batches, scheme="TOC", workers=1)
         downgrade_manifest_to_v1(tmp_path)
 
-        dataset = ShardedDataset.open(tmp_path)
-        assert dataset.scheme_name == "TOC"
-        assert not dataset.is_mixed
+        dataset = Dataset.open(tmp_path)
+        assert dataset.scheme == "TOC"
         assert all(shard.scheme == "TOC" for shard in dataset.shards)
         for batch_id, (features, labels) in enumerate(batches):
             np.testing.assert_allclose(dataset.decode(batch_id).to_dense(), features)
@@ -60,25 +59,25 @@ class TestManifestMigration:
     def test_v1_and_v2_train_identically(self, tmp_path, batches):
         """Same shards, different manifest generation: identical parameters."""
         v2_dir, v1_dir = tmp_path / "v2", tmp_path / "v1"
-        ShardedDataset.create(v2_dir, batches, "TOC", workers=1)
-        ShardedDataset.create(v1_dir, batches, "TOC", workers=1)
+        Dataset.create(v2_dir, batches, scheme="TOC", workers=1)
+        Dataset.create(v1_dir, batches, scheme="TOC", workers=1)
         downgrade_manifest_to_v1(v1_dir)
 
         config = GradientDescentConfig(batch_size=60, epochs=2, learning_rate=0.3)
         parameters = []
         for directory in (v2_dir, v1_dir):
             trainer = OutOfCoreTrainer(config, budget_ratio=0.5)
-            trainer.attach(ShardedDataset.open(directory))
+            trainer.attach(Dataset.open(directory))
             model = LogisticRegressionModel(batches[0][0].shape[1], seed=0)
             trainer.train(model)
             parameters.append(model.get_parameters())
         np.testing.assert_array_equal(parameters[0], parameters[1])
 
     def test_unknown_format_version_rejected(self, tmp_path, batches):
-        ShardedDataset.create(tmp_path, batches, "TOC", workers=1)
+        Dataset.create(tmp_path, batches, scheme="TOC", workers=1)
         path = tmp_path / MANIFEST_NAME
         manifest = json.loads(path.read_text())
         manifest["format_version"] = 99
         path.write_text(json.dumps(manifest))
         with pytest.raises(ValueError, match="unsupported shard format"):
-            ShardedDataset.open(tmp_path)
+            Dataset.open(tmp_path)

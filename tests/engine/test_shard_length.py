@@ -1,6 +1,6 @@
 """A shard file of the wrong length is an ``EncodingError`` on every read path.
 
-The manifest records each shard's ``nbytes``; ``ShardedDataset.read_payload``
+The manifest records each shard's ``nbytes``; ``Dataset.read_payload``
 and ``map_payload`` hold the file to it before any scheme parses a byte.
 Without that check a DEN or CLA shard 8 bytes short raised NumPy's untyped
 ``ValueError``, and DEN, CLA, Snappy and Gzip decoded a shard with 8 bytes of
@@ -52,7 +52,7 @@ def damaged(request, tmp_path_factory):
     dataset = Dataset.create(
         directory, x, y, scheme=scheme, batch_size=100, shuffle=False, workers=1
     )
-    path = directory / dataset.sharded.shards[0].filename
+    path = directory / dataset.shards[0].filename
     payload = path.read_bytes()
     path.write_bytes(payload[:delta] if delta < 0 else payload + bytes(range(delta)))
     return directory, len(payload), len(payload) + delta

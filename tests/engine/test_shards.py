@@ -12,10 +12,9 @@ import numpy as np
 import pytest
 
 import repro
-from repro.api import Dataset
 from repro.compression.registry import get_scheme
 from repro.data.registry import DATASET_PROFILES
-from repro.engine.compact import fsck_dataset
+from repro.engine import shards
 from repro.engine.encode import (
     AUTO_SCHEME,
     encode_batches,
@@ -28,9 +27,8 @@ from repro.engine.shards import (
     LABELS_NAME,
     MANIFEST_NAME,
     MIXED_SCHEME,
-    ShardedDataset,
+    Dataset,
     read_extent,
-    read_generation,
 )
 from repro.obs import trace as obs_trace
 from repro.storage.buffer_pool import BufferPool
@@ -102,7 +100,7 @@ class TestEncodeProvenance:
         self, tmp_path, small_batches, pool_spy, workers
     ):
         obs_trace.clear()
-        dataset = ShardedDataset.create(tmp_path, small_batches, "TOC", workers=workers)
+        dataset = Dataset.create(tmp_path, small_batches, scheme="TOC", workers=workers)
         ran = "process" if pool_spy else "serial"
         assert ran == ("process" if workers > 1 else "serial")
         assert dataset.encode_executor == ran
@@ -114,11 +112,11 @@ class TestEncodeProvenance:
         del pool_spy[:]
         dataset.append(small_batches[:1], workers=workers)
         ran = "process" if pool_spy else "serial"
-        assert ShardedDataset.open(tmp_path).encode_executor == ran
+        assert Dataset.open(tmp_path).encode_executor == ran
 
     def test_a_one_batch_append_enters_no_pool(self, tmp_path, small_batches, pool_spy):
         # Default workers on a two-CPU box, but one batch is one task.
-        dataset = Dataset(ShardedDataset.create(tmp_path, small_batches, "TOC", workers=1))
+        dataset = Dataset.create(tmp_path, small_batches, scheme="TOC", workers=1)
         features, labels = small_batches[0]
         (added,) = dataset.append(features, labels)
         assert added.n_rows == features.shape[0]
@@ -127,11 +125,11 @@ class TestEncodeProvenance:
         assert manifest["encode_executor"] == "serial"
 
     def test_a_thread_era_manifest_still_opens(self, tmp_path, small_batches):
-        ShardedDataset.create(tmp_path, small_batches, "TOC", workers=1)
+        Dataset.create(tmp_path, small_batches, scheme="TOC", workers=1)
         manifest = json.loads((tmp_path / MANIFEST_NAME).read_text())
         manifest["encode_executor"] = "thread"
         (tmp_path / MANIFEST_NAME).write_text(json.dumps(manifest))
-        reopened = ShardedDataset.open(tmp_path)
+        reopened = Dataset.open(tmp_path)
         assert reopened.encode_executor == "thread"
         np.testing.assert_allclose(reopened.decode(0).to_dense(), small_batches[0][0])
 
@@ -176,11 +174,11 @@ class TestAutoSchemeEncode:
             encode_batches(feats, ["TOC"], workers=1)
 
 
-class TestShardedDataset:
+class TestDataset:
     def test_create_open_round_trip(self, tmp_path, small_batches):
-        created = ShardedDataset.create(tmp_path, small_batches, "TOC", workers=1)
-        reopened = ShardedDataset.open(tmp_path)
-        assert reopened.scheme_name == "TOC"
+        created = Dataset.create(tmp_path, small_batches, scheme="TOC", workers=1)
+        reopened = Dataset.open(tmp_path)
+        assert reopened.scheme == "TOC"
         assert len(reopened) == len(small_batches)
         assert reopened.payload_sizes() == created.payload_sizes()
         assert reopened.n_examples == sum(x.shape[0] for x, _ in small_batches)
@@ -192,15 +190,15 @@ class TestShardedDataset:
             np.testing.assert_array_equal(reopened.labels_for(batch_id), labels)
 
     def test_physical_bytes_include_fudge_factor(self, tmp_path, small_batches):
-        dataset = ShardedDataset.create(tmp_path, small_batches, "TOC", workers=1)
+        dataset = Dataset.create(tmp_path, small_batches, scheme="TOC", workers=1)
         assert dataset.physical_bytes() >= dataset.total_payload_bytes()
 
     def test_open_missing_directory_fails(self, tmp_path):
         with pytest.raises(FileNotFoundError):
-            ShardedDataset.open(tmp_path / "nope")
+            Dataset.open(tmp_path / "nope")
 
     def test_attach_serves_bytes_through_pool(self, tmp_path, small_batches):
-        dataset = ShardedDataset.create(tmp_path, small_batches, "TOC", workers=1)
+        dataset = Dataset.create(tmp_path, small_batches, scheme="TOC", workers=1)
         pool = BufferPool(budget_bytes=10 * dataset.total_payload_bytes())
         dataset.attach(pool)
         for batch_id in range(len(dataset)):
@@ -212,7 +210,7 @@ class TestShardedDataset:
         assert pool.stats.misses == len(dataset)
 
     def test_pool_smaller_than_shard_set_evicts_and_rereads(self, tmp_path, small_batches):
-        dataset = ShardedDataset.create(tmp_path, small_batches, "TOC", workers=1)
+        dataset = Dataset.create(tmp_path, small_batches, scheme="TOC", workers=1)
         sizes = dataset.payload_sizes()
         # Room for roughly two shards: the cyclic scan must keep missing.
         pool = BufferPool(budget_bytes=sizes[0] + sizes[1] + 1)
@@ -229,19 +227,18 @@ class TestShardedDataset:
     def test_manifest_records_scheme_per_shard(self, tmp_path, small_batches):
         import json
 
-        ShardedDataset.create(tmp_path, small_batches, "TOC", workers=1)
+        Dataset.create(tmp_path, small_batches, scheme="TOC", workers=1)
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["format_version"] == 2
         assert manifest["scheme"] == "TOC"
         assert all(row["scheme"] == "TOC" for row in manifest["shards"])
 
     def test_auto_create_open_round_trip(self, tmp_path, mixed_batches):
-        created = ShardedDataset.create(tmp_path, mixed_batches, AUTO_SCHEME, workers=1)
-        assert created.is_mixed
-        assert created.scheme_name == MIXED_SCHEME
+        created = Dataset.create(tmp_path, mixed_batches, scheme=AUTO_SCHEME, workers=1)
+        assert created.scheme == MIXED_SCHEME
         assert sum(created.scheme_counts().values()) == len(mixed_batches)
 
-        reopened = ShardedDataset.open(tmp_path)
+        reopened = Dataset.open(tmp_path)
         assert reopened.requested_scheme == AUTO_SCHEME
         assert [s.scheme for s in reopened.shards] == [s.scheme for s in created.shards]
         for batch_id, (features, _) in enumerate(mixed_batches):
@@ -250,12 +247,12 @@ class TestShardedDataset:
             np.testing.assert_allclose(decoded.to_dense(), features)
 
     def test_scheme_for_caches_instances(self, tmp_path, small_batches):
-        dataset = ShardedDataset.create(tmp_path, small_batches, "TOC", workers=1)
+        dataset = Dataset.create(tmp_path, small_batches, scheme="TOC", workers=1)
         assert dataset.scheme_for(0) is dataset.scheme_for(1)
         assert dataset.scheme_for(0).name == "TOC"
 
     def test_append_extends_manifest_and_labels(self, tmp_path, small_batches):
-        dataset = ShardedDataset.create(tmp_path, small_batches, "TOC", workers=1)
+        dataset = Dataset.create(tmp_path, small_batches, scheme="TOC", workers=1)
         n_before = len(dataset)
         rng = np.random.default_rng(9)
         extra_x = rng.random((40, small_batches[0][0].shape[1]))
@@ -264,13 +261,13 @@ class TestShardedDataset:
 
         assert [info.batch_id for info in added] == [n_before]
         assert added[0].scheme == "TOC"  # default: the dataset's requested scheme
-        reopened = ShardedDataset.open(tmp_path)
+        reopened = Dataset.open(tmp_path)
         assert len(reopened) == n_before + 1
         np.testing.assert_allclose(reopened.decode(n_before).to_dense(), extra_x)
         np.testing.assert_array_equal(reopened.labels_for(n_before), extra_y)
 
     def test_append_rejects_mismatched_width(self, tmp_path, small_batches):
-        dataset = ShardedDataset.create(tmp_path, small_batches, "TOC", workers=1)
+        dataset = Dataset.create(tmp_path, small_batches, scheme="TOC", workers=1)
         bad = np.zeros((4, small_batches[0][0].shape[1] + 1))
         with pytest.raises(ValueError, match="columns"):
             dataset.append([(bad, np.zeros(4))], workers=1)
@@ -283,7 +280,7 @@ class TestShardedDataset:
         either rename reopens the old shards with the old labels."""
         from repro.storage import mmapio
 
-        dataset = ShardedDataset.create(tmp_path, small_batches, "TOC", workers=1)
+        dataset = Dataset.create(tmp_path, small_batches, scheme="TOC", workers=1)
         n_before = len(dataset)
         replace = mmapio.os.replace
 
@@ -298,43 +295,58 @@ class TestShardedDataset:
             dataset.append([extra], workers=1)
         monkeypatch.undo()
 
-        reopened = ShardedDataset.open(tmp_path)
+        reopened = Dataset.open(tmp_path)
         assert len(reopened) == n_before
         for batch_id, (features, labels) in enumerate(small_batches):
             np.testing.assert_allclose(reopened.decode(batch_id).to_dense(), features)
             np.testing.assert_array_equal(reopened.labels_for(batch_id), labels)
 
     def test_create_and_append_leave_no_temporary_files(self, tmp_path, small_batches):
-        dataset = ShardedDataset.create(tmp_path, small_batches, "TOC", workers=1)
+        dataset = Dataset.create(tmp_path, small_batches, scheme="TOC", workers=1)
         dataset.append(small_batches[:1], workers=1)
         assert [p.name for p in tmp_path.iterdir() if p.name.startswith(".")] == []
 
-    def test_stage_shard_publishes_on_manifest_swap(self, tmp_path, small_batches):
-        dataset = ShardedDataset.create(tmp_path, small_batches, "TOC", workers=1)
+    def test_a_crashed_compaction_leaves_the_old_files_live(
+        self, tmp_path, small_batches, monkeypatch, pin_calibration
+    ):
+        dataset = Dataset.create(tmp_path, small_batches, scheme="DEN", workers=1)
+        pin_calibration(tmp_path, {"TOC": 1e-9})
         dense = dataset.decode(0).to_dense()
-        payload = get_scheme("DEN").compress(dense).to_bytes()
-        info = dataset.stage_shard(0, payload, "DEN")
-        assert info.nbytes == len(payload)
-        assert info.filename == "shard-00000.g1.bin"
+        publish = shards.publish_file
+
+        def crash(path, payload):
+            if path.name == MANIFEST_NAME:
+                raise OSError("crashed before the manifest swap")
+            publish(path, payload)
+
+        monkeypatch.setattr(shards, "publish_file", crash)
+        with pytest.raises(OSError, match="crashed"):
+            dataset.compact(workers=1)
+        monkeypatch.undo()
 
         # Crash window: the staged file exists but the manifest was not yet
         # swapped — readers still decode the OLD file with the OLD scheme.
-        crashed = ShardedDataset.open(tmp_path)
-        assert crashed.shards[0].scheme == "TOC"
+        assert (tmp_path / "shard-00000.g1.bin").exists()
+        crashed = Dataset.open(tmp_path)
+        assert crashed.shards[0].scheme == "DEN"
         np.testing.assert_allclose(crashed.decode(0).to_dense(), dense)
 
-        dataset.rewrite_manifest()
-        reopened = ShardedDataset.open(tmp_path)
-        assert reopened.shards[0].scheme == "DEN"
+        dataset.compact(workers=1)
+        reopened = Dataset.open(tmp_path)
+        assert reopened.shards[0].scheme == "TOC"
         assert reopened.shards[0].filename == "shard-00000.g1.bin"
         np.testing.assert_allclose(reopened.decode(0).to_dense(), dense)
 
-    def test_stage_shard_generation_counter_increments(self, tmp_path, small_batches):
-        dataset = ShardedDataset.create(tmp_path, small_batches, "TOC", workers=1)
-        dense = dataset.decode(0).to_dense()
-        dataset.stage_shard(0, get_scheme("DEN").compress(dense).to_bytes(), "DEN")
-        info = dataset.stage_shard(0, get_scheme("CSR").compress(dense).to_bytes(), "CSR")
-        assert info.filename == "shard-00000.g2.bin"
+    def test_each_rewrite_takes_the_next_generation_filename(
+        self, tmp_path, small_batches, pin_calibration
+    ):
+        dataset = Dataset.create(tmp_path, small_batches, scheme="DEN", workers=1)
+        pin_calibration(tmp_path, {"TOC": 1e-9})
+        dataset.compact(workers=1)
+        pin_calibration(tmp_path, {"CSR": 1e-9})
+        dataset.compact(workers=1)
+        assert dataset.shards[0].filename == "shard-00000.g2.bin"
+        assert dataset.shards[0].scheme == "CSR"
 
 
 #: Two handles on one directory: A appends shard 2, a store serves it, then
@@ -345,15 +357,15 @@ _TWO_WRITERS = """
 import sys
 import numpy as np
 from repro.data.registry import DATASET_PROFILES
-from repro.engine.shards import ShardedDataset
+from repro.engine.shards import Dataset
 from repro.obs import metrics
 from repro.serve import feature_store
 
 root = sys.argv[1]
 x, y = DATASET_PROFILES["census"].classification(902, seed=3)
-ShardedDataset.create(root, [(x[:300], y[:300]), (x[300:600], y[300:600])], "TOC",
+Dataset.create(root, [(x[:300], y[:300]), (x[300:600], y[300:600])], scheme="TOC",
                       workers=1)
-a, b = ShardedDataset.open(root), ShardedDataset.open(root)
+a, b = Dataset.open(root), Dataset.open(root)
 a.append([(x[600:900], y[600:900])], workers=1)
 feature_store.PARSED_CACHE_SHARDS = 1
 store = feature_store.FeatureStore.open(root)
@@ -384,40 +396,39 @@ def test_stale_writer_never_rewrites_a_mapped_shard_in_place(tmp_path):
 
 
 def test_fsck_sweeps_an_unpublished_shard_payload(tmp_path, small_batches):
-    dataset = ShardedDataset.create(tmp_path, small_batches, "TOC", workers=1)
+    dataset = Dataset.create(tmp_path, small_batches, scheme="TOC", workers=1)
     leftover = tmp_path / ".shard-00004.bin.tmp"
     leftover.write_bytes(b"interrupted append")
-    report = fsck_dataset(dataset)
+    report = dataset.fsck()
     assert report.removed == (".shard-00004.bin.tmp",)
     assert not leftover.exists()
 
 
 class TestManifestGeneration:
     def test_create_publishes_generation_one(self, tmp_path, small_batches):
-        dataset = ShardedDataset.create(tmp_path, small_batches, "TOC", workers=1)
+        dataset = Dataset.create(tmp_path, small_batches, scheme="TOC", workers=1)
         assert dataset.generation == 1
-        assert read_generation(tmp_path) == 1
-        assert ShardedDataset.open(tmp_path).generation == 1
+        assert read_extent(tmp_path)[0] == 1
+        assert Dataset.open(tmp_path).generation == 1
 
     def test_every_manifest_swap_bumps_the_generation(self, tmp_path, small_batches):
-        dataset = ShardedDataset.create(tmp_path, small_batches, "TOC", workers=1)
+        dataset = Dataset.create(tmp_path, small_batches, scheme="TOC", workers=1)
         before = dataset.generation
         dataset.append([small_batches[0]], workers=1)
         assert dataset.generation == before + 1
-        assert read_generation(tmp_path) == before + 1
         assert read_extent(tmp_path) == (before + 1, dataset.n_examples)
-        dataset.rewrite_manifest()
-        assert read_generation(tmp_path) == before + 2
+        dataset.append([small_batches[1]], workers=1)
+        assert read_extent(tmp_path) == (before + 2, dataset.n_examples)
 
-    def test_read_generation_without_manifest_raises(self, tmp_path):
+    def test_read_extent_without_manifest_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):
-            read_generation(tmp_path)
+            read_extent(tmp_path)
 
     def test_pre_generation_manifest_reads_as_zero(self, tmp_path, small_batches):
-        ShardedDataset.create(tmp_path, small_batches, "TOC", workers=1)
+        Dataset.create(tmp_path, small_batches, scheme="TOC", workers=1)
         manifest_path = tmp_path / MANIFEST_NAME
         manifest = json.loads(manifest_path.read_text())
         del manifest["generation"]
         manifest_path.write_text(json.dumps(manifest))
-        assert read_generation(tmp_path) == 0
-        assert ShardedDataset.open(tmp_path).generation == 0
+        assert read_extent(tmp_path)[0] == 0
+        assert Dataset.open(tmp_path).generation == 0

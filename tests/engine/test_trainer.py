@@ -10,7 +10,7 @@ import pytest
 from repro.compression.registry import get_scheme
 from repro.data.minibatch import split_minibatches
 from repro.data.registry import DATASET_PROFILES
-from repro.engine.shards import ShardedDataset
+from repro.engine.shards import Dataset
 from repro.engine.trainer import OutOfCoreTrainer
 from repro.ml.models import LogisticRegressionModel
 from repro.ml.optimizer import GradientDescentConfig, MiniBatchGradientDescent
@@ -26,13 +26,13 @@ def config():
     return GradientDescentConfig(batch_size=100, epochs=2, learning_rate=0.3, shuffle_seed=0)
 
 
-def _shard(directory, features, labels, config, scheme="TOC") -> ShardedDataset:
+def _shard(directory, features, labels, config, scheme="TOC") -> Dataset:
     """Shuffle once with the config's seed and encode in this process."""
     batches = split_minibatches(
         features, labels, batch_size=config.batch_size, shuffle=True,
         seed=config.shuffle_seed,
     )
-    return ShardedDataset.create(directory, batches, scheme, workers=1)
+    return Dataset.create(directory, batches, scheme=scheme, workers=1)
 
 
 def _attached(directory, dataset, config, **budget) -> OutOfCoreTrainer:
@@ -98,7 +98,7 @@ class TestOutOfCoreTrainer:
         _shard(tmp_path, features, labels, config)
 
         second = OutOfCoreTrainer(config, budget_ratio=0.5)
-        second.attach(ShardedDataset.open(tmp_path))
+        second.attach(Dataset.open(tmp_path))
         report = second.train(LogisticRegressionModel(features.shape[1], seed=0))
         assert len(report.history.epoch_losses) == config.epochs
 
@@ -148,15 +148,15 @@ class TestAdaptiveScheme:
         labels = (rng.random(90) < 0.5).astype(np.float64)
         batches = [(sparse, labels), (dense, labels), (sparse.copy(), labels)]
         directory = tmp_path_factory.mktemp("auto-shards")
-        created = ShardedDataset.create(directory, batches, "auto", workers=1)
+        created = Dataset.create(directory, batches, scheme="auto", workers=1)
         return directory, batches, created
 
     def test_trainer_trains_over_mixed_shards(self, mixed_dataset, config):
         directory, batches, created = mixed_dataset
-        assert created.is_mixed  # the fixture data must actually split
+        assert created.scheme == "mixed"  # the fixture data must actually split
 
         trainer = OutOfCoreTrainer(config, budget_ratio=0.5)
-        trainer.attach(ShardedDataset.open(directory))
+        trainer.attach(Dataset.open(directory))
         model = LogisticRegressionModel(batches[0][0].shape[1], seed=0)
         report = trainer.train(model)
         assert len(report.history.epoch_losses) == config.epochs
@@ -166,7 +166,7 @@ class TestAdaptiveScheme:
         """Per-shard decoding is exact: same updates as in-memory batches."""
         directory, batches, _ = mixed_dataset
         trainer = OutOfCoreTrainer(config, budget_ratio=10.0)
-        trainer.attach(ShardedDataset.open(directory))
+        trainer.attach(Dataset.open(directory))
         model = LogisticRegressionModel(batches[0][0].shape[1], seed=0)
         trainer.train(model)
 

@@ -20,7 +20,7 @@ from repro.compression.registry import get_scheme
 from repro.core.toc import TOCMatrix
 from repro.data.minibatch import split_minibatches
 from repro.data.registry import DATASET_PROFILES
-from repro.engine.shards import ShardedDataset
+from repro.engine.shards import Dataset
 from repro.engine.trainer import OutOfCoreTrainer
 from repro.ml.models import LogisticRegressionModel
 from repro.ml.optimizer import GradientDescentConfig, MiniBatchGradientDescent
@@ -80,7 +80,7 @@ def test_streaming_train_through_the_out_of_core_trainer(tmp_path, data, kernel_
     batches = split_minibatches(
         features, labels, batch_size=CONFIG.batch_size, seed=CONFIG.shuffle_seed
     )
-    dataset = ShardedDataset.create(tmp_path, batches, "TOC", workers=1)
+    dataset = Dataset.create(tmp_path, batches, scheme="TOC", workers=1)
     trainer = OutOfCoreTrainer(CONFIG, budget_ratio=0.5)
     trainer.attach(dataset)
     report = trainer.train(LogisticRegressionModel(features.shape[1], seed=0))

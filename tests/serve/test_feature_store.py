@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.data.registry import DATASET_PROFILES
-from repro.engine.shards import ShardedDataset
+from repro.engine.shards import Dataset
 from repro.obs import metrics as obs_metrics
 from repro.serve import feature_store
 from repro.serve.feature_store import FeatureStore
@@ -19,7 +19,7 @@ def shard_fixture(tmp_path_factory):
     split = np.array_split(np.arange(features.shape[0]), 5)
     batches = [(features[idx], labels[idx]) for idx in split]
     directory = tmp_path_factory.mktemp("store-shards")
-    ShardedDataset.create(directory, batches, "TOC", workers=1)
+    Dataset.create(directory, batches, scheme="TOC", workers=1)
     dense = np.vstack([x for x, _ in batches])
     all_labels = np.concatenate([y for _, y in batches])
     return directory, dense, all_labels
@@ -146,7 +146,7 @@ class TestCaching:
     def test_byte_block_shards_inflate_once_per_residency(self, tmp_path, rng):
         """Gzip shards cache the inflated block: later reads must not re-inflate."""
         features = np.round(rng.normal(size=(60, 10)), 1)
-        ShardedDataset.create(tmp_path, [(features, np.zeros(60))], "Gzip", workers=1)
+        Dataset.create(tmp_path, [(features, np.zeros(60))], scheme="Gzip", workers=1)
         store = FeatureStore.open(tmp_path)
         for row_id in (0, 10, 20, 30):
             np.testing.assert_allclose(store.get_row(row_id), features[row_id])
@@ -162,7 +162,7 @@ class TestMixedSchemeStore:
             (sparse, np.zeros(40)),
             (dense, np.ones(40)),
         ]
-        ShardedDataset.create(tmp_path, batches, ["TOC", "DEN"], workers=1)
+        Dataset.create(tmp_path, batches, scheme=["TOC", "DEN"], workers=1)
         store = FeatureStore.open(tmp_path)
         expected = np.vstack([sparse, dense])
         np.testing.assert_allclose(store.get_rows([0, 39, 40, 79]), expected[[0, 39, 40, 79]])

@@ -15,7 +15,6 @@ import pytest
 from repro.api import Dataset
 from repro.compression.registry import available_schemes
 from repro.data.registry import DATASET_PROFILES
-from repro.engine.shards import ShardedDataset
 from repro.engine.trainer import OutOfCoreTrainer
 from repro.ml.models import LogisticRegressionModel
 from repro.ml.optimizer import GradientDescentConfig
@@ -130,20 +129,19 @@ class TestShardIntegration:
         )
 
     def test_one_pass_reads_take_no_mapping(self, dataset):
-        sharded = dataset.sharded
         before = _maps()
-        payloads = [sharded.read_payload(i) for i in range(len(sharded))]
+        payloads = [dataset.read_payload(i) for i in range(len(dataset))]
         dataset.take(range(0, dataset.n_examples, 7))
         dataset.scan(columns=[0, 1], where="c0 > 0")
         assert _maps() == before
-        for payload, shard in zip(payloads, sharded.shards):
+        for payload, shard in zip(payloads, dataset.shards):
             assert not isinstance(payload.obj, mmap.mmap)
             assert len(payload) == shard.nbytes
 
     def test_a_cyclic_epoch_keeps_owned_bytes_within_the_pool_budget(self, dataset):
         config = GradientDescentConfig(batch_size=50, epochs=1, learning_rate=0.1, shuffle_seed=0)
         trainer = OutOfCoreTrainer(config, budget_ratio=0.25)
-        pool = trainer.attach(dataset.sharded)
+        pool = trainer.attach(dataset)
         before = _maps()
         trainer.train(LogisticRegressionModel(dataset.n_cols, seed=0))
         assert _maps() == before
@@ -165,8 +163,8 @@ class TestShardIntegration:
     def test_mapped_and_copied_payloads_decode_bit_equal(self, tmp_path, rng, scheme_name):
         dense = np.round(rng.random((30, 7)) * (rng.random((30, 7)) < 0.4), 1)
         labels = np.zeros(30)
-        dataset = ShardedDataset.create(
-            tmp_path / scheme_name, [(dense, labels)], scheme_name, workers=1
+        dataset = Dataset.create(
+            tmp_path / scheme_name, [(dense, labels)], scheme=scheme_name, workers=1
         )
         mapped = dataset.map_payload(0)
         assert isinstance(mapped.obj, mmap.mmap)

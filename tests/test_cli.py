@@ -571,6 +571,13 @@ class TestFsckCommand:
         assert main(["fsck", "--shard-dir", str(shard_dir)]) == 1
         assert "MISSING" in capsys.readouterr().out
 
+    def test_wrong_sized_referenced_shard_exits_nonzero(self, capsys, tmp_path):
+        shard_dir = self._encode(capsys, tmp_path)
+        victim = shard_dir / "shard-00000.bin"
+        victim.write_bytes(victim.read_bytes() + bytes(8))
+        assert main(["fsck", "--shard-dir", str(shard_dir)]) == 1
+        assert "WRONG SIZE (not the manifest's nbytes): shard-00000.bin" in capsys.readouterr().out
+
     def test_missing_directory_fails_cleanly(self, capsys, tmp_path):
         assert main(["fsck", "--shard-dir", str(tmp_path / "nope")]) == 2
         assert "no shard manifest" in capsys.readouterr().out

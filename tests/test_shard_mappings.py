@@ -1,4 +1,4 @@
-"""Only ``ShardedDataset.map_payload`` maps a shard file.
+"""Only ``Dataset.map_payload`` maps a shard file.
 
 A mapping pays off only for a reader that keeps the shard: the feature store
 holds one per shard, shares its pages with other serving processes and stays
@@ -21,7 +21,7 @@ import repro
 PACKAGE = Path(repro.__file__).resolve().parent
 
 #: The one function allowed to map a file.
-MAPPER = ("engine/shards.py", "ShardedDataset.map_payload")
+MAPPER = ("engine/shards.py", "Dataset.map_payload")
 
 
 def map_file_uses(source: str, relative: str) -> list[tuple[str, str, int]]:
