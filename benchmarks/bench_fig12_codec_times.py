@@ -28,9 +28,18 @@ def test_decompress(benchmark, compressed_batches, dataset, codec):
 
 
 def test_report_figure12(benchmark, capsys):
-    results = benchmark.pedantic(
-        run_fig12, kwargs=dict(datasets=("census", "kdd99", "mnist")), rounds=1, iterations=1
-    )
+    datasets = ("census", "kdd99", "mnist")
+    runs = [benchmark.pedantic(run_fig12, kwargs=dict(datasets=datasets), rounds=1, iterations=1)]
+    runs += [run_fig12(datasets=datasets) for _ in range(2)]
+    # Best of three one-shot timings per cell, so one descheduling does not
+    # decide an ordering.
+    results = {
+        dataset: {
+            codec: {op: min(run[dataset][codec][op] for run in runs) for op in timings}
+            for codec, timings in per_codec.items()
+        }
+        for dataset, per_codec in runs[0].items()
+    }
     with capsys.disabled():
         print()
         for dataset, per_codec in results.items():
@@ -41,11 +50,10 @@ def test_report_figure12(benchmark, capsys):
             print(format_table(f"Figure 12 — {dataset} (milliseconds)", rows, ["compress", "decompress"], "{:.3f}"))
             print()
     # Shape claims.  The paper finds TOC compression between Snappy and Gzip
-    # and TOC decompression faster than both; with NumPy kernels against C
-    # zlib the decompression ordering does not survive on the smallest
-    # profiles, so the assertions use loose factors that
-    # the paper's ordering would satisfy by a wide margin.
-    for per_codec in results.values():
-        assert per_codec["Snappy"]["compress"] < per_codec["Gzip"]["compress"]
-        assert per_codec["TOC"]["compress"] < per_codec["Gzip"]["compress"] * 3
+    # (Figure 12), and that ordering is gated as stated.  TOC decompression
+    # faster than both does not survive NumPy kernels against C zlib on the
+    # smallest profiles, so decompression keeps a loose factor.
+    for dataset, per_codec in results.items():
+        compress = {codec: per_codec[codec]["compress"] for codec in CODECS}
+        assert compress["Snappy"] < compress["TOC"] < compress["Gzip"], (dataset, compress)
         assert per_codec["TOC"]["decompress"] < per_codec["Gzip"]["decompress"] * 10

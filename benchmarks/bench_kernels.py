@@ -325,7 +325,7 @@ def test_toc_encode_no_slower_than_gzip(bench_json):
     toc, gzip = get_scheme("TOC"), get_scheme("Gzip")
     dense = DATASET_PROFILES["census"].matrix(COLD_READ_ROWS, seed=11)
     sparse = sparse_encode(dense)
-    logical, tree = prefix_tree_encode(sparse)
+    logical = prefix_tree_encode(sparse)
 
     sparse_secs = time_callable(lambda: sparse_encode(dense), REPEATS)
     tree_encode_secs = time_callable(lambda: prefix_tree_encode(sparse), REPEATS)
@@ -342,7 +342,7 @@ def test_toc_encode_no_slower_than_gzip(bench_json):
         "n_rows": dense.shape[0],
         "n_cols": dense.shape[1],
         "pairs": sparse.nnz,
-        "tree_nodes": len(tree),
+        "tree_nodes": logical.n_tree_nodes,
         "sparse_encode_secs": sparse_secs,
         "prefix_tree_encode_secs": tree_encode_secs,
         "physical_encode_secs": physical_secs,

@@ -68,17 +68,39 @@ class ValueIndex:
         return cls(dictionary=dictionary, codes=codes), end
 
 
+def first_appearance(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Intern integer ``keys`` in order of first appearance.
+
+    Returns ``(first, ids)``: ``first[k]`` is the position of the first
+    occurrence of the ``k``-th distinct key, and ``ids[i]`` the ``k`` of
+    ``keys[i]``.  One unstable sort groups equal keys; ``minimum.reduceat``
+    finds each group's first position, so no stable sort is needed.
+    """
+    if keys.size == 0:
+        return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
+    order = np.argsort(keys)
+    ordered = keys[order]
+    new_group = np.empty(keys.size, dtype=bool)
+    new_group[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=new_group[1:])
+    starts = np.flatnonzero(new_group)
+    first = np.minimum.reduceat(order, starts)
+    by_appearance = np.argsort(first)
+    id_of_group = np.empty_like(by_appearance)
+    id_of_group[by_appearance] = np.arange(by_appearance.size)
+    ids = np.empty_like(order)
+    ids[order] = np.repeat(id_of_group, np.diff(starts, append=keys.size))
+    return first[by_appearance], ids
+
+
 def build_value_index(values: np.ndarray | list[float]) -> ValueIndex:
-    """Dictionary-encode ``values`` preserving first-appearance order."""
-    arr = np.asarray(values, dtype=np.float64).ravel()
-    if arr.size == 0:
-        return ValueIndex(dictionary=np.zeros(0, dtype=np.float64), codes=np.zeros(0, dtype=np.int64))
-    # np.unique sorts; recover first-appearance order so encodings are stable
-    # with respect to the input stream (useful for deterministic tests).
-    uniques, first_pos, inverse = np.unique(arr, return_index=True, return_inverse=True)
-    order = np.argsort(first_pos, kind="stable")
-    dictionary = uniques[order]
-    remap = np.empty_like(order)
-    remap[order] = np.arange(order.size)
-    codes = remap[inverse]
-    return ValueIndex(dictionary=dictionary, codes=codes.astype(np.int64))
+    """Dictionary-encode ``values`` preserving first-appearance order.
+
+    Values group by float equality, as ``np.unique`` groups them: ``-0.0``
+    joins ``+0.0`` and every NaN is one value.  Each entry is the first
+    occurrence's bits, so the dictionary is the input's own values.
+    """
+    arr = np.ascontiguousarray(values, dtype=np.float64).ravel()
+    keys = np.where(arr == arr, arr + 0.0, np.nan).view(np.uint64)
+    first, codes = first_appearance(keys)
+    return ValueIndex(dictionary=arr[first], codes=codes.astype(np.int64, copy=False))

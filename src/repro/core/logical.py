@@ -5,7 +5,8 @@ column-index:value pairs that repeat across rows.  Sequences are stored in a
 prefix tree shared by all rows; each row is rewritten as a vector of indexes
 pointing at prefix-tree nodes.  Only the encoded table ``D`` and the first
 layer of the tree ``I`` need to be kept: the full tree can be rebuilt from
-them (Algorithm 2, see :mod:`repro.core.decode_tree`).
+them (Algorithm 2, see :mod:`repro.core.decode_tree`), so the encoder keeps
+nothing of the tree but the hash map its phase II looks children up in.
 
 The algorithm differs from textbook LZW in the ways Table 3 of the paper
 lists: the input is the sparse-encoded table rather than a byte stream, the
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.prefix_tree import ROOT_INDEX, PrefixTree
+from repro.bitpack.value_index import first_appearance
 from repro.core.sparse import SparseEncodedTable
 from repro.core.validate import EncodingError
 
@@ -101,12 +102,12 @@ class LogicalEncoding:
             yield self.row_codes(row)
 
 
-def prefix_tree_encode(table: SparseEncodedTable) -> tuple[LogicalEncoding, PrefixTree]:
-    """Run Algorithm 1 on a sparse-encoded table.
+def prefix_tree_encode(table: SparseEncodedTable) -> LogicalEncoding:
+    """Run Algorithm 1 on a sparse-encoded table; return ``I`` and ``D``.
 
-    Returns the logical encoding (``I`` + ``D``) and the full prefix tree
-    ``C`` built along the way (callers that only need the compressed output
-    can discard the tree; it is returned for inspection and testing).
+    Only what a shard keeps is built: the tree ``C`` lives as one hash map
+    from ``state + symbol`` to the child's state and is dropped on return
+    (the reader rebuilds ``C'`` from ``I`` and ``D``, Algorithm 2).
 
     Pairs are handled as integer *symbols*: symbol ``s`` is the ``s``-th
     distinct ``(column, value bits)`` pair in order of first appearance,
@@ -118,67 +119,42 @@ def prefix_tree_encode(table: SparseEncodedTable) -> tuple[LogicalEncoding, Pref
     # through the values' bits makes a NaN equal to itself.
     columns = np.asarray(table.columns, dtype=np.int64)
     values = np.ascontiguousarray(table.values, dtype=np.float64)
-    unique_bits, value_ids = np.unique(values.view(np.uint64), return_inverse=True)
-    _, first_seen, pair_ids = np.unique(
-        columns * unique_bits.size + value_ids, return_index=True, return_inverse=True
-    )
-    by_appearance = np.argsort(first_seen, kind="stable")
-    n_first = by_appearance.size
-    symbol_of_pair = np.empty(n_first, dtype=np.int64)
-    symbol_of_pair[by_appearance] = np.arange(1, n_first + 1)
-    first_seen = first_seen[by_appearance]
-    first_cols, first_vals = columns[first_seen], values[first_seen]
+    first_values, value_ids = first_appearance(values.view(np.uint64))
+    first, pair_ids = first_appearance((columns * first_values.size + value_ids).view(np.uint64))
 
-    # The tree's flat storage (see PrefixTree): nodes 1..n_first are the root's
-    # children, node s holding symbol s.
-    stride = n_first + 1
-    parents = [ROOT_INDEX] * stride
-    node_symbols = list(range(stride))
-    children = dict(zip(range(1, stride), range(1, stride)))
-
-    # Phase II: encode each tuple, extending the tree with every new
-    # sequence discovered (one new node per emitted code except when the
-    # match runs to the end of the tuple).
-    symbols = symbol_of_pair[pair_ids].tolist()
-    codes: list[int] = []
-    code_offsets = [0]
+    # Phase II: encode each tuple.  Node n is held as the state n * stride,
+    # so a child's key is state + symbol; nodes 1..n_first are the root's
+    # children, node s holding symbol s.  A miss adds the match extended by
+    # one pair as the next node, emits the match and restarts at the pair.
+    stride = first.size + 1
+    symbols = (pair_ids + 1).tolist()
+    children: dict[int, int] = {}
     get_child = children.get
-    next_node = stride
-    i = 0
-    for end in table.row_offsets.tolist()[1:]:
-        while i < end:
-            # The longest match from i: a root child is its own symbol, then
-            # descend while the next pair is a child of the match so far.
-            node = symbols[i]
-            i += 1
-            while i < end:
-                symbol = symbols[i]
-                key = node * stride + symbol
+    next_state = stride * stride
+    states: list[int] = []
+    emit = states.append
+    code_offsets = [0]
+    offsets = table.row_offsets.tolist()
+    for start, end in zip(offsets, offsets[1:]):
+        if start < end:
+            state = symbols[start] * stride
+            for symbol in symbols[start + 1 : end]:
+                key = state + symbol
                 child = get_child(key)
                 if child is None:
-                    children[key] = next_node
-                    parents.append(node)
-                    node_symbols.append(symbol)
-                    next_node += 1
-                    break
-                node = child
-                i += 1
-            codes.append(node)
-        code_offsets.append(len(codes))
+                    children[key] = next_state
+                    next_state += stride
+                    emit(state)
+                    state = symbol * stride
+                else:
+                    state = child
+            emit(state)
+        code_offsets.append(len(states))
 
-    encoding = LogicalEncoding(
-        first_layer_columns=first_cols,
-        first_layer_values=first_vals,
-        codes=np.asarray(codes, dtype=np.int64),
+    return LogicalEncoding(
+        first_layer_columns=columns[first],
+        first_layer_values=values[first],
+        codes=np.asarray(states, dtype=np.int64) // stride,
         row_offsets=np.asarray(code_offsets, dtype=np.int64),
         shape=table.shape,
     )
-    tree = PrefixTree.from_flat(
-        columns=[None, *first_cols.tolist()],
-        values=[None, *first_vals.tolist()],
-        parents=parents,
-        symbols=node_symbols,
-        children=children,
-        stride=stride,
-    )
-    return encoding, tree

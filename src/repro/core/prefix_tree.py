@@ -14,14 +14,14 @@ Storage is flat and integer-only.  Each distinct pair is interned once as a
 one in a symbols list, and the children of all nodes share ONE hash map keyed
 ``parent * stride + symbol`` — the paper's hash map from child key to child
 index, without a map or a tuple per node.  Algorithm 1
-(:func:`repro.core.logical.prefix_tree_encode`) fills these same containers
-itself and hands them over through :meth:`PrefixTree.from_flat`.
+(:func:`repro.core.logical.prefix_tree_encode`) keeps only that hash map, in
+local variables, and returns no tree; this class is the paper's structure,
+which the textbook encoder in the tests builds call by call.
 """
 
 from __future__ import annotations
 
 import struct
-from functools import cached_property
 
 ROOT_INDEX = 0
 NOT_FOUND = -1
@@ -49,29 +49,7 @@ class PrefixTree:
         self._parents: list[int] = [ROOT_INDEX]
         self._symbols: list[int] = [0]
         self._children: dict[int, int] = {}
-
-    @classmethod
-    def from_flat(cls, *, columns, values, parents, symbols, children, stride) -> "PrefixTree":
-        """Adopt (not copy) storage laid out as ``__init__`` describes.
-
-        ``children`` must hold ``parent * stride + symbol -> node`` for every
-        non-root node, so ``stride`` must exceed the largest symbol.
-        """
-        tree = cls()
-        tree._stride = stride
-        tree._columns, tree._values = columns, values
-        tree._parents, tree._symbols, tree._children = parents, symbols, children
-        return tree
-
-    @cached_property
-    def _symbol_of(self) -> dict[tuple[int, bytes], int]:
-        """Pair key -> symbol, built on the first ``add_node``/``get_index``.
-
-        Lazy because the encoder never asks: a tuple per unique pair costs
-        more than all of Algorithm 1 on a batch of continuous values.
-        """
-        pairs = zip(self._columns[1:], self._values[1:])
-        return {_pair_key(*pair): symbol for symbol, pair in enumerate(pairs, start=1)}
+        self._symbol_of: dict[tuple[int, bytes], int] = {}
 
     def __len__(self) -> int:
         return len(self._parents)

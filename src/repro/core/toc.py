@@ -75,7 +75,7 @@ class TOCMatrix:
         cls, sparse: SparseEncodedTable, variant: TOCVariant = TOCVariant.FULL
     ) -> "TOCMatrix":
         """Compress an already sparse-encoded table with TOC."""
-        logical, _ = prefix_tree_encode(sparse)
+        logical = prefix_tree_encode(sparse)
         physical = physical_encode(logical) if variant is TOCVariant.FULL else None
         return cls(
             logical=logical,

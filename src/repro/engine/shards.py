@@ -314,6 +314,8 @@ class Dataset:
         self.encode_executor: str | None = None
         #: Bumped by every :meth:`_write`; what observers poll.
         self.generation = 0
+        #: Files of a dataset :meth:`create` replaces, unlinked by its write.
+        self._replacing: set[str] = set()
         #: The manifest format on disk; ``compact`` rewrites anything older.
         self._format_version = FORMAT_VERSION
         self._schemes: dict[str, CompressionScheme] = {}
@@ -361,6 +363,12 @@ class Dataset:
                 features, labels, batch_size=batch_size, shuffle=shuffle, seed=seed
             )
         dataset = cls(path)
+        if cls.exists(path):
+            # A dataset already at ``path`` is replaced: the generation goes
+            # on (observers reopen on it) and its files go after the publish.
+            previous = _read_manifest(path)
+            dataset.generation = int(previous.get("generation", 0))
+            dataset._replacing = {row["filename"] for row in previous["shards"]}
         dataset.requested_scheme = scheme if isinstance(scheme, str) else list(scheme)
         dataset.append(features, scheme=scheme, workers=workers, workload=workload)
         return dataset
@@ -503,19 +511,22 @@ class Dataset:
         1. Every batch is checked against the dataset — one width, as many
            labels as rows, a rewrite the shape of the shard it replaces — and
            a bad one raises ``ValueError`` naming it before any file is written.
-        2. Each payload is staged under a fresh filename: ``shard-NNNNN.bin``
-           for a new shard, the next ``.gN.bin`` generation for a rewrite, so
-           the file it replaces stays valid until step 4.
+        2. Each payload is staged under a filename the live manifest does not
+           name: ``shard-NNNNN.bin`` for a new shard, the next ``.gN.bin``
+           generation for a rewrite (or when :meth:`create` replaces a dataset
+           that holds the plain name), so every live file stays valid until step 4.
         3. The label archive is published if labels were given.
         4. The manifest is published with generation + 1: the one step that
            makes the staged files live.  A crash before it leaves the old
            dataset readable, and :meth:`fsck` sweeps what was staged.
-        5. The files the new manifest no longer names are unlinked.
+        5. The files the old manifest named and the new one does not are
+           unlinked: superseded rewrites, or a replaced dataset's shards.
 
         This handle takes the new state only once the manifest is published.
         Returns the shard rows written.
         """
         shards = list(self.shards)
+        live = {shard.filename for shard in shards} | self._replacing
         n_cols = shards[0].n_cols if shards else encoded[0].n_cols if encoded else 0
         written: list[ShardInfo] = []
         for position, enc in enumerate(encoded):
@@ -539,6 +550,8 @@ class Dataset:
                     )
                 batch_id = len(shards) + position
                 filename = f"shard-{batch_id:05d}.bin"
+                while filename in live:
+                    filename = _next_generation(filename)
             written.append(
                 ShardInfo(batch_id, filename, enc.nbytes, enc.n_rows, enc.n_cols, enc.scheme)
             )
@@ -547,10 +560,9 @@ class Dataset:
         for info, enc in zip(written, encoded):
             publish_file(self.path / info.filename, enc.payload)
 
-        all_labels, superseded = self._labels, []
+        all_labels = self._labels
         if labels is None:
             for info in written:
-                superseded.append(shards[info.batch_id].filename)
                 shards[info.batch_id] = info
         else:
             shards += written
@@ -578,7 +590,8 @@ class Dataset:
         self.shards, self._labels, self.generation = shards, all_labels, generation
         self.encode_seconds, self.encode_executor = encode_seconds, executor
         self._format_version = FORMAT_VERSION
-        for filename in superseded:
+        self._replacing = set()
+        for filename in sorted(live - {shard.filename for shard in shards}):
             (self.path / filename).unlink(missing_ok=True)
         return written
 

@@ -7,11 +7,11 @@ import json
 import numpy as np
 import pytest
 
-from repro.api import Dataset, Estimator
+from repro.api import Dataset, Estimator, open_service
 from repro.core.advisor import recommend_scheme
 from repro.core.calibration import CALIBRATION_NAME, Calibration
 from repro.data.registry import DATASET_PROFILES
-from repro.engine.shards import MANIFEST_NAME
+from repro.engine.shards import MANIFEST_NAME, read_extent
 from repro.engine.trainer import OutOfCoreTrainer
 from repro.ml.models import LogisticRegressionModel
 from repro.ml.optimizer import GradientDescentConfig
@@ -53,6 +53,30 @@ class TestLifecycle:
         assert reopened.scheme == "TOC"
         assert Dataset.exists(dataset.path)
         assert not Dataset.exists(tmp_path / "elsewhere")
+
+    def test_create_over_a_dataset_replaces_it_for_live_services(self, tmp_path, census):
+        # A service reopens only on a new generation: a second create into the
+        # same directory must move it, leave no orphan and serve the new rows.
+        features, labels = census
+        path = tmp_path / "shards"
+        first = Dataset.create(path, features, labels, scheme="TOC", batch_size=100, workers=1)
+        estimator = Estimator("logreg", epochs=1)
+        estimator.fit(first)
+        estimator.save(tmp_path / "registry")
+        with open_service(tmp_path / "registry")[0] as service:
+            before = estimator.predict(first).tolist()
+            assert service.predict_ids(range(400)).tolist() == before
+            second = Dataset.create(path, features[200:][::-1], labels[200:], scheme="CVI",
+                                    batch_size=100, workers=1, shuffle=False)
+            assert read_extent(path) == (2, 200) and second.generation == 2
+            report = Dataset.open(path).fsck(remove=False)
+            assert report.clean and report.orphans == ()
+            assert service.maybe_reopen_store()
+            expected = estimator.predict(second).tolist()
+            assert service.predict_ids(range(200)).tolist() == expected
+            assert expected != before[:200]
+            with pytest.raises(IndexError, match=r"row 200 out of range \[0, 200\)"):
+                service.predict_id(200)
 
     def test_create_unknown_scheme_rejected(self, tmp_path, census):
         features, labels = census

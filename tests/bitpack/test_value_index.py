@@ -8,7 +8,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bitpack.bitpacking import pack_integers
-from repro.bitpack.value_index import ValueIndex, build_value_index
+from repro.bitpack.value_index import ValueIndex, build_value_index, first_appearance
+
+#: Two NaNs that differ in their payload bits, both zeros, both infinities and
+#: the smallest subnormal: every float whose grouping a sort can get wrong.
+QUIET_NAN = np.array([0x7FF8000000000000], dtype=np.uint64).view(np.float64)[0]
+PAYLOAD_NAN = np.array([0xFFF8000000000001], dtype=np.uint64).view(np.float64)[0]
+ODD_FLOATS = st.sampled_from(
+    [QUIET_NAN, PAYLOAD_NAN, 0.0, -0.0, np.inf, -np.inf, 5e-324, 1.0, -2.5]
+)
+
+
+def reference_value_index(values) -> ValueIndex:
+    """The dictionary ``np.unique``'s stable path built: the oracle."""
+    arr = np.asarray(values, dtype=np.float64).ravel()
+    if arr.size == 0:
+        return ValueIndex(dictionary=np.zeros(0), codes=np.zeros(0, dtype=np.int64))
+    uniques, first_pos, inverse = np.unique(arr, return_index=True, return_inverse=True)
+    order = np.argsort(first_pos, kind="stable")
+    remap = np.empty_like(order)
+    remap[order] = np.arange(order.size)
+    return ValueIndex(dictionary=uniques[order], codes=remap[inverse].astype(np.int64))
 
 
 class TestValueIndex:
@@ -113,3 +133,34 @@ class TestValueIndexProperties:
         index = build_value_index(arr)
         restored, _ = ValueIndex.from_bytes(index.to_bytes())
         assert np.array_equal(restored.decode(), arr)
+
+
+class TestFirstAppearance:
+    @given(st.lists(st.integers(0, 2**64 - 1) | st.integers(0, 5), max_size=200))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_a_dict_built_in_input_order(self, keys):
+        ids_of: dict[int, int] = {}
+        expected = [ids_of.setdefault(key, len(ids_of)) for key in keys]
+        first, ids = first_appearance(np.array(keys, dtype=np.uint64))
+        assert ids.tolist() == expected
+        assert first.tolist() == [keys.index(key) for key in ids_of]
+
+
+class TestAgainstTheNpUniqueOracle:
+    @given(st.lists(ODD_FLOATS, max_size=120))
+    @settings(max_examples=300, deadline=None)
+    def test_dictionary_bits_and_codes_are_the_oracles(self, values):
+        got, expected = build_value_index(values), reference_value_index(values)
+        assert got.dictionary.view(np.uint64).tolist() == expected.dictionary.view(
+            np.uint64
+        ).tolist()
+        assert got.codes.dtype == expected.codes.dtype
+        assert got.codes.tolist() == expected.codes.tolist()
+        assert got.to_bytes() == expected.to_bytes()
+
+    def test_groups_by_equality_and_keeps_the_first_bits(self):
+        index = build_value_index([-0.0, PAYLOAD_NAN, 0.0, QUIET_NAN, 5e-324])
+        assert index.codes.tolist() == [0, 1, 0, 1, 2]
+        assert index.dictionary.view(np.uint64).tolist() == np.array(
+            [-0.0, PAYLOAD_NAN, 5e-324]
+        ).view(np.uint64).tolist()

@@ -14,6 +14,7 @@ from repro.core.sparse import sparse_encode
 from repro.core.validate import EncodingError
 from repro.obs import metrics
 from tests.conftest import random_sparse_matrix
+from tests.core.test_logical import reference_encode
 
 
 #: An encoding with no rows, for trees written out by hand.
@@ -27,7 +28,9 @@ _NO_CODES = LogicalEncoding(
 
 
 def _encode(dense: np.ndarray):
-    return prefix_tree_encode(sparse_encode(dense))
+    """The encoder's ``I`` and ``D``, and the tree textbook Algorithm 1 builds."""
+    table = sparse_encode(dense)
+    return prefix_tree_encode(table), reference_encode(table)[1]
 
 
 def _assert_same_tree(ctree: DecodeTree, keys: list, parents: list[int]) -> None:

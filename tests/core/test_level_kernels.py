@@ -113,7 +113,7 @@ def dense_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _encode(dense: np.ndarray) -> LogicalEncoding:
-    encoding, _ = prefix_tree_encode(sparse_encode(dense))
+    encoding = prefix_tree_encode(sparse_encode(dense))
     return encoding
 
 

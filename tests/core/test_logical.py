@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from repro.core.decode_tree import build_decode_tree
 from repro.core.logical import LogicalEncoding, prefix_tree_encode
 from repro.core.ops import decode_to_sparse
 from repro.core.prefix_tree import NOT_FOUND, ROOT_INDEX, PrefixTree
@@ -23,7 +24,7 @@ CELLS = st.sampled_from(
 
 
 def _roundtrip(dense: np.ndarray) -> np.ndarray:
-    encoding, _ = prefix_tree_encode(sparse_encode(dense))
+    encoding = prefix_tree_encode(sparse_encode(dense))
     return sparse_decode(decode_to_sparse(encoding))
 
 
@@ -74,24 +75,27 @@ def _bits(values) -> list[int]:
 
 
 def assert_identical_to_reference(dense: np.ndarray) -> None:
-    """Code for code, pair for pair (values by their bits), node for node."""
+    """Code for code, pair for pair (values by their bits), node for node.
+
+    The encoder keeps no tree, so the node-for-node check compares the tree
+    Algorithm 2 rebuilds from its ``I`` and ``D`` with the one the textbook
+    Algorithm 1 built: the reader must see exactly the writer's tree.
+    """
     table = sparse_encode(dense)
-    fast, fast_tree = prefix_tree_encode(table)
+    fast = prefix_tree_encode(table)
     ref, ref_tree = reference_encode(table)
     assert fast.shape == ref.shape
     assert fast.codes.dtype == ref.codes.dtype and fast.codes.tolist() == ref.codes.tolist()
     assert fast.row_offsets.tolist() == ref.row_offsets.tolist()
     assert fast.first_layer_columns.tolist() == ref.first_layer_columns.tolist()
     assert _bits(fast.first_layer_values) == _bits(ref.first_layer_values)
-    assert len(fast_tree) == len(ref_tree)
+    rebuilt = build_decode_tree(fast)
+    assert len(rebuilt) == len(ref_tree) == fast.n_tree_nodes + 1
     nodes = range(1, len(ref_tree))
-    assert [fast_tree.parent(n) for n in nodes] == [ref_tree.parent(n) for n in nodes]
-    fast_keys, ref_keys = ([tree.key(n) for n in nodes] for tree in (fast_tree, ref_tree))
-    assert [col for col, _ in fast_keys] == [col for col, _ in ref_keys]
-    assert _bits([val for _, val in fast_keys]) == _bits([val for _, val in ref_keys])
-    # The tree handed back answers GetIndex like the one built call by call.
-    for node in nodes:
-        assert fast_tree.get_index(ref_tree.parent(node), ref_tree.key(node)) == node
+    assert rebuilt.parents[1:].tolist() == [ref_tree.parent(n) for n in nodes]
+    ref_keys = [ref_tree.key(n) for n in nodes]
+    assert rebuilt.key_columns[1:].tolist() == [col for col, _ in ref_keys]
+    assert _bits(rebuilt.key_values[1:]) == _bits([val for _, val in ref_keys])
 
 
 class TestPrefixTreeEncode:
@@ -116,19 +120,19 @@ class TestPrefixTreeEncode:
         # encoded with very few codes (eventually one).
         row = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
         dense = np.tile(row, (10, 1))
-        encoding, _ = prefix_tree_encode(sparse_encode(dense))
+        encoding = prefix_tree_encode(sparse_encode(dense))
         last_row_codes = encoding.row_codes(encoding.n_rows - 1)
         assert last_row_codes.size <= 2
 
     def test_codes_never_reference_root(self, rng):
         dense = random_sparse_matrix(rng, 15, 10)
-        encoding, _ = prefix_tree_encode(sparse_encode(dense))
+        encoding = prefix_tree_encode(sparse_encode(dense))
         assert encoding.codes.size == 0 or encoding.codes.min() >= 1
 
     def test_first_layer_holds_all_unique_pairs(self, rng):
         dense = random_sparse_matrix(rng, 12, 6)
         table = sparse_encode(dense)
-        encoding, _ = prefix_tree_encode(table)
+        encoding = prefix_tree_encode(table)
         expected = {
             (int(c), float(v)) for c, v in zip(table.columns.tolist(), table.values.tolist())
         }
@@ -140,19 +144,20 @@ class TestPrefixTreeEncode:
     def test_number_of_codes_never_exceeds_pairs(self, rng):
         dense = random_sparse_matrix(rng, 25, 10)
         table = sparse_encode(dense)
-        encoding, _ = prefix_tree_encode(table)
+        encoding = prefix_tree_encode(table)
         assert encoding.n_codes <= table.nnz
 
     def test_encoding_is_deterministic(self, census_batch):
-        first, _ = prefix_tree_encode(sparse_encode(census_batch))
-        second, _ = prefix_tree_encode(sparse_encode(census_batch))
+        first = prefix_tree_encode(sparse_encode(census_batch))
+        second = prefix_tree_encode(sparse_encode(census_batch))
         assert np.array_equal(first.codes, second.codes)
         assert np.array_equal(first.first_layer_values, second.first_layer_values)
 
     def test_tree_node_count_matches_formula(self, rng):
         # |C'| (non-root) = |I| + |D| - number of non-empty rows.
-        dense = random_sparse_matrix(rng, 18, 9)
-        encoding, tree = prefix_tree_encode(sparse_encode(dense))
+        table = sparse_encode(random_sparse_matrix(rng, 18, 9))
+        encoding = prefix_tree_encode(table)
+        _, tree = reference_encode(table)
         non_empty = sum(1 for codes in encoding.iter_rows() if codes.size)
         assert len(tree) - 1 == encoding.n_first_layer + encoding.n_codes - non_empty
         assert encoding.n_tree_nodes == len(tree) - 1
@@ -167,7 +172,7 @@ class TestPrefixTreeEncode:
             shape=(3, 2),
         )
         assert encoding.n_tree_nodes == encoding.n_first_layer == 2
-        zeros, _ = prefix_tree_encode(sparse_encode(np.zeros((3, 2))))
+        zeros = prefix_tree_encode(sparse_encode(np.zeros((3, 2))))
         assert zeros.n_tree_nodes == 0
 
 
@@ -207,8 +212,8 @@ class TestIdenticalToReference:
             row_offsets=np.array([0, 1, 2, 3, 4]),
             shape=(4, 1),
         )
-        encoding, tree = prefix_tree_encode(table)
-        assert encoding.n_first_layer == 2 and len(tree) == 3
+        encoding = prefix_tree_encode(table)
+        assert encoding.n_first_layer == 2 and encoding.n_tree_nodes == 2
         assert _bits(decode_to_sparse(encoding).values) == _bits(table.values)
 
 
@@ -278,5 +283,5 @@ class TestLogicalProperties:
     @settings(max_examples=50, deadline=None)
     def test_compression_never_expands_code_count(self, dense):
         table = sparse_encode(dense)
-        encoding, _ = prefix_tree_encode(table)
+        encoding = prefix_tree_encode(table)
         assert encoding.n_codes <= max(table.nnz, 0)

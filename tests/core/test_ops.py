@@ -21,7 +21,7 @@ from tests.conftest import random_sparse_matrix
 
 
 def _encode(dense: np.ndarray):
-    encoding, _ = prefix_tree_encode(sparse_encode(dense))
+    encoding = prefix_tree_encode(sparse_encode(dense))
     return encoding
 
 

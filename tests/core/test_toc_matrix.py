@@ -7,6 +7,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from repro.compression.registry import get_scheme
 from repro.core.toc import TOCMatrix, TOCVariant
 from repro.data.registry import DATASET_PROFILES
 from tests.conftest import random_sparse_matrix
@@ -153,3 +154,17 @@ class TestEncodeToBytes:
         assert batch.shape == (250, 68)
         digest = hashlib.sha256(TOCMatrix.encode_to_bytes(batch)).hexdigest()
         assert digest == "60b7bbff32d4dfd7b68f244e067743120da7f172ad42fc532c0a7d01115aa4cb"
+
+    @pytest.mark.parametrize(
+        ("scheme", "expected"),
+        [
+            ("CVI", "463c469ba37f7a889ebc063d0ab72b548eaed83a06df8469c26ff9bb2d565d5c"),
+            ("DVI", "05def60830c8fb24ea410c7d891a5a08fe4fd904111ac953796fd992234c27e0"),
+        ],
+    )
+    def test_value_dictionaries_are_the_ones_np_unique_wrote(self, scheme, expected):
+        # Digests taken while every value dictionary came out of np.unique's
+        # stable sort: interning by first appearance must not move a byte.
+        batch = DATASET_PROFILES["census"].matrix(250, seed=11)
+        digest = hashlib.sha256(get_scheme(scheme).compress(batch).to_bytes()).hexdigest()
+        assert digest == expected

@@ -43,7 +43,7 @@ class TestValidateSparse:
 
 class TestValidateLogical:
     def test_valid_encoding_passes(self, census_batch):
-        encoding, _ = prefix_tree_encode(sparse_encode(census_batch))
+        encoding = prefix_tree_encode(sparse_encode(census_batch))
         validate_logical(encoding)
 
     def test_duplicate_first_layer_rejected(self):
@@ -80,7 +80,7 @@ class TestValidateLogical:
             validate_logical(encoding)
 
     def test_corrupted_code_rejected(self, census_batch):
-        encoding, _ = prefix_tree_encode(sparse_encode(census_batch))
+        encoding = prefix_tree_encode(sparse_encode(census_batch))
         corrupted = LogicalEncoding(
             first_layer_columns=encoding.first_layer_columns,
             first_layer_values=encoding.first_layer_values,

@@ -67,6 +67,20 @@ class TestPublishOrder:
             "shard-00004.bin", "shard-00005.bin", LABELS_NAME, MANIFEST_NAME
         )
 
+    def test_create_over_a_dataset_stages_beside_it_and_unlinks_it_last(
+        self, tmp_path, batches, events
+    ):
+        Dataset.create(tmp_path, batches, scheme="TOC", workers=1)
+        del events[:]
+        replaced = Dataset.create(tmp_path, batches[:2], scheme="CVI", workers=1)
+        # Every file the old manifest names stays valid until the new one is live.
+        staged = ["shard-00000.g1.bin", "shard-00001.g1.bin"]
+        old_files = [("unlink", f"shard-{i:05d}.bin") for i in range(4)]
+        assert events == _published(*staged, LABELS_NAME, MANIFEST_NAME) + old_files
+        assert shards.read_extent(tmp_path) == (2, 100) and replaced.generation == 2
+        assert sorted(p.name for p in tmp_path.glob("*.bin")) == staged
+        assert Dataset.open(tmp_path).fsck(remove=False).clean
+
     def test_compact_unlinks_only_after_the_manifest(
         self, tmp_path, batches, events, pin_calibration
     ):
