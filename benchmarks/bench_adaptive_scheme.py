@@ -73,7 +73,6 @@ def _shard_and_train(tmp_path, batches, scheme: str) -> dict:
         "config": scheme,
         "scheme_counts": stats.scheme_counts,
         "payload_bytes": stats.payload_bytes,
-        "physical_bytes": stats.physical_bytes,
         "encode_seconds": stats.encode_seconds,
         "train_seconds": train_seconds,
         "final_loss": report.final_loss,

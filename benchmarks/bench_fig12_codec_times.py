@@ -31,7 +31,7 @@ def test_report_figure12(benchmark, capsys):
     datasets = ("census", "kdd99", "mnist")
     runs = [benchmark.pedantic(run_fig12, kwargs=dict(datasets=datasets), rounds=1, iterations=1)]
     runs += [run_fig12(datasets=datasets) for _ in range(2)]
-    # Best of three one-shot timings per cell, so one descheduling does not
+    # Best of three warm medians per cell, so one descheduling does not
     # decide an ordering.
     results = {
         dataset: {

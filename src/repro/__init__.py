@@ -14,8 +14,8 @@ plus the lower-level pieces advanced users reach for:
   schemes plus TOC behind one interface;
 * the MGD training stack (models, optimizer, metrics);
 * the dataset profiles mirroring the paper's Table 5;
-* the byte-budgeted :class:`BufferPool` the end-to-end experiments train
-  through, with its simulated disk.
+* the byte-budgeted :class:`BufferPool` the out-of-core trainer and the
+  end-to-end experiments train through, which counts the bytes it reads.
 """
 
 from repro.compression import available_schemes, get_scheme

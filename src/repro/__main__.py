@@ -74,8 +74,7 @@ def _print_stats(stats) -> None:
     print(f"examples:  {stats.n_examples} rows x {stats.n_cols} cols")
     print(
         f"payload:   {stats.payload_bytes / 1e6:.2f} MB "
-        f"({stats.physical_bytes / 1e6:.2f} MB paged, "
-        f"{stats.compression_ratio:.1f}x vs dense)"
+        f"({stats.compression_ratio:.1f}x vs dense)"
     )
     requested = stats.requested_scheme
     if isinstance(requested, list):
@@ -328,20 +327,18 @@ def _cmd_train_ooc(args: argparse.Namespace) -> int:
     ooc = report.ooc
     print(
         f"shards: {stats.n_shards} batches ({_scheme_mix(stats.scheme_counts)}), "
-        f"{ooc.total_payload_bytes / 1e6:.2f} MB payload "
-        f"({ooc.physical_bytes / 1e6:.2f} MB paged), "
+        f"{ooc.total_payload_bytes / 1e6:.2f} MB payload, "
         f"encoded in {stats.encode_seconds:.3f}s"
     )
     print(
         f"buffer pool: {ooc.budget_bytes / 1e6:.2f} MB budget — "
         f"dataset {'fits' if ooc.fits_in_memory else 'does NOT fit'} in memory"
     )
-    print(f"\n{'epoch':>5} {'loss':>10} {'wall s':>8} {'sim IO s':>9}")
-    for i, (loss, wall, io) in enumerate(
-        zip(report.history.epoch_losses, report.history.epoch_times, ooc.epoch_io_seconds),
-        start=1,
+    print(f"\n{'epoch':>5} {'loss':>10} {'wall s':>8}")
+    for i, (loss, wall) in enumerate(
+        zip(report.history.epoch_losses, report.history.epoch_times), start=1
     ):
-        print(f"{i:>5} {loss:>10.4f} {wall:>8.3f} {io:>9.5f}")
+        print(f"{i:>5} {loss:>10.4f} {wall:>8.3f}")
     pool = ooc.pool_stats
     print(
         f"\npool stats: {pool.hits} hits / {pool.misses} misses "

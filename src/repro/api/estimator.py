@@ -108,8 +108,8 @@ class Estimator:
         L2 penalty; ``None`` keeps each model's own default.
     hidden_sizes / n_classes:
         Feed-forward network shape (ignored by the linear models).
-    budget_bytes / budget_ratio / disk_bandwidth_bytes_per_sec:
-        Buffer-pool knobs, passed to the engine when the out-of-core path
+    budget_bytes / budget_ratio:
+        Buffer-pool size, passed to the engine when the out-of-core path
         runs.
     workers:
         Encode fan-out when ``fit(X, y, shard_dir=...)`` shards arrays (see
@@ -132,7 +132,6 @@ class Estimator:
         n_classes: int = 2,
         budget_bytes: int | None = None,
         budget_ratio: float = 0.5,
-        disk_bandwidth_bytes_per_sec: float = 150e6,
         workers: int | None = None,
     ):
         self._ovr_base: str | None = None
@@ -180,7 +179,6 @@ class Estimator:
         self.n_classes = n_classes
         self.budget_bytes = budget_bytes
         self.budget_ratio = budget_ratio
-        self.disk_bandwidth_bytes_per_sec = disk_bandwidth_bytes_per_sec
         self.workers = workers
         #: The checkpoint this estimator was loaded from, if any.
         self.checkpoint: Checkpoint | None = None
@@ -210,7 +208,6 @@ class Estimator:
             "n_classes": self.n_classes,
             "budget_bytes": self.budget_bytes,
             "budget_ratio": self.budget_ratio,
-            "disk_bandwidth_bytes_per_sec": self.disk_bandwidth_bytes_per_sec,
             "workers": self.workers,
         }
 
@@ -314,7 +311,6 @@ class Estimator:
             config,
             budget_bytes=self.budget_bytes,
             budget_ratio=self.budget_ratio,
-            disk_bandwidth_bytes_per_sec=self.disk_bandwidth_bytes_per_sec,
         )
         trainer.attach(dataset)
         model = self._ensure_model(dataset.n_cols, reset)
@@ -443,11 +439,13 @@ class Estimator:
         checkpoint = ModelRegistry(registry_root).load(version)
         params = dict(checkpoint.api_meta.get("estimator", {}))
         params.pop("model", None)
-        # Checkpoints saved while the inert read-ahead knob or the encode
-        # executor knob existed record them; those saved while a null
-        # workload meant "rank by ratio" record that, and now get the default.
+        # Checkpoints saved while the inert read-ahead knob, the encode
+        # executor knob or the simulated disk bandwidth existed record them;
+        # those saved while a null workload meant "rank by ratio" record
+        # that, and now get the default.
         params.pop("prefetch_depth", None)
         params.pop("executor", None)
+        params.pop("disk_bandwidth_bytes_per_sec", None)
         if params.get("workload") is None:
             params.pop("workload", None)
         if "hidden_sizes" in params:

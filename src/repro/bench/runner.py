@@ -1,4 +1,4 @@
-"""Measurement helpers: compression ratios, operation timings, codec timings.
+"""Measurement helpers: compression ratios and operation timings.
 
 Besides the timing helpers, this module owns the machine-readable benchmark
 output: :func:`write_bench_json` writes one ``BENCH_<name>.json`` snapshot
@@ -68,13 +68,11 @@ def current_git_commit() -> str | None:
 
 @dataclass(frozen=True)
 class CompressionMeasurement:
-    """Result of compressing one mini-batch with one scheme."""
+    """Sizes of one mini-batch before and after compressing it with one scheme."""
 
     scheme: str
     dense_bytes: int
     compressed_bytes: int
-    compress_seconds: float
-    decompress_seconds: float
 
     @property
     def ratio(self) -> float:
@@ -82,26 +80,18 @@ class CompressionMeasurement:
 
 
 def measure_compression(scheme_name: str, minibatch: np.ndarray) -> CompressionMeasurement:
-    """Compress and decompress one batch, measuring sizes and times."""
-    scheme = get_scheme(scheme_name)
-    dense_bytes = minibatch.shape[0] * minibatch.shape[1] * 8
+    """Compress and decompress one batch, measuring its sizes.
 
-    start = time.perf_counter()
-    compressed = scheme.compress(minibatch)
-    compress_seconds = time.perf_counter() - start
-
-    start = time.perf_counter()
-    decoded = compressed.to_dense()
-    decompress_seconds = time.perf_counter() - start
-    if decoded.shape != minibatch.shape:
+    Codec timings are not taken here: one call is dominated by one-off
+    costs, so Figure 12 times codecs with :func:`time_callable`.
+    """
+    compressed = get_scheme(scheme_name).compress(minibatch)
+    if compressed.to_dense().shape != minibatch.shape:
         raise AssertionError(f"{scheme_name} round-trip changed the shape")
-
     return CompressionMeasurement(
         scheme=scheme_name,
-        dense_bytes=dense_bytes,
+        dense_bytes=minibatch.shape[0] * minibatch.shape[1] * 8,
         compressed_bytes=compressed.nbytes,
-        compress_seconds=compress_seconds,
-        decompress_seconds=decompress_seconds,
     )
 
 

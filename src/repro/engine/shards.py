@@ -81,7 +81,6 @@ from repro.obs import metrics_snapshot
 from repro.obs import trace as obs_trace
 from repro.storage.buffer_pool import BufferPool
 from repro.storage.mmapio import map_file, publish_file, read_file
-from repro.storage.pages import stored_bytes
 
 MANIFEST_NAME = "manifest.json"
 LABELS_NAME = "labels.npz"
@@ -246,7 +245,6 @@ class DatasetStats:
     requested_scheme: str | list[str] | None
     scheme_counts: dict[str, int] = field(default_factory=dict)
     payload_bytes: int = 0
-    physical_bytes: int = 0
     dense_bytes: int = 0
     encode_seconds: float = 0.0
     #: Process-global obs metrics snapshot; only populated by
@@ -725,14 +723,13 @@ class Dataset:
         return self._labels[batch_id]
 
     def attach(self, pool: BufferPool) -> None:
-        """Register every shard in ``pool`` as a lazy blob that :meth:`read_payload` loads.
+        """Register every shard in ``pool`` behind a loader that is :meth:`read_payload`.
 
         A miss reads the file into bytes the pool then owns, so its byte
         budget bounds memory the process holds, and an eviction frees it.
         """
         for shard in self.shards:
-            loader = partial(self.read_payload, shard.batch_id)
-            pool.put_on_disk(shard.batch_id, size=shard.nbytes, loader=loader)
+            pool.put_on_disk(shard.batch_id, partial(self.read_payload, shard.batch_id))
 
     # -- queries ---------------------------------------------------------------
 
@@ -849,10 +846,6 @@ class Dataset:
     def total_payload_bytes(self) -> int:
         return sum(self.payload_sizes())
 
-    def physical_bytes(self) -> int:
-        """On-disk size after page layout (includes the fudge factor)."""
-        return stored_bytes(self.payload_sizes())
-
     def stats(self, *, metrics: bool = False) -> DatasetStats:
         """Sizes, compression ratio, and the per-shard scheme mix.
 
@@ -870,7 +863,6 @@ class Dataset:
             requested_scheme=self.requested_scheme,
             scheme_counts=self.scheme_counts(),
             payload_bytes=self.total_payload_bytes(),
-            physical_bytes=self.physical_bytes(),
             dense_bytes=self.n_examples * self.n_cols * 8,
             encode_seconds=self.encode_seconds,
             metrics=metrics_snapshot() if metrics else None,

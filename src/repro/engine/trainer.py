@@ -7,6 +7,9 @@ The trainer streams an already-encoded shard directory
 on the training thread, and steps it through the existing
 :class:`~repro.ml.optimizer.MiniBatchGradientDescent` loop — so any model in
 :mod:`repro.ml.models` trains unchanged over datasets larger than memory.
+The report says whether the shards fit the pool's budget and how many bytes
+the pool read from the shard files (``pool_stats.bytes_read_from_disk``);
+each epoch's wall time includes those real reads.
 Encoding and checkpointing belong to the :mod:`repro.api` facade
 (``Dataset.create``, ``Estimator.fit``, ``Estimator.save``).
 """
@@ -29,11 +32,9 @@ class OOCTrainReport:
 
     history: TrainingHistory
     encode_seconds: float
-    epoch_io_seconds: list[float] = field(default_factory=list)
     pool_stats: BufferPoolStats = field(default_factory=BufferPoolStats)
     budget_bytes: int = 0
     total_payload_bytes: int = 0
-    physical_bytes: int = 0
 
     @property
     def fits_in_memory(self) -> bool:
@@ -42,10 +43,6 @@ class OOCTrainReport:
     @property
     def final_loss(self) -> float:
         return self.history.final_loss
-
-    @property
-    def total_io_seconds(self) -> float:
-        return float(sum(self.epoch_io_seconds))
 
 
 class OutOfCoreTrainer:
@@ -60,8 +57,6 @@ class OutOfCoreTrainer:
         is sized to ``budget_ratio`` of the total shard payload, and the
         default of 0.5 deliberately makes the dataset *not* fit so the run
         actually exercises the out-of-core path.
-    disk_bandwidth_bytes_per_sec:
-        The pool's simulated disk bandwidth for misses.
     """
 
     def __init__(
@@ -70,7 +65,6 @@ class OutOfCoreTrainer:
         *,
         budget_bytes: int | None = None,
         budget_ratio: float = 0.5,
-        disk_bandwidth_bytes_per_sec: float = 150e6,
     ):
         if budget_bytes is None and budget_ratio <= 0:
             raise ValueError("budget_ratio must be positive")
@@ -79,7 +73,6 @@ class OutOfCoreTrainer:
         self.config = config or GradientDescentConfig()
         self.budget_bytes = budget_bytes
         self.budget_ratio = budget_ratio
-        self.disk_bandwidth_bytes_per_sec = disk_bandwidth_bytes_per_sec
         self.dataset: Dataset | None = None
         self.pool: BufferPool | None = None
         self._shard_seconds = obs_metrics.histogram("engine.train.shard_seconds")
@@ -93,10 +86,7 @@ class OutOfCoreTrainer:
         budget = self.budget_bytes
         if budget is None:
             budget = max(1, int(self.budget_ratio * dataset.total_payload_bytes()))
-        pool = BufferPool(
-            budget_bytes=budget,
-            disk_bandwidth_bytes_per_sec=self.disk_bandwidth_bytes_per_sec,
-        )
+        pool = BufferPool(budget_bytes=budget)
         dataset.attach(pool)
         self.dataset = dataset
         self.pool = pool
@@ -122,31 +112,24 @@ class OutOfCoreTrainer:
             raise RuntimeError("call attach() before train()")
         dataset, pool = self.dataset, self.pool
         keys = range(len(dataset))
-        io_checkpoints: list[float] = []
-
-        def epoch_batches():
-            io_checkpoints.append(pool.stats.simulated_io_seconds)
-            return map(self._fetch, keys)
-
         optimizer = MiniBatchGradientDescent(self.config)
         with obs_trace.span(
             "engine.train", epochs=self.config.epochs, n_shards=len(dataset)
         ):
-            history = optimizer.train_streaming(model, epoch_batches, eval_fn=eval_fn)
+            history = optimizer.train_streaming(
+                model, lambda: map(self._fetch, keys), eval_fn=eval_fn
+            )
         epoch_hist = obs_metrics.histogram("engine.train.epoch_seconds")
         for epoch_seconds in history.epoch_times:
             epoch_hist.observe(epoch_seconds)
         obs_metrics.counter("engine.train.epochs").inc(len(history.epoch_times))
 
-        io_checkpoints.append(pool.stats.simulated_io_seconds)
         return OOCTrainReport(
             history=history,
             encode_seconds=dataset.encode_seconds,
-            epoch_io_seconds=[b - a for a, b in zip(io_checkpoints, io_checkpoints[1:])],
             # Snapshot, not alias: the pool keeps counting if the trainer is
             # reused, and earlier reports must not change under the caller.
             pool_stats=replace(pool.stats),
             budget_bytes=pool.budget_bytes,
             total_payload_bytes=dataset.total_payload_bytes(),
-            physical_bytes=dataset.physical_bytes(),
         )

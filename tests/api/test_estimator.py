@@ -272,6 +272,31 @@ class TestPersistence:
             loaded.model.get_parameters(), estimator.model.get_parameters()
         )
 
+    def test_checkpoint_recording_the_disk_bandwidth_loads_and_fits(
+        self, tmp_path, census, dataset
+    ):
+        """Checkpoints saved while the simulated disk bandwidth knob existed still load."""
+        features, _ = census
+        estimator = Estimator("logreg", epochs=1, learning_rate=0.3, batch_size=100)
+        estimator.fit(dataset)
+        _, path = estimator.save(tmp_path / "registry")
+        manifest = json.loads((path / CHECKPOINT_NAME).read_text())
+        manifest["api"]["estimator"]["disk_bandwidth_bytes_per_sec"] = 150e6
+        (path / CHECKPOINT_NAME).write_text(json.dumps(manifest))
+
+        loaded = Estimator.load(tmp_path / "registry")
+        assert "disk_bandwidth_bytes_per_sec" not in loaded.get_params()
+        assert loaded.get_params() == estimator.get_params()
+        np.testing.assert_array_equal(loaded.predict(features), estimator.predict(features))
+        loaded.fit(dataset)
+        np.testing.assert_allclose(
+            loaded.model.get_parameters(), estimator.model.get_parameters()
+        )
+
+    def test_the_disk_bandwidth_is_not_a_parameter(self):
+        with pytest.raises(TypeError, match="disk_bandwidth_bytes_per_sec"):
+            Estimator("logreg", disk_bandwidth_bytes_per_sec=20e6)
+
     def test_checkpoint_recording_a_null_workload_loads_and_fits(
         self, tmp_path, census, dataset
     ):

@@ -189,10 +189,6 @@ class TestDataset:
             np.testing.assert_allclose(decoded, features)
             np.testing.assert_array_equal(reopened.labels_for(batch_id), labels)
 
-    def test_physical_bytes_include_fudge_factor(self, tmp_path, small_batches):
-        dataset = Dataset.create(tmp_path, small_batches, scheme="TOC", workers=1)
-        assert dataset.physical_bytes() >= dataset.total_payload_bytes()
-
     def test_open_missing_directory_fails(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             Dataset.open(tmp_path / "nope")

@@ -120,7 +120,6 @@ class TestMemoryPressureScenario:
             )
             # ...and the second reads nothing.
             assert two["io_seconds"] == one["io_seconds"]
-            assert 1.0 <= one["fudge_factor"] < 3.0
 
 
 class TestSerialisationAcrossTheStack:

@@ -36,7 +36,8 @@ from repro.storage.buffer_pool import BufferPool
 PACKAGE = Path(repro.__file__).resolve().parent
 
 #: Where a buffer pool may be built: the out-of-core trainer and the
-#: simulated-disk experiments of Tables 6-7 and Figures 9-11.
+#: experiments of Tables 6-7 and Figures 9-11, whose disk is a model kept in
+#: that module (the pool itself models no disk).
 POOL_OWNERS = ("engine/trainer.py", "bench/experiments.py")
 
 #: Where an LRU may be built: the feature store's parsed shards.  A

@@ -239,6 +239,17 @@ class TestTrainOOCCommand:
         assert "pool stats:" in out
         assert (tmp_path / "manifest.json").exists()
 
+    def test_reports_the_bytes_read_and_no_modelled_disk(self, capsys, tmp_path):
+        argv = ["--dataset", "census", "--rows", "400", "--batch-size", "100",
+                "--workers", "1", "--shard-dir", str(tmp_path)]
+        assert main(["train-ooc", "--epochs", "2", *argv]) == 0
+        out = capsys.readouterr().out
+        assert "MB read from disk" in out
+        assert "wall s" in out
+        assert "sim IO" not in out and "paged" not in out
+        assert main(["stats", "--shard-dir", str(tmp_path)]) == 0
+        assert "paged" not in capsys.readouterr().out
+
     def test_unknown_dataset_fails_cleanly(self, capsys):
         assert main(["train-ooc", "--dataset", "criteo"]) == 2
         assert "unknown dataset" in capsys.readouterr().out
