@@ -17,7 +17,8 @@ out of it without copying.
 
 This example:
 
-1. encodes a dataset, parses one TOC shard, and times the Python reference
+1. encodes a dataset, parses one TOC shard, rebuilds its decode tree ``C'``
+   (level-major, straight from the payload) and times the Python reference
    ``toc_row_slice`` against the NumPy one on the same arguments;
 2. reads that shard both ways, checks each decodes exactly like a copy of
    its bytes, and prints the ``storage.reads`` and ``storage.mmap.*`` obs
@@ -58,19 +59,20 @@ def median_seconds(func, repeats: int = 5) -> float:
 
 
 def show_row_slice(dataset: Dataset) -> None:
-    toc = dataset.decode(0).toc
-    encoding, tree = toc.logical, toc.decode_tree
-    rows = np.random.default_rng(0).choice(encoding.n_rows, size=SELECT, replace=False)
+    # The one structure every TOC kernel runs on: C' rebuilt straight from the
+    # payload's I and D, level-major, with D's codes as its positions.
+    tree = dataset.decode(0).toc.decode_tree
+    rows = np.random.default_rng(0).choice(tree.n_rows, size=SELECT, replace=False)
     args = (
-        encoding.codes, encoding.row_offsets,
+        tree.codes, tree.row_offsets,
         tree.key_columns, tree.key_values, tree.parents,
-        rows.astype(np.intp), encoding.n_cols,
+        rows.astype(np.intp), tree.n_cols,
     )
     reference = python_backend.toc_row_slice(*args)
     assert np.array_equal(numpy_backend.toc_row_slice(*args), reference)
     python_secs = median_seconds(lambda: python_backend.toc_row_slice(*args))
     numpy_secs = median_seconds(lambda: numpy_backend.toc_row_slice(*args))
-    print(f"toc_row_slice, {SELECT} of {encoding.n_rows} rows, same arguments:")
+    print(f"toc_row_slice, {SELECT} of {tree.n_rows} rows, same arguments:")
     print(f"  python reference {python_secs * 1e6:9.1f} µs")
     print(f"  numpy            {numpy_secs * 1e6:9.1f} µs  "
           f"({python_secs / numpy_secs:5.1f}x, bit-identical output)")

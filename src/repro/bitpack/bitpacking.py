@@ -80,14 +80,7 @@ class PackedIntArray:
     @classmethod
     def from_bytes(cls, raw) -> tuple["PackedIntArray", int]:
         """Parse a packed array from ``raw``; return it and the bytes consumed."""
-        if len(raw) < _HEADER.size:
-            raise EncodingError("truncated packed-integer header")
-        count, width = _HEADER.unpack_from(raw)
-        if width not in _SUPPORTED_WIDTHS:
-            raise EncodingError(f"unsupported packed-integer width {width}")
-        end = _HEADER.size + count * width
-        if len(raw) < end:
-            raise EncodingError("truncated packed-integer payload")
+        count, width, end = _block(raw, 0)
         return cls(data=raw[_HEADER.size : end], count=count, width=width), end
 
     def unpack(self) -> np.ndarray:
@@ -113,11 +106,39 @@ def pack_integers(values: np.ndarray | list[int]) -> PackedIntArray:
 
 def unpack_integers(packed: PackedIntArray) -> np.ndarray:
     """Inverse of :func:`pack_integers`."""
-    if packed.width == 3:
+    return _as_integers(packed.data, 0, packed.count, packed.width).astype(np.int64)
+
+
+def read_packed(raw, offset: int = 0) -> tuple[np.ndarray, int]:
+    """The packed array at ``raw[offset:]`` as stored, and the offset just past it.
+
+    Widths 1, 2 and 4 come back as a read-only ``np.frombuffer`` view of
+    ``raw`` in their own unsigned dtype, so nothing is copied; width 3 is
+    widened to ``uint32``.  A truncated block or an unknown width raises
+    :class:`EncodingError`.
+    """
+    count, width, end = _block(raw, offset)
+    return _as_integers(raw, offset + _HEADER.size, count, width), end
+
+
+def _block(raw, offset: int) -> tuple[int, int, int]:
+    """Check the header of the packed array at ``offset``: ``(count, width, end)``."""
+    if len(raw) < offset + _HEADER.size:
+        raise EncodingError("truncated packed-integer header")
+    count, width = _HEADER.unpack_from(raw, offset)
+    if width not in _SUPPORTED_WIDTHS:
+        raise EncodingError(f"unsupported packed-integer width {width}")
+    end = offset + _HEADER.size + count * width
+    if len(raw) < end:
+        raise EncodingError("truncated packed-integer payload")
+    return count, width, end
+
+
+def _as_integers(raw, start: int, count: int, width: int) -> np.ndarray:
+    if width == 3:
         # Re-expand three-byte integers into uint32 with a zero leading byte,
         # mirroring the "copy into uint32 and mask" trick from the paper.
-        tri = np.frombuffer(packed.data, dtype=np.uint8).reshape(packed.count, 3)
-        quad = np.zeros((packed.count, 4), dtype=np.uint8)
-        quad[:, :3] = tri
-        return quad.view("<u4").ravel().astype(np.int64)
-    return np.frombuffer(packed.data, dtype=_WIDTH_DTYPES[packed.width]).astype(np.int64)
+        quad = np.zeros((count, 4), dtype=np.uint8)
+        quad[:, :3] = np.frombuffer(raw, np.uint8, 3 * count, start).reshape(count, 3)
+        return quad.view("<u4").ravel()
+    return np.frombuffer(raw, _WIDTH_DTYPES[width], count, start)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro import kernels
-from repro.bitpack.bitpacking import EncodingError, PackedIntArray, pack_integers
+from repro.bitpack.bitpacking import EncodingError, pack_integers, read_packed
 
 
 @dataclass(frozen=True)
@@ -54,18 +54,25 @@ class ValueIndex:
     @classmethod
     def from_bytes(cls, raw) -> tuple["ValueIndex", int]:
         """Parse a :class:`ValueIndex`; return it and the bytes consumed."""
-        packed_codes, offset = PackedIntArray.from_bytes(raw)
-        dict_header, consumed = PackedIntArray.from_bytes(raw[offset:])
-        offset += consumed
-        if dict_header.count != 1:
-            raise EncodingError("value-index dictionary size must be a single integer")
-        dict_size = int.from_bytes(dict_header.data, "little")
-        end = offset + dict_size * 8
-        if len(raw) < end:
-            raise EncodingError("truncated value-index dictionary")
-        dictionary = np.frombuffer(raw[offset:end], dtype="<f8").copy()
-        codes = packed_codes.unpack()
-        return cls(dictionary=dictionary, codes=codes), end
+        dictionary, codes, end = read_value_index(raw)
+        return cls(dictionary=dictionary.copy(), codes=codes.astype(np.int64)), end
+
+
+def read_value_index(raw, offset: int = 0) -> tuple[np.ndarray, np.ndarray, int]:
+    """``(dictionary, codes, end)`` of the value index at ``raw[offset:]``, uncopied.
+
+    Both arrays are read-only views of ``raw`` (codes in their packed dtype,
+    see :func:`~repro.bitpack.bitpacking.read_packed`).  The block lengths are
+    checked here; the codes' range is the caller's to check.
+    """
+    codes, offset = read_packed(raw, offset)
+    dict_size, offset = read_packed(raw, offset)
+    if dict_size.size != 1:
+        raise EncodingError("value-index dictionary size must be a single integer")
+    end = offset + int(dict_size[0]) * 8
+    if len(raw) < end:
+        raise EncodingError("truncated value-index dictionary")
+    return np.frombuffer(raw, "<f8", int(dict_size[0]), offset), codes, end
 
 
 def first_appearance(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

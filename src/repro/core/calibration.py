@@ -88,8 +88,9 @@ WORKLOADS = tuple(sorted(WORKLOAD_MIXES))
 #: The workload every ``"auto"`` pick is scored for unless told otherwise.
 DEFAULT_WORKLOAD = "train"
 
-#: Assumed sequential disk bandwidth for the I/O term of the cost model
-#: (matches :class:`repro.engine.trainer.OutOfCoreTrainer`'s default).
+#: Assumed sequential disk bandwidth for the I/O term of the cost model.
+#: An assumption of this model alone: the engine models no disk, and the
+#: trainer has no bandwidth setting to match.
 DEFAULT_DISK_BANDWIDTH = 150e6
 
 #: Mapping from the Figure 8 op labels ``time_matrix_ops`` reports to the

@@ -1,8 +1,10 @@
 """Compressed matrix-operation execution over the TOC output (Section 4).
 
-All kernels work on the logical-encoding outputs ``I`` (first layer) and
-``D`` (encoded table), plus the decoding tree ``C'`` rebuilt by
-:func:`repro.core.decode_tree.build_decode_tree`.  The four classes of
+The sparse-safe element-wise ops work on the logical-encoding output ``I``
+(first layer); everything else runs on the decoding tree ``C'``, the one
+structure :func:`repro.core.decode_tree.build_decode_tree` rebuilds from
+``I`` and ``D`` (:class:`repro.core.decode_tree.DecodeTree`, level-major,
+with ``D``'s codes remapped into its numbering).  The four classes of
 operations the paper distinguishes are covered:
 
 * sparse-safe element-wise ops (``A .* c``, ``A .^ 2``) — only ``I`` is
@@ -14,17 +16,16 @@ operations the paper distinguishes are covered:
 * sparse-unsafe element-wise ops (``A .+ c``) — require full decoding
   (Algorithm 6).
 
-The four multiplications run on the tree's level-major layout
-(:class:`repro.core.decode_tree.LevelLayout`, built once per tree): a depth
-is one slice of positions, so the per-node recurrences are one vectorised
-step per level — ``H[lo:hi] += H[parents[lo:hi]]`` going down for the right
-products, and for the left products one ``bincount`` (one sparse product,
-``k`` columns wide) pushing a level's weights into the level above.  The
-scans of ``D`` are one ``bincount`` / ``reduceat`` / sparse product each.
-``A @ v`` is bit-equal to the recurrence evaluated node by node.  Column
-extraction (:func:`matrix_columns`) runs the right recurrence once for every
-requested column, with the other columns' keys set to 0, so a NaN or ±inf
-elsewhere in a row never leaks in.
+A depth of the tree is one slice of positions, so the per-node recurrences
+of the four multiplications are one vectorised step per level —
+``H[lo:hi] += H[parents[lo:hi]]`` going down for the right products, and
+for the left products one ``bincount`` (one sparse product, ``k`` columns
+wide) pushing a level's weights into the level above.  The scans of ``D``
+are one ``bincount`` / ``reduceat`` / sparse product each.  ``A @ v`` is
+bit-equal to the recurrence evaluated node by node.  Column extraction
+(:func:`matrix_columns`) runs the right recurrence once for every requested
+column, with the other columns' keys set to 0, so a NaN or ±inf elsewhere
+in a row never leaks in.
 """
 
 from __future__ import annotations
@@ -32,20 +33,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro import kernels
-from repro.core.decode_tree import DecodeTree, LevelLayout, build_decode_tree
+from repro.core.decode_tree import DecodeTree
 from repro.core.logical import LogicalEncoding
 from repro.core.sparse import SparseEncodedTable
-
-
-def _as_decode_tree(encoding: LogicalEncoding, tree: DecodeTree | None) -> DecodeTree:
-    return tree if tree is not None else build_decode_tree(encoding)
-
-
-def _row_ids(encoding: LogicalEncoding) -> np.ndarray:
-    """Row id of every code in the flattened encoded table ``D``."""
-    return np.repeat(
-        np.arange(encoding.n_rows, dtype=np.int64), np.diff(encoding.row_offsets)
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -99,50 +89,43 @@ def matrix_apply_sparse_safe(
 # ---------------------------------------------------------------------------
 
 
-def _prefix_products(layout: LevelLayout, own: np.ndarray) -> np.ndarray:
+def _prefix_products(tree: DecodeTree, own: np.ndarray) -> np.ndarray:
     """``H[i] = own[i] + H[parent(i)]`` for every node: one scan of ``C'``, in place.
 
     ``own`` is each node's own term (``key · v``, or ``key · M`` row-wise);
     a level at a time, each level a slice whose parents the slice before
     has already resolved.
     """
-    parents = layout.parents
-    for lo, hi in layout.levels:
+    parents = tree.parents
+    for lo, hi in tree.levels:
         own[lo:hi] += own.take(parents[lo:hi], axis=0)
     return own
 
 
-def _row_sums(layout: LevelLayout, h: np.ndarray, n_rows: int) -> np.ndarray:
+def _row_sums(tree: DecodeTree, h: np.ndarray) -> np.ndarray:
     """One scan of ``D``: every row sums its codes' ``H`` (one segmented ``reduceat``).
 
     ``H`` is one value per node, or one row of ``k`` values per node.
     """
-    result = np.zeros((n_rows, *h.shape[1:]), dtype=np.float64)
-    if layout.row_starts.size:
-        result[layout.nonempty_rows] = np.add.reduceat(
-            h.take(layout.codes, axis=0), layout.row_starts, axis=0
+    result = np.zeros((tree.n_rows, *h.shape[1:]), dtype=np.float64)
+    if tree.row_starts.size:
+        result[tree.nonempty_rows] = np.add.reduceat(
+            h.take(tree.codes, axis=0), tree.row_starts, axis=0
         )
     return result
 
 
-def matrix_times_vector(
-    encoding: LogicalEncoding,
-    vector: np.ndarray,
-    tree: DecodeTree | None = None,
-) -> np.ndarray:
+def matrix_times_vector(tree: DecodeTree, vector: np.ndarray) -> np.ndarray:
     """``A @ v`` executed directly on the TOC output (Algorithm 4)."""
     v = np.asarray(vector, dtype=np.float64).ravel()
-    if v.size != encoding.n_cols:
-        raise ValueError(f"vector has length {v.size}, expected {encoding.n_cols}")
-    layout = _as_decode_tree(encoding, tree).layout
-    keys_dot_v = layout.key_values * v.take(layout.key_columns)
+    if v.size != tree.n_cols:
+        raise ValueError(f"vector has length {v.size}, expected {tree.n_cols}")
+    keys_dot_v = tree.key_values * v.take(tree.key_columns)
     keys_dot_v[0] = 0.0  # the root carries no key
-    return _row_sums(layout, _prefix_products(layout, keys_dot_v), encoding.n_rows)
+    return _row_sums(tree, _prefix_products(tree, keys_dot_v))
 
 
-def matrix_columns(
-    encoding: LogicalEncoding, columns, tree: DecodeTree | None = None
-) -> np.ndarray:
+def matrix_columns(tree: DecodeTree, columns) -> np.ndarray:
     """Columns ``columns`` of ``A`` as a dense ``(rows, k)`` block, implicit zeros included.
 
     The recurrence of :func:`matrix_times_matrix` run once over a ``(nodes, k)``
@@ -152,34 +135,26 @@ def matrix_columns(
     one 2-D segmented ``reduceat`` over ``D`` sums every row's codes.
     """
     index = np.asarray(columns, dtype=np.int64).ravel()
-    outside = index[(index < 0) | (index >= encoding.n_cols)]
+    outside = index[(index < 0) | (index >= tree.n_cols)]
     if outside.size:
-        raise IndexError(f"column {int(outside[0])} out of range [0, {encoding.n_cols})")
-    layout = _as_decode_tree(encoding, tree).layout
+        raise IndexError(f"column {int(outside[0])} out of range [0, {tree.n_cols})")
     # Built (k, nodes) and transposed: a (nodes, k) broadcast runs k-wide inner loops.
-    own = np.where(layout.key_columns == index[:, None], layout.key_values, 0.0).T.copy()
+    own = np.where(tree.key_columns == index[:, None], tree.key_values, 0.0).T.copy()
     own[0] = 0.0  # the root carries no key
-    return _row_sums(layout, _prefix_products(layout, own), encoding.n_rows)
+    return _row_sums(tree, _prefix_products(tree, own))
 
 
-def matrix_times_matrix(
-    encoding: LogicalEncoding,
-    matrix: np.ndarray,
-    tree: DecodeTree | None = None,
-) -> np.ndarray:
+def matrix_times_matrix(tree: DecodeTree, matrix: np.ndarray) -> np.ndarray:
     """``A @ M`` executed directly on the TOC output (Algorithm 7)."""
     m = np.asarray(matrix, dtype=np.float64)
-    if m.ndim != 2 or m.shape[0] != encoding.n_cols:
-        raise ValueError(
-            f"matrix has shape {m.shape}, expected ({encoding.n_cols}, k)"
-        )
-    layout = _as_decode_tree(encoding, tree).layout
-    keys_dot_m = m.take(layout.key_columns, axis=0)
-    keys_dot_m *= layout.key_values[:, None]
+    if m.ndim != 2 or m.shape[0] != tree.n_cols:
+        raise ValueError(f"matrix has shape {m.shape}, expected ({tree.n_cols}, k)")
+    keys_dot_m = m.take(tree.key_columns, axis=0)
+    keys_dot_m *= tree.key_values[:, None]
     keys_dot_m[0] = 0.0
     # Every row sums its codes' H with one sparse product, never expanding
     # D to |D| x k.
-    return layout.code_matrix @ _prefix_products(layout, keys_dot_m)
+    return tree.code_matrix @ _prefix_products(tree, keys_dot_m)
 
 
 # ---------------------------------------------------------------------------
@@ -187,60 +162,46 @@ def matrix_times_matrix(
 # ---------------------------------------------------------------------------
 
 
-def vector_times_matrix(
-    encoding: LogicalEncoding,
-    vector: np.ndarray,
-    tree: DecodeTree | None = None,
-) -> np.ndarray:
+def vector_times_matrix(tree: DecodeTree, vector: np.ndarray) -> np.ndarray:
     """``v @ A`` executed directly on the TOC output (Algorithm 5)."""
     v = np.asarray(vector, dtype=np.float64).ravel()
-    if v.size != encoding.n_rows:
-        raise ValueError(f"vector has length {v.size}, expected {encoding.n_rows}")
-    layout = _as_decode_tree(encoding, tree).layout
+    if v.size != tree.n_rows:
+        raise ValueError(f"vector has length {v.size}, expected {tree.n_rows}")
     # One scan of D: G(i), the total weight of the rows referencing node i.
-    g = np.bincount(
-        layout.codes, weights=np.repeat(v, layout.row_lengths), minlength=layout.n_nodes
-    )
+    g = np.bincount(tree.codes, weights=np.repeat(v, tree.row_lengths), minlength=tree.n_nodes)
     # Backwards scan of C', deepest level first: each level's weights land
     # in the level above with one bincount over the parents (counted from
     # that level's start, so each bincount is as wide as the level above).
-    levels, parents = layout.levels, layout.level_parents
+    levels, parents = tree.levels, tree.level_parents
     for (plo, phi), (lo, hi) in zip(levels[-2::-1], levels[:0:-1]):
         g[plo:phi] += np.bincount(parents[lo:hi], weights=g[lo:hi], minlength=phi - plo)
     # Every node's weight is now final: emit key · weight, one bincount by column
     # (which counts in integers when there is no node at all, only the root).
-    emitting = layout.emitting
+    emitting = tree.emitting
     return np.bincount(
-        layout.key_columns[emitting],
-        weights=layout.key_values[emitting] * g[emitting],
-        minlength=encoding.n_cols,
+        tree.key_columns[emitting],
+        weights=tree.key_values[emitting] * g[emitting],
+        minlength=tree.n_cols,
     ).astype(np.float64, copy=False)
 
 
-def uncompressed_matrix_times_matrix(
-    encoding: LogicalEncoding,
-    matrix: np.ndarray,
-    tree: DecodeTree | None = None,
-) -> np.ndarray:
+def uncompressed_matrix_times_matrix(tree: DecodeTree, matrix: np.ndarray) -> np.ndarray:
     """``M @ A`` executed directly on the TOC output (Algorithm 8)."""
     m = np.asarray(matrix, dtype=np.float64)
-    if m.ndim != 2 or m.shape[1] != encoding.n_rows:
-        raise ValueError(
-            f"matrix has shape {m.shape}, expected (k, {encoding.n_rows})"
-        )
-    layout = _as_decode_tree(encoding, tree).layout
+    if m.ndim != 2 or m.shape[1] != tree.n_rows:
+        raise ValueError(f"matrix has shape {m.shape}, expected (k, {tree.n_rows})")
     # One scan of D: G[i, :] sums M[:, row] over the rows referencing node i
     # (transposed, so a node's weights are one contiguous row).
-    g = layout.code_matrix.T @ m.T
+    g = tree.code_matrix.T @ m.T
     # Backwards scan of C', deepest level first: each level's sibling groups
     # sum into their parents with one sparse product.
-    levels = layout.levels
+    levels = tree.levels
     for (plo, phi), (lo, hi), parent_of in zip(
-        levels[-2::-1], levels[:0:-1], reversed(layout.parent_matrices)
+        levels[-2::-1], levels[:0:-1], reversed(tree.parent_matrices)
     ):
         g[plo:phi] += parent_of @ g[lo:hi]
     # Every node's weights are final: emit key · weights by column.
-    return (layout.key_matrix @ g[layout.emitting]).T
+    return (tree.key_matrix @ g[tree.emitting]).T
 
 
 # ---------------------------------------------------------------------------
@@ -248,96 +209,74 @@ def uncompressed_matrix_times_matrix(
 # ---------------------------------------------------------------------------
 
 
-def decode_to_sparse(
-    encoding: LogicalEncoding, tree: DecodeTree | None = None
-) -> SparseEncodedTable:
-    """Decode the logical encoding back to a sparse-encoded table.
+def decode_to_sparse(tree: DecodeTree) -> SparseEncodedTable:
+    """Decode the TOC output back to a sparse-encoded table.
 
     Linear in the number of output pairs: every code's sequence is written
     back-to-front by walking up the tree, with all codes advanced in lockstep
     (one vectorised step per tree level).
     """
-    ctree = _as_decode_tree(encoding, tree)
-    lengths_per_code = ctree.depths[encoding.codes]
-    total_pairs = int(lengths_per_code.sum())
-    columns = np.zeros(total_pairs, dtype=np.int64)
-    values = np.zeros(total_pairs, dtype=np.float64)
-
-    if encoding.codes.size:
-        ends = np.cumsum(lengths_per_code)
-        current = encoding.codes.copy()
-        positions = ends - 1
+    widths = np.diff([0, 1, *(hi for _, hi in tree.levels)])  # the root, then each level
+    depths = np.repeat(np.arange(widths.size), widths)
+    lengths_per_code = depths.take(tree.codes)
+    ends = np.cumsum(lengths_per_code)
+    columns = np.zeros(int(ends[-1]) if ends.size else 0, dtype=np.int64)
+    values = np.zeros(columns.size, dtype=np.float64)
+    current = tree.codes.copy()
+    positions = ends - 1
+    active = current != 0
+    while np.any(active):
+        idx = positions[active]
+        nodes = current[active]
+        columns[idx] = tree.key_columns[nodes]
+        values[idx] = tree.key_values[nodes]
+        current[active] = tree.parents[nodes]
+        positions[active] -= 1
         active = current != 0
-        while np.any(active):
-            idx = positions[active]
-            nodes = current[active]
-            columns[idx] = ctree.key_columns[nodes]
-            values[idx] = ctree.key_values[nodes]
-            current[active] = ctree.parents[nodes]
-            positions[active] -= 1
-            active = current != 0
 
-    # Row offsets in pair space: sum of sequence lengths per row.
-    row_offsets = np.zeros(encoding.n_rows + 1, dtype=np.int64)
-    if encoding.codes.size:
-        row_ids = _row_ids(encoding)
-        pairs_per_row = np.bincount(
-            row_ids, weights=lengths_per_code, minlength=encoding.n_rows
-        ).astype(np.int64)
-        np.cumsum(pairs_per_row, out=row_offsets[1:])
+    # Row offsets in pair space: every row ends where its last code's sequence does.
+    row_offsets = np.zeros(tree.n_rows + 1, dtype=np.int64)
+    if ends.size:
+        row_offsets[1:] = np.concatenate(([0], ends)).take(tree.row_offsets[1:])
     return SparseEncodedTable(
-        columns=columns,
-        values=values,
-        row_offsets=row_offsets,
-        shape=encoding.shape,
+        columns=columns, values=values, row_offsets=row_offsets, shape=tree.shape
     )
 
 
-def decode_to_dense(
-    encoding: LogicalEncoding, tree: DecodeTree | None = None
-) -> np.ndarray:
+def decode_to_dense(tree: DecodeTree) -> np.ndarray:
     """Fully decode the TOC output to a dense matrix: the row-slice walk over every row."""
-    return decode_rows_to_dense(encoding, np.arange(encoding.n_rows), tree)
+    return decode_rows_to_dense(tree, np.arange(tree.n_rows))
 
 
-def decode_rows_to_dense(
-    encoding: LogicalEncoding,
-    rows: np.ndarray,
-    tree: DecodeTree | None = None,
-) -> np.ndarray:
+def decode_rows_to_dense(tree: DecodeTree, rows: np.ndarray) -> np.ndarray:
     """Decode only ``rows`` (in request order, duplicates kept) to dense.
 
     Gathers just the selected rows' code runs and walks them through the
     decode tree — ``O(selected codes × depth)``, never touching the other
     rows' codes or materialising a selection matrix.
     """
-    ctree = _as_decode_tree(encoding, tree)
     index = np.asarray(rows, dtype=np.intp).ravel()
-    if index.size and (index.min() < 0 or index.max() >= encoding.n_rows):
+    if index.size and (index.min() < 0 or index.max() >= tree.n_rows):
         raise IndexError("row index out of range")
     return kernels.toc_row_slice(
-        encoding.codes,
-        encoding.row_offsets,
-        ctree.key_columns,
-        ctree.key_values,
-        ctree.parents,
+        tree.codes,
+        tree.row_offsets,
+        tree.key_columns,
+        tree.key_values,
+        tree.parents,
         index,
-        encoding.n_cols,
+        tree.n_cols,
     )
 
 
-def matrix_plus_scalar(
-    encoding: LogicalEncoding, scalar: float, tree: DecodeTree | None = None
-) -> np.ndarray:
+def matrix_plus_scalar(tree: DecodeTree, scalar: float) -> np.ndarray:
     """``A .+ c`` — sparse-unsafe, so the matrix is decoded first (Algorithm 6)."""
-    return decode_to_dense(encoding, tree) + float(scalar)
+    return decode_to_dense(tree) + float(scalar)
 
 
-def matrix_plus_matrix(
-    encoding: LogicalEncoding, other: np.ndarray, tree: DecodeTree | None = None
-) -> np.ndarray:
+def matrix_plus_matrix(tree: DecodeTree, other: np.ndarray) -> np.ndarray:
     """``A + M`` — sparse-unsafe element-wise addition with a dense matrix."""
-    dense = decode_to_dense(encoding, tree)
+    dense = decode_to_dense(tree)
     other = np.asarray(other, dtype=np.float64)
     if other.shape != dense.shape:
         raise ValueError(f"shape mismatch: {dense.shape} vs {other.shape}")

@@ -16,13 +16,12 @@ An alternative varint layout is provided for the "future work" ablation.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 
 import numpy as np
 
 from repro import kernels
-from repro.bitpack.bitpacking import PackedIntArray, pack_integers
-from repro.bitpack.value_index import ValueIndex, build_value_index
+from repro.bitpack.bitpacking import pack_integers, read_packed
+from repro.bitpack.value_index import build_value_index, read_value_index
 from repro.bitpack.varint import encode_varints
 from repro.core.logical import LogicalEncoding
 from repro.core.validate import EncodingError
@@ -32,103 +31,58 @@ _MAGIC = b"TOC1"
 _SHAPE = struct.Struct("<QQ")
 
 
-@dataclass(frozen=True)
-class PhysicalEncoding:
-    """Physically encoded TOC output (self-describing byte blocks)."""
-
-    first_layer_columns: PackedIntArray
-    first_layer_values: ValueIndex
-    codes: PackedIntArray
-    row_offsets: PackedIntArray
-    shape: tuple[int, int]
-
-    @property
-    def nbytes(self) -> int:
-        """Total compressed size in bytes (what compression ratios measure)."""
-        return (
-            len(_MAGIC)
-            + _SHAPE.size
-            + self.first_layer_columns.nbytes
-            + self.first_layer_values.nbytes
-            + self.codes.nbytes
-            + self.row_offsets.nbytes
-        )
-
-    def to_bytes(self) -> bytes:
-        """Serialise to a single byte string."""
-        return (
-            _MAGIC
-            + _SHAPE.pack(*self.shape)
-            + self.first_layer_columns.to_bytes()
-            + self.first_layer_values.to_bytes()
-            + self.codes.to_bytes()
-            + self.row_offsets.to_bytes()
-        )
-
-    @classmethod
-    def from_bytes(cls, raw) -> "PhysicalEncoding":
-        """Parse a :class:`PhysicalEncoding` from bytes or any buffer object.
-
-        Passing a memoryview (e.g. over a shard's bytes) keeps every slice —
-        including the packed payloads — zero-copy views of the source buffer.
-        Every block must fit the payload and the last must end where it
-        does, or :class:`~repro.core.validate.EncodingError` is raised
-        before anything is unpacked; :func:`physical_decode` and
-        :class:`~repro.core.logical.LogicalEncoding` check the values.
-        """
-        raw = memoryview(raw)
-        offset = len(_MAGIC) + _SHAPE.size
-        if len(raw) < offset:
-            raise EncodingError("truncated TOC physical encoding header")
-        if raw[: len(_MAGIC)] != _MAGIC:
-            raise EncodingError("not a TOC physical encoding (bad magic)")
-        shape = _SHAPE.unpack_from(raw, len(_MAGIC))
-        first_cols, consumed = PackedIntArray.from_bytes(raw[offset:])
-        offset += consumed
-        first_vals, consumed = ValueIndex.from_bytes(raw[offset:])
-        offset += consumed
-        codes, consumed = PackedIntArray.from_bytes(raw[offset:])
-        offset += consumed
-        row_offsets, consumed = PackedIntArray.from_bytes(raw[offset:])
-        offset += consumed
-        if offset != len(raw):
-            raise EncodingError(f"TOC payload is {len(raw)} bytes; its blocks end at {offset}")
-        return cls(
-            first_layer_columns=first_cols,
-            first_layer_values=first_vals,
-            codes=codes,
-            row_offsets=row_offsets,
-            shape=shape,
-        )
-
-
-def physical_encode(encoding: LogicalEncoding) -> PhysicalEncoding:
-    """Encode the logical output with bit packing + value indexing."""
-    return PhysicalEncoding(
-        first_layer_columns=pack_integers(encoding.first_layer_columns),
-        first_layer_values=build_value_index(encoding.first_layer_values),
-        codes=pack_integers(encoding.codes),
-        row_offsets=pack_integers(encoding.row_offsets),
-        shape=encoding.shape,
+def physical_encode(encoding: LogicalEncoding) -> bytes:
+    """Encode the logical output with bit packing + value indexing, serialised."""
+    return (
+        _MAGIC
+        + _SHAPE.pack(*encoding.shape)
+        + pack_integers(encoding.first_layer_columns).to_bytes()
+        + build_value_index(encoding.first_layer_values).to_bytes()
+        + pack_integers(encoding.codes).to_bytes()
+        + pack_integers(encoding.row_offsets).to_bytes()
     )
 
 
-def physical_decode(physical: PhysicalEncoding) -> LogicalEncoding:
-    """Recover the logical encoding from its physical form.
+def physical_decode(raw) -> LogicalEncoding:
+    """Parse a TOC payload (bytes or any buffer object) back into ``I`` and ``D``.
 
-    A first-layer column past the header's column count raises
-    :class:`~repro.core.validate.EncodingError` here; the row offsets and
-    codes are checked by :class:`LogicalEncoding` and the decode tree.
+    The read path of every TOC shard, so nothing is unpacked into objects
+    or copied: the column indexes, the codes and the row offsets are
+    ``np.frombuffer`` views of ``raw`` in their packed (unsigned) dtypes
+    (a 3-byte width is widened to ``uint32``), and the first-layer values are one gather of the dictionary, which
+    stays a view too.  Every block must fit the payload and the last must
+    end where it does, value codes must lie inside the dictionary and
+    first-layer columns below the header's column count, or
+    :class:`~repro.core.validate.EncodingError` is raised;
+    :class:`~repro.core.logical.LogicalEncoding` checks the row offsets and
+    the codes' lower bound, :func:`repro.core.decode_tree.build_decode_tree`
+    the rest.
     """
-    columns, n_cols = physical.first_layer_columns.unpack(), physical.shape[1]
-    if columns.size and int(columns.max()) >= n_cols:
-        raise EncodingError(f"first-layer column index out of range for {n_cols} columns")
+    raw = memoryview(raw)
+    offset = len(_MAGIC) + _SHAPE.size
+    if len(raw) < offset:
+        raise EncodingError("truncated TOC physical encoding header")
+    if raw[: len(_MAGIC)] != _MAGIC:
+        raise EncodingError("not a TOC physical encoding (bad magic)")
+    shape = _SHAPE.unpack_from(raw, len(_MAGIC))
+    columns, offset = read_packed(raw, offset)
+    dictionary, value_codes, offset = read_value_index(raw, offset)
+    codes, offset = read_packed(raw, offset)
+    row_offsets, offset = read_packed(raw, offset)
+    if offset != len(raw):
+        raise EncodingError(f"TOC payload is {len(raw)} bytes; its blocks end at {offset}")
+    try:
+        values = dictionary.take(value_codes)
+    except IndexError:
+        raise EncodingError("value-index codes out of dictionary range") from None
+    if columns.size and int(columns.max()) >= shape[1]:
+        raise EncodingError(f"first-layer column index out of range for {shape[1]} columns")
     return LogicalEncoding(
         first_layer_columns=columns,
-        first_layer_values=physical.first_layer_values.decode(),
-        codes=physical.codes.unpack(),
-        row_offsets=physical.row_offsets.unpack(),
-        shape=physical.shape,
+        first_layer_values=values,
+        codes=codes,
+        row_offsets=row_offsets,
+        shape=shape,
     )
 
 
@@ -209,7 +163,6 @@ def physical_decode_varint(raw) -> LogicalEncoding:
 
 
 __all__ = [
-    "PhysicalEncoding",
     "physical_encode",
     "physical_decode",
     "physical_encode_varint",

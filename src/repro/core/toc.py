@@ -11,6 +11,11 @@ mini-batch almost like a NumPy array:
 >>> np.allclose(toc.matvec(np.ones(4)), batch @ np.ones(4))
 True
 
+Read back with :meth:`TOCMatrix.from_bytes`, a matrix holds views of its
+payload for ``I`` and ``D`` and, from its first operation on, one decode
+tree ``C'`` (:class:`~repro.core.decode_tree.DecodeTree`): every product,
+column extraction, row slice and full decode runs on it.
+
 The :class:`TOCVariant` enum selects how many layers are applied; it exists
 to support the paper's ablation studies (``TOC_SPARSE``,
 ``TOC_SPARSE_AND_LOGICAL``, ``TOC_FULL``).
@@ -26,12 +31,7 @@ import numpy as np
 from repro.core import ops
 from repro.core.decode_tree import DecodeTree, build_decode_tree
 from repro.core.logical import LogicalEncoding, prefix_tree_encode
-from repro.core.physical import (
-    PhysicalEncoding,
-    logical_nbytes,
-    physical_decode,
-    physical_encode,
-)
+from repro.core.physical import logical_nbytes, physical_decode, physical_encode
 from repro.core.sparse import SparseEncodedTable, sparse_encode
 
 
@@ -48,15 +48,16 @@ class TOCMatrix:
     """A mini-batch compressed with tuple-oriented compression.
 
     Instances are created with :meth:`encode` (from a dense matrix) or
-    :meth:`from_bytes` (from a serialised physical encoding).  The logical
-    encoding is always materialised in memory; the physical bytes are kept
-    when ``variant`` is :attr:`TOCVariant.FULL` and are what the compression
-    ratio measures.
+    :meth:`from_bytes` (from a serialised physical encoding).  The physical
+    bytes are kept when ``variant`` is :attr:`TOCVariant.FULL` and are what
+    the compression ratio measures.  Read from bytes, ``logical`` holds
+    views of them, no copies; every operation but the sparse-safe ones
+    runs on :attr:`decode_tree`, built once on first use.
     """
 
     logical: LogicalEncoding
     variant: TOCVariant = TOCVariant.FULL
-    physical: PhysicalEncoding | None = None
+    payload: bytes | memoryview | None = field(default=None, repr=False)
     _decode_tree: DecodeTree | None = field(default=None, repr=False)
     _sparse_nbytes: int | None = field(default=None, repr=False)
 
@@ -76,19 +77,22 @@ class TOCMatrix:
     ) -> "TOCMatrix":
         """Compress an already sparse-encoded table with TOC."""
         logical = prefix_tree_encode(sparse)
-        physical = physical_encode(logical) if variant is TOCVariant.FULL else None
+        payload = physical_encode(logical) if variant is TOCVariant.FULL else None
         return cls(
             logical=logical,
             variant=variant,
-            physical=physical,
+            payload=payload,
             _sparse_nbytes=sparse.nbytes,
         )
 
     @classmethod
-    def from_bytes(cls, raw: bytes) -> "TOCMatrix":
-        """Deserialise a TOC matrix from its physical byte representation."""
-        physical = PhysicalEncoding.from_bytes(raw)
-        return cls(logical=physical_decode(physical), variant=TOCVariant.FULL, physical=physical)
+    def from_bytes(cls, raw) -> "TOCMatrix":
+        """Deserialise a TOC matrix from its physical bytes (any buffer object).
+
+        Parsing copies nothing (:func:`~repro.core.physical.physical_decode`);
+        the first operation builds the decode tree straight from the views.
+        """
+        return cls(logical=physical_decode(raw), variant=TOCVariant.FULL, payload=raw)
 
     @classmethod
     def encode_to_bytes(cls, matrix: np.ndarray) -> bytes:
@@ -120,47 +124,47 @@ class TOCMatrix:
     def nbytes(self) -> int:
         """Compressed size in bytes according to the selected variant."""
         if self.variant is TOCVariant.FULL:
-            if self.physical is None:
-                self.physical = physical_encode(self.logical)
-            return self.physical.nbytes
+            if self.payload is None:
+                self.payload = physical_encode(self.logical)
+            return len(self.payload)
         if self.variant is TOCVariant.SPARSE_AND_LOGICAL:
             return logical_nbytes(self.logical)
         # SPARSE variant: cost of the plain sparse encoding (col idx + value
         # per non-zero plus row offsets), computed at encode time.
         if self._sparse_nbytes is None:
-            self._sparse_nbytes = ops.decode_to_sparse(self.logical).nbytes
+            self._sparse_nbytes = self.to_sparse().nbytes
         return self._sparse_nbytes
 
     @property
     def decode_tree(self) -> DecodeTree:
-        """The decoding tree ``C'``, built lazily and cached."""
+        """The decoding tree ``C'`` every kernel runs on, built lazily and cached."""
         if self._decode_tree is None:
             self._decode_tree = build_decode_tree(self.logical)
         return self._decode_tree
 
     def to_bytes(self) -> bytes:
         """Serialise the physical encoding (always available on demand)."""
-        if self.physical is None:
-            self.physical = physical_encode(self.logical)
-        return self.physical.to_bytes()
+        if self.payload is None:
+            self.payload = physical_encode(self.logical)
+        return bytes(self.payload)
 
     # -- compressed execution ----------------------------------------------
 
     def matvec(self, vector: np.ndarray) -> np.ndarray:
         """``A @ v`` without decompression (Algorithm 4)."""
-        return ops.matrix_times_vector(self.logical, vector, self.decode_tree)
+        return ops.matrix_times_vector(self.decode_tree, vector)
 
     def rmatvec(self, vector: np.ndarray) -> np.ndarray:
         """``v @ A`` without decompression (Algorithm 5)."""
-        return ops.vector_times_matrix(self.logical, vector, self.decode_tree)
+        return ops.vector_times_matrix(self.decode_tree, vector)
 
     def matmat(self, matrix: np.ndarray) -> np.ndarray:
         """``A @ M`` without decompression (Algorithm 7)."""
-        return ops.matrix_times_matrix(self.logical, matrix, self.decode_tree)
+        return ops.matrix_times_matrix(self.decode_tree, matrix)
 
     def rmatmat(self, matrix: np.ndarray) -> np.ndarray:
         """``M @ A`` without decompression (Algorithm 8)."""
-        return ops.uncompressed_matrix_times_matrix(self.logical, matrix, self.decode_tree)
+        return ops.uncompressed_matrix_times_matrix(self.decode_tree, matrix)
 
     def columns(self, cols) -> np.ndarray:
         """Columns ``cols`` as a dense ``(rows, k)`` block, in one pass over ``C'``.
@@ -168,7 +172,7 @@ class TOCMatrix:
         Never multiplies another column's value, so a NaN or ±inf elsewhere
         in a row stays out (:func:`repro.core.ops.matrix_columns`).
         """
-        return ops.matrix_columns(self.logical, cols, self.decode_tree)
+        return ops.matrix_columns(self.decode_tree, cols)
 
     def column(self, col: int) -> np.ndarray:
         """Column ``col`` as a dense vector."""
@@ -177,26 +181,26 @@ class TOCMatrix:
     def scale(self, scalar: float) -> "TOCMatrix":
         """``A .* c`` — returns a new TOC matrix sharing the code arrays."""
         scaled = ops.matrix_times_scalar(self.logical, scalar)
-        return TOCMatrix(logical=scaled, variant=self.variant, _decode_tree=None)
+        return TOCMatrix(logical=scaled, variant=self.variant)
 
     def power(self, exponent: float) -> "TOCMatrix":
         """``A .^ p`` for positive ``p`` (sparse-safe)."""
         powered = ops.matrix_elementwise_power(self.logical, exponent)
-        return TOCMatrix(logical=powered, variant=self.variant, _decode_tree=None)
+        return TOCMatrix(logical=powered, variant=self.variant)
 
     def add_scalar(self, scalar: float) -> np.ndarray:
         """``A .+ c`` — sparse-unsafe, returns a dense matrix (Algorithm 6)."""
-        return ops.matrix_plus_scalar(self.logical, scalar, self.decode_tree)
+        return ops.matrix_plus_scalar(self.decode_tree, scalar)
 
     # -- decoding ------------------------------------------------------------
 
     def to_sparse(self) -> SparseEncodedTable:
         """Decode back to the sparse-encoded table."""
-        return ops.decode_to_sparse(self.logical, self.decode_tree)
+        return ops.decode_to_sparse(self.decode_tree)
 
     def to_dense(self) -> np.ndarray:
         """Fully decode back to a dense NumPy matrix (the row-slice walk over every row)."""
-        return ops.decode_to_dense(self.logical, self.decode_tree)
+        return ops.decode_to_dense(self.decode_tree)
 
     def row_slice(self, rows: np.ndarray) -> np.ndarray:
         """Dense copy of the selected rows, in request order.
@@ -205,7 +209,7 @@ class TOCMatrix:
         (``O(selected codes)``) — no selection matrix, no full decode.
         Duplicate indices yield independent output rows.
         """
-        return ops.decode_rows_to_dense(self.logical, rows, self.decode_tree)
+        return ops.decode_rows_to_dense(self.decode_tree, rows)
 
     # -- statistics -----------------------------------------------------------
 

@@ -1,9 +1,17 @@
-"""Structural validation of TOC encodings.
+"""Structural validation of TOC encodings, and the one error every decoder raises.
 
-These checks are used by tests and by the failure-injection experiments:
-they verify the invariants that the encoding algorithm guarantees, so that
-corrupted or hand-built encodings are rejected with clear errors instead of
-producing silently wrong arithmetic.
+A shard read checks what it must to stay safe as it goes, with no pass of
+its own: :func:`repro.core.physical.physical_decode` the block lengths, the
+payload's end, the value codes and the first-layer columns;
+:class:`~repro.core.logical.LogicalEncoding` the row offsets and the codes'
+lower bound; :func:`repro.core.decode_tree.build_decode_tree` the codes'
+upper bound and the tree's order (each parent before its child, no code
+ahead of its node), before its doubling loop walks a pointer.  Each raises
+:class:`EncodingError`.  The functions here go further — first-layer
+uniqueness, sorted columns in every decoded row, a lossless round trip —
+for tests and the failure-injection experiments, so that corrupted or
+hand-built encodings are rejected with clear errors instead of producing
+silently wrong arithmetic.
 """
 
 from __future__ import annotations
@@ -54,10 +62,9 @@ def validate_logical(encoding: LogicalEncoding) -> None:
     from repro.core.ops import decode_to_sparse
 
     # Rebuilding the decode tree checks the code ranges and the tree structure.
-    tree = build_decode_tree(encoding)
     # Every decoded row must have strictly increasing column indexes, which is
     # what "preserving tuple boundaries" means for the downstream kernels.
-    validate_sparse(decode_to_sparse(encoding, tree))
+    validate_sparse(decode_to_sparse(build_decode_tree(encoding)))
 
 
 def validate_roundtrip(matrix: np.ndarray) -> None:

@@ -1,10 +1,12 @@
 """The level-major kernels against the per-level recurrences they replaced, and against dense.
 
 ``reference_*`` below are the four TOC multiplication kernels as they ran
-on ``C'`` in creation order: the nodes grouped by depth with a stable sort,
-each level a fancy-index gather and write (``A @ v``, ``A @ M``) or an
-``np.add.at`` scatter (``v @ A``, ``M @ A``).  They are the oracle the way
-``reference_encode`` in ``test_logical.py`` is Algorithm 1's: the shipped
+on ``C'`` in creation order (Algorithm 2's node-order tree,
+:func:`~tests.core.test_decode_tree.node_order_tree`): the nodes grouped by
+depth with a stable sort, each level a fancy-index gather and write
+(``A @ v``, ``A @ M``) or an ``np.add.at`` scatter (``v @ A``, ``M @ A``).
+They are the oracle the way ``reference_encode`` in ``test_logical.py`` is
+Algorithm 1's: the shipped
 ``A @ v`` must be *bit*-equal to :func:`reference_matvec` (served score
 vectors were computed by it), and every kernel must agree with dense
 products on the decoded matrix, NaN and ±inf cells included.
@@ -19,10 +21,11 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.core import ops
-from repro.core.decode_tree import DecodeTree, build_decode_tree
+from repro.core.decode_tree import build_decode_tree
 from repro.core.logical import LogicalEncoding, prefix_tree_encode
 from repro.core.sparse import sparse_decode, sparse_encode
 from repro.core.toc import TOCMatrix
+from tests.core.test_decode_tree import NodeOrderTree, node_order_tree
 
 # NaN and ±inf cells make NumPy warn about invalid operations, on both sides.
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -41,7 +44,7 @@ MATRICES = hnp.arrays(
 # -- the oracle ------------------------------------------------------------------
 
 
-def _levels(tree: DecodeTree) -> list[np.ndarray]:
+def _levels(tree: NodeOrderTree) -> list[np.ndarray]:
     """Node ids of each depth 1..max, in creation order."""
     depths = tree.depths[1:]
     order = np.argsort(depths, kind="stable") + 1
@@ -55,7 +58,7 @@ def _row_segments(encoding: LogicalEncoding) -> tuple[np.ndarray, np.ndarray]:
     return nonempty, encoding.row_offsets[:-1][nonempty]
 
 
-def reference_matvec(encoding: LogicalEncoding, tree: DecodeTree, v: np.ndarray) -> np.ndarray:
+def reference_matvec(encoding: LogicalEncoding, tree: NodeOrderTree, v: np.ndarray) -> np.ndarray:
     keys_dot_v = np.zeros(len(tree))
     keys_dot_v[1:] = tree.key_values[1:] * v[tree.key_columns[1:]]
     h = np.zeros(len(tree))
@@ -68,7 +71,7 @@ def reference_matvec(encoding: LogicalEncoding, tree: DecodeTree, v: np.ndarray)
     return result
 
 
-def reference_matmat(encoding: LogicalEncoding, tree: DecodeTree, m: np.ndarray) -> np.ndarray:
+def reference_matmat(encoding: LogicalEncoding, tree: NodeOrderTree, m: np.ndarray) -> np.ndarray:
     keys_dot_m = np.zeros((len(tree), m.shape[1]))
     keys_dot_m[1:] = tree.key_values[1:, None] * m[tree.key_columns[1:]]
     h = np.zeros_like(keys_dot_m)
@@ -85,7 +88,7 @@ def _code_rows(encoding: LogicalEncoding) -> np.ndarray:
     return np.repeat(np.arange(encoding.n_rows), np.diff(encoding.row_offsets))
 
 
-def reference_rmatvec(encoding: LogicalEncoding, tree: DecodeTree, v: np.ndarray) -> np.ndarray:
+def reference_rmatvec(encoding: LogicalEncoding, tree: NodeOrderTree, v: np.ndarray) -> np.ndarray:
     h = np.bincount(encoding.codes, weights=v[_code_rows(encoding)], minlength=len(tree))
     result = np.zeros(encoding.n_cols)
     for nodes in reversed(_levels(tree)):
@@ -94,7 +97,7 @@ def reference_rmatvec(encoding: LogicalEncoding, tree: DecodeTree, v: np.ndarray
     return result
 
 
-def reference_rmatmat(encoding: LogicalEncoding, tree: DecodeTree, m: np.ndarray) -> np.ndarray:
+def reference_rmatmat(encoding: LogicalEncoding, tree: NodeOrderTree, m: np.ndarray) -> np.ndarray:
     h = np.zeros((len(tree), m.shape[0]))
     np.add.at(h, encoding.codes, m[:, _code_rows(encoding)].T)
     result_t = np.zeros((encoding.n_cols, m.shape[0]))
@@ -149,22 +152,22 @@ def _assert_bits_equal(actual: np.ndarray, expected: np.ndarray) -> None:
 
 def _assert_all_kernels(dense: np.ndarray, seed: int = 0) -> None:
     encoding = _encode(dense)
-    tree = build_decode_tree(encoding)
+    tree, oracle = build_decode_tree(encoding), node_order_tree(encoding)
     v, u, m, left = _operands(dense, seed)
     close = {"rtol": 1e-9, "atol": 1e-9, "equal_nan": True}
 
-    matvec = ops.matrix_times_vector(encoding, v, tree)
-    _assert_bits_equal(matvec, reference_matvec(encoding, tree, v))
+    matvec = ops.matrix_times_vector(tree, v)
+    _assert_bits_equal(matvec, reference_matvec(encoding, oracle, v))
     np.testing.assert_allclose(matvec, dense_product(dense, v[:, None])[:, 0], **close)
     products = [
-        (ops.vector_times_matrix(encoding, u, tree), dense_product(u[None, :], dense)[0]),
-        (ops.matrix_times_matrix(encoding, m, tree), dense_product(dense, m)),
-        (ops.uncompressed_matrix_times_matrix(encoding, left, tree), dense_product(left, dense)),
+        (ops.vector_times_matrix(tree, u), dense_product(u[None, :], dense)[0]),
+        (ops.matrix_times_matrix(tree, m), dense_product(dense, m)),
+        (ops.uncompressed_matrix_times_matrix(tree, left), dense_product(left, dense)),
     ]
     for actual, expected in products:
         assert actual.dtype == np.float64
         np.testing.assert_allclose(actual, expected, **close)
-    _assert_bits_equal(ops.matrix_columns(encoding, range(dense.shape[1]), tree), dense)
+    _assert_bits_equal(ops.matrix_columns(tree, range(dense.shape[1])), dense)
 
 
 # -- the properties --------------------------------------------------------------
@@ -247,30 +250,28 @@ class TestPastTheTwoByteSortKey:
         )
         tree = build_decode_tree(encoding)
         assert tree.max_depth == self.DEPTH
-        return encoding, tree
+        return encoding, tree, node_order_tree(encoding)
 
     def test_right_multiplications(self, chain):
-        encoding, tree = chain
+        encoding, tree, oracle = chain
         v, m = np.array([-0.75]), np.array([[0.5, -2.0]])
-        _assert_bits_equal(
-            ops.matrix_times_vector(encoding, v, tree), reference_matvec(encoding, tree, v)
-        )
+        _assert_bits_equal(ops.matrix_times_vector(tree, v), reference_matvec(encoding, oracle, v))
         np.testing.assert_allclose(
-            ops.matrix_times_matrix(encoding, m, tree), reference_matmat(encoding, tree, m)
+            ops.matrix_times_matrix(tree, m), reference_matmat(encoding, oracle, m)
         )
 
     def test_left_multiplication(self, chain):
-        encoding, tree = chain
+        encoding, tree, oracle = chain
         u = np.array([1.25])
         np.testing.assert_allclose(
-            ops.vector_times_matrix(encoding, u, tree), reference_rmatvec(encoding, tree, u)
+            ops.vector_times_matrix(tree, u), reference_rmatvec(encoding, oracle, u)
         )
 
 
 def test_the_oracle_is_the_textbook_on_the_census_batch(census_batch):
     """The reference recurrences themselves agree with dense on a real batch."""
     encoding = _encode(census_batch)
-    tree = build_decode_tree(encoding)
+    tree = node_order_tree(encoding)
     v, u, m, left = _operands(census_batch, 7, width=4)
     np.testing.assert_allclose(reference_matvec(encoding, tree, v), census_batch @ v)
     np.testing.assert_allclose(reference_rmatvec(encoding, tree, u), u @ census_batch)

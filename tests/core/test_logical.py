@@ -25,7 +25,7 @@ CELLS = st.sampled_from(
 
 def _roundtrip(dense: np.ndarray) -> np.ndarray:
     encoding = prefix_tree_encode(sparse_encode(dense))
-    return sparse_decode(decode_to_sparse(encoding))
+    return sparse_decode(decode_to_sparse(build_decode_tree(encoding)))
 
 
 def reference_encode(table: SparseEncodedTable) -> tuple[LogicalEncoding, PrefixTree]:
@@ -89,13 +89,23 @@ def assert_identical_to_reference(dense: np.ndarray) -> None:
     assert fast.row_offsets.tolist() == ref.row_offsets.tolist()
     assert fast.first_layer_columns.tolist() == ref.first_layer_columns.tolist()
     assert _bits(fast.first_layer_values) == _bits(ref.first_layer_values)
+    # Imported here: that module imports this one's reference_encode.
+    from tests.core.test_decode_tree import node_order_tree, positions_of
+
     rebuilt = build_decode_tree(fast)
     assert len(rebuilt) == len(ref_tree) == fast.n_tree_nodes + 1
     nodes = range(1, len(ref_tree))
-    assert rebuilt.parents[1:].tolist() == [ref_tree.parent(n) for n in nodes]
+    oracle = node_order_tree(fast)
+    assert oracle.parents[1:].tolist() == [ref_tree.parent(n) for n in nodes]
     ref_keys = [ref_tree.key(n) for n in nodes]
-    assert rebuilt.key_columns[1:].tolist() == [col for col, _ in ref_keys]
-    assert _bits(rebuilt.key_values[1:]) == _bits([val for _, val in ref_keys])
+    assert oracle.key_columns[1:].tolist() == [col for col, _ in ref_keys]
+    assert _bits(oracle.key_values[1:]) == _bits([val for _, val in ref_keys])
+    # The built tree is the oracle's, renumbered by the position permutation.
+    positions = positions_of(oracle.depths)
+    assert rebuilt.key_columns.tolist() == oracle.key_columns[positions].tolist()
+    assert _bits(rebuilt.key_values) == _bits(oracle.key_values[positions])
+    rank = np.argsort(positions)
+    assert rebuilt.parents.tolist() == rank[oracle.parents[positions]].tolist()
 
 
 class TestPrefixTreeEncode:
@@ -214,7 +224,7 @@ class TestIdenticalToReference:
         )
         encoding = prefix_tree_encode(table)
         assert encoding.n_first_layer == 2 and encoding.n_tree_nodes == 2
-        assert _bits(decode_to_sparse(encoding).values) == _bits(table.values)
+        assert _bits(decode_to_sparse(build_decode_tree(encoding)).values) == _bits(table.values)
 
 
 class TestLogicalEncodingValidation:

@@ -25,6 +25,10 @@ def _encode(dense: np.ndarray):
     return encoding
 
 
+def _tree(dense: np.ndarray):
+    return build_decode_tree(_encode(dense))
+
+
 _SPARSE_ELEMENTS = st.sampled_from([0.0, 0.0, 0.0, 1.0, 2.5, -1.5, 4.0])
 _MATRICES = hnp.arrays(
     dtype=np.float64,
@@ -37,17 +41,18 @@ class TestSparseSafeOps:
     def test_scale(self, census_batch):
         encoding = _encode(census_batch)
         scaled = ops.matrix_times_scalar(encoding, 3.5)
-        assert np.allclose(ops.decode_to_dense(scaled), census_batch * 3.5)
+        assert np.allclose(ops.decode_to_dense(build_decode_tree(scaled)), census_batch * 3.5)
 
     def test_scale_by_zero_keeps_structure(self, census_batch):
         encoding = _encode(census_batch)
         scaled = ops.matrix_times_scalar(encoding, 0.0)
-        assert np.allclose(ops.decode_to_dense(scaled), np.zeros_like(census_batch))
+        dense = ops.decode_to_dense(build_decode_tree(scaled))
+        assert np.allclose(dense, np.zeros_like(census_batch))
 
     def test_power(self, census_batch):
         encoding = _encode(census_batch)
         squared = ops.matrix_elementwise_power(encoding, 2.0)
-        assert np.allclose(ops.decode_to_dense(squared), census_batch**2)
+        assert np.allclose(ops.decode_to_dense(build_decode_tree(squared)), census_batch**2)
 
     def test_power_rejects_nonpositive_exponent(self, census_batch):
         encoding = _encode(census_batch)
@@ -57,130 +62,130 @@ class TestSparseSafeOps:
     def test_apply_sparse_safe(self, census_batch):
         encoding = _encode(census_batch)
         result = ops.matrix_apply_sparse_safe(encoding, np.abs)
-        assert np.allclose(ops.decode_to_dense(result), np.abs(census_batch))
+        assert np.allclose(ops.decode_to_dense(build_decode_tree(result)), np.abs(census_batch))
 
 
 class TestRightMultiplication:
     def test_matvec_matches_dense(self, census_batch, rng):
-        encoding = _encode(census_batch)
+        tree = _tree(census_batch)
         v = rng.normal(size=census_batch.shape[1])
         np.testing.assert_allclose(
-            ops.matrix_times_vector(encoding, v), census_batch @ v, rtol=1e-10
+            ops.matrix_times_vector(tree, v), census_batch @ v, rtol=1e-10
         )
 
     def test_matvec_zero_matrix(self):
         dense = np.zeros((3, 4))
-        encoding = _encode(dense)
-        assert np.array_equal(ops.matrix_times_vector(encoding, np.ones(4)), np.zeros(3))
+        tree = _tree(dense)
+        assert np.array_equal(ops.matrix_times_vector(tree, np.ones(4)), np.zeros(3))
 
     def test_matvec_with_empty_rows(self):
         dense = np.array([[1.0, 2.0], [0.0, 0.0], [3.0, 0.0]])
-        encoding = _encode(dense)
+        tree = _tree(dense)
         v = np.array([2.0, -1.0])
-        np.testing.assert_allclose(ops.matrix_times_vector(encoding, v), dense @ v)
+        np.testing.assert_allclose(ops.matrix_times_vector(tree, v), dense @ v)
 
     def test_matvec_wrong_length_rejected(self, census_batch):
-        encoding = _encode(census_batch)
+        tree = _tree(census_batch)
         with pytest.raises(ValueError):
-            ops.matrix_times_vector(encoding, np.ones(3))
+            ops.matrix_times_vector(tree, np.ones(3))
 
     def test_matmat_matches_dense(self, census_batch, rng):
-        encoding = _encode(census_batch)
+        tree = _tree(census_batch)
         m = rng.normal(size=(census_batch.shape[1], 7))
         np.testing.assert_allclose(
-            ops.matrix_times_matrix(encoding, m), census_batch @ m, rtol=1e-10
+            ops.matrix_times_matrix(tree, m), census_batch @ m, rtol=1e-10
         )
 
     def test_matmat_single_column(self, census_batch, rng):
-        encoding = _encode(census_batch)
+        tree = _tree(census_batch)
         m = rng.normal(size=(census_batch.shape[1], 1))
         np.testing.assert_allclose(
-            ops.matrix_times_matrix(encoding, m), census_batch @ m, rtol=1e-10
+            ops.matrix_times_matrix(tree, m), census_batch @ m, rtol=1e-10
         )
 
     def test_matmat_wrong_shape_rejected(self, census_batch):
-        encoding = _encode(census_batch)
+        tree = _tree(census_batch)
         with pytest.raises(ValueError):
-            ops.matrix_times_matrix(encoding, np.ones((3, 2)))
+            ops.matrix_times_matrix(tree, np.ones((3, 2)))
 
     def test_reusing_prebuilt_tree(self, census_batch, rng):
         encoding = _encode(census_batch)
         tree = build_decode_tree(encoding)
         v = rng.normal(size=census_batch.shape[1])
         np.testing.assert_allclose(
-            ops.matrix_times_vector(encoding, v, tree), census_batch @ v, rtol=1e-10
+            ops.matrix_times_vector(tree, v), census_batch @ v, rtol=1e-10
         )
 
 
 class TestLeftMultiplication:
     def test_rmatvec_matches_dense(self, census_batch, rng):
-        encoding = _encode(census_batch)
+        tree = _tree(census_batch)
         v = rng.normal(size=census_batch.shape[0])
         np.testing.assert_allclose(
-            ops.vector_times_matrix(encoding, v), v @ census_batch, rtol=1e-10
+            ops.vector_times_matrix(tree, v), v @ census_batch, rtol=1e-10
         )
 
     def test_rmatvec_zero_matrix(self):
         dense = np.zeros((3, 4))
-        encoding = _encode(dense)
-        assert np.array_equal(ops.vector_times_matrix(encoding, np.ones(3)), np.zeros(4))
+        tree = _tree(dense)
+        assert np.array_equal(ops.vector_times_matrix(tree, np.ones(3)), np.zeros(4))
 
     def test_rmatvec_with_empty_rows(self):
         dense = np.array([[1.0, 2.0], [0.0, 0.0], [3.0, 0.0]])
-        encoding = _encode(dense)
+        tree = _tree(dense)
         v = np.array([1.0, 5.0, -2.0])
-        np.testing.assert_allclose(ops.vector_times_matrix(encoding, v), v @ dense)
+        np.testing.assert_allclose(ops.vector_times_matrix(tree, v), v @ dense)
 
     def test_rmatvec_wrong_length_rejected(self, census_batch):
-        encoding = _encode(census_batch)
+        tree = _tree(census_batch)
         with pytest.raises(ValueError):
-            ops.vector_times_matrix(encoding, np.ones(3))
+            ops.vector_times_matrix(tree, np.ones(3))
 
     def test_rmatmat_matches_dense(self, census_batch, rng):
-        encoding = _encode(census_batch)
+        tree = _tree(census_batch)
         m = rng.normal(size=(5, census_batch.shape[0]))
         np.testing.assert_allclose(
-            ops.uncompressed_matrix_times_matrix(encoding, m), m @ census_batch, rtol=1e-10
+            ops.uncompressed_matrix_times_matrix(tree, m), m @ census_batch, rtol=1e-10
         )
 
     def test_rmatmat_single_row(self, census_batch, rng):
-        encoding = _encode(census_batch)
+        tree = _tree(census_batch)
         m = rng.normal(size=(1, census_batch.shape[0]))
         np.testing.assert_allclose(
-            ops.uncompressed_matrix_times_matrix(encoding, m), m @ census_batch, rtol=1e-10
+            ops.uncompressed_matrix_times_matrix(tree, m), m @ census_batch, rtol=1e-10
         )
 
     def test_rmatmat_wrong_shape_rejected(self, census_batch):
-        encoding = _encode(census_batch)
+        tree = _tree(census_batch)
         with pytest.raises(ValueError):
-            ops.uncompressed_matrix_times_matrix(encoding, np.ones((2, 3)))
+            ops.uncompressed_matrix_times_matrix(tree, np.ones((2, 3)))
 
 
 class TestSparseUnsafeOps:
     def test_add_scalar(self, census_batch):
-        encoding = _encode(census_batch)
+        tree = _tree(census_batch)
         np.testing.assert_allclose(
-            ops.matrix_plus_scalar(encoding, 2.5), census_batch + 2.5
+            ops.matrix_plus_scalar(tree, 2.5), census_batch + 2.5
         )
 
     def test_add_matrix(self, census_batch, rng):
-        encoding = _encode(census_batch)
+        tree = _tree(census_batch)
         other = rng.normal(size=census_batch.shape)
         np.testing.assert_allclose(
-            ops.matrix_plus_matrix(encoding, other), census_batch + other
+            ops.matrix_plus_matrix(tree, other), census_batch + other
         )
 
     def test_add_matrix_shape_mismatch_rejected(self, census_batch):
-        encoding = _encode(census_batch)
+        tree = _tree(census_batch)
         with pytest.raises(ValueError):
-            ops.matrix_plus_matrix(encoding, np.ones((2, 2)))
+            ops.matrix_plus_matrix(tree, np.ones((2, 2)))
 
     def test_decode_to_sparse_roundtrip(self, rng):
         dense = random_sparse_matrix(rng, 12, 9)
-        encoding = _encode(dense)
-        sparse = ops.decode_to_sparse(encoding)
+        tree = _tree(dense)
+        sparse = ops.decode_to_sparse(tree)
         assert np.array_equal(
-            ops.decode_to_dense(encoding), dense
+            ops.decode_to_dense(tree), dense
         )
         assert sparse.nnz == np.count_nonzero(dense)
 
@@ -193,9 +198,9 @@ class TestOpsProperties:
     def test_theorem1_matvec(self, dense, seed):
         rng = np.random.default_rng(seed)
         v = rng.normal(size=dense.shape[1])
-        encoding = _encode(dense)
+        tree = _tree(dense)
         np.testing.assert_allclose(
-            ops.matrix_times_vector(encoding, v), dense @ v, rtol=1e-9, atol=1e-9
+            ops.matrix_times_vector(tree, v), dense @ v, rtol=1e-9, atol=1e-9
         )
 
     @given(dense=_MATRICES, seed=st.integers(0, 2**16))
@@ -203,9 +208,9 @@ class TestOpsProperties:
     def test_theorem2_rmatvec(self, dense, seed):
         rng = np.random.default_rng(seed)
         v = rng.normal(size=dense.shape[0])
-        encoding = _encode(dense)
+        tree = _tree(dense)
         np.testing.assert_allclose(
-            ops.vector_times_matrix(encoding, v), v @ dense, rtol=1e-9, atol=1e-9
+            ops.vector_times_matrix(tree, v), v @ dense, rtol=1e-9, atol=1e-9
         )
 
     @given(dense=_MATRICES, seed=st.integers(0, 2**16), width=st.integers(1, 5))
@@ -213,9 +218,9 @@ class TestOpsProperties:
     def test_theorem3_matmat(self, dense, seed, width):
         rng = np.random.default_rng(seed)
         m = rng.normal(size=(dense.shape[1], width))
-        encoding = _encode(dense)
+        tree = _tree(dense)
         np.testing.assert_allclose(
-            ops.matrix_times_matrix(encoding, m), dense @ m, rtol=1e-9, atol=1e-9
+            ops.matrix_times_matrix(tree, m), dense @ m, rtol=1e-9, atol=1e-9
         )
 
     @given(dense=_MATRICES, seed=st.integers(0, 2**16), height=st.integers(1, 5))
@@ -223,9 +228,9 @@ class TestOpsProperties:
     def test_theorem4_rmatmat(self, dense, seed, height):
         rng = np.random.default_rng(seed)
         m = rng.normal(size=(height, dense.shape[0]))
-        encoding = _encode(dense)
+        tree = _tree(dense)
         np.testing.assert_allclose(
-            ops.uncompressed_matrix_times_matrix(encoding, m), m @ dense, rtol=1e-9, atol=1e-9
+            ops.uncompressed_matrix_times_matrix(tree, m), m @ dense, rtol=1e-9, atol=1e-9
         )
 
     @given(dense=_MATRICES, scalar=st.floats(-10, 10))
@@ -234,11 +239,11 @@ class TestOpsProperties:
         encoding = _encode(dense)
         scaled = ops.matrix_times_scalar(encoding, scalar)
         np.testing.assert_allclose(
-            ops.decode_to_dense(scaled), dense * scalar, rtol=1e-9, atol=1e-9
+            ops.decode_to_dense(build_decode_tree(scaled)), dense * scalar, rtol=1e-9, atol=1e-9
         )
 
     @given(dense=_MATRICES)
     @settings(max_examples=75, deadline=None)
     def test_decode_roundtrip_property(self, dense):
-        encoding = _encode(dense)
-        assert np.array_equal(ops.decode_to_dense(encoding), dense)
+        tree = _tree(dense)
+        assert np.array_equal(ops.decode_to_dense(tree), dense)

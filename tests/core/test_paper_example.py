@@ -9,6 +9,7 @@ from repro.core.decode_tree import build_decode_tree
 from repro.core.logical import prefix_tree_encode
 from repro.core.sparse import sparse_decode, sparse_encode
 from repro.core.toc import TOCMatrix
+from tests.core.test_decode_tree import node_order_tree
 from tests.core.test_logical import reference_encode
 
 
@@ -75,18 +76,23 @@ class TestLogicalEncoding:
 
 
 class TestDecodeTree:
+    """Table 4 is ``C'`` in creation order; the built tree stores it level-major.
+
+    Node 9 (depth 3) is the only node out of place: it follows node 10
+    (depth 2), so positions 9 and 10 hold nodes 10 and 9.
+    """
+
+    POSITIONS = [0, 1, 2, 3, 4, 5, 6, 7, 8, 10, 9]
+
     def test_parent_indexes_match_table_4(self, paper_matrix):
-        table = sparse_encode(paper_matrix)
-        encoding = prefix_tree_encode(table)
-        ctree = build_decode_tree(encoding)
-        assert ctree.parents.tolist() == [0, 0, 0, 0, 0, 0, 1, 2, 3, 6, 5]
+        encoding = prefix_tree_encode(sparse_encode(paper_matrix))
+        assert node_order_tree(encoding).parents.tolist() == [0, 0, 0, 0, 0, 0, 1, 2, 3, 6, 5]
+        assert build_decode_tree(encoding).parents.tolist() == [0, 0, 0, 0, 0, 0, 1, 2, 3, 5, 6]
 
     def test_keys_match_table_4(self, paper_matrix):
-        table = sparse_encode(paper_matrix)
-        encoding = prefix_tree_encode(table)
-        ctree = build_decode_tree(encoding)
-        keys = list(zip(ctree.key_columns.tolist()[1:], ctree.key_values.tolist()[1:]))
-        assert keys == [
+        encoding = prefix_tree_encode(sparse_encode(paper_matrix))
+        table_4 = [
+            (0, 0.0),  # the root
             (0, 1.1),
             (1, 2.0),
             (2, 3.0),
@@ -98,14 +104,19 @@ class TestDecodeTree:
             (2, 3.0),
             (2, 3.0),
         ]
+        oracle = node_order_tree(encoding)
+        assert list(zip(oracle.key_columns.tolist(), oracle.key_values.tolist())) == table_4
+        ctree = build_decode_tree(encoding)
+        keys = list(zip(ctree.key_columns.tolist(), ctree.key_values.tolist()))
+        assert keys == [table_4[node] for node in self.POSITIONS]
 
     def test_sequences_match_encoding_tree(self, paper_matrix):
         table = sparse_encode(paper_matrix)
         encoding = prefix_tree_encode(table)
         _, enc_tree = reference_encode(table)
         ctree = build_decode_tree(encoding)
-        for node in range(1, len(enc_tree)):
-            cols, vals = ctree.sequence(node)
+        for position, node in enumerate(self.POSITIONS):
+            cols, vals = ctree.sequence(position)
             assert list(zip(cols, vals)) == enc_tree.sequence(node)
 
 

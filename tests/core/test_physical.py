@@ -10,7 +10,6 @@ from hypothesis.extra import numpy as hnp
 
 from repro.core.logical import LogicalEncoding, prefix_tree_encode
 from repro.core.physical import (
-    PhysicalEncoding,
     logical_nbytes,
     physical_decode,
     physical_decode_varint,
@@ -18,6 +17,8 @@ from repro.core.physical import (
     physical_encode_varint,
 )
 from repro.core.sparse import sparse_encode
+from repro.core.toc import TOCMatrix
+from repro.core.validate import EncodingError
 from repro.storage import mmapio
 from tests.conftest import random_sparse_matrix
 
@@ -44,11 +45,14 @@ class TestPhysicalEncoding:
         logical = _logical(np.zeros((3, 4)))
         _assert_logical_equal(physical_decode(physical_encode(logical)), logical)
 
-    def test_bytes_roundtrip(self, census_batch):
-        logical = _logical(census_batch)
-        physical = physical_encode(logical)
-        restored = PhysicalEncoding.from_bytes(physical.to_bytes())
-        _assert_logical_equal(physical_decode(restored), logical)
+    def test_decode_copies_no_block(self, census_batch):
+        # The read path: every integer block is a read-only view of the
+        # payload, and the dictionary is gathered, never copied whole.
+        raw = physical_encode(_logical(census_batch))
+        restored = physical_decode(raw)
+        for block in (restored.first_layer_columns, restored.codes, restored.row_offsets):
+            assert not block.flags.writeable and not block.flags.owndata
+        _assert_logical_equal(restored, _logical(census_batch))
 
     @pytest.mark.parametrize("width", [1, 2, 3, 4])
     def test_bytes_roundtrip_from_a_mapped_file_at_each_packed_width(self, width, tmp_path):
@@ -62,39 +66,39 @@ class TestPhysicalEncoding:
             row_offsets=np.array([0, 1, 1, 4]),
             shape=(3, top + 1),
         )
-        physical = physical_encode(logical)
-        assert physical.first_layer_columns.width == physical.codes.width == width
         path = tmp_path / "shard.toc"
-        path.write_bytes(physical.to_bytes())
+        path.write_bytes(physical_encode(logical))
         view = mmapio.map_file(path)
         assert view.readonly
-        restored = PhysicalEncoding.from_bytes(view)
+        restored = physical_decode(view)
         assert restored.shape == logical.shape
-        assert restored.codes.width == width
-        _assert_logical_equal(physical_decode(restored), logical)
+        # Width 3 is widened to four bytes; the others are the stored bytes.
+        itemsize = {1: 1, 2: 2, 3: 4, 4: 4}[width]
+        assert restored.codes.itemsize == restored.first_layer_columns.itemsize == itemsize
+        _assert_logical_equal(restored, logical)
 
-    @pytest.mark.parametrize("keep", [3, 12, 21, 30])
+    @pytest.mark.parametrize("keep", [3, 12, 21, 30, -1])
     def test_truncated_bytes_rejected(self, census_batch, keep):
-        raw = physical_encode(_logical(census_batch)).to_bytes()
-        with pytest.raises(ValueError):
-            PhysicalEncoding.from_bytes(raw[:keep])
+        raw = physical_encode(_logical(census_batch))
+        with pytest.raises(EncodingError):
+            physical_decode(raw[:keep])
 
     def test_bad_magic_rejected(self, census_batch):
-        raw = physical_encode(_logical(census_batch)).to_bytes()
-        with pytest.raises(ValueError):
-            PhysicalEncoding.from_bytes(b"XXXX" + raw[4:])
+        raw = physical_encode(_logical(census_batch))
+        with pytest.raises(EncodingError):
+            physical_decode(b"XXXX" + raw[4:])
 
     def test_physical_smaller_than_logical(self, census_batch):
         logical = _logical(census_batch)
-        assert physical_encode(logical).nbytes < logical_nbytes(logical)
+        assert len(physical_encode(logical)) < logical_nbytes(logical)
 
     def test_nbytes_matches_serialised_length(self, census_batch):
-        physical = physical_encode(_logical(census_batch))
-        assert physical.nbytes == len(physical.to_bytes())
+        toc = TOCMatrix.encode(census_batch)
+        restored = TOCMatrix.from_bytes(toc.to_bytes())
+        assert toc.nbytes == restored.nbytes == len(toc.to_bytes()) == len(restored.to_bytes())
 
     def test_compressed_smaller_than_dense_on_compressible_data(self, census_batch):
-        physical = physical_encode(_logical(census_batch))
-        assert physical.nbytes < census_batch.size * 8
+        assert len(physical_encode(_logical(census_batch))) < census_batch.size * 8
 
 
 class TestVarintLayout:

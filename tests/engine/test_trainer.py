@@ -220,3 +220,25 @@ class TestReport:
 
         assert first.pool_stats.hits == hits_after_first  # untouched by the rerun
         assert second.pool_stats.hits > hits_after_first  # warm cache kept counting
+
+
+class TestTrainingIsPinned:
+    def test_two_epoch_fit_over_toc_shards_is_bit_for_bit(self, tmp_path):
+        # The kernel oracle checks single ops; this checks the epoch loop over
+        # stored TOC shards end to end.  Digest of the weights taken before
+        # the decode tree went straight from the payload to its level-major
+        # layout: a faster read path must not move a bit of a fit.
+        import hashlib
+
+        from repro.api import Estimator
+
+        x, y = DATASET_PROFILES["census"].classification(1000, seed=11)
+        data = Dataset.create(
+            tmp_path / "shards", x, y, scheme="TOC", batch_size=250, workers=1, shuffle=False
+        )
+        estimator = Estimator("logreg", epochs=2)
+        estimator.fit(data)
+        weights = np.ascontiguousarray(estimator.model.get_parameters(), dtype="<f8")
+        assert hashlib.sha256(weights.tobytes()).hexdigest() == (
+            "c7a0cc57c8fc61e882145a7c6162265e89632d89ba1c2b5776ee80cddadba0f5"
+        )

@@ -169,11 +169,11 @@ class TestOnePassOverTheTree:
 
     @pytest.fixture()
     def calls(self, monkeypatch):
-        from repro.core import decode_tree, ops
+        from repro.core import ops, toc
         from repro.core.toc import TOCMatrix
 
         calls: Counter = Counter()
-        for owner, name in ((decode_tree, "_level_major_layout"), (ops, "matrix_columns"),
+        for owner, name in ((toc, "build_decode_tree"), (ops, "matrix_columns"),
                             (TOCMatrix, "to_dense"), (TOCMatrix, "row_slice")):
             original = getattr(owner, name)
 
@@ -195,20 +195,20 @@ class TestOnePassOverTheTree:
         dense, matrix = shard
         result = scan_shards(iter([(matrix, 0)]), where="c0 >= 1", columns=[0, 1, 2])
         np.testing.assert_array_equal(result.rows, dense[dense[:, 0] >= 1][:, :3])
-        assert calls == Counter(_level_major_layout=1, matrix_columns=1)
+        assert calls == Counter(build_decode_tree=1, matrix_columns=1)
 
     def test_an_aggregate(self, shard, calls):
         dense, matrix = shard
         result = scan_shards(iter([(matrix, 0)]), where="c0 >= 1", agg="count,sum:c5")
         assert result.aggregates["sum(c5)"] == dense[dense[:, 0] >= 1, 5].sum()
-        assert calls == Counter(_level_major_layout=1, matrix_columns=1)
+        assert calls == Counter(build_decode_tree=1, matrix_columns=1)
 
     def test_a_selective_unprojected_selection_gathers_only_its_rows(self, shard, calls):
         dense, matrix = shard
         result = scan_shards(iter([(matrix, 0)]), where="c0 >= 2.5 and c1 >= 1")
         assert 0 < result.n_rows_matched <= 0.25 * dense.shape[0]
         np.testing.assert_array_equal(result.rows, dense[(dense[:, 0] >= 2.5) & (dense[:, 1] >= 1)])
-        assert calls == Counter(_level_major_layout=1, matrix_columns=1, row_slice=1)
+        assert calls == Counter(build_decode_tree=1, matrix_columns=1, row_slice=1)
 
 
 class TestScanShards:

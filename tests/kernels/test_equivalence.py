@@ -73,16 +73,15 @@ class TestVarintEquivalence:
 class TestRowSliceEquivalence:
     @staticmethod
     def _slice_args(dense, index):
-        toc = TOCMatrix.encode(dense)
-        enc, tree = toc.logical, toc.decode_tree
+        tree = TOCMatrix.encode(dense).decode_tree
         return (
-            enc.codes,
-            enc.row_offsets,
+            tree.codes,
+            tree.row_offsets,
             tree.key_columns,
             tree.key_values,
             tree.parents,
             np.asarray(index, dtype=np.intp),
-            enc.n_cols,
+            tree.n_cols,
         )
 
     @given(
