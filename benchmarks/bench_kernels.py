@@ -85,8 +85,11 @@ COLD_STEP_SCHEMES = ("DEN", "CSR", "CVI", "DVI", "TOC")
 #: creation-order tree and then its level-major layout, 2.8-3.2 since the
 #: payload goes straight to the level-major tree (15 runs each, unpinned).
 COLD_STEP_CEILING = 3.3
-#: Rounds of one cold step and one warm step the relation takes the median of.
-COLD_STEP_ROUNDS = 400
+#: Rounds of one call per side a gated relation takes the median of
+#: (:func:`_paired_secs`); compressing a batch takes milliseconds, so the
+#: encode relation takes fewer.
+PAIRED_ROUNDS = 400
+ENCODE_ROUNDS = 100
 #: TOC compress over Gzip compress of one such batch (Figure 12: TOC is the
 #: cheaper of the two).  Measured 1.25-1.36 (11-12 ms vs ~9 ms) while Algorithm
 #: 1 made one tree call per pair, 0.3-0.4 since it runs over integer symbols.
@@ -120,25 +123,24 @@ def _batched_secs(func, repeats: int = REPEATS) -> float:
     return time_callable(loop, repeats) / INNER_LOOPS
 
 
-def _alternating_secs(first, second, sample) -> tuple[float, float, float]:
-    """Median ``sample(first)``, median ``sample(second)``, median per-round ratio.
+def _paired_secs(first, second, rounds: int) -> tuple[float, float, float]:
+    """Median seconds of one ``first()`` call and of one ``second()`` call, and
+    the median per-round ratio.
 
-    A gated pair is sampled in alternation and compared round by round: the
-    box's speed drifts by more between two back-to-back medians than the
-    margin under either ceiling.
+    Each round times one call of each, back to back, so both sides of a
+    round see the same box: sampled 20 calls at a time and in alternation,
+    a gated ratio wandered 2.9-3.5 across runs of one tree, as wide as the
+    gap its ceiling sits in.
     """
-    rounds = [(sample(first), sample(second)) for _ in range(2 * REPEATS)]
-    first_secs, second_secs = np.median(rounds, axis=0).tolist()
-    return first_secs, second_secs, float(np.median([a / b for a, b in rounds]))
-
-
-def _cold_and_warm(cold, warm) -> tuple[float, float]:
-    """Seconds of one ``cold()`` call and of the ``warm()`` call right after it."""
-    began = perf_counter()
-    cold()
-    middle = perf_counter()
-    warm()
-    return middle - began, perf_counter() - middle
+    samples = np.empty((rounds, 2))
+    for i in range(rounds):
+        began = perf_counter()
+        first()
+        middle = perf_counter()
+        second()
+        samples[i] = middle - began, perf_counter() - middle
+    first_secs, second_secs = np.median(samples, axis=0).tolist()
+    return first_secs, second_secs, float(np.median(samples[:, 0] / samples[:, 1]))
 
 
 def _smoke_fields(record: dict) -> dict:
@@ -259,17 +261,17 @@ def test_toc_cold_read_stays_near_warm(bench_json):
     parse_secs = _batched_secs(lambda: scheme.decompress_bytes(payload))
     tree_build_secs = _batched_secs(lambda: build_decode_tree(encoding))
 
-    cold_secs, warm_secs, ratio = _alternating_secs(
+    cold_secs, warm_secs, ratio = _paired_secs(
         lambda: scheme.decompress_bytes(payload).row_slice(index),
         lambda: warm.row_slice(index),
-        lambda func: _batched_secs(func, repeats=1),
+        PAIRED_ROUNDS,
     )
     record = {
         "bench": "kernels",
         "op": "toc_cold_read",
         "n_rows": dense.shape[0],
         "n_cols": dense.shape[1],
-        "tree_nodes": len(warm.toc.decode_tree),
+        "tree_nodes": len(warm.decode_tree),
         "parse_secs": parse_secs,
         "tree_build_secs": tree_build_secs,
         "cold_row_slice_secs": cold_secs,
@@ -314,13 +316,8 @@ def test_cold_step_relation(bench_json, scheme_name):
         warm.matvec(v)
         warm.rmatvec(u)
 
-    # One cold step then one warm step per round, so both sides of a round
-    # see the same box: sampled 20 calls at a time (``_alternating_secs``),
-    # the ratio wandered 2.9-3.5 across runs of one tree here, as wide as
-    # the gap the ceiling sits in; call by call it stays within 2.8-3.2.
-    rounds = np.array([_cold_and_warm(cold_step, warm_step) for _ in range(COLD_STEP_ROUNDS)])
-    cold_secs, warm_secs = np.median(rounds, axis=0).tolist()
-    ratio = float(np.median(rounds[:, 0] / rounds[:, 1]))
+    # Call by call the ratio stays within 2.8-3.2 across runs of one tree.
+    cold_secs, warm_secs, ratio = _paired_secs(cold_step, warm_step, PAIRED_ROUNDS)
     record = {
         "bench": "kernels",
         "op": "cold_step",
@@ -337,7 +334,7 @@ def test_cold_step_relation(bench_json, scheme_name):
     if scheme_name == "TOC":
         encoding = physical_decode(payload)
         record["tree_build_secs"] = _batched_secs(lambda: build_decode_tree(encoding))
-        record["tree_nodes"] = len(warm.toc.decode_tree)
+        record["tree_nodes"] = len(warm.decode_tree)
     _RECORDS.append(record)
     bench_json("kernels", **_smoke_fields(record))
     build = f" (tree {record['tree_build_secs'] * 1e6:.1f})" if "tree_build_secs" in record else ""
@@ -367,14 +364,11 @@ def test_toc_left_products_cost_what_right_products_cost(bench_json):
     np.testing.assert_allclose(shard.matmat(m), dense @ m)
     np.testing.assert_allclose(shard.rmatmat(left), left @ dense)
 
-    def sample(func):
-        return _batched_secs(func, repeats=1)
-
-    rmatvec_secs, matvec_secs, vector_ratio = _alternating_secs(
-        lambda: shard.rmatvec(u), lambda: shard.matvec(v), sample
+    rmatvec_secs, matvec_secs, vector_ratio = _paired_secs(
+        lambda: shard.rmatvec(u), lambda: shard.matvec(v), PAIRED_ROUNDS
     )
-    rmatmat_secs, matmat_secs, matrix_ratio = _alternating_secs(
-        lambda: shard.rmatmat(left), lambda: shard.matmat(m), sample
+    rmatmat_secs, matmat_secs, matrix_ratio = _paired_secs(
+        lambda: shard.rmatmat(left), lambda: shard.matmat(m), PAIRED_ROUNDS
     )
     record = {
         "bench": "kernels",
@@ -417,10 +411,10 @@ def test_toc_encode_no_slower_than_gzip(bench_json):
     tree_encode_secs = time_callable(lambda: prefix_tree_encode(sparse), REPEATS)
     physical_secs = time_callable(lambda: physical_encode(logical), REPEATS)
 
-    toc_secs, gzip_secs, ratio = _alternating_secs(
+    toc_secs, gzip_secs, ratio = _paired_secs(
         lambda: toc.compress(dense).to_bytes(),
         lambda: gzip.compress(dense).to_bytes(),
-        lambda func: time_callable(func, 3),
+        ENCODE_ROUNDS,
     )
     record = {
         "bench": "kernels",
@@ -520,14 +514,14 @@ def test_one_pass_read_no_slower_than_a_mapping(bench_json, tmp_path_factory):
             scheme.decompress_bytes(map_file(path)).to_dense().tobytes()
         )
 
-    def per_shard(read):
-        def decode_all():
-            for path in paths:
-                scheme.decompress_bytes(read(path))
+    def decode_all(read):
+        for path in paths:
+            scheme.decompress_bytes(read(path))
 
-        return _batched_secs(decode_all, repeats=1) / len(paths)
-
-    read_secs, map_secs, ratio = _alternating_secs(read_file, map_file, per_shard)
+    read_secs, map_secs, ratio = _paired_secs(
+        lambda: decode_all(read_file), lambda: decode_all(map_file), PAIRED_ROUNDS
+    )
+    read_secs, map_secs = read_secs / len(paths), map_secs / len(paths)
     record = {
         "bench": "kernels",
         "op": "one_pass_read",

@@ -17,7 +17,8 @@ out of it without copying.
 
 This example:
 
-1. encodes a dataset, parses one TOC shard, rebuilds its decode tree ``C'``
+1. encodes a dataset, parses one TOC shard (a :class:`repro.TOCMatrix`,
+   the TOC scheme's one matrix class), rebuilds its decode tree ``C'``
    (level-major, straight from the payload) and times the Python reference
    ``toc_row_slice`` against the NumPy one on the same arguments;
 2. reads that shard both ways, checks each decodes exactly like a copy of
@@ -61,7 +62,7 @@ def median_seconds(func, repeats: int = 5) -> float:
 def show_row_slice(dataset: Dataset) -> None:
     # The one structure every TOC kernel runs on: C' rebuilt straight from the
     # payload's I and D, level-major, with D's codes as its positions.
-    tree = dataset.decode(0).toc.decode_tree
+    tree = dataset.decode(0).decode_tree
     rows = np.random.default_rng(0).choice(tree.n_rows, size=SELECT, replace=False)
     args = (
         tree.codes, tree.row_offsets,

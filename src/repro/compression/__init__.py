@@ -1,4 +1,4 @@
-"""The compression schemes the paper compares against, plus TOC's adapter.
+"""The compression schemes the paper compares against, plus TOC's factory.
 
 Every scheme implements the :class:`repro.compression.base.CompressedMatrix`
 interface so that the MGD training stack and the benchmark harness can swap

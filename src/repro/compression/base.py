@@ -1,8 +1,10 @@
 """Common interface for compressed mini-batch matrices.
 
-The MGD trainer and the benchmark harness only talk to this interface, so
-adding a scheme means implementing one class and registering it in
-:mod:`repro.compression.registry`.
+The MGD trainer, the scan executor and the benchmark harness only talk to
+this interface, so adding a scheme means implementing one class and
+registering it in :mod:`repro.compression.registry`.  That class is the one
+place that knows the scheme's layout: its kernels and, where it has one, its
+scan push-down live on it.
 
 The interface mirrors how the paper's Section 4 classifies operations:
 
@@ -10,6 +12,18 @@ The interface mirrors how the paper's Section 4 classifies operations:
 * ``rmatvec`` / ``rmatmat`` — left multiplication (``v @ A``, ``M @ A``),
 * ``scale`` — sparse-safe element-wise scaling,
 * ``to_dense`` — full decoding (what the sparse-unsafe ops need).
+
+Scans (:mod:`repro.exec.scan`) push predicates down into the schemes that
+read columns on their compressed form.  Such a scheme sets
+``scan_pushdown`` and implements ``columns(cols)`` — a dense
+``(rows, len(cols))`` block, implicit zeros included — and the scan takes
+every column it touches from one ``columns`` call and gathers matched rows
+with ``row_slice``.  A value-indexed scheme (DVI, CVI) also sets
+``dictionary_probe`` and implements ``compare(col, test, value)`` (``test``
+a NumPy comparison ufunc) and ``column_stats(col, mask)`` (``(count, sum,
+min, max)`` over the kept rows, ``None`` when none is kept) straight off its
+dictionary of distinct values, so a column only the predicate or only an
+aggregate touches is never extracted.
 
 Schemes that cannot operate directly on compressed data (the general-purpose
 byte compressors) implement the operations by decompressing first, which is
@@ -32,6 +46,14 @@ class CompressedMatrix(abc.ABC):
     #: Whether matrix operations run directly on the compressed form
     #: (False means every operation pays a full decompression first).
     supports_direct_ops: bool = True
+
+    #: Whether a scan reads this scheme on the compressed form, through
+    #: ``columns`` and ``row_slice`` (False: it decodes the shard once).
+    scan_pushdown: bool = False
+
+    #: Whether ``compare`` and ``column_stats`` answer a column from the
+    #: value dictionary, without extracting it.
+    dictionary_probe: bool = False
 
     def __init__(self, shape: tuple[int, int]):
         self._shape = (int(shape[0]), int(shape[1]))

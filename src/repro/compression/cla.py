@@ -25,8 +25,7 @@ import numpy as np
 
 from repro.bitpack.bitpacking import pack_integers
 from repro.compression.base import CompressedMatrix, CompressionScheme
-
-_HEADER_DTYPE = np.dtype("<u8")
+from repro.compression.dense import dense_payload, read_dense_payload
 
 #: Groups whose dictionary would exceed this fraction of the rows are kept
 #: uncompressed (mirrors CLA's compression-planning ratio estimate).
@@ -150,15 +149,11 @@ class CLAMatrix(CompressedMatrix):
     def to_bytes(self) -> bytes:
         # CLA is only used in-memory by the benches; serialise via the dense
         # form (the storage experiments use DEN/CSR/TOC/GC formats).
-        header = np.array(self.shape, dtype=_HEADER_DTYPE).tobytes()
-        return header + self.to_dense().tobytes()
+        return dense_payload(self.to_dense())
 
     @classmethod
-    def from_bytes(cls, raw: bytes) -> "CLAMatrix":
-        header_size = 2 * _HEADER_DTYPE.itemsize
-        rows, cols = (int(x) for x in np.frombuffer(raw[:header_size], dtype=_HEADER_DTYPE))
-        data = np.frombuffer(raw[header_size:], dtype=np.float64, count=rows * cols)
-        return cls(data.reshape(rows, cols).copy())
+    def from_bytes(cls, raw) -> "CLAMatrix":
+        return cls(read_dense_payload(raw, cls.scheme_name))
 
 
 def _distinct_tuple_codes(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

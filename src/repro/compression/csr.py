@@ -109,8 +109,16 @@ class CSRMatrix(CompressedMatrix):
             raise EncodingError("CSR row offsets must run monotonically from 0 to nnz")
         if nnz and int(indices.max()) >= cols:
             raise EncodingError(f"CSR column index out of range for {cols} columns")
+        if cols > np.iinfo(np.int64).max:  # SciPy's widest index type
+            raise EncodingError(f"CSR header claims {cols} columns")
+        # One construction from the checked arrays (``data`` is already an
+        # owned float64 copy, so no ``astype`` builds a second matrix).
         csr = sp.csr_matrix((data, indices, indptr), shape=(rows, cols))
-        return cls(csr)
+        csr.eliminate_zeros()
+        instance = cls.__new__(cls)
+        CompressedMatrix.__init__(instance, (rows, cols))
+        instance._csr = csr
+        return instance
 
 
 class CSRScheme(CompressionScheme):

@@ -25,6 +25,8 @@ class CVIMatrix(CompressedMatrix):
 
     scheme_name = "CVI"
     supports_direct_ops = True
+    scan_pushdown = True
+    dictionary_probe = True
 
     def __init__(self, matrix: np.ndarray | sp.csr_matrix):
         if sp.issparse(matrix):
@@ -46,21 +48,6 @@ class CVIMatrix(CompressedMatrix):
     @property
     def nnz(self) -> int:
         return int(self._indices.size)
-
-    @property
-    def value_index(self) -> ValueIndex:
-        """The dictionary-encoded data array (what scans probe directly)."""
-        return self._values
-
-    @property
-    def indptr(self) -> np.ndarray:
-        """CSR row offsets into the stored entries."""
-        return self._indptr
-
-    @property
-    def col_indices(self) -> np.ndarray:
-        """Column index of every stored entry."""
-        return self._indices
 
     def _to_scipy(self) -> sp.csr_matrix:
         data = self._values.decode()
@@ -125,6 +112,48 @@ class CVIMatrix(CompressedMatrix):
             self._values.dictionary, self._values.codes[positions]
         )
         return out
+
+    # -- scan push-down: stored cells through the dictionary, the rest are 0 ----
+
+    def _column_entries(self, col: int) -> tuple[np.ndarray, np.ndarray]:
+        """``(row_ids, codes)`` of the stored cells in ``col`` (one O(nnz) index scan)."""
+        positions = np.flatnonzero(self._indices == col)
+        rows = np.searchsorted(self._indptr, positions, side="right") - 1
+        return rows, self._values.codes[positions]
+
+    def columns(self, cols) -> np.ndarray:
+        """Columns ``cols`` as a dense ``(rows, len(cols))`` block, implicit zeros included."""
+        block = np.zeros((self.n_rows, len(cols)), dtype=np.float64)
+        for j, col in enumerate(cols):
+            rows, codes = self._column_entries(col)
+            block[rows, j] = self._values.dictionary[codes]
+        return block
+
+    def compare(self, col: int, test, value: float) -> np.ndarray:
+        """Rows where ``test(column, value)`` holds: the stored cells through
+        the dictionary's answers, every other row the answer for 0.0."""
+        rows, codes = self._column_entries(col)
+        mask = np.full(self.n_rows, bool(test(0.0, value)), dtype=bool)
+        mask[rows] = test(self._values.dictionary, value)[codes]
+        return mask
+
+    def column_stats(self, col: int, mask: np.ndarray | None):
+        """``(count, sum, min, max)`` of the kept rows of ``col`` from its stored
+        cells alone; ``None`` when no row is kept."""
+        rows, codes = self._column_entries(col)
+        kept = self.n_rows if mask is None else int(np.count_nonzero(mask))
+        if kept == 0:
+            return None
+        if mask is not None:
+            within = mask[rows]
+            rows, codes = rows[within], codes[within]
+        stored = self._values.dictionary[codes]
+        total = float(stored.sum())
+        lowest = float(stored.min()) if stored.size else 0.0
+        highest = float(stored.max()) if stored.size else 0.0
+        if rows.size < kept:  # implicit zeros are part of the column
+            lowest, highest = min(lowest, 0.0), max(highest, 0.0)
+        return kept, total, lowest, highest
 
     def to_bytes(self) -> bytes:
         header = np.array(

@@ -24,6 +24,8 @@ class DVIMatrix(CompressedMatrix):
 
     scheme_name = "DVI"
     supports_direct_ops = True
+    scan_pushdown = True
+    dictionary_probe = True
 
     def __init__(self, matrix: np.ndarray):
         dense = np.asarray(matrix, dtype=np.float64)
@@ -35,11 +37,6 @@ class DVIMatrix(CompressedMatrix):
     @property
     def nbytes(self) -> int:
         return int(self._values.nbytes)
-
-    @property
-    def value_index(self) -> ValueIndex:
-        """The dictionary-encoded cell array (what scans probe directly)."""
-        return self._values
 
     def _codes_matrix(self) -> np.ndarray:
         return self._values.codes.reshape(self.shape)
@@ -78,6 +75,34 @@ class DVIMatrix(CompressedMatrix):
         # Decode only the requested rows' codes (the default would build a
         # selection matrix and multiply through a full decode).
         return kernels.vi_gather(self._values.dictionary, self._codes_matrix()[index])
+
+    # -- scan push-down: probe the dictionary, gather through the codes -------
+
+    def columns(self, cols) -> np.ndarray:
+        """Columns ``cols`` as a dense ``(rows, len(cols))`` block."""
+        return self._values.dictionary[self._codes_matrix()[:, np.asarray(cols, dtype=np.intp)]]
+
+    def compare(self, col: int, test, value: float) -> np.ndarray:
+        """Rows where ``test(column, value)`` holds: ``test`` runs once per
+        distinct value, and its answers are gathered through the column's
+        codes (O(rows) boolean gathers, no float decode)."""
+        return test(self._values.dictionary, value)[self._codes_matrix()[:, col]]
+
+    def column_stats(self, col: int, mask: np.ndarray | None):
+        """``(count, sum, min, max)`` of the kept rows of ``col``, from its code
+        frequencies (one ``bincount``); ``None`` when no row is kept."""
+        codes = self._codes_matrix()[:, col]
+        if mask is not None:
+            codes = codes[mask]
+        if codes.size == 0:
+            return None
+        dictionary = self._values.dictionary
+        frequencies = np.bincount(codes, minlength=dictionary.size)
+        kept = frequencies > 0
+        present = dictionary[kept]
+        # Only values that occur are multiplied: 0 * inf would be NaN.
+        total = float((frequencies[kept] * present).sum())
+        return int(codes.size), total, float(present.min()), float(present.max())
 
     def to_bytes(self) -> bytes:
         header = np.array(self.shape, dtype=_HEADER_DTYPE).tobytes()

@@ -1,71 +1,19 @@
-"""Adapter exposing :class:`repro.core.TOCMatrix` through the common interface.
+"""The TOC scheme: the factory for :class:`repro.core.TOCMatrix`.
 
-This is the glue between the paper's contribution (the ``repro.core``
-package) and the scheme-agnostic training / benchmarking stack.  The adapter
-also exposes the ablation variants (sparse only, sparse+logical, full) so the
-Figure 6 / Figure 10 experiments can swap them in transparently.
+:class:`~repro.core.toc.TOCMatrix` is itself the scheme's
+:class:`~repro.compression.base.CompressedMatrix`, so the paper's
+contribution (the ``repro.core`` package) plugs into the scheme-agnostic
+training / benchmarking stack with no adapter.  The factory also builds the
+ablation variants (sparse only, sparse+logical, full) so the Figure 6 /
+Figure 10 experiments can swap them in transparently.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.compression.base import CompressedMatrix, CompressionScheme
+from repro.compression.base import CompressionScheme
 from repro.core.toc import TOCMatrix, TOCVariant
-
-
-class TOCCompressedMatrix(CompressedMatrix):
-    """A mini-batch compressed with tuple-oriented compression."""
-
-    scheme_name = "TOC"
-    supports_direct_ops = True
-
-    def __init__(self, toc: TOCMatrix):
-        super().__init__(toc.shape)
-        self._toc = toc
-
-    @classmethod
-    def compress(cls, matrix: np.ndarray, variant: TOCVariant = TOCVariant.FULL) -> "TOCCompressedMatrix":
-        return cls(TOCMatrix.encode(matrix, variant=variant))
-
-    @property
-    def toc(self) -> TOCMatrix:
-        """The underlying :class:`TOCMatrix`."""
-        return self._toc
-
-    @property
-    def nbytes(self) -> int:
-        return self._toc.nbytes
-
-    def matvec(self, vector: np.ndarray) -> np.ndarray:
-        return self._toc.matvec(self._check_matvec_input(vector))
-
-    def rmatvec(self, vector: np.ndarray) -> np.ndarray:
-        return self._toc.rmatvec(self._check_rmatvec_input(vector))
-
-    def matmat(self, matrix: np.ndarray) -> np.ndarray:
-        return self._toc.matmat(matrix)
-
-    def rmatmat(self, matrix: np.ndarray) -> np.ndarray:
-        return self._toc.rmatmat(matrix)
-
-    def scale(self, scalar: float) -> "TOCCompressedMatrix":
-        return TOCCompressedMatrix(self._toc.scale(scalar))
-
-    def to_dense(self) -> np.ndarray:
-        return self._toc.to_dense()
-
-    def _row_slice_rows(self, index: np.ndarray) -> np.ndarray:
-        # Direct decode of just the selected rows' code runs — replaces the
-        # generic selection-matrix rmatmat, which costs O(rows × n_rows).
-        return self._toc.row_slice(index)
-
-    def to_bytes(self) -> bytes:
-        return self._toc.to_bytes()
-
-    @classmethod
-    def from_bytes(cls, raw: bytes) -> "TOCCompressedMatrix":
-        return cls(TOCMatrix.from_bytes(raw))
 
 
 class TOCScheme(CompressionScheme):
@@ -80,8 +28,8 @@ class TOCScheme(CompressionScheme):
         else:
             self.name = "TOC_SPARSE"
 
-    def compress(self, matrix: np.ndarray) -> TOCCompressedMatrix:
-        return TOCCompressedMatrix.compress(matrix, variant=self.variant)
+    def compress(self, matrix: np.ndarray) -> TOCMatrix:
+        return TOCMatrix.encode(matrix, variant=self.variant)
 
-    def decompress_bytes(self, raw: bytes) -> TOCCompressedMatrix:
-        return TOCCompressedMatrix.from_bytes(raw)
+    def decompress_bytes(self, raw: bytes) -> TOCMatrix:
+        return TOCMatrix.from_bytes(raw)

@@ -10,7 +10,8 @@ The sub-modules follow the paper's structure:
 * :mod:`repro.core.decode_tree` — the decoding tree ``C'`` (Algorithm 2).
 * :mod:`repro.core.ops` — compressed matrix-operation execution
   (Algorithms 3–8, Section 4).
-* :mod:`repro.core.toc` — the user-facing :class:`TOCMatrix` tying it together.
+* :mod:`repro.core.toc` — the user-facing :class:`TOCMatrix` tying it together,
+  which is also the TOC scheme's :class:`~repro.compression.base.CompressedMatrix`.
 """
 
 from repro.core.logical import LogicalEncoding, prefix_tree_encode

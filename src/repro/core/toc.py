@@ -1,8 +1,10 @@
 """The user-facing TOC compressed matrix.
 
-:class:`TOCMatrix` ties the three encoding layers together and exposes the
-compressed matrix operations as methods so that ML code can treat a TOC
-mini-batch almost like a NumPy array:
+:class:`TOCMatrix` ties the three encoding layers together and is the TOC
+scheme's :class:`~repro.compression.base.CompressedMatrix`: the seven kernels,
+the scan push-down (:meth:`TOCMatrix.columns`) and the paper's own
+operations (``power``, ``add_scalar``) are its methods, so ML code can treat
+a TOC mini-batch almost like a NumPy array:
 
 >>> import numpy as np
 >>> from repro.core import TOCMatrix
@@ -24,10 +26,10 @@ to support the paper's ablation studies (``TOC_SPARSE``,
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.compression.base import CompressedMatrix
 from repro.core import ops
 from repro.core.decode_tree import DecodeTree, build_decode_tree
 from repro.core.logical import LogicalEncoding, prefix_tree_encode
@@ -43,8 +45,7 @@ class TOCVariant(enum.Enum):
     FULL = "full"
 
 
-@dataclass
-class TOCMatrix:
+class TOCMatrix(CompressedMatrix):
     """A mini-batch compressed with tuple-oriented compression.
 
     Instances are created with :meth:`encode` (from a dense matrix) or
@@ -55,11 +56,23 @@ class TOCMatrix:
     runs on :attr:`decode_tree`, built once on first use.
     """
 
-    logical: LogicalEncoding
-    variant: TOCVariant = TOCVariant.FULL
-    payload: bytes | memoryview | None = field(default=None, repr=False)
-    _decode_tree: DecodeTree | None = field(default=None, repr=False)
-    _sparse_nbytes: int | None = field(default=None, repr=False)
+    scheme_name = "TOC"
+    supports_direct_ops = True
+    scan_pushdown = True
+
+    def __init__(
+        self,
+        logical: LogicalEncoding,
+        variant: TOCVariant = TOCVariant.FULL,
+        payload: bytes | memoryview | None = None,
+        sparse_nbytes: int | None = None,
+    ):
+        super().__init__(logical.shape)
+        self.logical = logical
+        self.variant = variant
+        self.payload = payload
+        self._sparse_nbytes = sparse_nbytes
+        self._decode_tree: DecodeTree | None = None
 
     # -- construction -------------------------------------------------------
 
@@ -78,12 +91,7 @@ class TOCMatrix:
         """Compress an already sparse-encoded table with TOC."""
         logical = prefix_tree_encode(sparse)
         payload = physical_encode(logical) if variant is TOCVariant.FULL else None
-        return cls(
-            logical=logical,
-            variant=variant,
-            payload=payload,
-            _sparse_nbytes=sparse.nbytes,
-        )
+        return cls(logical, variant, payload, sparse_nbytes=sparse.nbytes)
 
     @classmethod
     def from_bytes(cls, raw) -> "TOCMatrix":
@@ -92,7 +100,7 @@ class TOCMatrix:
         Parsing copies nothing (:func:`~repro.core.physical.physical_decode`);
         the first operation builds the decode tree straight from the views.
         """
-        return cls(logical=physical_decode(raw), variant=TOCVariant.FULL, payload=raw)
+        return cls(physical_decode(raw), TOCVariant.FULL, payload=raw)
 
     @classmethod
     def encode_to_bytes(cls, matrix: np.ndarray) -> bytes:
@@ -106,19 +114,7 @@ class TOCMatrix:
         """
         return cls.encode(matrix, variant=TOCVariant.FULL).to_bytes()
 
-    # -- basic properties ---------------------------------------------------
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.logical.shape
-
-    @property
-    def n_rows(self) -> int:
-        return self.logical.n_rows
-
-    @property
-    def n_cols(self) -> int:
-        return self.logical.n_cols
+    # -- size and serialisation -------------------------------------------
 
     @property
     def nbytes(self) -> int:
@@ -181,12 +177,12 @@ class TOCMatrix:
     def scale(self, scalar: float) -> "TOCMatrix":
         """``A .* c`` — returns a new TOC matrix sharing the code arrays."""
         scaled = ops.matrix_times_scalar(self.logical, scalar)
-        return TOCMatrix(logical=scaled, variant=self.variant)
+        return TOCMatrix(scaled, self.variant)
 
     def power(self, exponent: float) -> "TOCMatrix":
         """``A .^ p`` for positive ``p`` (sparse-safe)."""
         powered = ops.matrix_elementwise_power(self.logical, exponent)
-        return TOCMatrix(logical=powered, variant=self.variant)
+        return TOCMatrix(powered, self.variant)
 
     def add_scalar(self, scalar: float) -> np.ndarray:
         """``A .+ c`` — sparse-unsafe, returns a dense matrix (Algorithm 6)."""
@@ -202,21 +198,12 @@ class TOCMatrix:
         """Fully decode back to a dense NumPy matrix (the row-slice walk over every row)."""
         return ops.decode_to_dense(self.decode_tree)
 
-    def row_slice(self, rows: np.ndarray) -> np.ndarray:
-        """Dense copy of the selected rows, in request order.
-
-        Decodes only the selected rows' code runs through the decode tree
-        (``O(selected codes)``) — no selection matrix, no full decode.
-        Duplicate indices yield independent output rows.
-        """
-        return ops.decode_rows_to_dense(self.decode_tree, rows)
+    def _row_slice_rows(self, index: np.ndarray) -> np.ndarray:
+        # Decodes only the selected rows' code runs through the decode tree
+        # (O(selected codes)): no selection matrix, no full decode.
+        return ops.decode_rows_to_dense(self.decode_tree, index)
 
     # -- statistics -----------------------------------------------------------
-
-    def compression_ratio(self) -> float:
-        """Dense (DEN) size divided by the compressed size."""
-        dense_bytes = self.n_rows * self.n_cols * 8
-        return dense_bytes / max(self.nbytes, 1)
 
     def stats(self) -> dict[str, float]:
         """Summary statistics useful for diagnostics and the benches."""

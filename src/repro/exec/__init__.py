@@ -19,8 +19,10 @@ On top of the kernels sits the query layer: :mod:`repro.exec.predicates`
 (predicate / aggregate expression objects and their textual parsers) and
 :mod:`repro.exec.scan` (predicate push-down scans answered on the
 compressed form where the scheme allows it, with a dense fallback
-everywhere else).  :meth:`repro.api.Dataset.scan` and the CLI ``scan``
-subcommand are thin shells over :func:`scan_shards`.
+everywhere else).  Neither layer keeps a registry: the kernels resolve in
+a fixed order, and a scheme's push-down is methods of its own matrix class.
+:meth:`repro.api.Dataset.scan` and the CLI ``scan`` subcommand are thin
+shells over :func:`scan_shards`.
 """
 
 from repro.exec.dispatch import (
@@ -28,7 +30,6 @@ from repro.exec.dispatch import (
     kernels_for,
     matmat,
     matvec,
-    register_kernels,
     rmatmat,
     rmatvec,
     row_slice,
@@ -46,14 +47,7 @@ from repro.exec.predicates import (
     parse_aggregates,
     parse_predicate,
 )
-from repro.exec.scan import (
-    ScanReader,
-    ScanResult,
-    register_scan_reader,
-    scan_matrix,
-    scan_reader_for,
-    scan_shards,
-)
+from repro.exec.scan import ScanResult, scan_matrix, scan_shards
 
 __all__ = [
     "Aggregate",
@@ -63,21 +57,17 @@ __all__ = [
     "Not",
     "Or",
     "Predicate",
-    "ScanReader",
     "ScanResult",
     "kernels_for",
     "matmat",
     "matvec",
     "parse_aggregates",
     "parse_predicate",
-    "register_kernels",
-    "register_scan_reader",
     "rmatmat",
     "rmatvec",
     "row_slice",
     "scale",
     "scan_matrix",
-    "scan_reader_for",
     "scan_shards",
     "supports_direct_ops",
     "to_dense",

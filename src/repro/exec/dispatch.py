@@ -17,9 +17,9 @@ Resolution order:
 3. plain NumPy arrays (anything ``np.asarray`` accepts);
 4. duck-typed objects exposing the kernel methods (test doubles, wrappers).
 
-New representations register with :func:`register_kernels`; callers
-elsewhere in the codebase must go through these functions instead of
-probing batches with ``isinstance``/``hasattr`` themselves.
+A new compression scheme needs no entry here: it is a ``CompressedMatrix``.
+Callers elsewhere in the codebase must go through these functions instead
+of probing batches with ``isinstance``/``hasattr`` themselves.
 """
 
 from __future__ import annotations
@@ -138,19 +138,13 @@ def _is_ndarray_like(matrix) -> bool:
 
 # -- the dispatch table --------------------------------------------------------
 
-#: Ordered (predicate, kernels) pairs; first match wins.  ``register_kernels``
-#: inserts ahead of the duck-typed fallback.
-_DISPATCH: list[tuple[Callable[[object], bool], KernelSet]] = [
+#: Ordered (predicate, kernels) pairs; first match wins.
+_DISPATCH: tuple[tuple[Callable[[object], bool], KernelSet], ...] = (
     (lambda m: isinstance(m, CompressedMatrix), _COMPRESSED_KERNELS),
     (sp.issparse, _SPARSE_KERNELS),
     (_is_ndarray_like, _NDARRAY_KERNELS),
     (_is_duck, _DUCK_KERNELS),
-]
-
-
-def register_kernels(predicate: Callable[[object], bool], kernels: KernelSet) -> None:
-    """Register kernels for a new representation (checked before the fallback)."""
-    _DISPATCH.insert(len(_DISPATCH) - 1, (predicate, kernels))
+)
 
 
 def kernels_for(matrix) -> KernelSet:

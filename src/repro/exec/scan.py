@@ -12,25 +12,23 @@ the row-slice decode.  Everything else — DEN, CSR, CLA, the byte-block
 schemes — runs the always-correct dense fallback: one ``to_dense`` per
 shard, then a NumPy mask.
 
-The executor mirrors :mod:`repro.exec.dispatch`: an ordered registry of
-``(predicate, reader)`` pairs resolves the scan reader for each shard's
-representation, and :func:`register_scan_reader` adds fast paths for new
-schemes without touching the executor.  :func:`scan_shards` streams a whole
-:class:`~repro.engine.shards.Dataset`, each shard read once
-from its file, into the per-shard scan, combining selections (with an early-exit ``limit``) or aggregate partials
-across shards.
+Each scheme's matrix class carries its own push-down (``scan_pushdown``,
+``columns``, and for the value-indexed schemes ``dictionary_probe``,
+``compare`` and ``column_stats``; see :mod:`repro.compression.base`), so
+this module names no scheme and keeps no registry: :class:`_ShardContext`
+asks the shard's matrix.  :func:`scan_shards` streams a whole
+:class:`~repro.engine.shards.Dataset`, each shard read once from its file,
+into the per-shard scan, combining selections (with an early-exit
+``limit``) or aggregate partials across shards.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.compression.cvi import CVIMatrix
-from repro.compression.dvi import DVIMatrix
-from repro.compression.toc_scheme import TOCCompressedMatrix
 from repro.exec import dispatch
 from repro.exec.predicates import (
     COMPARE_OPS,
@@ -48,60 +46,6 @@ from repro.obs import trace as obs_trace
 SELECT_DENSE_THRESHOLD = 0.25
 
 
-# -- per-scheme readers --------------------------------------------------------
-
-
-class ScanReader:
-    """Column access on one compressed representation, without full decode.
-
-    The defaults derive ``columns``, ``compare`` and ``column_stats`` from
-    ``column``, so a new scheme's reader only has to extract one column
-    cheaply to join the fast path.  A reader overrides ``columns`` to take
-    several columns in one pass, and ``compare`` / ``column_stats`` when it
-    answers them without the column (a dictionary probe); every column a
-    default would extract is instead extracted once per shard, in one
-    ``columns`` call (see :class:`_ShardContext`).
-    """
-
-    name = "reader"
-    #: Whether this reader answers predicates on the compressed form (the
-    #: dense fallback reader sets this False; scan stats count the split).
-    pushdown = True
-
-    def column(self, matrix, col: int) -> np.ndarray:
-        """One dense float64 column (implicit zeros included)."""
-        raise NotImplementedError
-
-    def columns(self, matrix, cols: Sequence[int]) -> np.ndarray:
-        """Columns ``cols`` as one dense float64 ``(rows, len(cols))`` block."""
-        block = np.empty((matrix.shape[0], len(cols)), dtype=np.float64)
-        for j, col in enumerate(cols):
-            block[:, j] = self.column(matrix, col)
-        return block
-
-    def compare(self, matrix, col: int, op: str, value: float) -> np.ndarray:
-        """Boolean mask of rows where ``column OP value`` holds."""
-        return COMPARE_OPS[op](self.column(matrix, col), value)
-
-    def column_stats(
-        self, matrix, col: int, mask: np.ndarray | None
-    ) -> tuple[int, float, float, float] | None:
-        """``(count, sum, min, max)`` of the column over the kept rows.
-
-        Returns ``None`` when no rows are kept (min/max are undefined).
-        """
-        return _stats(self.column(matrix, col), mask)
-
-    def select_rows(self, matrix, rows: np.ndarray) -> np.ndarray | None:
-        """Materialise ``rows`` from the compressed form, or ``None``.
-
-        ``None`` means this representation has no row gather cheaper than
-        one dense decode; the executor then materialises through the
-        shard's dense block.
-        """
-        return None
-
-
 def _stats(values: np.ndarray, mask: np.ndarray | None) -> tuple[int, float, float, float] | None:
     """``(count, sum, min, max)`` of ``values`` over the kept rows, ``None`` if none are."""
     if mask is not None:
@@ -111,190 +55,36 @@ def _stats(values: np.ndarray, mask: np.ndarray | None) -> tuple[int, float, flo
     return values.size, float(values.sum()), float(values.min()), float(values.max())
 
 
-def _derived(reader: ScanReader, method: str) -> bool:
-    """Whether ``reader``'s ``method`` is :class:`ScanReader`'s, which extracts the column."""
-    return getattr(type(reader), method) is getattr(ScanReader, method)
-
-
-class DVIReader(ScanReader):
-    """Value-index push-down for DVI: probe the dictionary, gather codes.
-
-    A comparison tests the ``k`` distinct dictionary values once, then maps
-    the answer through the column's bit-packed codes — O(rows) boolean
-    gathers instead of an O(rows x cols) float decode.  Aggregates come from
-    the code frequencies (one ``bincount`` over the column codes).
-    """
-
-    name = "DVI-value-index"
-
-    def _column_codes(self, matrix: DVIMatrix, col: int) -> np.ndarray:
-        return matrix.value_index.codes.reshape(matrix.shape)[:, col]
-
-    def column(self, matrix: DVIMatrix, col: int) -> np.ndarray:
-        return matrix.value_index.dictionary[self._column_codes(matrix, col)]
-
-    def compare(self, matrix: DVIMatrix, col: int, op: str, value: float) -> np.ndarray:
-        dictionary_mask = COMPARE_OPS[op](matrix.value_index.dictionary, value)
-        return dictionary_mask[self._column_codes(matrix, col)]
-
-    def column_stats(self, matrix: DVIMatrix, col: int, mask: np.ndarray | None):
-        codes = self._column_codes(matrix, col)
-        if mask is not None:
-            codes = codes[mask]
-        if codes.size == 0:
-            return None
-        dictionary = matrix.value_index.dictionary
-        frequencies = np.bincount(codes, minlength=dictionary.size)
-        kept = frequencies > 0
-        present = dictionary[kept]
-        # Only values that occur are multiplied: 0 * inf would be NaN.
-        total = float((frequencies[kept] * present).sum())
-        return int(codes.size), total, float(present.min()), float(present.max())
-
-    select_rows = staticmethod(dispatch.row_slice)
-
-
-class CVIReader(ScanReader):
-    """Value-index push-down for CVI: stored cells via the dictionary, the
-    rest are implicit zeros.
-
-    Only the stored entries of the probed column are touched (an O(nnz)
-    index scan); the predicate's answer for every unstored cell is the
-    answer for 0.0, computed once.
-    """
-
-    name = "CVI-value-index"
-
-    def _column_entries(self, matrix: CVIMatrix, col: int) -> tuple[np.ndarray, np.ndarray]:
-        """``(row_ids, code_ids)`` of the stored cells in ``col``."""
-        positions = np.flatnonzero(matrix.col_indices == col)
-        rows = np.searchsorted(matrix.indptr, positions, side="right") - 1
-        return rows, matrix.value_index.codes[positions]
-
-    def column(self, matrix: CVIMatrix, col: int) -> np.ndarray:
-        rows, codes = self._column_entries(matrix, col)
-        values = np.zeros(matrix.n_rows, dtype=np.float64)
-        values[rows] = matrix.value_index.dictionary[codes]
-        return values
-
-    def compare(self, matrix: CVIMatrix, col: int, op: str, value: float) -> np.ndarray:
-        rows, codes = self._column_entries(matrix, col)
-        dictionary_mask = COMPARE_OPS[op](matrix.value_index.dictionary, value)
-        zero_holds = bool(COMPARE_OPS[op](0.0, value))
-        mask = np.full(matrix.n_rows, zero_holds, dtype=bool)
-        mask[rows] = dictionary_mask[codes]
-        return mask
-
-    def column_stats(self, matrix: CVIMatrix, col: int, mask: np.ndarray | None):
-        rows, codes = self._column_entries(matrix, col)
-        kept = matrix.n_rows if mask is None else int(np.count_nonzero(mask))
-        if kept == 0:
-            return None
-        if mask is not None:
-            within = mask[rows]
-            rows, codes = rows[within], codes[within]
-        dictionary = matrix.value_index.dictionary
-        stored = dictionary[codes]
-        total = float(stored.sum())
-        lowest = float(stored.min()) if stored.size else 0.0
-        highest = float(stored.max()) if stored.size else 0.0
-        if rows.size < kept:  # implicit zeros are part of the column
-            lowest, highest = min(lowest, 0.0), max(highest, 0.0)
-        return kept, total, lowest, highest
-
-    select_rows = staticmethod(dispatch.row_slice)
-
-
-class CompressedOpsReader(ScanReader):
-    """Push-down for TOC and its ablations: columns straight off the decode tree.
-
-    Columns are Algorithm 4's recurrence run once over a block of keys, each
-    column's own keys kept and every other key set to 0
-    (:meth:`repro.core.TOCMatrix.columns`), so every column a scan touches
-    costs one compressed pass together, never a full decode.  It is not
-    ``A @ E``: ``0 * NaN`` and ``0 * inf`` are NaN, and would leak into a
-    column's value for every row holding one.  Matched rows are decoded
-    directly off their code runs (the row-slice kernel).
-    """
-
-    name = "compressed-ops"
-
-    def column(self, matrix: TOCCompressedMatrix, col: int) -> np.ndarray:
-        return matrix.toc.column(col)
-
-    def columns(self, matrix: TOCCompressedMatrix, cols: Sequence[int]) -> np.ndarray:
-        return matrix.toc.columns(cols)
-
-    select_rows = staticmethod(dispatch.row_slice)
-
-
-class DenseFallbackReader(ScanReader):
-    """The always-correct path: decode once per shard, mask with NumPy."""
-
-    name = "dense-fallback"
-    pushdown = False
-
-    def column(self, matrix, col: int) -> np.ndarray:
-        raise NotImplementedError  # the context serves columns off its dense block
-
-
-#: Ordered ``(predicate, reader)`` pairs; first match wins, dense fallback last.
-_SCAN_READERS: list[tuple[Callable[[object], bool], ScanReader]] = [
-    (lambda m: isinstance(m, DVIMatrix), DVIReader()),
-    (lambda m: isinstance(m, CVIMatrix), CVIReader()),
-    (lambda m: isinstance(m, TOCCompressedMatrix), CompressedOpsReader()),
-]
-
-_DENSE_FALLBACK = DenseFallbackReader()
-
-
-def register_scan_reader(predicate: Callable[[object], bool], reader: ScanReader) -> None:
-    """Register a push-down reader for a new representation."""
-    _SCAN_READERS.append((predicate, reader))
-
-
-def scan_reader_for(matrix, pushdown: bool = True) -> ScanReader:
-    """Resolve the scan reader for ``matrix`` (dense fallback when none fits)."""
-    if pushdown:
-        for predicate, reader in _SCAN_READERS:
-            if predicate(matrix):
-                return reader
-    return _DENSE_FALLBACK
-
-
 # -- the per-shard execution context -------------------------------------------
 
 
 class _ShardContext:
-    """Binds one shard's matrix to its reader, with every column the scan needs.
+    """One shard's matrix, with every column the scan needs.
 
     This is what predicate leaves and aggregates evaluate against.  Every
     column the scan touches (``compared`` by the predicate, ``projected``,
-    ``aggregated``) is extracted once, up front, in one ``reader.columns``
-    call, except where the reader answers without the column: a reader that
-    overrides ``compare`` / ``column_stats`` (a dictionary probe) keeps them
-    for the columns only the predicate / only an aggregate touches.  The
-    dense fallback materialises the block exactly once and serves its
-    columns off it.
+    ``aggregated``) is extracted once, up front, in one ``matrix.columns``
+    call, except where the matrix answers from its value dictionary
+    (``dictionary_probe``): then the columns only the predicate / only an
+    aggregate touches go to its ``compare`` / ``column_stats``.  A shard
+    that does not push down (or ``pushdown=False``) materialises its dense
+    block exactly once and serves its columns off it.
     """
 
     def __init__(self, matrix, pushdown=True, compared=(), projected=(), aggregated=()):
         self.matrix = matrix
-        self.reader = scan_reader_for(matrix, pushdown)
-        self.pushdown = self.reader.pushdown
+        self.pushdown = pushdown and getattr(matrix, "scan_pushdown", False)
         self._dense: np.ndarray | None = None
         for col in {*compared, *projected, *aggregated}:
             if not 0 <= col < self.n_cols:
                 raise IndexError(f"column {col} out of range [0, {self.n_cols})")
         wanted = {*projected}
-        if _derived(self.reader, "compare"):
-            wanted.update(compared)
-        if _derived(self.reader, "column_stats"):
-            wanted.update(aggregated)
+        if not (self.pushdown and matrix.dictionary_probe):
+            wanted.update(compared, aggregated)
         wanted = sorted(wanted)
         self._columns: dict[int, np.ndarray] = {}
         if wanted and self.pushdown:
-            self._columns = dict(zip(wanted, self.reader.columns(matrix, wanted).T))
+            self._columns = dict(zip(wanted, matrix.columns(wanted).T))
         elif wanted:
             self._columns = {col: self.dense()[:, col] for col in wanted}
 
@@ -313,32 +103,30 @@ class _ShardContext:
 
     def compare(self, col: int, op: str, value: float) -> np.ndarray:
         values = self._columns.get(col)
-        if values is None:  # a column only the reader's own probe touches
-            return self.reader.compare(self.matrix, col, op, value)
+        if values is None:  # a column only the matrix's dictionary probe touches
+            return self.matrix.compare(col, COMPARE_OPS[op], value)
         return COMPARE_OPS[op](values, value)
 
     def column_stats(self, col: int, mask: np.ndarray | None):
         values = self._columns.get(col)
         if values is None:
-            return self.reader.column_stats(self.matrix, col, mask)
+            return self.matrix.column_stats(col, mask)
         return _stats(values, mask)
 
     def select(self, local_rows: np.ndarray, columns: Sequence[int] | None) -> np.ndarray:
         """Materialise the selected rows (projected when ``columns`` given).
 
         Push-down ends at the predicate; materialisation picks whichever is
-        cheaper.  A compressed row gather (when the reader has one) wins on
-        selective results, but past :data:`SELECT_DENSE_THRESHOLD` of the
-        shard one dense decode beats gathering row by row — and a dense
-        block that some fallback already built is always reused.
+        cheaper.  A compressed row gather wins on selective results, but
+        past :data:`SELECT_DENSE_THRESHOLD` of the shard one dense decode
+        beats gathering row by row — and a dense block that some fallback
+        already built is always reused.
         """
         if columns is not None:
             return np.column_stack([self._columns[col][local_rows] for col in columns])
         selective = local_rows.size <= SELECT_DENSE_THRESHOLD * self.n_rows
         if self.pushdown and self._dense is None and selective:
-            sliced = self.reader.select_rows(self.matrix, local_rows)
-            if sliced is not None:
-                return sliced
+            return dispatch.row_slice(self.matrix, local_rows)
         return self.dense()[local_rows]
 
 
@@ -548,14 +336,7 @@ def _scan_shards(
 
 
 __all__ = [
-    "CVIReader",
-    "CompressedOpsReader",
-    "DVIReader",
-    "DenseFallbackReader",
-    "ScanReader",
     "ScanResult",
-    "register_scan_reader",
     "scan_matrix",
-    "scan_reader_for",
     "scan_shards",
 ]

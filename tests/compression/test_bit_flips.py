@@ -97,13 +97,13 @@ def test_indexed_bit_flips_raise_only_encoding_errors(scheme):
 
 
 def test_a_shard_that_decodes_to_another_shape_is_refused(tmp_path):
-    from repro.compression.toc_scheme import TOCCompressedMatrix
+    from repro.core.toc import TOCMatrix
     from repro.engine.shards import Dataset
 
     x, y = DATASET_PROFILES["census"].classification(100, seed=0)
     dataset = Dataset.create(tmp_path, [(x[:50], y[:50]), (x[50:], y[50:])], scheme="TOC",
                                     workers=1)
-    short = TOCCompressedMatrix.compress(x[50:99]).to_bytes()  # one row short
+    short = TOCMatrix.encode(x[50:99]).to_bytes()  # one row short
     # Handed over (as a pool or a feature store hands its bytes), the shape is checked ...
     with pytest.raises(EncodingError, match="decodes to 49 x 68; the manifest records 50 x 68"):
         dataset.decode(1, short)

@@ -144,3 +144,61 @@ class TestDirectOpsFlag:
         for name in ("DEN", "CSR", "CVI", "DVI", "CLA", "TOC"):
             compressed = get_scheme(name).compress(np.ones((4, 4)))
             assert compressed.supports_direct_ops is True
+
+
+class TestParsing:
+    def test_a_csr_parse_builds_one_scipy_matrix(self, census_batch, monkeypatch):
+        import scipy.sparse as sp
+
+        raw = get_scheme("CSR").compress(census_batch).to_bytes()
+        built = []
+        original = sp.csr_matrix.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(args[0] if args else None)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(sp.csr_matrix, "__init__", counted)
+        parsed = get_scheme("CSR").decompress_bytes(raw)
+        assert len(built) == 1
+        np.testing.assert_array_equal(parsed.to_dense(), census_batch)
+        assert parsed.to_bytes() == raw
+
+    def test_a_csr_parse_drops_stored_zeros(self, census_batch):
+        scheme = get_scheme("CSR")
+        raw = bytearray(scheme.compress(census_batch).to_bytes())
+        raw[-8:] = np.zeros(1).tobytes()  # the last stored value becomes 0.0
+        parsed = scheme.decompress_bytes(bytes(raw))
+        assert parsed.nnz == scheme.compress(census_batch).nnz - 1
+        expected = census_batch.copy()
+        row, col = np.argwhere(census_batch)[-1]
+        expected[row, col] = 0.0
+        np.testing.assert_array_equal(parsed.to_dense(), expected)
+
+    def test_a_parsed_den_shard_is_a_read_only_view_every_path_reads(self, tmp_path):
+        from repro import exec as kernels
+        from repro.api import Dataset
+        from repro.data.registry import DATASET_PROFILES
+
+        x, y = DATASET_PROFILES["census"].classification(120, seed=5)
+        dataset = Dataset.create(tmp_path / "den", x, y, scheme="DEN", batch_size=60,
+                                 shuffle=False, workers=1)
+        shard = dataset.decode(1)
+        assert not shard._data.flags.writeable
+        block = x[60:]
+        rng = np.random.default_rng(0)
+        v, u = rng.normal(size=block.shape[1]), rng.normal(size=block.shape[0])
+        m, left = rng.normal(size=(block.shape[1], 3)), rng.normal(size=(3, block.shape[0]))
+        np.testing.assert_allclose(kernels.matvec(shard, v), block @ v)
+        np.testing.assert_allclose(kernels.rmatvec(shard, u), u @ block)
+        np.testing.assert_allclose(kernels.matmat(shard, m), block @ m)
+        np.testing.assert_allclose(kernels.rmatmat(shard, left), left @ block)
+        np.testing.assert_allclose(kernels.to_dense(kernels.scale(shard, 2.0)), 2.0 * block)
+        for dense in (kernels.to_dense(shard), kernels.row_slice(shard, [3, 0, 3])):
+            assert dense.flags.writeable  # the caller's own copy
+        np.testing.assert_array_equal(kernels.row_slice(shard, [3, 0, 3]), block[[3, 0, 3]])
+        selected = dataset.scan(where="c0 > 0", columns=[0, 2])
+        np.testing.assert_array_equal(selected.rows, x[x[:, 0] > 0][:, [0, 2]])
+        total = dataset.scan(agg="sum:c2").aggregates["sum(c2)"]
+        assert total == x[:60, 2].sum() + block[:, 2].sum()
+        np.testing.assert_array_equal(dataset.take([119, 0, 61]), x[[119, 0, 61]])

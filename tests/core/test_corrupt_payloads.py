@@ -1,13 +1,14 @@
-"""A corrupt TOC payload is an ``EncodingError`` or a well-formed matrix, never a crash.
+"""A corrupt payload is an ``EncodingError`` or a well-formed matrix, never a crash.
 
 Hypothesis draws truncations, splices and headers claiming huge counts of
-one census payload.  A child process parses each one
+one census TOC payload.  A child process parses each one
 (:func:`~repro.core.physical.physical_decode`), builds its decode tree and,
 when the claimed shape is small enough to materialise, slices, decodes and
 multiplies it both ways.  The parse reads every block straight out of the
 bytes and the kernels index with the stored codes and offsets, so a missed
 check could end the reader with a signal: in a child that fails the test,
-not the test run.
+not the test run.  Every other scheme's payload gets the truncations and
+the huge shapes too, through its ``decompress_bytes``.
 """
 
 from __future__ import annotations
@@ -19,32 +20,36 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import repro
+from repro.compression.registry import available_schemes, get_scheme
 from repro.core.toc import TOCMatrix
 from repro.data.registry import DATASET_PROFILES
 
 PAYLOAD = TOCMatrix.encode_to_bytes(DATASET_PROFILES["census"].matrix(120, seed=3))
 OTHER = TOCMatrix.encode_to_bytes(DATASET_PROFILES["census"].matrix(80, seed=4))
 
-#: Decodes every payload (hex, one JSON list on stdin) and prints how many
-#: raised EncodingError; any other exception fails the child.  A matrix no
-#: larger than a few times the original is decoded, row-sliced whole and
-#: multiplied both ways; a larger claimed shape still gets its tree built.
+#: Decodes every payload (hex, one JSON list on stdin) with the scheme named
+#: in ``argv[1]`` and prints how many raised EncodingError; any other
+#: exception fails the child.  A matrix no larger than a few times the
+#: original is decoded, row-sliced whole and multiplied both ways; a larger
+#: claimed TOC shape still gets its tree built.
 _CHILD = """
 import json, sys
 import numpy as np
 from repro.compression.registry import get_scheme
 from repro.core.validate import EncodingError
 
-scheme = get_scheme("TOC")
+scheme = get_scheme(sys.argv[1])
 errors = 0
 for raw in json.load(sys.stdin):
     try:
         matrix = scheme.decompress_bytes(bytes.fromhex(raw))
-        matrix.toc.decode_tree
+        if scheme.name == "TOC":
+            matrix.decode_tree
         rows, cols = matrix.shape
         if rows * cols <= 4 * 120 * 68:
             dense = matrix.to_dense()
@@ -108,10 +113,10 @@ CORRUPTIONS = st.one_of(
 )
 
 
-def _decode_in_a_child(payloads: list[bytes]) -> subprocess.CompletedProcess:
+def _decode_in_a_child(payloads: list[bytes], scheme: str = "TOC") -> subprocess.CompletedProcess:
     src = Path(repro.__file__).resolve().parents[1]
     return subprocess.run(
-        [sys.executable, "-c", _CHILD],
+        [sys.executable, "-c", _CHILD, scheme],
         input=json.dumps([raw.hex() for raw in payloads]),
         env={**os.environ, "PYTHONPATH": str(src)},
         capture_output=True,
@@ -138,3 +143,27 @@ def test_corrupt_payloads_raise_only_encoding_errors(payloads):
     # A signal is a negative return code; an untyped exception exits 1.
     assert result.returncode == 0, f"exit {result.returncode}: {result.stderr[-2000:]}"
     assert 0 <= int(result.stdout) <= len(payloads)
+
+
+#: Byte offsets of each scheme's shape fields (``nnz`` follows for CSR and
+#: CVI); TOC's follow its 4-byte magic.
+_SHAPE_FIELDS = {"TOC": (4, 12), "CSR": (0, 8, 16), "CVI": (0, 8, 16)}
+
+
+@pytest.mark.parametrize("scheme", available_schemes())
+def test_every_scheme_refuses_truncations_and_huge_shapes(scheme):
+    dense = DATASET_PROFILES["census"].matrix(120, seed=3)
+    raw = get_scheme(scheme).compress(dense).to_bytes()
+    assert get_scheme(scheme).decompress_bytes(raw).to_dense().tobytes() == dense.tobytes()
+    cuts = [raw[:keep] for keep in (0, 3, 8, 15, 16, len(raw) // 2, len(raw) - 8, len(raw) - 1)]
+    result = _decode_in_a_child(cuts, scheme)
+    assert result.returncode == 0, f"exit {result.returncode}: {result.stderr[-2000:]}"
+    assert int(result.stdout) == len(cuts)
+    shapes = [
+        _set(raw, offset, "<Q", value)
+        for offset in _SHAPE_FIELDS.get(scheme, (0, 8))
+        for value in (2**64 - 1, 2**63, 2**40, 2**32, 121, 119, 0)
+    ]
+    result = _decode_in_a_child(shapes, scheme)
+    assert result.returncode == 0, f"exit {result.returncode}: {result.stderr[-2000:]}"
+    assert 0 <= int(result.stdout) <= len(shapes)

@@ -168,30 +168,3 @@ class TestRowSlice:
         finally:
             type(compressed).to_dense = original
         assert not calls
-
-
-class TestRegisterKernels:
-    def test_new_representation_resolves_before_fallback(self, dense):
-        class Wrapped:
-            def __init__(self, data):
-                self.data = data
-
-        from repro.exec.dispatch import _DISPATCH, KernelSet
-
-        kernel_set = KernelSet(
-            name="wrapped",
-            matvec=lambda m, v: m.data @ v,
-            rmatvec=lambda m, v: v @ m.data,
-            matmat=lambda m, o: m.data @ o,
-            rmatmat=lambda m, o: o @ m.data,
-            scale=lambda m, c: Wrapped(m.data * c),
-            to_dense=lambda m: m.data,
-            row_slice=lambda m, rows: m.data[list(rows)],
-        )
-        before = len(_DISPATCH)
-        kernels.register_kernels(lambda m: isinstance(m, Wrapped), kernel_set)
-        try:
-            assert kernels.kernels_for(Wrapped(dense)).name == "wrapped"
-            np.testing.assert_allclose(kernels.matvec(Wrapped(dense), np.ones(8)), dense @ np.ones(8))
-        finally:
-            del _DISPATCH[before - 1]

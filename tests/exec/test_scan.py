@@ -15,13 +15,7 @@ import pytest
 
 from repro.compression.registry import available_schemes, get_scheme
 from repro.exec.predicates import COMPARE_OPS, Compare, parse_predicate
-from repro.exec.scan import (
-    ScanReader,
-    register_scan_reader,
-    scan_matrix,
-    scan_reader_for,
-    scan_shards,
-)
+from repro.exec.scan import scan_matrix, scan_shards
 
 ALL_SCHEMES = available_schemes()
 
@@ -211,6 +205,65 @@ class TestOnePassOverTheTree:
         assert calls == Counter(build_decode_tree=1, matrix_columns=1, row_slice=1)
 
 
+class TestWhatAScanExtracts:
+    """A dictionary probe is never swapped for a column decode, and TOC reads ``C'`` once."""
+
+    @pytest.fixture()
+    def extracted(self, monkeypatch):
+        """Every ``columns`` request and every full decode, by scheme."""
+        from repro.compression.cvi import CVIMatrix
+        from repro.compression.dvi import DVIMatrix
+        from repro.core.toc import TOCMatrix
+
+        extracted: list[tuple[str, list[int]]] = []
+        for cls in (CVIMatrix, DVIMatrix, TOCMatrix):
+            columns, to_dense = cls.columns, cls.to_dense
+
+            def counted_columns(self, cols, _original=columns):
+                extracted.append((self.scheme_name, list(cols)))
+                return _original(self, cols)
+
+            def counted_to_dense(self, _original=to_dense):
+                extracted.append((self.scheme_name, "to_dense"))
+                return _original(self)
+
+            monkeypatch.setattr(cls, "columns", counted_columns)
+            monkeypatch.setattr(cls, "to_dense", counted_to_dense)
+        return extracted
+
+    @staticmethod
+    def shard(scheme):
+        dense = quantised(np.random.default_rng(14), rows=200)
+        codec = get_scheme(scheme)
+        return dense, codec.decompress_bytes(codec.compress(dense).to_bytes())
+
+    @pytest.mark.parametrize("scheme", ("CVI", "DVI"))
+    def test_predicate_only_columns_are_probed(self, scheme, extracted):
+        dense, matrix = self.shard(scheme)
+        result = scan_shards(iter([(matrix, 0)]), where="c0 >= 1 and c1 != 0.5", columns=[3])
+        expected = (dense[:, 0] >= 1) & (dense[:, 1] != 0.5)
+        np.testing.assert_array_equal(result.rows, dense[expected][:, [3]])
+        assert extracted == [(scheme, [3])]
+
+    @pytest.mark.parametrize("scheme", ("CVI", "DVI"))
+    def test_aggregate_only_columns_are_probed(self, scheme, extracted):
+        dense, matrix = self.shard(scheme)
+        result = scan_shards(iter([(matrix, 0)]), where="c0 >= 1", agg="count,sum:c5,max:c6")
+        kept = dense[:, 0] >= 1
+        assert result.aggregates == {
+            "count": int(kept.sum()),
+            "sum(c5)": dense[kept, 5].sum(),
+            "max(c6)": dense[kept, 6].max(),
+        }
+        assert extracted == []
+
+    def test_toc_takes_every_column_in_one_call(self, extracted):
+        dense, matrix = self.shard("TOC")
+        scan_shards(iter([(matrix, 0)]), where="c0 >= 1 and c4 < 2.5", columns=[2, 1])
+        scan_shards(iter([(matrix, 0)]), where="c0 >= 1", agg="sum:c5,min:c6")
+        assert extracted == [("TOC", [0, 1, 2, 4]), ("TOC", [0, 5, 6])]
+
+
 class TestScanShards:
     """Multi-shard streams: mixed schemes, limits, aggregates, empties."""
 
@@ -309,54 +362,44 @@ class TestScanShards:
             scan_shards(iter([]), limit=-1)
 
 
-class TestReaderRegistry:
-    def test_resolution_per_scheme(self):
-        rng = np.random.default_rng(4)
-        dense = quantised(rng)
-        assert scan_reader_for(get_scheme("DVI").compress(dense)).name == "DVI-value-index"
-        assert scan_reader_for(get_scheme("CVI").compress(dense)).name == "CVI-value-index"
-        assert scan_reader_for(get_scheme("TOC").compress(dense)).name == "compressed-ops"
-        assert scan_reader_for(get_scheme("DEN").compress(dense)).name == "dense-fallback"
-        assert not scan_reader_for(get_scheme("DVI").compress(dense), pushdown=False).pushdown
+class TestPushdownPerScheme:
+    """Each scheme's matrix class says how a scan reads it, and reads its own columns."""
+
+    def test_which_schemes_push_down(self):
+        dense = quantised(np.random.default_rng(4))
+        for scheme in available_schemes(include_ablations=True):
+            matrix = get_scheme(scheme).compress(dense)
+            value_indexed = scheme in ("CVI", "DVI")
+            assert matrix.scan_pushdown == (value_indexed or scheme.startswith("TOC")), scheme
+            assert matrix.dictionary_probe == value_indexed, scheme
+            assert scan_matrix(matrix, where="c0 == 0.5")[2] == matrix.scan_pushdown, scheme
+            assert not scan_matrix(matrix, where="c0 == 0.5", pushdown=False)[2], scheme
 
     @pytest.mark.parametrize("scheme", ("CVI", "DVI", "TOC"))
     def test_columns_are_the_dense_columns_in_any_order(self, scheme):
         dense = quantised(np.random.default_rng(10))
         dense[3] = 0.0  # a row with nothing stored
         matrix = get_scheme(scheme).compress(dense)
-        reader = scan_reader_for(matrix)
         for cols in ([3, 0, 3], [6], []):
-            np.testing.assert_array_equal(reader.columns(matrix, cols), dense[:, cols])
-        np.testing.assert_array_equal(reader.column(matrix, 2), dense[:, 2])
+            np.testing.assert_array_equal(matrix.columns(cols), dense[:, cols])
 
-    def test_register_scan_reader_extends_fast_path(self):
-        class Tagged:
-            def __init__(self, dense):
-                self.dense = dense
-                self.shape = dense.shape
-
-            def to_dense(self):
-                return self.dense
-
-        class TaggedReader(ScanReader):
-            name = "tagged"
-
-            def column(self, matrix, col):
-                return matrix.dense[:, col]
-
-        from repro.exec.scan import _SCAN_READERS
-
-        register_scan_reader(lambda m: isinstance(m, Tagged), TaggedReader())
-        try:
-            rng = np.random.default_rng(6)
-            dense = quantised(rng)
-            reader = scan_reader_for(Tagged(dense))
-            assert reader.name == "tagged"
-            rows, row_ids, pushed = scan_matrix(Tagged(dense), where="c0 == 0.5")
-            assert pushed
-            np.testing.assert_array_equal(rows, dense[dense[:, 0] == 0.5])
-        finally:
-            _SCAN_READERS.pop()
+    @pytest.mark.parametrize("scheme", ("CVI", "DVI"))
+    def test_dictionary_probes_are_the_dense_answers(self, scheme):
+        dense = quantised(np.random.default_rng(11))
+        dense[3] = 0.0
+        matrix = get_scheme(scheme).compress(dense)
+        mask = dense[:, 0] > 0.5
+        for op, test in COMPARE_OPS.items():
+            for value in (0.0, 0.5, 0.7):
+                np.testing.assert_array_equal(
+                    matrix.compare(2, test, value), test(dense[:, 2], value), err_msg=op
+                )
+        for kept in (None, mask, np.zeros(dense.shape[0], dtype=bool)):
+            column = dense[:, 2] if kept is None else dense[kept, 2]
+            expected = (
+                (column.size, column.sum(), column.min(), column.max()) if column.size else None
+            )
+            assert matrix.column_stats(2, kept) == expected
 
     def test_toc_selections_and_aggregates_push_down(self):
         rng = np.random.default_rng(8)

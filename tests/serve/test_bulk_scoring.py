@@ -34,7 +34,7 @@ from hypothesis import strategies as st
 import repro.serve.feature_store as feature_store_module
 from repro.api import AsyncPredictionService, ClusterService, Dataset, Estimator, open_service
 from repro.compression.registry import available_schemes
-from repro.compression.toc_scheme import TOCCompressedMatrix
+from repro.core.toc import TOCMatrix
 from repro.data.registry import DATASET_PROFILES
 from repro.serve.feature_store import FeatureStore
 from repro.serve.service import PredictionService
@@ -309,7 +309,7 @@ class TestNothingIsDecoded:
         )
         for name in ("row_slice", "to_dense", "matvec"):
             monkeypatch.setattr(
-                TOCCompressedMatrix, name, counted(name, getattr(TOCCompressedMatrix, name))
+                TOCMatrix, name, counted(name, getattr(TOCMatrix, name))
             )
         return calls
 
