@@ -1,26 +1,25 @@
-"""A tour of the code-walk kernels and the two ways a shard is read.
+"""A tour of the row-slice kernel and the two ways a shard is read.
 
 Run with::
 
     python examples/kernel_tour.py
 
-The hot code-walk kernels — varint encode/decode, TOC ``row_slice``, and
-value-index gathers — have one runtime implementation: the vectorized NumPy
-passes in :mod:`repro.kernels.numpy_backend`, which :mod:`repro.kernels`
-exports.  :mod:`repro.kernels.python_backend` keeps the per-element
-reference loops with the same semantics; the property tests check the two
-agree bit for bit.  A one-pass reader (the trainer's pool, scans, ``take``)
-reads a shard into bytes it owns (``read_payload``); the feature store, which
-keeps each shard, maps it (``map_payload``).  Either way the reader gets a
-read-only ``memoryview``, and every scheme's ``from_bytes`` decodes straight
-out of it without copying.
+Every scheme's kernels are methods of its matrix class; a TOC shard (a
+:class:`repro.TOCMatrix`) answers ``row_slice`` by walking only the
+selected rows' codes up its decode tree ``C'``
+(``repro.core.ops.decode_rows_to_dense``), where the generic path would
+multiply by a selection matrix (``M @ A``, one row of ``M`` per requested
+row).  A one-pass reader (the trainer's pool, scans, ``take``) reads a shard
+into bytes it owns (``read_payload``); the feature store, which keeps each
+shard, maps it (``map_payload``).  Either way the reader gets a read-only
+``memoryview``, and every scheme's ``from_bytes`` decodes straight out of
+it without copying.
 
 This example:
 
-1. encodes a dataset, parses one TOC shard (a :class:`repro.TOCMatrix`,
-   the TOC scheme's one matrix class), rebuilds its decode tree ``C'``
-   (level-major, straight from the payload) and times the Python reference
-   ``toc_row_slice`` against the NumPy one on the same arguments;
+1. encodes a dataset, parses one TOC shard, and times its direct
+   ``row_slice`` gather against the selection-matrix product ``M @ A`` on
+   the same rows, checking both against each other bit for bit;
 2. reads that shard both ways, checks each decodes exactly like a copy of
    its bytes, and prints the ``storage.reads`` and ``storage.mmap.*`` obs
    counters.
@@ -35,7 +34,6 @@ from pathlib import Path
 import numpy as np
 
 from repro.api import DATASET_PROFILES, Dataset
-from repro.kernels import numpy_backend, python_backend
 from repro.obs import metrics
 
 ROWS = 4_000
@@ -60,23 +58,18 @@ def median_seconds(func, repeats: int = 5) -> float:
 
 
 def show_row_slice(dataset: Dataset) -> None:
-    # The one structure every TOC kernel runs on: C' rebuilt straight from the
-    # payload's I and D, level-major, with D's codes as its positions.
-    tree = dataset.decode(0).decode_tree
-    rows = np.random.default_rng(0).choice(tree.n_rows, size=SELECT, replace=False)
-    args = (
-        tree.codes, tree.row_offsets,
-        tree.key_columns, tree.key_values, tree.parents,
-        rows.astype(np.intp), tree.n_cols,
-    )
-    reference = python_backend.toc_row_slice(*args)
-    assert np.array_equal(numpy_backend.toc_row_slice(*args), reference)
-    python_secs = median_seconds(lambda: python_backend.toc_row_slice(*args))
-    numpy_secs = median_seconds(lambda: numpy_backend.toc_row_slice(*args))
-    print(f"toc_row_slice, {SELECT} of {tree.n_rows} rows, same arguments:")
-    print(f"  python reference {python_secs * 1e6:9.1f} µs")
-    print(f"  numpy            {numpy_secs * 1e6:9.1f} µs  "
-          f"({python_secs / numpy_secs:5.1f}x, bit-identical output)")
+    shard = dataset.decode(0)
+    rows = np.random.default_rng(0).choice(shard.n_rows, size=SELECT, replace=False)
+    selection = np.zeros((SELECT, shard.n_rows))
+    selection[np.arange(SELECT), rows] = 1.0
+    direct = shard.row_slice(rows)  # also builds C', which both paths then share
+    assert np.array_equal(selection @ shard, direct)
+    direct_secs = median_seconds(lambda: shard.row_slice(rows))
+    selection_secs = median_seconds(lambda: selection @ shard)
+    print(f"TOC row_slice, {SELECT} of {shard.n_rows} rows:")
+    print(f"  selection matrix M @ A {selection_secs * 1e6:9.1f} µs")
+    print(f"  direct gather          {direct_secs * 1e6:9.1f} µs  "
+          f"({selection_secs / direct_secs:5.1f}x, bit-identical output)")
 
 
 def show_shard_reads(dataset: Dataset) -> None:

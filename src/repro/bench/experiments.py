@@ -495,22 +495,15 @@ def run_fig11(
 def run_table1(seed: int = 0) -> dict:
     """Record which core compressed ops each model actually calls."""
 
-    class _Recorder:
-        """Wraps a compressed matrix and records which operations are invoked."""
+    def recording(matrix, called: set[str]):
+        """``matrix`` with each product method wrapped to note its name in ``called``."""
+        for name in ("matvec", "rmatvec", "matmat", "rmatmat"):
+            def wrapper(*args, _method=getattr(matrix, name), _name=name):
+                called.add(_name)
+                return _method(*args)
 
-        def __init__(self, inner):
-            self.inner = inner
-            self.called: set[str] = set()
-
-        def __getattr__(self, name):
-            attr = getattr(self.inner, name)
-            if name in ("matvec", "rmatvec", "matmat", "rmatmat"):
-                def wrapper(*args, _attr=attr, _name=name, **kwargs):
-                    self.called.add(_name)
-                    return _attr(*args, **kwargs)
-
-                return wrapper
-            return attr
+            setattr(matrix, name, wrapper)
+        return matrix
 
     batch = minibatch_for("census", 64, seed=seed)
     labels = (np.arange(64) % 2).astype(np.float64)
@@ -521,9 +514,9 @@ def run_table1(seed: int = 0) -> dict:
         ("Support vector machine", LinearSVMModel(batch.shape[1], seed=seed)),
         ("Neural network", FeedForwardNetwork(batch.shape[1], hidden_sizes=(8,), seed=seed)),
     ):
-        recorder = _Recorder(get_scheme("TOC").compress(batch))
-        model.gradient_step(recorder, labels, 0.1)
-        usage[name] = sorted(recorder.called)
+        called: set[str] = set()
+        model.gradient_step(recording(get_scheme("TOC").compress(batch), called), labels, 0.1)
+        usage[name] = sorted(called)
     return usage
 
 

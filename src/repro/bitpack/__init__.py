@@ -1,4 +1,4 @@
-"""Physical-encoding substrate: byte-width bit packing, value indexing, varint.
+"""Physical-encoding substrate: byte-width bit packing and value indexing.
 
 These are the low-level codecs used by TOC's physical encoding layer
 (Section 3.2 of the paper) and by the DVI/CVI comparison schemes.
@@ -11,7 +11,6 @@ from repro.bitpack.bitpacking import (
     unpack_integers,
 )
 from repro.bitpack.value_index import ValueIndex, build_value_index
-from repro.bitpack.varint import decode_varints, encode_varints
 
 __all__ = [
     "PackedIntArray",
@@ -20,6 +19,4 @@ __all__ = [
     "bytes_per_integer",
     "pack_integers",
     "unpack_integers",
-    "encode_varints",
-    "decode_varints",
 ]

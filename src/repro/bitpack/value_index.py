@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro import kernels
 from repro.bitpack.bitpacking import EncodingError, pack_integers, read_packed
 
 
@@ -40,10 +39,10 @@ class ValueIndex:
         return len(self.to_bytes())
 
     def decode(self) -> np.ndarray:
-        """Materialise the original value array (batched kernel gather)."""
+        """Materialise the original value array (one gather through the dictionary)."""
         if self.codes.size == 0:
             return np.zeros(0, dtype=np.float64)
-        return kernels.vi_gather(self.dictionary, self.codes)
+        return self.dictionary[self.codes]
 
     def to_bytes(self) -> bytes:
         """Serialise as packed codes followed by the raw dictionary."""

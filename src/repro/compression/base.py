@@ -13,6 +13,14 @@ The interface mirrors how the paper's Section 4 classifies operations:
 * ``scale`` — sparse-safe element-wise scaling,
 * ``to_dense`` — full decoding (what the sparse-unsafe ops need).
 
+The four products are also NumPy's own ``@``: ``A @ x`` runs ``matvec``
+for a 1-D ``x`` and ``matmat`` for a 2-D one, and ``x @ A`` runs
+``rmatvec`` / ``rmatmat``.  The class sets ``__array_ufunc__ = None``
+(NEP 13), so ``ndarray @ A`` hands the product to ``A`` instead of
+building an object array.  A model written ``batch @ w`` and
+``g @ batch`` therefore runs unchanged on an ndarray, a SciPy sparse
+matrix or any scheme; there is no dispatch table.
+
 Scans (:mod:`repro.exec.scan`) push predicates down into the schemes that
 read columns on their compressed form.  Such a scheme sets
 ``scan_pushdown`` and implements ``columns(cols)`` — a dense
@@ -54,6 +62,10 @@ class CompressedMatrix(abc.ABC):
     #: Whether ``compare`` and ``column_stats`` answer a column from the
     #: value dictionary, without extracting it.
     dictionary_probe: bool = False
+
+    #: NEP 13: NumPy operators defer to this class, so ``ndarray @ matrix``
+    #: calls :meth:`__rmatmul__` rather than building an object array.
+    __array_ufunc__ = None
 
     def __init__(self, shape: tuple[int, int]):
         self._shape = (int(shape[0]), int(shape[1]))
@@ -101,6 +113,20 @@ class CompressedMatrix(abc.ABC):
         """Return ``M @ A`` (default: row-by-row rmatvec)."""
         m = np.asarray(matrix, dtype=np.float64)
         return np.vstack([self.rmatvec(m[i, :]) for i in range(m.shape[0])])
+
+    def __matmul__(self, other):
+        """``A @ v`` or ``A @ M``, by the operand's dimension."""
+        ndim = np.ndim(other)
+        if ndim == 1:
+            return self.matvec(other)
+        return self.matmat(other) if ndim == 2 else NotImplemented
+
+    def __rmatmul__(self, other):
+        """``v @ A`` or ``M @ A``, by the operand's dimension."""
+        ndim = np.ndim(other)
+        if ndim == 1:
+            return self.rmatvec(other)
+        return self.rmatmat(other) if ndim == 2 else NotImplemented
 
     @abc.abstractmethod
     def scale(self, scalar: float) -> "CompressedMatrix":

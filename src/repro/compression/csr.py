@@ -17,6 +17,28 @@ from repro.core.validate import EncodingError
 _HEADER_DTYPE = np.dtype("<u8")
 
 
+def gather_rows(indptr, indices, index: np.ndarray, n_cols: int, values_at) -> np.ndarray:
+    """Dense copy of the CSR rows ``index`` (validated, in request order).
+
+    The stored cells of row ``r`` sit at positions ``[indptr[r], indptr[r+1])``;
+    concatenating those ranges for every requested row gives one flat
+    position array, and ``values_at(positions)`` returns the cells' values
+    (CSR's data array, or CVI's dictionary through its codes).  One
+    vectorised pass, no SciPy matrix built; duplicated rows are allowed.
+    """
+    out = np.zeros((index.size, n_cols), dtype=np.float64)
+    starts = indptr[index]
+    counts = indptr[index + 1] - starts
+    total = int(counts.sum())
+    if total == 0:
+        return out
+    out_rows = np.repeat(np.arange(index.size), counts)
+    range_offsets = np.concatenate(([0], np.cumsum(counts)[:-1]))
+    positions = np.arange(total) - range_offsets[out_rows] + starts[out_rows]
+    out[out_rows, indices[positions]] = values_at(positions)
+    return out
+
+
 class CSRMatrix(CompressedMatrix):
     """A mini-batch stored in compressed sparse row format."""
 
@@ -54,13 +76,23 @@ class CSRMatrix(CompressedMatrix):
         return np.asarray(matrix, dtype=np.float64) @ self._csr
 
     def scale(self, scalar: float) -> "CSRMatrix":
-        return CSRMatrix(self._csr * float(scalar))
+        # One SciPy construction, sharing the structure unless a cell scales
+        # to 0: that cell is dropped, as a parse drops it, from a copy.
+        csr = self._csr
+        data = csr.data * float(scalar)
+        if data.all():
+            scaled = sp.csr_matrix((data, csr.indices, csr.indptr), shape=self.shape)
+        else:
+            scaled = sp.csr_matrix((data, csr.indices.copy(), csr.indptr.copy()), shape=self.shape)
+            scaled.eliminate_zeros()
+        return CSRMatrix._wrap(scaled)
 
     def to_dense(self) -> np.ndarray:
         return np.asarray(self._csr.todense(), dtype=np.float64)
 
     def _row_slice_rows(self, index: np.ndarray) -> np.ndarray:
-        return np.asarray(self._csr[index].todense(), dtype=np.float64)
+        csr = self._csr
+        return gather_rows(csr.indptr, csr.indices, index, self.n_cols, csr.data.take)
 
     def to_scipy(self) -> sp.csr_matrix:
         """Return the underlying SciPy CSR matrix (no copy)."""
@@ -83,9 +115,9 @@ class CSRMatrix(CompressedMatrix):
 
         SciPy trusts the arrays it is handed, and an ``indptr`` or an index
         out of range makes its kernels read past their buffers.  So the
-        lengths, ``indptr`` (monotonic from 0 to nnz) and every column index
-        are checked first, and a payload that fails raises
-        :class:`~repro.core.validate.EncodingError`.
+        lengths, ``indptr`` (monotonic from 0 to nnz), every column index and
+        their order within each row (strictly increasing) are checked, and a
+        payload that fails raises :class:`~repro.core.validate.EncodingError`.
         """
         header_size = 3 * _HEADER_DTYPE.itemsize
         if len(raw) < header_size:
@@ -114,9 +146,18 @@ class CSRMatrix(CompressedMatrix):
         # One construction from the checked arrays (``data`` is already an
         # owned float64 copy, so no ``astype`` builds a second matrix).
         csr = sp.csr_matrix((data, indices, indptr), shape=(rows, cols))
+        if not csr.has_canonical_format:
+            # A column stored twice in a row is summed by SciPy's kernels but
+            # overwritten by the row gather; ``to_bytes`` never writes one.
+            raise EncodingError("CSR column indexes must increase within each row")
         csr.eliminate_zeros()
+        return cls._wrap(csr)
+
+    @classmethod
+    def _wrap(cls, csr: sp.csr_matrix) -> "CSRMatrix":
+        """A matrix over ``csr`` as it is: float64, no stored zeros, no copy."""
         instance = cls.__new__(cls)
-        CompressedMatrix.__init__(instance, (rows, cols))
+        CompressedMatrix.__init__(instance, csr.shape)
         instance._csr = csr
         return instance
 

@@ -11,10 +11,10 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from repro import kernels
 from repro.bitpack.bitpacking import PackedIntArray, pack_integers
 from repro.bitpack.value_index import ValueIndex, build_value_index
 from repro.compression.base import CompressedMatrix, CompressionScheme
+from repro.compression.csr import gather_rows
 from repro.core.validate import EncodingError
 
 _HEADER_DTYPE = np.dtype("<u8")
@@ -57,7 +57,7 @@ class CVIMatrix(CompressedMatrix):
         v = self._check_matvec_input(vector)
         # Direct execution: gather dictionary values per stored cell; the
         # dictionary lookup replaces the dense data array of plain CSR.
-        data = kernels.vi_gather(self._values.dictionary, self._values.codes)
+        data = self._values.dictionary[self._values.codes]
         contrib = data * v[self._indices]
         result = np.zeros(self.n_rows, dtype=np.float64)
         row_ids = np.repeat(np.arange(self.n_rows), np.diff(self._indptr))
@@ -66,7 +66,7 @@ class CVIMatrix(CompressedMatrix):
 
     def rmatvec(self, vector: np.ndarray) -> np.ndarray:
         v = self._check_rmatvec_input(vector)
-        data = kernels.vi_gather(self._values.dictionary, self._values.codes)
+        data = self._values.dictionary[self._values.codes]
         row_ids = np.repeat(np.arange(self.n_rows), np.diff(self._indptr))
         contrib = data * v[row_ids]
         result = np.zeros(self.n_cols, dtype=np.float64)
@@ -94,24 +94,13 @@ class CVIMatrix(CompressedMatrix):
         return np.asarray(self._to_scipy().todense(), dtype=np.float64)
 
     def _row_slice_rows(self, index: np.ndarray) -> np.ndarray:
-        # Gather only the requested rows' stored entries through the
-        # dictionary — never the whole data array, never a selection matmul.
-        # One vectorised pass: the entry positions of row r are the range
-        # [indptr[r], indptr[r+1]); concatenating those ranges for every
-        # requested row gives a flat position array to scatter from.
-        out = np.zeros((index.size, self.n_cols), dtype=np.float64)
-        starts = self._indptr[index]
-        counts = self._indptr[index + 1] - starts
-        total = int(counts.sum())
-        if total == 0:
-            return out
-        out_rows = np.repeat(np.arange(index.size), counts)
-        range_offsets = np.concatenate(([0], np.cumsum(counts)[:-1]))
-        positions = np.arange(total) - range_offsets[out_rows] + starts[out_rows]
-        out[out_rows, self._indices[positions]] = kernels.vi_gather(
-            self._values.dictionary, self._values.codes[positions]
+        # Only the requested rows' stored cells, each looked up through the
+        # dictionary: never the whole data array, never a selection matmul.
+        dictionary, codes = self._values.dictionary, self._values.codes
+        return gather_rows(
+            self._indptr, self._indices, index, self.n_cols,
+            lambda positions: dictionary[codes[positions]],
         )
-        return out
 
     # -- scan push-down: stored cells through the dictionary, the rest are 0 ----
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import kernels
 from repro.bitpack.value_index import ValueIndex, build_value_index
 from repro.compression.base import CompressedMatrix, CompressionScheme
 from repro.core.validate import EncodingError
@@ -44,20 +43,20 @@ class DVIMatrix(CompressedMatrix):
     def matvec(self, vector: np.ndarray) -> np.ndarray:
         v = self._check_matvec_input(vector)
         # Direct execution on codes: for each row, sum dictionary[code] * v[col].
-        data = kernels.vi_gather(self._values.dictionary, self._codes_matrix())
+        data = self._values.dictionary[self._codes_matrix()]
         return data @ v
 
     def rmatvec(self, vector: np.ndarray) -> np.ndarray:
         v = self._check_rmatvec_input(vector)
-        data = kernels.vi_gather(self._values.dictionary, self._codes_matrix())
+        data = self._values.dictionary[self._codes_matrix()]
         return v @ data
 
     def matmat(self, matrix: np.ndarray) -> np.ndarray:
-        data = kernels.vi_gather(self._values.dictionary, self._codes_matrix())
+        data = self._values.dictionary[self._codes_matrix()]
         return data @ np.asarray(matrix, dtype=np.float64)
 
     def rmatmat(self, matrix: np.ndarray) -> np.ndarray:
-        data = kernels.vi_gather(self._values.dictionary, self._codes_matrix())
+        data = self._values.dictionary[self._codes_matrix()]
         return np.asarray(matrix, dtype=np.float64) @ data
 
     def scale(self, scalar: float) -> "DVIMatrix":
@@ -74,7 +73,7 @@ class DVIMatrix(CompressedMatrix):
     def _row_slice_rows(self, index: np.ndarray) -> np.ndarray:
         # Decode only the requested rows' codes (the default would build a
         # selection matrix and multiply through a full decode).
-        return kernels.vi_gather(self._values.dictionary, self._codes_matrix()[index])
+        return self._values.dictionary[self._codes_matrix()[index]]
 
     # -- scan push-down: probe the dictionary, gather through the codes -------
 

@@ -7,8 +7,9 @@ ranks schemes by measured cost:
 
 * :func:`calibrate` times every registered scheme's kernels (``matvec`` /
   ``matmat`` / ``rmatvec`` / ``rmatmat`` / ``scale`` / ``row_slice`` /
-  ``decode``) on synthetic batches at a few sparsity levels, reusing the
-  benchmark harness timers (:func:`repro.bench.runner.time_matrix_ops`);
+  ``decode``) on synthetic batches at a few sparsity levels with
+  :func:`time_matrix_ops` and :func:`time_callable`, the timers the
+  benchmark harness (:mod:`repro.bench`) uses too;
 * the result — a :class:`Calibration` — persists as ``calibration.json``
   next to the dataset, stamped with the platform fingerprint and source
   commit exactly like ``write_bench_json`` snapshots, so the measurements
@@ -39,8 +40,8 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.bench.runner import current_git_commit, time_callable, time_matrix_ops
 from repro.compression.registry import available_schemes, get_scheme
+from repro.obs import current_git_commit
 from repro.storage.mmapio import publish_file
 
 #: Filename the calibration persists under, next to a dataset's manifest.
@@ -280,6 +281,45 @@ class Calibration:
             return cls.from_dict(payload)
         except (OSError, ValueError, KeyError, TypeError):
             return None
+
+
+def time_callable(func, repeats: int = 3, *, warmup: int = 1) -> float:
+    """Median wall-clock seconds of ``repeats`` calls, after ``warmup`` untimed ones.
+
+    The first call of a cold kernel pays one-off costs (lazy imports, cache
+    population, allocator warm-up) that do not recur; including it in a
+    3-sample median skews small measurements badly, so it is burned off
+    before sampling starts.  ``warmup=0`` restores the cold-start behaviour.
+    """
+    if repeats <= 0:
+        raise ValueError("repeats must be positive")
+    if warmup < 0:
+        raise ValueError("warmup must be non-negative")
+    for _ in range(warmup):
+        func()
+    samples = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        func()
+        samples.append(time.perf_counter() - start)
+    return float(np.median(samples))
+
+
+def time_matrix_ops(compressed, n_cols: int, n_rows: int, m_width: int = 20, repeats: int = 3,
+                    seed: int = 0) -> dict[str, float]:
+    """Time the five matrix operations of Figure 8 on one compressed batch."""
+    rng = np.random.default_rng(seed)
+    v_right = rng.normal(size=n_cols)
+    v_left = rng.normal(size=n_rows)
+    m_right = rng.normal(size=(n_cols, m_width))
+    m_left = rng.normal(size=(m_width, n_rows))
+    return {
+        "A*c": time_callable(lambda: compressed.scale(2.0), repeats),
+        "A*v": time_callable(lambda: compressed.matvec(v_right), repeats),
+        "A*M": time_callable(lambda: compressed.matmat(m_right), repeats),
+        "v*A": time_callable(lambda: compressed.rmatvec(v_left), repeats),
+        "M*A": time_callable(lambda: compressed.rmatmat(m_left), repeats),
+    }
 
 
 def calibration_path(directory: Path | str) -> Path:

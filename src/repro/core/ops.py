@@ -16,6 +16,9 @@ operations the paper distinguishes are covered:
 * sparse-unsafe element-wise ops (``A .+ c``) — require full decoding
   (Algorithm 6).
 
+Decoding rows (:func:`decode_rows_to_dense`, what ``row_slice`` and
+``to_dense`` run) walks only the selected rows' codes up ``C'``.
+
 A depth of the tree is one slice of positions, so the per-node recurrences
 of the four multiplications are one vectorised step per level —
 ``H[lo:hi] += H[parents[lo:hi]]`` going down for the right products, and
@@ -32,7 +35,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import kernels
 from repro.core.decode_tree import DecodeTree
 from repro.core.logical import LogicalEncoding
 from repro.core.sparse import SparseEncodedTable
@@ -251,22 +253,41 @@ def decode_to_dense(tree: DecodeTree) -> np.ndarray:
 def decode_rows_to_dense(tree: DecodeTree, rows: np.ndarray) -> np.ndarray:
     """Decode only ``rows`` (in request order, duplicates kept) to dense.
 
-    Gathers just the selected rows' code runs and walks them through the
-    decode tree — ``O(selected codes × depth)``, never touching the other
-    rows' codes or materialising a selection matrix.
+    Gathers the selected rows' code runs with one CSR-style range
+    concatenation, then walks *all* gathered codes up the decode tree in
+    lockstep (one vectorised step per tree level), scattering each level's
+    key pairs straight into the dense output: ``O(selected codes × depth)``,
+    never touching the other rows' codes or building a selection matrix.
     """
     index = np.asarray(rows, dtype=np.intp).ravel()
     if index.size and (index.min() < 0 or index.max() >= tree.n_rows):
         raise IndexError("row index out of range")
-    return kernels.toc_row_slice(
-        tree.codes,
-        tree.row_offsets,
-        tree.key_columns,
-        tree.key_values,
-        tree.parents,
-        index,
-        tree.n_cols,
-    )
+    out = np.zeros((index.size, tree.n_cols), dtype=np.float64)
+    if index.size == 0 or tree.codes.size == 0:
+        return out
+    starts = tree.row_offsets[index]
+    counts = tree.row_offsets[index + 1] - starts
+    total = int(counts.sum())
+    if total == 0:
+        return out
+    out_rows = np.repeat(np.arange(index.size, dtype=np.int64), counts)
+    range_offsets = np.zeros(index.size, dtype=np.int64)
+    np.cumsum(counts[:-1], out=range_offsets[1:])
+    positions = np.arange(total, dtype=np.int64) - range_offsets[out_rows] + starts[out_rows]
+    current = tree.codes[positions].copy()
+    # Every gathered code emits its node's key pair and steps to its parent;
+    # a code retires when it reaches the root.  Within one row the pairs of
+    # different codes touch distinct columns, so the scatter never collides.
+    active = current != 0
+    rows_active = out_rows
+    while active.any():
+        if not active.all():
+            current = current[active]
+            rows_active = rows_active[active]
+        out[rows_active, tree.key_columns[current]] = tree.key_values[current]
+        current = tree.parents[current]
+        active = current != 0
+    return out
 
 
 def matrix_plus_scalar(tree: DecodeTree, scalar: float) -> np.ndarray:

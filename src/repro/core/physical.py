@@ -9,8 +9,6 @@ mirrors Figure 3 of the paper:
   the bit-packed tuple start offsets;
 * ``I``: the bit-packed column indexes, the bit-packed value indexes, and the
   array of unique values.
-
-An alternative varint layout is provided for the "future work" ablation.
 """
 
 from __future__ import annotations
@@ -19,10 +17,8 @@ import struct
 
 import numpy as np
 
-from repro import kernels
 from repro.bitpack.bitpacking import pack_integers, read_packed
 from repro.bitpack.value_index import build_value_index, read_value_index
-from repro.bitpack.varint import encode_varints
 from repro.core.logical import LogicalEncoding
 from repro.core.validate import EncodingError
 
@@ -100,72 +96,8 @@ def logical_nbytes(encoding: LogicalEncoding) -> int:
     )
 
 
-# ---------------------------------------------------------------------------
-# Varint alternative layout (paper future work / ablation)
-# ---------------------------------------------------------------------------
-
-
-def physical_encode_varint(encoding: LogicalEncoding) -> bytes:
-    """Encode the logical output with varints instead of fixed-width packing."""
-    header = encode_varints(
-        np.array(
-            [
-                encoding.shape[0],
-                encoding.shape[1],
-                encoding.first_layer_columns.size,
-                encoding.codes.size,
-            ],
-            dtype=np.int64,
-        )
-    )
-    values = build_value_index(encoding.first_layer_values)
-    body = (
-        encode_varints(encoding.first_layer_columns)
-        + encode_varints(values.codes)
-        + encode_varints(np.array([values.dictionary.size], dtype=np.int64))
-        + values.dictionary.astype("<f8").tobytes()
-        + encode_varints(encoding.codes)
-        + encode_varints(encoding.row_offsets)
-    )
-    return header + body
-
-
-def physical_decode_varint(raw) -> LogicalEncoding:
-    """Inverse of :func:`physical_encode_varint` (accepts any buffer object)."""
-    # Varints are self-delimiting, so decode sequentially tracking offsets.
-    # Raw float bytes follow the varint segments, so tail validation is off:
-    # each take() decodes exactly ``count`` values from the cursor onwards.
-    raw = memoryview(raw)
-    cursor = 0
-
-    def take(count: int) -> np.ndarray:
-        nonlocal cursor
-        values, consumed = kernels.varint_decode(raw[cursor:], count, False)
-        cursor += consumed
-        return values
-
-    n_rows, n_cols, n_first, n_codes = take(4).tolist()
-    first_cols = take(n_first)
-    value_codes = take(n_first)
-    dict_size = int(take(1)[0])
-    dictionary = np.frombuffer(raw[cursor : cursor + dict_size * 8], dtype="<f8").copy()
-    cursor += dict_size * 8
-    first_vals = dictionary[value_codes] if n_first else np.zeros(0, dtype=np.float64)
-    codes = take(n_codes)
-    row_offsets = take(n_rows + 1)
-    return LogicalEncoding(
-        first_layer_columns=first_cols,
-        first_layer_values=first_vals,
-        codes=codes,
-        row_offsets=row_offsets,
-        shape=(n_rows, n_cols),
-    )
-
-
 __all__ = [
     "physical_encode",
     "physical_decode",
-    "physical_encode_varint",
-    "physical_decode_varint",
     "logical_nbytes",
 ]

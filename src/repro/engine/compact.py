@@ -7,7 +7,7 @@ shard was encoded with may no longer be the scheme the advisor would pick
 today.  Compaction closes that gap:
 
 1. every shard is re-advised on a row sample — sliced straight off the
-   compressed form with :func:`repro.exec.row_slice`, so an unchanged shard
+   compressed form with its ``row_slice``, so an unchanged shard
    costs a sample decode, not a full one (byte-block schemes, whose only
    row path is a full inflate, are the exception);
 2. only the shards whose winning scheme *changed* are re-encoded — the
@@ -42,7 +42,6 @@ from repro.engine.encode import (
     advise_scheme,
     fan_out,
 )
-from repro.exec import row_slice
 from repro.obs import metrics as obs_metrics
 from repro.storage.mmapio import read_file
 
@@ -102,7 +101,7 @@ def _sample_rows(matrix, n_rows: int, sample_rows: int):
     ``row_slice`` densifies only the sampled rows of a direct-op scheme and
     inflates a byte-block scheme whole, its only row path.
     """
-    return row_slice(matrix, range(min(n_rows, sample_rows)))
+    return matrix.row_slice(range(min(n_rows, sample_rows)))
 
 
 def _reencode_one(task: tuple) -> EncodedBatch:

@@ -75,7 +75,6 @@ from repro.core.validate import EncodingError
 from repro.data.minibatch import split_minibatches
 from repro.engine.compact import CompactReport, reencode_drifted
 from repro.engine.encode import AUTO_SAMPLE_ROWS, AUTO_SCHEME, EncodedBatch, encode_batches
-from repro.exec import row_slice
 from repro.exec.scan import ScanResult, scan_shards
 from repro.obs import metrics_snapshot
 from repro.obs import trace as obs_trace
@@ -786,12 +785,12 @@ class Dataset:
 
         Accepts any iterable of global row ids (duplicates allowed, request
         order preserved).  Each touched shard is decoded once and sliced
-        with the per-scheme :func:`repro.exec.row_slice` kernel.
+        with its scheme's own ``row_slice``.
         """
         batch_ids, local_rows = locate_rows(shard_offsets(self.shards), rows)
         out = np.empty((batch_ids.size, self.n_cols), dtype=np.float64)
         for batch_id, positions in group_by_shard(batch_ids):
-            out[positions] = row_slice(self.decode(batch_id), local_rows[positions])
+            out[positions] = self.decode(batch_id).row_slice(local_rows[positions])
         return out
 
     def __getitem__(self, key) -> np.ndarray:

@@ -29,7 +29,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.exec import dispatch
 from repro.exec.predicates import (
     COMPARE_OPS,
     Aggregate,
@@ -73,7 +72,7 @@ class _ShardContext:
 
     def __init__(self, matrix, pushdown=True, compared=(), projected=(), aggregated=()):
         self.matrix = matrix
-        self.pushdown = pushdown and getattr(matrix, "scan_pushdown", False)
+        self.pushdown = pushdown and matrix.scan_pushdown
         self._dense: np.ndarray | None = None
         for col in {*compared, *projected, *aggregated}:
             if not 0 <= col < self.n_cols:
@@ -98,7 +97,7 @@ class _ShardContext:
 
     def dense(self) -> np.ndarray:
         if self._dense is None:
-            self._dense = dispatch.to_dense(self.matrix)
+            self._dense = self.matrix.to_dense()
         return self._dense
 
     def compare(self, col: int, op: str, value: float) -> np.ndarray:
@@ -126,7 +125,7 @@ class _ShardContext:
             return np.column_stack([self._columns[col][local_rows] for col in columns])
         selective = local_rows.size <= SELECT_DENSE_THRESHOLD * self.n_rows
         if self.pushdown and self._dense is None and selective:
-            return dispatch.row_slice(self.matrix, local_rows)
+            return self.matrix.row_slice(local_rows)
         return self.dense()[local_rows]
 
 

@@ -1,32 +1,10 @@
-"""The hot code-walk kernels: varint encode/decode, TOC ``row_slice``, value-index gather.
+"""Run provenance only: the kernels are each scheme's own methods.
 
-Every caller runs the vectorized NumPy implementations in
-:mod:`repro.kernels.numpy_backend`.  :mod:`repro.kernels.python_backend`
-keeps the per-element reference loops with the same semantics; only the
-property tests and ``benchmarks/bench_kernels.py`` call them.
+Kept for ``bench/run.py``, which records :func:`active_backend` in every
+result, until ROADMAP item 1(d).
 """
-
-from __future__ import annotations
-
-from repro.kernels.numpy_backend import (
-    MAX_VARINT_BYTES,
-    toc_row_slice,
-    varint_decode,
-    varint_encode,
-    vi_gather,
-)
 
 
 def active_backend() -> str:
     """The kernel implementation every call runs, for run provenance."""
     return "numpy"
-
-
-__all__ = [
-    "MAX_VARINT_BYTES",
-    "active_backend",
-    "toc_row_slice",
-    "varint_decode",
-    "varint_encode",
-    "vi_gather",
-]

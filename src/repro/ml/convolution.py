@@ -13,7 +13,7 @@ This module provides:
 * :func:`conv2d_direct` — reference direct convolution (used by tests);
 * :class:`CompressedConv2d` — a convolution layer whose im2col matrix is
   compressed once with any registered scheme and whose forward pass is the
-  compressed ``A @ M`` operation, dispatched through :mod:`repro.exec`.
+  compressed ``A @ M`` operation, the compressed matrix's own ``@``.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ import numpy as np
 
 from repro.compression.base import CompressedMatrix
 from repro.compression.registry import get_scheme
-from repro.exec import matmat
 
 
 def im2col(
@@ -140,6 +139,6 @@ class CompressedConv2d:
             raise ValueError(
                 f"kernels cover {weights.shape[0]} inputs, the bound batch has {self._n_columns}"
             )
-        output = matmat(compressed, weights)
+        output = compressed @ weights
         batch, out_height, out_width = self._output_shape
         return output.reshape(batch, out_height, out_width, n_filters).transpose(0, 3, 1, 2)

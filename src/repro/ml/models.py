@@ -9,23 +9,23 @@ Each model exposes
   forward pass already gives (so recording a loss costs no extra scan),
 * ``loss(batch, targets)`` and ``predict(batch)`` for evaluation.
 
-``batch`` may be anything the :mod:`repro.exec` dispatch layer understands —
-a :class:`repro.compression.base.CompressedMatrix` of any scheme, a SciPy
+``batch`` is anything that answers ``@`` — a
+:class:`repro.compression.base.CompressedMatrix` of any scheme, a SciPy
 sparse matrix, or a plain NumPy array — so the same model runs on every
 scheme, including datasets whose shards mix schemes.
 
 The mapping between models and the compressed core ops follows Table 1 of
 the paper: the generalised linear models need ``A @ v`` (forward scores) and
 ``v @ A`` (gradient aggregation); the feed-forward network needs ``A @ M``
-and ``M @ A``.  All four are invoked through :mod:`repro.exec`, which owns
-resolving the kernel for the batch's representation.
+and ``M @ A``.  All four are written as ``@``, so the batch's own class
+runs them: a compressed matrix's ``__matmul__`` / ``__rmatmul__`` call its
+scheme's ``matvec`` / ``rmatvec`` / ``matmat`` / ``rmatmat``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro import exec as kernels
 from repro.ml.losses import CrossEntropyLoss, HingeLoss, LogisticLoss, SquaredLoss
 
 
@@ -50,7 +50,7 @@ class _LinearModel:
 
     def scores(self, batch) -> np.ndarray:
         """Raw scores ``A @ w + b`` via the compressed right multiplication."""
-        return kernels.matvec(batch, self.weights) + self.bias
+        return batch @ self.weights + self.bias
 
     def _loss_from_scores(self, scores: np.ndarray, targets: np.ndarray) -> float:
         value = self.loss_fn.value(scores, targets)
@@ -62,7 +62,7 @@ class _LinearModel:
         self, batch, scores: np.ndarray, targets: np.ndarray
     ) -> tuple[np.ndarray, float]:
         score_grad = self.loss_fn.gradient(scores, targets)
-        weight_grad = kernels.rmatvec(batch, score_grad)
+        weight_grad = score_grad @ batch
         if self.l2:
             weight_grad = weight_grad + self.l2 * self.weights
         return weight_grad, float(np.sum(score_grad))
@@ -189,7 +189,7 @@ class FeedForwardNetwork:
     def _forward(self, batch) -> tuple[list[np.ndarray], np.ndarray]:
         """Return hidden activations and output scores for a batch."""
         # First layer: compressed right multiplication A @ W1.
-        pre = kernels.matmat(batch, self.weights[0]) + self.biases[0]
+        pre = batch @ self.weights[0] + self.biases[0]
         activations = [self._sigmoid(pre)]
         for weight, bias in zip(self.weights[1:-1], self.biases[1:-1]):
             pre = activations[-1] @ weight + bias
@@ -235,7 +235,7 @@ class FeedForwardNetwork:
 
         # First layer gradient: (delta^T @ A)^T computed with the compressed
         # left multiplication M @ A.
-        weight_grads[0] = kernels.rmatmat(batch, delta.T).T
+        weight_grads[0] = (delta.T @ batch).T
         bias_grads[0] = delta.sum(axis=0)
 
         for layer, (w_grad, b_grad) in enumerate(zip(weight_grads, bias_grads)):

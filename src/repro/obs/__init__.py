@@ -9,11 +9,16 @@ Two pieces, one import point:
   wall-time spans in a ring buffer, dumpable as Chrome trace JSON.
 
 :func:`platform_key` names the machine class a benchmark result was
-measured on; ``BENCH_*.json`` files and ``bench/run.py`` results carry it.
+measured on, and :func:`current_git_commit` the source it ran;
+``BENCH_*.json`` files, calibrations and ``bench/run.py`` results carry both.
 
 ``set_enabled(False)`` turns both metrics and spans off in one call — the
 serving benchmark uses it to bound instrumentation overhead.
 """
+
+import functools
+import subprocess
+from pathlib import Path
 
 from repro.obs import metrics as metrics
 from repro.obs import trace as trace
@@ -57,6 +62,37 @@ def platform_key(platform: dict | None) -> str:
     return f"{system}-{machine}-py{major_minor}"
 
 
+@functools.lru_cache(maxsize=1)
+def current_git_commit() -> str | None:
+    """HEAD commit hash of the repository containing this module, or None.
+
+    Resolved relative to the package source (not the process CWD), so bench
+    sessions launched from anywhere still attribute to the right commit.
+    Returns ``None`` when the package is not itself inside a git checkout —
+    an installed wheel whose site-packages happens to live under some
+    unrelated repository must not stamp that repository's HEAD — or when
+    git is unavailable.  Cached: HEAD cannot change within a process.
+    """
+    package_dir = Path(__file__).resolve().parent
+    try:
+        result = subprocess.run(
+            ["git", "rev-parse", "--show-toplevel", "HEAD"],
+            cwd=package_dir,
+            capture_output=True,
+            text=True,
+            timeout=10,
+        )
+    except (OSError, subprocess.TimeoutExpired):
+        return None
+    if result.returncode != 0:
+        return None
+    lines = result.stdout.strip().splitlines()
+    if len(lines) != 2:
+        return None
+    toplevel, commit = Path(lines[0]).resolve(), lines[1]
+    return commit if commit and package_dir.is_relative_to(toplevel) else None
+
+
 __all__ = [
     "Counter",
     "Gauge",
@@ -64,6 +100,7 @@ __all__ = [
     "MetricsRegistry",
     "Tracer",
     "counter",
+    "current_git_commit",
     "default_registry",
     "default_tracer",
     "gauge",

@@ -16,10 +16,10 @@ the shard — for a linear model that is how the service's score array is
 filled (such a shard is never densified).  :meth:`FeatureStore.get_rows` is
 for callers that want the features themselves — direct readers, and a
 network's fill of the rows it has not scored yet: it decodes **only the
-requested rows** with the :func:`repro.exec.row_slice` kernel — an array
-slice for DEN shards, SciPy row indexing for CSR, a selection ``M @ A`` on
-the compressed form for TOC — never the whole dense block.  Rows the
-service answers out of its score array are reported through
+requested rows** with the shard's own ``row_slice`` — an array slice for
+DEN shards, a gather of the rows' stored cells for CSR/CVI, a walk of the
+rows' codes through the decode tree for TOC — never the whole dense block.
+Rows the service answers out of its score array are reported through
 :meth:`FeatureStore.count_hit` and :meth:`FeatureStore.count_scored`.
 
 The store's one cache (predictions live in the service's score array) is
@@ -28,9 +28,9 @@ shards in sliceable form, so consecutive reads of the same shard skip the
 expensive part: for direct-op schemes that is the parsed
 ``CompressedMatrix`` (still compressed); for byte-block schemes
 (Gzip/Snappy), whose only row path is a full inflate, it is the inflated
-dense block, since re-inflating per read would be strictly worse.  Either
-form row-slices through the same :func:`repro.exec.row_slice` dispatch and
-multiplies through the same ``matvec``.
+block as a DEN matrix, since re-inflating per read would be strictly worse.
+Either form is a ``CompressedMatrix``: it row-slices and multiplies through
+its own methods.
 
 The shard mappings are not a cache — they copy nothing, the pages belong to
 the OS page cache — but they are kept: a shard is mapped at most once, and
@@ -49,6 +49,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from repro.compression.dense import DenseMatrix
 from repro.engine.shards import (
     Dataset,
     as_row_id,
@@ -57,7 +58,6 @@ from repro.engine.shards import (
     row_out_of_range,
     shard_offsets,
 )
-from repro.exec import row_slice, supports_direct_ops
 from repro.obs.metrics import ticks
 from repro.serve.lru import LRUCache
 
@@ -177,10 +177,11 @@ class FeatureStore:
     def parsed(self, batch_id: int):
         """Shard ``batch_id`` in its sliceable form, through the parsed LRU.
 
-        For direct-op schemes that is the parsed ``CompressedMatrix``, on
-        which both :func:`repro.exec.row_slice` and the multiplication
-        kernels run without decoding it; for byte-block schemes, the
-        inflated dense block.  A racing miss parses twice and last-write-wins.
+        For direct-op schemes that is the parsed ``CompressedMatrix``, whose
+        ``row_slice`` and multiplication kernels run without decoding it;
+        for byte-block schemes, the inflated block as a
+        :class:`~repro.compression.dense.DenseMatrix`.  A racing miss parses
+        twice and last-write-wins.
         """
         sliceable = self._parsed.get(batch_id)
         if sliceable is None:
@@ -190,10 +191,10 @@ class FeatureStore:
                 if payload is None:  # first touch: map the file, and keep the mapping
                     payload = self._mapped[batch_id] = self.dataset.map_payload(batch_id)
             sliceable = self.dataset.decode(batch_id, payload)
-            if not supports_direct_ops(sliceable):
+            if not sliceable.supports_direct_ops:
                 # Byte-block schemes can only row-slice via a full inflate;
                 # cache the inflated block so later reads don't re-inflate it.
-                sliceable = sliceable.to_dense()
+                sliceable = DenseMatrix(sliceable.to_dense())
             self._parsed.put(batch_id, sliceable)
         return sliceable
 
@@ -240,7 +241,7 @@ class FeatureStore:
             self._stats.shard_decodes += len(by_shard)
         out = np.empty((len(ids), self.n_cols), dtype=np.float64)
         for batch_id, (positions, local_rows) in by_shard.items():
-            out[positions] = row_slice(self.parsed(batch_id), local_rows)
+            out[positions] = self.parsed(batch_id).row_slice(local_rows)
         return out
 
     def get_labels(self, row_ids: Iterable[int]) -> np.ndarray:

@@ -37,7 +37,6 @@ import numpy as np
 from repro.compression.registry import get_scheme
 from repro.core.validate import EncodingError
 from repro.data.registry import DATASET_PROFILES
-from repro.exec import row_slice
 
 scheme = get_scheme(sys.argv[1])
 x, _ = DATASET_PROFILES["census"].classification(250, seed=0)
@@ -53,7 +52,7 @@ for bit in rng.choice(len(payload) * 8, size=int(sys.argv[3]), replace=False):
             matrix.to_scipy().check_format(full_check=True)
         rows, cols = matrix.shape
         if rows * cols <= 4 * x.size:
-            assert row_slice(matrix, np.arange(rows)).shape == (rows, cols)
+            assert matrix.row_slice(np.arange(rows)).shape == (rows, cols)
             assert matrix.to_dense().shape == (rows, cols)
             assert matrix.matvec(np.ones(cols)).shape == (rows,)
             assert matrix.rmatvec(np.ones(rows)).shape == (cols,)

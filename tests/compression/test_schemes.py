@@ -175,8 +175,43 @@ class TestParsing:
         expected[row, col] = 0.0
         np.testing.assert_array_equal(parsed.to_dense(), expected)
 
+    def test_a_csr_row_slice_builds_no_scipy_matrix_and_a_scale_one(
+        self, census_batch, monkeypatch
+    ):
+        import scipy.sparse as sp
+
+        scheme = get_scheme("CSR")
+        parsed = scheme.decompress_bytes(scheme.compress(census_batch).to_bytes())
+        built = []
+        original = sp.csr_matrix.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(args[0] if args else None)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(sp.csr_matrix, "__init__", counted)
+        rows = [17, 3, 3, census_batch.shape[0] - 1, 0, 17]  # out of order, duplicated
+        np.testing.assert_array_equal(parsed.row_slice(rows), census_batch[rows])
+        assert len(built) == 0
+        scaled = parsed.scale(2.5)
+        assert len(built) == 1
+        np.testing.assert_array_equal(scaled.row_slice(rows), census_batch[rows] * 2.5)
+        np.testing.assert_array_equal(scaled.to_dense(), census_batch * 2.5)
+        # A cell scaled to 0 is dropped from a copy: the shard it came from keeps its cells.
+        assert parsed.scale(0.0).nnz == 0
+        np.testing.assert_array_equal(parsed.to_dense(), census_batch)
+
+    def test_a_csr_payload_repeating_a_column_in_a_row_is_refused(self):
+        from repro.core.validate import EncodingError
+
+        raw = bytearray(get_scheme("CSR").compress(np.array([[1.0, 2.0], [0.0, 3.0]])).to_bytes())
+        indices = 24 + 3 * 4  # after the header and the three row offsets
+        raw[indices + 4 : indices + 8] = raw[indices : indices + 4]  # row 0 holds column 0 twice
+        # Were it accepted, to_dense would sum the two cells (3.0) and row_slice keep one (2.0).
+        with pytest.raises(EncodingError, match="increase within each row"):
+            get_scheme("CSR").decompress_bytes(bytes(raw))
+
     def test_a_parsed_den_shard_is_a_read_only_view_every_path_reads(self, tmp_path):
-        from repro import exec as kernels
         from repro.api import Dataset
         from repro.data.registry import DATASET_PROFILES
 
@@ -189,14 +224,14 @@ class TestParsing:
         rng = np.random.default_rng(0)
         v, u = rng.normal(size=block.shape[1]), rng.normal(size=block.shape[0])
         m, left = rng.normal(size=(block.shape[1], 3)), rng.normal(size=(3, block.shape[0]))
-        np.testing.assert_allclose(kernels.matvec(shard, v), block @ v)
-        np.testing.assert_allclose(kernels.rmatvec(shard, u), u @ block)
-        np.testing.assert_allclose(kernels.matmat(shard, m), block @ m)
-        np.testing.assert_allclose(kernels.rmatmat(shard, left), left @ block)
-        np.testing.assert_allclose(kernels.to_dense(kernels.scale(shard, 2.0)), 2.0 * block)
-        for dense in (kernels.to_dense(shard), kernels.row_slice(shard, [3, 0, 3])):
+        np.testing.assert_allclose(shard @ v, block @ v)
+        np.testing.assert_allclose(u @ shard, u @ block)
+        np.testing.assert_allclose(shard @ m, block @ m)
+        np.testing.assert_allclose(left @ shard, left @ block)
+        np.testing.assert_allclose(shard.scale(2.0).to_dense(), 2.0 * block)
+        for dense in (shard.to_dense(), shard.row_slice([3, 0, 3])):
             assert dense.flags.writeable  # the caller's own copy
-        np.testing.assert_array_equal(kernels.row_slice(shard, [3, 0, 3]), block[[3, 0, 3]])
+        np.testing.assert_array_equal(shard.row_slice([3, 0, 3]), block[[3, 0, 3]])
         selected = dataset.scan(where="c0 > 0", columns=[0, 2])
         np.testing.assert_array_equal(selected.rows, x[x[:, 0] > 0][:, [0, 2]])
         total = dataset.scan(agg="sum:c2").aggregates["sum(c2)"]

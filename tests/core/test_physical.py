@@ -12,15 +12,12 @@ from repro.core.logical import LogicalEncoding, prefix_tree_encode
 from repro.core.physical import (
     logical_nbytes,
     physical_decode,
-    physical_decode_varint,
     physical_encode,
-    physical_encode_varint,
 )
 from repro.core.sparse import sparse_encode
 from repro.core.toc import TOCMatrix
 from repro.core.validate import EncodingError
 from repro.storage import mmapio
-from tests.conftest import random_sparse_matrix
 
 
 def _logical(dense: np.ndarray):
@@ -101,27 +98,6 @@ class TestPhysicalEncoding:
         assert len(physical_encode(_logical(census_batch))) < census_batch.size * 8
 
 
-class TestVarintLayout:
-    def test_roundtrip(self, census_batch):
-        logical = _logical(census_batch)
-        _assert_logical_equal(
-            physical_decode_varint(physical_encode_varint(logical)), logical
-        )
-
-    def test_roundtrip_zero_matrix(self):
-        logical = _logical(np.zeros((2, 3)))
-        _assert_logical_equal(
-            physical_decode_varint(physical_encode_varint(logical)), logical
-        )
-
-    def test_roundtrip_random(self, rng):
-        dense = random_sparse_matrix(rng, 14, 11)
-        logical = _logical(dense)
-        _assert_logical_equal(
-            physical_decode_varint(physical_encode_varint(logical)), logical
-        )
-
-
 class TestPhysicalProperties:
     @given(
         hnp.arrays(
@@ -135,16 +111,3 @@ class TestPhysicalProperties:
         logical = _logical(dense)
         _assert_logical_equal(physical_decode(physical_encode(logical)), logical)
 
-    @given(
-        hnp.arrays(
-            dtype=np.float64,
-            shape=hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=12),
-            elements=st.sampled_from([0.0, 1.0, 3.5]),
-        )
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_varint_roundtrip_property(self, dense):
-        logical = _logical(dense)
-        _assert_logical_equal(
-            physical_decode_varint(physical_encode_varint(logical)), logical
-        )

@@ -175,26 +175,17 @@ class TestFeedForwardNetwork:
 class TestTable1OperationUsage:
     """Executable version of Table 1: which core ops each model touches."""
 
-    class _Recorder:
-        def __init__(self, inner):
-            self._inner = inner
-            self.called = set()
+    @staticmethod
+    def _recording(matrix):
+        """``matrix`` itself, its four product methods wrapped to note each call."""
+        matrix.called = set()
+        for name in ("matvec", "rmatvec", "matmat", "rmatmat"):
+            def wrapper(operand, _method=getattr(matrix, name), _name=name):
+                matrix.called.add(_name)
+                return _method(operand)
 
-        def matvec(self, v):
-            self.called.add("matvec")
-            return self._inner.matvec(v)
-
-        def rmatvec(self, v):
-            self.called.add("rmatvec")
-            return self._inner.rmatvec(v)
-
-        def matmat(self, m):
-            self.called.add("matmat")
-            return self._inner.matmat(m)
-
-        def rmatmat(self, m):
-            self.called.add("rmatmat")
-            return self._inner.rmatmat(m)
+            setattr(matrix, name, wrapper)
+        return matrix
 
     def test_linear_models_use_vector_ops_only(self, labeled_batch):
         features, labels = labeled_batch
@@ -203,13 +194,13 @@ class TestTable1OperationUsage:
             LogisticRegressionModel(features.shape[1]),
             LinearSVMModel(features.shape[1]),
         ):
-            recorder = self._Recorder(get_scheme("TOC").compress(features))
-            model.gradient_step(recorder, labels, 0.1)
-            assert recorder.called == {"matvec", "rmatvec"}
+            matrix = self._recording(get_scheme("TOC").compress(features))
+            model.gradient_step(matrix, labels, 0.1)
+            assert matrix.called == {"matvec", "rmatvec"}
 
     def test_network_uses_matrix_ops(self, labeled_batch):
         features, labels = labeled_batch
         model = FeedForwardNetwork(features.shape[1], hidden_sizes=(8,))
-        recorder = self._Recorder(get_scheme("TOC").compress(features))
-        model.gradient_step(recorder, labels.astype(int), 0.1)
-        assert recorder.called == {"matmat", "rmatmat"}
+        matrix = self._recording(get_scheme("TOC").compress(features))
+        model.gradient_step(matrix, labels.astype(int), 0.1)
+        assert matrix.called == {"matmat", "rmatmat"}

@@ -31,7 +31,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.serve.feature_store as feature_store_module
 from repro.api import AsyncPredictionService, ClusterService, Dataset, Estimator, open_service
 from repro.compression.registry import available_schemes
 from repro.core.toc import TOCMatrix
@@ -302,11 +301,7 @@ class TestNothingIsDecoded:
 
             return wrapper
 
-        # The store's repro.exec entry point, and the methods every route to a
-        # TOC decode ends in (exec.row_slice / exec.to_dense dispatch to them).
-        monkeypatch.setattr(
-            feature_store_module, "row_slice", counted("row_slice", feature_store_module.row_slice)
-        )
+        # The methods every route to a TOC decode ends in.
         for name in ("row_slice", "to_dense", "matvec"):
             monkeypatch.setattr(
                 TOCMatrix, name, counted(name, getattr(TOCMatrix, name))
@@ -323,7 +318,7 @@ class TestNothingIsDecoded:
             assert service.store_stats.payload_parses == len(dataset)
             assert service.store_stats.shard_decodes == 0
             service.store.get_rows([0])  # the wrappers are live: a direct read does slice
-            assert calls["row_slice"] == 2  # the store's call and the method under it
+            assert calls["row_slice"] == 1
 
     def test_warm_single_rows_run_no_model_and_decode_nothing(self, estimators, datasets, calls):
         dataset = datasets["TOC"]

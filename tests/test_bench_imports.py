@@ -5,13 +5,16 @@ tier-1 suite never imports it: renaming or deleting a ``repro`` name it uses
 would pass here and crash every ``bench/run.py`` run.  This test reads the
 imports with ``ast`` (including the function-level ones) and resolves each
 name the way ``from module import name`` does: an attribute of the module,
-or else a submodule of it.
+or else a submodule of it.  Where an import binds a module
+(``from repro import exec as kernels``), every attribute the file reads off
+that name (``kernels.matvec``) must exist on the module too.
 """
 
 from __future__ import annotations
 
 import ast
 import importlib
+import types
 from pathlib import Path
 
 import pytest
@@ -47,6 +50,42 @@ def _resolves(module_name: str, name: str | None) -> bool:
     return True
 
 
+def _bound_module(module_name: str, name: str | None) -> types.ModuleType | None:
+    """The module an import binds, or ``None`` when it binds something else."""
+    module = importlib.import_module(module_name)
+    if name is None:
+        return module
+    bound = getattr(module, name, None)
+    if bound is None and _resolves(module_name, name):
+        bound = importlib.import_module(f"{module_name}.{name}")
+    return bound if isinstance(bound, types.ModuleType) else None
+
+
+def _module_attribute_uses(path: Path) -> list[tuple[str, str]]:
+    """``(module, attribute)`` for each ``alias.attribute`` read in ``path``
+    where ``alias`` is a ``repro`` module the file imports."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    aliases: dict[str, str] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            if node.module.split(".")[0] == "repro":
+                for alias in node.names:
+                    module = _bound_module(node.module, alias.name)
+                    if module is not None:
+                        aliases[alias.asname or alias.name] = module.__name__
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "repro" and alias.asname:
+                    aliases[alias.asname] = alias.name
+    return [
+        (aliases[node.value.id], node.attr)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id in aliases
+    ]
+
+
 def test_the_benchmark_imports_from_repro():
     assert any(_repro_imports(path) for path in BENCH_FILES)
 
@@ -61,6 +100,20 @@ def test_every_repro_name_the_benchmark_imports_exists(path):
     assert not missing, f"{path.name} imports names repro no longer has: {missing}"
 
 
+@pytest.mark.parametrize("path", BENCH_FILES, ids=lambda path: path.name)
+def test_every_repro_module_attribute_the_benchmark_reads_exists(path):
+    missing = [
+        f"{module}.{attribute}"
+        for module, attribute in _module_attribute_uses(path)
+        if not hasattr(importlib.import_module(module), attribute)
+    ]
+    assert not missing, f"{path.name} reads names repro no longer has: {missing}"
+
+
+def test_the_benchmark_reads_attributes_off_repro_modules():
+    assert any(_module_attribute_uses(path) for path in BENCH_FILES)
+
+
 def test_a_missing_name_is_caught(tmp_path):
     probe = tmp_path / "probe.py"
     probe.write_text(
@@ -71,3 +124,20 @@ def test_a_missing_name_is_caught(tmp_path):
     imports = _repro_imports(probe)
     assert imports == [("repro", "exec"), ("repro.obs", "span"), ("repro.obs", "no_such_name")]
     assert [_resolves(*entry) for entry in imports] == [True, True, False]
+
+
+def test_a_missing_module_attribute_is_caught(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "from repro import exec as kernels\n"
+        "import repro.obs as observe\n"
+        "from repro.api import Dataset\n"
+        "kernels.matvec, observe.span, Dataset.open, kernels.no_such_kernel\n"
+    )
+    uses = _module_attribute_uses(probe)
+    assert sorted(uses) == [
+        ("repro.exec", "matvec"), ("repro.exec", "no_such_kernel"), ("repro.obs", "span")
+    ]
+    assert [hasattr(importlib.import_module(m), a) for m, a in sorted(uses)] == [
+        True, False, True
+    ]
