@@ -107,12 +107,18 @@ class CompressedMatrix(abc.ABC):
     def matmat(self, matrix: np.ndarray) -> np.ndarray:
         """Return ``A @ M`` (default: column-by-column matvec)."""
         m = np.asarray(matrix, dtype=np.float64)
-        return np.column_stack([self.matvec(m[:, j]) for j in range(m.shape[1])])
+        out = np.empty((self.n_rows, m.shape[1]))
+        for j in range(m.shape[1]):
+            out[:, j] = self.matvec(m[:, j])
+        return out
 
     def rmatmat(self, matrix: np.ndarray) -> np.ndarray:
         """Return ``M @ A`` (default: row-by-row rmatvec)."""
         m = np.asarray(matrix, dtype=np.float64)
-        return np.vstack([self.rmatvec(m[i, :]) for i in range(m.shape[0])])
+        out = np.empty((m.shape[0], self.n_cols))
+        for i in range(m.shape[0]):
+            out[i] = self.rmatvec(m[i, :])
+        return out
 
     def __matmul__(self, other):
         """``A @ v`` or ``A @ M``, by the operand's dimension."""
