@@ -26,6 +26,7 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 
+from repro.compression.base import CompressedMatrix
 from repro.compression.registry import get_scheme
 from repro.core.calibration import DEFAULT_WORKLOAD, check_workload
 from repro.data.minibatch import iter_minibatch_slices
@@ -371,7 +372,7 @@ class Estimator:
         dataset = self._as_dataset(data)
         if dataset is not None:
             return np.concatenate([model.predict(m) for m, _ in dataset.batches()])
-        return np.asarray(model.predict(data))
+        return np.asarray(model.predict(self._as_batch(data)))
 
     def predict_proba(self, data) -> np.ndarray:
         model = self._require_model()
@@ -380,7 +381,15 @@ class Estimator:
         dataset = self._as_dataset(data)
         if dataset is not None:
             return np.concatenate([model.predict_proba(m) for m, _ in dataset.batches()])
-        return np.asarray(model.predict_proba(data))
+        return np.asarray(model.predict_proba(self._as_batch(data)))
+
+    @staticmethod
+    def _as_batch(data):
+        """Sparse and compressed batches as they are, anything else as a float64
+        ``ndarray`` (an ``np.matrix`` batch would make ``@`` return a matrix)."""
+        if sp.issparse(data) or isinstance(data, CompressedMatrix):
+            return data
+        return np.asarray(data, dtype=np.float64)
 
     # -- persistence -----------------------------------------------------------
 

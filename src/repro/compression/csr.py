@@ -50,6 +50,9 @@ class CSRMatrix(CompressedMatrix):
             csr = matrix.tocsr().astype(np.float64)
         else:
             csr = sp.csr_matrix(np.asarray(matrix, dtype=np.float64))
+        # Sorted, unique column indexes per row: the row gather reads one cell
+        # per column, and ``from_bytes`` accepts nothing else.
+        csr.sum_duplicates()
         csr.eliminate_zeros()
         super().__init__(csr.shape)
         self._csr = csr
@@ -76,15 +79,11 @@ class CSRMatrix(CompressedMatrix):
         return np.asarray(matrix, dtype=np.float64) @ self._csr
 
     def scale(self, scalar: float) -> "CSRMatrix":
-        # One SciPy construction, sharing the structure unless a cell scales
-        # to 0: that cell is dropped, as a parse drops it, from a copy.
         csr = self._csr
-        data = csr.data * float(scalar)
-        if data.all():
-            scaled = sp.csr_matrix((data, csr.indices, csr.indptr), shape=self.shape)
-        else:
-            scaled = sp.csr_matrix((data, csr.indices.copy(), csr.indptr.copy()), shape=self.shape)
-            scaled.eliminate_zeros()
+        scaled = sp.csr_matrix(
+            (csr.data * float(scalar), csr.indices.copy(), csr.indptr.copy()), shape=self.shape
+        )
+        scaled.eliminate_zeros()
         return CSRMatrix._wrap(scaled)
 
     def to_dense(self) -> np.ndarray:

@@ -292,7 +292,7 @@ def _scan_shards(
             result.pushdown_shards += 1
         else:
             result.fallback_shards += 1
-        scheme = getattr(matrix, "scheme_name", type(matrix).__name__)
+        scheme = matrix.scheme_name
         result.schemes[scheme] = result.schemes.get(scheme, 0) + 1
 
         mask = predicate.evaluate(context) if predicate is not None else None

@@ -194,6 +194,24 @@ class TestPrediction:
         dense = np.concatenate([m.to_dense() for m, _ in dataset.batches()])
         np.testing.assert_array_equal(from_shards, estimator.predict(dense))
 
+    @pytest.mark.filterwarnings("ignore:the matrix subclass:PendingDeprecationWarning")
+    @pytest.mark.parametrize("model", ["logreg", "svm", "linreg"])
+    def test_predict_takes_any_array_like_and_returns_one_dimension(self, census, model):
+        features, labels = census
+        estimator = Estimator(model, scheme="TOC", epochs=1, learning_rate=0.1)
+        estimator.fit(features, labels)
+        block = features[:20]
+        expected = estimator.predict(block)
+        assert expected.shape == (20,)
+        for batch in (np.asmatrix(block), block.tolist()):
+            np.testing.assert_array_equal(estimator.predict(batch), expected, strict=True)
+        # SciPy sums a sparse row in its own order, so its scores may differ in the last bit.
+        np.testing.assert_allclose(estimator.predict(sp.csr_matrix(block)), expected, strict=True)
+        if model == "logreg":
+            expected_proba = estimator.predict_proba(block)
+            proba = estimator.predict_proba(np.asmatrix(block))
+            np.testing.assert_array_equal(proba, expected_proba, strict=True)
+
     def test_predict_proba_routes_or_raises(self, census):
         features, labels = census
         logreg = Estimator("logreg", scheme="TOC", epochs=1, learning_rate=0.3)

@@ -197,9 +197,31 @@ class TestParsing:
         assert len(built) == 1
         np.testing.assert_array_equal(scaled.row_slice(rows), census_batch[rows] * 2.5)
         np.testing.assert_array_equal(scaled.to_dense(), census_batch * 2.5)
-        # A cell scaled to 0 is dropped from a copy: the shard it came from keeps its cells.
+        # A cell scaled to 0 is dropped: the shard it came from keeps its cells.
         assert parsed.scale(0.0).nnz == 0
         np.testing.assert_array_equal(parsed.to_dense(), census_batch)
+
+    @pytest.mark.parametrize(
+        "row_0_columns", [[2, 0, 1], [0, 2, 0]], ids=["unsorted", "repeated"]
+    )
+    def test_a_csr_built_from_scipy_matches_its_dense_form_and_parses_back(self, row_0_columns):
+        import scipy.sparse as sp
+
+        # Row 0 stores its columns out of order, or column 0 twice; row 1 is empty.
+        source = sp.csr_matrix(
+            (np.array([1.0, 2.0, 3.0, 4.0]), np.array(row_0_columns + [1]), np.array([0, 3, 3, 4])),
+            shape=(3, 3),
+        )
+        expected = source.toarray()  # SciPy sums a repeated column's cells
+        matrix = get_scheme("CSR").compress(source)
+        np.testing.assert_array_equal(matrix.to_dense(), expected)
+        rows = [2, 0, 0, 1]
+        np.testing.assert_array_equal(matrix.row_slice(rows), expected[rows])
+        np.testing.assert_array_equal(matrix @ np.arange(3.0), expected @ np.arange(3.0))
+        parsed = get_scheme("CSR").decompress_bytes(matrix.to_bytes())
+        np.testing.assert_array_equal(parsed.to_dense(), expected)
+        np.testing.assert_array_equal(parsed.row_slice(rows), expected[rows])
+        assert list(source.indices) == row_0_columns + [1]  # the caller's matrix is untouched
 
     def test_a_csr_payload_repeating_a_column_in_a_row_is_refused(self):
         from repro.core.validate import EncodingError
