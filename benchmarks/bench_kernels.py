@@ -411,7 +411,7 @@ def test_mmap_full_shard_decode_no_regression(bench_json, tmp_path_factory):
         workers=1,
     )
     paths = [dataset.path / s.filename for s in dataset.shards]
-    schemes = [dataset.scheme_for(s.batch_id) for s in dataset.shards]
+    schemes = [get_scheme(s.scheme) for s in dataset.shards]
     assert isinstance(dataset.map_payload(0), memoryview)  # what the feature store keeps
 
     def decode_all(read):

@@ -12,8 +12,8 @@ multiply by a selection matrix (``M @ A``, one row of ``M`` per requested
 row).  A one-pass reader (the trainer's pool, scans, ``take``) reads a shard
 into bytes it owns (``read_payload``); the feature store, which keeps each
 shard, maps it (``map_payload``).  Either way the reader gets a read-only
-``memoryview``, and every scheme's ``from_bytes`` decodes straight out of
-it without copying.
+``memoryview``, and every scheme's ``decompress_bytes`` (a classmethod of
+its matrix class) decodes straight out of it without copying.
 
 This example:
 

@@ -11,7 +11,8 @@ plus the lower-level pieces advanced users reach for:
 * :class:`TOCMatrix` — compress a mini-batch and run matrix operations
   directly on the compressed representation;
 * :func:`get_scheme` / :func:`available_schemes` — the seven comparison
-  schemes plus TOC behind one interface;
+  schemes plus TOC, each a matrix class whose ``compress`` /
+  ``decompress_bytes`` classmethods are the scheme;
 * the MGD training stack (models, optimizer, metrics);
 * the dataset profiles mirroring the paper's Table 5;
 * the byte-budgeted :class:`BufferPool` the out-of-core trainer and the

@@ -1,10 +1,12 @@
 """Common interface for compressed mini-batch matrices.
 
 The MGD trainer, the scan executor and the benchmark harness only talk to
-this interface, so adding a scheme means implementing one class and
-registering it in :mod:`repro.compression.registry`.  That class is the one
-place that knows the scheme's layout: its kernels and, where it has one, its
-scan push-down live on it.
+this interface.  A scheme *is* its matrix class: the class compresses a
+dense batch (:meth:`CompressedMatrix.compress`), parses its own payload
+(:meth:`CompressedMatrix.decompress_bytes`), and is the one place that knows
+the layout: its kernels and, where it has one, its scan push-down live on
+it.  :func:`repro.compression.registry.get_scheme` maps each paper name to
+its class.
 
 The interface mirrors how the paper's Section 4 classifies operations:
 
@@ -48,7 +50,8 @@ import numpy as np
 class CompressedMatrix(abc.ABC):
     """A compressed representation of one dense mini-batch matrix."""
 
-    #: Scheme name used in benchmark tables (e.g. ``"TOC"``, ``"CSR"``).
+    #: The scheme's paper name (e.g. ``"TOC"``, ``"CSR"``): its key in the
+    #: registry and its label in benchmark tables.
     scheme_name: str = "?"
 
     #: Whether matrix operations run directly on the compressed form
@@ -69,6 +72,18 @@ class CompressedMatrix(abc.ABC):
 
     def __init__(self, shape: tuple[int, int]):
         self._shape = (int(shape[0]), int(shape[1]))
+
+    # -- the scheme: compress a batch, parse a payload -------------------------
+
+    @classmethod
+    def compress(cls, matrix) -> "CompressedMatrix":
+        """Compress one dense mini-batch with this scheme."""
+        return cls(matrix)
+
+    @classmethod
+    @abc.abstractmethod
+    def decompress_bytes(cls, raw) -> "CompressedMatrix":
+        """Rebuild a compressed batch from :meth:`to_bytes` output (any buffer)."""
 
     # -- shape & size --------------------------------------------------------
 
@@ -189,17 +204,3 @@ class CompressedMatrix(abc.ABC):
             raise ValueError(f"vector has length {v.size}, expected {self.n_rows}")
         return v
 
-
-class CompressionScheme(abc.ABC):
-    """Factory turning dense mini-batches into :class:`CompressedMatrix`."""
-
-    #: Scheme name used throughout benches and the registry.
-    name: str = "?"
-
-    @abc.abstractmethod
-    def compress(self, matrix: np.ndarray) -> CompressedMatrix:
-        """Compress one dense mini-batch."""
-
-    @abc.abstractmethod
-    def decompress_bytes(self, raw: bytes) -> CompressedMatrix:
-        """Rebuild a compressed batch from its serialised form."""

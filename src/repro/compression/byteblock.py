@@ -17,7 +17,7 @@ import zlib
 
 import numpy as np
 
-from repro.compression.base import CompressedMatrix, CompressionScheme
+from repro.compression.base import CompressedMatrix
 from repro.compression.dense import DenseMatrix
 from repro.core.validate import EncodingError
 
@@ -56,7 +56,7 @@ class _ByteBlockMatrix(CompressedMatrix):
     def decompress(self) -> DenseMatrix:
         """Decompress to a :class:`DenseMatrix` (pays the full inflate cost).
 
-        The block is inflated here, not in :meth:`from_bytes`, so a corrupt
+        The block is inflated here, not in :meth:`decompress_bytes`, so a corrupt
         stream or one whose length disagrees with the header raises
         :class:`~repro.core.validate.EncodingError` here.
         """
@@ -100,7 +100,7 @@ class _ByteBlockMatrix(CompressedMatrix):
         return header + bytes(self._payload)
 
     @classmethod
-    def from_bytes(cls, raw) -> "_ByteBlockMatrix":
+    def decompress_bytes(cls, raw) -> "_ByteBlockMatrix":
         header_size = 2 * _HEADER_DTYPE.itemsize
         if len(raw) < header_size:
             raise EncodingError(f"{cls.scheme_name} payload of {len(raw)} bytes has no header")
@@ -120,27 +120,3 @@ class SnappyLikeMatrix(_ByteBlockMatrix):
 
     scheme_name = "Snappy"
     level = 1
-
-
-class GzipScheme(CompressionScheme):
-    """Factory for :class:`GzipMatrix`."""
-
-    name = "Gzip"
-
-    def compress(self, matrix: np.ndarray) -> GzipMatrix:
-        return GzipMatrix(matrix)
-
-    def decompress_bytes(self, raw: bytes) -> GzipMatrix:
-        return GzipMatrix.from_bytes(raw)
-
-
-class SnappyLikeScheme(CompressionScheme):
-    """Factory for :class:`SnappyLikeMatrix`."""
-
-    name = "Snappy"
-
-    def compress(self, matrix: np.ndarray) -> SnappyLikeMatrix:
-        return SnappyLikeMatrix(matrix)
-
-    def decompress_bytes(self, raw: bytes) -> SnappyLikeMatrix:
-        return SnappyLikeMatrix.from_bytes(raw)

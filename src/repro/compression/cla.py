@@ -24,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.bitpack.bitpacking import pack_integers
-from repro.compression.base import CompressedMatrix, CompressionScheme
+from repro.compression.base import CompressedMatrix
 from repro.compression.dense import dense_payload, read_dense_payload
 
 #: Groups whose dictionary would exceed this fraction of the rows are kept
@@ -152,7 +152,7 @@ class CLAMatrix(CompressedMatrix):
         return dense_payload(self.to_dense())
 
     @classmethod
-    def from_bytes(cls, raw) -> "CLAMatrix":
+    def decompress_bytes(cls, raw) -> "CLAMatrix":
         return cls(read_dense_payload(raw, cls.scheme_name))
 
 
@@ -204,15 +204,3 @@ def _plan_groups(dense: np.ndarray) -> list[_ColumnGroup | _UncompressedGroup]:
         cols = np.asarray(uncompressed_cols, dtype=np.int64)
         groups.append(_UncompressedGroup(columns=cols, data=dense[:, cols].copy()))
     return groups
-
-
-class CLAScheme(CompressionScheme):
-    """Factory for :class:`CLAMatrix`."""
-
-    name = "CLA"
-
-    def compress(self, matrix: np.ndarray) -> CLAMatrix:
-        return CLAMatrix(matrix)
-
-    def decompress_bytes(self, raw: bytes) -> CLAMatrix:
-        return CLAMatrix.from_bytes(raw)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from repro.compression.base import CompressedMatrix, CompressionScheme
+from repro.compression.base import CompressedMatrix
 from repro.core.validate import EncodingError
 
 _HEADER_DTYPE = np.dtype("<u8")
@@ -39,6 +39,33 @@ def gather_rows(indptr, indices, index: np.ndarray, n_cols: int, values_at) -> n
     return out
 
 
+def check_row_layout(indptr: np.ndarray, indices: np.ndarray, cols: int, scheme_name: str) -> None:
+    """Refuse a parsed row layout that ``to_bytes`` never writes.
+
+    ``indptr`` must run monotonically from 0 to nnz, every column index must
+    be below ``cols`` (both arrays are widened from unsigned, so none is
+    negative), and the indexes must strictly increase within each row.  The
+    kernels trust all three: SciPy reads past its buffers on a bad offset
+    or index, and a column stored twice in a row is summed by the products
+    but overwritten by the row gather.  A layout that fails raises
+    :class:`~repro.core.validate.EncodingError`.
+    """
+    nnz = indices.size
+    if indptr[0] != 0 or indptr[-1] != nnz or (indptr[1:] < indptr[:-1]).any():
+        raise EncodingError(f"{scheme_name} row offsets must run monotonically from 0 to nnz")
+    if nnz == 0:
+        return
+    if int(indices.max()) >= cols:
+        raise EncodingError(f"{scheme_name} column index out of range for {cols} columns")
+    # ``out_of_order[j]``: cell j's column is not above the one before it,
+    # which is a fault unless cell j starts a row.
+    out_of_order = np.zeros(nnz + 1, dtype=bool)
+    np.less_equal(indices[1:], indices[:-1], out=out_of_order[1:nnz])
+    out_of_order[indptr] = False
+    if out_of_order.any():
+        raise EncodingError(f"{scheme_name} column indexes must increase within each row")
+
+
 class CSRMatrix(CompressedMatrix):
     """A mini-batch stored in compressed sparse row format."""
 
@@ -51,7 +78,7 @@ class CSRMatrix(CompressedMatrix):
         else:
             csr = sp.csr_matrix(np.asarray(matrix, dtype=np.float64))
         # Sorted, unique column indexes per row: the row gather reads one cell
-        # per column, and ``from_bytes`` accepts nothing else.
+        # per column, and ``decompress_bytes`` accepts nothing else.
         csr.sum_duplicates()
         csr.eliminate_zeros()
         super().__init__(csr.shape)
@@ -109,14 +136,12 @@ class CSRMatrix(CompressedMatrix):
         )
 
     @classmethod
-    def from_bytes(cls, raw: bytes) -> "CSRMatrix":
+    def decompress_bytes(cls, raw: bytes) -> "CSRMatrix":
         """Rebuild a matrix from :meth:`to_bytes` output.
 
-        SciPy trusts the arrays it is handed, and an ``indptr`` or an index
-        out of range makes its kernels read past their buffers.  So the
-        lengths, ``indptr`` (monotonic from 0 to nnz), every column index and
-        their order within each row (strictly increasing) are checked, and a
-        payload that fails raises :class:`~repro.core.validate.EncodingError`.
+        The lengths and the row layout (:func:`check_row_layout`) are
+        checked before SciPy sees the arrays; a payload that fails raises
+        :class:`~repro.core.validate.EncodingError`.
         """
         header_size = 3 * _HEADER_DTYPE.itemsize
         if len(raw) < header_size:
@@ -136,19 +161,12 @@ class CSRMatrix(CompressedMatrix):
         indices = np.frombuffer(raw[offset:], dtype="<u4", count=nnz).astype(np.int64)
         offset += nnz * 4
         data = np.frombuffer(raw[offset:], dtype="<f8", count=nnz).astype(np.float64)
-        if indptr[0] != 0 or indptr[-1] != nnz or np.any(np.diff(indptr) < 0):
-            raise EncodingError("CSR row offsets must run monotonically from 0 to nnz")
-        if nnz and int(indices.max()) >= cols:
-            raise EncodingError(f"CSR column index out of range for {cols} columns")
+        check_row_layout(indptr, indices, cols, "CSR")
         if cols > np.iinfo(np.int64).max:  # SciPy's widest index type
             raise EncodingError(f"CSR header claims {cols} columns")
         # One construction from the checked arrays (``data`` is already an
         # owned float64 copy, so no ``astype`` builds a second matrix).
         csr = sp.csr_matrix((data, indices, indptr), shape=(rows, cols))
-        if not csr.has_canonical_format:
-            # A column stored twice in a row is summed by SciPy's kernels but
-            # overwritten by the row gather; ``to_bytes`` never writes one.
-            raise EncodingError("CSR column indexes must increase within each row")
         csr.eliminate_zeros()
         return cls._wrap(csr)
 
@@ -159,15 +177,3 @@ class CSRMatrix(CompressedMatrix):
         CompressedMatrix.__init__(instance, csr.shape)
         instance._csr = csr
         return instance
-
-
-class CSRScheme(CompressionScheme):
-    """Factory for :class:`CSRMatrix`."""
-
-    name = "CSR"
-
-    def compress(self, matrix: np.ndarray) -> CSRMatrix:
-        return CSRMatrix(matrix)
-
-    def decompress_bytes(self, raw: bytes) -> CSRMatrix:
-        return CSRMatrix.from_bytes(raw)

@@ -13,8 +13,8 @@ import scipy.sparse as sp
 
 from repro.bitpack.bitpacking import PackedIntArray, pack_integers
 from repro.bitpack.value_index import ValueIndex, build_value_index
-from repro.compression.base import CompressedMatrix, CompressionScheme
-from repro.compression.csr import gather_rows
+from repro.compression.base import CompressedMatrix
+from repro.compression.csr import check_row_layout, gather_rows
 from repro.core.validate import EncodingError
 
 _HEADER_DTYPE = np.dtype("<u8")
@@ -33,6 +33,9 @@ class CVIMatrix(CompressedMatrix):
             csr = matrix.tocsr().astype(np.float64)
         else:
             csr = sp.csr_matrix(np.asarray(matrix, dtype=np.float64))
+        # Sorted, unique column indexes per row, the only layout
+        # ``decompress_bytes`` accepts.
+        csr.sum_duplicates()
         csr.eliminate_zeros()
         super().__init__(csr.shape)
         self._indptr = csr.indptr.astype(np.int64)
@@ -156,12 +159,12 @@ class CVIMatrix(CompressedMatrix):
         )
 
     @classmethod
-    def from_bytes(cls, raw) -> "CVIMatrix":
+    def decompress_bytes(cls, raw) -> "CVIMatrix":
         """Rebuild a matrix from :meth:`to_bytes` output.
 
-        The block lengths, ``indptr`` (monotonic from 0 to nnz), every column
-        index and every dictionary code are checked before anything indexes
-        with them; a payload that fails raises
+        The block lengths, the row layout (:func:`~repro.compression.csr.check_row_layout`)
+        and every dictionary code are checked before anything indexes with
+        them; a payload that fails raises
         :class:`~repro.core.validate.EncodingError`.
         """
         header_size = 3 * _HEADER_DTYPE.itemsize
@@ -187,23 +190,8 @@ class CVIMatrix(CompressedMatrix):
             )
         instance = cls.__new__(cls)
         CompressedMatrix.__init__(instance, (rows, cols))
-        instance._indptr = offsets = indptr.unpack()
+        instance._indptr = indptr.unpack()
         instance._indices = indices.unpack()
         instance._values = values
-        if offsets[0] != 0 or offsets[-1] != nnz or (offsets[1:] < offsets[:-1]).any():
-            raise EncodingError("CVI row offsets must run monotonically from 0 to nnz")
-        if nnz and int(instance._indices.max()) >= cols:
-            raise EncodingError(f"CVI column index out of range for {cols} columns")
+        check_row_layout(instance._indptr, instance._indices, cols, "CVI")
         return instance
-
-
-class CVIScheme(CompressionScheme):
-    """Factory for :class:`CVIMatrix`."""
-
-    name = "CVI"
-
-    def compress(self, matrix: np.ndarray) -> CVIMatrix:
-        return CVIMatrix(matrix)
-
-    def decompress_bytes(self, raw: bytes) -> CVIMatrix:
-        return CVIMatrix.from_bytes(raw)

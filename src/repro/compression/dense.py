@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.compression.base import CompressedMatrix, CompressionScheme
+from repro.compression.base import CompressedMatrix
 from repro.core.validate import EncodingError
 
 _HEADER_DTYPE = np.dtype("<u8")
@@ -87,18 +87,6 @@ class DenseMatrix(CompressedMatrix):
         return dense_payload(self._data)
 
     @classmethod
-    def from_bytes(cls, raw) -> "DenseMatrix":
+    def decompress_bytes(cls, raw) -> "DenseMatrix":
         """Rebuild a matrix from :meth:`to_bytes` output, as a read-only view of ``raw``."""
         return cls(read_dense_payload(raw, cls.scheme_name))
-
-
-class DenseScheme(CompressionScheme):
-    """Factory for :class:`DenseMatrix`."""
-
-    name = "DEN"
-
-    def compress(self, matrix: np.ndarray) -> DenseMatrix:
-        return DenseMatrix(matrix)
-
-    def decompress_bytes(self, raw: bytes) -> DenseMatrix:
-        return DenseMatrix.from_bytes(raw)

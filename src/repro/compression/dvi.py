@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.bitpack.value_index import ValueIndex, build_value_index
-from repro.compression.base import CompressedMatrix, CompressionScheme
+from repro.compression.base import CompressedMatrix
 from repro.core.validate import EncodingError
 
 _HEADER_DTYPE = np.dtype("<u8")
@@ -108,7 +108,7 @@ class DVIMatrix(CompressedMatrix):
         return header + self._values.to_bytes()
 
     @classmethod
-    def from_bytes(cls, raw) -> "DVIMatrix":
+    def decompress_bytes(cls, raw) -> "DVIMatrix":
         """Rebuild a matrix from :meth:`to_bytes` output.
 
         The code count must be ``rows × cols`` and every code must index the
@@ -133,15 +133,3 @@ class DVIMatrix(CompressedMatrix):
         CompressedMatrix.__init__(instance, (rows, cols))
         instance._values = values
         return instance
-
-
-class DVIScheme(CompressionScheme):
-    """Factory for :class:`DVIMatrix`."""
-
-    name = "DVI"
-
-    def compress(self, matrix: np.ndarray) -> DVIMatrix:
-        return DVIMatrix(matrix)
-
-    def decompress_bytes(self, raw: bytes) -> DVIMatrix:
-        return DVIMatrix.from_bytes(raw)

@@ -13,14 +13,17 @@ a TOC mini-batch almost like a NumPy array:
 >>> np.allclose(toc.matvec(np.ones(4)), batch @ np.ones(4))
 True
 
-Read back with :meth:`TOCMatrix.from_bytes`, a matrix holds views of its
-payload for ``I`` and ``D`` and, from its first operation on, one decode
+Read back with :meth:`TOCMatrix.decompress_bytes`, a matrix holds views of
+its payload for ``I`` and ``D`` and, from its first operation on, one decode
 tree ``C'`` (:class:`~repro.core.decode_tree.DecodeTree`): every product,
 column extraction, row slice and full decode runs on it.
 
 The :class:`TOCVariant` enum selects how many layers are applied; it exists
-to support the paper's ablation studies (``TOC_SPARSE``,
-``TOC_SPARSE_AND_LOGICAL``, ``TOC_FULL``).
+to support the paper's ablation studies.  The registry's ``TOC_SPARSE`` and
+``TOC_SPARSE_AND_LOGICAL`` are :class:`TOCSparseMatrix` and
+:class:`TOCSparseAndLogicalMatrix`, which only set ``scheme_name`` and
+``variant``: they compress to a :class:`TOCMatrix` of their variant and
+parse to a full one.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ class TOCMatrix(CompressedMatrix):
     """A mini-batch compressed with tuple-oriented compression.
 
     Instances are created with :meth:`encode` (from a dense matrix) or
-    :meth:`from_bytes` (from a serialised physical encoding).  The physical
+    :meth:`decompress_bytes` (from a serialised physical encoding).  The physical
     bytes are kept when ``variant`` is :attr:`TOCVariant.FULL` and are what
     the compression ratio measures.  Read from bytes, ``logical`` holds
     views of them, no copies; every operation but the sparse-safe ones
@@ -57,6 +60,8 @@ class TOCMatrix(CompressedMatrix):
     """
 
     scheme_name = "TOC"
+    #: The layers :meth:`compress` applies (an instance records its own).
+    variant = TOCVariant.FULL
     supports_direct_ops = True
     scan_pushdown = True
 
@@ -94,25 +99,18 @@ class TOCMatrix(CompressedMatrix):
         return cls(logical, variant, payload, sparse_nbytes=sparse.nbytes)
 
     @classmethod
-    def from_bytes(cls, raw) -> "TOCMatrix":
-        """Deserialise a TOC matrix from its physical bytes (any buffer object).
+    def compress(cls, matrix: np.ndarray) -> "TOCMatrix":
+        """Compress a dense matrix with this scheme's :attr:`variant`."""
+        return TOCMatrix.encode(matrix, variant=cls.variant)
+
+    @classmethod
+    def decompress_bytes(cls, raw) -> "TOCMatrix":
+        """Deserialise a full TOC matrix from its physical bytes (any buffer object).
 
         Parsing copies nothing (:func:`~repro.core.physical.physical_decode`);
         the first operation builds the decode tree straight from the views.
         """
-        return cls(physical_decode(raw), TOCVariant.FULL, payload=raw)
-
-    @classmethod
-    def encode_to_bytes(cls, matrix: np.ndarray) -> bytes:
-        """Convenience: compress and serialise in one step.
-
-        The result round-trips exactly through :meth:`from_bytes`, so the
-        bytes can be persisted and decoded in a different process than the
-        one that encoded them.  (The out-of-core engine goes through the
-        scheme-generic ``compress(...).to_bytes()`` path instead, so it
-        works for every registered scheme.)
-        """
-        return cls.encode(matrix, variant=TOCVariant.FULL).to_bytes()
+        return TOCMatrix(physical_decode(raw), TOCVariant.FULL, payload=raw)
 
     # -- size and serialisation -------------------------------------------
 
@@ -139,7 +137,14 @@ class TOCMatrix(CompressedMatrix):
         return self._decode_tree
 
     def to_bytes(self) -> bytes:
-        """Serialise the physical encoding (always available on demand)."""
+        """Serialise the physical encoding (always available on demand).
+
+        The bytes are the full physical encoding whatever the variant, and
+        :meth:`decompress_bytes` reads them back as a ``FULL`` matrix: a
+        stored ``TOC_SPARSE`` or ``TOC_SPARSE_AND_LOGICAL`` batch is the
+        same bytes as a ``TOC`` one.  Only :attr:`nbytes` tells the
+        variants apart.
+        """
         if self.payload is None:
             self.payload = physical_encode(self.logical)
         return bytes(self.payload)
@@ -217,3 +222,17 @@ class TOCMatrix(CompressedMatrix):
             "compressed_bytes": float(self.nbytes),
             "compression_ratio": self.compression_ratio(),
         }
+
+
+class TOCSparseMatrix(TOCMatrix):
+    """The ``TOC_SPARSE`` ablation: sparse encoding only (Figure 6)."""
+
+    scheme_name = "TOC_SPARSE"
+    variant = TOCVariant.SPARSE
+
+
+class TOCSparseAndLogicalMatrix(TOCMatrix):
+    """The ``TOC_SPARSE_AND_LOGICAL`` ablation: no physical encoding (Figure 6)."""
+
+    scheme_name = "TOC_SPARSE_AND_LOGICAL"
+    variant = TOCVariant.SPARSE_AND_LOGICAL

@@ -12,7 +12,9 @@ plus a JSON manifest and the label vectors:
       shard-00001.bin   # ...
 
 Blob files hold exactly what ``CompressedMatrix.to_bytes`` produced, so any
-registered scheme round-trips through its own ``decompress_bytes``.
+registered scheme's class reads its shards back with its own
+``decompress_bytes`` (the manifest names the scheme, ``get_scheme`` gives
+the class).
 :class:`Dataset` owns the manifest, the labels, the generation and every
 write, and covers the lifecycle the paper's workloads need:
 
@@ -68,7 +70,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.compression.base import CompressedMatrix, CompressionScheme
+from repro.compression.base import CompressedMatrix
 from repro.compression.registry import get_scheme
 from repro.core.calibration import DEFAULT_WORKLOAD
 from repro.core.validate import EncodingError
@@ -315,7 +317,6 @@ class Dataset:
         self._replacing: set[str] = set()
         #: The manifest format on disk; ``compact`` rewrites anything older.
         self._format_version = FORMAT_VERSION
-        self._schemes: dict[str, CompressionScheme] = {}
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -654,13 +655,6 @@ class Dataset:
         """How many shards each scheme compressed (manifest summary)."""
         return dict(Counter(shard.scheme for shard in self.shards))
 
-    def scheme_for(self, batch_id: int) -> CompressionScheme:
-        """The (cached) scheme instance that decodes shard ``batch_id``."""
-        name = self.shards[batch_id].scheme
-        if name not in self._schemes:
-            self._schemes[name] = get_scheme(name)
-        return self._schemes[name]
-
     def decode(self, batch_id: int, payload=None) -> CompressedMatrix:
         """Rebuild one shard's compressed matrix with *its* scheme.
 
@@ -673,8 +667,8 @@ class Dataset:
         """
         if payload is None:
             payload = self.read_payload(batch_id)
-        matrix = self.scheme_for(batch_id).decompress_bytes(payload)
         info = self.shards[batch_id]
+        matrix = get_scheme(info.scheme).decompress_bytes(payload)
         if matrix.shape != (info.n_rows, info.n_cols):
             raise EncodingError(
                 f"shard {batch_id} decodes to {matrix.shape[0]} x {matrix.shape[1]}; "

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.compression.base import CompressionScheme
+from repro.compression.base import CompressedMatrix
 from repro.data.minibatch import split_minibatches
 
 
@@ -74,7 +74,7 @@ class MiniBatchGradientDescent:
         self,
         features: np.ndarray,
         labels: np.ndarray,
-        scheme: CompressionScheme | None = None,
+        scheme: type[CompressedMatrix] | None = None,
     ) -> list[tuple[object, np.ndarray]]:
         """Shuffle once, split, and compress every mini-batch with ``scheme``.
 
@@ -153,7 +153,7 @@ class MiniBatchGradientDescent:
         model,
         features: np.ndarray,
         labels: np.ndarray,
-        scheme: CompressionScheme | None = None,
+        scheme: type[CompressedMatrix] | None = None,
         eval_fn=None,
     ) -> TrainingHistory:
         """Convenience wrapper: prepare batches then train."""

@@ -9,7 +9,7 @@ import pytest
 
 from repro.bench import experiments
 from repro.bench.workloads import labeled_dataset
-from repro.compression.registry import get_scheme
+from repro.compression.registry import available_schemes, get_scheme
 from repro.data.minibatch import split_minibatches
 from repro.ml.models import LogisticRegressionModel
 from repro.ml.optimizer import GradientDescentConfig, MiniBatchGradientDescent
@@ -91,26 +91,16 @@ class TestCodecTimesFigure:
 
     def test_fig12_times_each_codec_warm_not_once(self, monkeypatch):
         """A cell is a median after a warm-up, so each codec compresses more than once."""
-        from repro.bench import runner
-
         calls: Counter = Counter()
+        for name in available_schemes(include_ablations=True):
+            scheme = get_scheme(name)
 
-        def spying(get_scheme):
-            def spied(name):
-                scheme = get_scheme(name)
-                compress = scheme.compress
+            def counted(batch, name=name, compress=scheme.compress):
+                calls[name] += 1
+                return compress(batch)
 
-                def counted(batch):
-                    calls[name] += 1
-                    return compress(batch)
-
-                scheme.compress = counted
-                return scheme
-
-            return spied
-
-        monkeypatch.setattr(experiments, "get_scheme", spying(experiments.get_scheme))
-        monkeypatch.setattr(runner, "get_scheme", spying(runner.get_scheme))
+            # A scheme is a class every later test shares: monkeypatch undoes this.
+            monkeypatch.setattr(scheme, "compress", counted)
         experiments.run_fig12(datasets=("census",), batch_size=60)
         assert set(calls) == {"Snappy", "Gzip", "TOC"}
         assert all(count > 1 for count in calls.values()), calls

@@ -120,11 +120,11 @@ def test_byte_block_bit_flips_raise_encoding_errors(matrix_type):
     errors = 0
     for bit in rng.choice(len(payload) * 8, size=FLIPS, replace=False):
         try:
-            decoded = matrix_type.from_bytes(_flip(payload, int(bit))).to_dense()
+            decoded = matrix_type.decompress_bytes(_flip(payload, int(bit))).to_dense()
         except EncodingError:
             errors += 1
             continue
         assert decoded.shape == x.shape
     assert errors > 0
     with pytest.raises(EncodingError):
-        matrix_type.from_bytes(payload[:10])
+        matrix_type.decompress_bytes(payload[:10])

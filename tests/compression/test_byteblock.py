@@ -30,7 +30,7 @@ class TestByteBlockSchemes:
 
     def test_serialisation_roundtrip(self, census_batch):
         compressed = GzipMatrix(census_batch)
-        restored = GzipMatrix.from_bytes(compressed.to_bytes())
+        restored = GzipMatrix.decompress_bytes(compressed.to_bytes())
         assert np.array_equal(restored.to_dense(), census_batch)
 
     def test_requires_matrix_or_payload(self):

@@ -1,11 +1,16 @@
-"""Tests for the compression-scheme registry."""
+"""Tests for the compression-scheme registry: a scheme name maps to its matrix class."""
 
 from __future__ import annotations
 
 import pytest
 
+from repro.compression.base import CompressedMatrix
 from repro.compression.registry import available_schemes, get_scheme
-from repro.core.toc import TOCVariant
+from repro.core.toc import TOCMatrix, TOCVariant
+from repro.data.registry import DATASET_PROFILES
+
+#: Every name ``get_scheme`` answers, the ``TOC_FULL`` alias included.
+REGISTERED = available_schemes(include_ablations=True) + ["TOC_FULL"]
 
 
 class TestRegistry:
@@ -22,12 +27,21 @@ class TestRegistry:
         with pytest.raises(KeyError, match="valid names"):
             get_scheme("LZ77")
 
-    def test_every_listed_scheme_is_constructible(self):
-        for name in available_schemes(include_ablations=True):
-            scheme = get_scheme(name)
-            assert scheme.name == name
+    @pytest.mark.parametrize("name", REGISTERED)
+    def test_a_scheme_is_its_matrix_class(self, name):
+        scheme = get_scheme(name)
+        assert isinstance(scheme, type) and issubclass(scheme, CompressedMatrix)
+        assert scheme.scheme_name == ("TOC" if name == "TOC_FULL" else name)
+
+    @pytest.mark.parametrize("name", REGISTERED)
+    def test_payload_round_trips_bit_equal(self, name):
+        dense = DATASET_PROFILES["census"].matrix(60, seed=5)
+        scheme = get_scheme(name)
+        parsed = scheme.decompress_bytes(scheme.compress(dense).to_bytes())
+        assert parsed.to_dense().tobytes() == dense.tobytes()
 
     def test_toc_full_alias(self):
+        assert get_scheme("TOC_FULL") is TOCMatrix
         assert get_scheme("TOC_FULL").variant is TOCVariant.FULL
 
     def test_toc_variants_map_correctly(self):
@@ -35,5 +49,12 @@ class TestRegistry:
         assert get_scheme("TOC_SPARSE").variant is TOCVariant.SPARSE
         assert get_scheme("TOC_SPARSE_AND_LOGICAL").variant is TOCVariant.SPARSE_AND_LOGICAL
 
-    def test_schemes_are_independent_instances(self):
-        assert get_scheme("CSR") is not get_scheme("CSR")
+    @pytest.mark.parametrize("name", ["TOC_SPARSE", "TOC_SPARSE_AND_LOGICAL"])
+    def test_toc_ablations_compress_with_their_variant_and_parse_full(self, name):
+        dense = DATASET_PROFILES["census"].matrix(60, seed=5)
+        scheme = get_scheme(name)
+        compressed = scheme.compress(dense)
+        assert type(compressed) is TOCMatrix and compressed.variant is scheme.variant
+        parsed = scheme.decompress_bytes(compressed.to_bytes())
+        assert type(parsed) is TOCMatrix and parsed.variant is TOCVariant.FULL
+        assert compressed.to_bytes() == TOCMatrix.compress(dense).to_bytes()

@@ -201,10 +201,13 @@ class TestParsing:
         assert parsed.scale(0.0).nnz == 0
         np.testing.assert_array_equal(parsed.to_dense(), census_batch)
 
+    @pytest.mark.parametrize("name", ["CSR", "CVI"])
     @pytest.mark.parametrize(
         "row_0_columns", [[2, 0, 1], [0, 2, 0]], ids=["unsorted", "repeated"]
     )
-    def test_a_csr_built_from_scipy_matches_its_dense_form_and_parses_back(self, row_0_columns):
+    def test_a_row_layout_built_from_scipy_matches_its_dense_form_and_parses_back(
+        self, name, row_0_columns
+    ):
         import scipy.sparse as sp
 
         # Row 0 stores its columns out of order, or column 0 twice; row 1 is empty.
@@ -213,14 +216,12 @@ class TestParsing:
             shape=(3, 3),
         )
         expected = source.toarray()  # SciPy sums a repeated column's cells
-        matrix = get_scheme("CSR").compress(source)
-        np.testing.assert_array_equal(matrix.to_dense(), expected)
+        matrix = get_scheme(name).compress(source)
         rows = [2, 0, 0, 1]
-        np.testing.assert_array_equal(matrix.row_slice(rows), expected[rows])
-        np.testing.assert_array_equal(matrix @ np.arange(3.0), expected @ np.arange(3.0))
-        parsed = get_scheme("CSR").decompress_bytes(matrix.to_bytes())
-        np.testing.assert_array_equal(parsed.to_dense(), expected)
-        np.testing.assert_array_equal(parsed.row_slice(rows), expected[rows])
+        for readable in (matrix, get_scheme(name).decompress_bytes(matrix.to_bytes())):
+            np.testing.assert_array_equal(readable.to_dense(), expected)
+            np.testing.assert_array_equal(readable.row_slice(rows), expected[rows])
+            np.testing.assert_array_equal(readable @ np.arange(3.0), expected @ np.arange(3.0))
         assert list(source.indices) == row_0_columns + [1]  # the caller's matrix is untouched
 
     def test_a_csr_payload_repeating_a_column_in_a_row_is_refused(self):
@@ -232,6 +233,26 @@ class TestParsing:
         # Were it accepted, to_dense would sum the two cells (3.0) and row_slice keep one (2.0).
         with pytest.raises(EncodingError, match="increase within each row"):
             get_scheme("CSR").decompress_bytes(bytes(raw))
+
+    @pytest.mark.parametrize(
+        "row_0_columns", [[0, 0], [2, 0]], ids=["repeated", "unsorted"]
+    )
+    def test_a_cvi_payload_out_of_order_in_a_row_is_refused(self, row_0_columns):
+        from repro.bitpack.bitpacking import pack_integers
+        from repro.bitpack.value_index import build_value_index
+        from repro.core.validate import EncodingError
+
+        # A 2 x 3 payload packed by hand: row 0 stores two cells, row 1 one.
+        raw = (
+            np.array([2, 3, 3], dtype="<u8").tobytes()
+            + pack_integers([0, 2, 3]).to_bytes()
+            + pack_integers(row_0_columns + [1]).to_bytes()
+            + build_value_index(np.array([1.0, 2.0, 5.0])).to_bytes()
+        )
+        # Were "repeated" accepted, to_dense and matvec would sum its two cells
+        # (3.0) while row_slice kept one (2.0).
+        with pytest.raises(EncodingError, match="increase within each row"):
+            get_scheme("CVI").decompress_bytes(raw)
 
     def test_a_parsed_den_shard_is_a_read_only_view_every_path_reads(self, tmp_path):
         from repro.api import Dataset

@@ -29,8 +29,8 @@ from repro.compression.registry import available_schemes, get_scheme
 from repro.core.toc import TOCMatrix
 from repro.data.registry import DATASET_PROFILES
 
-PAYLOAD = TOCMatrix.encode_to_bytes(DATASET_PROFILES["census"].matrix(120, seed=3))
-OTHER = TOCMatrix.encode_to_bytes(DATASET_PROFILES["census"].matrix(80, seed=4))
+PAYLOAD = TOCMatrix.compress(DATASET_PROFILES["census"].matrix(120, seed=3)).to_bytes()
+OTHER = TOCMatrix.compress(DATASET_PROFILES["census"].matrix(80, seed=4)).to_bytes()
 
 #: Decodes every payload (hex, one JSON list on stdin) with the scheme named
 #: in ``argv[1]`` and prints how many raised EncodingError; any other
@@ -48,7 +48,7 @@ errors = 0
 for raw in json.load(sys.stdin):
     try:
         matrix = scheme.decompress_bytes(bytes.fromhex(raw))
-        if scheme.name == "TOC":
+        if scheme.scheme_name == "TOC":
             matrix.decode_tree
         rows, cols = matrix.shape
         if rows * cols <= 4 * 120 * 68:

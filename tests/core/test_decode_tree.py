@@ -182,7 +182,7 @@ class TestBuildDecodeTree:
     def test_each_build_is_counted_and_timed(self, census_batch):
         builds = metrics.counter("core.decode_tree.builds")
         seconds = metrics.histogram("core.decode_tree.build_seconds")
-        toc = TOCMatrix.from_bytes(TOCMatrix.encode_to_bytes(census_batch))
+        toc = TOCMatrix.decompress_bytes(TOCMatrix.compress(census_batch).to_bytes())
         before = builds.value, seconds.count
         # Every kernel runs on the one tree: the first op builds it, nothing else does.
         toc.matvec(np.ones(census_batch.shape[1]))

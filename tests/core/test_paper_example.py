@@ -127,7 +127,7 @@ class TestTOCMatrixOnPaperExample:
 
     def test_serialisation_roundtrip(self, paper_matrix):
         toc = TOCMatrix.encode(paper_matrix)
-        restored = TOCMatrix.from_bytes(toc.to_bytes())
+        restored = TOCMatrix.decompress_bytes(toc.to_bytes())
         assert np.array_equal(restored.to_dense(), paper_matrix)
 
     def test_matvec(self, paper_matrix):

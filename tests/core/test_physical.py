@@ -91,7 +91,7 @@ class TestPhysicalEncoding:
 
     def test_nbytes_matches_serialised_length(self, census_batch):
         toc = TOCMatrix.encode(census_batch)
-        restored = TOCMatrix.from_bytes(toc.to_bytes())
+        restored = TOCMatrix.decompress_bytes(toc.to_bytes())
         assert toc.nbytes == restored.nbytes == len(toc.to_bytes()) == len(restored.to_bytes())
 
     def test_compressed_smaller_than_dense_on_compressible_data(self, census_batch):

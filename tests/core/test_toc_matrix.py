@@ -30,7 +30,7 @@ class TestTOCMatrixBasics:
 
     def test_serialisation_roundtrip(self, census_batch):
         toc = TOCMatrix.encode(census_batch)
-        restored = TOCMatrix.from_bytes(toc.to_bytes())
+        restored = TOCMatrix.decompress_bytes(toc.to_bytes())
         assert np.array_equal(restored.to_dense(), census_batch)
         assert restored.nbytes == toc.nbytes
 
@@ -128,7 +128,7 @@ class TestTOCMatrixOnExtremeData:
                 [np.inf, 2.0, 0.0, tiny],
             ]
         )
-        toc = TOCMatrix.from_bytes(TOCMatrix.encode(dense).to_bytes())
+        toc = TOCMatrix.decompress_bytes(TOCMatrix.encode(dense).to_bytes())
         restored = toc.to_dense()
         assert np.array_equal(restored, dense, equal_nan=True)
         assert np.array_equal(np.signbit(restored), np.signbit(dense))
@@ -140,10 +140,10 @@ class TestTOCMatrixOnExtremeData:
 
 
 class TestEncodeToBytes:
-    def test_round_trips_through_from_bytes(self, census_batch):
-        raw = TOCMatrix.encode_to_bytes(census_batch)
+    def test_round_trips_through_decompress_bytes(self, census_batch):
+        raw = TOCMatrix.compress(census_batch).to_bytes()
         assert isinstance(raw, bytes)
-        restored = TOCMatrix.from_bytes(raw)
+        restored = TOCMatrix.decompress_bytes(raw)
         np.testing.assert_allclose(restored.to_dense(), census_batch)
         assert restored.to_bytes() == raw
 
@@ -152,7 +152,7 @@ class TestEncodeToBytes:
         # symbols (PR 14): a faster encoder is not a new on-disk format.
         batch = DATASET_PROFILES["census"].matrix(250, seed=11)
         assert batch.shape == (250, 68)
-        digest = hashlib.sha256(TOCMatrix.encode_to_bytes(batch)).hexdigest()
+        digest = hashlib.sha256(TOCMatrix.compress(batch).to_bytes()).hexdigest()
         assert digest == "60b7bbff32d4dfd7b68f244e067743120da7f172ad42fc532c0a7d01115aa4cb"
 
     @pytest.mark.parametrize(

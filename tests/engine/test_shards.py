@@ -242,10 +242,9 @@ class TestDataset:
             assert decoded.scheme_name == reopened.shards[batch_id].scheme
             np.testing.assert_allclose(decoded.to_dense(), features)
 
-    def test_scheme_for_caches_instances(self, tmp_path, small_batches):
+    def test_decode_parses_with_the_registered_class(self, tmp_path, small_batches):
         dataset = Dataset.create(tmp_path, small_batches, scheme="TOC", workers=1)
-        assert dataset.scheme_for(0) is dataset.scheme_for(1)
-        assert dataset.scheme_for(0).name == "TOC"
+        assert all(type(dataset.decode(i)) is get_scheme("TOC") for i in range(len(dataset)))
 
     def test_append_extends_manifest_and_labels(self, tmp_path, small_batches):
         dataset = Dataset.create(tmp_path, small_batches, scheme="TOC", workers=1)

@@ -7,7 +7,11 @@ imports with ``ast`` (including the function-level ones) and resolves each
 name the way ``from module import name`` does: an attribute of the module,
 or else a submodule of it.  Where an import binds a module
 (``from repro import exec as kernels``), every attribute the file reads off
-that name (``kernels.matvec``) must exist on the module too.
+that name (``kernels.matvec``) must exist on the module too.  And every
+attribute the file reads off a scheme ``get_scheme`` returns
+(``scheme.decompress_bytes``), or off what that scheme's ``compress``
+returns (``scheme.compress(batch).to_bytes``), must exist on every
+registered scheme class.
 """
 
 from __future__ import annotations
@@ -18,6 +22,8 @@ import types
 from pathlib import Path
 
 import pytest
+
+from repro.compression.registry import available_schemes, get_scheme
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 BENCH_FILES = sorted(BENCH.glob("*.py"))
@@ -86,6 +92,55 @@ def _module_attribute_uses(path: Path) -> list[tuple[str, str]]:
     ]
 
 
+def _is_get_scheme_call(node: ast.AST) -> bool:
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    return (isinstance(func, ast.Name) and func.id == "get_scheme") or (
+        isinstance(func, ast.Attribute) and func.attr == "get_scheme"
+    )
+
+
+def _scheme_attribute_uses(path: Path) -> set[str]:
+    """Attributes ``path`` reads off a ``get_scheme(...)`` result (directly or
+    through a name assigned from one) and off what its ``compress(...)`` returns."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    schemes = {
+        target.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assign) and _is_get_scheme_call(node.value)
+        for target in node.targets
+        if isinstance(target, ast.Name)
+    }
+
+    def is_scheme(node: ast.AST) -> bool:
+        return (isinstance(node, ast.Name) and node.id in schemes) or _is_get_scheme_call(node)
+
+    uses = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Attribute):
+            continue
+        owner = node.value
+        compressed = (
+            isinstance(owner, ast.Call)
+            and isinstance(owner.func, ast.Attribute)
+            and owner.func.attr == "compress"
+            and is_scheme(owner.func.value)
+        )
+        if is_scheme(owner) or compressed:
+            uses.add(node.attr)
+    return uses
+
+
+def _missing_on_schemes(uses: set[str]) -> list[str]:
+    return [
+        f"{name}.{attribute}"
+        for name in available_schemes(include_ablations=True)
+        for attribute in sorted(uses)
+        if not hasattr(get_scheme(name), attribute)
+    ]
+
+
 def test_the_benchmark_imports_from_repro():
     assert any(_repro_imports(path) for path in BENCH_FILES)
 
@@ -140,4 +195,33 @@ def test_a_missing_module_attribute_is_caught(tmp_path):
     ]
     assert [hasattr(importlib.import_module(m), a) for m, a in sorted(uses)] == [
         True, False, True
+    ]
+
+
+@pytest.mark.parametrize("path", BENCH_FILES, ids=lambda path: path.name)
+def test_every_scheme_method_the_benchmark_calls_exists(path):
+    missing = _missing_on_schemes(_scheme_attribute_uses(path))
+    assert not missing, f"{path.name} calls scheme methods repro no longer has: {missing}"
+
+
+def test_the_benchmark_calls_the_scheme_api():
+    uses = set().union(*(_scheme_attribute_uses(path) for path in BENCH_FILES))
+    assert {"compress", "decompress_bytes", "to_bytes"} <= uses
+
+
+def test_a_missing_scheme_method_is_caught(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "from repro.api import get_scheme\n"
+        "scheme = get_scheme('TOC')\n"
+        "scheme.from_bytes(scheme.compress(batch).to_raw())\n"
+        "get_scheme('CSR').decompress_bytes(raw)\n"
+        "other.compress(batch).not_a_scheme_read\n"
+    )
+    uses = _scheme_attribute_uses(probe)
+    assert uses == {"compress", "decompress_bytes", "from_bytes", "to_raw"}
+    assert _missing_on_schemes(uses) == [
+        f"{name}.{attribute}"
+        for name in available_schemes(include_ablations=True)
+        for attribute in ("from_bytes", "to_raw")
     ]
