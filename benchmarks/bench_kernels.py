@@ -74,8 +74,12 @@ ONE_PASS_SHARDS = 8
 #: Cold over warm one-row read.  Measured 13-15 while the tree rebuild made
 #: one pass per tree level, 4.1-4.6 since it became one doubling pass.
 COLD_READ_CEILING = 6.0
-#: Schemes with direct kernels, each timed on the cold training step below.
-COLD_STEP_SCHEMES = ("DEN", "CSR", "CVI", "DVI", "TOC")
+#: Schemes with direct kernels, each timed on the cold training step below
+#: (only TOC's is gated; the others, Figure 10's ablations among them, are
+#: recorded).
+COLD_STEP_SCHEMES = (
+    "DEN", "CSR", "CVI", "DVI", "CLA", "TOC_SPARSE", "TOC_SPARSE_AND_LOGICAL", "TOC",
+)
 #: TOC's cold training step (parse the payload, then the first ``A @ v`` and
 #: ``v @ A``, which rebuild ``C'``) over the same step on a warm shard.
 #: Measured 3.4-4.0 on a 2-vCPU x86-64 box while the rebuild went through a

@@ -20,7 +20,7 @@ plus the lower-level pieces advanced users reach for:
 """
 
 from repro.compression import available_schemes, get_scheme
-from repro.core import TOCMatrix, TOCVariant
+from repro.core import TOCMatrix
 from repro.core.advisor import recommend_scheme
 from repro.data import DATASET_PROFILES, generate_dataset, split_minibatches
 from repro.engine import OutOfCoreTrainer, encode_batches
@@ -61,7 +61,6 @@ __all__ = [
     "OutOfCoreTrainer",
     "PredictionService",
     "TOCMatrix",
-    "TOCVariant",
     "available_schemes",
     "encode_batches",
     "generate_dataset",

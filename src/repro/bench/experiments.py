@@ -415,18 +415,13 @@ def run_fig10(
     batch_size: int = 250,
     seed: int = 0,
 ) -> dict:
-    """Ablation of TOC variants (plus DEN) on end-to-end MGD runtimes.
+    """Ablation of TOC's layers (plus DEN) on end-to-end MGD runtimes.
 
-    The three TOC curves time the same bytes: ``TOCMatrix.to_bytes`` writes
-    the full physical encoding whatever the variant, and the pool's loaders
-    parse it back as a full TOC matrix.  On 500 imagenet rows each variant
-    stores 189 767 bytes, while one 250-row batch's ``nbytes`` (the size the
-    variant stands for) reads ~95 KB for ``TOC``, ~843 KB for ``TOC_SPARSE``
-    and ~255 KB for ``TOC_SPARSE_AND_LOGICAL``.  So the curves do not show
-    what the sparse-only and logical-only layouts would cost to read and
-    multiply; only DEN against TOC is a measured difference.
+    Each curve stores, reads and multiplies its own layout: ``TOC_SPARSE``
+    the sparse encoding (CSR's layout), ``TOC_SPARSE_AND_LOGICAL`` the
+    logical encoding at fixed widths, ``TOC`` the physical encoding.
     """
-    variants =("DEN", "TOC_SPARSE", "TOC_SPARSE_AND_LOGICAL", "TOC")
+    variants = ("DEN", "TOC_SPARSE", "TOC_SPARSE_AND_LOGICAL", "TOC")
     return run_fig9(
         dataset=dataset,
         schemes=variants,

@@ -68,11 +68,6 @@ class PackedIntArray:
     count: int
     width: int
 
-    @property
-    def nbytes(self) -> int:
-        """Total size in bytes including the 8-byte header."""
-        return len(self.data) + _HEADER.size
-
     def to_bytes(self) -> bytes:
         """Serialise to a self-describing byte string (header + payload)."""
         return _HEADER.pack(self.count, self.width) + bytes(self.data)

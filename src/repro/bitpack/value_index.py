@@ -33,11 +33,6 @@ class ValueIndex:
         if self.codes.size and (self.codes.max() >= self.dictionary.size or self.codes.min() < 0):
             raise EncodingError("value-index codes out of dictionary range")
 
-    @property
-    def nbytes(self) -> int:
-        """Physical size: exactly the length of the serialised form."""
-        return len(self.to_bytes())
-
     def decode(self) -> np.ndarray:
         """Materialise the original value array (one gather through the dictionary)."""
         if self.codes.size == 0:

@@ -100,9 +100,13 @@ class CompressedMatrix(abc.ABC):
         return self._shape[1]
 
     @property
-    @abc.abstractmethod
     def nbytes(self) -> int:
-        """Compressed size in bytes (the numerator of compression ratios)."""
+        """Compressed size in bytes: the length of :meth:`to_bytes`, what a shard stores.
+
+        The numerator of every compression ratio, defined once for every
+        scheme, so a ratio never prices a layout no stored byte backs.
+        """
+        return len(self.to_bytes())
 
     def compression_ratio(self) -> float:
         """Dense (DEN) size divided by this scheme's compressed size."""

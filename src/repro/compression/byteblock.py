@@ -45,12 +45,6 @@ class _ByteBlockMatrix(CompressedMatrix):
             super().__init__(_shape)
             self._payload = _payload
 
-    # -- size -----------------------------------------------------------------
-
-    @property
-    def nbytes(self) -> int:
-        return len(self._payload) + 2 * _HEADER_DTYPE.itemsize
-
     # -- decompression (the expensive step) ------------------------------------
 
     def decompress(self) -> DenseMatrix:

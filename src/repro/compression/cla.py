@@ -15,17 +15,26 @@ SystemML.  We reproduce the parts of CLA that the comparison exercises:
 
 The defining behaviour the paper's argument relies on — the *explicit*
 dictionary whose cost is not amortised on small mini-batches — is preserved:
-``nbytes`` counts the full dictionaries, so CLA's ratio degrades on 50–250
-row batches exactly as in Figure 5.
+the payload stores every group's full dictionary, so CLA's ratio degrades on
+50–250 row batches exactly as in Figure 5.
+
+The payload is the ``CLA1`` magic, a header of four little-endian uint64s
+(rows, columns, compressed groups, uncompressed columns), then each
+compressed group — its column and dictionary-entry counts as two uint32s,
+its columns (4 bytes each), its dictionary of doubles and its bit-packed
+codes — and last the uncompressed group's columns and row-major doubles.
+Parsing reads the groups back; it never re-plans them.
 """
 
 from __future__ import annotations
 
+import struct
+
 import numpy as np
 
-from repro.bitpack.bitpacking import pack_integers
+from repro.bitpack.bitpacking import pack_integers, read_packed
 from repro.compression.base import CompressedMatrix
-from repro.compression.dense import dense_payload, read_dense_payload
+from repro.core.validate import EncodingError
 
 #: Groups whose dictionary would exceed this fraction of the rows are kept
 #: uncompressed (mirrors CLA's compression-planning ratio estimate).
@@ -33,6 +42,12 @@ _MAX_DISTINCT_FRACTION = 0.9
 
 #: Maximum number of columns greedily co-coded into one group.
 _MAX_GROUP_COLS = 4
+
+_MAGIC = b"CLA1"
+#: ``(rows, cols, compressed groups, uncompressed columns)``, after the magic.
+_HEADER = struct.Struct("<QQQQ")
+#: ``(columns, dictionary entries)`` ahead of each compressed group.
+_GROUP = struct.Struct("<II")
 
 
 class _ColumnGroup:
@@ -43,13 +58,16 @@ class _ColumnGroup:
         self.dictionary = dictionary    # (d, g) distinct value tuples
         self.codes = codes              # (n,) per-row dictionary index
 
-    @property
-    def nbytes(self) -> int:
-        return int(
-            self.columns.size * 4
-            + self.dictionary.nbytes
-            + pack_integers(self.codes).nbytes
+    def to_bytes(self) -> bytes:
+        return (
+            _GROUP.pack(self.columns.size, self.dictionary.shape[0])
+            + self.columns.astype("<u4").tobytes()
+            + self.dictionary.astype("<f8").tobytes()
+            + pack_integers(self.codes).to_bytes()
         )
+
+    def scale(self, scalar: float) -> "_ColumnGroup":
+        return _ColumnGroup(self.columns, self.dictionary * scalar, self.codes)
 
     def matvec_contribution(self, v: np.ndarray) -> np.ndarray:
         """Contribution of this group to ``A @ v`` (pre-aggregate on the dictionary)."""
@@ -72,9 +90,11 @@ class _UncompressedGroup:
         self.columns = columns
         self.data = data                # (n, g) dense values
 
-    @property
-    def nbytes(self) -> int:
-        return int(self.columns.size * 4 + self.data.nbytes)
+    def to_bytes(self) -> bytes:
+        return self.columns.astype("<u4").tobytes() + self.data.astype("<f8").tobytes()
+
+    def scale(self, scalar: float) -> "_UncompressedGroup":
+        return _UncompressedGroup(self.columns, self.data * scalar)
 
     def matvec_contribution(self, v: np.ndarray) -> np.ndarray:
         return self.data @ v[self.columns]
@@ -98,11 +118,14 @@ class CLAMatrix(CompressedMatrix):
             raise ValueError("CLAMatrix expects a 2-D matrix")
         super().__init__(dense.shape)
         self._groups = _plan_groups(dense)
-        self._dense_cache: np.ndarray | None = None
 
-    @property
-    def nbytes(self) -> int:
-        return int(sum(group.nbytes for group in self._groups))
+    @classmethod
+    def _from_groups(cls, shape, groups) -> "CLAMatrix":
+        """A matrix over ``groups`` as they are: no planning."""
+        instance = cls.__new__(cls)
+        CompressedMatrix.__init__(instance, shape)
+        instance._groups = groups
+        return instance
 
     @property
     def n_groups(self) -> int:
@@ -125,20 +148,7 @@ class CLAMatrix(CompressedMatrix):
 
     def scale(self, scalar: float) -> "CLAMatrix":
         # Sparse-safe: rescale dictionaries / dense groups without re-planning.
-        scaled = CLAMatrix.__new__(CLAMatrix)
-        CompressedMatrix.__init__(scaled, self.shape)
-        scaled._dense_cache = None
-        scaled._groups = []
-        for group in self._groups:
-            if isinstance(group, _ColumnGroup):
-                scaled._groups.append(
-                    _ColumnGroup(group.columns, group.dictionary * float(scalar), group.codes)
-                )
-            else:
-                scaled._groups.append(
-                    _UncompressedGroup(group.columns, group.data * float(scalar))
-                )
-        return scaled
+        return self._from_groups(self.shape, [g.scale(float(scalar)) for g in self._groups])
 
     def to_dense(self) -> np.ndarray:
         dense = np.zeros(self.shape, dtype=np.float64)
@@ -147,13 +157,57 @@ class CLAMatrix(CompressedMatrix):
         return dense
 
     def to_bytes(self) -> bytes:
-        # CLA is only used in-memory by the benches; serialise via the dense
-        # form (the storage experiments use DEN/CSR/TOC/GC formats).
-        return dense_payload(self.to_dense())
+        # The planner puts the one uncompressed group, if any, last.
+        coded = sum(isinstance(group, _ColumnGroup) for group in self._groups)
+        plain = sum(g.columns.size for g in self._groups if isinstance(g, _UncompressedGroup))
+        header = _MAGIC + _HEADER.pack(*self.shape, coded, plain)
+        return header + b"".join(group.to_bytes() for group in self._groups)
 
     @classmethod
     def decompress_bytes(cls, raw) -> "CLAMatrix":
-        return cls(read_dense_payload(raw, cls.scheme_name))
+        """Read the groups back from :meth:`to_bytes` output, as views of ``raw``.
+
+        Every block must fit the payload and the last must end where it
+        does, each group's codes must be one per row and index its
+        dictionary, and the groups must hold each column exactly once, or
+        :class:`~repro.core.validate.EncodingError` is raised.
+        """
+        offset = len(_MAGIC) + _HEADER.size
+        if len(raw) < offset or bytes(raw[: len(_MAGIC)]) != _MAGIC:
+            raise EncodingError(f"not a CLA payload: {len(raw)} bytes without its magic and header")
+        rows, cols, n_coded, n_plain = _HEADER.unpack_from(raw, len(_MAGIC))
+        groups: list[_ColumnGroup | _UncompressedGroup] = []
+        for _ in range(n_coded):
+            if len(raw) < offset + _GROUP.size:
+                raise EncodingError("truncated CLA group header")
+            width, entries = _GROUP.unpack_from(raw, offset)
+            columns, offset = _read(raw, offset + _GROUP.size, "<u4", width)
+            dictionary, offset = _read(raw, offset, "<f8", entries * width)
+            codes, offset = read_packed(raw, offset)
+            if width == 0 or codes.size != rows or (rows and int(codes.max()) >= entries):
+                raise EncodingError(
+                    f"a CLA group of {width} columns holds {codes.size} codes for "
+                    f"{entries} entries; the header gives {rows} rows"
+                )
+            groups.append(_ColumnGroup(columns, dictionary.reshape(entries, width), codes))
+        if n_plain:
+            columns, offset = _read(raw, offset, "<u4", n_plain)
+            data, offset = _read(raw, offset, "<f8", rows * n_plain)
+            groups.append(_UncompressedGroup(columns, data.reshape(rows, n_plain)))
+        if offset != len(raw):
+            raise EncodingError(f"CLA payload is {len(raw)} bytes; its groups end at {offset}")
+        covered = np.sort(np.concatenate([g.columns for g in groups] or [np.zeros(0, "<u4")]))
+        if covered.size != cols or not np.array_equal(covered, np.arange(covered.size)):
+            raise EncodingError(f"CLA groups must hold each of the {cols} columns once")
+        return cls._from_groups((rows, cols), groups)
+
+
+def _read(raw, offset: int, dtype: str, count: int) -> tuple[np.ndarray, int]:
+    """``count`` items of ``dtype`` at ``raw[offset:]`` as a view, and the offset past them."""
+    end = offset + np.dtype(dtype).itemsize * count
+    if len(raw) < end:
+        raise EncodingError("truncated CLA payload")
+    return np.frombuffer(raw, dtype, count, offset), end
 
 
 def _distinct_tuple_codes(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

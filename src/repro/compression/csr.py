@@ -85,11 +85,6 @@ class CSRMatrix(CompressedMatrix):
         self._csr = csr
 
     @property
-    def nbytes(self) -> int:
-        # 4-byte column indexes and row offsets, 8-byte values.
-        return int(self._csr.indices.size * 4 + self._csr.data.size * 8 + self._csr.indptr.size * 4)
-
-    @property
     def nnz(self) -> int:
         return int(self._csr.nnz)
 
@@ -111,7 +106,7 @@ class CSRMatrix(CompressedMatrix):
             (csr.data * float(scalar), csr.indices.copy(), csr.indptr.copy()), shape=self.shape
         )
         scaled.eliminate_zeros()
-        return CSRMatrix._wrap(scaled)
+        return self._wrap(scaled)
 
     def to_dense(self) -> np.ndarray:
         return np.asarray(self._csr.todense(), dtype=np.float64)
@@ -145,14 +140,14 @@ class CSRMatrix(CompressedMatrix):
         """
         header_size = 3 * _HEADER_DTYPE.itemsize
         if len(raw) < header_size:
-            raise EncodingError(f"CSR payload of {len(raw)} bytes has no header")
+            raise EncodingError(f"{cls.scheme_name} payload of {len(raw)} bytes has no header")
         rows, cols, nnz = (
             int(x) for x in np.frombuffer(raw[:header_size], dtype=_HEADER_DTYPE)
         )
         expected = header_size + (rows + 1) * 4 + nnz * 12
         if len(raw) != expected:
             raise EncodingError(
-                f"CSR payload is {len(raw)} bytes; its header ({rows} x {cols}, "
+                f"{cls.scheme_name} payload is {len(raw)} bytes; its header ({rows} x {cols}, "
                 f"{nnz} non-zeros) needs {expected}"
             )
         offset = header_size
@@ -161,9 +156,9 @@ class CSRMatrix(CompressedMatrix):
         indices = np.frombuffer(raw[offset:], dtype="<u4", count=nnz).astype(np.int64)
         offset += nnz * 4
         data = np.frombuffer(raw[offset:], dtype="<f8", count=nnz).astype(np.float64)
-        check_row_layout(indptr, indices, cols, "CSR")
+        check_row_layout(indptr, indices, cols, cls.scheme_name)
         if cols > np.iinfo(np.int64).max:  # SciPy's widest index type
-            raise EncodingError(f"CSR header claims {cols} columns")
+            raise EncodingError(f"{cls.scheme_name} header claims {cols} columns")
         # One construction from the checked arrays (``data`` is already an
         # owned float64 copy, so no ``astype`` builds a second matrix).
         csr = sp.csr_matrix((data, indices, indptr), shape=(rows, cols))

@@ -43,12 +43,6 @@ class CVIMatrix(CompressedMatrix):
         self._values = build_value_index(csr.data)
 
     @property
-    def nbytes(self) -> int:
-        packed_cols = pack_integers(self._indices)
-        packed_offsets = pack_integers(self._indptr)
-        return int(packed_cols.nbytes + packed_offsets.nbytes + self._values.nbytes)
-
-    @property
     def nnz(self) -> int:
         return int(self._indices.size)
 

@@ -1,8 +1,8 @@
 """DEN — the dense baseline format.
 
-Row-major IEEE-754 doubles, the uncompressed reference against which every
-compression ratio in the paper is computed.  CLA serialises through the same
-dense payload (:func:`dense_payload`, :func:`read_dense_payload`).
+Row-major IEEE-754 doubles after a ``(rows, cols)`` header, the
+uncompressed reference against which every compression ratio in the paper
+is computed.
 """
 
 from __future__ import annotations
@@ -14,35 +14,6 @@ from repro.core.validate import EncodingError
 
 _HEADER_DTYPE = np.dtype("<u8")
 _HEADER_SIZE = 2 * _HEADER_DTYPE.itemsize
-
-
-def dense_payload(dense: np.ndarray) -> bytes:
-    """A dense block as a payload: its ``(rows, cols)`` header, then the row-major doubles."""
-    return np.array(dense.shape, dtype=_HEADER_DTYPE).tobytes() + dense.tobytes()
-
-
-def read_dense_payload(raw, scheme_name: str) -> np.ndarray:
-    """The read-only ``(rows, cols)`` view of the doubles a :func:`dense_payload` holds.
-
-    A payload shorter than its header, of any length but ``16 + 8 * rows *
-    cols``, or whose header claims a shape NumPy cannot hold raises
-    :class:`~repro.core.validate.EncodingError`.
-    """
-    if len(raw) < _HEADER_SIZE:
-        raise EncodingError(f"{scheme_name} payload of {len(raw)} bytes has no header")
-    rows, cols = (int(x) for x in np.frombuffer(raw, dtype=_HEADER_DTYPE, count=2))
-    expected = _HEADER_SIZE + 8 * rows * cols
-    if len(raw) != expected:
-        raise EncodingError(
-            f"{scheme_name} payload is {len(raw)} bytes; its header ({rows} x {cols}) "
-            f"needs {expected}"
-        )
-    try:
-        data = np.frombuffer(raw, dtype=np.float64, offset=_HEADER_SIZE).reshape(rows, cols)
-    except ValueError as exc:  # a zero-cell shape past NumPy's limits
-        raise EncodingError(f"{scheme_name} header claims a {rows} x {cols} matrix") from exc
-    data.flags.writeable = False
-    return data
 
 
 class DenseMatrix(CompressedMatrix):
@@ -57,10 +28,6 @@ class DenseMatrix(CompressedMatrix):
             raise ValueError("DenseMatrix expects a 2-D matrix")
         super().__init__(dense.shape)
         self._data = dense
-
-    @property
-    def nbytes(self) -> int:
-        return int(self._data.nbytes)
 
     def matvec(self, vector: np.ndarray) -> np.ndarray:
         return self._data @ self._check_matvec_input(vector)
@@ -84,9 +51,27 @@ class DenseMatrix(CompressedMatrix):
         return self._data[index].copy()
 
     def to_bytes(self) -> bytes:
-        return dense_payload(self._data)
+        return np.array(self.shape, dtype=_HEADER_DTYPE).tobytes() + self._data.tobytes()
 
     @classmethod
     def decompress_bytes(cls, raw) -> "DenseMatrix":
-        """Rebuild a matrix from :meth:`to_bytes` output, as a read-only view of ``raw``."""
-        return cls(read_dense_payload(raw, cls.scheme_name))
+        """Rebuild a matrix from :meth:`to_bytes` output, as a read-only view of ``raw``.
+
+        A payload shorter than its header, of any length but ``16 + 8 * rows *
+        cols``, or whose header claims a shape NumPy cannot hold raises
+        :class:`~repro.core.validate.EncodingError`.
+        """
+        if len(raw) < _HEADER_SIZE:
+            raise EncodingError(f"DEN payload of {len(raw)} bytes has no header")
+        rows, cols = (int(x) for x in np.frombuffer(raw, dtype=_HEADER_DTYPE, count=2))
+        expected = _HEADER_SIZE + 8 * rows * cols
+        if len(raw) != expected:
+            raise EncodingError(
+                f"DEN payload is {len(raw)} bytes; its header ({rows} x {cols}) needs {expected}"
+            )
+        try:
+            data = np.frombuffer(raw, dtype=np.float64, offset=_HEADER_SIZE).reshape(rows, cols)
+        except ValueError as exc:  # a zero-cell shape past NumPy's limits
+            raise EncodingError(f"DEN header claims a {rows} x {cols} matrix") from exc
+        data.flags.writeable = False
+        return cls(data)

@@ -33,10 +33,6 @@ class DVIMatrix(CompressedMatrix):
         super().__init__(dense.shape)
         self._values = build_value_index(dense.ravel())
 
-    @property
-    def nbytes(self) -> int:
-        return int(self._values.nbytes)
-
     def _codes_matrix(self) -> np.ndarray:
         return self._values.codes.reshape(self.shape)
 

@@ -3,10 +3,12 @@
 The benchmark harness, the examples, and the storage layer all look up
 schemes by the names the paper uses in its tables and figures:
 ``DEN``, ``CSR``, ``CVI``, ``DVI``, ``CLA``, ``Snappy``, ``Gzip``, ``TOC``,
-plus the ablation variants ``TOC_SPARSE`` and ``TOC_SPARSE_AND_LOGICAL``
-(and ``TOC_FULL``, another name for ``TOC``).  Each name maps to a
+plus the Figure 6 ablations ``TOC_SPARSE`` (the sparse encoding alone,
+stored as CSR) and ``TOC_SPARSE_AND_LOGICAL`` (TOC without its physical
+layer), and ``TOC_FULL``, another name for ``TOC``.  Each name maps to a
 :class:`~repro.compression.base.CompressedMatrix` subclass, whose
-``compress`` and ``decompress_bytes`` classmethods are the scheme.
+``compress`` and ``decompress_bytes`` classmethods are the scheme; each
+stores its own layout, and its ``nbytes`` is that layout's length.
 """
 
 from __future__ import annotations

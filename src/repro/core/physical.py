@@ -9,6 +9,9 @@ mirrors Figure 3 of the paper:
   the bit-packed tuple start offsets;
 * ``I``: the bit-packed column indexes, the bit-packed value indexes, and the
   array of unique values.
+
+:func:`unpacked_encode` stores the same arrays at fixed widths instead, the
+layout of the ``TOC_SPARSE_AND_LOGICAL`` ablation.
 """
 
 from __future__ import annotations
@@ -25,6 +28,9 @@ from repro.core.validate import EncodingError
 _MAGIC = b"TOC1"
 #: ``(n_rows, n_cols)`` as little-endian uint64, right after the magic.
 _SHAPE = struct.Struct("<QQ")
+_UNPACKED_MAGIC = b"TOCL"
+#: ``(n_rows, n_cols, first-layer pairs, codes)``, right after the magic.
+_UNPACKED_HEADER = struct.Struct("<QQQQ")
 
 
 def physical_encode(encoding: LogicalEncoding) -> bytes:
@@ -71,6 +77,53 @@ def physical_decode(raw) -> LogicalEncoding:
         values = dictionary.take(value_codes)
     except IndexError:
         raise EncodingError("value-index codes out of dictionary range") from None
+    return _parsed(columns, values, codes, row_offsets, shape)
+
+
+def unpacked_encode(encoding: LogicalEncoding) -> bytes:
+    """``I`` and ``D`` stored without the physical layer (the Figure 6 ablation).
+
+    The ``TOCL`` magic, then ``(rows, cols, first-layer pairs, codes)`` as
+    little-endian uint64s, then the first-layer columns as uint32, their
+    values as doubles, the codes and the row offsets as uint32: no bit
+    packing and no value index.
+    """
+    return (
+        _UNPACKED_MAGIC
+        + _UNPACKED_HEADER.pack(*encoding.shape, encoding.n_first_layer, encoding.n_codes)
+        + encoding.first_layer_columns.astype("<u4").tobytes()
+        + encoding.first_layer_values.astype("<f8").tobytes()
+        + encoding.codes.astype("<u4").tobytes()
+        + encoding.row_offsets.astype("<u4").tobytes()
+    )
+
+
+def unpacked_decode(raw) -> LogicalEncoding:
+    """Parse an :func:`unpacked_encode` payload into ``I`` and ``D``, as views of ``raw``.
+
+    A payload without its magic, or of any length but the one its header
+    gives, raises :class:`~repro.core.validate.EncodingError`; the arrays
+    are checked as :func:`physical_decode`'s are.
+    """
+    offset = len(_UNPACKED_MAGIC) + _UNPACKED_HEADER.size
+    if len(raw) < offset or bytes(raw[: len(_UNPACKED_MAGIC)]) != _UNPACKED_MAGIC:
+        raise EncodingError(f"not an unpacked TOC payload: {len(raw)} bytes without its magic")
+    rows, cols, n_first, n_codes = _UNPACKED_HEADER.unpack_from(raw, len(_UNPACKED_MAGIC))
+    expected = offset + 12 * n_first + 4 * n_codes + 4 * (rows + 1)
+    if len(raw) != expected:
+        raise EncodingError(
+            f"unpacked TOC payload is {len(raw)} bytes; its header ({rows} x {cols}, "
+            f"{n_first} pairs, {n_codes} codes) needs {expected}"
+        )
+    arrays = []
+    for dtype, count in (("<u4", n_first), ("<f8", n_first), ("<u4", n_codes), ("<u4", rows + 1)):
+        arrays.append(np.frombuffer(raw, dtype, count, offset))
+        offset += arrays[-1].nbytes
+    return _parsed(*arrays, (rows, cols))
+
+
+def _parsed(columns, values, codes, row_offsets, shape) -> LogicalEncoding:
+    """The parsed arrays as ``I`` and ``D``, once the first-layer columns fit ``shape``."""
     if columns.size and int(columns.max()) >= shape[1]:
         raise EncodingError(f"first-layer column index out of range for {shape[1]} columns")
     return LogicalEncoding(
@@ -82,22 +135,9 @@ def physical_decode(raw) -> LogicalEncoding:
     )
 
 
-def logical_nbytes(encoding: LogicalEncoding) -> int:
-    """Size of the logical encoding if stored without physical encoding.
-
-    Used by the ablation experiments (TOC_SPARSE_AND_LOGICAL): column indexes
-    and codes as 4-byte integers, values as 8-byte doubles.
-    """
-    return int(
-        encoding.first_layer_columns.size * 4
-        + encoding.first_layer_values.size * 8
-        + encoding.codes.size * 4
-        + encoding.row_offsets.size * 4
-    )
-
-
 __all__ = [
     "physical_encode",
     "physical_decode",
-    "logical_nbytes",
+    "unpacked_encode",
+    "unpacked_decode",
 ]

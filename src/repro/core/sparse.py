@@ -57,16 +57,6 @@ class SparseEncodedTable:
         """Number of stored (non-zero) pairs."""
         return int(self.columns.size)
 
-    @property
-    def nbytes(self) -> int:
-        """Storage footprint of the sparse encoding.
-
-        Uses the conventional on-disk layout (4-byte column indexes and row
-        offsets, 8-byte double values) so the ablation variant TOC_SPARSE is
-        directly comparable to the CSR baseline.
-        """
-        return int(self.columns.size * 4 + self.values.size * 8 + self.row_offsets.size * 4)
-
     def row_pairs(self, row: int) -> tuple[np.ndarray, np.ndarray]:
         """Return the column indexes and values of ``row``."""
         start, end = int(self.row_offsets[row]), int(self.row_offsets[row + 1])

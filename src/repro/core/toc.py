@@ -18,116 +18,85 @@ its payload for ``I`` and ``D`` and, from its first operation on, one decode
 tree ``C'`` (:class:`~repro.core.decode_tree.DecodeTree`): every product,
 column extraction, row slice and full decode runs on it.
 
-The :class:`TOCVariant` enum selects how many layers are applied; it exists
-to support the paper's ablation studies.  The registry's ``TOC_SPARSE`` and
-``TOC_SPARSE_AND_LOGICAL`` are :class:`TOCSparseMatrix` and
-:class:`TOCSparseAndLogicalMatrix`, which only set ``scheme_name`` and
-``variant``: they compress to a :class:`TOCMatrix` of their variant and
-parse to a full one.
+The registry's ``TOC_SPARSE`` and ``TOC_SPARSE_AND_LOGICAL`` ablations
+(Figure 6) store the layouts their names describe, so their sizes and read
+costs are measured on stored bytes: :class:`TOCSparseMatrix` is the sparse
+encoding alone, which is CSR's layout, and :class:`TOCSparseAndLogicalMatrix`
+stores ``I`` and ``D`` without the physical layer
+(:func:`~repro.core.physical.unpacked_encode`) and runs TOC's kernels on them.
 """
 
 from __future__ import annotations
 
-import enum
-
 import numpy as np
 
 from repro.compression.base import CompressedMatrix
+from repro.compression.csr import CSRMatrix
 from repro.core import ops
 from repro.core.decode_tree import DecodeTree, build_decode_tree
 from repro.core.logical import LogicalEncoding, prefix_tree_encode
-from repro.core.physical import logical_nbytes, physical_decode, physical_encode
+from repro.core.physical import (
+    physical_decode,
+    physical_encode,
+    unpacked_decode,
+    unpacked_encode,
+)
 from repro.core.sparse import SparseEncodedTable, sparse_encode
-
-
-class TOCVariant(enum.Enum):
-    """Which TOC layers are applied — used for the paper's ablations."""
-
-    SPARSE = "sparse"
-    SPARSE_AND_LOGICAL = "sparse_and_logical"
-    FULL = "full"
 
 
 class TOCMatrix(CompressedMatrix):
     """A mini-batch compressed with tuple-oriented compression.
 
     Instances are created with :meth:`encode` (from a dense matrix) or
-    :meth:`decompress_bytes` (from a serialised physical encoding).  The physical
-    bytes are kept when ``variant`` is :attr:`TOCVariant.FULL` and are what
-    the compression ratio measures.  Read from bytes, ``logical`` holds
-    views of them, no copies; every operation but the sparse-safe ones
-    runs on :attr:`decode_tree`, built once on first use.
+    :meth:`decompress_bytes` (from a serialised physical encoding).  The
+    payload is written at encode time and kept.  Read from bytes,
+    ``logical`` holds views of them, no copies; every operation but the
+    sparse-safe ones runs on :attr:`decode_tree`, built once on first use.
     """
 
     scheme_name = "TOC"
-    #: The layers :meth:`compress` applies (an instance records its own).
-    variant = TOCVariant.FULL
     supports_direct_ops = True
     scan_pushdown = True
 
-    def __init__(
-        self,
-        logical: LogicalEncoding,
-        variant: TOCVariant = TOCVariant.FULL,
-        payload: bytes | memoryview | None = None,
-        sparse_nbytes: int | None = None,
-    ):
+    #: The payload layout: how ``I`` and ``D`` are written and read back.
+    _write = staticmethod(physical_encode)
+    _read = staticmethod(physical_decode)
+
+    def __init__(self, logical: LogicalEncoding, payload: bytes | memoryview | None = None):
         super().__init__(logical.shape)
         self.logical = logical
-        self.variant = variant
         self.payload = payload
-        self._sparse_nbytes = sparse_nbytes
         self._decode_tree: DecodeTree | None = None
 
     # -- construction -------------------------------------------------------
 
     @classmethod
-    def encode(
-        cls, matrix: np.ndarray, variant: TOCVariant = TOCVariant.FULL
-    ) -> "TOCMatrix":
-        """Compress a dense matrix with TOC."""
-        sparse = sparse_encode(np.asarray(matrix, dtype=np.float64))
-        return cls.from_sparse(sparse, variant=variant)
-
-    @classmethod
-    def from_sparse(
-        cls, sparse: SparseEncodedTable, variant: TOCVariant = TOCVariant.FULL
-    ) -> "TOCMatrix":
-        """Compress an already sparse-encoded table with TOC."""
-        logical = prefix_tree_encode(sparse)
-        payload = physical_encode(logical) if variant is TOCVariant.FULL else None
-        return cls(logical, variant, payload, sparse_nbytes=sparse.nbytes)
+    def encode(cls, matrix: np.ndarray) -> "TOCMatrix":
+        """Compress a dense matrix with TOC and write its payload."""
+        logical = prefix_tree_encode(sparse_encode(np.asarray(matrix, dtype=np.float64)))
+        return cls(logical, cls._write(logical))
 
     @classmethod
     def compress(cls, matrix: np.ndarray) -> "TOCMatrix":
-        """Compress a dense matrix with this scheme's :attr:`variant`."""
-        return TOCMatrix.encode(matrix, variant=cls.variant)
+        """Compress a dense matrix with TOC (:meth:`encode`)."""
+        return cls.encode(matrix)
 
     @classmethod
     def decompress_bytes(cls, raw) -> "TOCMatrix":
-        """Deserialise a full TOC matrix from its physical bytes (any buffer object).
+        """Deserialise a TOC matrix from its payload (any buffer object).
 
         Parsing copies nothing (:func:`~repro.core.physical.physical_decode`);
         the first operation builds the decode tree straight from the views.
         """
-        return TOCMatrix(physical_decode(raw), TOCVariant.FULL, payload=raw)
+        return cls(cls._read(raw), payload=raw)
 
-    # -- size and serialisation -------------------------------------------
+    # -- serialisation ------------------------------------------------------
 
-    @property
-    def nbytes(self) -> int:
-        """Compressed size in bytes according to the selected variant."""
-        if self.variant is TOCVariant.FULL:
-            if self.payload is None:
-                self.payload = physical_encode(self.logical)
-            return len(self.payload)
-        if self.variant is TOCVariant.SPARSE_AND_LOGICAL:
-            return logical_nbytes(self.logical)
-        # SPARSE variant: cost of the plain sparse encoding (col idx + value
-        # per non-zero plus row offsets), computed at encode time.
-        if self._sparse_nbytes is None:
-            self._sparse_nbytes = self.to_sparse().nbytes
-        return self._sparse_nbytes
+    def to_bytes(self) -> bytes:
+        """The payload: the physical encoding of ``I`` and ``D``."""
+        if self.payload is None:
+            self.payload = self._write(self.logical)
+        return bytes(self.payload)
 
     @property
     def decode_tree(self) -> DecodeTree:
@@ -135,19 +104,6 @@ class TOCMatrix(CompressedMatrix):
         if self._decode_tree is None:
             self._decode_tree = build_decode_tree(self.logical)
         return self._decode_tree
-
-    def to_bytes(self) -> bytes:
-        """Serialise the physical encoding (always available on demand).
-
-        The bytes are the full physical encoding whatever the variant, and
-        :meth:`decompress_bytes` reads them back as a ``FULL`` matrix: a
-        stored ``TOC_SPARSE`` or ``TOC_SPARSE_AND_LOGICAL`` batch is the
-        same bytes as a ``TOC`` one.  Only :attr:`nbytes` tells the
-        variants apart.
-        """
-        if self.payload is None:
-            self.payload = physical_encode(self.logical)
-        return bytes(self.payload)
 
     # -- compressed execution ----------------------------------------------
 
@@ -181,13 +137,11 @@ class TOCMatrix(CompressedMatrix):
 
     def scale(self, scalar: float) -> "TOCMatrix":
         """``A .* c`` — returns a new TOC matrix sharing the code arrays."""
-        scaled = ops.matrix_times_scalar(self.logical, scalar)
-        return TOCMatrix(scaled, self.variant)
+        return type(self)(ops.matrix_times_scalar(self.logical, scalar))
 
     def power(self, exponent: float) -> "TOCMatrix":
         """``A .^ p`` for positive ``p`` (sparse-safe)."""
-        powered = ops.matrix_elementwise_power(self.logical, exponent)
-        return TOCMatrix(powered, self.variant)
+        return type(self)(ops.matrix_elementwise_power(self.logical, exponent))
 
     def add_scalar(self, scalar: float) -> np.ndarray:
         """``A .+ c`` — sparse-unsafe, returns a dense matrix (Algorithm 6)."""
@@ -224,15 +178,15 @@ class TOCMatrix(CompressedMatrix):
         }
 
 
-class TOCSparseMatrix(TOCMatrix):
-    """The ``TOC_SPARSE`` ablation: sparse encoding only (Figure 6)."""
+class TOCSparseMatrix(CSRMatrix):
+    """The ``TOC_SPARSE`` ablation: sparse encoding only, stored as CSR (Figure 6)."""
 
     scheme_name = "TOC_SPARSE"
-    variant = TOCVariant.SPARSE
 
 
 class TOCSparseAndLogicalMatrix(TOCMatrix):
     """The ``TOC_SPARSE_AND_LOGICAL`` ablation: no physical encoding (Figure 6)."""
 
     scheme_name = "TOC_SPARSE_AND_LOGICAL"
-    variant = TOCVariant.SPARSE_AND_LOGICAL
+    _write = staticmethod(unpacked_encode)
+    _read = staticmethod(unpacked_decode)

@@ -99,9 +99,9 @@ class TestPackUnpack:
         with pytest.raises(ValueError):
             PackedIntArray.from_bytes(header + b"\x00" * 7)
 
-    def test_nbytes_counts_header(self):
+    def test_serialised_length_counts_header(self):
         packed = pack_integers(np.arange(4))
-        assert packed.nbytes == len(packed.data) + 8
+        assert len(packed.to_bytes()) == len(packed.data) + 8
 
 
 class TestBitpackingProperties:
@@ -150,5 +150,5 @@ class TestBitpackingProperties:
         packed = pack_integers(edges)
         assert packed.width == 3
         restored, consumed = PackedIntArray.from_bytes(packed.to_bytes())
-        assert consumed == packed.nbytes
+        assert consumed == len(packed.to_bytes())
         assert np.array_equal(restored.unpack(), edges)

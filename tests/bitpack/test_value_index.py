@@ -57,10 +57,10 @@ class TestValueIndex:
         assert index.dictionary.size == 1
         assert np.array_equal(index.decode(), np.full(100, 2.5))
 
-    def test_nbytes_smaller_than_doubles_when_few_distinct(self):
+    def test_serialised_smaller_than_doubles_when_few_distinct(self):
         values = np.tile(np.array([1.0, 2.0, 3.0]), 100)
         index = build_value_index(values)
-        assert index.nbytes < values.size * 8
+        assert len(index.to_bytes()) < values.size * 8
 
     def test_out_of_range_codes_rejected(self):
         with pytest.raises(ValueError):

@@ -95,9 +95,9 @@ class TestSchemeContract:
 class TestSchemeSizes:
     """Compression-size relationships the paper's Figure 5 relies on."""
 
-    def test_dense_size_is_exactly_8_bytes_per_cell(self, census_batch):
+    def test_dense_size_is_exactly_8_bytes_per_cell_after_its_header(self, census_batch):
         dense = get_scheme("DEN").compress(census_batch)
-        assert dense.nbytes == census_batch.size * 8
+        assert dense.nbytes == census_batch.size * 8 + 16
 
     def test_toc_beats_lightweight_schemes_on_moderate_sparsity(self, census_batch):
         toc = get_scheme("TOC").compress(census_batch).nbytes

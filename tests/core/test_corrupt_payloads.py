@@ -36,11 +36,12 @@ OTHER = TOCMatrix.compress(DATASET_PROFILES["census"].matrix(80, seed=4)).to_byt
 #: in ``argv[1]`` and prints how many raised EncodingError; any other
 #: exception fails the child.  A matrix no larger than a few times the
 #: original is decoded, row-sliced whole and multiplied both ways; a larger
-#: claimed TOC shape still gets its tree built.
+#: claimed TOC-layout shape still gets its tree built.
 _CHILD = """
 import json, sys
 import numpy as np
 from repro.compression.registry import get_scheme
+from repro.core.toc import TOCMatrix
 from repro.core.validate import EncodingError
 
 scheme = get_scheme(sys.argv[1])
@@ -48,7 +49,7 @@ errors = 0
 for raw in json.load(sys.stdin):
     try:
         matrix = scheme.decompress_bytes(bytes.fromhex(raw))
-        if scheme.scheme_name == "TOC":
+        if isinstance(matrix, TOCMatrix):
             matrix.decode_tree
         rows, cols = matrix.shape
         if rows * cols <= 4 * 120 * 68:
@@ -145,12 +146,21 @@ def test_corrupt_payloads_raise_only_encoding_errors(payloads):
     assert 0 <= int(result.stdout) <= len(payloads)
 
 
-#: Byte offsets of each scheme's shape fields (``nnz`` follows for CSR and
-#: CVI); TOC's follow its 4-byte magic.
-_SHAPE_FIELDS = {"TOC": (4, 12), "CSR": (0, 8, 16), "CVI": (0, 8, 16)}
+#: Byte offsets of each scheme's shape fields (``nnz`` follows for CSR, its
+#: ``TOC_SPARSE`` layout, and CVI).  TOC's follow its 4-byte magic, as do
+#: the unpacked TOC layout's (then its pair and code counts) and CLA's (then
+#: its group and uncompressed-column counts).
+_SHAPE_FIELDS = {
+    "TOC": (4, 12),
+    "CSR": (0, 8, 16),
+    "TOC_SPARSE": (0, 8, 16),
+    "CVI": (0, 8, 16),
+    "TOC_SPARSE_AND_LOGICAL": (4, 12, 20, 28),
+    "CLA": (4, 12, 20, 28),
+}
 
 
-@pytest.mark.parametrize("scheme", available_schemes())
+@pytest.mark.parametrize("scheme", available_schemes(include_ablations=True))
 def test_every_scheme_refuses_truncations_and_huge_shapes(scheme):
     dense = DATASET_PROFILES["census"].matrix(120, seed=3)
     raw = get_scheme(scheme).compress(dense).to_bytes()

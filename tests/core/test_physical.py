@@ -10,9 +10,10 @@ from hypothesis.extra import numpy as hnp
 
 from repro.core.logical import LogicalEncoding, prefix_tree_encode
 from repro.core.physical import (
-    logical_nbytes,
     physical_decode,
     physical_encode,
+    unpacked_decode,
+    unpacked_encode,
 )
 from repro.core.sparse import sparse_encode
 from repro.core.toc import TOCMatrix
@@ -87,7 +88,26 @@ class TestPhysicalEncoding:
 
     def test_physical_smaller_than_logical(self, census_batch):
         logical = _logical(census_batch)
-        assert len(physical_encode(logical)) < logical_nbytes(logical)
+        assert len(physical_encode(logical)) < len(unpacked_encode(logical))
+
+    def test_unpacked_roundtrip_is_fixed_width_views(self, census_batch):
+        logical = _logical(census_batch)
+        raw = unpacked_encode(logical)
+        assert len(raw) == (
+            36 + 12 * logical.n_first_layer + 4 * logical.n_codes + 4 * (logical.n_rows + 1)
+        )
+        restored = unpacked_decode(raw)
+        for block in (restored.first_layer_columns, restored.codes, restored.row_offsets):
+            assert block.itemsize == 4 and not block.flags.writeable
+        _assert_logical_equal(restored, logical)
+
+    @pytest.mark.parametrize("keep", [3, 12, 36, 40, -1])
+    def test_unpacked_truncated_or_physical_bytes_rejected(self, census_batch, keep):
+        logical = _logical(census_batch)
+        with pytest.raises(EncodingError):
+            unpacked_decode(unpacked_encode(logical)[:keep])
+        with pytest.raises(EncodingError, match="magic"):
+            unpacked_decode(physical_encode(logical))
 
     def test_nbytes_matches_serialised_length(self, census_batch):
         toc = TOCMatrix.encode(census_batch)

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from repro.compression.registry import get_scheme
 from repro.core.sparse import SparseEncodedTable, sparse_decode, sparse_encode
 from tests.conftest import random_sparse_matrix
 
@@ -64,10 +65,12 @@ class TestSparseEncode:
         assert total == table.nnz
 
     def test_nbytes_layout(self, rng):
+        # The TOC_SPARSE ablation stores the sparse encoding as CSR does: a
+        # 24-byte header, then 4-byte offsets and columns, 8-byte values.
         dense = random_sparse_matrix(rng, 5, 5)
         table = sparse_encode(dense)
-        expected = table.nnz * 4 + table.nnz * 8 + (table.n_rows + 1) * 4
-        assert table.nbytes == expected
+        expected = 24 + (table.n_rows + 1) * 4 + table.nnz * 4 + table.nnz * 8
+        assert get_scheme("TOC_SPARSE").compress(dense).nbytes == expected
 
 
 class TestSparseTableValidation:

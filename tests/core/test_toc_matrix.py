@@ -1,4 +1,4 @@
-"""Tests for the user-facing TOCMatrix and its variants."""
+"""Tests for the user-facing TOCMatrix and the ablations of its layers."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro.compression.registry import get_scheme
-from repro.core.toc import TOCMatrix, TOCVariant
+from repro.core.toc import TOCMatrix
 from repro.data.registry import DATASET_PROFILES
 from tests.conftest import random_sparse_matrix
 
@@ -79,24 +79,40 @@ class TestTOCMatrixOps:
         np.testing.assert_allclose(result, census_batch + 1.5)
 
 
-class TestTOCVariants:
-    def test_variant_sizes_are_ordered(self, census_batch):
-        """More encoding layers must never increase the size on compressible data."""
-        sparse_size = TOCMatrix.encode(census_batch, TOCVariant.SPARSE).nbytes
-        logical_size = TOCMatrix.encode(census_batch, TOCVariant.SPARSE_AND_LOGICAL).nbytes
-        full_size = TOCMatrix.encode(census_batch, TOCVariant.FULL).nbytes
-        assert full_size < logical_size < sparse_size
+#: Figure 6's layers, fewest first: sparse encoding, + logical, + physical.
+ABLATIONS = ("TOC_SPARSE", "TOC_SPARSE_AND_LOGICAL", "TOC")
 
-    def test_all_variants_lossless(self, census_batch):
-        for variant in TOCVariant:
-            toc = TOCMatrix.encode(census_batch, variant)
-            assert np.array_equal(toc.to_dense(), census_batch)
 
-    def test_all_variants_support_ops(self, census_batch, rng):
+class TestTOCAblations:
+    def test_stored_sizes_are_ordered(self, census_batch):
+        """More encoding layers must never increase the stored size on compressible data."""
+        sparse, logical, full = (
+            len(get_scheme(name).compress(census_batch).to_bytes()) for name in ABLATIONS
+        )
+        assert full < logical < sparse
+
+    def test_each_ablation_stores_its_own_layout(self, census_batch):
+        # TOC_SPARSE is CSR's bytes; TOC_SPARSE_AND_LOGICAL is a 36-byte
+        # header, then 4-byte columns, 8-byte values, 4-byte codes and offsets.
+        assert get_scheme("TOC_SPARSE").compress(census_batch).to_bytes() == (
+            get_scheme("CSR").compress(census_batch).to_bytes()
+        )
+        logical = TOCMatrix.encode(census_batch).logical
+        expected = 36 + 12 * logical.n_first_layer + 4 * logical.n_codes + 4 * (logical.n_rows + 1)
+        assert get_scheme("TOC_SPARSE_AND_LOGICAL").compress(census_batch).nbytes == expected
+
+    def test_all_ablations_lossless_through_their_bytes(self, census_batch):
+        for name in ABLATIONS:
+            scheme = get_scheme(name)
+            parsed = scheme.decompress_bytes(scheme.compress(census_batch).to_bytes())
+            assert np.array_equal(parsed.to_dense(), census_batch)
+
+    def test_all_ablations_support_ops(self, census_batch, rng):
         v = rng.normal(size=census_batch.shape[1])
-        for variant in TOCVariant:
-            toc = TOCMatrix.encode(census_batch, variant)
-            np.testing.assert_allclose(toc.matvec(v), census_batch @ v, rtol=1e-10)
+        for name in ABLATIONS:
+            scheme = get_scheme(name)
+            parsed = scheme.decompress_bytes(scheme.compress(census_batch).to_bytes())
+            np.testing.assert_allclose(parsed.matvec(v), census_batch @ v, rtol=1e-10)
 
 
 class TestTOCMatrixOnExtremeData:

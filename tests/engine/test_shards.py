@@ -13,6 +13,7 @@ import pytest
 
 import repro
 from repro.compression.registry import get_scheme
+from repro.core.validate import EncodingError
 from repro.data.registry import DATASET_PROFILES
 from repro.engine import shards
 from repro.engine.encode import (
@@ -245,6 +246,28 @@ class TestDataset:
     def test_decode_parses_with_the_registered_class(self, tmp_path, small_batches):
         dataset = Dataset.create(tmp_path, small_batches, scheme="TOC", workers=1)
         assert all(type(dataset.decode(i)) is get_scheme("TOC") for i in range(len(dataset)))
+
+    @pytest.mark.parametrize(
+        ("written_as", "name"),
+        [("DEN", "CLA"), ("TOC", "TOC_SPARSE"), ("TOC", "TOC_SPARSE_AND_LOGICAL")],
+    )
+    def test_a_shard_in_its_schemes_old_layout_is_refused(
+        self, tmp_path, small_batches, written_as, name
+    ):
+        # A CLA shard used to hold DEN's bytes, and both TOC ablations TOC's
+        # own; each now stores its own layout, and an old shard must raise
+        # rather than decode.
+        Dataset.create(tmp_path, small_batches, scheme=written_as, workers=1)
+        manifest_path = tmp_path / MANIFEST_NAME
+        manifest = json.loads(manifest_path.read_text())
+        manifest["scheme"] = name
+        for shard in manifest["shards"]:
+            shard["scheme"] = name
+        manifest_path.write_text(json.dumps(manifest))
+        dataset = Dataset.open(tmp_path)
+        for row in (0, dataset.n_examples - 1):
+            with pytest.raises(EncodingError):
+                dataset.take([row])
 
     def test_append_extends_manifest_and_labels(self, tmp_path, small_batches):
         dataset = Dataset.create(tmp_path, small_batches, scheme="TOC", workers=1)

@@ -370,7 +370,9 @@ class TestPushdownPerScheme:
         for scheme in available_schemes(include_ablations=True):
             matrix = get_scheme(scheme).compress(dense)
             value_indexed = scheme in ("CVI", "DVI")
-            assert matrix.scan_pushdown == (value_indexed or scheme.startswith("TOC")), scheme
+            # TOC_SPARSE is CSR's layout, read as CSR is: decoded once.
+            on_the_tree = scheme in ("TOC", "TOC_SPARSE_AND_LOGICAL")
+            assert matrix.scan_pushdown == (value_indexed or on_the_tree), scheme
             assert matrix.dictionary_probe == value_indexed, scheme
             assert scan_matrix(matrix, where="c0 == 0.5")[2] == matrix.scan_pushdown, scheme
             assert not scan_matrix(matrix, where="c0 == 0.5", pushdown=False)[2], scheme
