@@ -13,7 +13,7 @@ plus the lower-level pieces advanced users reach for:
 * :func:`get_scheme` / :func:`available_schemes` — the seven comparison
   schemes plus TOC, each a matrix class whose ``compress`` /
   ``decompress_bytes`` classmethods are the scheme;
-* the MGD training stack (models, optimizer, metrics);
+* the MGD training stack (models and the optimizer);
 * the dataset profiles mirroring the paper's Table 5;
 * the byte-budgeted :class:`BufferPool` the out-of-core trainer and the
   end-to-end experiments train through, which counts the bytes it reads.
@@ -22,7 +22,7 @@ plus the lower-level pieces advanced users reach for:
 from repro.compression import available_schemes, get_scheme
 from repro.core import TOCMatrix
 from repro.core.advisor import recommend_scheme
-from repro.data import DATASET_PROFILES, generate_dataset, split_minibatches
+from repro.data import DATASET_PROFILES, split_minibatches
 from repro.engine import OutOfCoreTrainer, encode_batches
 from repro.ml import (
     FeedForwardNetwork,
@@ -63,7 +63,6 @@ __all__ = [
     "TOCMatrix",
     "available_schemes",
     "encode_batches",
-    "generate_dataset",
     "get_scheme",
     "recommend_scheme",
     "split_minibatches",

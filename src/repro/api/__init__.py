@@ -52,7 +52,7 @@ from repro.core.calibration import (
     calibrate,
     ensure_calibration,
 )
-from repro.data import DATASET_PROFILES, generate_dataset
+from repro.data import DATASET_PROFILES
 from repro.engine.compact import CompactReport, ShardChange
 from repro.engine.shards import Dataset, DatasetStats, FsckReport
 from repro.exec import (
@@ -101,7 +101,6 @@ __all__ = [
     "calibrate",
     "ensure_calibration",
     "error_rate",
-    "generate_dataset",
     "get_scheme",
     "metrics_snapshot",
     "open_service",

@@ -10,7 +10,7 @@ reports, so every experiment can also be run directly::
 
 from repro.bench.reporting import format_series, format_table
 from repro.bench.runner import measure_compression, time_callable
-from repro.bench.workloads import minibatch_for, workload_datasets
+from repro.bench.workloads import minibatch_for
 
 __all__ = [
     "format_series",
@@ -18,5 +18,4 @@ __all__ = [
     "measure_compression",
     "minibatch_for",
     "time_callable",
-    "workload_datasets",
 ]

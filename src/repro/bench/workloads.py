@@ -23,11 +23,6 @@ MODERATE_DATASETS = ("census", "imagenet", "mnist", "kdd99")
 MINIBATCH_SIZES = (50, 100, 150, 200, 250)
 
 
-def workload_datasets(include_extreme: bool = True) -> tuple[str, ...]:
-    """Dataset names for the ratio/op experiments."""
-    return ALL_DATASETS if include_extreme else MODERATE_DATASETS
-
-
 def minibatch_for(dataset: str, n_rows: int = 250, seed: int = 0) -> np.ndarray:
     """One mini-batch of ``n_rows`` rows drawn from the named profile."""
     return DATASET_PROFILES[dataset].matrix(n_rows, seed=seed)

@@ -169,13 +169,19 @@ class CLAMatrix(CompressedMatrix):
 
         Every block must fit the payload and the last must end where it
         does, each group's codes must be one per row and index its
-        dictionary, and the groups must hold each column exactly once, or
+        dictionary, the groups must hold each column exactly once, and a
+        shape with no cells must be one NumPy can hold, or
         :class:`~repro.core.validate.EncodingError` is raised.
         """
         offset = len(_MAGIC) + _HEADER.size
         if len(raw) < offset or bytes(raw[: len(_MAGIC)]) != _MAGIC:
             raise EncodingError(f"not a CLA payload: {len(raw)} bytes without its magic and header")
         rows, cols, n_coded, n_plain = _HEADER.unpack_from(raw, len(_MAGIC))
+        if rows * cols == 0:  # no stored byte bounds the other extent
+            try:
+                np.empty((rows, cols))
+            except ValueError as exc:
+                raise EncodingError(f"CLA header claims a {rows} x {cols} matrix") from exc
         groups: list[_ColumnGroup | _UncompressedGroup] = []
         for _ in range(n_coded):
             if len(raw) < offset + _GROUP.size:

@@ -3,7 +3,6 @@
 The sub-modules follow the paper's structure:
 
 * :mod:`repro.core.sparse` — sparse encoding (step 1 of Figure 3).
-* :mod:`repro.core.prefix_tree` — the encoding prefix tree ``C`` (Section 3.1.1).
 * :mod:`repro.core.logical` — the prefix-tree encoding algorithm
   (Algorithm 1, Section 3.1.2).
 * :mod:`repro.core.physical` — bit packing + value indexing (Section 3.2),
@@ -26,7 +25,7 @@ from repro.core.ops import (
     uncompressed_matrix_times_matrix,
     vector_times_matrix,
 )
-from repro.core.sparse import SparseEncodedTable, sparse_decode, sparse_encode
+from repro.core.sparse import SparseEncodedTable, sparse_encode
 from repro.core.toc import TOCMatrix
 
 __all__ = [
@@ -38,7 +37,6 @@ __all__ = [
     "matrix_times_scalar",
     "matrix_times_vector",
     "prefix_tree_encode",
-    "sparse_decode",
     "sparse_encode",
     "uncompressed_matrix_times_matrix",
     "vector_times_matrix",

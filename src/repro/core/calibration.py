@@ -423,12 +423,6 @@ def ensure_calibration(
     return calibration
 
 
-def invalidate_cache() -> None:
-    """Drop the process-wide calibration cache (test isolation helper)."""
-    global _PROCESS_CACHE
-    _PROCESS_CACHE = None
-
-
 __all__ = [
     "CALIBRATION_NAME",
     "CALIBRATION_OPS",
@@ -443,7 +437,6 @@ __all__ = [
     "calibration_path",
     "check_workload",
     "ensure_calibration",
-    "invalidate_cache",
     "platform_fingerprint",
     "synthetic_batch",
 ]

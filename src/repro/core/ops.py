@@ -69,23 +69,6 @@ def matrix_elementwise_power(encoding: LogicalEncoding, exponent: float) -> Logi
     )
 
 
-def matrix_apply_sparse_safe(
-    encoding: LogicalEncoding, func
-) -> LogicalEncoding:
-    """Apply an arbitrary sparse-safe scalar function to every stored value.
-
-    ``func`` must map 0 to 0 for the result to equal the dense computation;
-    that property is the caller's responsibility (it is asserted in tests).
-    """
-    return LogicalEncoding(
-        first_layer_columns=encoding.first_layer_columns,
-        first_layer_values=np.asarray(func(encoding.first_layer_values), dtype=np.float64),
-        codes=encoding.codes,
-        row_offsets=encoding.row_offsets,
-        shape=encoding.shape,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Right multiplication (Theorem 1 / Algorithm 4 and Theorem 3 / Algorithm 7)
 # ---------------------------------------------------------------------------
@@ -293,12 +276,3 @@ def decode_rows_to_dense(tree: DecodeTree, rows: np.ndarray) -> np.ndarray:
 def matrix_plus_scalar(tree: DecodeTree, scalar: float) -> np.ndarray:
     """``A .+ c`` — sparse-unsafe, so the matrix is decoded first (Algorithm 6)."""
     return decode_to_dense(tree) + float(scalar)
-
-
-def matrix_plus_matrix(tree: DecodeTree, other: np.ndarray) -> np.ndarray:
-    """``A + M`` — sparse-unsafe element-wise addition with a dense matrix."""
-    dense = decode_to_dense(tree)
-    other = np.asarray(other, dtype=np.float64)
-    if other.shape != dense.shape:
-        raise ValueError(f"shape mismatch: {dense.shape} vs {other.shape}")
-    return dense + other

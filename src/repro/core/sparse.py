@@ -92,12 +92,3 @@ def sparse_encode(matrix: np.ndarray) -> SparseEncodedTable:
         shape=dense.shape,
     )
 
-
-def sparse_decode(table: SparseEncodedTable) -> np.ndarray:
-    """Rebuild the dense matrix from a :class:`SparseEncodedTable`."""
-    dense = np.zeros(table.shape, dtype=np.float64)
-    row_ids = np.repeat(
-        np.arange(table.n_rows, dtype=np.int64), np.diff(table.row_offsets)
-    )
-    dense[row_ids, table.columns] = table.values
-    return dense

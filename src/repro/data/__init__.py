@@ -1,4 +1,4 @@
-"""Dataset substrate: synthetic generators, mini-batching, scaling.
+"""Dataset substrate: synthetic generators and mini-batching.
 
 The paper evaluates on six real datasets (US Census, ImageNet features,
 Mnist8m, Kdd99, Rcv1, Deep1Billion).  Those datasets are not shipped here;
@@ -8,19 +8,15 @@ of column-sequence repetition across rows — matches each dataset profile
 (see Table 5 of the paper and ``repro.data.registry``).
 """
 
-from repro.data.minibatch import MiniBatchIterator, split_minibatches
-from repro.data.registry import DATASET_PROFILES, DatasetProfile, generate_dataset
-from repro.data.scaling import scale_rows
+from repro.data.minibatch import split_minibatches
+from repro.data.registry import DATASET_PROFILES, DatasetProfile
 from repro.data.synthetic import SyntheticConfig, make_classification, make_synthetic_matrix
 
 __all__ = [
     "DATASET_PROFILES",
     "DatasetProfile",
-    "MiniBatchIterator",
     "SyntheticConfig",
-    "generate_dataset",
     "make_classification",
     "make_synthetic_matrix",
-    "scale_rows",
     "split_minibatches",
 ]

@@ -74,26 +74,3 @@ def split_minibatches(
         batch_y = None if y is None else y[idx]
         batches.append((batch_x, batch_y))
     return batches
-
-
-class MiniBatchIterator:
-    """Epoch-level iterator over pre-split (optionally compressed) mini-batches.
-
-    The iterator is intentionally dumb: batches are materialised once (the
-    shuffle-once discipline) and every epoch replays them in the same order,
-    which is what the paper's MGD loop does.
-    """
-
-    def __init__(self, batches: list):
-        if not batches:
-            raise ValueError("MiniBatchIterator needs at least one mini-batch")
-        self._batches = list(batches)
-
-    def __len__(self) -> int:
-        return len(self._batches)
-
-    def __iter__(self) -> Iterator:
-        return iter(self._batches)
-
-    def __getitem__(self, index: int):
-        return self._batches[index]

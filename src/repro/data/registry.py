@@ -116,14 +116,3 @@ DATASET_PROFILES: dict[str, DatasetProfile] = {
         description="Deep1Billion-like: fully dense float descriptors, no repetition",
     ),
 }
-
-
-def generate_dataset(name: str, n_rows: int, seed: int | None = 0) -> np.ndarray:
-    """Generate the feature matrix of the named profile."""
-    try:
-        profile = DATASET_PROFILES[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown dataset profile {name!r}; available: {sorted(DATASET_PROFILES)}"
-        ) from None
-    return profile.matrix(n_rows, seed=seed)

@@ -153,23 +153,3 @@ def make_classification(
         teachers = rng.normal(size=(config.n_cols, n_classes))
         labels = np.argmax(features @ teachers, axis=1).astype(np.float64)
     return features, labels
-
-
-def make_regression(
-    n_rows: int,
-    config: SyntheticConfig,
-    noise: float = 0.1,
-    seed: int | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Generate a feature matrix and continuous targets from a linear teacher."""
-    rng = np.random.default_rng(seed)
-    features = _make_row_block(n_rows, config, rng)
-    teacher = rng.normal(size=config.n_cols)
-    targets = features @ teacher + noise * rng.normal(size=n_rows)
-    return features, targets
-
-
-def measured_sparsity(matrix: np.ndarray) -> float:
-    """Fraction of non-zero cells, the paper's sparsity definition."""
-    dense = np.asarray(matrix)
-    return float(np.count_nonzero(dense) / dense.size)

@@ -24,7 +24,7 @@ from repro.exec.predicates import (
     parse_aggregates,
     parse_predicate,
 )
-from repro.exec.scan import ScanResult, scan_matrix, scan_shards
+from repro.exec.scan import ScanResult, scan_shards
 
 
 # Kept for ``bench/layers.py``, which calls the kernels as functions, until
@@ -59,6 +59,5 @@ __all__ = [
     "ScanResult",
     "parse_aggregates",
     "parse_predicate",
-    "scan_matrix",
     "scan_shards",
 ]

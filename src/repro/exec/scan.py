@@ -203,22 +203,6 @@ class ScanResult:
         return self.n_rows_matched / self.n_rows_scanned if self.n_rows_scanned else 0.0
 
 
-def scan_matrix(
-    matrix,
-    *,
-    columns: Sequence[int] | None = None,
-    where: Predicate | str | None = None,
-    pushdown: bool = True,
-) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Scan one compressed matrix: ``(selected_rows, local_row_ids, pushed)``.
-
-    The single-shard building block, exposed for tests and ad-hoc use;
-    multi-shard scans go through :func:`scan_shards`.
-    """
-    result = _scan_shards(iter([(matrix, 0)]), columns=columns, where=where, pushdown=pushdown)
-    return result.rows, result.row_ids, result.pushdown_shards == 1
-
-
 def scan_shards(
     shard_stream,
     *,
@@ -336,6 +320,5 @@ def _scan_shards(
 
 __all__ = [
     "ScanResult",
-    "scan_matrix",
     "scan_shards",
 ]

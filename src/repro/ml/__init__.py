@@ -8,9 +8,8 @@ operations of Section 4 (``A @ v``, ``v @ A``, ``A @ M``, ``M @ A``), so the
 same model code runs unchanged on every compression scheme.
 """
 
-from repro.ml.convolution import CompressedConv2d, conv2d_direct, im2col
 from repro.ml.losses import CrossEntropyLoss, HingeLoss, LogisticLoss, SquaredLoss
-from repro.ml.metrics import accuracy, error_rate, log_loss
+from repro.ml.metrics import accuracy, error_rate
 from repro.ml.models import (
     FeedForwardNetwork,
     LinearRegressionModel,
@@ -21,7 +20,6 @@ from repro.ml.multiclass import OneVsRestClassifier
 from repro.ml.optimizer import GradientDescentConfig, MiniBatchGradientDescent
 
 __all__ = [
-    "CompressedConv2d",
     "CrossEntropyLoss",
     "FeedForwardNetwork",
     "GradientDescentConfig",
@@ -34,8 +32,5 @@ __all__ = [
     "OneVsRestClassifier",
     "SquaredLoss",
     "accuracy",
-    "conv2d_direct",
     "error_rate",
-    "im2col",
-    "log_loss",
 ]

@@ -19,21 +19,3 @@ def accuracy(predictions: np.ndarray, targets: np.ndarray) -> float:
 def error_rate(predictions: np.ndarray, targets: np.ndarray) -> float:
     """1 - accuracy, reported as a percentage like the paper's Figure 11."""
     return 100.0 * (1.0 - accuracy(predictions, targets))
-
-
-def log_loss(probabilities: np.ndarray, targets: np.ndarray) -> float:
-    """Binary cross-entropy of class-1 probabilities against {0,1} targets."""
-    p = np.clip(np.asarray(probabilities, dtype=np.float64).ravel(), 1e-12, 1 - 1e-12)
-    t = np.asarray(targets, dtype=np.float64).ravel()
-    if p.size != t.size:
-        raise ValueError("probabilities and targets must have the same length")
-    return float(-np.mean(t * np.log(p) + (1 - t) * np.log(1 - p)))
-
-
-def mean_squared_error(predictions: np.ndarray, targets: np.ndarray) -> float:
-    """Mean squared error for the regression workloads."""
-    p = np.asarray(predictions, dtype=np.float64).ravel()
-    t = np.asarray(targets, dtype=np.float64).ravel()
-    if p.size != t.size:
-        raise ValueError("predictions and targets must have the same length")
-    return float(np.mean((p - t) ** 2))

@@ -1,73 +1,16 @@
-"""Reference (uncompressed) training loops standing in for other ML systems.
+"""The uncompressed NumPy gradient-descent loop of Figure 2.
 
-The paper's Table 6 / Figure 11 compare Bismarck+TOC against ScikitLearn and
-TensorFlow running on DEN or CSR encodings.  Within this repo those systems'
-role is "an MGD loop over DEN/CSR data with no TOC": this module provides
-exactly that, implemented directly on NumPy / SciPy so it does not share the
-compressed-operation code path, plus a NumPy batch-gradient-descent loop for
-the Figure 2 optimiser-efficiency experiment.
+Figure 2 compares the optimisers of the MGD spectrum — SGD, mini-batch GD
+and batch GD — by their per-epoch accuracy.  That comparison is about the
+optimiser, not the storage format, so the loop here runs directly on a dense
+NumPy matrix and shares no code with the compressed training path.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.ml.losses import LogisticLoss
-
-
-def train_logistic_dense(
-    features: np.ndarray,
-    labels: np.ndarray,
-    epochs: int = 10,
-    batch_size: int = 250,
-    learning_rate: float = 0.1,
-    seed: int | None = 0,
-) -> np.ndarray:
-    """Reference dense mini-batch logistic regression (ScikitLearnDEN stand-in)."""
-    x = np.asarray(features, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.float64).ravel()
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(x.shape[0])
-    x, y = x[order], y[order]
-    weights = np.zeros(x.shape[1])
-    bias = 0.0
-    loss = LogisticLoss()
-    for _ in range(epochs):
-        for start in range(0, x.shape[0], batch_size):
-            bx = x[start : start + batch_size]
-            by = y[start : start + batch_size]
-            grad_scores = loss.gradient(bx @ weights + bias, by)
-            weights -= learning_rate * (grad_scores @ bx)
-            bias -= learning_rate * float(grad_scores.sum())
-    return np.concatenate([weights, [bias]])
-
-
-def train_logistic_csr(
-    features: np.ndarray,
-    labels: np.ndarray,
-    epochs: int = 10,
-    batch_size: int = 250,
-    learning_rate: float = 0.1,
-    seed: int | None = 0,
-) -> np.ndarray:
-    """Reference CSR mini-batch logistic regression (ScikitLearnCSR stand-in)."""
-    x = sp.csr_matrix(np.asarray(features, dtype=np.float64))
-    y = np.asarray(labels, dtype=np.float64).ravel()
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(x.shape[0])
-    x, y = x[order], y[order]
-    weights = np.zeros(x.shape[1])
-    bias = 0.0
-    loss = LogisticLoss()
-    for _ in range(epochs):
-        for start in range(0, x.shape[0], batch_size):
-            bx = x[start : start + batch_size]
-            by = y[start : start + batch_size]
-            grad_scores = loss.gradient(bx @ weights + bias, by)
-            weights -= learning_rate * np.asarray(grad_scores @ bx).ravel()
-            bias -= learning_rate * float(grad_scores.sum())
-    return np.concatenate([weights, [bias]])
 
 
 def gradient_descent_spectrum(

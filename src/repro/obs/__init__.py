@@ -28,7 +28,6 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
     counter,
-    default_registry,
     gauge,
     histogram,
 )
@@ -101,7 +100,6 @@ __all__ = [
     "Tracer",
     "counter",
     "current_git_commit",
-    "default_registry",
     "default_tracer",
     "gauge",
     "histogram",

@@ -17,9 +17,10 @@ looks at that count without advancing it.  Any other amount, and every
 No lock is shared between metrics, so a snapshot is exact per metric and
 consistent across metrics only at quiescence.
 
-:func:`default_registry` returns the process-global registry the
-instrumented hot paths feed; :func:`snapshot` dumps it as a plain dict (the
-shape ``Dataset.stats(metrics=True)`` and ``service.metrics()`` return).
+:func:`counter`, :func:`gauge` and :func:`histogram` address the
+process-global registry the instrumented hot paths feed; :func:`snapshot`
+dumps it as a plain dict (the shape ``Dataset.stats(metrics=True)`` and
+``service.metrics()`` return).
 :func:`set_enabled` turns every mutation into an early-out no-op — the
 serving benchmark measures instrumented vs uninstrumented throughput
 through exactly this switch.
@@ -342,10 +343,6 @@ class MetricsRegistry:
 _DEFAULT = MetricsRegistry()
 
 
-def default_registry() -> MetricsRegistry:
-    return _DEFAULT
-
-
 def counter(name: str, **labels) -> Counter:
     return _DEFAULT.counter(name, **labels)
 
@@ -375,7 +372,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "counter",
-    "default_registry",
     "enabled",
     "gauge",
     "histogram",

@@ -8,15 +8,11 @@ import pytest
 
 from repro.bench.reporting import format_series, format_table
 from repro.bench.runner import measure_compression, time_callable, time_matrix_ops
-from repro.bench.workloads import labeled_dataset, minibatch_for, n_classes, workload_datasets
+from repro.bench.workloads import labeled_dataset, minibatch_for, n_classes
 from repro.compression.registry import get_scheme
 
 
 class TestWorkloads:
-    def test_all_datasets_listed(self):
-        assert workload_datasets() == ("census", "imagenet", "mnist", "kdd99", "rcv1", "deep1b")
-        assert workload_datasets(include_extreme=False) == ("census", "imagenet", "mnist", "kdd99")
-
     def test_minibatch_shape(self):
         batch = minibatch_for("census", 100)
         assert batch.shape == (100, 68)

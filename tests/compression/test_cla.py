@@ -128,6 +128,13 @@ class TestCLAPayload:
         with pytest.raises(EncodingError, match="codes"):
             CLAMatrix.decompress_bytes(bytes(raw))
 
+    def test_a_zero_cell_shape_numpy_cannot_hold_is_refused(self):
+        # No group and no column: nothing in the payload bounds the row count.
+        raw = b"CLA1" + struct.pack("<QQQQ", 2**62, 0, 0, 0)
+        with pytest.raises(EncodingError, match="4611686018427387904 x 0"):
+            CLAMatrix.decompress_bytes(raw)
+        assert CLAMatrix.decompress_bytes(b"CLA1" + struct.pack("<QQQQ", 3, 0, 0, 0)).shape == (3, 0)
+
     def test_a_dense_payload_is_refused(self):
         with pytest.raises(EncodingError, match="not a CLA payload"):
             CLAMatrix.decompress_bytes(DenseMatrix(_cocoded_pair()).to_bytes())

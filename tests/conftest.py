@@ -69,6 +69,11 @@ def random_sparse_matrix(
     return np.where(mask, cells, 0.0)
 
 
+def nonzero_share(matrix: np.ndarray) -> float:
+    """Fraction of non-zero cells, the paper's sparsity definition."""
+    return np.count_nonzero(matrix) / matrix.size
+
+
 def fake_calibration(costs: dict[str, float], level: float = 0.0) -> Calibration:
     """A hand-built calibration: every op of a scheme costs ``costs[name]``."""
     return Calibration(

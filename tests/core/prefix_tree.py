@@ -15,8 +15,10 @@ one in a symbols list, and the children of all nodes share ONE hash map keyed
 ``parent * stride + symbol`` — the paper's hash map from child key to child
 index, without a map or a tuple per node.  Algorithm 1
 (:func:`repro.core.logical.prefix_tree_encode`) keeps only that hash map, in
-local variables, and returns no tree; this class is the paper's structure,
-which the textbook encoder in the tests builds call by call.
+local variables, and returns no tree.  This class is the paper's structure,
+which only the tests use: the textbook encoder
+(:func:`tests.core.test_logical.reference_encode`) builds it call by call, as
+the oracle the real encoder is checked against.
 """
 
 from __future__ import annotations

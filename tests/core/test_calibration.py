@@ -8,6 +8,7 @@ import pickle
 import numpy as np
 import pytest
 
+import repro.core.calibration as calibration_module
 from repro.core.advisor import recommend_scheme
 from repro.core.calibration import (
     CALIBRATION_NAME,
@@ -19,7 +20,6 @@ from repro.core.calibration import (
     calibrate,
     calibration_path,
     ensure_calibration,
-    invalidate_cache,
     platform_fingerprint,
     synthetic_batch,
 )
@@ -29,11 +29,15 @@ FAST = dict(rows=24, cols=8, sparsity_levels=(0.0, 0.9), repeats=1)
 
 
 @pytest.fixture(autouse=True)
-def isolated_cache():
-    """Each test starts and ends without a process-wide cached calibration."""
-    invalidate_cache()
-    yield
-    invalidate_cache()
+def drop_cache(monkeypatch):
+    """Each test starts without a process-wide cached calibration, and can drop
+    it again by calling this fixture; monkeypatch restores it afterwards."""
+
+    def drop() -> None:
+        monkeypatch.setattr(calibration_module, "_PROCESS_CACHE", None)
+
+    drop()
+    return drop
 
 
 @pytest.fixture(scope="module")
@@ -184,9 +188,9 @@ class TestEnsureCalibration:
         assert calibration_path(tmp_path).exists()
         assert cal.covers(["DEN"])
 
-    def test_prefers_the_on_disk_file(self, tmp_path, monkeypatch):
+    def test_prefers_the_on_disk_file(self, tmp_path, monkeypatch, drop_cache):
         first = ensure_calibration(tmp_path, ["DEN"], **FAST)
-        invalidate_cache()
+        drop_cache()
         import repro.core.calibration as mod
 
         def boom(*args, **kwargs):
@@ -195,11 +199,11 @@ class TestEnsureCalibration:
         monkeypatch.setattr(mod, "calibrate", boom)
         assert ensure_calibration(tmp_path, ["DEN"], **FAST) == first
 
-    def test_stale_file_is_recomputed_and_overwritten(self, tmp_path):
+    def test_stale_file_is_recomputed_and_overwritten(self, tmp_path, drop_cache):
         stale = ensure_calibration(tmp_path, ["DEN"], **FAST).to_dict()
         stale["version"] = CALIBRATION_VERSION + 1
         calibration_path(tmp_path).write_text(json.dumps(stale))
-        invalidate_cache()
+        drop_cache()
         fresh = ensure_calibration(tmp_path, ["DEN"], **FAST)
         assert fresh.version == CALIBRATION_VERSION
         assert Calibration.load(calibration_path(tmp_path)).version == CALIBRATION_VERSION

@@ -23,8 +23,9 @@ from hypothesis.extra import numpy as hnp
 from repro.core import ops
 from repro.core.decode_tree import build_decode_tree
 from repro.core.logical import LogicalEncoding, prefix_tree_encode
-from repro.core.sparse import sparse_decode, sparse_encode
+from repro.core.sparse import sparse_encode
 from repro.core.toc import TOCMatrix
+from tests.core.oracles import sparse_decode
 from tests.core.test_decode_tree import NodeOrderTree, node_order_tree
 
 # NaN and ±inf cells make NumPy warn about invalid operations, on both sides.

@@ -11,10 +11,11 @@ from hypothesis.extra import numpy as hnp
 from repro.core.decode_tree import build_decode_tree
 from repro.core.logical import LogicalEncoding, prefix_tree_encode
 from repro.core.ops import decode_to_sparse
-from repro.core.prefix_tree import NOT_FOUND, ROOT_INDEX, PrefixTree
-from repro.core.sparse import SparseEncodedTable, sparse_decode, sparse_encode
+from repro.core.sparse import SparseEncodedTable, sparse_encode
 from repro.data.registry import DATASET_PROFILES
 from tests.conftest import random_sparse_matrix
+from tests.core.oracles import sparse_decode
+from tests.core.prefix_tree import NOT_FOUND, ROOT_INDEX, PrefixTree
 
 #: Cell values for the property tests: repeats, and every float that breaks
 #: "a value equals itself" or "a value is its own bit pattern".

@@ -59,11 +59,6 @@ class TestSparseSafeOps:
         with pytest.raises(ValueError):
             ops.matrix_elementwise_power(encoding, 0.0)
 
-    def test_apply_sparse_safe(self, census_batch):
-        encoding = _encode(census_batch)
-        result = ops.matrix_apply_sparse_safe(encoding, np.abs)
-        assert np.allclose(ops.decode_to_dense(build_decode_tree(result)), np.abs(census_batch))
-
 
 class TestRightMultiplication:
     def test_matvec_matches_dense(self, census_batch, rng):
@@ -167,18 +162,6 @@ class TestSparseUnsafeOps:
         np.testing.assert_allclose(
             ops.matrix_plus_scalar(tree, 2.5), census_batch + 2.5
         )
-
-    def test_add_matrix(self, census_batch, rng):
-        tree = _tree(census_batch)
-        other = rng.normal(size=census_batch.shape)
-        np.testing.assert_allclose(
-            ops.matrix_plus_matrix(tree, other), census_batch + other
-        )
-
-    def test_add_matrix_shape_mismatch_rejected(self, census_batch):
-        tree = _tree(census_batch)
-        with pytest.raises(ValueError):
-            ops.matrix_plus_matrix(tree, np.ones((2, 2)))
 
     def test_decode_to_sparse_roundtrip(self, rng):
         dense = random_sparse_matrix(rng, 12, 9)

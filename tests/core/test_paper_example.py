@@ -7,8 +7,9 @@ import pytest
 
 from repro.core.decode_tree import build_decode_tree
 from repro.core.logical import prefix_tree_encode
-from repro.core.sparse import sparse_decode, sparse_encode
+from repro.core.sparse import sparse_encode
 from repro.core.toc import TOCMatrix
+from tests.core.oracles import sparse_decode
 from tests.core.test_decode_tree import node_order_tree
 from tests.core.test_logical import reference_encode
 

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.prefix_tree import NOT_FOUND, ROOT_INDEX, PrefixTree
 from repro.core.sparse import sparse_encode
+from tests.core.prefix_tree import NOT_FOUND, ROOT_INDEX, PrefixTree
 from tests.core.test_logical import reference_encode
 
 

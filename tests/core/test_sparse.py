@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.compression.registry import get_scheme
-from repro.core.sparse import SparseEncodedTable, sparse_decode, sparse_encode
+from repro.core.sparse import SparseEncodedTable, sparse_encode
 from tests.conftest import random_sparse_matrix
+from tests.core.oracles import sparse_decode
 
 
 class TestSparseEncode:

@@ -7,13 +7,9 @@ import pytest
 
 from repro.core.logical import LogicalEncoding, prefix_tree_encode
 from repro.core.sparse import SparseEncodedTable, sparse_encode
-from repro.core.validate import (
-    EncodingError,
-    validate_logical,
-    validate_roundtrip,
-    validate_sparse,
-)
+from repro.core.validate import EncodingError
 from tests.conftest import random_sparse_matrix
+from tests.core.oracles import validate_logical, validate_roundtrip, validate_sparse
 
 
 class TestValidateSparse:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.data.minibatch import MiniBatchIterator, split_minibatches
+from repro.data.minibatch import split_minibatches
 
 
 @pytest.fixture()
@@ -73,28 +73,6 @@ class TestSplitMinibatches:
     def test_1d_features_rejected(self):
         with pytest.raises(ValueError):
             split_minibatches(np.ones(10), None, batch_size=2)
-
-
-class TestMiniBatchIterator:
-    def test_iteration_and_indexing(self, data):
-        features, labels = data
-        batches = split_minibatches(features, labels, batch_size=25)
-        iterator = MiniBatchIterator(batches)
-        assert len(iterator) == len(batches)
-        assert np.array_equal(iterator[0][0], batches[0][0])
-        assert sum(1 for _ in iterator) == len(batches)
-
-    def test_replay_is_identical_across_epochs(self, data):
-        features, labels = data
-        iterator = MiniBatchIterator(split_minibatches(features, labels, batch_size=25))
-        first_epoch = [bx.copy() for bx, _ in iterator]
-        second_epoch = [bx.copy() for bx, _ in iterator]
-        for a, b in zip(first_epoch, second_epoch):
-            assert np.array_equal(a, b)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            MiniBatchIterator([])
 
 
 class TestIterMinibatchSlices:

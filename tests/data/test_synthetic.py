@@ -7,13 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.data.synthetic import (
-    SyntheticConfig,
-    make_classification,
-    make_regression,
-    make_synthetic_matrix,
-    measured_sparsity,
-)
+from repro.data.synthetic import SyntheticConfig, make_classification, make_synthetic_matrix
+from tests.conftest import nonzero_share
 
 
 def _config(**overrides) -> SyntheticConfig:
@@ -60,15 +55,15 @@ class TestMakeSyntheticMatrix:
 
     def test_sparsity_close_to_target(self):
         matrix = make_synthetic_matrix(500, _config(sparsity=0.3), seed=0)
-        assert measured_sparsity(matrix) == pytest.approx(0.3, abs=0.08)
+        assert nonzero_share(matrix) == pytest.approx(0.3, abs=0.08)
 
     def test_fully_dense_config(self):
         matrix = make_synthetic_matrix(50, _config(sparsity=1.0), seed=0)
-        assert measured_sparsity(matrix) == 1.0
+        assert nonzero_share(matrix) == 1.0
 
     def test_all_zero_config(self):
         matrix = make_synthetic_matrix(50, _config(sparsity=0.0), seed=0)
-        assert measured_sparsity(matrix) == 0.0
+        assert nonzero_share(matrix) == 0.0
 
     def test_value_domain_respected(self):
         matrix = make_synthetic_matrix(300, _config(n_distinct_values=5), seed=0)
@@ -121,12 +116,6 @@ class TestLabeledGenerators:
             model.gradient_step(features, labels, 0.5)
         assert np.mean(model.predict(features) == labels) > 0.7
 
-    def test_regression_targets_follow_teacher(self):
-        features, targets = make_regression(200, _config(), noise=0.0, seed=0)
-        # Noise-free targets must be an exact linear function of the features.
-        solution, *_ = np.linalg.lstsq(features, targets, rcond=None)
-        np.testing.assert_allclose(features @ solution, targets, atol=1e-8)
-
 
 class TestSyntheticProperties:
     @given(
@@ -137,4 +126,4 @@ class TestSyntheticProperties:
     def test_sparsity_tracks_parameter(self, sparsity, seed):
         config = _config(sparsity=sparsity, template_fraction=0.5)
         matrix = make_synthetic_matrix(300, config, seed=seed)
-        assert measured_sparsity(matrix) == pytest.approx(sparsity, abs=0.12)
+        assert nonzero_share(matrix) == pytest.approx(sparsity, abs=0.12)

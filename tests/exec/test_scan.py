@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 
 from repro.compression.registry import available_schemes, get_scheme
-from repro.exec.predicates import COMPARE_OPS, Compare, parse_predicate
-from repro.exec.scan import scan_matrix, scan_shards
+from repro.exec.predicates import COMPARE_OPS, Compare
+from repro.exec.scan import scan_shards
 
 ALL_SCHEMES = available_schemes()
 
@@ -66,46 +66,44 @@ class TestScanMatrixAllSchemes:
             predicate = random_predicate(rng, dense.shape[1])
             expected_mask = predicate.evaluate(_EvalDense(dense))
             for pushdown in (True, False):
-                rows, row_ids, _ = scan_matrix(matrix, where=predicate, pushdown=pushdown)
-                np.testing.assert_array_equal(row_ids, np.flatnonzero(expected_mask))
-                np.testing.assert_array_equal(rows, dense[expected_mask])
+                result = scan_shards([(matrix, 0)], where=predicate, pushdown=pushdown)
+                np.testing.assert_array_equal(result.row_ids, np.flatnonzero(expected_mask))
+                np.testing.assert_array_equal(result.rows, dense[expected_mask])
 
     @pytest.mark.parametrize("scheme", ALL_SCHEMES)
     def test_projection_matches_dense_reference(self, scheme):
         rng = np.random.default_rng(7)
         dense = quantised(rng)
         matrix = get_scheme(scheme).compress(dense)
-        rows, row_ids, _ = scan_matrix(matrix, columns=[5, 0], where="c1 >= 0.5")
+        result = scan_shards([(matrix, 0)], columns=[5, 0], where="c1 >= 0.5")
         mask = dense[:, 1] >= 0.5
-        np.testing.assert_array_equal(rows, dense[mask][:, [5, 0]])
-        np.testing.assert_array_equal(row_ids, np.flatnonzero(mask))
+        np.testing.assert_array_equal(result.rows, dense[mask][:, [5, 0]])
+        np.testing.assert_array_equal(result.row_ids, np.flatnonzero(mask))
 
     @pytest.mark.parametrize("scheme", ("CVI", "DVI"))
     def test_value_indexed_schemes_push_down(self, scheme):
         rng = np.random.default_rng(1)
         matrix = get_scheme(scheme).compress(quantised(rng))
-        _, _, pushed = scan_matrix(matrix, where="c0 == 0.5")
-        assert pushed
+        assert scan_shards([(matrix, 0)], where="c0 == 0.5").pushdown_shards == 1
 
     @pytest.mark.parametrize("scheme", ("DEN", "CSR", "CLA", "Snappy", "Gzip"))
     def test_other_schemes_fall_back(self, scheme):
         rng = np.random.default_rng(1)
         matrix = get_scheme(scheme).compress(quantised(rng))
-        _, _, pushed = scan_matrix(matrix, where="c0 == 0.5")
-        assert not pushed
+        assert scan_shards([(matrix, 0)], where="c0 == 0.5").pushdown_shards == 0
 
     def test_no_predicate_selects_everything(self):
         rng = np.random.default_rng(2)
         dense = quantised(rng)
         matrix = get_scheme("DVI").compress(dense)
-        rows, row_ids, _ = scan_matrix(matrix)
-        np.testing.assert_array_equal(rows, dense)
-        np.testing.assert_array_equal(row_ids, np.arange(dense.shape[0]))
+        result = scan_shards([(matrix, 0)])
+        np.testing.assert_array_equal(result.rows, dense)
+        np.testing.assert_array_equal(result.row_ids, np.arange(dense.shape[0]))
 
     def test_column_out_of_range(self):
         matrix = get_scheme("DEN").compress(np.zeros((4, 3)))
         with pytest.raises(IndexError, match="column"):
-            scan_matrix(matrix, where="c9 == 1")
+            scan_shards([(matrix, 0)], where="c9 == 1")
 
 
 class TestImplicitZeros:
@@ -120,9 +118,9 @@ class TestImplicitZeros:
         for value in (0.0, 0.5, -1.0):
             predicate = Compare(2, op, value)
             expected = predicate.evaluate(_EvalDense(dense))
-            _, row_ids, pushed = scan_matrix(matrix, where=predicate)
-            assert pushed
-            np.testing.assert_array_equal(row_ids, np.flatnonzero(expected))
+            result = scan_shards([(matrix, 0)], where=predicate)
+            assert result.pushdown_shards == 1
+            np.testing.assert_array_equal(result.row_ids, np.flatnonzero(expected))
 
 
 class TestNonFiniteCells:
@@ -374,8 +372,10 @@ class TestPushdownPerScheme:
             on_the_tree = scheme in ("TOC", "TOC_SPARSE_AND_LOGICAL")
             assert matrix.scan_pushdown == (value_indexed or on_the_tree), scheme
             assert matrix.dictionary_probe == value_indexed, scheme
-            assert scan_matrix(matrix, where="c0 == 0.5")[2] == matrix.scan_pushdown, scheme
-            assert not scan_matrix(matrix, where="c0 == 0.5", pushdown=False)[2], scheme
+            pushed = scan_shards([(matrix, 0)], where="c0 == 0.5").pushdown_shards == 1
+            assert pushed == matrix.scan_pushdown, scheme
+            fallback = scan_shards([(matrix, 0)], where="c0 == 0.5", pushdown=False)
+            assert fallback.pushdown_shards == 0, scheme
 
     @pytest.mark.parametrize("scheme", ("CVI", "DVI", "TOC"))
     def test_columns_are_the_dense_columns_in_any_order(self, scheme):

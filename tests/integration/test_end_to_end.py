@@ -32,7 +32,7 @@ class TestPublicAPI:
 
     def test_quickstart_flow(self):
         """The README quickstart in test form."""
-        batch = repro.generate_dataset("census", 250, seed=0)
+        batch = repro.DATASET_PROFILES["census"].matrix(250, seed=0)
         toc = repro.TOCMatrix.encode(batch)
         assert toc.compression_ratio() > 1.0
         v = np.ones(batch.shape[1])

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.ml.metrics import accuracy, error_rate, log_loss, mean_squared_error
+from repro.ml.metrics import accuracy, error_rate
 
 
 class TestAccuracy:
@@ -29,30 +29,3 @@ class TestErrorRate:
         predictions = np.array([1, 1, 0, 0])
         targets = np.array([1, 0, 0, 0])
         assert error_rate(predictions, targets) == pytest.approx(25.0)
-
-
-class TestLogLoss:
-    def test_confident_correct_prediction_has_small_loss(self):
-        assert log_loss(np.array([0.999]), np.array([1.0])) < 0.01
-
-    def test_confident_wrong_prediction_has_large_loss(self):
-        assert log_loss(np.array([0.999]), np.array([0.0])) > 3.0
-
-    def test_clipping_avoids_infinities(self):
-        assert np.isfinite(log_loss(np.array([0.0, 1.0]), np.array([1.0, 0.0])))
-
-    def test_mismatched_lengths_rejected(self):
-        with pytest.raises(ValueError):
-            log_loss(np.array([0.5]), np.array([1.0, 0.0]))
-
-
-class TestMeanSquaredError:
-    def test_zero_for_exact_prediction(self):
-        assert mean_squared_error(np.array([1.0, 2.0]), np.array([1.0, 2.0])) == 0.0
-
-    def test_value(self):
-        assert mean_squared_error(np.array([0.0, 2.0]), np.array([0.0, 0.0])) == pytest.approx(2.0)
-
-    def test_mismatched_lengths_rejected(self):
-        with pytest.raises(ValueError):
-            mean_squared_error(np.array([1.0]), np.array([1.0, 2.0]))

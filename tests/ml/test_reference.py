@@ -1,29 +1,12 @@
-"""Tests for the reference (uncompressed) training loops."""
+"""Tests for Figure 2's uncompressed gradient-descent loop."""
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.data.registry import DATASET_PROFILES
-from repro.ml.reference import (
-    gradient_descent_spectrum,
-    train_logistic_csr,
-    train_logistic_dense,
-)
+from repro.ml.reference import gradient_descent_spectrum
 
 
 class TestReferenceLoops:
-    def test_dense_and_csr_loops_agree(self):
-        features, labels = DATASET_PROFILES["census"].classification(200, seed=2)
-        dense_params = train_logistic_dense(features, labels, epochs=3, batch_size=50)
-        csr_params = train_logistic_csr(features, labels, epochs=3, batch_size=50)
-        np.testing.assert_allclose(csr_params, dense_params, rtol=1e-8, atol=1e-10)
-
-    def test_training_moves_parameters(self):
-        features, labels = DATASET_PROFILES["census"].classification(150, seed=2)
-        params = train_logistic_dense(features, labels, epochs=2, batch_size=50)
-        assert np.any(params != 0.0)
-
     def test_spectrum_returns_one_accuracy_per_epoch(self):
         features, labels = DATASET_PROFILES["census"].classification(120, seed=4)
         accuracies = gradient_descent_spectrum(features, labels, batch_size=30, epochs=5)

@@ -1,8 +1,10 @@
-"""Every name ``bench/*.py`` imports from ``repro`` exists.
+"""Every name ``bench/*.py``, ``benchmarks/*.py`` and ``examples/*.py`` import from ``repro`` exists.
 
-The end-to-end benchmark under ``bench/`` lives outside ``testpaths``, so the
-tier-1 suite never imports it: renaming or deleting a ``repro`` name it uses
-would pass here and crash every ``bench/run.py`` run.  This test reads the
+The end-to-end benchmark under ``bench/``, the paper-figure benchmarks under
+``benchmarks/`` and the scripts under ``examples/`` live outside
+``testpaths``, so the tier-1 suite never imports them: renaming or deleting a
+``repro`` name they use would pass here and crash every ``bench/run.py`` run,
+or a CI job that runs them.  This test reads the
 imports with ``ast`` (including the function-level ones) and resolves each
 name the way ``from module import name`` does: an attribute of the module,
 or else a submodule of it.  Where an import binds a module
@@ -25,8 +27,22 @@ import pytest
 
 from repro.compression.registry import available_schemes, get_scheme
 
-BENCH = Path(__file__).resolve().parents[1] / "bench"
-BENCH_FILES = sorted(BENCH.glob("*.py"))
+REPO = Path(__file__).resolve().parents[1]
+
+
+def _script_files(root: Path) -> list[Path]:
+    """The files outside ``testpaths`` that import ``repro``."""
+    return sorted(
+        path for directory in ("bench", "benchmarks", "examples")
+        for path in (root / directory).glob("*.py")
+    )
+
+
+SCRIPT_FILES = _script_files(REPO)
+
+
+def _file_id(path: Path) -> str:
+    return str(path.relative_to(REPO))
 
 
 def _repro_imports(path: Path) -> list[tuple[str, str | None]]:
@@ -142,31 +158,31 @@ def _missing_on_schemes(uses: set[str]) -> list[str]:
 
 
 def test_the_benchmark_imports_from_repro():
-    assert any(_repro_imports(path) for path in BENCH_FILES)
+    assert any(_repro_imports(path) for path in SCRIPT_FILES)
 
 
-@pytest.mark.parametrize("path", BENCH_FILES, ids=lambda path: path.name)
+@pytest.mark.parametrize("path", SCRIPT_FILES, ids=_file_id)
 def test_every_repro_name_the_benchmark_imports_exists(path):
     missing = [
         f"from {module} import {name}" if name else f"import {module}"
         for module, name in _repro_imports(path)
         if not _resolves(module, name)
     ]
-    assert not missing, f"{path.name} imports names repro no longer has: {missing}"
+    assert not missing, f"{_file_id(path)} imports names repro no longer has: {missing}"
 
 
-@pytest.mark.parametrize("path", BENCH_FILES, ids=lambda path: path.name)
+@pytest.mark.parametrize("path", SCRIPT_FILES, ids=_file_id)
 def test_every_repro_module_attribute_the_benchmark_reads_exists(path):
     missing = [
         f"{module}.{attribute}"
         for module, attribute in _module_attribute_uses(path)
         if not hasattr(importlib.import_module(module), attribute)
     ]
-    assert not missing, f"{path.name} reads names repro no longer has: {missing}"
+    assert not missing, f"{_file_id(path)} reads names repro no longer has: {missing}"
 
 
 def test_the_benchmark_reads_attributes_off_repro_modules():
-    assert any(_module_attribute_uses(path) for path in BENCH_FILES)
+    assert any(_module_attribute_uses(path) for path in SCRIPT_FILES)
 
 
 def test_a_missing_name_is_caught(tmp_path):
@@ -179,6 +195,27 @@ def test_a_missing_name_is_caught(tmp_path):
     imports = _repro_imports(probe)
     assert imports == [("repro", "exec"), ("repro.obs", "span"), ("repro.obs", "no_such_name")]
     assert [_resolves(*entry) for entry in imports] == [True, True, False]
+
+
+def test_a_missing_name_in_a_benchmarks_file_is_caught(tmp_path):
+    probe = tmp_path / "benchmarks" / "bench_probe.py"
+    probe.parent.mkdir()
+    probe.write_text(
+        "import pytest\n"
+        "from repro.bench.experiments import run_fig5\n"
+        "@pytest.mark.benchmark(group='probe')\n"
+        "def test_probe(benchmark):\n"
+        "    from repro.data.registry import generate_dataset\n"
+        "    benchmark(run_fig5)\n"
+    )
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_ignored.py").write_text("from repro import no_such_name\n")
+    assert _script_files(tmp_path) == [probe]
+    imports = _repro_imports(probe)
+    assert imports == [
+        ("repro.bench.experiments", "run_fig5"), ("repro.data.registry", "generate_dataset")
+    ]
+    assert [_resolves(*entry) for entry in imports] == [True, False]
 
 
 def test_a_missing_module_attribute_is_caught(tmp_path):
@@ -198,14 +235,14 @@ def test_a_missing_module_attribute_is_caught(tmp_path):
     ]
 
 
-@pytest.mark.parametrize("path", BENCH_FILES, ids=lambda path: path.name)
+@pytest.mark.parametrize("path", SCRIPT_FILES, ids=_file_id)
 def test_every_scheme_method_the_benchmark_calls_exists(path):
     missing = _missing_on_schemes(_scheme_attribute_uses(path))
-    assert not missing, f"{path.name} calls scheme methods repro no longer has: {missing}"
+    assert not missing, f"{_file_id(path)} calls scheme methods repro no longer has: {missing}"
 
 
 def test_the_benchmark_calls_the_scheme_api():
-    uses = set().union(*(_scheme_attribute_uses(path) for path in BENCH_FILES))
+    uses = set().union(*(_scheme_attribute_uses(path) for path in SCRIPT_FILES))
     assert {"compress", "decompress_bytes", "to_bytes"} <= uses
 
 
