@@ -133,7 +133,8 @@ class TestCLAPayload:
         raw = b"CLA1" + struct.pack("<QQQQ", 2**62, 0, 0, 0)
         with pytest.raises(EncodingError, match="4611686018427387904 x 0"):
             CLAMatrix.decompress_bytes(raw)
-        assert CLAMatrix.decompress_bytes(b"CLA1" + struct.pack("<QQQQ", 3, 0, 0, 0)).shape == (3, 0)
+        empty = b"CLA1" + struct.pack("<QQQQ", 3, 0, 0, 0)
+        assert CLAMatrix.decompress_bytes(empty).shape == (3, 0)
 
     def test_a_dense_payload_is_refused(self):
         with pytest.raises(EncodingError, match="not a CLA payload"):

@@ -1,4 +1,4 @@
-"""Every name ``bench/*.py``, ``benchmarks/*.py`` and ``examples/*.py`` import from ``repro`` exists.
+"""Every ``repro`` name that ``bench/``, ``benchmarks/`` and ``examples/`` import exists.
 
 The end-to-end benchmark under ``bench/``, the paper-figure benchmarks under
 ``benchmarks/`` and the scripts under ``examples/`` live outside
@@ -31,7 +31,7 @@ REPO = Path(__file__).resolve().parents[1]
 
 
 def _script_files(root: Path) -> list[Path]:
-    """The files outside ``testpaths`` that import ``repro``."""
+    """Every ``*.py`` directly under ``bench/``, ``benchmarks/`` and ``examples/``."""
     return sorted(
         path for directory in ("bench", "benchmarks", "examples")
         for path in (root / directory).glob("*.py")
