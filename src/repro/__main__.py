@@ -18,6 +18,7 @@ a few facade calls plus printing.  Ten commands are provided:
   scheme allows it;
 * ``fsck`` — sweep a shard directory for leftovers of interrupted rewrites
   (``Dataset.fsck``): staged generations and temporaries nothing references;
+  missing, wrong-sized and corrupt (CRC-32) shard files exit 1;
 * ``train-ooc`` — train out-of-core (``Estimator.fit``): over an existing
   shard directory when ``--shard-dir`` already holds a manifest, otherwise
   sharding a generated dataset first; ``--checkpoint-dir`` publishes the
@@ -256,7 +257,9 @@ def _cmd_fsck(args: argparse.Namespace) -> int:
     for name in report.missing:
         print(f"MISSING (referenced by the manifest, not on disk): {name}")
     for name in report.wrong_size:
-        print(f"WRONG SIZE (not the manifest's nbytes): {name}")
+        print(f"WRONG SIZE (not the manifest's nbytes + label_nbytes): {name}")
+    for name in report.corrupt:
+        print(f"CORRUPT (CRC-32 is not the manifest's): {name}")
     if report.clean:
         print(f"{dataset.path}: clean ({report.examined} unreferenced entries examined)")
     else:
@@ -267,9 +270,10 @@ def _cmd_fsck(args: argparse.Namespace) -> int:
                if args.dry_run else " reclaimed)")
             + (f", {len(report.missing)} referenced files MISSING" if report.missing else "")
             + (f", {len(report.wrong_size)} of the WRONG SIZE" if report.wrong_size else "")
+            + (f", {len(report.corrupt)} CORRUPT" if report.corrupt else "")
         )
     # Missing or damaged referenced files mean real data loss — nonzero exit for scripts.
-    return 1 if report.missing or report.wrong_size else 0
+    return 1 if report.missing or report.wrong_size or report.corrupt else 0
 
 
 def _cmd_train_ooc(args: argparse.Namespace) -> int:

@@ -70,15 +70,27 @@ def read_value_index(raw, offset: int = 0) -> tuple[np.ndarray, np.ndarray, int]
 
 
 def first_appearance(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Intern integer ``keys`` in order of first appearance.
+    """Intern unsigned integer ``keys`` in order of first appearance.
 
     Returns ``(first, ids)``: ``first[k]`` is the position of the first
     occurrence of the ``k``-th distinct key, and ``ids[i]`` the ``k`` of
-    ``keys[i]``.  One unstable sort groups equal keys; ``minimum.reduceat``
-    finds each group's first position, so no stable sort is needed.
+    ``keys[i]``.  Keys no larger than a few times their count (TOC's pair
+    symbols, bool labels) index a table of first positions directly, with
+    no sort; wider keys are grouped by one unstable sort, and
+    ``minimum.reduceat`` finds each group's first position.
     """
     if keys.size == 0:
         return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
+    top = int(keys.max())
+    if top < 4 * keys.size:
+        first_of_key = np.full(top + 1, keys.size, dtype=np.intp)
+        np.minimum.at(first_of_key, keys, np.arange(keys.size))
+        present = np.flatnonzero(first_of_key < keys.size)
+        first = first_of_key[present]
+        by_appearance = np.argsort(first)
+        id_of_key = np.empty(top + 1, dtype=np.intp)
+        id_of_key[present[by_appearance]] = np.arange(present.size)
+        return first[by_appearance], id_of_key[keys]
     order = np.argsort(keys)
     ordered = keys[order]
     new_group = np.empty(keys.size, dtype=bool)

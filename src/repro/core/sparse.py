@@ -79,15 +79,13 @@ def sparse_encode(matrix: np.ndarray) -> SparseEncodedTable:
     if dense.ndim != 2:
         raise ValueError(f"sparse_encode expects a 2-D matrix, got ndim={dense.ndim}")
     mask = dense != 0.0
-    counts = mask.sum(axis=1)
     row_offsets = np.zeros(dense.shape[0] + 1, dtype=np.int64)
-    np.cumsum(counts, out=row_offsets[1:])
-    rows, cols = np.nonzero(mask)
-    # np.nonzero already returns row-major order, matching row_offsets.
-    values = dense[rows, cols]
+    np.cumsum(np.count_nonzero(mask, axis=1), out=row_offsets[1:])
+    # Flat row-major positions: one index array instead of a (rows, cols) pair.
+    flat = np.flatnonzero(mask)
     return SparseEncodedTable(
-        columns=cols.astype(np.int64),
-        values=values.astype(np.float64),
+        columns=(flat % dense.shape[1]).astype(np.int64, copy=False),
+        values=dense.take(flat),
         row_offsets=row_offsets,
         shape=dense.shape,
     )

@@ -109,11 +109,12 @@ def _reencode_one(task: tuple) -> EncodedBatch:
 
     Top-level so it pickles into ``ProcessPoolExecutor`` workers.  The shard
     is re-read from its path inside the worker, one pass
-    (:func:`~repro.storage.mmapio.read_file`), so only a path and two scheme
-    names cross the pool boundary, never the payload.
+    (:func:`~repro.storage.mmapio.read_file`), so only a path, the payload's
+    size (the file's label block follows it) and two scheme names cross the
+    pool boundary, never the payload.
     """
-    batch_id, path, scheme_before, winner = task
-    matrix = get_scheme(scheme_before).decompress_bytes(read_file(path))
+    batch_id, path, nbytes, scheme_before, winner = task
+    matrix = get_scheme(scheme_before).decompress_bytes(read_file(path)[:nbytes])
     payload = get_scheme(winner).compress(matrix.to_dense()).to_bytes()
     n_rows, n_cols = matrix.shape
     return EncodedBatch(batch_id, payload, n_rows, n_cols, scheme=winner)
@@ -167,7 +168,7 @@ def reencode_drifted(
             pending = pending[:max_shards]
         if pending:
             tasks = [
-                (s.batch_id, str(dataset.path / s.filename), s.scheme, winner)
+                (s.batch_id, str(dataset.path / s.filename), s.nbytes, s.scheme, winner)
                 for s, winner in pending
             ]
             encoded, report.executor = fan_out(_reencode_one, tasks, workers)

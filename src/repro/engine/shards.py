@@ -1,49 +1,53 @@
 """One shard directory, owned by one :class:`Dataset`.
 
-A dataset is a directory holding one blob file per compressed mini-batch
-plus a JSON manifest and the label vectors:
+A dataset is a directory holding one file per compressed mini-batch plus
+a JSON manifest:
 
 .. code-block:: text
 
     shards/
-      manifest.json     # per-shard schemes, shard table, encode provenance
-      labels.npz        # one label array per batch
-      shard-00000.bin   # serialised compressed batch 0
+      manifest.json     # per-shard schemes, sizes and CRC-32s, encode provenance
+      shard-00000.bin   # batch 0: its payload, then its label block
       shard-00001.bin   # ...
 
-Blob files hold exactly what ``CompressedMatrix.to_bytes`` produced, so any
-registered scheme's class reads its shards back with its own
-``decompress_bytes`` (the manifest names the scheme, ``get_scheme`` gives
-the class).
+A shard file's first ``nbytes`` bytes are exactly what
+``CompressedMatrix.to_bytes`` produced, so any registered scheme's class
+reads its shards back with its own ``decompress_bytes`` (the manifest names
+the scheme, ``get_scheme`` gives the class).  The ``label_nbytes`` after
+them are the batch's labels, value-indexed (:mod:`repro.engine.labels`),
+and the row's ``crc32`` covers the whole file.
 :class:`Dataset` owns the manifest, the labels, the generation and every
 write, and covers the lifecycle the paper's workloads need:
 
 * :meth:`Dataset.create` — shuffle-once split + parallel encode (the
   Section 5.1 advisor picks per shard with ``scheme="auto"``, ranking the
   schemes by their measured cost for a workload);
-* :meth:`Dataset.open` — attach to an existing directory (manifest v1 or v2);
+* :meth:`Dataset.open` — attach to an existing directory (manifest v1, v2 or
+  v3), reading the manifest alone;
 * :meth:`Dataset.append` — grow a live dataset with new batches;
 * :meth:`Dataset.compact` — re-advise every shard and re-encode only the
   drifted ones (the advising policy is :mod:`repro.engine.compact`);
 * :meth:`Dataset.fsck` — sweep leftovers of interrupted writes, report
-  missing or wrong-sized shard files;
+  missing, wrong-sized or corrupt shard files;
 * :meth:`Dataset.scan`, :meth:`Dataset.take` / ``dataset[rows]`` and
   :meth:`Dataset.batches` — queries and iteration on the compressed shards;
 * :meth:`Dataset.stats` — sizes, compression ratio and the scheme mix.
 
 Create, append and compact all run one write sequence
-(:meth:`Dataset._write`): stage each payload under a fresh filename,
-publish the labels, publish the manifest, and only then unlink what it
-superseded.  Every file is published with ``os.replace``
-(:func:`~repro.storage.mmapio.publish_file`), so a crash leaves the old
-dataset or the new one, never a torn file.  Caching policy is not kept
-here: the trainer's :class:`~repro.storage.buffer_pool.BufferPool` holds
-shards as lazy entries (:meth:`Dataset.attach`), a feature store maps them.
+(:meth:`Dataset._write`): stage each shard file under a fresh filename,
+publish the manifest, and only then unlink what it superseded.  An append
+writes its own shard files and the manifest, nothing else.  Every file is
+published with ``os.replace`` (:func:`~repro.storage.mmapio.publish_file`),
+so a crash leaves the old dataset or the new one, never a torn file.
+Caching policy is not kept here: the trainer's
+:class:`~repro.storage.buffer_pool.BufferPool` holds shards as lazy entries
+(:meth:`Dataset.attach`), a feature store maps them.
 
-Manifest format v2 records the compression scheme *per shard* (what
-``scheme="auto"`` encoding produces on mixed-density data); v1 manifests —
-one dataset-wide ``"scheme"`` key — are still read, that scheme applied to
-every shard, and ``compact`` rewrites them as v2.
+Manifest format v3 records each shard's scheme, ``label_nbytes`` and
+``crc32``.  v2 (per-shard schemes, every label in one ``labels.npz``) and v1
+(one dataset-wide ``"scheme"`` key) directories are still read, their
+labels from ``labels.npz``; their next write rewrites every shard as v3,
+payloads copied byte for byte, and unlinks ``labels.npz``.
 
 Every manifest write bumps a monotonically increasing ``generation``
 counter.  Shard files are immutable *between* manifest swaps, so the
@@ -56,15 +60,15 @@ reads it without opening the dataset).
 
 from __future__ import annotations
 
-import io
 import json
 import operator
 import os
 import re
 import time
+import zlib
 from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from functools import partial
 from pathlib import Path
 
@@ -77,6 +81,7 @@ from repro.core.validate import EncodingError
 from repro.data.minibatch import split_minibatches
 from repro.engine.compact import CompactReport, reencode_drifted
 from repro.engine.encode import AUTO_SAMPLE_ROWS, AUTO_SCHEME, EncodedBatch, encode_batches
+from repro.engine.labels import decode_labels, encode_labels
 from repro.exec.scan import ScanResult, scan_shards
 from repro.obs import metrics_snapshot
 from repro.obs import trace as obs_trace
@@ -84,11 +89,12 @@ from repro.storage.buffer_pool import BufferPool
 from repro.storage.mmapio import map_file, publish_file, read_file
 
 MANIFEST_NAME = "manifest.json"
+#: Where v1 and v2 directories keep every label; format 3 keeps them in the shard files.
 LABELS_NAME = "labels.npz"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 #: Manifest versions :meth:`Dataset.open` understands.
-SUPPORTED_FORMAT_VERSIONS = (1, 2)
+SUPPORTED_FORMAT_VERSIONS = (1, 2, 3)
 
 #: The dataset-level scheme name reported when shards mix schemes.
 MIXED_SCHEME = "mixed"
@@ -148,10 +154,15 @@ class ShardInfo:
 
     batch_id: int
     filename: str
+    #: The payload's size: the file's first ``nbytes`` bytes.
     nbytes: int
     n_rows: int
     n_cols: int
     scheme: str = "TOC"
+    #: The label block's size, after the payload (0 on a v1/v2 row).
+    label_nbytes: int = 0
+    #: ``zlib.crc32`` of the whole file (``None`` on a v1/v2 row).
+    crc32: int | None = None
 
 
 def shard_offsets(shards: Sequence[ShardInfo]) -> np.ndarray:
@@ -283,14 +294,17 @@ class FsckReport:
     #: real corruption — fsck reports them but never tries to repair.
     missing: tuple[str, ...]
     #: Manifest-referenced shard files whose size is not the manifest's
-    #: ``nbytes`` (every read of them raises ``EncodingError``); reported,
-    #: never repaired.
+    #: ``nbytes + label_nbytes`` (every read of them raises
+    #: ``EncodingError``); reported, never repaired.
     wrong_size: tuple[str, ...] = ()
     bytes_reclaimable: int = 0
+    #: Manifest-referenced shard files of the right size whose CRC-32 is not
+    #: the manifest's; reported, never repaired.
+    corrupt: tuple[str, ...] = ()
 
     @property
     def clean(self) -> bool:
-        return not self.orphans and not self.missing and not self.wrong_size
+        return not (self.orphans or self.missing or self.wrong_size or self.corrupt)
 
 
 class Dataset:
@@ -315,7 +329,7 @@ class Dataset:
         self.generation = 0
         #: Files of a dataset :meth:`create` replaces, unlinked by its write.
         self._replacing: set[str] = set()
-        #: The manifest format on disk; ``compact`` rewrites anything older.
+        #: The manifest format on disk; the next write rewrites anything older.
         self._format_version = FORMAT_VERSION
 
     # -- lifecycle -------------------------------------------------------------
@@ -367,13 +381,20 @@ class Dataset:
             previous = _read_manifest(path)
             dataset.generation = int(previous.get("generation", 0))
             dataset._replacing = {row["filename"] for row in previous["shards"]}
+            dataset._format_version = previous["format_version"]
         dataset.requested_scheme = scheme if isinstance(scheme, str) else list(scheme)
         dataset.append(features, scheme=scheme, workers=workers, workload=workload)
         return dataset
 
     @classmethod
     def open(cls, path: Path | str) -> "Dataset":
-        """Attach to an existing shard directory (manifest v1 or v2)."""
+        """Attach to an existing shard directory (manifest v1, v2 or v3).
+
+        A v3 directory is opened from its manifest alone: no shard file is
+        touched, and each shard's labels are read on the first
+        :meth:`labels_for` that asks for them.  A v1 or v2 directory loads
+        every label from its ``labels.npz`` here, as those formats did.
+        """
         dataset = cls(path)
         manifest = _read_manifest(dataset.path)
         rows = manifest["shards"]
@@ -381,10 +402,11 @@ class Dataset:
             # v1: one dataset-wide scheme; upgrade by stamping it per shard.
             rows = [{**row, "scheme": manifest["scheme"]} for row in rows]
         dataset.shards = [ShardInfo(**row) for row in rows]
-        with np.load(dataset.path / LABELS_NAME) as archive:
-            dataset._labels = {
-                s.batch_id: archive[f"y{s.batch_id:05d}"] for s in dataset.shards
-            }
+        if manifest["format_version"] < FORMAT_VERSION:
+            with np.load(dataset.path / LABELS_NAME) as archive:
+                dataset._labels = {
+                    s.batch_id: archive[f"y{s.batch_id:05d}"] for s in dataset.shards
+                }
         dataset.encode_seconds = float(manifest.get("encode_seconds", 0.0))
         dataset.requested_scheme = manifest.get("requested_scheme", manifest.get("scheme"))
         dataset.encode_executor = manifest.get("encode_executor")
@@ -409,7 +431,7 @@ class Dataset:
         workers: int | None = None,
         workload: str = DEFAULT_WORKLOAD,
     ) -> list[ShardInfo]:
-        """Append data as new shards (manifest and labels rewritten atomically).
+        """Append data as new shards: their files, then the manifest, published atomically.
 
         Accepts either a list of ``(features, labels)`` mini-batch tuples, or
         a ``(features, labels)`` array pair that is split in row order with
@@ -461,8 +483,8 @@ class Dataset:
         written in one pass of :meth:`_write`.  A second compact right after
         a first is a no-op (``report.changed`` is ``False``) that writes
         nothing, so the generation live services watch does not move.  With
-        ``readvise=False`` nothing is re-encoded; a v1 manifest (or a
-        missing one) is still rewritten as format v2.
+        ``readvise=False`` nothing is re-encoded; a v1 or v2 directory (or a
+        missing manifest) is still rewritten as format v3.
 
         ``workload`` is what the advisor optimises, as in :meth:`create`:
         the kernel calibration next to the manifest scores each scheme by
@@ -504,29 +526,33 @@ class Dataset:
 
         With ``labels``, ``encoded`` are new batches added after the last
         shard; without, each replaces the payload of shard ``batch_id``
-        (compaction's re-encodes), its rows and labels unchanged.
+        (compaction's re-encodes), its rows and label block unchanged.
 
         1. Every batch is checked against the dataset — one width, as many
-           labels as rows, a rewrite the shape of the shard it replaces — and
-           a bad one raises ``ValueError`` naming it before any file is written.
-        2. Each payload is staged under a filename the live manifest does not
-           name: ``shard-NNNNN.bin`` for a new shard, the next ``.gN.bin``
-           generation for a rewrite (or when :meth:`create` replaces a dataset
-           that holds the plain name), so every live file stays valid until step 4.
-        3. The label archive is published if labels were given.
-        4. The manifest is published with generation + 1: the one step that
+           labels as rows, labels a label block can hold, a rewrite the shape
+           of the shard it replaces — and a bad one raises ``ValueError``
+           naming it before any file is written.
+        2. Each shard file (payload, then label block) is staged under a
+           filename the live manifest does not name: ``shard-NNNNN.bin`` for
+           a new shard, the next ``.gN.bin`` generation for a rewrite (or when
+           :meth:`create` replaces a dataset that holds the plain name), so
+           every live file stays valid until step 3.  A v1 or v2 dataset's
+           other shards are staged the same way, each payload copied byte
+           for byte and its labels taken from ``labels.npz``.
+        3. The manifest is published with generation + 1: the one step that
            makes the staged files live.  A crash before it leaves the old
            dataset readable, and :meth:`fsck` sweeps what was staged.
-        5. The files the old manifest named and the new one does not are
-           unlinked: superseded rewrites, or a replaced dataset's shards.
+        4. The files the old manifest named and the new one does not are
+           unlinked: superseded rewrites, a replaced dataset's shards, and a
+           v1 or v2 dataset's ``labels.npz``.
 
-        This handle takes the new state only once the manifest is published.
-        Returns the shard rows written.
+        This handle takes the new state only once the manifest is published,
+        and keeps the labels it was given.  Returns the rows of ``encoded``.
         """
         shards = list(self.shards)
         live = {shard.filename for shard in shards} | self._replacing
         n_cols = shards[0].n_cols if shards else encoded[0].n_cols if encoded else 0
-        written: list[ShardInfo] = []
+        staged: list[tuple[ShardInfo, bytes | memoryview, bytes | memoryview]] = []
         for position, enc in enumerate(encoded):
             if labels is None:
                 old = shards[enc.batch_id]
@@ -536,6 +562,7 @@ class Dataset:
                         f"the manifest records {old.n_rows} x {old.n_cols}"
                     )
                 batch_id, filename = old.batch_id, _next_generation(old.filename)
+                block = self._label_block(batch_id)
             else:
                 if enc.n_cols != n_cols:
                     raise ValueError(
@@ -550,24 +577,38 @@ class Dataset:
                 filename = f"shard-{batch_id:05d}.bin"
                 while filename in live:
                     filename = _next_generation(filename)
-            written.append(
-                ShardInfo(batch_id, filename, enc.nbytes, enc.n_rows, enc.n_cols, enc.scheme)
-            )
+                block = encode_labels(labels[position])
+            info = ShardInfo(batch_id, filename, enc.nbytes, enc.n_rows, enc.n_cols, enc.scheme)
+            staged.append((info, enc.payload, block))
+        if self._format_version < FORMAT_VERSION:
+            # v1/v2 becomes v3 in this write: every shard not rewritten above is copied.
+            live.add(LABELS_NAME)
+            rewritten = {info.batch_id for info, _, _ in staged}
+            staged += [
+                (
+                    replace(shard, filename=_next_generation(shard.filename)),
+                    self.read_payload(shard.batch_id),
+                    self._label_block(shard.batch_id),
+                )
+                for shard in shards
+                if shard.batch_id not in rewritten
+            ]
 
         self.path.mkdir(parents=True, exist_ok=True)
-        for info, enc in zip(written, encoded):
-            publish_file(self.path / info.filename, enc.payload)
-
-        all_labels = self._labels
-        if labels is None:
-            for info in written:
+        written: list[ShardInfo] = []
+        for info, payload, block in staged:
+            data = b"".join((payload, block))
+            publish_file(self.path / info.filename, data)
+            written.append(replace(info, label_nbytes=len(block), crc32=zlib.crc32(data)))
+        for info in written:
+            if info.batch_id < len(shards):
                 shards[info.batch_id] = info
-        else:
-            shards += written
+            else:
+                shards.append(info)
+        written = written[: len(encoded)]
+        all_labels = self._labels
+        if labels is not None:
             all_labels = {**all_labels, **{i.batch_id: y for i, y in zip(written, labels)}}
-            archive = io.BytesIO()
-            np.savez(archive, **{f"y{bid:05d}": y for bid, y in all_labels.items()})
-            publish_file(self.path / LABELS_NAME, archive.getvalue())
 
         generation = self.generation + 1
         encode_seconds += self.encode_seconds
@@ -596,30 +637,35 @@ class Dataset:
     def fsck(self, *, remove: bool = True) -> FsckReport:
         """Sweep leftovers of interrupted writes; report damaged shard files.
 
-        A crash between staging and the manifest swap (or during a label or
-        manifest publish) leaves files nothing references: staged
-        ``shard-*.bin`` / ``shard-*.gN.bin`` files and dot-prefixed
-        temporaries.  The manifest is the single source of truth, so fsck
-        deletes exactly those (``remove=False`` only reports them), never a
-        file the manifest names and never a file it does not recognise.
-        Referenced shard files that are missing, or whose size is not the
-        manifest's ``nbytes``, are reported and never repaired.
+        A crash between staging and the manifest swap (or during a manifest
+        publish) leaves files nothing references: staged ``shard-*.bin`` /
+        ``shard-*.gN.bin`` files and dot-prefixed temporaries, and a crash
+        right after a v1 or v2 directory's upgrade leaves its ``labels.npz``.
+        The manifest is the single source of truth, so fsck deletes exactly
+        those (``remove=False`` only reports them), never a file the manifest
+        names and never a file it does not recognise.  Referenced shard files
+        that are missing, whose size is not the manifest's ``nbytes +
+        label_nbytes``, or whose CRC-32 is not the manifest's ``crc32`` (every
+        v3 file is read whole to check it) are reported and never repaired.
         """
-        referenced = {shard.filename: shard.nbytes for shard in self.shards}
+        referenced = {shard.filename: shard for shard in self.shards}
+        kept = {MANIFEST_NAME}
+        if self._format_version < FORMAT_VERSION:
+            kept.add(LABELS_NAME)
         temporary_prefixes = (f".{MANIFEST_NAME}.tmp", f".{LABELS_NAME}.tmp")
         orphans: list[str] = []
         reclaimable = 0
         examined = 0
         for entry in sorted(self.path.iterdir()):
             name = entry.name
-            if not entry.is_file() or name in referenced or name in (MANIFEST_NAME, LABELS_NAME):
+            if not entry.is_file() or name in referenced or name in kept:
                 continue
             examined += 1
-            # A shard payload written but never renamed into place is ``.<name>.bin.tmp``.
+            # A shard file written but never renamed into place is ``.<name>.bin.tmp``.
             is_temporary = name.startswith(temporary_prefixes) or (
                 name.startswith(".") and name.endswith(".bin.tmp")
             )
-            if is_temporary or _SHARD_FILENAME_RE.match(name):
+            if is_temporary or name == LABELS_NAME or _SHARD_FILENAME_RE.match(name):
                 orphans.append(name)
                 reclaimable += entry.stat().st_size
         if remove:
@@ -627,14 +673,18 @@ class Dataset:
                 (self.path / name).unlink(missing_ok=True)
         missing: list[str] = []
         wrong_size: list[str] = []
-        for filename, nbytes in sorted(referenced.items()):
+        corrupt: list[str] = []
+        for filename, shard in sorted(referenced.items()):
+            path = self.path / filename
             try:
-                size = (self.path / filename).stat().st_size
+                size = path.stat().st_size
             except FileNotFoundError:
                 missing.append(filename)
                 continue
-            if size != nbytes:
+            if size != shard.nbytes + shard.label_nbytes:
                 wrong_size.append(filename)
+            elif shard.crc32 is not None and zlib.crc32(read_file(path)) != shard.crc32:
+                corrupt.append(filename)
         return FsckReport(
             examined=examined,
             orphans=tuple(orphans),
@@ -642,6 +692,7 @@ class Dataset:
             missing=tuple(missing),
             wrong_size=tuple(wrong_size),
             bytes_reclaimable=reclaimable,
+            corrupt=tuple(corrupt),
         )
 
     # -- schemes --------------------------------------------------------------
@@ -681,39 +732,61 @@ class Dataset:
     def read_payload(self, batch_id: int) -> memoryview:
         """Read one shard's payload straight from disk, for one pass (no caching).
 
-        A read-only ``memoryview`` over bytes the process owns
-        (:func:`~repro.storage.mmapio.read_file`): what the trainer's pool,
-        scans, ``take`` and compaction decode and then drop.  A payload whose
-        length is not the manifest's ``nbytes`` raises
-        :class:`~repro.core.validate.EncodingError`.
+        A read-only ``memoryview`` of the file's first ``nbytes`` bytes, over
+        bytes the process owns (:func:`~repro.storage.mmapio.read_file`): what
+        the trainer's pool, scans, ``take`` and compaction decode and then
+        drop.  A file whose length is not the manifest's ``nbytes +
+        label_nbytes`` raises :class:`~repro.core.validate.EncodingError`.
         """
         return self._checked(batch_id, read_file)
 
     def map_payload(self, batch_id: int) -> memoryview:
         """Map one shard's payload, for a reader that keeps it.
 
-        A zero-copy view over a read-only mapping
-        (:func:`~repro.storage.mmapio.map_file`), whose pages the OS page
-        cache shares across processes and which stays on the inode it
-        mapped.  A feature store takes one per shard and holds it; the length
-        is checked as in :meth:`read_payload`.
+        A zero-copy view of the file's first ``nbytes`` bytes over a
+        read-only mapping (:func:`~repro.storage.mmapio.map_file`), whose
+        pages the OS page cache shares across processes and which stays on
+        the inode it mapped.  A feature store takes one per shard and holds
+        it; the length is checked as in :meth:`read_payload`.
         """
         return self._checked(batch_id, map_file)
 
     def _checked(self, batch_id: int, read) -> memoryview:
-        """Shard ``batch_id``'s file through ``read``, held to the manifest's ``nbytes``."""
+        """Shard ``batch_id``'s file through ``read``, held to the manifest's sizes; its payload."""
         info = self.shards[batch_id]
         # A str path: a fresh ``Path``, joined and rendered, costs half as much as the read.
-        payload = read(os.path.join(self.path, info.filename))
-        if len(payload) != info.nbytes:
+        data = read(os.path.join(self.path, info.filename))
+        if len(data) != info.nbytes + info.label_nbytes:
             raise EncodingError(
-                f"shard {batch_id} ({info.filename}) holds {len(payload)} bytes; "
-                f"the manifest records {info.nbytes}"
+                f"shard {batch_id} ({info.filename}) holds {len(data)} bytes; "
+                f"the manifest records {info.nbytes + info.label_nbytes}"
             )
-        return payload
+        return data[: info.nbytes]
+
+    def _label_block(self, batch_id: int) -> bytes | memoryview:
+        """Shard ``batch_id``'s label block as stored (encoded from ``labels.npz`` on v1/v2)."""
+        if self._format_version < FORMAT_VERSION:
+            return encode_labels(self._labels[batch_id])
+        info = self.shards[batch_id]
+        block = read_file(os.path.join(self.path, info.filename), info.nbytes)
+        if len(block) != info.label_nbytes:
+            raise EncodingError(
+                f"shard {batch_id} ({info.filename}) holds {len(block)} bytes past its "
+                f"payload; the manifest records a label block of {info.label_nbytes}"
+            )
+        return block
 
     def labels_for(self, batch_id: int) -> np.ndarray:
-        return self._labels[batch_id]
+        """Shard ``batch_id``'s labels: decoded from its label block on first ask, then kept.
+
+        A handle that wrote the labels (``create``, ``append``) keeps them
+        from the write and reads nothing.
+        """
+        labels = self._labels.get(batch_id)
+        if labels is None:
+            block = self._label_block(batch_id)
+            labels = self._labels[batch_id] = decode_labels(block, self.shards[batch_id].n_rows)
+        return labels
 
     def attach(self, pool: BufferPool) -> None:
         """Register every shard in ``pool`` behind a loader that is :meth:`read_payload`.

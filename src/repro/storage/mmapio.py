@@ -42,9 +42,9 @@ _BYTES_MAPPED = obs_metrics.counter("storage.mmap.bytes_mapped")
 def publish_file(path: Path, payload) -> None:
     """Write ``payload`` to a dot-temp file beside ``path``, then ``os.replace`` it in.
 
-    Every file the package writes goes through here: shards, manifests,
-    label archives, checkpoints, calibrations, bench snapshots and trace
-    dumps (``tests/test_file_writes.py`` holds every module to it; an npz
+    Every file the package writes goes through here: shards (payload and
+    label block), manifests, checkpoints, calibrations, bench snapshots and
+    trace dumps (``tests/test_file_writes.py`` holds every module to it; an npz
     is serialised into a ``BytesIO`` first).  A crash mid-write leaves the temp
     file, never a torn file under ``path``.  A reader may also hold a
     mapping of the file already at ``path`` (a feature store keeps a
@@ -58,17 +58,20 @@ def publish_file(path: Path, payload) -> None:
     os.replace(tmp, path)
 
 
-def read_file(path: Path | str) -> memoryview:
-    """Read ``path`` into bytes of its own and return a read-only view of them.
+def read_file(path: Path | str, offset: int = 0) -> memoryview:
+    """Read ``path`` from byte ``offset`` to its end into bytes of its own; a read-only view.
 
     One ``os.read`` per file in practice: the loop asks for the ``fstat``
     size and only goes round again on a short read, stopping at end of file.
     (``open()`` builds a ``FileIO`` object first, which adds most of a read's
-    cost again on a few-KB shard.)
+    cost again on a few-KB shard.)  ``Dataset`` reads a shard's label block
+    as the bytes past its payload.
     """
     fd = os.open(os.fspath(path), os.O_RDONLY)
     try:
-        remaining = os.fstat(fd).st_size
+        remaining = os.fstat(fd).st_size - offset
+        if offset:
+            os.lseek(fd, offset, os.SEEK_SET)
         chunks = []
         while remaining > 0 and (chunk := os.read(fd, remaining)):
             chunks.append(chunk)

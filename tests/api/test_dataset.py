@@ -16,6 +16,7 @@ from repro.engine.trainer import OutOfCoreTrainer
 from repro.ml.models import LogisticRegressionModel
 from repro.ml.optimizer import GradientDescentConfig
 from repro.serve.feature_store import FeatureStore
+from tests.engine.legacy import downgrade_manifest_to_v1
 
 
 @pytest.fixture(scope="module")
@@ -152,9 +153,9 @@ class TestCompact:
         dataset = drifted
         dataset.compact()
 
-        # The manifest on disk is format v2 and names the new schemes.
+        # The manifest on disk is format v3 and names the new schemes.
         manifest = json.loads((dataset.path / MANIFEST_NAME).read_text())
-        assert manifest["format_version"] == 2
+        assert manifest["format_version"] == 3
         assert all(row["scheme"] != "DEN" for row in manifest["shards"])
 
         # The trainer streams the compacted directory...
@@ -242,23 +243,13 @@ class TestCompact:
             tmp_path / "v1", features, labels, scheme="TOC", batch_size=100,
             workers=1,
         )
-        # Downgrade the on-disk manifest to the PR 1 format.
-        manifest = json.loads((dataset.path / MANIFEST_NAME).read_text())
-        v1 = {
-            "format_version": 1,
-            "scheme": "TOC",
-            "encode_seconds": manifest["encode_seconds"],
-            "shards": [
-                {k: v for k, v in row.items() if k != "scheme"}
-                for row in manifest["shards"]
-            ],
-        }
-        (dataset.path / MANIFEST_NAME).write_text(json.dumps(v1))
+        # Downgrade the directory to the PR 1 format.
+        downgrade_manifest_to_v1(dataset.path)
 
         reopened = Dataset.open(dataset.path)
         reopened.compact(readvise=False)
         upgraded = json.loads((dataset.path / MANIFEST_NAME).read_text())
-        assert upgraded["format_version"] == 2
+        assert upgraded["format_version"] == 3
         assert all(row["scheme"] == "TOC" for row in upgraded["shards"])
 
     def test_bad_sample_rows_rejected(self, dataset):

@@ -25,12 +25,12 @@ from repro.engine.encode import (
     usable_cpus,
 )
 from repro.engine.shards import (
-    LABELS_NAME,
     MANIFEST_NAME,
     MIXED_SCHEME,
     Dataset,
     read_extent,
 )
+from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.storage.buffer_pool import BufferPool
 
@@ -226,7 +226,7 @@ class TestDataset:
 
         Dataset.create(tmp_path, small_batches, scheme="TOC", workers=1)
         manifest = json.loads((tmp_path / "manifest.json").read_text())
-        assert manifest["format_version"] == 2
+        assert manifest["format_version"] == shards.FORMAT_VERSION == 3
         assert manifest["scheme"] == "TOC"
         assert all(row["scheme"] == "TOC" for row in manifest["shards"])
 
@@ -290,12 +290,13 @@ class TestDataset:
         with pytest.raises(ValueError, match="columns"):
             dataset.append([(bad, np.zeros(4))], workers=1)
 
-    @pytest.mark.parametrize("crashed_at", [LABELS_NAME, MANIFEST_NAME])
+    @pytest.mark.parametrize("crashed_at", ["shard-00004.bin", MANIFEST_NAME])
     def test_a_crashed_append_leaves_the_dataset_as_it_was(
         self, tmp_path, small_batches, monkeypatch, crashed_at
     ):
-        """The labels archive goes first and the manifest last: a crash before
-        either rename reopens the old shards with the old labels."""
+        """The new shard file (payload and labels) goes first and the manifest
+        last: a crash before either rename reopens the old shards with the
+        old labels."""
         from repro.storage import mmapio
 
         dataset = Dataset.create(tmp_path, small_batches, scheme="TOC", workers=1)
@@ -411,6 +412,49 @@ def test_stale_writer_never_rewrites_a_mapped_shard_in_place(tmp_path):
     # In place, the rewrite served wrong rows or died of SIGBUS (exit -7).
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "ok"
+
+
+class TestLabelsLiveInTheShardFiles:
+    def test_open_reads_the_manifest_alone(self, tmp_path, small_batches):
+        Dataset.create(tmp_path / "full", small_batches, scheme="TOC", workers=1)
+        bare = tmp_path / "bare"
+        bare.mkdir()
+        (bare / MANIFEST_NAME).write_bytes((tmp_path / "full" / MANIFEST_NAME).read_bytes())
+        dataset = Dataset.open(bare)  # not one shard file is there
+        assert (len(dataset), dataset.n_examples) == (4, 240)
+        with pytest.raises(FileNotFoundError):
+            dataset.labels_for(0)
+
+    def test_an_opened_handle_reads_each_label_block_once(self, tmp_path, small_batches):
+        Dataset.create(tmp_path, small_batches, scheme="TOC", workers=1)
+        reads = obs_metrics.counter("storage.reads")
+        dataset = Dataset.open(tmp_path)
+        before = reads.value
+        for _ in range(3):
+            np.testing.assert_array_equal(
+                dataset.labels(), np.concatenate([y for _, y in small_batches])
+            )
+        assert reads.value == before + len(small_batches)
+
+    def test_the_handle_that_wrote_the_labels_reads_none(self, tmp_path, small_batches):
+        reads = obs_metrics.counter("storage.reads")
+        before = reads.value
+        dataset = Dataset.create(tmp_path, small_batches, scheme="TOC", workers=1)
+        dataset.append(small_batches[:1], workers=1)
+        for batch_id, (_, labels) in enumerate(small_batches + small_batches[:1]):
+            assert dataset.labels_for(batch_id) is labels
+        assert reads.value == before
+
+    def test_payload_reads_and_sizes_exclude_the_label_block(self, tmp_path, small_batches):
+        dataset = Dataset.create(tmp_path, small_batches, scheme="TOC", workers=1)
+        scheme = get_scheme("TOC")
+        for shard, (features, _) in zip(dataset.shards, small_batches):
+            payload = scheme.compress(features).to_bytes()
+            assert shard.nbytes == len(payload) and shard.label_nbytes > 0
+            assert dataset.read_payload(shard.batch_id) == payload
+            assert dataset.map_payload(shard.batch_id) == payload
+        assert dataset.total_payload_bytes() == sum(s.nbytes for s in dataset.shards)
+        assert dataset.stats().payload_bytes == dataset.total_payload_bytes()
 
 
 def test_fsck_sweeps_an_unpublished_shard_payload(tmp_path, small_batches):

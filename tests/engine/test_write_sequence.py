@@ -1,9 +1,9 @@
 """One write sequence for a shard directory: ``Dataset._write``.
 
 ``create``, ``append`` and ``compact`` all run it: every batch is checked
-before any file is written, each payload is staged under a fresh filename,
-then the labels and last the manifest are published, and only then are the
-superseded files unlinked.  The AST guard at the end fails if any other
+before any file is written, each shard file (payload, then label block) is
+staged under a fresh filename, the manifest is published last, and only then
+are the superseded files unlinked.  The AST guard at the end fails if any other
 function under ``src/repro`` publishes a dataset file.
 """
 
@@ -19,7 +19,7 @@ import repro
 from repro.core.validate import EncodingError
 from repro.data.registry import DATASET_PROFILES
 from repro.engine import shards
-from repro.engine.shards import LABELS_NAME, MANIFEST_NAME, Dataset
+from repro.engine.shards import MANIFEST_NAME, Dataset
 
 PACKAGE = Path(repro.__file__).resolve().parent
 
@@ -57,15 +57,27 @@ class TestPublishOrder:
     def test_create(self, tmp_path, batches, events):
         Dataset.create(tmp_path, batches, scheme="TOC", workers=1)
         shard_files = [f"shard-{i:05d}.bin" for i in range(4)]
-        assert events == _published(*shard_files, LABELS_NAME, MANIFEST_NAME)
+        assert events == _published(*shard_files, MANIFEST_NAME)
 
     def test_append(self, tmp_path, batches, events):
         dataset = Dataset.create(tmp_path, batches, scheme="TOC", workers=1)
         del events[:]
         dataset.append(batches[:2], workers=1)
-        assert events == _published(
-            "shard-00004.bin", "shard-00005.bin", LABELS_NAME, MANIFEST_NAME
-        )
+        assert events == _published("shard-00004.bin", "shard-00005.bin", MANIFEST_NAME)
+
+    def test_a_one_batch_append_writes_its_shard_file_and_the_manifest_alone(
+        self, tmp_path, batches, events
+    ):
+        dataset = Dataset.create(tmp_path, batches, scheme="TOC", workers=1)
+        files = {p.name: p.read_bytes() for p in tmp_path.glob("shard-*.bin")}
+        del events[:]
+        dataset.append(batches[:1], workers=1)
+        assert events == _published("shard-00004.bin", MANIFEST_NAME)
+        assert {name: (tmp_path / name).read_bytes() for name in files} == files
+        # The new file is the batch's payload followed by its label block.
+        row = dataset.shards[4]
+        assert (tmp_path / row.filename).stat().st_size == row.nbytes + row.label_nbytes
+        assert row.label_nbytes < batches[0][1].nbytes // 4
 
     def test_create_over_a_dataset_stages_beside_it_and_unlinks_it_last(
         self, tmp_path, batches, events
@@ -76,7 +88,7 @@ class TestPublishOrder:
         # Every file the old manifest names stays valid until the new one is live.
         staged = ["shard-00000.g1.bin", "shard-00001.g1.bin"]
         old_files = [("unlink", f"shard-{i:05d}.bin") for i in range(4)]
-        assert events == _published(*staged, LABELS_NAME, MANIFEST_NAME) + old_files
+        assert events == _published(*staged, MANIFEST_NAME) + old_files
         assert shards.read_extent(tmp_path) == (2, 100) and replaced.generation == 2
         assert sorted(p.name for p in tmp_path.glob("*.bin")) == staged
         assert Dataset.open(tmp_path).fsck(remove=False).clean
@@ -150,6 +162,28 @@ def test_fsck_reports_a_shard_file_of_the_wrong_size(tmp_path, delta):
         dataset.take([0])
 
 
+@pytest.mark.parametrize("region", ["payload", "labels"])
+def test_fsck_reports_a_shard_file_whose_crc_is_not_the_manifests(tmp_path, region):
+    features, labels = DATASET_PROFILES["census"].classification(200, seed=5)
+    Dataset.create(tmp_path, features, labels, scheme="TOC", batch_size=100, workers=1)
+    dataset = Dataset.open(tmp_path)
+    row = dataset.shards[1]
+    victim = tmp_path / row.filename
+    flipped = bytearray(victim.read_bytes())
+    # The middle of the payload, or the last code of the label block.
+    flipped[row.nbytes // 2 if region == "payload" else -1] ^= 0x10
+    victim.write_bytes(flipped)
+
+    report = dataset.fsck()
+    assert report.corrupt == (victim.name,)
+    assert report.wrong_size == report.missing == report.orphans == ()
+    assert not report.clean
+    assert victim.read_bytes() == flipped  # reported, never repaired
+    if region == "labels":
+        with pytest.raises(EncodingError, match="past a dictionary"):
+            dataset.labels_for(1)
+
+
 # -- the AST guard ---------------------------------------------------------------
 
 #: The one function that writes a shard directory.
@@ -216,8 +250,8 @@ def test_only_the_write_method_publishes_a_dataset_file():
         for path in sorted(PACKAGE.rglob("*.py"))
         for use in publish_uses(path.read_text(), path.relative_to(PACKAGE).as_posix())
     ]
-    # The shard payloads, the labels, the manifest.
-    assert [use[:2] for use in uses].count(WRITER) == 3
+    # The shard files, the manifest.
+    assert [use[:2] for use in uses].count(WRITER) == 2
     strays = [use[:2] for use in uses if use[:2] != WRITER and use[:2] not in OTHER_PUBLISHERS]
     assert not strays, f"publish_file used outside {WRITER}: {strays}"
     dataset_files = [use for use in uses if use[:2] != WRITER and use[2] & DATASET_FILES]

@@ -51,6 +51,16 @@ class TestReadFile:
         monkeypatch.setattr(mmapio.os, "read", lambda fd, n: read(fd, min(n, 1000)))
         assert mmapio.read_file(path) == payload
 
+    def test_reads_from_an_offset_to_the_end(self, tmp_path, monkeypatch):
+        path = tmp_path / "blob.bin"
+        payload = bytes(range(256)) * 10
+        path.write_bytes(payload)
+        read = mmapio.os.read
+        monkeypatch.setattr(mmapio.os, "read", lambda fd, n: read(fd, min(n, 1000)))
+        assert mmapio.read_file(path, 300) == payload[300:]
+        assert mmapio.read_file(path, len(payload)) == b""
+        assert mmapio.read_file(path, len(payload) + 8) == b""
+
     def test_counts_reads_and_bytes(self, tmp_path):
         path = tmp_path / "blob.bin"
         path.write_bytes(bytes(300))

@@ -136,7 +136,7 @@ class TestEncodeStatsCompactCommands:
         out = capsys.readouterr().out
         assert "4 of 4 shards re-encoded" in out
         manifest = json.loads((shard_dir / "manifest.json").read_text())
-        assert manifest["format_version"] == 2
+        assert manifest["format_version"] == 3
         assert all(row["scheme"] != "DEN" for row in manifest["shards"])
 
         # Second compact: idempotent no-op.
@@ -587,7 +587,19 @@ class TestFsckCommand:
         victim = shard_dir / "shard-00000.bin"
         victim.write_bytes(victim.read_bytes() + bytes(8))
         assert main(["fsck", "--shard-dir", str(shard_dir)]) == 1
-        assert "WRONG SIZE (not the manifest's nbytes): shard-00000.bin" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "WRONG SIZE (not the manifest's nbytes + label_nbytes): shard-00000.bin" in out
+
+    def test_corrupt_referenced_shard_exits_nonzero(self, capsys, tmp_path):
+        shard_dir = self._encode(capsys, tmp_path)
+        victim = shard_dir / "shard-00001.bin"
+        flipped = bytearray(victim.read_bytes())
+        flipped[40] ^= 0x01
+        victim.write_bytes(flipped)
+        assert main(["fsck", "--shard-dir", str(shard_dir)]) == 1
+        out = capsys.readouterr().out
+        assert "CORRUPT (CRC-32 is not the manifest's): shard-00001.bin" in out
+        assert "1 CORRUPT" in out
 
     def test_missing_directory_fails_cleanly(self, capsys, tmp_path):
         assert main(["fsck", "--shard-dir", str(tmp_path / "nope")]) == 2
